@@ -404,53 +404,6 @@ func BenchmarkP8PlannerPushdown(b *testing.B) {
 	}
 }
 
-// BenchmarkP11FusedPipeline measures the fused derive+residual pipeline
-// against PR 3's derive-then-filter execution on a residual-heavy
-// workload: five molecule-level conjuncts that cannot push below
-// derivation, so the residual chain dominates. The barrier variant
-// parallelizes derivation but runs the whole chain on one goroutine; the
-// fused variant runs the chain on the worker that derived the molecule.
-// The gap widens with worker count (the barrier serializes the dominant
-// stage) and the fused variant also allocates less per molecule
-// (recycled rejects, reused scratch) — compare with -benchmem.
-func BenchmarkP11FusedPipeline(b *testing.B) {
-	db, mt, err := experiments.BuildAssembly(1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer plan.Release(db)
-	pred := experiments.ResidualHeavyPred()
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("barrier/workers=%d", workers), func(b *testing.B) {
-			p, err := plan.Compile(db, mt.Desc(), pred)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.Workers = workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.ExecuteBarrier(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("fused/workers=%d", workers), func(b *testing.B) {
-			plan.FeedbackFor(db).Reset()
-			p, err := plan.Compile(db, mt.Desc(), pred)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.Workers = workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Execute(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // liveHeap forces a collection and returns the live heap — the figure
 // the streaming benchmark tracks as "peak-B/op" (B/op from -benchmem
 // counts total allocation, which streaming cannot reduce: every
@@ -627,21 +580,21 @@ func BenchmarkP16IndexIntersection(b *testing.B) {
 	}
 	defer plan.Release(db)
 	pred := experiments.JobShopPred(7, 3)
-	// exec compiles with or without the intersection candidate and
-	// returns the molecule count.
+	// exec compiles the contested plan — or, forced, the best candidate
+	// of its contest that is not the intersection — and returns the
+	// molecule count.
 	exec := func(intersect bool) (int, error) {
-		var p *plan.Plan
-		var err error
-		if intersect {
-			p, err = plan.Compile(db, mt.Desc(), pred)
-		} else {
-			p, err = plan.CompileSingleEntry(db, mt.Desc(), pred)
-		}
+		p, err := plan.Compile(db, mt.Desc(), pred)
 		if err != nil {
 			return 0, err
 		}
-		if intersect && p.Access.Kind != plan.IndexIntersect {
+		if p.Access.Kind != plan.IndexIntersect {
 			return 0, fmt.Errorf("contest picked %v, want index intersection", p.Access.Kind)
+		}
+		if !intersect {
+			if p, err = experiments.CompileBestSingleEntry(db, mt.Desc(), pred, p); err != nil {
+				return 0, err
+			}
 		}
 		set, err := p.Execute()
 		if err != nil {
@@ -822,7 +775,13 @@ func BenchmarkP7ParallelDerivation(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dv.DeriveParallel(workers)
+				var set core.MoleculeSet
+				_, err := dv.DeriveStream(context.Background(), dv.RootIDs(), workers, nil,
+					func(int) core.FusedWorker { return core.FusedWorker{} },
+					func(batch core.MoleculeSet) error { set = append(set, batch...); return nil })
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -304,38 +304,6 @@ func TestRestrictionResultReusable(t *testing.T) {
 	}
 }
 
-func TestRestrictWithIndexEqualsRestrict(t *testing.T) {
-	s := sample(t)
-	if err := s.DB.CreateIndex("point", "name"); err != nil {
-		t.Fatal(err)
-	}
-	mt := pointNeighborhood(t, s.DB)
-	viaIndex, err := core.RestrictWithIndex(mt, "name", model.Str("pn"), nil, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := core.Restrict(mt, expr.Cmp{Op: expr.EQ,
-		L: expr.Attr{Type: "point", Name: "name"},
-		R: expr.Lit(model.Str("pn"))}, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := viaIndex.Derive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := plain.Derive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s1) != len(s2) || len(s1) != 1 {
-		t.Fatalf("index path %d vs scan path %d molecules", len(s1), len(s2))
-	}
-	if s1[0].Root() != s2[0].Root() {
-		t.Fatal("index and scan paths disagree")
-	}
-}
-
 func TestProjection(t *testing.T) {
 	s := sample(t)
 	mt := mtState(t, s.DB)

@@ -89,17 +89,9 @@ func NewDeriver(db *storage.Database, desc *Desc) (*Deriver, error) {
 // resolved stores and containers — pinning is free. The snapshot must
 // stay open (un-Closed) for the lifetime of the pinned deriver, since
 // it is what holds vacuum back from the pinned versions.
-func (dv *Deriver) AtSnapshot(s *storage.Snapshot) *Deriver { return dv.AtTS(s.TS()) }
-
-// AtTS is AtSnapshot for an already-pinned timestamp; ts zero returns a
-// deriver reading the latest published view. Callers are responsible for
-// keeping a snapshot registered at ts while the deriver is in use.
-func (dv *Deriver) AtTS(ts uint64) *Deriver {
-	if ts == dv.ts {
-		return dv
-	}
+func (dv *Deriver) AtSnapshot(s *storage.Snapshot) *Deriver {
 	cp := *dv
-	cp.ts = ts
+	cp.ts = s.TS()
 	return &cp
 }
 
@@ -120,9 +112,9 @@ func (dv *Deriver) AtView(v AtomView) *Deriver {
 	return &cp
 }
 
-// rootHas, rootLen, rootIDs and rootScan dispatch the root-occurrence
-// reads on the pin: the effective view when one is attached, the latest
-// head view when unpinned, the snapshot view at dv.ts otherwise.
+// rootHas and rootIDs dispatch the root-occurrence reads on the pin: the
+// effective view when one is attached, the latest head view when
+// unpinned, the snapshot view at dv.ts otherwise.
 func (dv *Deriver) rootHas(id model.AtomID) bool {
 	if dv.view != nil {
 		_, ok := dv.view.EffAtom(dv.desc.Root(), id)
@@ -134,16 +126,6 @@ func (dv *Deriver) rootHas(id model.AtomID) bool {
 	return dv.roots.Has(id)
 }
 
-func (dv *Deriver) rootLen() int {
-	if dv.view != nil {
-		return len(dv.view.EffIDs(dv.desc.Root()))
-	}
-	if dv.ts != 0 {
-		return dv.roots.LenAt(dv.ts)
-	}
-	return dv.roots.Len()
-}
-
 func (dv *Deriver) rootIDs() []model.AtomID {
 	if dv.view != nil {
 		return dv.view.EffIDs(dv.desc.Root())
@@ -152,24 +134,6 @@ func (dv *Deriver) rootIDs() []model.AtomID {
 		return dv.roots.IDsAt(dv.ts)
 	}
 	return dv.roots.IDs()
-}
-
-func (dv *Deriver) rootScan(fn func(model.Atom) bool) {
-	if dv.view != nil {
-		// Derivation only consumes the identifier; synthesizing a bare
-		// atom per id keeps the view interface narrow.
-		for _, id := range dv.view.EffIDs(dv.desc.Root()) {
-			if !fn(model.Atom{ID: id}) {
-				return
-			}
-		}
-		return
-	}
-	if dv.ts != 0 {
-		dv.roots.ScanAt(dv.ts, fn)
-		return
-	}
-	dv.roots.Scan(fn)
 }
 
 // partners returns the children of atom a along edge ei, honouring the
@@ -285,41 +249,23 @@ func (dv *Deriver) PrepareChecks(checks []PruneCheck) PreparedChecks {
 // which must belong to the root type's occurrence.
 func (dv *Deriver) DeriveFor(root model.AtomID) (*Molecule, error) {
 	if !dv.rootHas(root) {
-		return nil, fmt.Errorf("core: atom %v is not in root type %q", root, dv.desc.Root())
+		return nil, dv.errNotRoot(root)
 	}
 	return dv.derive(root), nil
 }
 
-// DeriveForPruned is DeriveFor with pushdown hooks; ok=false reports that
-// a hook cut the molecule. Callers deriving many roots should prepare the
-// hooks once and use DeriveForPrepared.
-func (dv *Deriver) DeriveForPruned(root model.AtomID, checks []PruneCheck) (*Molecule, bool, error) {
-	return dv.DeriveForPrepared(root, dv.PrepareChecks(checks))
-}
-
-// DeriveForPrepared is DeriveForPruned over an already-prepared hook
-// layout, avoiding the per-root preparation cost.
-func (dv *Deriver) DeriveForPrepared(root model.AtomID, pc PreparedChecks) (*Molecule, bool, error) {
-	if !dv.rootHas(root) {
-		return nil, false, fmt.Errorf("core: atom %v is not in root type %q", root, dv.desc.Root())
-	}
-	m := dv.derivePruned(root, pc)
-	return m, m != nil, nil
+func (dv *Deriver) errNotRoot(root model.AtomID) error {
+	return fmt.Errorf("core: atom %v is not in root type %q", root, dv.desc.Root())
 }
 
 // derive runs the template over the atom network below one root atom.
 func (dv *Deriver) derive(root model.AtomID) *Molecule {
-	return dv.derivePruned(root, nil)
+	return dv.deriveScratched(root, nil, nil)
 }
 
-// derivePruned runs the template below one root atom, aborting as soon as
-// a prune hook disqualifies the molecule. It returns nil when pruned.
-func (dv *Deriver) derivePruned(root model.AtomID, byPos PreparedChecks) *Molecule {
-	return dv.deriveScratched(root, byPos, nil)
-}
-
-// deriveScratched is derivePruned with optional per-worker scratch: with
-// sc non-nil, pruned molecules are recycled, the candidate sets are
+// deriveScratched runs the template below one root atom, aborting as
+// soon as a prune hook disqualifies the molecule (it returns nil then).
+// With sc non-nil, pruned molecules are recycled, the candidate sets are
 // reused across types and roots, and the logical-work accounting stays in
 // the scratch tally instead of hitting the shared atomic counters per
 // atom. A nil sc reproduces the plain allocation behaviour.
@@ -423,11 +369,11 @@ func (dv *Deriver) RootIDs() []model.AtomID { return dv.rootIDs() }
 // Derive materializes the full molecule-type occurrence: one molecule per
 // atom of the root type, in the root container's insertion order.
 func (dv *Deriver) Derive() MoleculeSet {
-	out := make(MoleculeSet, 0, dv.rootLen())
-	dv.rootScan(func(a model.Atom) bool {
-		out = append(out, dv.derive(a.ID))
-		return true
-	})
+	roots := dv.rootIDs()
+	out := make(MoleculeSet, len(roots))
+	for i, r := range roots {
+		out[i] = dv.derive(r)
+	}
 	return out
 }
 
@@ -448,21 +394,9 @@ func (dv *Deriver) DeriveRoots(roots []model.AtomID) (MoleculeSet, error) {
 // Walk streams molecules one root at a time without materializing the
 // whole occurrence; fn returning false stops the walk.
 func (dv *Deriver) Walk(fn func(*Molecule) bool) {
-	dv.rootScan(func(a model.Atom) bool {
-		return fn(dv.derive(a.ID))
-	})
-}
-
-// WalkPruned streams the molecules surviving the pushdown hooks; pruned
-// molecules never reach fn (their subtrees were never traversed). fn
-// returning false stops the walk.
-func (dv *Deriver) WalkPruned(checks []PruneCheck, fn func(*Molecule) bool) {
-	byPos := dv.PrepareChecks(checks)
-	dv.rootScan(func(a model.Atom) bool {
-		m := dv.derivePruned(a.ID, byPos)
-		if m == nil {
-			return true
+	for _, r := range dv.rootIDs() {
+		if !fn(dv.derive(r)) {
+			return
 		}
-		return fn(m)
-	})
+	}
 }

@@ -48,60 +48,6 @@ func Restrict(mt *MoleculeType, pred expr.Expr, resultName string, tr *OpTrace) 
 	return res.Type, nil
 }
 
-// RestrictWithIndex is Restrict with root-restriction pushdown: when an
-// equality predicate on the root type's indexed attribute is supplied,
-// only the matching root atoms are derived. The result is identical to
-// Restrict; only the work differs (the optimization the paper anticipates
-// for query processing, Chapter 5). The query planner (package plan)
-// generalizes this single access path into full plans — index selection
-// by cardinality, root filters, per-atom-type pushdown during
-// derivation; new callers should prefer plan.Restrict.
-func RestrictWithIndex(mt *MoleculeType, attr string, value model.Value, rest expr.Expr, resultName string, tr *OpTrace) (*MoleculeType, error) {
-	tr.SetOp(fmt.Sprintf("Σ[%s.%s=%s ∧ …](%s) via index", mt.desc.Root(), attr, value, mt.Name()))
-	done := tr.Begin("restriction (index-assisted)")
-	roots, ok := mt.db.IndexLookup(mt.desc.Root(), attr, value)
-	if !ok {
-		done("no index; falling back to full derivation")
-		pred := combinePred(expr.Cmp{Op: expr.EQ, L: expr.Attr{Type: mt.desc.Root(), Name: attr}, R: expr.Lit(value)}, rest)
-		return Restrict(mt, pred, resultName, tr)
-	}
-	dv, err := mt.Deriver()
-	if err != nil {
-		return nil, err
-	}
-	candidates, err := dv.DeriveRoots(roots)
-	if err != nil {
-		return nil, err
-	}
-	var rsv MoleculeSet
-	for _, m := range candidates {
-		ok, err := expr.EvalPredicate(rest, Binding{DB: mt.db, M: m})
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			rsv = append(rsv, m)
-		}
-	}
-	done(fmt.Sprintf("index narrowed to %d roots, %d qualified", len(roots), len(rsv)))
-	res, err := Prop(mt.db, resultName, mt.desc, rsv, nil, tr)
-	if err != nil {
-		return nil, err
-	}
-	return res.Type, nil
-}
-
-// combinePred conjoins two optional predicates.
-func combinePred(a, b expr.Expr) expr.Expr {
-	if b == nil {
-		return a
-	}
-	if a == nil {
-		return b
-	}
-	return expr.And{L: a, R: b}
-}
-
 func exprString(e expr.Expr) string {
 	if e == nil {
 		return "true"

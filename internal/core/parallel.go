@@ -10,132 +10,7 @@ import (
 	"mad/internal/storage"
 )
 
-// DeriveParallel materializes the molecule-type occurrence using the given
-// number of worker goroutines (≤ 0 selects GOMAXPROCS). Molecules are
-// independent — one per root atom — so derivation parallelizes perfectly
-// as long as the database is not mutated concurrently; the result order is
-// identical to Derive (root container order).
-//
-// The paper closes by proposing the molecule algebra "as a focal point for
-// detailed investigations in query parallelism" (Chapter 5); this is the
-// obvious first such investigation, and the P7 experiment measures it.
-func (dv *Deriver) DeriveParallel(workers int) MoleculeSet {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	roots := dv.rootIDs()
-	if workers == 1 || len(roots) < 2*workers {
-		return dv.Derive()
-	}
-	out := make(MoleculeSet, len(roots))
-	var wg sync.WaitGroup
-	chunk := (len(roots) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(roots) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(roots) {
-			hi = len(roots)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = dv.derive(roots[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
-}
-
-// DeriveRootsParallel is DeriveParallel restricted to the given roots.
-func (dv *Deriver) DeriveRootsParallel(roots []model.AtomID, workers int) (MoleculeSet, error) {
-	for _, r := range roots {
-		if !dv.rootHas(r) {
-			return nil, errNotRoot(dv, r)
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(roots) < 2*workers {
-		return dv.DeriveRoots(roots)
-	}
-	out := make(MoleculeSet, len(roots))
-	var wg sync.WaitGroup
-	chunk := (len(roots) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(roots) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(roots) {
-			hi = len(roots)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = dv.derive(roots[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// DeriveRootsPrunedParallel derives the molecules for the given roots
-// under already-prepared prune hooks, fanning the roots out over the
-// worker pool. The result is aligned with roots: entry i is nil when a
-// hook cut the molecule at roots[i], so callers can both compact the set
-// and count prunes while preserving root order. The hooks run
-// concurrently — callers must make their Qualifies closures and any
-// state they capture safe for concurrent use (the planner aggregates its
-// EXPLAIN actuals atomically for exactly this reason).
-func (dv *Deriver) DeriveRootsPrunedParallel(roots []model.AtomID, pc PreparedChecks, workers int) (MoleculeSet, error) {
-	for _, r := range roots {
-		if !dv.rootHas(r) {
-			return nil, errNotRoot(dv, r)
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make(MoleculeSet, len(roots))
-	if workers == 1 || len(roots) < 2*workers {
-		for i, r := range roots {
-			out[i] = dv.derivePruned(r, pc)
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	chunk := (len(roots) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(roots) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(roots) {
-			hi = len(roots)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = dv.derivePruned(roots[i], pc)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// FusedWorker is one worker's harness for a fused derive+filter batch.
+// FusedWorker is one worker's harness for a derive+filter batch.
 // Checks are the worker-private prune hooks — their Qualifies closures
 // may keep worker-local accumulators (cut counts) without any
 // synchronization, because exactly one worker runs them. Keep is the
@@ -149,11 +24,10 @@ type FusedWorker struct {
 	Keep   func(m *Molecule) bool
 }
 
-// DefaultStreamBatch is the root-batch granularity of the streaming
-// fused executor when the caller passes batchSize <= 0: large enough
-// that the per-batch channel traffic disappears against the derivation
-// work, small enough that the first molecules reach the consumer long
-// before the root batch is exhausted.
+// DefaultStreamBatch is the root-batch granularity a sizer starts from:
+// large enough that the per-batch channel traffic disappears against the
+// derivation work, small enough that the first molecules reach the
+// consumer long before the root batch is exhausted.
 const DefaultStreamBatch = 64
 
 // MinStreamBatch and MaxStreamBatch bound the adaptive batch sizer:
@@ -186,8 +60,7 @@ const growStreak = 4
 
 // NewBatchSizer returns a sizer starting at start (DefaultStreamBatch
 // when <= 0), clamped to [min, max] (MinStreamBatch / MaxStreamBatch
-// when <= 0). min == max pins the size, turning Observe into a no-op —
-// how the fixed-batch entry point reuses the adaptive machinery.
+// when <= 0). min == max pins the size, turning Observe into a no-op.
 func NewBatchSizer(start, min, max int) *BatchSizer {
 	if start <= 0 {
 		start = DefaultStreamBatch
@@ -239,57 +112,6 @@ func (b *BatchSizer) Observe(blocked bool) {
 	}
 }
 
-// DeriveRootsFusedParallel fuses derivation and filtering: each worker
-// derives a molecule and immediately runs its filter sink on it in one
-// pass, with no barrier between the two stages. newWorker is called on
-// the coordinating goroutine, once per worker actually spawned (ids
-// 0..n-1), so callers can set up per-worker accumulators lock-free and
-// merge them after the call returns — the planner keeps its EXPLAIN
-// actuals exact and race-free exactly this way.
-//
-// The result preserves root-batch order (molecules cut by a hook or
-// rejected by the sink are compacted away), so the output stays
-// deterministic for any worker count. Cancelling ctx stops every worker
-// loop mid-derivation and returns ctx.Err(); ctx may be nil for
-// uncancellable batches. The returned tally is the batch's derivation
-// work — atoms fetched and links traversed — also already folded into
-// the database's shared statistics.
-func (dv *Deriver) DeriveRootsFusedParallel(ctx context.Context, roots []model.AtomID, workers int, newWorker func(w int) FusedWorker) (MoleculeSet, storage.WorkTally, error) {
-	out := make(MoleculeSet, 0, len(roots))
-	work, err := dv.DeriveRootsFusedStream(ctx, roots, workers, 0, newWorker, func(batch MoleculeSet) error {
-		out = append(out, batch...)
-		return nil
-	})
-	if err != nil {
-		return nil, work, err
-	}
-	return out, work, nil
-}
-
-// DeriveRootsFusedStream is the incremental form of the fused executor:
-// the root batch is cut into batches of batchSize (<= 0 selects
-// DefaultStreamBatch), each batch is derived and filtered by one worker
-// of the pool, and emit receives the surviving molecules of every batch
-// — already compacted, in exact root-batch order — as soon as that batch
-// is done. At most workers+1 batches are in flight at any moment, so the
-// executor's footprint is bounded by O(workers × batchSize) molecules no
-// matter how large the root batch is; batches are pipelined, not
-// barriered — worker w derives batch k+1 while emit still drains batch k.
-//
-// emit runs on the calling goroutine; returning an error from it stops
-// the workers and surfaces that error. Cancelling ctx stops every worker
-// loop mid-derivation (checked per root) and returns ctx.Err(); no
-// goroutine outlives the call either way. Empty batches are not emitted.
-// newWorker follows the DeriveRootsFusedParallel contract: called on the
-// calling goroutine, once per worker actually spawned.
-func (dv *Deriver) DeriveRootsFusedStream(ctx context.Context, roots []model.AtomID, workers, batchSize int, newWorker func(w int) FusedWorker, emit func(MoleculeSet) error) (storage.WorkTally, error) {
-	if batchSize <= 0 {
-		batchSize = DefaultStreamBatch
-	}
-	// A pinned sizer (min == max) reproduces the fixed-batch behaviour.
-	return dv.DeriveRootsFusedStreamSized(ctx, roots, workers, NewBatchSizer(batchSize, batchSize, batchSize), newWorker, emit)
-}
-
 // fusedSlot is one dispatched root range of the streaming executor,
 // with a one-slot channel its worker publishes the finished batch into
 // so a worker send never blocks.
@@ -298,18 +120,36 @@ type fusedSlot struct {
 	out    chan MoleculeSet
 }
 
-// DeriveRootsFusedStreamSized is DeriveRootsFusedStream with an adaptive
-// batch sizer: the dispatcher consults sizer.Size when cutting each root
-// range, so an emit callback that feeds outcomes back via sizer.Observe
-// makes the batch granularity track consumer backpressure — batches
-// shrink while the consumer's hand-off channel stays full and grow again
-// once it drains faster than the workers derive. A nil sizer selects an
-// adaptive one with the default bounds.
-func (dv *Deriver) DeriveRootsFusedStreamSized(ctx context.Context, roots []model.AtomID, workers int, sizer *BatchSizer, newWorker func(w int) FusedWorker, emit func(MoleculeSet) error) (storage.WorkTally, error) {
+// DeriveStream is the derivation executor: it derives the molecules of
+// the given roots on a pool of workers (<= 0 selects GOMAXPROCS) and
+// filters each one on the worker that derived it — no barrier separates
+// the two stages. The root batch is cut into batches at the sizer's
+// current granularity, each batch is derived and filtered by one worker,
+// and emit receives the surviving molecules of every batch — compacted,
+// in exact root order — as soon as that batch is done, so the output is
+// deterministic for any worker count. At most workers+1 batches are in
+// flight at any moment, which bounds the footprint at O(workers × batch)
+// molecules however large the root batch is; batches are pipelined —
+// worker w derives batch k+1 while emit still drains batch k.
+//
+// newWorker is called on the calling goroutine, once per worker actually
+// spawned (ids 0..n-1), so callers can set up per-worker accumulators
+// lock-free and merge them after the call returns. emit runs on the
+// calling goroutine too; an emit callback that feeds its hand-off
+// outcomes back via sizer.Observe makes the batch granularity track
+// consumer backpressure (a nil sizer selects an adaptive one with the
+// default bounds). Returning an error from emit stops the workers and
+// surfaces that error. Cancelling ctx stops every worker loop
+// mid-derivation (checked per root) and returns ctx.Err(); ctx may be
+// nil for uncancellable runs. No goroutine outlives the call either
+// way, and empty batches are not emitted. The returned tally is the
+// run's derivation work — atoms fetched and links traversed — already
+// folded into the database's shared statistics.
+func (dv *Deriver) DeriveStream(ctx context.Context, roots []model.AtomID, workers int, sizer *BatchSizer, newWorker func(w int) FusedWorker, emit func(MoleculeSet) error) (storage.WorkTally, error) {
 	var work storage.WorkTally
 	for _, r := range roots {
 		if !dv.rootHas(r) {
-			return work, errNotRoot(dv, r)
+			return work, dv.errNotRoot(r)
 		}
 	}
 	if ctx == nil {
@@ -460,9 +300,4 @@ func (dv *Deriver) DeriveRootsFusedStreamSized(ctx context.Context, roots []mode
 		work.Add(t)
 	}
 	return work, err
-}
-
-func errNotRoot(dv *Deriver, r model.AtomID) error {
-	_, err := dv.DeriveFor(r) // reuse its error message
-	return err
 }

@@ -76,8 +76,7 @@ func TestBatchSizerGrowsOnStreakOnly(t *testing.T) {
 }
 
 func TestBatchSizerPinned(t *testing.T) {
-	// min == max pins the size: DeriveRootsFusedStream uses this to keep
-	// its fixed-batch contract.
+	// min == max pins the size, whatever the emit outcomes.
 	s := core.NewBatchSizer(64, 64, 64)
 	for i := 0; i < 50; i++ {
 		s.Observe(i%3 == 0)

@@ -7,7 +7,14 @@ import (
 
 	"mad/internal/core"
 	"mad/internal/geo"
+	"mad/internal/model"
 )
+
+// passThrough is the worker of a run with no hooks and no filter sink.
+func passThrough(int) core.FusedWorker { return core.FusedWorker{} }
+
+// pinned fixes the batch size, so tests can count and bound batches.
+func pinned(n int) *core.BatchSizer { return core.NewBatchSizer(n, n, n) }
 
 // streamFixture builds a synthetic occurrence large enough that the
 // streaming executor actually runs multi-batch, multi-worker.
@@ -36,18 +43,18 @@ func streamFixture(t *testing.T) (*core.Deriver, core.MoleculeSet) {
 	return dv, dv.Derive()
 }
 
-// TestFusedStreamOrder: for any worker count and batch size, the
-// concatenation of the emitted batches is exactly the sequential
-// derivation order, and every batch respects the batch-size bound.
-func TestFusedStreamOrder(t *testing.T) {
+// TestDeriveStreamOrder: for any worker count (0 = GOMAXPROCS) and batch
+// size, the concatenation of the emitted batches is exactly the
+// sequential derivation order, and every batch respects the batch-size
+// bound.
+func TestDeriveStreamOrder(t *testing.T) {
 	dv, want := streamFixture(t)
 	roots := dv.RootIDs()
-	for _, workers := range []int{1, 2, 3, 8} {
+	for _, workers := range []int{0, 1, 2, 3, 8} {
 		for _, batchSize := range []int{1, 7, 64, 1000} {
 			var got core.MoleculeSet
 			batches := 0
-			_, err := dv.DeriveRootsFusedStream(context.Background(), roots, workers, batchSize,
-				func(int) core.FusedWorker { return core.FusedWorker{} },
+			_, err := dv.DeriveStream(context.Background(), roots, workers, pinned(batchSize), passThrough,
 				func(ms core.MoleculeSet) error {
 					if len(ms) == 0 || len(ms) > batchSize {
 						t.Fatalf("workers=%d batch=%d: emitted batch of %d", workers, batchSize, len(ms))
@@ -74,17 +81,16 @@ func TestFusedStreamOrder(t *testing.T) {
 	}
 }
 
-// TestFusedStreamCancel: cancelling the context after the first batch
+// TestDeriveStreamCancel: cancelling the context after the first batch
 // stops the executor with ctx.Err() — in particular it does not deliver
 // the remaining batches — and the call still joins all its workers.
-func TestFusedStreamCancel(t *testing.T) {
+func TestDeriveStreamCancel(t *testing.T) {
 	dv, want := streamFixture(t)
 	roots := dv.RootIDs()
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		delivered := 0
-		_, err := dv.DeriveRootsFusedStream(ctx, roots, workers, 8,
-			func(int) core.FusedWorker { return core.FusedWorker{} },
+		_, err := dv.DeriveStream(ctx, roots, workers, pinned(8), passThrough,
 			func(ms core.MoleculeSet) error {
 				delivered += len(ms)
 				cancel()
@@ -100,16 +106,15 @@ func TestFusedStreamCancel(t *testing.T) {
 	}
 }
 
-// TestFusedStreamEmitError: an emit error stops the workers and
+// TestDeriveStreamEmitError: an emit error stops the workers and
 // surfaces unchanged.
-func TestFusedStreamEmitError(t *testing.T) {
+func TestDeriveStreamEmitError(t *testing.T) {
 	dv, _ := streamFixture(t)
 	roots := dv.RootIDs()
 	sentinel := errors.New("stop")
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		_, err := dv.DeriveRootsFusedStream(context.Background(), roots, workers, 8,
-			func(int) core.FusedWorker { return core.FusedWorker{} },
+		_, err := dv.DeriveStream(context.Background(), roots, workers, pinned(8), passThrough,
 			func(ms core.MoleculeSet) error {
 				calls++
 				return sentinel
@@ -123,22 +128,38 @@ func TestFusedStreamEmitError(t *testing.T) {
 	}
 }
 
-// TestFusedParallelCtx: the collect-all form honors cancellation too —
-// an already-cancelled context derives nothing.
-func TestFusedParallelCtx(t *testing.T) {
+// TestDeriveStreamCtx: an already-cancelled context derives nothing, a
+// nil context and a nil sizer mean "run to completion at the adaptive
+// default", and a root outside the occurrence is rejected before any
+// derivation starts.
+func TestDeriveStreamCtx(t *testing.T) {
 	dv, want := streamFixture(t)
 	roots := dv.RootIDs()
+	var out core.MoleculeSet
+	collect := func(ms core.MoleculeSet) error {
+		out = append(out, ms...)
+		return nil
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := dv.DeriveRootsFusedParallel(ctx, roots, 4, func(int) core.FusedWorker { return core.FusedWorker{} }); !errors.Is(err, context.Canceled) {
+	if _, err := dv.DeriveStream(ctx, roots, 4, nil, passThrough, collect); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// And a nil context means "run to completion".
-	out, _, err := dv.DeriveRootsFusedParallel(nil, roots, 4, func(int) core.FusedWorker { return core.FusedWorker{} })
+	if len(out) != 0 {
+		t.Fatalf("cancelled run delivered %d molecules", len(out))
+	}
+	work, err := dv.DeriveStream(nil, roots, 4, nil, passThrough, collect)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(want) {
 		t.Fatalf("%d molecules, want %d", len(out), len(want))
+	}
+	if work.AtomsFetched == 0 || work.LinksTraversed == 0 {
+		t.Fatalf("work tally not reported: %+v", work)
+	}
+	out = nil
+	if _, err := dv.DeriveStream(nil, []model.AtomID{roots[0], 0}, 4, nil, passThrough, collect); err == nil || len(out) != 0 {
+		t.Fatalf("non-root atom: err = %v with %d molecules delivered, want rejection up front", err, len(out))
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"mad/internal/core"
@@ -163,15 +164,14 @@ func TestRecoverRootsDiamondSuperset(t *testing.T) {
 	// Pruned derivation from the recovered candidate with the seeding
 	// check as hook discards r2 — exactness restored.
 	pc := dv.PrepareChecks([]core.PruneCheck{{Pos: zPos, Qualifies: func(atoms []model.AtomID) bool {
-		for _, id := range atoms {
-			if id == z2 {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(atoms, z2)
 	}}})
-	if _, ok, err := dv.DeriveForPrepared(r2, pc); err != nil || ok {
-		t.Fatalf("pruned derivation from over-approximated root: ok=%v err=%v, want pruned", ok, err)
+	survived := 0
+	_, err = dv.DeriveStream(nil, []model.AtomID{r2}, 1, nil,
+		func(int) core.FusedWorker { return core.FusedWorker{Checks: pc} },
+		func(ms core.MoleculeSet) error { survived += len(ms); return nil })
+	if err != nil || survived != 0 {
+		t.Fatalf("pruned derivation from over-approximated root: %d survived, err=%v, want pruned", survived, err)
 	}
 
 	// Out-of-range position errors.
@@ -180,21 +180,21 @@ func TestRecoverRootsDiamondSuperset(t *testing.T) {
 	}
 }
 
-// TestDeriveRootsPrunedParallel checks the parallel pruned batch against
-// the sequential hooks path: same alignment, same prunes, any worker
-// count.
-func TestDeriveRootsPrunedParallel(t *testing.T) {
+// TestDeriveStreamPrunes checks the executor's prune hooks and filter
+// sink against the naive oracle — derive every root in full, keep the
+// molecules with a qualifying state atom and more than one edge — for any
+// worker count: same molecules, same root order.
+func TestDeriveStreamPrunes(t *testing.T) {
 	s := sample(t)
 	mt := pointNeighborhood(t, s.DB)
 	dv, err := mt.Deriver()
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := mt.Desc()
-	statePos, _ := desc.Pos("state")
+	statePos, _ := mt.Desc().Pos("state")
 	c, _ := s.DB.Container("state")
 	pred := expr.Cmp{Op: expr.GT, L: expr.Attr{Type: "state", Name: "hectare"}, R: expr.Lit(model.Float(500))}
-	pc := dv.PrepareChecks([]core.PruneCheck{{Pos: statePos, Qualifies: func(atoms []model.AtomID) bool {
+	bigState := func(atoms []model.AtomID) bool {
 		for _, id := range atoms {
 			a, ok := c.Get(id)
 			if !ok {
@@ -206,38 +206,39 @@ func TestDeriveRootsPrunedParallel(t *testing.T) {
 			}
 		}
 		return false
-	}}})
+	}
+	manyEdges := func(m *core.Molecule) bool { return len(m.AtomsOf("edge")) > 1 }
 
-	pc2, _ := s.DB.Container("point")
-	roots := pc2.IDs()
 	var want core.MoleculeSet
-	for _, r := range roots {
-		m, _, err := dv.DeriveForPrepared(r, pc)
-		if err != nil {
-			t.Fatal(err)
+	dv.Walk(func(m *core.Molecule) bool {
+		if bigState(m.AtomsOf("state")) && manyEdges(m) {
+			want = append(want, m)
 		}
-		want = append(want, m) // nil entries included: alignment matters
+		return true
+	})
+	if len(want) == 0 || len(want) == len(dv.RootIDs()) {
+		t.Fatalf("fixture broken: %d of %d molecules qualify", len(want), len(dv.RootIDs()))
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, err := dv.DeriveRootsPrunedParallel(roots, pc, workers)
+		var got core.MoleculeSet
+		_, err := dv.DeriveStream(nil, dv.RootIDs(), workers, core.NewBatchSizer(2, 2, 2),
+			func(int) core.FusedWorker {
+				return core.FusedWorker{
+					Checks: dv.PrepareChecks([]core.PruneCheck{{Pos: statePos, Qualifies: bigState}}),
+					Keep:   manyEdges,
+				}
+			},
+			func(ms core.MoleculeSet) error { got = append(got, ms...); return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
+			t.Fatalf("workers=%d: %d molecules, want %d", workers, len(got), len(want))
 		}
 		for i := range got {
-			if (got[i] == nil) != (want[i] == nil) {
-				t.Fatalf("workers=%d: prune mismatch at %d", workers, i)
-			}
-			if got[i] != nil && !got[i].Equal(want[i]) {
+			if !got[i].Equal(want[i]) {
 				t.Fatalf("workers=%d: molecule %d differs", workers, i)
 			}
 		}
-	}
-	// A non-root atom in the batch fails.
-	e, _ := s.DB.Container("edge")
-	if _, err := dv.DeriveRootsPrunedParallel(e.IDs()[:1], pc, 2); err == nil {
-		t.Fatal("non-root atoms must be rejected")
 	}
 }

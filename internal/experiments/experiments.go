@@ -45,7 +45,7 @@ func All() []Experiment {
 		{ID: "P8", Title: "predicate pushdown: naive Σ vs planned derivation", Run: RunP8},
 		{ID: "P9", Title: "histogram statistics: skew-proof access paths, plan caching", Run: RunP9},
 		{ID: "P10", Title: "symmetric access paths: interior-index entry vs root scan", Run: RunP10},
-		{ID: "P11", Title: "fused derive+residual pipeline, feedback-calibrated costs", Run: RunP11},
+		{ID: "P11", Title: "feedback-calibrated residual ordering", Run: RunP11},
 		{ID: "P12", Title: "streaming execution: first-molecule latency, LIMIT work caps", Run: RunP12},
 		{ID: "P16", Title: "composable access paths: index intersection vs single entry", Run: RunP16},
 		{ID: "P17", Title: "BOM part explosion: indexed fixpoint entry vs eager full closure", Run: RunP17},

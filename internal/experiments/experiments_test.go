@@ -29,7 +29,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		"P8":  {"naive Σ", "planned", "pushdown", "index lookup"},
 		"P9":  {"uniform", "histogram", "plan cache", "ANALYZE"},
 		"P10": {"root scan + pushdown", "interior-index entry", "[interior-index]", "recover roots upward"},
-		"P11": {"barrier (derive→filter)", "fused (derive+filter)", "feedback loop", "[observed]", "conjunct evaluations"},
+		"P11": {"feedback loop", "[observed]", "conjunct evaluations"},
 		"P12": {"Execute (materialize)", "Stream (incremental)", "first molecule", "LIMIT 8", "atom fetches"},
 	}
 	for _, e := range experiments.All() {

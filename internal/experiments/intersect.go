@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"mad/internal/core"
 	"mad/internal/expr"
@@ -98,6 +99,18 @@ func JobShopPred(site, grade int64) expr.Expr {
 	}
 }
 
+// CompileBestSingleEntry forces the cheapest candidate of contested's
+// access-path contest that is not the index intersection — the P16
+// baseline: what the planner would run without the composed path.
+func CompileBestSingleEntry(db *storage.Database, desc *core.Desc, pred expr.Expr, contested *plan.Plan) (*plan.Plan, error) {
+	for _, alt := range contested.Alternatives { // cheapest first
+		if !strings.HasPrefix(alt.Label, "intersect[") {
+			return plan.CompileForced(db, desc, pred, nil, alt.Label)
+		}
+	}
+	return nil, fmt.Errorf("P16: the contest lists no single-entry access path")
+}
+
 // RunP16 measures composable access paths: the same two-entry conjunction
 // executed through the best single interior-index entry (every candidate
 // of that one entry is derived, the other conjunct rejects molecules via
@@ -113,11 +126,11 @@ func RunP16(w io.Writer, scale int) error {
 	defer plan.Release(db)
 	pred := JobShopPred(7, 3)
 
-	single, err := plan.CompileSingleEntry(db, mt.Desc(), pred)
+	intersect, err := plan.Compile(db, mt.Desc(), pred)
 	if err != nil {
 		return err
 	}
-	intersect, err := plan.Compile(db, mt.Desc(), pred)
+	single, err := CompileBestSingleEntry(db, mt.Desc(), pred, intersect)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -434,7 +435,13 @@ func RunP7(w io.Writer, scale int) error {
 	fmt.Fprintln(tw, "workers\tderive time\tspeedup\tmolecules")
 	for _, workers := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		set := dv.DeriveParallel(workers)
+		var set core.MoleculeSet
+		_, err := dv.DeriveStream(context.Background(), dv.RootIDs(), workers, nil,
+			func(int) core.FusedWorker { return core.FusedWorker{} },
+			func(batch core.MoleculeSet) error { set = append(set, batch...); return nil })
+		if err != nil {
+			return err
+		}
 		dur := time.Since(start)
 		if workers == 1 {
 			base = dur

@@ -3,20 +3,19 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"mad/internal/expr"
 	"mad/internal/model"
 	"mad/internal/plan"
 )
 
-// ResidualHeavyPred is the P11 workload predicate: five conjuncts that
-// all need the whole molecule (cross-type existential comparisons, a
-// universal quantifier, a negated existential, a count-vs-count
-// comparison), so none can push below derivation — the residual chain
-// dominates execution time, which is exactly the regime the fused
-// pipeline targets. Every conjunct passes on every molecule of the
-// BuildAssembly workload, so the chain runs in full.
+// ResidualHeavyPred is the residual-heavy workload predicate (P12): five
+// conjuncts that all need the whole molecule (cross-type existential
+// comparisons, a universal quantifier, a negated existential, a
+// count-vs-count comparison), so none can push below derivation — the
+// residual chain dominates execution time. Every conjunct passes on
+// every molecule of the BuildAssembly workload, so the chain runs in
+// full.
 func ResidualHeavyPred() expr.Expr {
 	slot := expr.Attr{Type: "unit", Name: "slot"}
 	weight := expr.Attr{Type: "part", Name: "weight"}
@@ -92,78 +91,18 @@ func residualOrder(p *plan.Plan) string {
 	return s
 }
 
-// RunP11 measures the fused execution pipeline and the execution-
-// feedback loop.
-//
-// Part one compares PR 3's derive-then-filter execution (parallel pruned
-// derivation, then a barrier, then the residual chain on one goroutine)
-// with the fused pipeline (each worker runs the residual chain on a
-// molecule the moment it finishes deriving it) on a residual-heavy
-// workload, across worker counts. On a single-core host the fused win
-// reduces to the allocation savings; the speedup column grows with
-// available cores because fusion parallelizes the residual work the
-// barrier serializes.
-//
-// Part two executes a query whose residual chain the cost model
-// mis-ranks, twice: the first execution records the observed molecule-
-// level pass rates into the feedback store, the second re-ranks the
-// chain around them ([observed] provenance) and evaluates far fewer
-// conjuncts.
+// RunP11 measures the execution-feedback loop: a query whose residual
+// chain the cost model mis-ranks is executed twice — the first execution
+// records the observed molecule-level pass rates into the feedback store,
+// the second re-ranks the chain around them ([observed] provenance) and
+// evaluates far fewer conjuncts.
 func RunP11(w io.Writer, scale int) error {
 	if scale < 1 {
 		scale = 1
 	}
-	header(w, "P11", "fused derive+residual pipeline, feedback-calibrated costs")
+	header(w, "P11", "feedback-calibrated residual ordering")
 
-	db, mt, err := BuildAssembly(512 * scale)
-	if err != nil {
-		return err
-	}
-	// Execute registers the database in the plan/feedback registries;
-	// release both workload databases when the experiment is done.
-	defer plan.Release(db)
-	pred := ResidualHeavyPred()
-	fmt.Fprintf(w, "workload: %d assemblies, residual-only predicate (%d conjuncts)\n\n",
-		512*scale, 5)
-	tw := table(w)
-	fmt.Fprintln(tw, "workers\tbarrier (derive→filter)\tfused (derive+filter)\tspeedup\tmolecules")
-	for _, workers := range []int{1, 2, 4, 8} {
-		pb, err := plan.Compile(db, mt.Desc(), pred)
-		if err != nil {
-			return err
-		}
-		pb.Workers = workers
-		start := time.Now()
-		setB, err := pb.ExecuteBarrier()
-		if err != nil {
-			return err
-		}
-		barrier := time.Since(start)
-
-		plan.FeedbackFor(db).Reset()
-		pf, err := plan.Compile(db, mt.Desc(), pred)
-		if err != nil {
-			return err
-		}
-		pf.Workers = workers
-		start = time.Now()
-		setF, err := pf.Execute()
-		if err != nil {
-			return err
-		}
-		fused := time.Since(start)
-		if len(setB) != len(setF) {
-			return fmt.Errorf("P11: barrier %d molecules, fused %d", len(setB), len(setF))
-		}
-		fmt.Fprintf(tw, "%d\t%v\t%v\t%.2fx\t%d\n",
-			workers, barrier.Round(10*time.Microsecond), fused.Round(10*time.Microsecond),
-			float64(barrier)/float64(fused), len(setF))
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-
-	fmt.Fprintln(w, "\nfeedback loop: mis-ranked residual chain, two executions")
+	fmt.Fprintln(w, "feedback loop: mis-ranked residual chain, two executions")
 	fdb, asmMT, err := BuildAssembly(256 * scale)
 	if err != nil {
 		return err

@@ -150,16 +150,7 @@ func (s *Session) ExecuteStream(ctx context.Context, st Stmt, opts ...QueryOptio
 	if err != nil {
 		return nil, err
 	}
-	// Inside a clean BEGIN transaction (no buffered writes yet) the
-	// cursor streams from the begin snapshot — the caller's transaction
-	// keeps the snapshot open; outside one, the stream pins (and later
-	// releases) its own snapshot of the latest commit.
-	var stream *plan.Stream
-	if s.txn != nil {
-		stream, err = p.StreamAt(ctx, s.txn.Snapshot())
-	} else {
-		stream, err = p.Stream(ctx)
-	}
+	stream, err := p.StreamAt(ctx, s.readSnapshot())
 	if err != nil {
 		return nil, err
 	}
@@ -204,14 +195,7 @@ func (s *Session) recursiveCursor(ctx context.Context, sel *SelectStmt, rt *recu
 		}
 		return &Cursor{db: s.db, res: r}, nil
 	}
-	// Inside a transaction the closure reads the begin snapshot (the
-	// caller's to close); outside one, the stream pins its own.
-	var st *plan.FixpointStream
-	if s.txn != nil {
-		st, err = p.StreamAt(ctx, s.txn.Snapshot())
-	} else {
-		st, err = p.Stream(ctx)
-	}
+	st, err := p.StreamAt(ctx, s.readSnapshot())
 	if err != nil {
 		return nil, err
 	}
@@ -245,13 +229,7 @@ func (s *Session) recursiveCount(ctx context.Context, sel *SelectStmt, rt *recur
 	if sel.GroupBy != nil {
 		p.Limit = 0 // LIMIT caps groups, not the molecules folded into them
 	}
-	var st *plan.FixpointStream
-	var err error
-	if s.txn != nil {
-		st, err = p.StreamAt(ctx, s.txn.Snapshot())
-	} else {
-		st, err = p.Stream(ctx)
-	}
+	st, err := p.StreamAt(ctx, s.readSnapshot())
 	if err != nil {
 		return nil, err
 	}

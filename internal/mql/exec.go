@@ -57,6 +57,17 @@ func (s *Session) DB() *storage.Database { return s.db }
 // InTxn reports whether a BEGIN transaction is open on the session.
 func (s *Session) InTxn() bool { return s.txn != nil }
 
+// readSnapshot is the snapshot the session's reads go through: inside a
+// BEGIN transaction its begin snapshot (the transaction keeps it open),
+// outside one nil — StreamAt and ExecuteCountAt then pin, and later
+// release, their own snapshot of the latest commit.
+func (s *Session) readSnapshot() *storage.Snapshot {
+	if s.txn == nil {
+		return nil
+	}
+	return s.txn.Snapshot()
+}
+
 // Close releases the session's resources: an open transaction is rolled
 // back (its buffered writes are discarded and its snapshot pin on the
 // vacuum horizon released). Servers call it on connection teardown so an
@@ -487,12 +498,8 @@ func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc
 	if err != nil {
 		return nil, err
 	}
-	var snap *storage.Snapshot
-	if s.txn != nil {
-		snap = s.txn.Snapshot()
-	}
 	if st.GroupBy == nil {
-		n, err := p.ExecuteCountAt(ctx, snap)
+		n, err := p.ExecuteCountAt(ctx, s.readSnapshot())
 		if err != nil {
 			return nil, err
 		}
@@ -513,12 +520,7 @@ func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc
 	}
 	limit := p.Limit
 	p.Limit = 0 // LIMIT caps groups, not the molecules folded into them
-	var stream *plan.Stream
-	if snap != nil {
-		stream, err = p.StreamAt(ctx, snap)
-	} else {
-		stream, err = p.Stream(ctx)
-	}
+	stream, err := p.StreamAt(ctx, s.readSnapshot())
 	if err != nil {
 		return nil, err
 	}

@@ -94,12 +94,7 @@ func (s *Session) execExecute(st *ExecuteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var stream *plan.Stream
-	if s.txn != nil {
-		stream, err = p.StreamAt(ctx, s.txn.Snapshot())
-	} else {
-		stream, err = p.Stream(ctx)
-	}
+	stream, err := p.StreamAt(ctx, s.readSnapshot())
 	if err != nil {
 		return nil, err
 	}

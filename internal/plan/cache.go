@@ -292,7 +292,7 @@ func (c *Cache) compileAt(desc *core.Desc, pred expr.Expr, order *OrderBy, key s
 	// Compile outside the cache lock: compilation reads the database and
 	// may be slow; worst case two sessions race and both store equivalent
 	// plans.
-	fresh, err := compileKeyed(c.db, desc, pred, order, key, false)
+	fresh, err := compileKeyed(c.db, desc, pred, order, key, "")
 	if err != nil {
 		return nil, false, err
 	}
@@ -349,9 +349,8 @@ func entryLabel(desc *core.Desc, pred expr.Expr, order *OrderBy) string {
 }
 
 // rebind retargets a shape-cached plan clone at a freshly bound
-// predicate: every pushdown, residual and root-filter conjunct, the
-// access equality value (root or interior or per-intersection-entry) and
-// the access range bounds are replayed from the new predicate's conjuncts
+// predicate: every pushdown, residual and root-filter conjunct and the
+// access path's literals are replayed from the new predicate's conjuncts
 // by the ordinals the compile recorded. The shape key guarantees the
 // conjunct layout matches; rebind reports false (caller recompiles) if
 // the metadata nevertheless fails to line up.
@@ -396,42 +395,8 @@ func (p *Plan) rebind(newPred expr.Expr) bool {
 		}
 		p.Access.Filter = combine(p.Access.Filter, c)
 	}
-	if p.accessValueOrd >= 0 {
-		c, ok := at(p.accessValueOrd)
-		if !ok {
-			return false
-		}
-		_, _, v, ok := attrConstCmp(c)
-		if !ok {
-			return false
-		}
-		p.Access.Value = v
-	}
-	for i := range p.Access.Entries {
-		c, ok := at(p.Access.Entries[i].ord)
-		if !ok {
-			return false
-		}
-		_, _, v, ok := attrConstCmp(c)
-		if !ok {
-			return false
-		}
-		p.Access.Entries[i].Value = v
-	}
-	if p.Access.Ranged {
-		spec := rangeSpec{typeName: p.Access.Root, attr: p.Access.Attr}
-		for _, o := range p.rangeOrds {
-			c, ok := at(o)
-			if !ok {
-				return false
-			}
-			_, op, v, ok := attrConstCmp(c)
-			if !ok || !isRangeOp(op) {
-				return false
-			}
-			spec.addBound(op, v)
-		}
-		spec.fillAccess(&p.Access)
+	if !p.path.rebind(p, at) {
+		return false
 	}
 	p.pred = newPred
 	return true

@@ -107,18 +107,16 @@ func isRangeOp(op expr.CmpOp) bool {
 	return op == expr.LT || op == expr.LE || op == expr.GT || op == expr.GE
 }
 
-// rangeSpec is one merged range restriction over an indexed attribute:
-// the interval a group of range conjuncts on the same (type, attribute)
-// pins down — a BETWEEN-shaped AND pair arrives as two conjuncts and
-// merges into a two-sided spec — plus the conjunct ordinals and
-// source-list indexes it absorbs.
+// rangeSpec is one range restriction over an indexed attribute: the
+// interval a group of range conjuncts on the same attribute pins down —
+// a BETWEEN-shaped AND pair arrives as two conjuncts and merges into a
+// two-sided spec — plus the ordinals of the conjuncts it absorbs.
 type rangeSpec struct {
-	typeName, attr string
-	hasLo, hasHi   bool
-	lo, hi         model.Value
-	loInc, hiInc   bool
-	ords           []int // conjunct ordinals folded into the bounds
-	idxs           []int // indexes into rootConjs / Pushdowns
+	attr         string
+	hasLo, hasHi bool
+	lo, hi       model.Value
+	loInc, hiInc bool
+	ords         []int // conjunct ordinals folded into the bounds
 }
 
 // addBound tightens the spec with one more "attr op v" conjunct; the

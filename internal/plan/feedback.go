@@ -46,17 +46,8 @@ type Feedback struct {
 	epoch uint64
 	// residuals: plan key → conjunct key → accumulated evals/passed.
 	residuals map[string]map[string]*passObs
-	// deriv: desc key → observed atoms fetched per root derived.
-	deriv map[string]*ratioObs
-	// climb: desc key + entry type → observed links climbed per entry.
-	climb map[string]*ratioObs
-	// topk: desc key → observed fraction of roots surviving the top-K
-	// heap's bound prune (reaching derivation) on bounded ordered runs.
-	topk map[string]*ratioObs
-	// fixpoint: recursion-shape key (atom type, link, direction, depth) →
-	// observed closure atoms per seed root — calibrating the AvgFan^depth
-	// estimate the fixpoint entry contest is costed with.
-	fixpoint map[string]*ratioObs
+	// ratios holds the work-per-unit observations, one map per kind.
+	ratios [numRatioKinds]map[string]*ratioObs
 	// access: plan key → what the executed plan's chosen access path
 	// actually returned (entry atoms, candidate roots). Keyed per cache
 	// entry — the literals are part of the key, so the observation is an
@@ -64,39 +55,29 @@ type Feedback struct {
 	// that entry overrides the matching candidate's cardinalities with
 	// these figures, which is what lets the contest flip.
 	access map[string]*accessObs
-	// driftFactor is the estimate-vs-actual divergence ratio beyond
-	// which an execution marks its cache entry stale for a targeted
-	// recompile (defaultDriftFactor until SetDriftFactor overrides).
-	driftFactor float64
 
 	records, resets, drifts uint64
 }
 
-// defaultDriftFactor: a plan whose observed cardinalities diverge from
-// the compile-time estimate by more than this ratio (either direction)
+// driftFactor: a plan whose observed cardinalities diverge from the
+// compile-time estimate by more than this ratio (either direction)
 // triggers a targeted recompile of just its cache entry.
-const defaultDriftFactor = 4.0
+const driftFactor = 4.0
 
 // accessObs records what one cache entry's chosen access path actually
-// did: its kind and entry identity (to match the candidate on
-// recompile), and the averaged entry-atom and candidate-root counts.
+// did: the path's identity (to match the candidate on recompile), and
+// the averaged entry-atom and candidate-root counts.
 type accessObs struct {
-	kind      AccessKind
-	ranged    bool
-	entryType string
-	attr      string
-	entries   ratioObs
-	roots     ratioObs
+	id      string
+	entries ratioObs
+	roots   ratioObs
 }
 
 // accessSnapshot is the lock-free copy accessObserved hands the contest.
 type accessSnapshot struct {
-	kind      AccessKind
-	ranged    bool
-	entryType string
-	attr      string
-	entries   float64
-	roots     float64
+	id      string
+	entries float64
+	roots   float64
 }
 
 // feedbackLimit bounds the number of plans with residual observations,
@@ -122,6 +103,29 @@ type ratioObs struct {
 }
 
 func (r *ratioObs) avg() float64 { return r.sum / float64(r.n) }
+
+// ratioKind names one family of work-per-unit observations.
+type ratioKind int
+
+const (
+	// ratioDeriv: desc key → observed atoms fetched per root derived.
+	ratioDeriv ratioKind = iota
+	// ratioClimb: climbKey → observed links climbed per entry atom.
+	ratioClimb
+	// ratioTopK: desc key → observed fraction of roots surviving the
+	// top-K heap's bound prune (reaching derivation) on bounded ordered
+	// runs.
+	ratioTopK
+	// ratioFixpoint: recursion-shape key (atom type, link, direction,
+	// depth) → observed closure atoms per seed root — calibrating the
+	// AvgFan^depth estimate the fixpoint entry contest is costed with.
+	ratioFixpoint
+	numRatioKinds
+)
+
+// climbKey files a climb observation under the structure and the
+// interior entry type the climb started from.
+func climbKey(descKey, entryType string) string { return descKey + "\x00" + entryType }
 
 // feedbacks is the per-database registry behind FeedbackFor, released
 // together with the plan cache by Release.
@@ -161,31 +165,16 @@ func feedbackLookup(db *storage.Database) *Feedback {
 }
 
 func newFeedback(db *storage.Database) *Feedback {
-	return &Feedback{
-		db:          db,
-		epoch:       db.PlanEpoch(),
-		residuals:   make(map[string]map[string]*passObs),
-		deriv:       make(map[string]*ratioObs),
-		climb:       make(map[string]*ratioObs),
-		topk:        make(map[string]*ratioObs),
-		fixpoint:    make(map[string]*ratioObs),
-		access:      make(map[string]*accessObs),
-		driftFactor: defaultDriftFactor,
+	fb := &Feedback{
+		db:        db,
+		epoch:     db.PlanEpoch(),
+		residuals: make(map[string]map[string]*passObs),
+		access:    make(map[string]*accessObs),
 	}
-}
-
-// SetDriftFactor overrides the estimate-vs-actual divergence ratio that
-// triggers a targeted recompile; f <= 1 restores the default.
-func (fb *Feedback) SetDriftFactor(f float64) {
-	if fb == nil {
-		return
+	for k := range fb.ratios {
+		fb.ratios[k] = make(map[string]*ratioObs)
 	}
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	if f <= 1 {
-		f = defaultDriftFactor
-	}
-	fb.driftFactor = f
+	return fb
 }
 
 // Drifts reports how many executions detected feedback drift beyond the
@@ -206,16 +195,23 @@ func (fb *Feedback) syncEpochLocked() {
 	if epoch == fb.epoch {
 		return
 	}
-	if len(fb.residuals) > 0 || len(fb.deriv) > 0 || len(fb.climb) > 0 || len(fb.topk) > 0 || len(fb.fixpoint) > 0 || len(fb.access) > 0 {
+	if fb.clearLocked() {
 		fb.resets++
 	}
-	fb.epoch = epoch
-	fb.residuals = make(map[string]map[string]*passObs)
-	fb.deriv = make(map[string]*ratioObs)
-	fb.climb = make(map[string]*ratioObs)
-	fb.topk = make(map[string]*ratioObs)
-	fb.fixpoint = make(map[string]*ratioObs)
-	fb.access = make(map[string]*accessObs)
+}
+
+// clearLocked discards every observation, re-stamps the store with the
+// current plan epoch and reports whether there was anything to discard.
+func (fb *Feedback) clearLocked() bool {
+	had := len(fb.residuals) > 0 || len(fb.access) > 0
+	clear(fb.residuals)
+	clear(fb.access)
+	for _, m := range fb.ratios {
+		had = had || len(m) > 0
+		clear(m)
+	}
+	fb.epoch = fb.db.PlanEpoch()
+	return had
 }
 
 // Reset unconditionally discards every observation — test and experiment
@@ -223,13 +219,7 @@ func (fb *Feedback) syncEpochLocked() {
 func (fb *Feedback) Reset() {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	fb.residuals = make(map[string]map[string]*passObs)
-	fb.deriv = make(map[string]*ratioObs)
-	fb.climb = make(map[string]*ratioObs)
-	fb.topk = make(map[string]*ratioObs)
-	fb.fixpoint = make(map[string]*ratioObs)
-	fb.access = make(map[string]*accessObs)
-	fb.epoch = fb.db.PlanEpoch()
+	fb.clearLocked()
 }
 
 // Counters reports feedback traffic: executions recorded and epoch-driven
@@ -357,24 +347,11 @@ func (fb *Feedback) recordLocked(p *Plan, work storage.WorkTally) (drifted bool)
 		cut += p.Pushdowns[i].Cut
 	}
 	if p.Access.ActRoots > 0 && work.AtomsFetched > 0 && cut == 0 && p.OrderCut == 0 {
-		dk := p.desc.String()
-		o := fb.deriv[dk]
-		if o == nil {
-			o = &ratioObs{}
-			fb.deriv[dk] = o
-		}
-		o.sum += float64(work.AtomsFetched) / float64(p.Access.ActRoots)
-		o.n++
+		fb.addRatioLocked(ratioDeriv, p.desc.String(), float64(work.AtomsFetched)/float64(p.Access.ActRoots))
 	}
-	if p.Access.Kind == InteriorIndex && p.Access.ActEntries > 0 && p.Access.ActClimb > 0 {
-		ck := p.desc.String() + "\x00" + p.Access.EntryType
-		o := fb.climb[ck]
-		if o == nil {
-			o = &ratioObs{}
-			fb.climb[ck] = o
-		}
-		o.sum += float64(p.Access.ActClimb) / float64(p.Access.ActEntries)
-		o.n++
+	if p.Access.EntryType != "" && p.Access.ActEntries > 0 && p.Access.ActClimb > 0 {
+		fb.addRatioLocked(ratioClimb, climbKey(p.desc.String(), p.Access.EntryType),
+			float64(p.Access.ActClimb)/float64(p.Access.ActEntries))
 	}
 	// Bound-prune survival: what fraction of the root batch a bounded
 	// ordered run actually derived. Keyed by structure — the fraction
@@ -382,24 +359,12 @@ func (fb *Feedback) recordLocked(p *Plan, work storage.WorkTally) (drifted bool)
 	// and it is what lets the contest prefer the heap path (cheap when
 	// survival is tiny) over an index ride on later compiles.
 	if p.OrderPath == OrderTopK && p.Access.ActRoots > 0 {
-		dk := p.desc.String()
-		o := fb.topk[dk]
-		if o == nil {
-			o = &ratioObs{}
-			fb.topk[dk] = o
-		}
-		o.sum += float64(p.Access.ActRoots-p.OrderCut) / float64(p.Access.ActRoots)
-		o.n++
+		fb.addRatioLocked(ratioTopK, p.desc.String(), float64(p.Access.ActRoots-p.OrderCut)/float64(p.Access.ActRoots))
 	}
 	// Access-path observation + drift detection, for the paths whose
 	// cardinalities are genuinely estimated (a full or ordered scan's
 	// batch size is the container itself — nothing to calibrate).
-	switch p.Access.Kind {
-	case IndexScan, InteriorIndex, IndexIntersect:
-	default:
-		return false
-	}
-	if p.key == "" {
+	if p.accessID == "" || p.key == "" {
 		return false
 	}
 	o := fb.access[p.key]
@@ -413,10 +378,7 @@ func (fb *Feedback) recordLocked(p *Plan, work storage.WorkTally) (drifted bool)
 		o = &accessObs{}
 		fb.access[p.key] = o
 	}
-	o.kind = p.Access.Kind
-	o.ranged = p.Access.Ranged
-	o.entryType = p.Access.EntryType
-	o.attr = p.Access.Attr
+	o.id = p.accessID
 	o.entries.sum += float64(p.Access.ActEntries)
 	o.entries.n++
 	o.roots.sum += float64(p.Access.ActSurvivors)
@@ -436,7 +398,7 @@ func (fb *Feedback) recordLocked(p *Plan, work storage.WorkTally) (drifted bool)
 			drift = r
 		}
 	}
-	if drift > fb.driftFactor {
+	if drift > driftFactor {
 		fb.drifts++
 		return true
 	}
@@ -458,31 +420,39 @@ func (fb *Feedback) recordFixpoint(p *FixpointPlan, key string, atomsPerRoot flo
 		return
 	}
 	fb.records++
-	o := fb.fixpoint[key]
+	fb.addRatioLocked(ratioFixpoint, key, atomsPerRoot)
+}
+
+// addRatioLocked folds one sample into the kind's observation under key,
+// bounding the map like the residual store (random replacement); callers
+// hold fb.mu.
+func (fb *Feedback) addRatioLocked(kind ratioKind, key string, sample float64) {
+	m := fb.ratios[kind]
+	o := m[key]
 	if o == nil {
-		if len(fb.fixpoint) >= feedbackLimit {
-			for k := range fb.fixpoint {
-				delete(fb.fixpoint, k)
+		if len(m) >= feedbackLimit {
+			for k := range m {
+				delete(m, k)
 				break
 			}
 		}
 		o = &ratioObs{}
-		fb.fixpoint[key] = o
+		m[key] = o
 	}
-	o.sum += atomsPerRoot
+	o.sum += sample
 	o.n++
 }
 
-// fixpointObserved returns the observed closure atoms per seed root for
-// the recursion shape, ok=false before any complete run recorded one.
-func (fb *Feedback) fixpointObserved(key string) (float64, bool) {
+// observed returns the averaged observation of the kind filed under key,
+// ok=false before any execution recorded one (always, on a nil store).
+func (fb *Feedback) observed(kind ratioKind, key string) (float64, bool) {
 	if fb == nil {
 		return 0, false
 	}
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	fb.syncEpochLocked()
-	o := fb.fixpoint[key]
+	o := fb.ratios[kind][key]
 	if o == nil || o.n == 0 {
 		return 0, false
 	}
@@ -541,78 +511,21 @@ func (fb *Feedback) observeResiduals(p *Plan) bool {
 }
 
 // accessObserved returns what executions of this exact cache entry
-// observed about the chosen access path, ok=false before any execution
-// recorded one. The contest overrides the matching candidate's
-// cardinalities with the snapshot on recompile.
-func (fb *Feedback) accessObserved(planKey string) (accessSnapshot, bool) {
+// observed about the chosen access path — the zero snapshot (id "")
+// before any execution recorded one. The contest overrides the matching
+// candidate's cardinalities with the snapshot on recompile.
+func (fb *Feedback) accessObserved(planKey string) accessSnapshot {
 	if fb == nil || planKey == "" {
-		return accessSnapshot{}, false
+		return accessSnapshot{}
 	}
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	fb.syncEpochLocked()
 	o := fb.access[planKey]
 	if o == nil || o.roots.n == 0 {
-		return accessSnapshot{}, false
+		return accessSnapshot{}
 	}
-	return accessSnapshot{
-		kind:      o.kind,
-		ranged:    o.ranged,
-		entryType: o.entryType,
-		attr:      o.attr,
-		entries:   o.entries.avg(),
-		roots:     o.roots.avg(),
-	}, true
-}
-
-// derivCostObserved returns the observed atoms-per-root derivation cost
-// for the structure, ok=false before any execution recorded one.
-func (fb *Feedback) derivCostObserved(descKey string) (float64, bool) {
-	if fb == nil {
-		return 0, false
-	}
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	fb.syncEpochLocked()
-	o := fb.deriv[descKey]
-	if o == nil || o.n == 0 {
-		return 0, false
-	}
-	return o.avg(), true
-}
-
-// climbObserved returns the observed links-per-entry climb cost for the
-// structure's interior entry at entryType, ok=false before any execution
-// recorded one.
-func (fb *Feedback) climbObserved(descKey, entryType string) (float64, bool) {
-	if fb == nil {
-		return 0, false
-	}
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	fb.syncEpochLocked()
-	o := fb.climb[descKey+"\x00"+entryType]
-	if o == nil || o.n == 0 {
-		return 0, false
-	}
-	return o.avg(), true
-}
-
-// topkObserved returns the observed fraction of roots surviving the
-// top-K bound prune for the structure, ok=false before any bounded
-// ordered execution recorded one.
-func (fb *Feedback) topkObserved(descKey string) (float64, bool) {
-	if fb == nil {
-		return 0, false
-	}
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	fb.syncEpochLocked()
-	o := fb.topk[descKey]
-	if o == nil || o.n == 0 {
-		return 0, false
-	}
-	return o.avg(), true
+	return accessSnapshot{id: o.id, entries: o.entries.avg(), roots: o.roots.avg()}
 }
 
 // Render lists the store's observations — the SHOW FEEDBACK output.
@@ -625,25 +538,25 @@ func (fb *Feedback) Render() string {
 		fb.epoch, len(fb.residuals), fb.records, fb.resets)
 	if fb.drifts > 0 {
 		fmt.Fprintf(&b, "drift: %d targeted recompile(s) requested (factor %.1f) [recompiled]\n",
-			fb.drifts, fb.driftFactor)
+			fb.drifts, driftFactor)
 	}
-	for _, dk := range sortedKeys(fb.deriv) {
-		o := fb.deriv[dk]
+	for _, dk := range sortedKeys(fb.ratios[ratioDeriv]) {
+		o := fb.ratios[ratioDeriv][dk]
 		fmt.Fprintf(&b, "derive %s: ≈%.1f atoms/root over %d run(s) [observed]\n", dk, o.avg(), o.n)
 	}
-	for _, ck := range sortedKeys(fb.climb) {
-		o := fb.climb[ck]
+	for _, ck := range sortedKeys(fb.ratios[ratioClimb]) {
+		o := fb.ratios[ratioClimb][ck]
 		parts := strings.SplitN(ck, "\x00", 2)
 		fmt.Fprintf(&b, "climb %s entry %s: ≈%.1f links/entry over %d run(s) [observed]\n",
 			parts[0], parts[1], o.avg(), o.n)
 	}
-	for _, tk := range sortedKeys(fb.topk) {
-		o := fb.topk[tk]
+	for _, tk := range sortedKeys(fb.ratios[ratioTopK]) {
+		o := fb.ratios[ratioTopK][tk]
 		fmt.Fprintf(&b, "top-k %s: ≈%.2f of roots survive the bound over %d run(s) [observed]\n",
 			tk, o.avg(), o.n)
 	}
-	for _, fk := range sortedKeys(fb.fixpoint) {
-		o := fb.fixpoint[fk]
+	for _, fk := range sortedKeys(fb.ratios[ratioFixpoint]) {
+		o := fb.ratios[ratioFixpoint][fk]
 		parts := strings.Split(fk, "\x00")
 		fmt.Fprintf(&b, "fixpoint %s ⟲ %s (%s, depth %s): ≈%.1f atoms/root over %d run(s) [observed]\n",
 			parts[0], parts[1], parts[2], parts[3], o.avg(), o.n)

@@ -153,7 +153,7 @@ func CompileFixpoint(db *storage.Database, atomType, link string, up bool, depth
 	}
 	p.EstClosure, p.EstRounds = estimateFixClosure(fan, depth, n)
 	p.ClosureSource = SrcLinkFan
-	if obs, ok := feedbackLookup(db).fixpointObserved(fixKey(atomType, link, up, depth)); ok {
+	if obs, ok := feedbackLookup(db).observed(ratioFixpoint, fixKey(atomType, link, up, depth)); ok {
 		p.EstClosure, p.ClosureSource = obs, SrcObserved
 	}
 

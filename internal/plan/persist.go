@@ -48,6 +48,15 @@ type persistedFeedback struct {
 	Climb     map[string]*persistedRatio          `json:"climb,omitempty"`
 }
 
+// persistRatios images one kind's observations.
+func persistRatios(m map[string]*ratioObs) map[string]*persistedRatio {
+	out := make(map[string]*persistedRatio, len(m))
+	for k, o := range m {
+		out[k] = &persistedRatio{Sum: o.sum, N: o.n}
+	}
+	return out
+}
+
 // SaveFeedback writes db's feedback observations into dir (atomically:
 // temp file + rename). A database with no registered feedback store is a
 // no-op — there is nothing to warm a restart with.
@@ -62,8 +71,8 @@ func SaveFeedback(db *storage.Database, dir string) error {
 		Version:   1,
 		Epoch:     fb.epoch,
 		Residuals: make(map[string]map[string]*persistedObs, len(fb.residuals)),
-		Deriv:     make(map[string]*persistedRatio, len(fb.deriv)),
-		Climb:     make(map[string]*persistedRatio, len(fb.climb)),
+		Deriv:     persistRatios(fb.ratios[ratioDeriv]),
+		Climb:     persistRatios(fb.ratios[ratioClimb]),
 	}
 	for pk, obs := range fb.residuals {
 		m := make(map[string]*persistedObs, len(obs))
@@ -72,19 +81,18 @@ func SaveFeedback(db *storage.Database, dir string) error {
 		}
 		img.Residuals[pk] = m
 	}
-	for k, o := range fb.deriv {
-		img.Deriv[k] = &persistedRatio{Sum: o.sum, N: o.n}
-	}
-	for k, o := range fb.climb {
-		img.Climb[k] = &persistedRatio{Sum: o.sum, N: o.n}
-	}
 	fb.mu.Unlock()
 
 	data, err := json.Marshal(&img)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, feedbackFile)
+	return writeFileAtomic(filepath.Join(dir, feedbackFile), data)
+}
+
+// writeFileAtomic replaces path with data so that a crash leaves either
+// the old file or the new one: temp file, fsync, rename.
+func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -141,13 +149,11 @@ func LoadFeedback(db *storage.Database, dir string) error {
 		}
 		fb.residuals[pk] = m
 	}
-	fb.deriv = make(map[string]*ratioObs, len(img.Deriv))
-	for k, o := range img.Deriv {
-		fb.deriv[k] = &ratioObs{sum: o.Sum, n: o.N}
-	}
-	fb.climb = make(map[string]*ratioObs, len(img.Climb))
-	for k, o := range img.Climb {
-		fb.climb[k] = &ratioObs{sum: o.Sum, n: o.N}
+	for kind, m := range map[ratioKind]map[string]*persistedRatio{ratioDeriv: img.Deriv, ratioClimb: img.Climb} {
+		clear(fb.ratios[kind])
+		for k, o := range m {
+			fb.ratios[kind][k] = &ratioObs{sum: o.Sum, n: o.N}
+		}
 	}
 	// The recovered database rebuilt the same statistics regime the
 	// observations were made under; pin them to its current epoch so the

@@ -1,17 +1,19 @@
 // Package plan compiles molecule queries into explicit plan DAGs. A plan
 // fixes, before any atom is touched,
 //
-//   - the access path: the entry point into the structure. The planner
-//     enumerates every alternative — a full scan of the root type's
-//     container (optionally pre-filtered by the root-only conjuncts), an
-//     equality lookup through a secondary index on the *root* type, or an
-//     equality lookup through an index on any *interior* atom type of the
-//     structure. The links of the model are symmetric, so an interior
-//     entry is legal: the matching interior atoms are climbed upward
-//     against the declared edge directions (core.Deriver.RecoverRoots) to
-//     the candidate roots, which are then derived downward as usual. Each
-//     alternative is costed against histogram estimates and link fan-out
-//     statistics, and EXPLAIN records the contest;
+//   - the access path: the entry point into the structure. The links of
+//     the model are symmetric, so every atom type is a legal entry point
+//     and the alternatives are peers — rows of one access-path table
+//     (access.go): a scan of the root type's container, an equality or
+//     range entry through a secondary index on the *root* type, the same
+//     through an index on any *interior* atom type (the matching atoms
+//     are climbed upward against the declared edge directions,
+//     core.Deriver.RecoverRoots, to the candidate roots, which are then
+//     derived downward as usual), an intersection of several interior
+//     entries, and an ordered index walk. Every row's candidates are
+//     costed in one contest against histogram estimates and link fan-out
+//     statistics, root-only conjuncts the path does not absorb pre-filter
+//     the batch, and EXPLAIN records the contest;
 //   - the derivation node, annotated with per-atom-type pushdown
 //     conjuncts: conjuncts referencing a single non-root atom type are
 //     evaluated inside core.Deriver while the structure template is laid
@@ -26,10 +28,10 @@
 //     estimated selectivity × evaluation cost so cheap, selective
 //     conjuncts short-circuit the expensive ones.
 //
-// Execution is fused and streaming: the root batch is cut into batches
-// that fan out over the worker pool (core.DeriveRootsFusedStream), each
-// worker runs the residual chain on a molecule the moment it finishes
-// deriving it — no barrier separates derivation from filtering,
+// Execution is streaming: the root batch is cut into batches that fan
+// out over the worker pool (core.DeriveStream), each worker runs the
+// residual chain on a molecule the moment it finishes deriving it — no
+// barrier separates derivation from filtering,
 // rejected molecules never cross a goroutine, and every worker keeps
 // private Evals/Passed/Cut accumulators merged at batch end so the
 // EXPLAIN actuals stay exact — and every finished batch is emitted in
@@ -76,35 +78,26 @@ import (
 	"mad/internal/storage"
 )
 
-// AccessKind discriminates access paths.
+// AccessKind labels the family of the access path a plan runs, for
+// readers of Plan.Access (EXPLAIN consumers, experiments, tests); the
+// paths themselves are the rows of the access-path table in access.go.
 type AccessKind uint8
 
-// Access paths.
+// Access path families.
 const (
 	// FullScan reads every atom of the root type's container.
 	FullScan AccessKind = iota
-	// IndexScan reads only the root atoms a secondary index maps an
-	// equality conjunct's value to.
+	// IndexScan enters through a secondary index on the root type — an
+	// equality lookup, or a key-bounded range walk (Access.Ranged).
 	IndexScan
-	// InteriorIndex enters the structure at a non-root atom type: an
-	// index maps an equality conjunct's value to interior atoms, and the
-	// candidate roots are recovered by climbing the structure's links
-	// upward (the symmetric-use property makes the reverse traversal
-	// legal). The entry conjunct additionally stays on as a pushdown
-	// prune hook, which restores exactness — recovery over-approximates
-	// at multi-parent types.
+	// InteriorIndex enters through an index on a non-root atom type and
+	// recovers the candidate roots by climbing the links upward.
 	InteriorIndex
 	// OrderedScan walks a secondary index on the ORDER BY attribute in
-	// key order, producing the whole root batch already sorted — the
-	// access path that makes an ordered stream sort-free.
+	// key order, producing the whole root batch already sorted.
 	OrderedScan
-	// IndexIntersect composes several interior entries: two or more
-	// selective indexed conjuncts on *different* atom types each run
-	// their own entry lookup and upward climb, and the candidate-root
-	// sets are intersected (sorted merge on root IDs) before a single
-	// molecule is derived — a molecule-level index AND. Every entry
-	// conjunct additionally stays on as a pushdown prune hook, which
-	// restores exactness exactly as for a single interior entry.
+	// IndexIntersect intersects the candidate roots of several interior
+	// entries before a single molecule is derived.
 	IndexIntersect
 )
 
@@ -328,17 +321,22 @@ type Plan struct {
 	// pred is the whole compiled predicate — kept so the plan-cache
 	// image can persist the shape and so shape-cached plans can rebind.
 	pred expr.Expr
+	// path is the row of the access-path table the contest installed; it
+	// produces the root batch, renders the access lines and rebinds the
+	// access literals. accessID is the path's literal-free identity the
+	// feedback store files this plan's access actuals under ("" for
+	// scans, whose cardinality is not an estimate), and presorted marks a
+	// root batch that already arrives in the requested order: an ordered
+	// index walk, or an index entry on the ORDER BY attribute itself.
+	path      accessPath
+	accessID  string
+	presorted bool
 	// Rebinding metadata: which conjunct ordinals of the split predicate
-	// fed the root filter, the access equality value, and the access
-	// range bounds. A shape-keyed cache hit with fresh literals replays
-	// these against the new predicate's conjuncts instead of recompiling.
-	filterOrds     []int
-	accessValueOrd int
-	rangeOrds      []int
-	// noIntersect excludes the multi-entry intersection candidate from
-	// the access-path contest (the single-entry baseline the P16
-	// benchmark and the parity tests measure the intersection against).
-	noIntersect bool
+	// fed the root filter and the access path's literals. A shape-keyed
+	// cache hit with fresh literals replays these against the new
+	// predicate's conjuncts instead of recompiling.
+	filterOrds []int
+	accessOrds []int
 
 	Access Access
 	// Calibration is the contest-constant provenance of this compile.
@@ -387,25 +385,13 @@ type Plan struct {
 	Executed bool
 }
 
-// presorted reports whether the access path already yields roots in the
-// requested order: an OrderedScan by construction, or an index equality
-// on the ORDER BY attribute itself (every root shares the one key, so
-// the ID-ascending posting is the tie-broken order for both directions).
-func (p *Plan) presorted() bool {
-	if p.Order == nil {
-		return false
-	}
-	return p.Access.Kind == OrderedScan ||
-		(p.Access.Kind == IndexScan && p.Access.Attr == p.Order.Attr)
-}
-
 // orderPath predicts the ordered-delivery mechanism the next run will
 // use under the plan's current Limit — what OrderPath will record.
 func (p *Plan) orderPath() string {
 	switch {
 	case p.Order == nil:
 		return ""
-	case p.presorted():
+	case p.presorted:
 		return OrderIndex
 	case p.Limit > 0:
 		return OrderTopK
@@ -425,35 +411,22 @@ type rootConjInfo struct {
 	src  string
 	// ord is the conjunct's ordinal in the split predicate.
 	ord int
-	// Equality-index candidacy (indexable reports whether the conjunct
-	// is root.attr = const with an index on attr).
-	indexable bool
-	attr      string
-	val       model.Value
-	est       int
-	estSrc    string
-	// Range-index candidacy: the conjunct is root.attr <op> const for a
-	// range operator with an index on attr; range conjuncts on the same
-	// attribute merge into one key-bounded ordered walk.
-	rangeable bool
-	rattr     string
-	rop       expr.CmpOp
-	rval      model.Value
+	// Index candidacy: attr is set when the conjunct is root.attr <op>
+	// const with an index on attr — an equality entry (est estimates its
+	// roots) when op is EQ, one bound of a range entry when op is a range
+	// operator.
+	attr   string
+	op     expr.CmpOp
+	val    model.Value
+	est    int
+	estSrc string
 }
 
 // Compile builds the plan for deriving desc under pred (nil = no
 // restriction). pred must already be statically valid for the structure
 // (expr.Check against core.Scope).
 func Compile(db *storage.Database, desc *core.Desc, pred expr.Expr) (*Plan, error) {
-	return compileKeyed(db, desc, pred, nil, cacheKey(desc, pred, nil), false)
-}
-
-// CompileSingleEntry is Compile with the multi-entry index-intersection
-// candidate excluded from the access-path contest — the best
-// single-entry baseline the P16 benchmark and the intersection parity
-// tests measure the composed path against.
-func CompileSingleEntry(db *storage.Database, desc *core.Desc, pred expr.Expr) (*Plan, error) {
-	return compileKeyed(db, desc, pred, nil, cacheKey(desc, pred, nil), true)
+	return compileKeyed(db, desc, pred, nil, cacheKey(desc, pred, nil), "")
 }
 
 // CompileOrdered is Compile with an ORDER BY on a root attribute: the
@@ -462,26 +435,30 @@ func CompileSingleEntry(db *storage.Database, desc *core.Desc, pred expr.Expr) (
 // order. order must name an attribute of the root type; a nil order
 // degrades to Compile.
 func CompileOrdered(db *storage.Database, desc *core.Desc, pred expr.Expr, order *OrderBy) (*Plan, error) {
-	return compileKeyed(db, desc, pred, order, cacheKey(desc, pred, order), false)
+	return compileKeyed(db, desc, pred, order, cacheKey(desc, pred, order), "")
+}
+
+// CompileForced is CompileOrdered taking the candidate the contest lists
+// under label (an Alternative.Label of the unforced compile) instead of
+// the cheapest — the hook the forced-path parity property and the P16
+// single-entry baseline execute a losing access path through. It is not
+// reachable from MQL or the session options.
+func CompileForced(db *storage.Database, desc *core.Desc, pred expr.Expr, order *OrderBy, label string) (*Plan, error) {
+	return compileKeyed(db, desc, pred, order, cacheKey(desc, pred, order), label)
 }
 
 // compileKeyed is Compile with the cache key already computed — the plan
 // cache passes the key it looked up with, so a miss does not encode the
-// predicate tree a second time.
-func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *OrderBy, key string, noIntersect bool) (*Plan, error) {
+// predicate tree a second time. A non-empty force selects the access-path
+// candidate with that label.
+func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *OrderBy, key, force string) (*Plan, error) {
 	p := &Plan{
-		db:             db,
-		desc:           desc,
-		key:            key,
-		epoch:          db.PlanEpoch(),
-		pred:           pred,
-		accessValueOrd: -1,
-		noIntersect:    noIntersect,
-		Access: Access{
-			Kind:      FullScan,
-			Root:      desc.Root(),
-			EstSource: SrcContainer,
-		},
+		db:     db,
+		desc:   desc,
+		key:    key,
+		epoch:  db.PlanEpoch(),
+		pred:   pred,
+		Access: Access{Root: desc.Root()},
 	}
 	if order != nil {
 		c, ok := db.Container(desc.Root())
@@ -498,7 +475,6 @@ func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *
 	if err != nil {
 		return nil, err
 	}
-	p.Access.EstRoots = n
 
 	var rootConjs []rootConjInfo
 	for ord, c := range splitConjuncts(pred) {
@@ -507,11 +483,11 @@ func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *
 		case single && t == desc.Root():
 			info := rootConjInfo{conj: c, ord: ord}
 			info.sel, info.src = conjSelectivity(db, desc, c)
-			if attr, val, ok := indexableEq(c, db, t); ok {
-				info.indexable, info.attr, info.val = true, attr, val
-				info.est, info.estSrc = estimateEqCount(db, t, attr, val, n)
-			} else if a, op, v, ok := attrConstCmp(c); ok && isRangeOp(op) && db.HasIndex(t, a.Name) {
-				info.rangeable, info.rattr, info.rop, info.rval = true, a.Name, op, v
+			if a, op, v, ok := attrConstCmp(c); ok && db.HasIndex(t, a.Name) {
+				info.attr, info.op, info.val = a.Name, op, v
+				if op == expr.EQ {
+					info.est, info.estSrc = estimateEqCount(db, t, a.Name, v, n)
+				}
 			}
 			rootConjs = append(rootConjs, info)
 		case single && pushableShape(c):
@@ -533,7 +509,9 @@ func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *
 	// feedback (CacheFor or FeedbackFor) must not register it — all
 	// Feedback methods treat a nil receiver as "no observations".
 	fb := feedbackLookup(db)
-	p.chooseAccess(n, rootConjs, fb)
+	if err := p.chooseAccess(n, rootConjs, fb, force); err != nil {
+		return nil, err
+	}
 
 	// Residual selectivities and evaluation costs: the feedback store's
 	// observed molecule-level pass rates and wall-clock per-eval costs
@@ -551,448 +529,15 @@ func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *
 		for i, t := range desc.Topo() {
 			topoPos[t] = i
 		}
-		before := func(a, b Pushdown) bool {
-			pa, pb := topoPos[a.Type], topoPos[b.Type]
-			if pa != pb {
+		sort.SliceStable(p.Pushdowns, func(i, j int) bool {
+			a, b := &p.Pushdowns[i], &p.Pushdowns[j]
+			if pa, pb := topoPos[a.Type], topoPos[b.Type]; pa != pb {
 				return pa < pb
 			}
 			return a.Sel < b.Sel
-		}
-		for i := 1; i < len(p.Pushdowns); i++ {
-			for j := i; j > 0 && before(p.Pushdowns[j], p.Pushdowns[j-1]); j-- {
-				p.Pushdowns[j], p.Pushdowns[j-1] = p.Pushdowns[j-1], p.Pushdowns[j]
-			}
-		}
+		})
 	}
 	return p, nil
-}
-
-// chooseAccess enumerates the access-path alternatives — root full scan,
-// the best root-index equality, key-bounded range walks on indexed range
-// conjuncts (root and interior), an interior-index entry per indexed
-// pushdown equality, and a multi-entry index intersection when indexed
-// equalities land on two or more different interior types — costs each as
-//
-//	(atoms fetched + links climbed to produce the root batch)
-//	+ roots entering derivation × expected per-molecule derivation work
-//
-// and installs the cheapest. The losing alternatives are recorded for
-// EXPLAIN. The contest constants come from the model's fan statistics
-// until the feedback store has recorded executions of this structure —
-// then the observed per-root derivation work and per-entry climb work
-// replace the fiat weights (Calibration records the provenance), and an
-// access observation recorded for this exact cache entry overrides the
-// matching candidate's cardinalities — the calibration a drift-triggered
-// recompile flips the contest with.
-func (p *Plan) chooseAccess(n int, rootConjs []rootConjInfo, fb *Feedback) {
-	desc := p.desc
-	derivCost := derivCostPerRoot(p.db, desc)
-	p.Calibration.DerivPerRoot, p.Calibration.DerivSrc = derivCost, SrcLinkFan
-	if obs, ok := fb.derivCostObserved(desc.String()); ok {
-		derivCost = obs
-		p.Calibration.DerivPerRoot, p.Calibration.DerivSrc = obs, SrcObserved
-	}
-	aobs, aobsOK := fb.accessObserved(p.key)
-
-	// Selectivity of the whole root filter, and with the conjuncts the
-	// access path absorbs taken out.
-	allSel, allSrc := 1.0, ""
-	for _, rc := range rootConjs {
-		allSel *= rc.sel
-		allSrc = combineSource(allSrc, rc.src)
-	}
-	selWithout := func(skip map[int]bool) (float64, string) {
-		sel, src := 1.0, ""
-		for i, rc := range rootConjs {
-			if skip[i] {
-				continue
-			}
-			sel *= rc.sel
-			src = combineSource(src, rc.src)
-		}
-		return sel, src
-	}
-
-	// Full scan: every root atom fetched, the filter thins the batch.
-	fullEntering := scaleEst(n, allSel)
-	alts := []Alternative{{
-		Label: fmt.Sprintf("full scan of %s", desc.Root()),
-		Cost:  float64(n) + float64(fullEntering)*derivCost,
-	}}
-	type candidate struct {
-		alt      int // index into alts
-		entering int // roots expected to enter derivation
-		// presorted marks candidates whose root batch already carries
-		// the requested order, exempting them from the ordering
-		// surcharge below.
-		presorted bool
-		apply     func()
-	}
-	cands := []candidate{{alt: 0, entering: fullEntering, apply: func() {
-		p.Access.Kind = FullScan
-		p.Access.EstRoots = n
-		p.Access.EstSource = SrcContainer
-		p.installRootFilter(rootConjs, nil, n)
-	}}}
-
-	// Best root-index equality.
-	bestRoot := -1
-	for i, rc := range rootConjs {
-		if rc.indexable && (bestRoot < 0 || rc.est < rootConjs[bestRoot].est) {
-			bestRoot = i
-		}
-	}
-	if bestRoot >= 0 {
-		rc := rootConjs[bestRoot]
-		est, estSrc := rc.est, rc.estSrc
-		if aobsOK && aobs.kind == IndexScan && !aobs.ranged && aobs.attr == rc.attr {
-			est, estSrc = obsCount(aobs.entries), SrcObserved
-		}
-		restSel, _ := selWithout(map[int]bool{bestRoot: true})
-		entering := scaleEst(est, restSel)
-		alts = append(alts, Alternative{
-			Label: fmt.Sprintf("index %s.%s", desc.Root(), rc.attr),
-			Cost:  float64(est) + float64(entering)*derivCost,
-		})
-		cands = append(cands, candidate{alt: len(alts) - 1, entering: entering,
-			presorted: p.Order != nil && rc.attr == p.Order.Attr, apply: func() {
-				rc := rootConjs[bestRoot]
-				p.Access.Kind = IndexScan
-				p.Access.Attr, p.Access.Value = rc.attr, rc.val
-				p.Access.EstRoots = est
-				p.Access.EstSource = estSrc
-				p.accessValueOrd = rc.ord
-				p.installRootFilter(rootConjs, map[int]bool{bestRoot: true}, est)
-			}})
-	}
-
-	// Root range entries: range conjuncts on an indexed root attribute
-	// merge per attribute into one key-bounded walk of the ordered index
-	// view. The walk is exact, so the covered conjuncts leave the root
-	// filter; a walk on the ORDER BY attribute doubles as an index-order
-	// ride.
-	rootRanges, rootRangeAttrs := map[string]*rangeSpec{}, []string(nil)
-	for i, rc := range rootConjs {
-		if !rc.rangeable {
-			continue
-		}
-		s := rootRanges[rc.rattr]
-		if s == nil {
-			s = &rangeSpec{typeName: desc.Root(), attr: rc.rattr}
-			rootRanges[rc.rattr] = s
-			rootRangeAttrs = append(rootRangeAttrs, rc.rattr)
-		}
-		s.addBound(rc.rop, rc.rval)
-		s.ords = append(s.ords, rc.ord)
-		s.idxs = append(s.idxs, i)
-	}
-	for _, attr := range rootRangeAttrs {
-		attr, spec := attr, rootRanges[attr]
-		est, estSrc := estimateRangeCount(p.db, desc.Root(), spec, n)
-		if aobsOK && aobs.kind == IndexScan && aobs.ranged && aobs.attr == attr {
-			est, estSrc = obsCount(aobs.entries), SrcObserved
-		}
-		skip := map[int]bool{}
-		for _, i := range spec.idxs {
-			skip[i] = true
-		}
-		restSel, _ := selWithout(skip)
-		entering := scaleEst(est, restSel)
-		alts = append(alts, Alternative{
-			Label: fmt.Sprintf("index range %s.%s %s", desc.Root(), attr, spec),
-			Cost:  float64(est) + float64(entering)*derivCost,
-		})
-		cands = append(cands, candidate{alt: len(alts) - 1, entering: entering,
-			presorted: p.Order != nil && attr == p.Order.Attr, apply: func() {
-				p.Access.Kind = IndexScan
-				p.Access.Attr = attr
-				spec.fillAccess(&p.Access)
-				p.Access.EstRoots = est
-				p.Access.EstSource = estSrc
-				p.rangeOrds = spec.ords
-				p.installRootFilter(rootConjs, skip, est)
-			}})
-	}
-
-	// Interior-index entries: one candidate per pushdown conjunct that is
-	// an indexed equality on its (non-root) type.
-	for pi := range p.Pushdowns {
-		pd := &p.Pushdowns[pi]
-		attr, val, ok := indexableEq(pd.Conjunct, p.db, pd.Type)
-		if !ok {
-			continue
-		}
-		nT, err := p.db.CountAtoms(pd.Type)
-		if err != nil {
-			continue
-		}
-		entries, entriesSrc := estimateEqCount(p.db, pd.Type, attr, val, nT)
-		if aobsOK && aobs.kind == InteriorIndex && !aobs.ranged && aobs.entryType == pd.Type && aobs.attr == attr {
-			entries, entriesSrc = obsCount(aobs.entries), SrcObserved
-		}
-		recovered, climbCost, upPath := climbEstimate(p.db, desc, pd.Type, entries)
-		climbPerEntry, climbSrc := 0.0, SrcLinkFan
-		if entries > 0 {
-			climbPerEntry = climbCost / float64(entries)
-		}
-		if obs, ok := fb.climbObserved(desc.String(), pd.Type); ok {
-			// Observed links-per-entry from recorded executions replaces
-			// the fan-statistic climb weight.
-			climbPerEntry, climbSrc = obs, SrcObserved
-			climbCost = obs * float64(entries)
-		}
-		if aobsOK && aobs.kind == InteriorIndex && !aobs.ranged && aobs.entryType == pd.Type && aobs.attr == attr && aobs.roots > 0 {
-			recovered = obsCount(aobs.roots)
-		}
-		entering := scaleEst(recovered, allSel)
-		alts = append(alts, Alternative{
-			Label: fmt.Sprintf("interior-index %s.%s", pd.Type, attr),
-			Cost:  float64(entries) + climbCost + float64(recovered) + float64(entering)*derivCost,
-		})
-		cands = append(cands, candidate{alt: len(alts) - 1, entering: entering, apply: func() {
-			pd := &p.Pushdowns[pi]
-			p.Access.Kind = InteriorIndex
-			p.Access.Attr, p.Access.Value = attr, val
-			p.Access.EntryType = pd.Type
-			p.Access.EntryPos = pd.Pos
-			p.Access.UpPath = upPath
-			p.Access.EstEntries = entries
-			p.Access.EntrySource = entriesSrc
-			p.Access.EstRoots = recovered
-			p.Access.EstSource = combineSource(SrcLinkFan, entriesSrc)
-			p.Calibration.ClimbPerEntry, p.Calibration.ClimbSrc = climbPerEntry, climbSrc
-			p.accessValueOrd = pd.ord
-			p.installRootFilter(rootConjs, nil, recovered)
-		}})
-	}
-
-	// Interior range entries: range conjuncts pushed down at an indexed
-	// interior attribute merge into a key-bounded walk of that index,
-	// then climb upward exactly like an equality entry. The covered
-	// conjuncts stay on as pushdown hooks — recovery over-approximates,
-	// so exactness comes from the hooks, not the walk.
-	intRanges, intRangeKeys := map[string]*rangeSpec{}, []string(nil)
-	for pi := range p.Pushdowns {
-		pd := &p.Pushdowns[pi]
-		a, op, v, ok := attrConstCmp(pd.Conjunct)
-		if !ok || !isRangeOp(op) || !p.db.HasIndex(pd.Type, a.Name) {
-			continue
-		}
-		k := pd.Type + "\x00" + a.Name
-		s := intRanges[k]
-		if s == nil {
-			s = &rangeSpec{typeName: pd.Type, attr: a.Name}
-			intRanges[k] = s
-			intRangeKeys = append(intRangeKeys, k)
-		}
-		s.addBound(op, v)
-		s.ords = append(s.ords, pd.ord)
-		s.idxs = append(s.idxs, pi)
-	}
-	for _, k := range intRangeKeys {
-		spec := intRanges[k]
-		nT, err := p.db.CountAtoms(spec.typeName)
-		if err != nil {
-			continue
-		}
-		entries, entriesSrc := estimateRangeCount(p.db, spec.typeName, spec, nT)
-		if aobsOK && aobs.kind == InteriorIndex && aobs.ranged && aobs.entryType == spec.typeName && aobs.attr == spec.attr {
-			entries, entriesSrc = obsCount(aobs.entries), SrcObserved
-		}
-		recovered, climbCost, upPath := climbEstimate(p.db, desc, spec.typeName, entries)
-		climbPerEntry, climbSrc := 0.0, SrcLinkFan
-		if entries > 0 {
-			climbPerEntry = climbCost / float64(entries)
-		}
-		if obs, ok := fb.climbObserved(desc.String(), spec.typeName); ok {
-			climbPerEntry, climbSrc = obs, SrcObserved
-			climbCost = obs * float64(entries)
-		}
-		if aobsOK && aobs.kind == InteriorIndex && aobs.ranged && aobs.entryType == spec.typeName && aobs.attr == spec.attr && aobs.roots > 0 {
-			recovered = obsCount(aobs.roots)
-		}
-		entering := scaleEst(recovered, allSel)
-		pos, _ := desc.Pos(spec.typeName)
-		alts = append(alts, Alternative{
-			Label: fmt.Sprintf("interior-range %s.%s %s", spec.typeName, spec.attr, spec),
-			Cost:  float64(entries) + climbCost + float64(recovered) + float64(entering)*derivCost,
-		})
-		cands = append(cands, candidate{alt: len(alts) - 1, entering: entering, apply: func() {
-			p.Access.Kind = InteriorIndex
-			p.Access.Attr = spec.attr
-			spec.fillAccess(&p.Access)
-			p.Access.EntryType = spec.typeName
-			p.Access.EntryPos = pos
-			p.Access.UpPath = upPath
-			p.Access.EstEntries = entries
-			p.Access.EntrySource = entriesSrc
-			p.Access.EstRoots = recovered
-			p.Access.EstSource = combineSource(SrcLinkFan, entriesSrc)
-			p.Calibration.ClimbPerEntry, p.Calibration.ClimbSrc = climbPerEntry, climbSrc
-			p.rangeOrds = spec.ords
-			p.installRootFilter(rootConjs, nil, recovered)
-		}})
-	}
-
-	// Index intersection: the best indexed equality entry per distinct
-	// interior type; when two or more types qualify, every entry climbs
-	// to candidate roots and the sorted sets intersect before a single
-	// molecule is derived. Cost is Σ(access + climb + merge) over the
-	// entries plus derivation of the expected survivors (independence
-	// assumption: survivors ≈ n × Π(recoveredᵢ/n)).
-	if !p.noIntersect && n > 0 {
-		type interEntry struct {
-			pi      int
-			attr    string
-			val     model.Value
-			entries int
-			src     string
-		}
-		bestByType, typeOrder := map[string]interEntry{}, []string(nil)
-		for pi := range p.Pushdowns {
-			pd := &p.Pushdowns[pi]
-			attr, val, ok := indexableEq(pd.Conjunct, p.db, pd.Type)
-			if !ok {
-				continue
-			}
-			nT, err := p.db.CountAtoms(pd.Type)
-			if err != nil {
-				continue
-			}
-			entries, src := estimateEqCount(p.db, pd.Type, attr, val, nT)
-			prev, seen := bestByType[pd.Type]
-			if !seen {
-				typeOrder = append(typeOrder, pd.Type)
-			}
-			if !seen || entries < prev.entries {
-				bestByType[pd.Type] = interEntry{pi: pi, attr: attr, val: val, entries: entries, src: src}
-			}
-		}
-		if len(typeOrder) >= 2 {
-			ents := make([]AccessEntry, 0, len(typeOrder))
-			labels := make([]string, 0, len(typeOrder))
-			access, frac := 0.0, 1.0
-			sumEntries := 0
-			estSrc := SrcLinkFan
-			for _, t := range typeOrder {
-				ie := bestByType[t]
-				pd := &p.Pushdowns[ie.pi]
-				recovered, climbCost, upPath := climbEstimate(p.db, desc, t, ie.entries)
-				if obs, ok := fb.climbObserved(desc.String(), t); ok {
-					climbCost = obs * float64(ie.entries)
-				}
-				ents = append(ents, AccessEntry{
-					Type: t, Pos: pd.Pos, Attr: ie.attr, Value: ie.val,
-					UpPath: upPath, EstEntries: ie.entries, EntrySource: ie.src,
-					EstRoots: recovered, ord: pd.ord,
-				})
-				labels = append(labels, fmt.Sprintf("%s.%s", t, ie.attr))
-				access += float64(ie.entries) + climbCost + float64(recovered)
-				frac *= float64(recovered) / float64(n)
-				sumEntries += ie.entries
-				estSrc = combineSource(estSrc, ie.src)
-			}
-			survivors := scaleEst(n, frac)
-			if aobsOK && aobs.kind == IndexIntersect && aobs.roots > 0 {
-				survivors, estSrc = obsCount(aobs.roots), SrcObserved
-			}
-			entering := scaleEst(survivors, allSel)
-			alts = append(alts, Alternative{
-				Label: fmt.Sprintf("intersect[%s]", strings.Join(labels, " ∧ ")),
-				Cost:  access + float64(entering)*derivCost,
-			})
-			cands = append(cands, candidate{alt: len(alts) - 1, entering: entering, apply: func() {
-				p.Access.Kind = IndexIntersect
-				p.Access.Entries = ents
-				p.Access.EstEntries = sumEntries
-				p.Access.EstRoots = survivors
-				p.Access.EstSource = estSrc
-				p.installRootFilter(rootConjs, nil, survivors)
-			}})
-		}
-	}
-
-	// Ordered scan: when the ORDER BY attribute carries a root index,
-	// walking it in key order produces the batch pre-sorted — the same
-	// production cost as a full scan, none of the ordering work.
-	if p.Order != nil && p.db.HasIndex(desc.Root(), p.Order.Attr) {
-		alts = append(alts, Alternative{
-			Label: fmt.Sprintf("ordered index %s.%s", desc.Root(), p.Order.Attr),
-			Cost:  float64(n) + float64(fullEntering)*derivCost,
-		})
-		cands = append(cands, candidate{alt: len(alts) - 1, entering: fullEntering,
-			presorted: true, apply: func() {
-				p.Access.Kind = OrderedScan
-				p.Access.Attr = p.Order.Attr
-				p.Access.EstRoots = n
-				p.Access.EstSource = SrcContainer
-				p.installRootFilter(rootConjs, nil, n)
-			}})
-	}
-
-	// Ordering surcharge: alternatives whose batch arrives unsorted pay
-	// the heap/sort comparison work over the molecules entering
-	// derivation — and, once the feedback store has observed how small a
-	// fraction of roots survives the top-K bound prune, their derivation
-	// term shrinks to that fraction, so a calibrated heap path can beat
-	// the index ride it lost to on fiat weights.
-	if p.Order != nil {
-		survival, src := 1.0, ""
-		if obs, ok := fb.topkObserved(desc.String()); ok {
-			survival, src = obs, SrcObserved
-		}
-		p.Calibration.TopKSurvival, p.Calibration.TopKSrc = survival, src
-		for _, c := range cands {
-			if c.presorted {
-				continue
-			}
-			e := float64(c.entering)
-			alts[c.alt].Cost += orderCost(e) - e*derivCost*(1-survival)
-		}
-	}
-
-	// Pick the cheapest; earlier candidates win ties (scan before root
-	// index before interior — the simpler machinery when costs agree).
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if alts[cands[i].alt].Cost < alts[cands[best].alt].Cost {
-			best = i
-		}
-	}
-	alts[cands[best].alt].Chosen = true
-	sort.SliceStable(alts, func(i, j int) bool { return alts[i].Cost < alts[j].Cost })
-	p.Alternatives = alts
-	cands[best].apply()
-}
-
-// installRootFilter conjoins every root conjunct except the skipped ones
-// (those the access path absorbs exactly — an index equality or a
-// key-bounded range walk) into the pre-derivation root filter and scales
-// EstRoots (currently `produced` roots) by the filter's selectivity.
-func (p *Plan) installRootFilter(rootConjs []rootConjInfo, skip map[int]bool, produced int) {
-	filterSel := 1.0
-	filterSrc := ""
-	for i, rc := range rootConjs {
-		if skip[i] {
-			continue
-		}
-		p.Access.Filter = combine(p.Access.Filter, rc.conj)
-		p.filterOrds = append(p.filterOrds, rc.ord)
-		filterSel *= rc.sel
-		filterSrc = combineSource(filterSrc, rc.src)
-	}
-	if p.Access.Filter != nil {
-		// Scale the root estimate by the filter's selectivity: EstRoots
-		// approximates the roots that *enter derivation*, after the
-		// pre-derivation filter.
-		p.Access.EstRoots = scaleEst(produced, filterSel)
-		if p.Access.Kind == FullScan {
-			// The filter's statistic supersedes the bare container size.
-			p.Access.EstSource = filterSrc
-		} else {
-			p.Access.EstSource = combineSource(p.Access.EstSource, filterSrc)
-		}
-	}
 }
 
 // combineSource merges provenance labels, treating "" as absent.
@@ -1035,16 +580,8 @@ func combine(a, b expr.Expr) expr.Expr {
 // name one single type.
 func conjunctType(db *storage.Database, desc *core.Desc, c expr.Expr) (string, bool) {
 	// Fast path for the dominant shape: qualified attribute vs constant.
-	if cmp, ok := c.(expr.Cmp); ok {
-		a, aok := cmp.L.(expr.Attr)
-		_, cok := cmp.R.(expr.Const)
-		if !aok || !cok {
-			a, aok = cmp.R.(expr.Attr)
-			_, cok = cmp.L.(expr.Const)
-		}
-		if aok && cok && a.Type != "" {
-			return a.Type, desc.HasType(a.Type)
-		}
+	if a, _, _, ok := attrConstCmp(c); ok && a.Type != "" {
+		return a.Type, desc.HasType(a.Type)
 	}
 	types := make(map[string]bool)
 	for t := range expr.TypesReferenced(c) {
@@ -1107,23 +644,11 @@ func referenceFree(e expr.Expr) bool {
 // indexableEq detects typeName.attr = constant (either orientation) where
 // the type carries an index on attr, returning the attribute and value.
 func indexableEq(c expr.Expr, db *storage.Database, typeName string) (string, model.Value, bool) {
-	cmp, ok := c.(expr.Cmp)
-	if !ok || cmp.Op != expr.EQ {
+	a, op, v, ok := attrConstCmp(c)
+	if !ok || op != expr.EQ || !db.HasIndex(typeName, a.Name) {
 		return "", model.Null(), false
 	}
-	a, aok := cmp.L.(expr.Attr)
-	l, lok := cmp.R.(expr.Const)
-	if !aok || !lok {
-		a, aok = cmp.R.(expr.Attr)
-		l, lok = cmp.L.(expr.Const)
-	}
-	if !aok || !lok {
-		return "", model.Null(), false
-	}
-	if !db.HasIndex(typeName, a.Name) {
-		return "", model.Null(), false
-	}
-	return a.Name, l.V, true
+	return a.Name, v, true
 }
 
 // estimateEqCount estimates how many atoms of typeName carry attr = v:
@@ -1229,170 +754,6 @@ func (p *Plan) atomPred(typeName string, conjunct expr.Expr, eb *evalErrBox, ts 
 	}, nil
 }
 
-// rootBatch produces the root atoms the access path feeds into
-// derivation, before the root filter: an index lookup's posting list, the
-// roots recovered upward from an interior entry, or the whole container.
-// Index postings resolve at the deriver's pinned timestamp, so the batch
-// agrees with the occurrence view derivation will traverse.
-func (p *Plan) rootBatch(dv *core.Deriver) ([]model.AtomID, error) {
-	lookup := func(typeName, attr string, v model.Value) ([]model.AtomID, bool) {
-		if ts := dv.TS(); ts != 0 {
-			return p.db.IndexLookupAt(typeName, attr, v, ts)
-		}
-		return p.db.IndexLookup(typeName, attr, v)
-	}
-	switch p.Access.Kind {
-	case IndexScan:
-		if p.Access.Ranged {
-			roots, err := p.rangeWalk(dv, p.Access.Root, p.presorted())
-			if err == nil {
-				p.Access.ActEntries = len(roots)
-				p.Access.ActSurvivors = len(roots)
-			}
-			return roots, err
-		}
-		roots, ok := lookup(p.Access.Root, p.Access.Attr, p.Access.Value)
-		if !ok {
-			return nil, fmt.Errorf("plan: index on %s.%s vanished between compile and execute", p.Access.Root, p.Access.Attr)
-		}
-		p.Access.ActEntries = len(roots)
-		p.Access.ActSurvivors = len(roots)
-		return roots, nil
-	case InteriorIndex:
-		var entries []model.AtomID
-		if p.Access.Ranged {
-			var err error
-			entries, err = p.rangeWalk(dv, p.Access.EntryType, false)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var ok bool
-			entries, ok = lookup(p.Access.EntryType, p.Access.Attr, p.Access.Value)
-			if !ok {
-				return nil, fmt.Errorf("plan: index on %s.%s vanished between compile and execute", p.Access.EntryType, p.Access.Attr)
-			}
-		}
-		p.Access.ActEntries = len(entries)
-		roots, climbed, err := dv.RecoverRootsCounted(p.Access.EntryPos, entries)
-		p.Access.ActClimb = int(climbed)
-		p.Access.ActSurvivors = len(roots)
-		return roots, err
-	case IndexIntersect:
-		// Every entry runs its own lookup and upward climb; the sorted
-		// candidate-root sets (RecoverRoots returns ascending IDs)
-		// intersect progressively, short-circuiting the remaining
-		// entries the moment the running intersection empties.
-		var inter []model.AtomID
-		for i := range p.Access.Entries {
-			en := &p.Access.Entries[i]
-			entries, ok := lookup(en.Type, en.Attr, en.Value)
-			if !ok {
-				return nil, fmt.Errorf("plan: index on %s.%s vanished between compile and execute", en.Type, en.Attr)
-			}
-			en.ActEntries = len(entries)
-			p.Access.ActEntries += len(entries)
-			roots, climbed, err := dv.RecoverRootsCounted(en.Pos, entries)
-			if err != nil {
-				return nil, err
-			}
-			en.ActClimb = int(climbed)
-			p.Access.ActClimb += int(climbed)
-			en.ActRoots = len(roots)
-			if i == 0 {
-				inter = roots
-			} else {
-				inter = intersectSorted(inter, roots)
-			}
-			if len(inter) == 0 {
-				break
-			}
-		}
-		p.Access.ActSurvivors = len(inter)
-		return inter, nil
-	case OrderedScan:
-		ts := dv.TS()
-		if ts == 0 {
-			ts = p.db.LatestTS()
-		}
-		var roots []model.AtomID
-		ok := p.db.IndexOrderedAt(p.Access.Root, p.Access.Attr, ts, p.Order.Desc, func(_ model.Value, ids []model.AtomID) bool {
-			roots = append(roots, ids...)
-			return true
-		})
-		if !ok {
-			return nil, fmt.Errorf("plan: index on %s.%s vanished between compile and execute", p.Access.Root, p.Access.Attr)
-		}
-		return roots, nil
-	default:
-		return dv.RootIDs(), nil
-	}
-}
-
-// rangeWalk produces the atoms of typeName whose indexed attribute falls
-// inside the access range, by a key-bounded walk of the ordered index
-// view: keys below the low bound are skipped, the walk stops past the
-// high bound, null keys never qualify (a null compares to nothing under
-// predicate evaluation). keyOrder keeps the walk's key order — the
-// ORDER BY ride — and walks descending when the order asks for it;
-// otherwise the batch is re-sorted by atom ID so every access path
-// yields the same deterministic root order.
-func (p *Plan) rangeWalk(dv *core.Deriver, typeName string, keyOrder bool) ([]model.AtomID, error) {
-	ts := dv.TS()
-	if ts == 0 {
-		ts = p.db.LatestTS()
-	}
-	descending := keyOrder && p.Order != nil && p.Order.Desc
-	a := &p.Access
-	var out []model.AtomID
-	ok := p.db.IndexOrderedAt(typeName, a.Attr, ts, descending, func(v model.Value, ids []model.AtomID) bool {
-		if v.IsNull() {
-			return true
-		}
-		if a.HasLo {
-			if c := v.Compare(a.Lo); c < 0 || (c == 0 && !a.LoInc) {
-				// Below the low bound: ascending walks skip forward,
-				// descending walks are done.
-				return !descending
-			}
-		}
-		if a.HasHi {
-			if c := v.Compare(a.Hi); c > 0 || (c == 0 && !a.HiInc) {
-				return descending
-			}
-		}
-		out = append(out, ids...)
-		return true
-	})
-	if !ok {
-		return nil, fmt.Errorf("plan: index on %s.%s vanished between compile and execute", typeName, a.Attr)
-	}
-	if !keyOrder {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	return out, nil
-}
-
-// intersectSorted merges two ascending, deduplicated root-ID slices into
-// their intersection.
-func intersectSorted(a, b []model.AtomID) []model.AtomID {
-	out := make([]model.AtomID, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // obsCount rounds an observed average cardinality to the integer the
 // contest compares estimates with, floored at 1 (an observation exists,
 // so the cardinality was not structurally zero).
@@ -1469,8 +830,8 @@ func (p *Plan) resetActuals() {
 }
 
 // prepareRoots runs the access path and the pre-derivation root filter,
-// returning the root batch entering derivation. Shared by the streaming
-// and the barrier execution; cancelling ctx abandons the filter.
+// returning the root batch entering derivation; cancelling ctx abandons
+// the filter.
 func (p *Plan) prepareRoots(ctx context.Context, dv *core.Deriver, eb *evalErrBox) ([]model.AtomID, error) {
 	var rootFilter func(model.AtomID) bool
 	var err error
@@ -1480,7 +841,7 @@ func (p *Plan) prepareRoots(ctx context.Context, dv *core.Deriver, eb *evalErrBo
 			return nil, err
 		}
 	}
-	roots, err := p.rootBatch(dv)
+	roots, err := p.path.roots(p, dv)
 	if err != nil {
 		return nil, err
 	}
@@ -1566,12 +927,7 @@ func (p *Plan) filterRoots(ctx context.Context, roots []model.AtomID, rootFilter
 }
 
 // Execute runs the plan and returns the qualifying molecules, filling
-// the actual-cardinality fields. It is a collect-all wrapper over
-// Stream: the same fused pipeline (access path → parallel root filter →
-// fused pruned derivation + cost-ordered residual chain on the worker
-// pool) runs underneath, Execute merely drains the stream into a set —
-// so the feedback machinery (actuals merge, [observed] re-ranking,
-// execution recording) behaves identically on both surfaces. Execute
+// the actual-cardinality fields: Stream, drained into a set. Execute
 // never enlarges the database; algebra-mode callers propagate the
 // returned set themselves (see Restrict).
 func (p *Plan) Execute() (core.MoleculeSet, error) {
@@ -1581,22 +937,25 @@ func (p *Plan) Execute() (core.MoleculeSet, error) {
 // ExecuteContext is Execute honoring a context: cancelling ctx stops the
 // worker pool mid-derivation and returns ctx.Err().
 func (p *Plan) ExecuteContext(ctx context.Context) (core.MoleculeSet, error) {
-	st, err := p.Stream(ctx)
-	if err != nil {
+	var set core.MoleculeSet
+	if err := p.drain(ctx, nil, func(m *core.Molecule) { set = append(set, m) }); err != nil {
 		return nil, err
 	}
-	var set core.MoleculeSet
-	for {
-		m, err := st.Next()
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		if m == nil {
-			return set, nil
-		}
-		set = append(set, m)
+	return set, nil
+}
+
+// drain streams the plan through snap (nil pins the latest commit) and
+// hands every molecule to fn.
+func (p *Plan) drain(ctx context.Context, snap *storage.Snapshot, fn func(*core.Molecule)) error {
+	st, err := p.StreamAt(ctx, snap)
+	if err != nil {
+		return err
 	}
+	defer st.Close()
+	for m := range st.Seq() {
+		fn(m)
+	}
+	return st.Err()
 }
 
 // CanCountFast reports whether the plan can answer a COUNT without
@@ -1619,22 +978,11 @@ func (p *Plan) ExecuteCountAt(ctx context.Context, snap *storage.Snapshot) (int,
 		ctx = context.Background()
 	}
 	if !p.CanCountFast() {
-		st, err := p.StreamAt(ctx, snap)
-		if err != nil {
+		n := 0
+		if err := p.drain(ctx, snap, func(*core.Molecule) { n++ }); err != nil {
 			return 0, err
 		}
-		n := 0
-		for {
-			m, err := st.Next()
-			if err != nil {
-				st.Close()
-				return 0, err
-			}
-			if m == nil {
-				return n, nil
-			}
-			n++
-		}
+		return n, nil
 	}
 	dv, err := core.NewDeriver(p.db, p.desc)
 	if err != nil {
@@ -1659,98 +1007,6 @@ func (p *Plan) ExecuteCountAt(ctx context.Context, snap *storage.Snapshot) (int,
 	return n, nil
 }
 
-// ExecuteBarrier is the pre-fusion execution pipeline — parallel pruned
-// derivation, then a barrier, then the residual chain on a single
-// goroutine — retained as the reference implementation: the parity
-// property tests check the fused pipeline's molecule sets and actuals
-// against it, and the P11 benchmark measures the fusion win over it. It
-// neither consults nor feeds the feedback store.
-func (p *Plan) ExecuteBarrier() (core.MoleculeSet, error) {
-	dv, err := core.NewDeriver(p.db, p.desc)
-	if err != nil {
-		return nil, err
-	}
-	// The barrier pipeline pins a snapshot exactly like Stream does, so
-	// the fused-vs-barrier parity properties keep holding under
-	// concurrent writers.
-	snap := p.db.Snapshot()
-	defer snap.Close()
-	dv = dv.AtSnapshot(snap)
-	p.resetActuals()
-
-	var eb evalErrBox
-	rootPos, _ := p.desc.Pos(p.Access.Root)
-	checks := []core.PruneCheck{{Pos: rootPos, Qualifies: func([]model.AtomID) bool {
-		return !eb.failed.Load()
-	}}}
-	cuts := make([]int64, len(p.Pushdowns))
-	for i := range p.Pushdowns {
-		pd := &p.Pushdowns[i]
-		pred, err := p.atomPred(pd.Type, pd.Conjunct, &eb, snap.TS())
-		if err != nil {
-			return nil, err
-		}
-		checks = append(checks, core.PruneCheck{Pos: pd.Pos, Qualifies: func(atoms []model.AtomID) bool {
-			for _, id := range atoms {
-				if pred(id) {
-					return true
-				}
-			}
-			atomic.AddInt64(&cuts[i], 1)
-			return false
-		}})
-	}
-
-	roots, err := p.prepareRoots(context.Background(), dv, &eb)
-	if err != nil {
-		return nil, err
-	}
-
-	derived, err := dv.DeriveRootsPrunedParallel(roots, dv.PrepareChecks(checks), p.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := eb.get(); err != nil {
-		return nil, err
-	}
-	for i := range p.Pushdowns {
-		p.Pushdowns[i].Cut = int(atomic.LoadInt64(&cuts[i]))
-	}
-
-	// The residual runs as a short-circuit chain over the cost-ordered
-	// conjuncts: the first failing conjunct rejects the molecule and the
-	// later (costlier or less selective) ones never run for it. Molecules
-	// are visited in root-batch order, so results stay deterministic.
-	var set core.MoleculeSet
-	for _, m := range derived {
-		if m == nil {
-			continue // cut by a pushdown hook
-		}
-		p.Derived++
-		b := core.Binding{DB: p.db, M: m, TS: snap.TS()}
-		keep := true
-		for i := range p.Residuals {
-			r := &p.Residuals[i]
-			r.Evals++
-			ok, err := expr.EvalPredicate(r.Conjunct, b)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				keep = false
-				break
-			}
-			r.Passed++
-		}
-		if keep {
-			set = append(set, m)
-		}
-	}
-	p.Out = len(set)
-	p.Executed = true
-	return set, nil
-}
-
 // Summary is the one-line account of an executed plan.
 func (p *Plan) Summary() string {
 	cut := 0
@@ -1767,50 +1023,7 @@ func (p *Plan) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "structure: %s\n", p.desc)
 	fmt.Fprintf(&b, "root:      %s\n", p.desc.Root())
-	switch p.Access.Kind {
-	case IndexScan:
-		if p.Access.Ranged {
-			fmt.Fprintf(&b, "access:    index range walk %s.%s %s (est %s roots [%s]%s)\n",
-				p.Access.Root, p.Access.Attr, p.Access.rangeString(),
-				approx(p.Access.EstRoots), p.Access.EstSource, p.actual(p.Access.ActRoots))
-		} else {
-			fmt.Fprintf(&b, "access:    index lookup %s.%s = %s (est %s roots [%s]%s)\n",
-				p.Access.Root, p.Access.Attr, p.Access.Value,
-				approx(p.Access.EstRoots), p.Access.EstSource, p.actual(p.Access.ActRoots))
-		}
-	case InteriorIndex:
-		if p.Access.Ranged {
-			fmt.Fprintf(&b, "access:    [interior-index] range entry at %s.%s %s (est %s atoms [%s]%s)\n",
-				p.Access.EntryType, p.Access.Attr, p.Access.rangeString(),
-				approx(p.Access.EstEntries), p.Access.EntrySource, p.actual(p.Access.ActEntries))
-		} else {
-			fmt.Fprintf(&b, "access:    [interior-index] entry at %s.%s = %s (est %s atoms [%s]%s)\n",
-				p.Access.EntryType, p.Access.Attr, p.Access.Value,
-				approx(p.Access.EstEntries), p.Access.EntrySource, p.actual(p.Access.ActEntries))
-		}
-		fmt.Fprintf(&b, "           recover roots upward %s (est %s roots [%s]%s)\n",
-			strings.Join(p.Access.UpPath, " ⇡ "),
-			approx(p.Access.EstRoots), p.Access.EstSource, p.actual(p.Access.ActRoots))
-	case IndexIntersect:
-		fmt.Fprintf(&b, "access:    [intersect] %d-entry index intersection (est %s roots [%s]%s)\n",
-			len(p.Access.Entries), approx(p.Access.EstRoots), p.Access.EstSource, p.actual(p.Access.ActRoots))
-		for _, en := range p.Access.Entries {
-			fmt.Fprintf(&b, "           entry %s.%s = %s (est %s atoms [%s]%s) ⇡ %s (est %s roots%s)\n",
-				en.Type, en.Attr, en.Value,
-				approx(en.EstEntries), en.EntrySource, p.actual(en.ActEntries),
-				strings.Join(en.UpPath, " ⇡ "), approx(en.EstRoots), p.actual(en.ActRoots))
-		}
-		if p.Executed {
-			fmt.Fprintf(&b, "           sorted-merge intersection → %d surviving root(s)\n", p.Access.ActSurvivors)
-		}
-	case OrderedScan:
-		fmt.Fprintf(&b, "access:    ordered index walk of %s.%s (est %s roots [%s]%s)\n",
-			p.Access.Root, p.Access.Attr,
-			approx(p.Access.EstRoots), p.Access.EstSource, p.actual(p.Access.ActRoots))
-	default:
-		fmt.Fprintf(&b, "access:    full scan of %s (est %s roots [%s]%s)\n",
-			p.Access.Root, approx(p.Access.EstRoots), p.Access.EstSource, p.actual(p.Access.ActRoots))
-	}
+	p.path.explain(&b, p)
 	if p.Access.Filter != nil {
 		fmt.Fprintf(&b, "           root filter %s before derivation\n", p.Access.Filter)
 	}
@@ -1850,7 +1063,7 @@ func (p *Plan) Render() string {
 	// feedback loop has replaced a fiat weight with a recorded actual.
 	if p.Calibration.DerivSrc == SrcObserved || p.Calibration.ClimbSrc == SrcObserved || p.Calibration.TopKSrc == SrcObserved {
 		line := fmt.Sprintf("costs:     derive ≈%.1f atoms/root [%s]", p.Calibration.DerivPerRoot, p.Calibration.DerivSrc)
-		if p.Access.Kind == InteriorIndex && p.Calibration.ClimbSrc != "" {
+		if p.Calibration.ClimbSrc != "" {
 			line += fmt.Sprintf("; climb ≈%.1f links/entry [%s]", p.Calibration.ClimbPerEntry, p.Calibration.ClimbSrc)
 		}
 		if p.Calibration.TopKSrc == SrcObserved {

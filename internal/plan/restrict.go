@@ -12,8 +12,8 @@ import (
 // filtered-scan access path, per-atom-type pushdown, residual filter),
 // executes it, and propagates the qualifying set into the enlarged
 // database, closing with α — the planned generalization of
-// core.Restrict / core.RestrictWithIndex. The result is always
-// occurrence-equivalent to core.Restrict; only the work differs.
+// core.Restrict. The result is always occurrence-equivalent to
+// core.Restrict; only the work differs.
 func Restrict(mt *core.MoleculeType, pred expr.Expr, resultName string, tr *core.OpTrace) (*core.MoleculeType, error) {
 	if err := expr.Check(pred, core.Scope{DB: mt.DB(), Desc: mt.Desc()}); err != nil {
 		return nil, err

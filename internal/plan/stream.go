@@ -25,11 +25,11 @@ var errStreamLimit = errors.New("plan: stream limit reached")
 // batches: enough that a briefly slow consumer does not stall the worker
 // pool, small enough that the molecules buffered between executor and
 // consumer stay bounded (the executor itself bounds its in-flight
-// batches at workers+1 — see core.DeriveRootsFusedStream).
+// batches at workers+1 — see core.DeriveStream).
 const streamBufBatches = 2
 
 // Stream is an incremental cursor over a plan's qualifying molecules:
-// the fused parallel executor feeds it batch by batch through a bounded
+// the parallel executor feeds it batch by batch through a bounded
 // channel, so the first molecules reach the consumer while the bulk of
 // the root batch is still deriving, and the memory footprint stays
 // O(workers × batch) instead of O(result). Molecules arrive in exactly
@@ -69,12 +69,11 @@ type Stream struct {
 func (st *Stream) SnapshotTS() uint64 { return st.snap.TS() }
 
 // Stream starts executing the plan and returns the result cursor. The
-// pipeline underneath is Execute's fused one — access path, parallel
-// pre-derivation root filter, pruned derivation with the residual chain
-// fused onto the deriving worker — but completed batches are handed to
-// the consumer the moment they exist instead of being materialized
-// root-aligned first. Cancelling ctx (or Close) stops the worker pool
-// mid-derivation without leaking goroutines.
+// pipeline underneath — access path, parallel pre-derivation root
+// filter, pruned derivation with the residual chain run on the deriving
+// worker — hands completed batches to the consumer the moment they
+// exist. Cancelling ctx (or Close) stops the worker pool mid-derivation
+// without leaking goroutines.
 //
 // The plan's execution actuals (EXPLAIN's "actual" figures, Derived,
 // Out) are valid once the stream has ended — drained, errored or closed
@@ -220,7 +219,7 @@ func (h *topkHeap) Pop() any {
 }
 
 // run is the stream's producer: it prepares the root batch, drives the
-// streaming fused executor, forwards every emitted batch through the
+// streaming executor, forwards every emitted batch through the
 // bounded channel, and — once the executor has joined its workers —
 // merges the per-worker actuals into the plan and closes the stream.
 func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, preds []func(model.AtomID) bool, fb *Feedback) {
@@ -424,7 +423,7 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 		}
 	}
 
-	work, err := dv.DeriveRootsFusedStreamSized(ctx, roots, p.Workers, sizer, newWorker, emit)
+	work, err := dv.DeriveStream(ctx, roots, p.Workers, sizer, newWorker, emit)
 	complete := err == nil
 	if errors.Is(err, errStreamLimit) {
 		err = nil

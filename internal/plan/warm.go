@@ -284,31 +284,7 @@ func SaveCacheShapes(db *storage.Database, dir string) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, planCacheFile)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return writeFileAtomic(filepath.Join(dir, planCacheFile), data)
 }
 
 // WarmCache precompiles the plan shapes persisted in dir into db's plan

@@ -98,9 +98,10 @@ func Recover(dir string) (*Database, error) {
 // in-memory one.
 func (db *Database) Dir() string { return db.dir }
 
-// Close flushes and closes the write-ahead log. Commits issued after
-// Close fail; readers keep working. Close on an in-memory database is a
-// no-op.
+// Close flushes and closes the write-ahead log, after waiting out an
+// auto-checkpoint in flight (none starts afterwards). Commits issued
+// after Close fail; readers keep working. Close on an in-memory database
+// is a no-op.
 func (db *Database) Close() error {
 	if db.wal == nil {
 		return nil

@@ -323,6 +323,10 @@ type WAL struct {
 	ckptLimit atomic.Int64
 	ckptArmed atomic.Bool
 	onCkpt    func() // guarded by mu
+	// ckptWG counts the in-flight auto-checkpoint goroutine, so Close can
+	// join it; Add happens under mu with onCkpt non-nil, which orders it
+	// before Close's disarm.
+	ckptWG sync.WaitGroup
 }
 
 // newWAL opens a fresh segment numbered seg and starts the flusher.
@@ -533,12 +537,16 @@ func (w *WAL) maybeAutoCheckpoint() {
 	}
 	w.mu.Lock()
 	fire := w.onCkpt
+	if fire != nil {
+		w.ckptWG.Add(1)
+	}
 	w.mu.Unlock()
 	if fire == nil {
 		w.ckptArmed.Store(false)
 		return
 	}
 	go func() {
+		defer w.ckptWG.Done()
 		fire()
 		// Re-arm only after the checkpoint finished: its rotation reset
 		// liveBytes, so the next crossing is a genuinely new one.
@@ -580,8 +588,16 @@ func (w *WAL) Counters() (appends, syncs int64) {
 }
 
 // Close rejects further commits, flushes the queue and closes the
-// segment file.
+// segment file. It first disarms the auto-checkpoint trigger and joins a
+// checkpoint already in flight — while the flusher still runs, because
+// the checkpoint waits on it to ack the rotation barrier. A checkpoint
+// left running past Close would rename its file and prune segments under
+// a later Open or Recover of the same directory, which could then load
+// the old checkpoint and miss the pruned segments: every commit since
+// that checkpoint lost.
 func (w *WAL) Close() error {
+	w.setAutoCheckpoint(0, nil)
+	w.ckptWG.Wait()
 	w.mu.Lock()
 	already := w.failed != nil
 	if w.failed == nil {

@@ -161,3 +161,75 @@ func TestAutoCheckpointLatchesWhileInFlight(t *testing.T) {
 		t.Fatalf("%d checkpoint(s) entered while the first was still in flight", n)
 	}
 }
+
+// TestCloseJoinsAutoCheckpoint: Close must not return while a triggered
+// checkpoint is still running — it would go on to rename its file and
+// prune segments under whoever opens the directory next — and everything
+// acknowledged before Close, on either side of the checkpoint, must be
+// there after recovery.
+func TestCloseJoinsAutoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := model.MustDesc(model.AttrDesc{Name: "n", Kind: model.KInt})
+	if _, err := db.DefineAtomType("t", d); err != nil {
+		t.Fatal(err)
+	}
+	inFlight, release := make(chan struct{}), make(chan struct{})
+	db.ckptTestHook = func() {
+		close(inFlight)
+		<-release
+	}
+	if err := db.SetAutoCheckpoint(512); err != nil {
+		t.Fatal(err)
+	}
+	acked := 0
+	insert := func() {
+		t.Helper()
+		if _, err := db.InsertAtom("t", model.Int(int64(acked))); err != nil {
+			t.Fatal(err)
+		}
+		acked++
+	}
+	for started := false; !started; {
+		insert()
+		select {
+		case <-inFlight:
+			started = true
+		default:
+		}
+	}
+	// Commits behind the checkpoint's rotation land in the new segment.
+	for i := 0; i < 8; i++ {
+		insert()
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- db.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while an auto-checkpoint was in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if n := db.AutoCheckpoints(); n != 1 {
+		t.Fatalf("%d auto-checkpoints completed by the time Close returned, want 1", n)
+	}
+
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := rec.CountAtoms("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != acked {
+		t.Fatalf("recovered %d atoms, %d commits were acknowledged", n, acked)
+	}
+}

@@ -146,14 +146,14 @@ func TakeSnapshot(db *Database) *Snapshot { return db.Snapshot() }
 
 // Language and engine types.
 //
-// # Migration: Exec → QueryContext
+// # Exec and QueryContext
 //
-// Since the streaming redesign, Session.Exec is a thin collect-all
-// wrapper: it parses, plans and executes exactly as before, but the
-// engine underneath now streams molecules off a bounded channel and
-// Exec merely drains it. Existing code keeps working unchanged. New
-// code — and any code that wants cancellation, deadlines, result caps
-// or bounded memory — should move to the streaming surface:
+// There is one execution pipeline and it streams: molecules come off a
+// bounded channel batch by batch. Session.QueryContext hands that stream
+// to the caller as a Cursor; Session.Exec (and, at plan level,
+// Plan.Execute over Plan.Stream) drains the same stream into a
+// materialized result. Code that wants cancellation, deadlines, result
+// caps or bounded memory uses the streaming surface:
 //
 //	cur, err := sess.QueryContext(ctx, `SELECT ALL FROM mt_state;`,
 //	    mad.WithWorkers(4), mad.WithLimit(100))
@@ -168,9 +168,7 @@ func TakeSnapshot(db *Database) *Snapshot { return db.Snapshot() }
 // ordered index ride when one covers the attribute, a bounded top-K
 // heap under LIMIT, a terminal sort otherwise) or aggregate instead of
 // materialize (`SELECT COUNT ... [GROUP BY attr]`, folded batch by
-// batch off the stream). Plan-level callers migrate from
-// Plan.Execute to Plan.Stream(ctx) the same way; Execute remains as the
-// collect-all form.
+// batch off the stream).
 type (
 	// Session executes MQL statements.
 	Session = mql.Session

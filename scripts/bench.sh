@@ -1,9 +1,10 @@
 #!/bin/sh
 # bench.sh — perf-trajectory tooling: runs every repository benchmark with
 # -benchmem and emits a machine-readable JSON file (one record per
-# benchmark: ns/op, B/op, allocs/op plus any custom metrics the benchmark
-# reports — peak-B/op, commits/s, appends/fsync, atom-fetches/op,
-# ns-to-first-molecule) so CI can archive the trajectory per commit.
+# benchmark: every "value unit" pair of its result line — ns/op, B/op,
+# allocs/op and whatever custom metrics it reports, e.g. peak-B/op,
+# commits/s, appends/fsync, atom-fetches/op, ns-to-first-molecule — keyed
+# by the sanitised unit) so CI can archive the trajectory per commit.
 # Non-gating: numbers are for trend lines, not pass/fail (the P16/P17
 # work-ratio gates live inside the benchmarks themselves and fail the
 # run outright).
@@ -31,30 +32,31 @@ BEGIN {
 	printf "{\n  \"commit\": \"%s\",\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [", commit, date, goversion
 	n = 0
 }
+# key turns a benchmark unit into a JSON key: "/" reads "per", a bare "B"
+# is bytes, anything else non-alphanumeric becomes "_" — so ns/op is
+# ns_per_op, peak-B/op is peak_bytes_per_op, and a metric a benchmark
+# starts reporting tomorrow needs no edit here. (No apostrophes in this
+# program: it sits inside single quotes.)
+function key(unit,    k) {
+	k = unit
+	gsub(/\//, "_per_", k)
+	gsub(/[^A-Za-z0-9_]/, "_", k)
+	k = "_" k "_"
+	gsub(/_B_/, "_bytes_", k)
+	return substr(k, 2, length(k) - 2)
+}
 /^Benchmark/ {
-	name = $1; iters = $2
-	ns = ""; bytes = ""; allocs = ""; peak = ""; cps = ""; apf = ""; af = ""; fm = ""
-	for (i = 3; i < NF; i++) {
-		if ($(i + 1) == "ns/op") ns = $i
-		if ($(i + 1) == "B/op") bytes = $i
-		if ($(i + 1) == "allocs/op") allocs = $i
-		if ($(i + 1) == "peak-B/op") peak = $i
-		if ($(i + 1) == "commits/s") cps = $i
-		if ($(i + 1) == "appends/fsync") apf = $i
-		if ($(i + 1) == "atom-fetches/op") af = $i
-		if ($(i + 1) == "ns-to-first-molecule") fm = $i
+	# name, iterations, then "value unit" pairs.
+	rec = ""
+	timed = 0
+	for (i = 3; i < NF; i += 2) {
+		if ($i !~ /^[0-9.eE+-]+$/) break
+		if ($(i + 1) == "ns/op") timed = 1
+		rec = rec sprintf(", \"%s\": %s", key($(i + 1)), $i)
 	}
-	if (ns == "") next
+	if (!timed) next
 	if (n++) printf ","
-	printf "\n    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns
-	if (bytes != "") printf ", \"bytes_per_op\": %s", bytes
-	if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-	if (peak != "") printf ", \"peak_bytes_per_op\": %s", peak
-	if (cps != "") printf ", \"commits_per_s\": %s", cps
-	if (apf != "") printf ", \"appends_per_fsync\": %s", apf
-	if (af != "") printf ", \"atom_fetches_per_op\": %s", af
-	if (fm != "") printf ", \"ns_to_first_molecule\": %s", fm
-	printf "}"
+	printf "\n    {\"name\": \"%s\", \"iterations\": %s%s}", $1, $2, rec
 }
 END { printf "\n  ]\n}\n" }
 ' "$raw" >"$out"
