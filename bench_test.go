@@ -662,16 +662,20 @@ func BenchmarkP17BOMExplosion(b *testing.B) {
 		}
 		return db.Stats().Snapshot().Sub(before).AtomsFetched
 	}
+	desc, err := core.NewClosureDesc(db, "parts", "composition", false, depth)
+	if err != nil {
+		b.Fatal(err)
+	}
 	planned := func() int64 {
-		fp, err := plan.CompileFixpoint(db, "parts", "composition", false, depth, pred)
+		fp, err := plan.Compile(db, desc, pred)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if fp.EntryKind != plan.FixIndexEq {
-			b.Fatalf("entry contest picked %v, want indexed entry", fp.EntryKind)
+		if fp.Access.Kind != plan.IndexScan {
+			b.Fatalf("entry contest picked %v, want indexed entry", fp.Access.Kind)
 		}
 		before := db.Stats().Snapshot()
-		ms, err := fp.Execute(context.Background())
+		ms, err := fp.Execute()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -687,7 +691,7 @@ func BenchmarkP17BOMExplosion(b *testing.B) {
 	}
 	// Gate 2: streaming latency — first closure of the full explosion
 	// must land before half the full materialization.
-	full, err := plan.CompileFixpoint(db, "parts", "composition", false, depth, nil)
+	full, err := plan.Compile(db, desc, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

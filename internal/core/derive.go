@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"mad/internal/model"
 	"mad/internal/storage"
@@ -73,6 +74,11 @@ func NewDeriver(db *storage.Database, desc *Desc) (*Deriver, error) {
 		}
 		dv.stores[i] = ls
 		dv.fromA[i] = ls.Desc().SideA == e.From
+	}
+	if cl := desc.Closure(); cl != nil {
+		// Both sides of a reflexive link type are the one atom type; the
+		// closure's direction picks the side expansion starts from.
+		dv.fromA[0] = !cl.Up
 	}
 	c, ok := db.Container(desc.Root())
 	if !ok {
@@ -174,12 +180,17 @@ type deriveScratch struct {
 	cand map[model.AtomID]bool
 	tmp  map[model.AtomID]bool
 	work storage.WorkTally
+	// stop is the executor's cancellation flag: the closure loop polls it
+	// per round, so a cancelled run does not finish a deep closure it will
+	// never deliver.
+	stop *atomic.Bool
 }
 
-func newDeriveScratch() *deriveScratch {
+func newDeriveScratch(stop *atomic.Bool) *deriveScratch {
 	return &deriveScratch{
 		cand: make(map[model.AtomID]bool),
 		tmp:  make(map[model.AtomID]bool),
+		stop: stop,
 	}
 }
 
@@ -290,6 +301,9 @@ func (dv *Deriver) deriveScratched(root model.AtomID, byPos PreparedChecks, sc *
 		}
 		return nil
 	}
+	if cl := d.Closure(); cl != nil {
+		return dv.closeOver(m, cl.Depth, sc)
+	}
 
 	for _, t := range d.Topo() {
 		if t == d.Root() {
@@ -358,6 +372,42 @@ func (dv *Deriver) deriveScratched(root model.AtomID, byPos PreparedChecks, sc *
 			}
 			return nil
 		}
+	}
+	return m
+}
+
+// closeOver completes the molecule of a closure description: starting
+// from the root already in m, the one reflexive edge is followed to a
+// fixpoint by semi-naive iteration — the frontier of round r is exactly
+// the atoms first reached in round r−1. The molecule's membership set
+// breaks cycles; a link into an already-reached atom is still recorded,
+// so diamonds and back-edges appear in the molecule; a positive depth
+// bounds the rounds. It returns nil (recycling m) when the executor's
+// stop flag interrupts it between rounds.
+func (dv *Deriver) closeOver(m *Molecule, depth int, sc *deriveScratch) *Molecule {
+	m.levels = append(m.levels, 1)
+	for lo, round := 0, 1; lo < len(m.atoms[0]) && (depth == 0 || round <= depth); round++ {
+		if sc != nil && sc.stop.Load() {
+			sc.recycle(m)
+			return nil
+		}
+		hi := len(m.atoms[0])
+		for _, a := range m.atoms[0][lo:hi] {
+			for _, q := range dv.partners(0, a, sc) {
+				m.addLink(0, model.Link{A: a, B: q})
+				m.addAtom(0, q)
+			}
+		}
+		if len(m.atoms[0]) > hi {
+			m.levels = append(m.levels, len(m.atoms[0]))
+		}
+		lo = hi
+	}
+	// The root was accounted when it entered the molecule.
+	if fetched := int64(len(m.atoms[0]) - 1); sc != nil {
+		sc.work.AtomsFetched += fetched
+	} else {
+		dv.db.Stats().AtomsFetched.Add(fetched)
 	}
 	return m
 }

@@ -44,6 +44,20 @@ type Desc struct {
 	incoming map[string][]int // type → indexes into edges arriving at it
 	outgoing map[string][]int // type → indexes into edges leaving it
 	pos      map[string]int   // type → position in types
+
+	closure *Closure // non-nil for a closure description (NewClosureDesc)
+}
+
+// Closure is the recursion shape of a closure description: the direction
+// its one reflexive edge is followed in, and how far.
+type Closure struct {
+	// Link is the reflexive link type closed over.
+	Link string
+	// Up selects the super-component view (the link traversed backward);
+	// the default is the sub-component view.
+	Up bool
+	// Depth bounds the closure depth; 0 means the full transitive closure.
+	Depth int
 }
 
 // NewDesc validates <C, G> against the database schema and computes the
@@ -98,6 +112,44 @@ func NewDesc(db *storage.Database, types []string, edges []DirectedLink) (*Desc,
 	d.str = d.render()
 	return d, nil
 }
+
+// NewClosureDesc builds the description of a recursive molecule type
+// (Chapter 5): the single atom type closed over one direction of a
+// reflexive link type, optionally depth-bounded — a root atom plus
+// everything the one reflexive edge reaches when it is followed to a
+// fixpoint. md_graph excludes self-loops, so NewDesc rejects the shape;
+// a closure description is query-mode only — it derives and plans like
+// any other description, while propagation (and with it Σ, Π, X, Ω, Δ in
+// algebra mode) rejects it.
+func NewClosureDesc(db *storage.Database, atomType, link string, up bool, depth int) (*Desc, error) {
+	if _, ok := db.Schema().AtomType(atomType); !ok {
+		return nil, fmt.Errorf("core: unknown atom type %q in recursive structure", atomType)
+	}
+	lt, ok := db.Schema().LinkType(link)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown link type %q in recursive structure", link)
+	}
+	if !lt.Desc.Reflexive() || lt.Desc.SideA != atomType {
+		return nil, fmt.Errorf("core: link type %q is not reflexive on %q", link, atomType)
+	}
+	if depth < 0 {
+		return nil, fmt.Errorf("core: negative recursion depth")
+	}
+	d := &Desc{
+		types:   []string{atomType},
+		edges:   []DirectedLink{{Link: link, From: atomType, To: atomType}},
+		root:    atomType,
+		topo:    []string{atomType},
+		pos:     map[string]int{atomType: 0},
+		closure: &Closure{Link: link, Up: up, Depth: depth},
+	}
+	d.str = d.render()
+	return d, nil
+}
+
+// Closure returns the recursion shape of a closure description, nil for
+// a plain one.
+func (d *Desc) Closure() *Closure { return d.closure }
 
 // computeGraph checks acyclicity, coherence and single-rootedness, and
 // fixes a topological order (root first, then by Kahn's algorithm with
@@ -207,7 +259,7 @@ func (d *Desc) Edge(i int) DirectedLink { return d.edges[i] }
 // compatibility notion for Ω, Δ and molecule comparison across enlarged
 // databases.
 func (d *Desc) SameShape(o *Desc) bool {
-	if len(d.types) != len(o.types) || len(d.edges) != len(o.edges) {
+	if len(d.types) != len(o.types) || len(d.edges) != len(o.edges) || !d.sameClosure(o) {
 		return false
 	}
 	for i, e := range d.edges {
@@ -219,10 +271,19 @@ func (d *Desc) SameShape(o *Desc) bool {
 	return d.pos[d.root] == o.pos[o.root]
 }
 
+// sameClosure reports that both descriptions are plain, or both are
+// closures of the same direction and depth.
+func (d *Desc) sameClosure(o *Desc) bool {
+	if d.closure == nil || o.closure == nil {
+		return d.closure == o.closure
+	}
+	return d.closure.Up == o.closure.Up && d.closure.Depth == o.closure.Depth
+}
+
 // Equal reports full equality: same types in the same order and the same
 // edges (including link-type names).
 func (d *Desc) Equal(o *Desc) bool {
-	if len(d.types) != len(o.types) || len(d.edges) != len(o.edges) {
+	if len(d.types) != len(o.types) || len(d.edges) != len(o.edges) || !d.sameClosure(o) {
 		return false
 	}
 	for i := range d.types {
@@ -263,6 +324,18 @@ func (d *Desc) render() string {
 			b.WriteString(", ")
 		}
 		b.WriteString(e.String())
+	}
+	if c := d.closure; c != nil {
+		// All four fields of the recursion shape: the rendering is the
+		// plan-cache and feedback key of the closure.
+		if c.Up {
+			b.WriteString(" ⟲ up")
+		} else {
+			b.WriteString(" ⟲ down")
+		}
+		if c.Depth > 0 {
+			fmt.Fprintf(&b, ", depth ≤ %d", c.Depth)
+		}
 	}
 	b.WriteString("}>")
 	return b.String()

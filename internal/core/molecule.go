@@ -26,6 +26,10 @@ type Molecule struct {
 	links [][]model.Link
 	// member[i] indexes atoms[i] for O(1) membership tests.
 	member []map[model.AtomID]bool
+	// levels, for a molecule of a closure description, holds the end
+	// offset in atoms[0] of every level of the closure: atoms[0] lists the
+	// root, then the atoms first reached in round 1, round 2, …
+	levels []int
 }
 
 // newMolecule allocates an empty molecule for the description.
@@ -58,6 +62,7 @@ func (m *Molecule) reset(d *Desc, root model.AtomID) {
 	for e := range m.links {
 		m.links[e] = m.links[e][:0]
 	}
+	m.levels = m.levels[:0]
 }
 
 // addAtom records a component atom under the type at position pos.
@@ -95,6 +100,23 @@ func (m *Molecule) AtomsAt(pos int) []model.AtomID { return m.atoms[pos] }
 
 // LinksAt returns the component links of the edge at position e.
 func (m *Molecule) LinksAt(e int) []model.Link { return m.links[e] }
+
+// Levels returns a closure molecule's atoms grouped by the round the
+// fixpoint first reached them in — Levels()[0] is {root} — and nil for a
+// molecule of a plain description. The inner slices are shared; callers
+// must not mutate them.
+func (m *Molecule) Levels() [][]model.AtomID {
+	if len(m.levels) == 0 {
+		return nil
+	}
+	out := make([][]model.AtomID, len(m.levels))
+	lo := 0
+	for i, hi := range m.levels {
+		out[i] = m.atoms[0][lo:hi]
+		lo = hi
+	}
+	return out
+}
 
 // Contains reports whether the molecule holds the atom under the named
 // type.

@@ -198,7 +198,7 @@ func (dv *Deriver) DeriveStream(ctx context.Context, roots []model.AtomID, worke
 	}
 	if workers <= 1 {
 		// Sequential fast path: one worker, batches emitted in place.
-		sc := newDeriveScratch()
+		sc := newDeriveScratch(&stop)
 		fw := newWorker(0)
 		var err error
 		for lo := 0; lo < len(roots) && err == nil; {
@@ -239,7 +239,7 @@ func (dv *Deriver) DeriveStream(ctx context.Context, roots []model.AtomID, worke
 		wg.Add(1)
 		go func(w int, fw FusedWorker) {
 			defer wg.Done()
-			sc := newDeriveScratch()
+			sc := newDeriveScratch(&stop)
 			for s := range workCh {
 				s.out <- deriveBatch(fw, sc, s.lo, s.hi)
 			}

@@ -37,6 +37,9 @@ type PropResult struct {
 // original types to the named attributes (molecule projection Π reuses
 // propagation this way); a nil map or missing entry keeps all attributes.
 func Prop(db *storage.Database, mname string, rsd *Desc, rsv MoleculeSet, projections map[string][]string, tr *OpTrace) (*PropResult, error) {
+	if rsd.Closure() != nil {
+		return nil, fmt.Errorf("core: prop: %s is a closure description; recursive molecule types are query-mode only", rsd)
+	}
 	done := tr.Begin("propagation (prop)")
 	schema := db.Schema()
 

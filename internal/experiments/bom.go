@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"mad/internal/core"
 	"mad/internal/expr"
 	"mad/internal/model"
 	"mad/internal/plan"
@@ -69,8 +70,9 @@ func BOMPred(pn int64) expr.Expr {
 // eager derivation it replaces: a depth-bounded part explosion of ONE
 // assembly executed (a) eagerly — every part in the database becomes a
 // root, every closure is derived, then all but the requested root are
-// thrown away — and (b) through the fixpoint planner, where the indexed
-// equality seeds the closure from the single matching root. A second
+// thrown away — and (b) through the planner over the closure description,
+// where the indexed equality seeds the closure from the single matching
+// root. A second
 // comparison streams the full unfiltered explosion and reports
 // time-to-first-molecule against full materialization.
 func RunP17(w io.Writer, scale int) error {
@@ -118,20 +120,25 @@ func RunP17(w io.Writer, scale int) error {
 	fmt.Fprintf(tw, "eager full closure\t%d\t%d\t%d\t%d\n",
 		len(all), kept, eager.AtomsFetched, eager.LinksTraversed)
 
-	// Planned: the indexed equality wins the entry contest and only the
-	// matching root's closure is expanded.
-	fp, err := plan.CompileFixpoint(db, "parts", "composition", false, depth, pred)
+	// Planned: the closure description compiles through the one planner;
+	// the indexed equality wins the entry contest and only the matching
+	// root's closure is expanded.
+	desc, err := core.NewClosureDesc(db, "parts", "composition", false, depth)
+	if err != nil {
+		return err
+	}
+	fp, err := plan.Compile(db, desc, pred)
 	if err != nil {
 		return err
 	}
 	db.Stats().Reset()
-	ms, err := fp.Execute(context.Background())
+	ms, err := fp.Execute()
 	if err != nil {
 		return err
 	}
 	planned := db.Stats().Snapshot()
 	fmt.Fprintf(tw, "planned fixpoint\t%d\t%d\t%d\t%d\n",
-		fp.ActRoots, len(ms), planned.AtomsFetched, planned.LinksTraversed)
+		fp.Access.ActRoots, len(ms), planned.AtomsFetched, planned.LinksTraversed)
 	if err := tw.Flush(); err != nil {
 		return err
 	}
@@ -143,7 +150,7 @@ func RunP17(w io.Writer, scale int) error {
 
 	// Streaming: first closure of the full explosion arrives long before
 	// the set materializes.
-	full, err := plan.CompileFixpoint(db, "parts", "composition", false, depth, nil)
+	full, err := plan.Compile(db, desc, nil)
 	if err != nil {
 		return err
 	}

@@ -254,18 +254,18 @@ CONNECT parts WHERE name = 'engine' TO parts WHERE name = 'piston' VIA compositi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.RecSet) != 3 {
-		t.Fatalf("|rec| = %d, want 3", len(full.RecSet))
+	if len(full.Set) != 3 {
+		t.Fatalf("|rec| = %d, want 3", len(full.Set))
 	}
 	capped, err := sess.Exec("SELECT ALL FROM RECURSIVE parts VIA composition LIMIT 2;")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(capped.RecSet) != 2 {
-		t.Fatalf("recursive LIMIT 2 returned %d", len(capped.RecSet))
+	if len(capped.Set) != 2 {
+		t.Fatalf("recursive LIMIT 2 returned %d", len(capped.Set))
 	}
-	for i := range capped.RecSet {
-		if capped.RecSet[i].Root != full.RecSet[i].Root {
+	for i := range capped.Set {
+		if capped.Set[i].Root() != full.Set[i].Root() {
 			t.Fatalf("recursive LIMIT must deliver a prefix; molecule %d differs", i)
 		}
 	}
@@ -280,8 +280,8 @@ CONNECT parts WHERE name = 'engine' TO parts WHERE name = 'piston' VIA compositi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.RecSet) != 1 {
-		t.Fatalf("WithLimit(1) recursive returned %d", len(r.RecSet))
+	if len(r.Set) != 1 {
+		t.Fatalf("WithLimit(1) recursive returned %d", len(r.Set))
 	}
 
 	if _, err := sess.Exec("DEFINE MOLECULE TYPE few AS SELECT ALL FROM parts LIMIT 1;"); err == nil {

@@ -10,7 +10,6 @@ import (
 	"mad/internal/expr"
 	"mad/internal/model"
 	"mad/internal/plan"
-	"mad/internal/recursive"
 	"mad/internal/storage"
 )
 
@@ -23,7 +22,9 @@ import (
 type Session struct {
 	db    *storage.Database
 	named map[string]*core.MoleculeType
-	rec   map[string]*recursive.Type
+	// rec holds the recursive molecule types DEFINE registered, by atom
+	// type and link.
+	rec map[string]*core.MoleculeType
 	// prepared holds the session's PREPARE'd statements by name.
 	prepared map[string]*preparedStmt
 
@@ -33,9 +34,9 @@ type Session struct {
 	noCache bool
 
 	// txn is the open BEGIN transaction, nil in auto-commit mode. While
-	// set, DML buffers into it and SELECTs are read-your-writes: a clean
-	// transaction streams from its begin snapshot, and one holding
-	// buffered writes derives eagerly over its effective view, so the
+	// set, DML buffers into it and SELECTs are read-your-writes: the plan's
+	// stream opens against the transaction — its begin snapshot while
+	// clean, its effective view once it holds buffered writes — so the
 	// session queries its own uncommitted inserts, updates and connects
 	// (still invisible to every other session until COMMIT).
 	txn *storage.Txn
@@ -46,7 +47,7 @@ func NewSession(db *storage.Database) *Session {
 	return &Session{
 		db:       db,
 		named:    make(map[string]*core.MoleculeType),
-		rec:      make(map[string]*recursive.Type),
+		rec:      make(map[string]*core.MoleculeType),
 		prepared: make(map[string]*preparedStmt),
 	}
 }
@@ -57,15 +58,14 @@ func (s *Session) DB() *storage.Database { return s.db }
 // InTxn reports whether a BEGIN transaction is open on the session.
 func (s *Session) InTxn() bool { return s.txn != nil }
 
-// readSnapshot is the snapshot the session's reads go through: inside a
-// BEGIN transaction its begin snapshot (the transaction keeps it open),
-// outside one nil — StreamAt and ExecuteCountAt then pin, and later
-// release, their own snapshot of the latest commit.
-func (s *Session) readSnapshot() *storage.Snapshot {
-	if s.txn == nil {
-		return nil
+// view is the open transaction while it holds buffered writes — the
+// effective view the session's reads then resolve through — and nil
+// otherwise (reads resolve against one commit timestamp).
+func (s *Session) view() *storage.Txn {
+	if s.txn != nil && s.txn.Dirty() {
+		return s.txn
 	}
-	return s.txn.Snapshot()
+	return nil
 }
 
 // Close releases the session's resources: an open transaction is rolled
@@ -94,7 +94,6 @@ type ResultKind uint8
 const (
 	RMessage ResultKind = iota
 	RMolecules
-	RRecursive
 	RInserted
 	RAffected
 	RPlan
@@ -113,14 +112,12 @@ type Result struct {
 	Kind ResultKind
 	// Message carries DDL/SHOW/EXPLAIN output.
 	Message string
-	// Set and Desc carry SELECT results; Attrs optionally narrows the
-	// attributes rendered per type (projection).
+	// Set and Desc carry SELECT results (Desc is a closure description for
+	// a recursive SELECT); Attrs optionally narrows the attributes rendered
+	// per type (projection).
 	Set   core.MoleculeSet
 	Desc  *core.Desc
 	Attrs map[string][]string
-	// RecSet and RecType carry recursive SELECT results.
-	RecSet  []*recursive.Molecule
-	RecType *recursive.Type
 	// Inserted lists identifiers created by INSERT.
 	Inserted []model.AtomID
 	// Count carries a SELECT COUNT result; GroupAttr and Groups carry the
@@ -366,65 +363,63 @@ func BuildDesc(db *storage.Database, node *StructNode) (*core.Desc, error) {
 	return core.NewDesc(db, types, edges)
 }
 
-// resolveFrom turns a FROM clause into a molecule type (registering named
-// on-the-fly definitions) or a recursive type.
-func (s *Session) resolveFrom(fc FromClause) (*core.MoleculeType, *recursive.Type, error) {
-	if fc.Recursive != nil {
-		rt, ok := s.rec[fc.Recursive.Type+"/"+fc.Recursive.Link]
-		if ok && rt.Up == fc.Recursive.Up && rt.Depth == fc.Recursive.Depth {
-			return nil, rt, nil
-		}
-		rt, err := recursive.Define(s.db, "", fc.Recursive.Type, fc.Recursive.Link, fc.Recursive.Up, fc.Recursive.Depth)
+// resolveFrom turns a FROM clause into a molecule type, registering named
+// on-the-fly definitions. A recursive FROM yields a type over a closure
+// description.
+func (s *Session) resolveFrom(fc FromClause) (*core.MoleculeType, error) {
+	if rc := fc.Recursive; rc != nil {
+		desc, err := core.NewClosureDesc(s.db, rc.Type, rc.Link, rc.Up, rc.Depth)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return nil, rt, nil
+		return core.DefineDesc(s.db, "", desc)
 	}
 	if fc.Name != "" && fc.Struct != nil && fc.Struct.Children == nil {
 		// Bare identifier: named molecule type, or single-type structure.
 		if mt, ok := s.named[fc.Name]; ok {
-			return mt, nil, nil
+			return mt, nil
 		}
 		if _, ok := s.db.Schema().AtomType(fc.Name); !ok {
-			return nil, nil, fmt.Errorf("mql: %q is neither a molecule type nor an atom type", fc.Name)
+			return nil, fmt.Errorf("mql: %q is neither a molecule type nor an atom type", fc.Name)
 		}
 		desc, err := BuildDesc(s.db, fc.Struct)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		mt, err := core.DefineDesc(s.db, "", desc)
-		return mt, nil, err
+		return core.DefineDesc(s.db, "", desc)
 	}
 	if fc.Struct == nil {
 		mt, ok := s.named[fc.Name]
 		if !ok {
-			return nil, nil, fmt.Errorf("mql: unknown molecule type %q", fc.Name)
+			return nil, fmt.Errorf("mql: unknown molecule type %q", fc.Name)
 		}
-		return mt, nil, nil
+		return mt, nil
 	}
 	desc, err := BuildDesc(s.db, fc.Struct)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	mt, err := core.DefineDesc(s.db, fc.Name, desc)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if fc.Name != "" {
 		if _, dup := s.named[fc.Name]; dup {
-			return nil, nil, fmt.Errorf("mql: molecule type %q already defined", fc.Name)
+			return nil, fmt.Errorf("mql: molecule type %q already defined", fc.Name)
 		}
 		s.named[fc.Name] = mt
 	}
-	return mt, nil, nil
+	return mt, nil
 }
 
-// planSelect compiles a non-recursive SELECT body into a query plan,
-// going through the database's plan cache: repeated statements over the
-// same structure (named molecule types above all) reuse the compiled
-// plan until DDL or ANALYZE bumps the plan epoch. The session's SET
-// options, the statement's LIMIT and any per-query options (strongest
-// last) parameterize the returned plan.
+// planSelect compiles a SELECT body into a query plan, going through the
+// database's plan cache: repeated statements over the same structure
+// (named molecule types above all) reuse the compiled plan until DDL or
+// ANALYZE bumps the plan epoch. Inside a transaction holding buffered
+// writes the plan is compiled fresh onto the full scan instead — index
+// postings hold committed versions only — and stays out of the cache.
+// The session's SET options, the statement's LIMIT and any per-query
+// options (strongest last) parameterize the returned plan.
 func (s *Session) planSelect(st *SelectStmt, desc *core.Desc, o queryOpts) (*plan.Plan, error) {
 	if st.Where != nil {
 		if err := expr.Check(st.Where, core.Scope{DB: s.db, Desc: desc}); err != nil {
@@ -444,6 +439,8 @@ func (s *Session) planSelect(st *SelectStmt, desc *core.Desc, o queryOpts) (*pla
 		err error
 	)
 	switch {
+	case s.view() != nil:
+		p, err = plan.CompileForced(s.db, desc, st.Where, order, "full scan of "+desc.Root())
 	case s.noCache || o.noCache:
 		p, err = plan.CompileOrdered(s.db, desc, st.Where, order)
 	case o.shapeKey != "":
@@ -499,7 +496,7 @@ func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc
 		return nil, err
 	}
 	if st.GroupBy == nil {
-		n, err := p.ExecuteCountAt(ctx, s.readSnapshot())
+		n, err := p.ExecuteCountIn(ctx, s.txn)
 		if err != nil {
 			return nil, err
 		}
@@ -520,12 +517,12 @@ func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc
 	}
 	limit := p.Limit
 	p.Limit = 0 // LIMIT caps groups, not the molecules folded into them
-	stream, err := p.StreamAt(ctx, s.readSnapshot())
+	stream, err := p.StreamIn(ctx, s.txn)
 	if err != nil {
 		return nil, err
 	}
 	defer stream.Close()
-	ts := stream.SnapshotTS()
+	view, ts := s.view(), stream.SnapshotTS()
 	counts := make(map[model.Key]*GroupCount)
 	for {
 		m, err := stream.Next()
@@ -535,7 +532,7 @@ func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc
 		if m == nil {
 			break
 		}
-		a, ok := c.GetAt(m.Root(), ts)
+		a, ok := readAtomIn(view, c, desc.Root(), m.Root(), ts)
 		if !ok {
 			continue
 		}
@@ -561,175 +558,6 @@ func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc
 	return &Result{Kind: RCount, GroupAttr: g.Attr, Groups: groups}, nil
 }
 
-// execSelectEff runs a SELECT (including COUNT and ORDER BY forms) over
-// the transaction's effective view — the read-your-writes path taken
-// when the session's open transaction holds buffered writes. The
-// planner's access paths index only committed state, so the derivation
-// runs template-over-view eagerly: every root of the effective
-// occurrence derives through the transaction's overlay, the WHERE
-// predicate evaluates against the same view, and ordering, grouping and
-// LIMIT apply to the finished set. Rendered attribute values come from
-// the overlay too, so an uncommitted UPDATE shows its new values.
-func (s *Session) execSelectEff(ctx context.Context, st *SelectStmt, desc *core.Desc, o queryOpts) (*Result, error) {
-	if st.Where != nil {
-		if err := expr.Check(st.Where, core.Scope{DB: s.db, Desc: desc}); err != nil {
-			return nil, err
-		}
-	}
-	// Validate ORDER BY / GROUP BY / projection before deriving anything,
-	// matching the planned path's error surface.
-	rootC, ok := s.db.Container(desc.Root())
-	if !ok {
-		return nil, fmt.Errorf("mql: root type %q has no container", desc.Root())
-	}
-	orderPos := -1
-	if st.OrderBy != nil {
-		if st.OrderBy.Type != "" && st.OrderBy.Type != desc.Root() {
-			return nil, fmt.Errorf("mql: ORDER BY %s.%s: molecules order by their root type %q",
-				st.OrderBy.Type, st.OrderBy.Attr, desc.Root())
-		}
-		if orderPos, ok = rootC.Desc().Lookup(st.OrderBy.Attr); !ok {
-			return nil, fmt.Errorf("plan: root type %q has no attribute %q to order by", desc.Root(), st.OrderBy.Attr)
-		}
-	}
-	groupPos := -1
-	if st.GroupBy != nil {
-		g := st.GroupBy
-		if g.Type != "" && g.Type != desc.Root() {
-			return nil, fmt.Errorf("mql: GROUP BY %s.%s: molecules group by their root type %q",
-				g.Type, g.Attr, desc.Root())
-		}
-		if groupPos, ok = rootC.Desc().Lookup(g.Attr); !ok {
-			return nil, fmt.Errorf("mql: root type %q has no attribute %q", desc.Root(), g.Attr)
-		}
-	}
-	var sub *core.Desc
-	var attrs map[string][]string
-	if !st.Count {
-		var err error
-		if sub, attrs, err = s.projectionSpec(st, desc); err != nil {
-			return nil, err
-		}
-	}
-	limit := st.Limit
-	if o.limitSet {
-		limit = o.limit
-	}
-
-	dv, err := core.NewDeriver(s.db, desc)
-	if err != nil {
-		return nil, err
-	}
-	dv = dv.AtView(s.txn)
-	var set core.MoleculeSet
-	var walkErr error
-	dv.Walk(func(m *core.Molecule) bool {
-		if ctx != nil && ctx.Err() != nil {
-			walkErr = ctx.Err()
-			return false
-		}
-		if st.Where != nil {
-			keep, err := expr.EvalPredicate(st.Where, core.Binding{DB: s.db, M: m, Lookup: s.txn.EffAtom})
-			if err != nil {
-				walkErr = err
-				return false
-			}
-			if !keep {
-				return true
-			}
-		}
-		set = append(set, m)
-		// An unordered, ungrouped SELECT can stop at the cap; ordered and
-		// counted forms must see the full qualifying set first.
-		return st.OrderBy != nil || st.Count || limit <= 0 || len(set) < limit
-	})
-	if walkErr != nil {
-		return nil, walkErr
-	}
-
-	if st.Count {
-		if groupPos < 0 {
-			n := len(set)
-			if limit > 0 && n > limit {
-				n = limit
-			}
-			return &Result{Kind: RCount, Count: n}, nil
-		}
-		counts := make(map[model.Key]*GroupCount)
-		for _, m := range set {
-			a, ok := s.txn.EffAtom(desc.Root(), m.Root())
-			if !ok {
-				continue
-			}
-			v := a.Get(groupPos)
-			k := v.Key()
-			gc := counts[k]
-			if gc == nil {
-				gc = &GroupCount{Value: v}
-				counts[k] = gc
-			}
-			gc.Count++
-		}
-		groups := make([]GroupCount, 0, len(counts))
-		for _, gc := range counts {
-			groups = append(groups, *gc)
-		}
-		sort.Slice(groups, func(i, j int) bool {
-			return groups[i].Value.Compare(groups[j].Value) < 0
-		})
-		if limit > 0 && len(groups) > limit {
-			groups = groups[:limit]
-		}
-		return &Result{Kind: RCount, GroupAttr: st.GroupBy.Attr, Groups: groups}, nil
-	}
-
-	if st.OrderBy != nil {
-		down := st.OrderBy.Desc
-		rootType := desc.Root()
-		key := func(m *core.Molecule) model.Value {
-			a, _ := s.txn.EffAtom(rootType, m.Root())
-			return a.Get(orderPos)
-		}
-		sort.SliceStable(set, func(i, j int) bool {
-			c := key(set[i]).Compare(key(set[j]))
-			if c != 0 {
-				if down {
-					return c > 0
-				}
-				return c < 0
-			}
-			return set[i].Root() < set[j].Root() // ties break by root id, both directions
-		})
-	}
-	if limit > 0 && len(set) > limit {
-		set = set[:limit]
-	}
-
-	outDesc := desc
-	if sub != nil {
-		outDesc = sub
-		for i, m := range set {
-			set[i] = m.PruneTo(sub)
-		}
-	}
-	// Resolve rendered values through the overlay while the transaction is
-	// still open — they must show the uncommitted writes.
-	atoms := make(map[model.AtomID]model.Atom)
-	for _, m := range set {
-		for _, typeName := range m.Desc().Types() {
-			for _, id := range m.AtomsOf(typeName) {
-				if _, done := atoms[id]; done {
-					continue
-				}
-				if a, ok := s.txn.EffAtom(typeName, id); ok {
-					atoms[id] = a
-				}
-			}
-		}
-	}
-	return &Result{Kind: RMolecules, Set: set, Desc: outDesc, Attrs: attrs, TS: s.txn.SnapshotTS(), atoms: atoms}, nil
-}
-
 // projectionSpec validates the SELECT list against the structure and
 // returns the induced sub-description plus the per-type attribute
 // narrowing. A nil sub-description means SELECT ALL (no projection).
@@ -738,6 +566,9 @@ func (s *Session) execSelectEff(ctx context.Context, st *SelectStmt, desc *core.
 func (s *Session) projectionSpec(st *SelectStmt, desc *core.Desc) (*core.Desc, map[string][]string, error) {
 	if st.All {
 		return nil, nil, nil
+	}
+	if desc.Closure() != nil {
+		return nil, nil, fmt.Errorf("mql: recursive SELECT supports ALL only")
 	}
 	keep := make([]string, 0, len(st.Items))
 	attrs := make(map[string][]string)
@@ -809,16 +640,18 @@ func (s *Session) execDefine(st *DefineStmt) (*Result, error) {
 		// silently ignore the clause.
 		return nil, fmt.Errorf("mql: LIMIT is not supported in DEFINE ... AS SELECT")
 	}
-	mt, rt, err := s.resolveFrom(sel.From)
+	mt, err := s.resolveFrom(sel.From)
 	if err != nil {
 		return nil, err
 	}
-	if rt != nil {
-		rt2, err := recursive.Define(s.db, st.Name, rt.AtomType, rt.Link, rt.Up, rt.Depth)
+	if cl := mt.Desc().Closure(); cl != nil {
+		// A closure description is query-mode only: the name registers the
+		// recursion shape, nothing propagates.
+		rt, err := core.DefineDesc(s.db, st.Name, mt.Desc())
 		if err != nil {
 			return nil, err
 		}
-		s.rec[rt2.AtomType+"/"+rt2.Link] = rt2
+		s.rec[mt.Desc().Root()+"/"+cl.Link] = rt
 		return &Result{Kind: RMessage, Message: fmt.Sprintf("recursive molecule type %q defined", st.Name)}, nil
 	}
 	cur := mt
@@ -1105,7 +938,7 @@ func (s *Session) execShow(st *ShowStmt) (*Result, error) {
 		sort.Strings(recNames)
 		for _, n := range recNames {
 			rt := s.rec[n]
-			fmt.Fprintf(&b, "RECURSIVE MOLECULE TYPE %s OVER %s VIA %s;\n", rt.Name, rt.AtomType, rt.Link)
+			fmt.Fprintf(&b, "RECURSIVE MOLECULE TYPE %s OVER %s VIA %s;\n", rt.Name(), rt.Desc().Root(), rt.Desc().Closure().Link)
 		}
 	case "INDEXES":
 		for _, ix := range s.db.Indexes() {
@@ -1133,57 +966,32 @@ func (s *Session) execShow(st *ShowStmt) (*Result, error) {
 
 func (s *Session) execExplain(st *ExplainStmt) (*Result, error) {
 	sel := st.Select
-	mt, rt, err := s.resolveFrom(sel.From)
+	mt, err := s.resolveFrom(sel.From)
 	if err != nil {
 		return nil, err
-	}
-	var b strings.Builder
-	if rt != nil {
-		plan.FeedbackFor(s.db)
-		fp, err := plan.CompileFixpoint(s.db, rt.AtomType, rt.Link, rt.Up, rt.Depth, sel.Where)
-		if err != nil {
-			return nil, err
-		}
-		fp.Workers = s.workers
-		fp.Limit = sel.Limit
-		// Run the fixpoint (query mode never enlarges the database) so the
-		// rendering carries the [fixpoint] rounds/frontier/visited actuals
-		// next to the estimates, unless the statement asked for the
-		// compile-only ESTIMATE form.
-		if !st.EstimateOnly {
-			if _, err := fp.Execute(context.Background()); err != nil {
-				return nil, err
-			}
-		}
-		b.WriteString(fp.Render())
-		if sel.Count {
-			if sel.GroupBy != nil {
-				fmt.Fprintf(&b, "aggregate: COUNT GROUP BY %s (folded off fixpoint batches, result never materialized)\n", sel.GroupBy.Attr)
-			} else {
-				b.WriteString("aggregate: COUNT (folded off fixpoint batches)\n")
-			}
-		}
-		return &Result{Kind: RPlan, Message: b.String()}, nil
 	}
 	desc := mt.Desc()
 	p, err := s.planSelect(sel, desc, queryOpts{})
 	if err != nil {
 		return nil, err
 	}
-	// Run the plan (query mode never enlarges the database) so the
-	// rendering reports actual cardinalities next to the estimates —
-	// including the chosen entry point and the access-path contest on
-	// the `considered:` line — unless the statement asked for the
-	// compile-only ESTIMATE form.
+	// Run the plan (query mode never enlarges the database) through the
+	// session's read view — exactly what the SELECT itself would run — so
+	// the rendering reports actual cardinalities next to the estimates,
+	// including the chosen entry point and the access-path contest on the
+	// `considered:` line — unless the statement asked for the compile-only
+	// ESTIMATE form.
 	if !st.EstimateOnly {
 		if sel.Count {
-			if _, err := p.ExecuteCountAt(context.Background(), nil); err != nil {
-				return nil, err
-			}
-		} else if _, err := p.Execute(); err != nil {
+			_, err = p.ExecuteCountIn(context.Background(), s.txn)
+		} else {
+			_, err = p.ExecuteIn(context.Background(), s.txn)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
+	var b strings.Builder
 	b.WriteString(p.Render())
 	if sel.Count {
 		switch {

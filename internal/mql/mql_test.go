@@ -547,28 +547,28 @@ CONNECT parts WHERE name = 'piston' TO parts WHERE name = 'ring' VIA composition
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RecSet) != 1 {
-		t.Fatalf("|rec| = %d", len(res.RecSet))
+	if len(res.Set) != 1 {
+		t.Fatalf("|rec| = %d", len(res.Set))
 	}
-	m := res.RecSet[0]
-	if m.Size() != 4 || m.Depth() != 3 {
-		t.Fatalf("parts explosion size=%d depth=%d", m.Size(), m.Depth())
+	m := res.Set[0]
+	if m.Size() != 4 || len(m.Levels()) != 4 {
+		t.Fatalf("parts explosion size=%d levels=%d", m.Size(), len(m.Levels()))
 	}
 	// Super-component view from the leaf.
 	res, err = sess.Exec("SELECT ALL FROM RECURSIVE parts VIA composition UP WHERE name = 'ring';")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RecSet[0].Size() != 4 {
-		t.Fatalf("where-used size = %d", res.RecSet[0].Size())
+	if res.Set[0].Size() != 4 {
+		t.Fatalf("where-used size = %d", res.Set[0].Size())
 	}
 	// Depth bound.
 	res, err = sess.Exec("SELECT ALL FROM RECURSIVE parts VIA composition DEPTH 1 WHERE name = 'car';")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RecSet[0].Size() != 2 {
-		t.Fatalf("depth-1 size = %d", res.RecSet[0].Size())
+	if res.Set[0].Size() != 2 {
+		t.Fatalf("depth-1 size = %d", res.Set[0].Size())
 	}
 	out := res.Render(db)
 	if !strings.Contains(out, "level 1") {

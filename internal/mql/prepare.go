@@ -31,12 +31,9 @@ func (s *Session) execPrepare(st *PrepareStmt) (*Result, error) {
 		return nil, fmt.Errorf("mql: statement %q already prepared", st.Name)
 	}
 	sel := st.Select
-	mt, rt, err := s.resolveFrom(sel.From)
+	mt, err := s.resolveFrom(sel.From)
 	if err != nil {
 		return nil, err
-	}
-	if rt != nil {
-		return nil, fmt.Errorf("mql: PREPARE does not support recursive structures")
 	}
 	desc := mt.Desc()
 	var order *plan.OrderBy
@@ -75,32 +72,9 @@ func (s *Session) execExecute(st *ExecuteStmt) (*Result, error) {
 	if ps.sel.Where != nil {
 		bound.Where = bindParams(ps.sel.Where, st.Args)
 	}
-	ctx := context.Background()
-	o := queryOpts{shapeKey: ps.shapeKey}
-	desc := ps.desc
-	if s.txn != nil && s.txn.Dirty() {
-		// Read-your-writes: same eager effective-view path as a plain
-		// SELECT inside a dirty transaction.
-		return s.execSelectEff(ctx, &bound, desc, o)
-	}
-	if bound.Count {
-		return s.execCount(ctx, &bound, desc, o)
-	}
-	p, err := s.planSelect(&bound, desc, o)
+	cur, err := s.selectCursor(context.Background(), &bound, ps.desc, queryOpts{shapeKey: ps.shapeKey})
 	if err != nil {
 		return nil, err
-	}
-	sub, attrs, err := s.projectionSpec(&bound, desc)
-	if err != nil {
-		return nil, err
-	}
-	stream, err := p.StreamAt(ctx, s.readSnapshot())
-	if err != nil {
-		return nil, err
-	}
-	cur := &Cursor{db: s.db, stream: stream, desc: desc, sub: sub, attrs: attrs}
-	if sub != nil {
-		cur.desc = sub
 	}
 	defer cur.Close()
 	return cur.Result()

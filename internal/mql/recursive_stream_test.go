@@ -3,6 +3,7 @@ package mql_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -62,14 +63,14 @@ func TestRecursiveSnapshotUniformUnderWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	if !cur.RecStreaming() || !cur.Streaming() {
+	if !cur.Streaming() {
 		t.Fatal("recursive SELECT must stream")
 	}
 	ts := cur.SnapshotTS()
 	if ts == 0 {
 		t.Fatal("recursive cursor must pin a snapshot")
 	}
-	first, err := cur.NextRec()
+	first, err := cur.Next()
 	if err != nil || first == nil {
 		t.Fatalf("first molecule: %v, %v", first, err)
 	}
@@ -87,21 +88,21 @@ func TestRecursiveSnapshotUniformUnderWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := map[model.AtomID]int{first.Root: first.Size()}
-	rendered := mql.RenderRecMoleculeAt(db, ts, 1, first, cur.RecAtomType())
+	got := map[model.AtomID]int{first.Root(): first.Size()}
+	rendered := mql.RenderMoleculeAt(db, ts, 1, first, cur.Attrs())
 	for i := 2; ; i++ {
-		m, err := cur.NextRec()
+		m, err := cur.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m == nil {
 			break
 		}
-		if m.Contains(bolt) {
-			t.Fatalf("closure of %v saw the mid-stream commit", m.Root)
+		if m.Contains("parts", bolt) {
+			t.Fatalf("closure of %v saw the mid-stream commit", m.Root())
 		}
-		got[m.Root] = m.Size()
-		rendered += mql.RenderRecMoleculeAt(db, ts, i, m, cur.RecAtomType())
+		got[m.Root()] = m.Size()
+		rendered += mql.RenderMoleculeAt(db, ts, i, m, cur.Attrs())
 	}
 	// Pre-commit shape: car 4, engine 3, piston 2, ring 1 — the bolt
 	// never joins, and ring still renders under its old name.
@@ -211,7 +212,7 @@ func TestRecursiveLimitReleasesWorkers(t *testing.T) {
 	}
 	n := 0
 	for {
-		m, err := cur.NextRec()
+		m, err := cur.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,9 +243,10 @@ func TestRecursiveLimitReleasesWorkers(t *testing.T) {
 	}
 }
 
-// TestRecursiveExplainFixpoint: EXPLAIN on a recursive SELECT renders
-// the costed fixpoint plan — entry access, closure estimate, semi-naive
-// derivation line, and post-run actuals.
+// TestRecursiveExplainFixpoint: EXPLAIN on a recursive SELECT is the
+// common plan rendering — the closure shape on the structure line, the
+// table's access line, and the semi-naive derive line with the estimated
+// atoms per root next to the actual.
 func TestRecursiveExplainFixpoint(t *testing.T) {
 	db, _ := partsDB(t)
 	defer plan.Release(db)
@@ -254,11 +256,11 @@ func TestRecursiveExplainFixpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"recursive: parts ⟲ composition",
-		"[fixpoint]",
-		"closure:",
-		"semi-naive delta fixpoint",
-		"actuals:   [fixpoint] rounds",
+		"structure: <{parts*}, {<composition, parts, parts> ⟲ down}>",
+		"access:    full scan of parts",
+		`root filter name = "car" before derivation`,
+		"semi-naive (est ≈4.0 atoms/root [link-fan], actual 1 at 4.0 atoms/root)",
+		"output:    1 molecule(s)",
 	} {
 		if !strings.Contains(res.Message, want) {
 			t.Fatalf("EXPLAIN missing %q:\n%s", want, res.Message)
@@ -271,5 +273,137 @@ func TestRecursiveExplainFixpoint(t *testing.T) {
 	}
 	if !strings.Contains(res.Message, "aggregate: COUNT GROUP BY cat") {
 		t.Fatalf("COUNT EXPLAIN:\n%s", res.Message)
+	}
+}
+
+// rootNames executes a SELECT over parts and returns the name of every
+// delivered molecule's root, in delivery order.
+func rootNames(t *testing.T, db *storage.Database, sess *mql.Session, src string) []string {
+	t.Helper()
+	res, err := sess.Exec(src)
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	c, _ := db.Container("parts")
+	names := make([]string, len(res.Set))
+	for i, m := range res.Set {
+		a, _ := c.Get(m.Root())
+		names[i], _ = a.Get(0).AsString()
+	}
+	return names
+}
+
+// TestRecursiveThroughOnePipeline: what the main pipeline has, a
+// recursive statement has too — every case here failed while FROM
+// RECURSIVE ran on an executor of its own that lacked it.
+func TestRecursiveThroughOnePipeline(t *testing.T) {
+	const rec = "FROM RECURSIVE parts VIA composition"
+	cases := []struct {
+		name string
+		run  func(t *testing.T, db *storage.Database, sess *mql.Session)
+	}{
+		{"order by", func(t *testing.T, db *storage.Database, sess *mql.Session) {
+			if got := rootNames(t, db, sess, "SELECT ALL "+rec+" ORDER BY name DESC;"); !slices.Equal(got, []string{"ring", "piston", "engine", "car"}) {
+				t.Fatalf("ORDER BY name DESC delivered %v", got)
+			}
+			if got := rootNames(t, db, sess, "SELECT ALL "+rec+" ORDER BY name LIMIT 2;"); !slices.Equal(got, []string{"car", "engine"}) {
+				t.Fatalf("ORDER BY name LIMIT 2 delivered %v", got)
+			}
+			if _, err := sess.Exec("SELECT ALL " + rec + " ORDER BY nosuch;"); err == nil {
+				t.Fatal("ORDER BY an unknown attribute must fail")
+			}
+		}},
+		{"dirty transaction", func(t *testing.T, db *storage.Database, sess *mql.Session) {
+			if _, err := sess.ExecScript(`
+BEGIN;
+INSERT INTO parts VALUES ('bolt', 'piece');
+CONNECT parts WHERE name = 'ring' TO parts WHERE name = 'bolt' VIA composition;`); err != nil {
+				t.Fatal(err)
+			}
+			plain, recursive := execR(t, sess, "SELECT COUNT FROM parts;"), execR(t, sess, "SELECT COUNT "+rec+";")
+			if plain != "count: 5\n" || recursive != plain {
+				t.Fatalf("one transaction, two databases: plain %q, recursive %q", plain, recursive)
+			}
+			// The inserted root has a closure of its own, and the buffered
+			// link extends the car's explosion down to it.
+			out := execR(t, sess, "SELECT ALL "+rec+" WHERE name = 'bolt' OR name = 'car';")
+			for _, want := range []string{"2 recursive molecule(s)", "5 atoms, depth 4", `level 4: "bolt"`, `level 0: "bolt"`} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("recursive SELECT inside the transaction misses %q:\n%s", want, out)
+				}
+			}
+			if out := execR(t, mql.NewSession(db), "SELECT COUNT "+rec+";"); out != "count: 4\n" {
+				t.Fatalf("another session sees the uncommitted root: %s", out)
+			}
+		}},
+		{"prepare", func(t *testing.T, db *storage.Database, sess *mql.Session) {
+			if _, err := sess.Exec("PREPARE q AS SELECT ALL " + rec + " WHERE name = ?;"); err != nil {
+				t.Fatal(err)
+			}
+			if out := execR(t, sess, "EXECUTE q ('car');"); !strings.Contains(out, "4 atoms, depth 3") {
+				t.Fatalf("EXECUTE q ('car'):\n%s", out)
+			}
+			hits, _, compiles := plan.CacheFor(db).Counters()
+			if out := execR(t, sess, "EXECUTE q ('piston');"); !strings.Contains(out, "2 atoms, depth 1") {
+				t.Fatalf("EXECUTE q ('piston'):\n%s", out)
+			}
+			if h, _, c := plan.CacheFor(db).Counters(); h != hits+1 || c != compiles {
+				t.Fatalf("second EXECUTE: hits %d→%d, compiles %d→%d; want one hit, no compile", hits, h, compiles, c)
+			}
+		}},
+		{"plan cache", func(t *testing.T, db *storage.Database, sess *mql.Session) {
+			const src = "SELECT ALL " + rec + " UP DEPTH 2 WHERE name = 'ring';"
+			execR(t, sess, src)
+			hits, _, compiles := plan.CacheFor(db).Counters()
+			execR(t, sess, src)
+			if h, _, c := plan.CacheFor(db).Counters(); h != hits+1 || c != compiles {
+				t.Fatalf("repeated statement: hits %d→%d, compiles %d→%d; want one hit, no compile", hits, h, compiles, c)
+			}
+			if out := execR(t, sess, "SHOW CACHE;"); !strings.Contains(out, "<composition, parts, parts> ⟲ up, depth ≤ 2") {
+				t.Fatalf("SHOW CACHE does not list the closure shape:\n%s", out)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db, _ := partsDB(t)
+			defer plan.Release(db)
+			c.run(t, db, mql.NewSession(db))
+		})
+	}
+}
+
+// TestExplainReadsTransactionView: EXPLAIN runs what SELECT runs, through
+// the session's read view — the begin snapshot of a clean transaction,
+// the effective view of a dirty one — not at the latest commit.
+func TestExplainReadsTransactionView(t *testing.T) {
+	db, _ := partsDB(t)
+	defer plan.Release(db)
+	sess, other := mql.NewSession(db), mql.NewSession(db)
+	if _, err := sess.Exec("BEGIN;"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Exec("INSERT INTO parts VALUES ('bolt', 'piece');"); err != nil {
+		t.Fatal(err)
+	}
+	// Clean transaction: the other session's later commit is invisible to
+	// SELECT, so it must be invisible to EXPLAIN's actuals.
+	if out := execR(t, sess, "SELECT ALL FROM parts;"); !strings.Contains(out, "4 molecule(s)") {
+		t.Fatalf("begin-snapshot SELECT:\n%s", out)
+	}
+	if out := execR(t, sess, "EXPLAIN SELECT ALL FROM parts;"); !strings.Contains(out, "actual 4)") || !strings.Contains(out, "output:    4 molecule(s)") {
+		t.Fatalf("EXPLAIN in a clean transaction read past the begin snapshot:\n%s", out)
+	}
+	// Dirty transaction: the buffered insert is what SELECT returns, so
+	// EXPLAIN reports it — entered by the full scan, the only path that
+	// reaches uncommitted atoms.
+	if _, err := sess.Exec("INSERT INTO parts VALUES ('nut', 'piece');"); err != nil {
+		t.Fatal(err)
+	}
+	out := execR(t, sess, "EXPLAIN SELECT ALL FROM parts WHERE name = 'nut';")
+	for _, want := range []string{"access:    full scan of parts", "actual 1)", "output:    1 molecule(s)"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("EXPLAIN in a dirty transaction misses %q:\n%s", want, out)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"mad/internal/core"
 	"mad/internal/model"
-	"mad/internal/recursive"
 	"mad/internal/storage"
 )
 
@@ -35,23 +34,25 @@ func (r *Result) Render(db *storage.Database) string {
 			fmt.Fprintf(&b, "%s = %s: %d\n", r.GroupAttr, g.Value, g.Count)
 		}
 		return b.String()
-	case RRecursive:
-		var b strings.Builder
-		fmt.Fprintf(&b, "%d recursive molecule(s)\n", len(r.RecSet))
-		for i, m := range r.RecSet {
-			b.WriteString(formatRecMoleculeCached(db, r.TS, i+1, m, r.RecType.AtomType, r.atoms))
-		}
-		return b.String()
 	case RMolecules:
 		var b strings.Builder
-		fmt.Fprintf(&b, "%d molecule(s) of %s\n", len(r.Set), r.Desc)
+		b.WriteString(RenderSummary(len(r.Set), r.Desc))
 		for i, m := range r.Set {
-			fmt.Fprintf(&b, "-- molecule %d (%d atoms, %d links)\n", i+1, m.Size(), m.NumLinks())
-			b.WriteString(formatMoleculeCached(db, r.TS, m, r.Attrs, r.atoms))
+			b.WriteString(renderMolecule(db, r.TS, i+1, m, r.Attrs, r.atoms))
 		}
 		return b.String()
 	}
 	return ""
+}
+
+// RenderSummary renders the count line of a SELECT result over desc —
+// leading in Result.Render, trailing on the wire, where a streamed
+// result's cardinality is unknown until the stream ends.
+func RenderSummary(n int, desc *core.Desc) string {
+	if desc.Closure() != nil {
+		return fmt.Sprintf("%d recursive molecule(s)\n", n)
+	}
+	return fmt.Sprintf("%d molecule(s) of %s\n", n, desc)
 }
 
 // RenderMolecule formats one streamed molecule exactly as Result.Render
@@ -68,61 +69,56 @@ func RenderMolecule(db *storage.Database, i int, m *core.Molecule, attrs map[str
 // commit timestamp ts (zero = latest view), so a molecule derived at a
 // snapshot renders the values of that same commit.
 func RenderMoleculeAt(db *storage.Database, ts uint64, i int, m *core.Molecule, attrs map[string][]string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "-- molecule %d (%d atoms, %d links)\n", i, m.Size(), m.NumLinks())
-	b.WriteString(formatMolecule(db, ts, m, attrs))
-	return b.String()
+	return renderMolecule(db, ts, i, m, attrs, nil)
 }
 
-// RenderRecMoleculeAt formats one streamed recursive molecule exactly as
-// Result.Render formats the i-th molecule (1-based) of a materialized
-// recursive set, with attribute values resolved at commit timestamp ts —
-// the CHUNK-frame building block for recursive cursors, mirroring
-// RenderMoleculeAt.
-func RenderRecMoleculeAt(db *storage.Database, ts uint64, i int, m *recursive.Molecule, atomType string) string {
-	return formatRecMoleculeCached(db, ts, i, m, atomType, nil)
-}
-
-// formatRecMoleculeCached renders one recursive molecule header plus its
-// level-by-level body, preferring atom values from cache (resolved while
-// the result's snapshot was still pinned) over re-reading at ts.
-func formatRecMoleculeCached(db *storage.Database, ts uint64, i int, m *recursive.Molecule, atomType string, cache map[model.AtomID]model.Atom) string {
+// renderMolecule renders the i-th molecule's header and body: an indented
+// component tree, or — for a recursive molecule — its levels. Atom values
+// come from cache (resolved while the result's snapshot was still pinned)
+// before a database read at ts.
+func renderMolecule(db *storage.Database, ts uint64, i int, m *core.Molecule, attrs map[string][]string, cache map[model.AtomID]model.Atom) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "-- molecule %d (root %s, %d atoms, depth %d)\n",
-		i, m.Root, m.Size(), m.Depth())
-	c, hasC := db.Container(atomType)
-	for depth, level := range m.Levels {
+	levels := m.Levels()
+	if levels == nil {
+		fmt.Fprintf(&b, "-- molecule %d (%d atoms, %d links)\n", i, m.Size(), m.NumLinks())
+		b.WriteString(formatMolecule(db, ts, m, attrs, cache))
+		return b.String()
+	}
+	fmt.Fprintf(&b, "-- molecule %d (root %s, %d atoms, depth %d)\n", i, m.Root(), m.Size(), len(levels)-1)
+	c, _ := db.Container(m.Desc().Root())
+	for depth, level := range levels {
 		fmt.Fprintf(&b, "level %d:", depth)
 		for _, id := range level {
-			a, ok := cache[id]
-			if !ok && hasC {
-				if ts != 0 {
-					a, ok = c.GetAt(id, ts)
-				} else {
-					a, ok = c.Get(id)
-				}
-			}
-			if !ok {
+			if a, ok := readAtom(c, ts, id, cache); ok {
+				fmt.Fprintf(&b, " %s", a.Get(0))
+			} else {
 				fmt.Fprintf(&b, " %s", id)
-				continue
 			}
-			fmt.Fprintf(&b, " %s", a.Get(0))
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// formatMolecule renders one molecule as an indented tree honouring the
-// projection's attribute narrowing, reading values at ts (zero = latest).
-func formatMolecule(db *storage.Database, ts uint64, m *core.Molecule, attrs map[string][]string) string {
-	return formatMoleculeCached(db, ts, m, attrs, nil)
+// readAtom resolves one atom for rendering: from cache when the drain
+// resolved it, else from its container (nil = none) at ts (zero = latest
+// view).
+func readAtom(c *storage.Container, ts uint64, id model.AtomID, cache map[model.AtomID]model.Atom) (model.Atom, bool) {
+	if a, ok := cache[id]; ok {
+		return a, true
+	}
+	if c == nil {
+		return model.Atom{}, false
+	}
+	if ts != 0 {
+		return c.GetAt(id, ts)
+	}
+	return c.Get(id)
 }
 
-// formatMoleculeCached is formatMolecule preferring atom values from
-// cache (values resolved while the result's snapshot was still pinned)
-// over re-reading the database at ts.
-func formatMoleculeCached(db *storage.Database, ts uint64, m *core.Molecule, attrs map[string][]string, cache map[model.AtomID]model.Atom) string {
+// formatMolecule renders one molecule as an indented tree honouring the
+// projection's attribute narrowing.
+func formatMolecule(db *storage.Database, ts uint64, m *core.Molecule, attrs map[string][]string, cache map[model.AtomID]model.Atom) string {
 	var b strings.Builder
 	d := m.Desc()
 	printed := make(map[model.AtomID]bool)
@@ -157,14 +153,7 @@ func renderAtom(db *storage.Database, ts uint64, typeName string, id model.AtomI
 	if !ok {
 		return id.String()
 	}
-	a, ok := cache[id]
-	if !ok {
-		if ts != 0 {
-			a, ok = c.GetAt(id, ts)
-		} else {
-			a, ok = c.Get(id)
-		}
-	}
+	a, ok := readAtom(c, ts, id, cache)
 	if !ok {
 		return id.String()
 	}

@@ -334,7 +334,11 @@ func (c *Cache) compileAt(desc *core.Desc, pred expr.Expr, order *OrderBy, key s
 // populated them — later EXECUTEs rebind without touching the label.
 func entryLabel(desc *core.Desc, pred expr.Expr, order *OrderBy) string {
 	var b strings.Builder
-	b.WriteString(desc.Root())
+	if desc.Closure() != nil {
+		b.WriteString(desc.String()) // the root alone would hide the recursion shape
+	} else {
+		b.WriteString(desc.Root())
+	}
 	if pred != nil {
 		fmt.Fprintf(&b, " WHERE %s", pred)
 	}

@@ -334,6 +334,16 @@ func conjCost(c expr.Expr) float64 {
 // sets). The figure weights the access-path contest — a root batch is
 // only as cheap as the derivations it triggers.
 func derivCostPerRoot(db *storage.Database, desc *core.Desc) float64 {
+	if cl := desc.Closure(); cl != nil {
+		// Traversal down expands A→B partners, so the per-atom fan is the
+		// link occurrence over the A-side population.
+		fan := 0.0
+		if ls, ok := db.LinkStore(cl.Link); ok {
+			fan = ls.AvgFan(!cl.Up)
+		}
+		n, _ := db.CountAtoms(desc.Root())
+		return estimateClosure(fan, cl.Depth, n)
+	}
 	est := make([]float64, desc.NumTypes())
 	rootPos, _ := desc.Pos(desc.Root())
 	est[rootPos] = 1
@@ -361,6 +371,35 @@ func derivCostPerRoot(db *storage.Database, desc *core.Desc) float64 {
 		}
 		est[pos] = best
 		total += best
+	}
+	return total
+}
+
+// maxEstRounds caps the rounds the closure-size estimate unrolls for an
+// unbounded (DEPTH 0) recursion: past this the geometric series has
+// either converged (fan < 1) or hit the container-size cap anyway.
+const maxEstRounds = 8
+
+// estimateClosure is the per-root derivation cost of a closure
+// description: the frontier series 1 + fan + fan² + … unrolled for depth
+// rounds (maxEstRounds when unbounded), the running total capped at the
+// container size n — a closure cannot hold more atoms than exist.
+func estimateClosure(fan float64, depth, n int) float64 {
+	rounds := depth
+	if rounds == 0 || rounds > maxEstRounds {
+		rounds = maxEstRounds
+	}
+	total, level := 1.0, 1.0
+	for d := 1; d <= rounds; d++ {
+		level *= fan
+		total += level
+		if n > 0 && total >= float64(n) {
+			return float64(n)
+		}
+		if level < 0.5 {
+			// The frontier has died out; further rounds add nothing.
+			break
+		}
 	}
 	return total
 }

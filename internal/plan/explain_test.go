@@ -26,7 +26,8 @@ func intCmp(op expr.CmpOp, typeName, attr string, v int64) expr.Expr {
 
 // TestExplainGolden pins Plan.Render byte for byte, estimate-only and
 // executed, for one statement per access path plus the top-K, sort,
-// [recompiled] and [observed] variants. Regenerate with -update only
+// [recompiled] and [observed] variants, and three over a closure
+// description. Regenerate with -update only
 // when an EXPLAIN change is intended.
 func TestExplainGolden(t *testing.T) {
 	stepsVsMachines := expr.Cmp{Op: expr.GE, L: expr.CountOf{Type: "step"}, R: expr.CountOf{Type: "machine"}}
@@ -52,6 +53,20 @@ func TestExplainGolden(t *testing.T) {
 	}
 
 	asm, asmMT := assemblyDB(t, 256)
+
+	// Closure descriptions: the same table, the semi-naive derive line.
+	closureMT := func(db *storage.Database, desc *core.Desc) *core.MoleculeType {
+		mt, err := core.DefineDesc(db, "explosion", desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mt
+	}
+	forest, forestDesc := chainForest(t, 32, 4)
+	forestIdx, forestIdxDesc := chainForest(t, 32, 4)
+	if err := forestIdx.CreateIndex("part", "pn"); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name  string
@@ -83,6 +98,12 @@ func TestExplainGolden(t *testing.T) {
 			order: &plan.OrderBy{Attr: "code", Desc: true}, limit: 4},
 		{name: "sort", db: plain, mt: plainMT,
 			pred: intCmp(expr.EQ, "tool", "grade", 2), order: &plan.OrderBy{Attr: "id"}},
+		{name: "closure-scan", db: forest, mt: closureMT(forest, forestDesc),
+			pred: intCmp(expr.GE, "part", "pn", 100)},
+		{name: "closure-index-eq", db: forestIdx, mt: closureMT(forestIdx, forestIdxDesc),
+			pred: intCmp(expr.EQ, "part", "pn", 16)},
+		{name: "closure-order-topk", db: forest, mt: closureMT(forest, forestDesc),
+			order: &plan.OrderBy{Attr: "pn"}, limit: 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

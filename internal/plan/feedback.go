@@ -116,10 +116,6 @@ const (
 	// top-K heap's bound prune (reaching derivation) on bounded ordered
 	// runs.
 	ratioTopK
-	// ratioFixpoint: recursion-shape key (atom type, link, direction,
-	// depth) → observed closure atoms per seed root — calibrating the
-	// AvgFan^depth estimate the fixpoint entry contest is costed with.
-	ratioFixpoint
 	numRatioKinds
 )
 
@@ -405,24 +401,6 @@ func (fb *Feedback) recordLocked(p *Plan, work storage.WorkTally) (drifted bool)
 	return false
 }
 
-// recordFixpoint folds one complete fixpoint execution's observed
-// closure size (atoms per seed root) into the store under the recursion
-// shape's key. Truncated or cancelled runs must not record — they saw a
-// biased prefix of the closure.
-func (fb *Feedback) recordFixpoint(p *FixpointPlan, key string, atomsPerRoot float64) {
-	if fb == nil {
-		return
-	}
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	fb.syncEpochLocked()
-	if p.epoch != fb.epoch {
-		return
-	}
-	fb.records++
-	fb.addRatioLocked(ratioFixpoint, key, atomsPerRoot)
-}
-
 // addRatioLocked folds one sample into the kind's observation under key,
 // bounding the map like the residual store (random replacement); callers
 // hold fb.mu.
@@ -554,12 +532,6 @@ func (fb *Feedback) Render() string {
 		o := fb.ratios[ratioTopK][tk]
 		fmt.Fprintf(&b, "top-k %s: ≈%.2f of roots survive the bound over %d run(s) [observed]\n",
 			tk, o.avg(), o.n)
-	}
-	for _, fk := range sortedKeys(fb.ratios[ratioFixpoint]) {
-		o := fb.ratios[ratioFixpoint][fk]
-		parts := strings.Split(fk, "\x00")
-		fmt.Fprintf(&b, "fixpoint %s ⟲ %s (%s, depth %s): ≈%.1f atoms/root over %d run(s) [observed]\n",
-			parts[0], parts[1], parts[2], parts[3], o.avg(), o.n)
 	}
 	return b.String()
 }

@@ -1,8 +1,10 @@
 package plan_test
 
 import (
+	"context"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +12,8 @@ import (
 	"mad/internal/expr"
 	"mad/internal/model"
 	"mad/internal/plan"
+	"mad/internal/recursive"
+	"mad/internal/storage"
 )
 
 // accessPredicate builds a random conjunction of equality and range
@@ -32,11 +36,11 @@ func accessPredicate(rng *rand.Rand, types []string) expr.Expr {
 			L: intCmp(expr.EQ, types[1], "v", int64(rng.Intn(4))),
 			R: intCmp(expr.EQ, types[2], "v", int64(rng.Intn(4)))}}
 	}
-	if rng.Intn(3) == 0 {
+	if len(types) > 1 && rng.Intn(3) == 0 {
 		t := types[1+rng.Intn(len(types)-1)]
 		pred = expr.And{L: pred, R: expr.Or{L: intCmp(expr.EQ, t, "v", int64(rng.Intn(4))), R: intCmp(expr.EQ, t, "v", int64(rng.Intn(4)))}}
 	}
-	if rng.Intn(3) == 0 {
+	if len(types) > 1 && rng.Intn(3) == 0 {
 		pred = expr.And{L: pred, R: expr.Cmp{Op: expr.GE, L: expr.CountOf{Type: types[1]}, R: expr.Lit(model.Int(int64(rng.Intn(3))))}}
 	}
 	return pred
@@ -66,118 +70,408 @@ func (a runActuals) equal(b runActuals) bool {
 		slices.Equal(a.cuts, b.cuts) && slices.Equal(a.evals, b.evals) && slices.Equal(a.passed, b.passed)
 }
 
-// TestForcedPathParityRandom is the access-path table's property: over
-// random 2–4-type structures with shared and multi-parent atoms, random
-// index and statistics regimes, random conjunctive predicates and an
-// optional ORDER BY / LIMIT, EVERY candidate the table enumerates —
-// forced in place of the cheapest — delivers exactly the naive oracle
-// (Deriver.Walk + expr.EvalPredicate, then sort and truncate) for 1, 3
-// and 8 workers: element-wise, since every path yields root-ID order when
-// no ORDER BY asks otherwise. Complete runs additionally report the same
-// roots/derived/out, per-pushdown Cut and per-residual Evals/Passed for
-// every worker count, and the unforced compile installs the cheapest
-// candidate. Run with -quickchecks 1000 for the long form.
-func TestForcedPathParityRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		db, types, edges, err := layeredDB(rng, 1+rng.Intn(3), 4+rng.Intn(9))
+// parityCase is one generated query with its oracle answer.
+type parityCase struct {
+	db    *storage.Database
+	desc  *core.Desc
+	pred  expr.Expr
+	order *plan.OrderBy
+	limit int
+	// txn, when set, is an open transaction holding buffered writes: the
+	// plan streams over its effective view, and the oracle read it too.
+	txn *storage.Txn
+	// roots are the oracle's qualifying roots in scan order; same compares
+	// a delivered molecule with the oracle's molecule of the same root.
+	roots []model.AtomID
+	same  func(got *core.Molecule) bool
+}
+
+// closureDB generates a random reflexive graph — self-loops, cycles and
+// reconvergent paths included — over one atom type with the layered
+// generator's attributes (v from a small domain, w for ordering).
+func closureDB(rng *rand.Rand) (*storage.Database, error) {
+	db := storage.NewDatabase()
+	desc := model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt}, model.AttrDesc{Name: "w", Kind: model.KFloat})
+	if _, err := db.DefineAtomType("part", desc); err != nil {
+		return nil, err
+	}
+	if _, err := db.DefineLinkType("comp", model.LinkDesc{SideA: "part", SideB: "part"}); err != nil {
+		return nil, err
+	}
+	n := 1 + rng.Intn(20)
+	ids := make([]model.AtomID, n)
+	for i := range ids {
+		id, err := db.InsertAtom("part", model.Int(int64(rng.Intn(4))), model.Float(rng.Float64()*100))
 		if err != nil {
-			t.Logf("build: %v", err)
-			return false
+			return nil, err
 		}
-		for _, tn := range types {
-			if rng.Intn(3) > 0 {
-				if err := db.CreateIndex(tn, "v"); err != nil {
-					t.Logf("index: %v", err)
-					return false
+		ids[i] = id
+	}
+	for k := rng.Intn(3*n + 1); k > 0; k-- {
+		if err := db.Connect("comp", ids[rng.Intn(n)], ids[rng.Intn(n)]); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+// dirty opens a transaction on db and buffers random inserts, updates,
+// deletes, connects and disconnects over the structure's types and
+// links. Operations the transaction refuses (a duplicate link, an atom it
+// already deleted) are simply skipped; at least one is always buffered.
+func dirty(rng *rand.Rand, db *storage.Database, desc *core.Desc) *storage.Txn {
+	txn := db.Begin()
+	types, edges := desc.Types(), desc.Edges()
+	vals := func() []model.Value {
+		return []model.Value{model.Int(int64(rng.Intn(4))), model.Float(rng.Float64() * 100)}
+	}
+	pick := func(typeName string) (model.AtomID, bool) {
+		ids := txn.EffIDs(typeName)
+		if len(ids) == 0 {
+			return 0, false
+		}
+		return ids[rng.Intn(len(ids))], true
+	}
+	for k := 1 + rng.Intn(8); k > 0 || !txn.Dirty(); k-- {
+		tn := types[rng.Intn(len(types))]
+		switch op := rng.Intn(5); {
+		case op == 0 || len(edges) == 0 && op > 2:
+			_, _ = txn.InsertAtom(tn, vals()...)
+		case op == 1:
+			if id, ok := pick(tn); ok {
+				_ = txn.UpdateAtom(tn, id, vals())
+			}
+		case op == 2:
+			if id, ok := pick(tn); ok {
+				_ = txn.DeleteAtom(tn, id)
+			}
+		default:
+			e := edges[rng.Intn(len(edges))]
+			a, okA := pick(e.From)
+			b, okB := pick(e.To)
+			if !okA || !okB {
+				continue
+			}
+			if op == 3 {
+				_ = txn.Connect(e.Link, a, b)
+			} else {
+				_, _ = txn.Disconnect(e.Link, a, b)
+			}
+		}
+	}
+	return txn
+}
+
+// viewClosure is the dirty-view closure oracle: the recursive molecule of
+// root over the comp link as the transaction sees it — level by level,
+// every atom at the level it is first reached, every traversed link kept.
+func viewClosure(txn *storage.Txn, root model.AtomID, up bool, depth int) *recursive.Molecule {
+	m := &recursive.Molecule{Root: root, Levels: [][]model.AtomID{{root}}}
+	seen := map[model.AtomID]bool{root: true}
+	for d := 1; depth == 0 || d <= depth; d++ {
+		var next []model.AtomID
+		for _, a := range m.Levels[d-1] {
+			for _, b := range txn.EffPartners("comp", a, !up) {
+				m.Links = append(m.Links, model.Link{A: a, B: b})
+				if !seen[b] {
+					seen[b] = true
+					next = append(next, b)
 				}
 			}
 		}
-		if rng.Intn(2) == 0 {
-			if _, err := db.Analyze(); err != nil {
-				t.Logf("analyze: %v", err)
+		if len(next) == 0 {
+			break
+		}
+		m.Levels = append(m.Levels, next)
+	}
+	return m
+}
+
+// check executes every candidate the contest enumerates for the case —
+// forced in place of the cheapest — with 1, 3 and 8 workers and compares
+// each delivery, element-wise, with the oracle's roots ordered and cut as
+// the query asks. A dirty view admits only the full scan; every other
+// candidate must refuse to open it.
+func (c parityCase) check(t *testing.T, seed int64) bool {
+	root := c.desc.Root()
+	want := c.roots
+	if c.order != nil {
+		cont, _ := c.db.Container(root)
+		pos, _ := cont.Desc().Lookup(c.order.Attr)
+		key := func(id model.AtomID) model.Value {
+			a, ok := cont.Get(id)
+			if c.txn != nil {
+				a, ok = c.txn.EffAtom(root, id)
+			}
+			if !ok {
+				t.Fatalf("seed %d: oracle root %v vanished", seed, id)
+			}
+			return a.Get(pos)
+		}
+		want = slices.Clone(want)
+		sort.SliceStable(want, func(i, j int) bool {
+			cmp := key(want[i]).Compare(key(want[j]))
+			if c.order.Desc {
+				cmp = -cmp
+			}
+			if cmp != 0 {
+				return cmp < 0
+			}
+			return want[i] < want[j]
+		})
+	}
+	if c.limit > 0 && len(want) > c.limit {
+		want = want[:c.limit]
+	}
+
+	contested, err := plan.CompileOrdered(c.db, c.desc, c.pred, c.order)
+	if err != nil {
+		t.Logf("seed %d: compile: %v", seed, err)
+		return false
+	}
+	if !contested.Alternatives[0].Chosen {
+		t.Logf("seed %d: unforced compile did not install the cheapest candidate:\n%s", seed, contested.Render())
+		return false
+	}
+	for _, alt := range contested.Alternatives {
+		var base runActuals
+		for _, workers := range []int{1, 3, 8} {
+			p, err := plan.CompileForced(c.db, c.desc, c.pred, c.order, alt.Label)
+			if err != nil {
+				t.Logf("seed %d: force %q: %v", seed, alt.Label, err)
+				return false
+			}
+			p.Workers, p.Limit = workers, c.limit
+			got, err := p.ExecuteIn(context.Background(), c.txn)
+			if c.txn != nil && alt.Label != "full scan of "+root {
+				if err == nil {
+					t.Logf("seed %d: %q opened a dirty view it cannot enter", seed, alt.Label)
+					return false
+				}
+				continue
+			}
+			if err != nil {
+				t.Logf("seed %d: %q workers=%d: %v", seed, alt.Label, workers, err)
+				return false
+			}
+			if len(got) != len(want) {
+				t.Logf("seed %d: %q workers=%d: %d molecules, oracle %d (pred %s)\n%s",
+					seed, alt.Label, workers, len(got), len(want), c.pred, p.Render())
+				return false
+			}
+			for i, m := range got {
+				if m.Root() != want[i] || !c.same(m) {
+					t.Logf("seed %d: %q workers=%d: molecule %d differs from the oracle (pred %s)\n%s",
+						seed, alt.Label, workers, i, c.pred, p.Render())
+					return false
+				}
+			}
+			if c.limit > 0 {
+				continue // truncated and bound-pruned runs stop where timing says
+			}
+			if a := actualsOf(p); workers == 1 {
+				base = a
+			} else if !a.equal(base) {
+				t.Logf("seed %d: %q workers=%d: actuals %+v, sequential %+v", seed, alt.Label, workers, a, base)
 				return false
 			}
 		}
-		mt, err := core.Define(db, "random", types, edges)
-		if err != nil {
-			t.Logf("define: %v", err)
-			return false
-		}
-		pred := accessPredicate(rng, types)
-		if err := expr.Check(pred, core.Scope{DB: db, Desc: mt.Desc()}); err != nil {
-			t.Logf("check: %v", err)
-			return false
-		}
-		var order *plan.OrderBy
-		if rng.Intn(2) == 0 {
-			order = &plan.OrderBy{Attr: []string{"v", "w"}[rng.Intn(2)], Desc: rng.Intn(2) == 0}
-		}
-		limit := 0
-		if rng.Intn(2) == 0 {
-			limit = 1 + rng.Intn(6)
-		}
+	}
+	if _, err := plan.CompileForced(c.db, c.desc, c.pred, c.order, "no such path"); err == nil {
+		t.Logf("seed %d: forcing an unknown label must fail", seed)
+		return false
+	}
+	return true
+}
 
-		want := naiveRestrict(t, mt, pred)
-		if order != nil {
-			want = orderedReference(t, db, types[0], want, *order, limit)
-		} else if limit > 0 && len(want) > limit {
-			want = want[:limit]
-		}
-
-		contested, err := plan.CompileOrdered(db, mt.Desc(), pred, order)
-		if err != nil {
-			t.Logf("compile: %v", err)
-			return false
-		}
-		if !contested.Alternatives[0].Chosen {
-			t.Logf("seed %d: unforced compile did not install the cheapest candidate:\n%s", seed, contested.Render())
-			return false
-		}
-		for _, alt := range contested.Alternatives {
-			var base runActuals
-			for _, workers := range []int{1, 3, 8} {
-				p, err := plan.CompileForced(db, mt.Desc(), pred, order, alt.Label)
-				if err != nil {
-					t.Logf("seed %d: force %q: %v", seed, alt.Label, err)
-					return false
-				}
-				p.Workers, p.Limit = workers, limit
-				got, err := p.Execute()
-				if err != nil {
-					t.Logf("seed %d: %q workers=%d: %v", seed, alt.Label, workers, err)
-					return false
-				}
-				if len(got) != len(want) {
-					t.Logf("seed %d: %q workers=%d: %d molecules, oracle %d (pred %s)\n%s",
-						seed, alt.Label, workers, len(got), len(want), pred, p.Render())
-					return false
-				}
-				for i := range got {
-					if !got[i].Equal(want[i]) {
-						t.Logf("seed %d: %q workers=%d: molecule %d differs from the oracle (pred %s)\n%s",
-							seed, alt.Label, workers, i, pred, p.Render())
-						return false
-					}
-				}
-				if limit > 0 {
-					continue // truncated and bound-pruned runs stop where timing says
-				}
-				if a := actualsOf(p); workers == 1 {
-					base = a
-				} else if !a.equal(base) {
-					t.Logf("seed %d: %q workers=%d: actuals %+v, sequential %+v", seed, alt.Label, workers, a, base)
-					return false
+// TestForcedPathParityRandom is the pipeline's one differential property:
+// EVERY candidate the access-path table enumerates — forced in place of
+// the cheapest — delivers exactly the naive oracle, element-wise (every
+// path yields root-ID order when no ORDER BY asks otherwise), for 1, 3 and
+// 8 workers; complete runs additionally report the same roots/derived/out,
+// per-pushdown Cut and per-residual Evals/Passed for every worker count,
+// and the unforced compile installs the cheapest candidate. Three
+// configurations share the random index and statistics regimes, the
+// optional ORDER BY / LIMIT and the check:
+//
+//   - structures: random 2–4-type structures with shared and multi-parent
+//     atoms under random conjunctive predicates; oracle Deriver.Walk +
+//     expr.EvalPredicate;
+//   - closures: random cyclic, reconvergent reflexive graphs × {down, up}
+//     × depth 0–4 under an optional root predicate; oracle
+//     recursive.Type.DeriveFor per qualifying root, compared on Levels and
+//     Links;
+//   - dirty views: either kind of structure inside a transaction holding
+//     random buffered writes, the stream opened over its effective view;
+//     oracle Deriver.AtView(txn).Walk + EvalPredicate reading EffAtom for
+//     a structure, a breadth-first walk over EffPartners for a closure.
+//
+// Run with -quickchecks 1000 for the long form.
+func TestForcedPathParityRandom(t *testing.T) {
+	// regime applies a random index and statistics regime.
+	regime := func(rng *rand.Rand, db *storage.Database, types []string) error {
+		for _, tn := range types {
+			if rng.Intn(3) > 0 {
+				if err := db.CreateIndex(tn, "v"); err != nil {
+					return err
 				}
 			}
 		}
-		if _, err := plan.CompileForced(db, mt.Desc(), pred, order, "no such path"); err == nil {
-			t.Logf("seed %d: forcing an unknown label must fail", seed)
-			return false
+		if rng.Intn(2) == 0 {
+			_, err := db.Analyze()
+			return err
 		}
-		return true
+		return nil
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	// shape draws the optional ORDER BY and LIMIT.
+	shape := func(rng *rand.Rand, c *parityCase) {
+		if rng.Intn(2) == 0 {
+			c.order = &plan.OrderBy{Attr: []string{"v", "w"}[rng.Intn(2)], Desc: rng.Intn(2) == 0}
+		}
+		if rng.Intn(2) == 0 {
+			c.limit = 1 + rng.Intn(6)
+		}
+	}
+	// walk fills the case's oracle from the naive derivation over its read
+	// view, judging each molecule with judge.
+	walk := func(c *parityCase, judge func(*core.Molecule) (bool, error)) error {
+		dv, err := core.NewDeriver(c.db, c.desc)
+		if err != nil {
+			return err
+		}
+		if c.txn != nil {
+			dv = dv.AtView(c.txn)
+		}
+		want := make(map[model.AtomID]*core.Molecule)
+		dv.Walk(func(m *core.Molecule) bool {
+			var keep bool
+			if keep, err = judge(m); keep {
+				c.roots = append(c.roots, m.Root())
+				want[m.Root()] = m
+			}
+			return err == nil
+		})
+		c.same = func(got *core.Molecule) bool {
+			w := want[got.Root()]
+			return got.Equal(w) && slices.EqualFunc(got.Levels(), w.Levels(), slices.Equal[[]model.AtomID])
+		}
+		return err
+	}
+
+	structures := func(rng *rand.Rand, inTxn bool) (c parityCase, err error) {
+		db, types, edges, err := layeredDB(rng, 1+rng.Intn(3), 4+rng.Intn(9))
+		if err != nil {
+			return c, err
+		}
+		if err := regime(rng, db, types); err != nil {
+			return c, err
+		}
+		mt, err := core.Define(db, "random", types, edges)
+		if err != nil {
+			return c, err
+		}
+		c = parityCase{db: db, desc: mt.Desc(), pred: accessPredicate(rng, types)}
+		if err := expr.Check(c.pred, core.Scope{DB: db, Desc: c.desc}); err != nil {
+			return c, err
+		}
+		shape(rng, &c)
+		b := core.Binding{DB: db}
+		if inTxn {
+			c.txn = dirty(rng, db, c.desc)
+			b.Lookup = c.txn.EffAtom
+		}
+		return c, walk(&c, func(m *core.Molecule) (bool, error) {
+			b.M = m
+			return expr.EvalPredicate(c.pred, b)
+		})
+	}
+
+	closures := func(rng *rand.Rand, inTxn bool) (c parityCase, err error) {
+		db, err := closureDB(rng)
+		if err != nil {
+			return c, err
+		}
+		if err := regime(rng, db, []string{"part"}); err != nil {
+			return c, err
+		}
+		up, depth := rng.Intn(2) == 1, rng.Intn(5)
+		desc, err := core.NewClosureDesc(db, "part", "comp", up, depth)
+		if err != nil {
+			return c, err
+		}
+		c = parityCase{db: db, desc: desc}
+		if rng.Intn(3) > 0 {
+			c.pred = accessPredicate(rng, []string{"part"})
+		}
+		shape(rng, &c)
+		rt, err := recursive.Define(db, "", "part", "comp", up, depth)
+		if err != nil {
+			return c, err
+		}
+		// The oracle shares no code with the pipeline: the Chapter 5
+		// derivation over the committed state, a plain breadth-first walk
+		// over the transaction's effective partners inside one.
+		cont, _ := db.Container("part")
+		ids, lookup, derive := cont.IDs(), cont.Get, rt.DeriveFor
+		if inTxn {
+			c.txn = dirty(rng, db, desc)
+			ids = c.txn.EffIDs("part")
+			lookup = func(id model.AtomID) (model.Atom, bool) { return c.txn.EffAtom("part", id) }
+			derive = func(root model.AtomID) (*recursive.Molecule, error) {
+				return viewClosure(c.txn, root, up, depth), nil
+			}
+		}
+		want := make(map[model.AtomID]*recursive.Molecule)
+		for _, id := range ids {
+			// The qualification of a recursive molecule judges its root atom.
+			a, _ := lookup(id)
+			keep, err := expr.EvalPredicate(c.pred, expr.AtomBinding{TypeName: "part", Desc: cont.Desc(), Atom: a})
+			if err != nil {
+				return c, err
+			}
+			if !keep {
+				continue
+			}
+			if want[id], err = derive(id); err != nil {
+				return c, err
+			}
+			c.roots = append(c.roots, id)
+		}
+		c.same = func(got *core.Molecule) bool {
+			w := want[got.Root()]
+			return slices.EqualFunc(got.Levels(), w.Levels, slices.Equal[[]model.AtomID]) && slices.Equal(got.LinksAt(0), w.Links)
+		}
+		return c, nil
+	}
+
+	for _, cfg := range []struct {
+		name string
+		gen  func(rng *rand.Rand) (parityCase, error)
+	}{
+		{"structures", func(rng *rand.Rand) (parityCase, error) { return structures(rng, false) }},
+		{"closures", func(rng *rand.Rand) (parityCase, error) { return closures(rng, false) }},
+		{"dirty views", func(rng *rand.Rand) (parityCase, error) {
+			if rng.Intn(2) == 0 {
+				return closures(rng, true)
+			}
+			return structures(rng, true)
+		}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				c, err := cfg.gen(rand.New(rand.NewSource(seed)))
+				if c.txn != nil {
+					defer c.txn.Rollback()
+				}
+				if err != nil {
+					t.Logf("seed %d: generate: %v", seed, err)
+					return false
+				}
+				return c.check(t, seed)
+			}
+			if err := quick.Check(f, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

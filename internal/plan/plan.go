@@ -383,6 +383,9 @@ type Plan struct {
 	Derived  int // molecules fully derived (survived every pushdown)
 	Out      int // molecules after the residual filter
 	Executed bool
+	// work is the derivation work of the last stream, as the executor
+	// tallied it.
+	work storage.WorkTally
 }
 
 // orderPath predicts the ordered-delivery mechanism the next run will
@@ -479,6 +482,18 @@ func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *
 	var rootConjs []rootConjInfo
 	for ord, c := range splitConjuncts(pred) {
 		t, single := conjunctType(db, desc, c)
+		if desc.Closure() != nil && !single {
+			// The qualification of a recursive molecule judges its root
+			// atom (Chapter 5): every conjunct is a root conjunct. As a
+			// residual it would evaluate existentially over every level of
+			// the closure and silently mean something else.
+			for rt := range expr.TypesReferenced(c) {
+				if rt != "" && rt != desc.Root() {
+					return nil, fmt.Errorf("plan: recursive WHERE references %q; only %q is in scope", rt, desc.Root())
+				}
+			}
+			t, single = desc.Root(), true
+		}
 		switch {
 		case single && t == desc.Root():
 			info := rootConjInfo{conj: c, ord: ord}
@@ -723,23 +738,17 @@ func (b *evalErrBox) get() error {
 }
 
 // atomPred compiles a conjunct into a per-atom predicate over the named
-// type, reading atom values at commit timestamp ts (zero = latest view).
-// Evaluation errors surface through eb (first one wins); the returned
-// predicate is safe for concurrent use.
-func (p *Plan) atomPred(typeName string, conjunct expr.Expr, eb *evalErrBox, ts uint64) (func(model.AtomID) bool, error) {
+// type, reading atom values through rd. Evaluation errors surface
+// through eb (first one wins); the returned predicate is safe for
+// concurrent use.
+func (p *Plan) atomPred(typeName string, conjunct expr.Expr, eb *evalErrBox, rd reader) (func(model.AtomID) bool, error) {
 	c, ok := p.db.Container(typeName)
 	if !ok {
 		return nil, fmt.Errorf("plan: atom type %q has no container", typeName)
 	}
 	desc := c.Desc()
 	return func(id model.AtomID) bool {
-		var a model.Atom
-		var ok bool
-		if ts != 0 {
-			a, ok = c.GetAt(id, ts)
-		} else {
-			a, ok = c.Get(id)
-		}
+		a, ok := rd.atom(c, typeName, id)
 		if !ok {
 			return false
 		}
@@ -818,7 +827,7 @@ func (p *Plan) resetActuals() {
 		e := &p.Access.Entries[i]
 		e.ActEntries, e.ActRoots, e.ActClimb = 0, 0, 0
 	}
-	p.Derived, p.Out = 0, 0
+	p.Derived, p.Out, p.work = 0, 0, storage.WorkTally{}
 	p.OrderPath, p.OrderCut = "", 0
 	p.Executed = false
 	for i := range p.Pushdowns {
@@ -832,11 +841,11 @@ func (p *Plan) resetActuals() {
 // prepareRoots runs the access path and the pre-derivation root filter,
 // returning the root batch entering derivation; cancelling ctx abandons
 // the filter.
-func (p *Plan) prepareRoots(ctx context.Context, dv *core.Deriver, eb *evalErrBox) ([]model.AtomID, error) {
+func (p *Plan) prepareRoots(ctx context.Context, dv *core.Deriver, rd reader, eb *evalErrBox) ([]model.AtomID, error) {
 	var rootFilter func(model.AtomID) bool
 	var err error
 	if p.Access.Filter != nil {
-		rootFilter, err = p.atomPred(p.Access.Root, p.Access.Filter, eb, dv.TS())
+		rootFilter, err = p.atomPred(p.Access.Root, p.Access.Filter, eb, rd)
 		if err != nil {
 			return nil, err
 		}
@@ -931,23 +940,24 @@ func (p *Plan) filterRoots(ctx context.Context, roots []model.AtomID, rootFilter
 // never enlarges the database; algebra-mode callers propagate the
 // returned set themselves (see Restrict).
 func (p *Plan) Execute() (core.MoleculeSet, error) {
-	return p.ExecuteContext(context.Background())
+	return p.ExecuteIn(context.Background(), nil)
 }
 
-// ExecuteContext is Execute honoring a context: cancelling ctx stops the
-// worker pool mid-derivation and returns ctx.Err().
-func (p *Plan) ExecuteContext(ctx context.Context) (core.MoleculeSet, error) {
+// ExecuteIn is Execute honoring a context — cancelling ctx stops the
+// worker pool mid-derivation and returns ctx.Err() — and reading through
+// txn's view (see StreamIn; nil pins the latest commit).
+func (p *Plan) ExecuteIn(ctx context.Context, txn *storage.Txn) (core.MoleculeSet, error) {
 	var set core.MoleculeSet
-	if err := p.drain(ctx, nil, func(m *core.Molecule) { set = append(set, m) }); err != nil {
+	if err := p.drain(ctx, txn, func(m *core.Molecule) { set = append(set, m) }); err != nil {
 		return nil, err
 	}
 	return set, nil
 }
 
-// drain streams the plan through snap (nil pins the latest commit) and
-// hands every molecule to fn.
-func (p *Plan) drain(ctx context.Context, snap *storage.Snapshot, fn func(*core.Molecule)) error {
-	st, err := p.StreamAt(ctx, snap)
+// drain streams the plan through txn's view (nil pins the latest commit)
+// and hands every molecule to fn.
+func (p *Plan) drain(ctx context.Context, txn *storage.Txn, fn func(*core.Molecule)) error {
+	st, err := p.StreamIn(ctx, txn)
 	if err != nil {
 		return err
 	}
@@ -967,34 +977,32 @@ func (p *Plan) CanCountFast() bool {
 	return len(p.Pushdowns) == 0 && len(p.Residuals) == 0
 }
 
-// ExecuteCountAt counts the plan's qualifying molecules through snap (nil
-// pins the latest commit for the call). When CanCountFast holds, only the
-// access path and the pre-derivation root filter run — zero derivations,
-// zero molecules materialized. Otherwise the counting rides the stream,
-// where a LIMIT still cancels derivation mid-run the moment the bound is
-// reached (the errStreamLimit path).
-func (p *Plan) ExecuteCountAt(ctx context.Context, snap *storage.Snapshot) (int, error) {
+// ExecuteCountIn counts the plan's qualifying molecules through txn's
+// view (see StreamIn; nil pins the latest commit for the call). When
+// CanCountFast holds, only the access path and the pre-derivation root
+// filter run — zero derivations, zero molecules materialized. Otherwise
+// the counting rides the stream, where a LIMIT still cancels derivation
+// mid-run the moment the bound is reached (the errStreamLimit path).
+func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if !p.CanCountFast() {
 		n := 0
-		if err := p.drain(ctx, snap, func(*core.Molecule) { n++ }); err != nil {
+		if err := p.drain(ctx, txn, func(*core.Molecule) { n++ }); err != nil {
 			return 0, err
 		}
 		return n, nil
 	}
-	dv, err := core.NewDeriver(p.db, p.desc)
+	dv, rd, own, err := p.open(txn)
 	if err != nil {
 		return 0, err
 	}
-	if snap == nil {
-		snap = p.db.Snapshot()
-		defer snap.Close()
+	if own != nil {
+		defer own.Close()
 	}
-	dv = dv.AtSnapshot(snap)
 	p.resetActuals()
-	roots, err := p.prepareRoots(ctx, dv, &evalErrBox{})
+	roots, err := p.prepareRoots(ctx, dv, rd, &evalErrBox{})
 	if err != nil {
 		return 0, err
 	}
@@ -1071,7 +1079,18 @@ func (p *Plan) Render() string {
 		}
 		b.WriteString(line + "\n")
 	}
-	fmt.Fprintf(&b, "derive:    structure template over the atom network%s\n", p.actual(p.Derived))
+	if p.desc.Closure() == nil {
+		fmt.Fprintf(&b, "derive:    structure template over the atom network%s\n", p.actual(p.Derived))
+	} else {
+		line := fmt.Sprintf("derive:    reflexive edge followed to a fixpoint, semi-naive (est ≈%.1f atoms/root [%s]",
+			p.Calibration.DerivPerRoot, p.Calibration.DerivSrc)
+		if p.Derived > 0 {
+			line += fmt.Sprintf(", actual %d at %.1f atoms/root", p.Derived, float64(p.work.AtomsFetched)/float64(p.Derived))
+		} else {
+			line += p.actual(p.Derived)
+		}
+		b.WriteString(line + ")\n")
+	}
 	for _, pd := range p.Pushdowns {
 		line := fmt.Sprintf("pushdown:  Σ↓[%s] at %s (est atom sel %.2f [%s]) — cuts the subtree when no %s atom qualifies",
 			pd.Conjunct, pd.Type, pd.Sel, pd.Source, pd.Type)

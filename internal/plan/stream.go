@@ -44,15 +44,14 @@ type Stream struct {
 	p      *Plan
 	cancel context.CancelFunc
 
-	// snap is the consistent view the whole run reads through: pinned at
-	// cursor open (or supplied by the caller's transaction), it makes
-	// every access-path lookup, derivation step and residual evaluation
-	// resolve against exactly one commit timestamp, however many writers
-	// commit while the stream drains. ownSnap marks a stream-pinned
-	// snapshot, released when the stream ends; a caller-supplied one
-	// stays the caller's to close.
-	snap    *storage.Snapshot
-	ownSnap bool
+	// rd is the consistent view the whole run reads through: every
+	// access-path lookup, derivation step, residual evaluation and ORDER
+	// BY key resolves against it, however many writers commit while the
+	// stream drains. own is the snapshot the stream pinned itself,
+	// released when the stream ends; nil when it reads through a
+	// transaction, whose begin snapshot stays the transaction's to close.
+	rd  reader
+	own *storage.Snapshot
 
 	batches chan core.MoleculeSet
 	errc    chan error
@@ -66,7 +65,47 @@ type Stream struct {
 // SnapshotTS reports the commit timestamp the stream's results are
 // consistent with: every molecule the cursor delivers was derived and
 // filtered against this one committed state.
-func (st *Stream) SnapshotTS() uint64 { return st.snap.TS() }
+func (st *Stream) SnapshotTS() uint64 { return st.rd.ts }
+
+// reader is the read view one execution runs against: one commit
+// timestamp, or — view set — a transaction's effective view (its begin
+// snapshot at ts with its own buffered writes merged over it).
+type reader struct {
+	ts   uint64
+	view core.AtomView
+}
+
+// atom reads one atom of the container's type through the view.
+func (rd reader) atom(c *storage.Container, typeName string, id model.AtomID) (model.Atom, bool) {
+	if rd.view != nil {
+		return rd.view.EffAtom(typeName, id)
+	}
+	return c.GetAt(id, rd.ts)
+}
+
+// open resolves the view an execution of the plan inside txn reads
+// through and pins a deriver to it: the latest commit when txn is nil
+// (the returned snapshot is the caller's to close), the transaction's
+// begin snapshot while it is clean, its effective view once it holds
+// buffered writes. Index postings hold committed versions only, so only a
+// plan entering by the plain container scan may open a dirty view.
+func (p *Plan) open(txn *storage.Txn) (dv *core.Deriver, rd reader, own *storage.Snapshot, err error) {
+	if dv, err = core.NewDeriver(p.db, p.desc); err != nil {
+		return nil, rd, nil, err
+	}
+	if txn == nil {
+		own = p.db.Snapshot()
+		return dv.AtSnapshot(own), reader{ts: own.TS()}, own, nil
+	}
+	dv, rd = dv.AtSnapshot(txn.Snapshot()), reader{ts: txn.SnapshotTS()}
+	if txn.Dirty() {
+		if p.path != (scan{}) {
+			return nil, rd, nil, errors.New("plan: a transaction's uncommitted writes are only reachable by a full scan (compile with CompileForced)")
+		}
+		dv, rd.view = dv.AtView(txn), txn
+	}
+	return dv, rd, nil, nil
+}
 
 // Stream starts executing the plan and returns the result cursor. The
 // pipeline underneath — access path, parallel pre-derivation root
@@ -81,30 +120,31 @@ func (st *Stream) SnapshotTS() uint64 { return st.snap.TS() }
 // a cancelled or LIMIT-truncated execution observed a biased sample and
 // teaches the store nothing.
 func (p *Plan) Stream(ctx context.Context) (*Stream, error) {
-	return p.StreamAt(ctx, nil)
+	return p.StreamIn(ctx, nil)
 }
 
-// StreamAt is Stream reading through a caller-supplied snapshot — the
-// entry point for transactional SELECTs, which must see their
-// transaction's begin snapshot rather than the latest commit. The caller
-// keeps ownership: the snapshot must stay open until the stream ends and
-// is not closed by it. A nil snapshot pins the latest commit for the
+// StreamIn is Stream reading through an open transaction — the entry
+// point for transactional SELECTs: a clean transaction reads its begin
+// snapshot rather than the latest commit, and one holding buffered
+// writes reads its effective view, so the owner queries its own
+// uncommitted inserts, updates and connects (the plan must then enter by
+// the full scan; such a run observed uncommitted state and records no
+// feedback). The transaction must stay open, and issue no write, until
+// the stream ends. A nil transaction pins the latest commit for the
 // duration of the stream (Stream's behaviour).
-func (p *Plan) StreamAt(ctx context.Context, snap *storage.Snapshot) (*Stream, error) {
+func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	fb := feedbackLookup(p.db)
 	p.applyFeedback(fb)
-	dv, err := core.NewDeriver(p.db, p.desc)
+	dv, rd, own, err := p.open(txn)
 	if err != nil {
 		return nil, err
 	}
-	ownSnap := snap == nil
-	if ownSnap {
-		snap = p.db.Snapshot()
+	if rd.view != nil {
+		fb = nil // the run observes uncommitted state: it teaches the store nothing
 	}
-	dv = dv.AtSnapshot(snap)
 	p.resetActuals()
 
 	// Per-atom predicates are safe for concurrent use and shared by all
@@ -115,10 +155,10 @@ func (p *Plan) StreamAt(ctx context.Context, snap *storage.Snapshot) (*Stream, e
 	eb := &evalErrBox{}
 	preds := make([]func(model.AtomID) bool, len(p.Pushdowns))
 	for i := range p.Pushdowns {
-		preds[i], err = p.atomPred(p.Pushdowns[i].Type, p.Pushdowns[i].Conjunct, eb, snap.TS())
+		preds[i], err = p.atomPred(p.Pushdowns[i].Type, p.Pushdowns[i].Conjunct, eb, rd)
 		if err != nil {
-			if ownSnap {
-				snap.Close()
+			if own != nil {
+				own.Close()
 			}
 			return nil, err
 		}
@@ -128,8 +168,8 @@ func (p *Plan) StreamAt(ctx context.Context, snap *storage.Snapshot) (*Stream, e
 	st := &Stream{
 		p:       p,
 		cancel:  cancel,
-		snap:    snap,
-		ownSnap: ownSnap,
+		rd:      rd,
+		own:     own,
 		batches: make(chan core.MoleculeSet, streamBufBatches),
 		errc:    make(chan error, 1),
 	}
@@ -137,11 +177,11 @@ func (p *Plan) StreamAt(ctx context.Context, snap *storage.Snapshot) (*Stream, e
 	return st, nil
 }
 
-// release drops the stream's pin on its snapshot versions (no-op for a
-// caller-supplied snapshot); safe to call more than once.
+// release drops the stream's pin on its snapshot versions (no-op inside
+// a transaction); safe to call more than once.
 func (st *Stream) release() {
-	if st.ownSnap {
-		st.snap.Close()
+	if st.own != nil {
+		st.own.Close()
 	}
 }
 
@@ -226,7 +266,7 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 	defer close(st.batches)
 	p := st.p
 
-	roots, err := p.prepareRoots(ctx, dv, eb)
+	roots, err := p.prepareRoots(ctx, dv, st.rd, eb)
 	if err != nil {
 		st.errc <- err
 		return
@@ -248,9 +288,8 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 			st.errc <- errors.New("plan: root container vanished between compile and execute")
 			return
 		}
-		ts := st.snap.TS()
 		keyOf = func(id model.AtomID) (model.Value, bool) {
-			a, ok := c.GetAt(id, ts)
+			a, ok := st.rd.atom(c, p.Access.Root, id)
 			if !ok {
 				var zero model.Value
 				return zero, false
@@ -320,7 +359,10 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 				return false
 			}
 			ws.derived++
-			b := core.Binding{DB: p.db, M: m, TS: st.snap.TS()}
+			b := core.Binding{DB: p.db, M: m, TS: st.rd.ts}
+			if st.rd.view != nil {
+				b.Lookup = st.rd.view.EffAtom
+			}
 			for i := range p.Residuals {
 				ws.evals[i]++
 				var t0 time.Time
@@ -349,8 +391,14 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 	// hand-off that would block (bounded channel full) shrinks the next
 	// batches so the consumer keeps getting fresh small deliveries; a
 	// streak of instant hand-offs grows them back to amortize the channel
-	// traffic.
-	sizer := core.NewBatchSizer(0, 0, 0)
+	// traffic. An unordered run ends at its Limit-th qualifying molecule
+	// with workers+1 batches in flight, all derived for nothing, so its
+	// batches start no larger than the limit.
+	start := core.DefaultStreamBatch
+	if p.Limit > 0 && p.Order == nil {
+		start = min(start, p.Limit)
+	}
+	sizer := core.NewBatchSizer(start, 0, 0)
 	delivered := 0
 	var emit func(core.MoleculeSet) error
 	var kh *topkHeap
@@ -494,6 +542,7 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 
 	p.Out = delivered
 	p.Executed = true
+	p.work = work
 	if complete {
 		fb.record(p, work)
 	}

@@ -108,15 +108,11 @@ func (e *Engine) RunMQL(query string) (*mql.Result, *Report, error) {
 	}
 	rep.Elapsed = time.Since(start)
 	rep.AtomLayer = e.db.Stats().Snapshot().Sub(before)
-	rep.MoleculesAssembled = len(res.Set) + len(res.RecSet)
+	rep.MoleculesAssembled = len(res.Set)
 	rep.MoleculesQualified = rep.MoleculesAssembled
 	for _, m := range res.Set {
 		rep.AtomsInMolecules += m.Size()
 		rep.LinksInMolecules += m.NumLinks()
-	}
-	for _, m := range res.RecSet {
-		rep.AtomsInMolecules += m.Size()
-		rep.LinksInMolecules += len(m.Links)
 	}
 	return res, rep, nil
 }

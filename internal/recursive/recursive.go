@@ -12,11 +12,16 @@
 // reflexive link type. Atom networks may be cyclic, so derivation keeps a
 // visited set; an optional depth bound truncates the closure to the first
 // n levels.
+//
+// The eager, latest-state derivation here is the Chapter 5 definition and
+// the oracle: queries plan and stream a closure through the one pipeline
+// (core.NewClosureDesc compiled by internal/plan), and that path is tested
+// element-wise against Type.DeriveFor. NaiveClosure is the relational
+// baseline of experiment P4.
 package recursive
 
 import (
 	"fmt"
-	"strings"
 
 	"mad/internal/model"
 	"mad/internal/storage"
@@ -102,42 +107,6 @@ func (m *Molecule) Contains(id model.AtomID) bool {
 		}
 	}
 	return false
-}
-
-// Format renders the molecule level by level with attribute values from
-// the latest view.
-func (m *Molecule) Format(db *storage.Database, atomType string) string {
-	return m.FormatAt(db, atomType, 0)
-}
-
-// FormatAt renders the molecule level by level with attribute values read
-// at commit timestamp ts (zero = latest view) — the renderer for
-// snapshot-pinned cursors, whose values must match the structure the
-// closure traversed however many writers committed since.
-func (m *Molecule) FormatAt(db *storage.Database, atomType string, ts uint64) string {
-	var b strings.Builder
-	c, hasC := db.Container(atomType)
-	for depth, level := range m.Levels {
-		fmt.Fprintf(&b, "level %d:", depth)
-		for _, id := range level {
-			var a model.Atom
-			ok := hasC
-			if ok {
-				if ts != 0 {
-					a, ok = c.GetAt(id, ts)
-				} else {
-					a, ok = c.Get(id)
-				}
-			}
-			if !ok {
-				fmt.Fprintf(&b, " %s", id)
-				continue
-			}
-			fmt.Fprintf(&b, " %s", a.Get(0))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // DeriveFor computes the recursive molecule rooted at the given atom.

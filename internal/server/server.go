@@ -241,33 +241,6 @@ func (s *Server) execStream(ctx context.Context, sess *mql.Session, src string, 
 			ck.add(r.Render(s.db))
 			continue
 		}
-		if cur.RecStreaming() {
-			// Recursive fixpoint cursor: each molecule's closure renders
-			// into a CHUNK frame the moment it finishes, at the cursor's
-			// pinned snapshot.
-			n := 0
-			for {
-				m, err := cur.NextRec()
-				if err != nil {
-					cur.Close()
-					return err
-				}
-				if m == nil {
-					break
-				}
-				n++
-				ck.add(mql.RenderRecMoleculeAt(s.db, cur.SnapshotTS(), n, m, cur.RecAtomType()))
-				if ck.err != nil {
-					cur.Close()
-					return ck.err
-				}
-			}
-			ck.add(fmt.Sprintf("%d recursive molecule(s)\n", n))
-			if err := cur.Close(); err != nil {
-				return err
-			}
-			continue
-		}
 		n := 0
 		for {
 			m, err := cur.Next()
@@ -285,7 +258,7 @@ func (s *Server) execStream(ctx context.Context, sess *mql.Session, src string, 
 				return ck.err
 			}
 		}
-		ck.add(fmt.Sprintf("%d molecule(s) of %s\n", n, cur.Desc()))
+		ck.add(mql.RenderSummary(n, cur.Desc()))
 		if err := cur.Close(); err != nil {
 			return err
 		}

@@ -112,9 +112,11 @@ type (
 //     holds the vacuum horizon back.
 //   - Plan.Stream pins its own snapshot at cursor open and releases it
 //     at exhaustion or Close, so a long streaming SELECT observes exactly
-//     one commit timestamp end to end (no torn molecules). Plan.StreamAt
-//     runs a cursor against a caller-owned snapshot instead — that is how
-//     SELECTs inside an MQL transaction read the begin snapshot.
+//     one commit timestamp end to end (no torn molecules). Plan.StreamIn
+//     runs a cursor inside a transaction instead — reading its begin
+//     snapshot while it is clean and its effective view (begin snapshot
+//     plus its own buffered writes) once it is not — which is how SELECTs
+//     inside an MQL transaction read.
 //   - Database.Begin() opens a buffered-write Txn: its mutations stay
 //     private (validated, but invisible — even to the transaction's own
 //     reads) until Commit installs them atomically under the next commit
@@ -207,18 +209,6 @@ type (
 	// climb work — and feeds them back into later compiles and
 	// executions (EXPLAIN provenance [observed]).
 	PlanFeedback = plan.Feedback
-	// FixpointPlan is a compiled recursive derivation: a semi-naive delta
-	// fixpoint whose entry point (full scan vs indexed root equality) is
-	// contested on the link-fan closure estimate, with WHERE conjuncts
-	// pruning seed roots before expansion (see CompileFixpoint).
-	FixpointPlan = plan.FixpointPlan
-	// FixpointStream is a fixpoint plan's incremental cursor: each
-	// molecule streams out the moment its own closure finishes, at a
-	// snapshot pinned for the whole run.
-	FixpointStream = plan.FixpointStream
-	// RecursiveMolecule is one recursive molecule: the root, the atoms
-	// grouped by the level the closure first reached them, the links.
-	RecursiveMolecule = recursive.Molecule
 	// Histogram is a per-attribute equi-depth histogram — the statistics
 	// ANALYZE builds and the planner estimates selectivities from.
 	Histogram = stats.Histogram
@@ -301,16 +291,37 @@ func CompilePlan(db *Database, desc *MoleculeDesc, pred Expr) (*Plan, error) {
 	return plan.Compile(db, desc, pred)
 }
 
-// CompileFixpoint plans a recursive derivation over atomType closed under
-// one direction of the reflexive link type, optionally depth-bounded and
-// restricted by pred (nil = all roots): the entry contest weighs a full
-// scan against each indexed root equality using histogram selectivities
-// and the AvgFan^depth closure estimate, non-entry conjuncts prune seed
-// roots before a single link is traversed, and Stream delivers each
-// molecule as its closure finishes, at one pinned snapshot. Render it
-// for the [fixpoint] EXPLAIN form.
-func CompileFixpoint(db *Database, atomType, link string, up bool, depth int, pred Expr) (*FixpointPlan, error) {
-	return plan.CompileFixpoint(db, atomType, link, up, depth, pred)
+// NewClosureDesc describes a recursive molecule type for the planner:
+// atomType closed over one direction of the reflexive link type,
+// optionally depth-bounded (0 = full transitive closure). CompilePlan over
+// it is the planned part explosion: the access-path contest weighs a full
+// scan against index entries on the root, pred judges the root atom and
+// prunes roots before a single link is traversed, and Plan.Stream
+// delivers each molecule — Molecule.Levels groups its atoms by the round
+// that first reached them — as its own closure finishes, at one pinned
+// snapshot.
+//
+// # Migration: FixpointPlan → Compile over a closure description
+//
+// CompileFixpoint, FixpointPlan, FixpointStream and RecursiveMolecule are
+// gone: a recursive closure is a molecule whose description carries a
+// reflexive edge followed to a fixpoint, and it runs through the one
+// pipeline. Replace
+//
+//	fp, _ := mad.CompileFixpoint(db, "parts", "composition", false, 4, pred)
+//	st, _ := fp.Stream(ctx)          // *recursive.Molecule: Root, Levels, Links
+//
+// with
+//
+//	desc, _ := mad.NewClosureDesc(db, "parts", "composition", false, 4)
+//	p, _ := mad.CompilePlan(db, desc, pred)   // or PlanCacheFor(db).CompileOrdered
+//	st, _ := p.Stream(ctx)           // *Molecule: Root(), Levels(), LinksAt(0)
+//
+// FixpointPlan.Workers/Limit are Plan.Workers/Limit; ORDER BY, top-K,
+// range entry, the plan cache and PREPARE apply unchanged. In MQL,
+// Result.RecSet is Result.Set and Cursor.NextRec is Cursor.Next.
+func NewClosureDesc(db *Database, atomType, link string, up bool, depth int) (*MoleculeDesc, error) {
+	return core.NewClosureDesc(db, atomType, link, up, depth)
 }
 
 // PlanCacheFor returns the plan cache shared by every session over db.
@@ -373,7 +384,9 @@ func Intersect(mt1, mt2 *MoleculeType, resultName string, tr *OpTrace) (*Molecul
 }
 
 // DefineRecursive defines a recursive molecule type over a reflexive link
-// type (Chapter 5 / [Schö89]).
+// type (Chapter 5 / [Schö89]): the eager, latest-state definition, one
+// full closure per root. Queries plan and stream the same closures
+// through NewClosureDesc.
 func DefineRecursive(db *Database, name, atomType, link string, up bool, depth int) (*RecursiveType, error) {
 	return recursive.Define(db, name, atomType, link, up, depth)
 }

@@ -1,0 +1,39 @@
+#!/bin/sh
+# loc.sh — the code-line figures simplicity PRs quote: non-blank,
+# non-comment lines of .go source, non-test and _test.go separately, per
+# pipeline package and repo-wide outside benchmark/ (a module of its own
+# that engine PRs may not edit). Exported-identifier counts of the two
+# packages whose surface the issues bound ride along.
+#
+# Usage: scripts/loc.sh [dir]   (default: the repository root)
+set -eu
+cd "${1:-$(dirname "$0")/..}"
+
+# count <test|code> <dir>...: code lines of the matching .go files.
+count() {
+	kind=$1
+	shift
+	if [ "$kind" = test ]; then
+		find "$@" -name '*_test.go' -not -path './benchmark/*' -print0
+	else
+		find "$@" -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0
+	fi | xargs -0 cat 2>/dev/null | grep -v '^[[:space:]]*//' | grep -vc '^[[:space:]]*$' || true
+}
+
+printf '%-20s %9s %9s\n' package non-test _test.go
+sum=0
+for pkg in core plan mql recursive server; do
+	n=$(count code "internal/$pkg")
+	sum=$((sum + n))
+	printf '%-20s %9d %9d\n' "internal/$pkg" "$n" "$(count test "internal/$pkg")"
+done
+printf '%-20s %9d\n' "the five together" "$sum"
+printf '%-20s %9d %9d\n' "repo (no benchmark/)" "$(count code .)" "$(count test .)"
+printf '%-20s %9s %9d\n' "  _test.go, raw lines" "" \
+	"$(find . -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)"
+
+# Exported identifiers: top-level declarations, methods and struct fields.
+for pkg in plan mql; do
+	n=$(go doc -all "./internal/$pkg" | grep -cE '^(func|type|var|const) |^    [A-Z][A-Za-z0-9_]* ' || true)
+	printf 'exported identifiers  internal/%-5s %d\n' "$pkg" "$n"
+done

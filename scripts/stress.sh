@@ -3,7 +3,9 @@
 # path: the headline snapshot-isolation stress tests (concurrent
 # transaction writers vs streaming Plan.Stream readers with background
 # vacuum, the storage property tests, and the wire-level server
-# transaction workload) plus the WAL kill-and-recover suite (a fault is
+# transaction workload), the planner's differential property in its long
+# form (every access path forced, over structures, recursive closures and
+# dirty transaction views) plus the WAL kill-and-recover suite (a fault is
 # injected at every write and fsync of the log, then the directory is
 # recovered and compared against an in-memory twin) run repeatedly under
 # the race detector. Gating: any torn molecule, version-tear,
@@ -29,6 +31,12 @@ go test -race -count="$count" -timeout "$timeout" \
 echo "== plan: writers vs streaming readers stress (race, -count=$count)"
 go test -race -count="$count" -timeout "$timeout" \
 	-run 'TestMVCCStress' ./internal/plan/
+
+# The closure and dirty-view configurations fan a transaction's Eff*
+# reads and the per-round closure loop over the worker pool.
+echo "== plan: forced-path parity over structures, closures and dirty views (race, 1000 checks)"
+go test -race -timeout "$timeout" \
+	-run 'TestForcedPathParityRandom' ./internal/plan/ -quickchecks 1000
 
 echo "== server: concurrent transactions over the wire (race, -count=$count)"
 go test -race -count="$count" -timeout "$timeout" \
