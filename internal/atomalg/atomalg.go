@@ -113,9 +113,9 @@ func inherit(db *storage.Database, operandType, resultName string, prov provenan
 				for _, src := range sources {
 					var partners []model.AtomID
 					if operandOnA {
-						partners = ls.PartnersFromA(src)
+						partners = ls.Partners(src, true)
 					} else {
-						partners = ls.PartnersFromB(src)
+						partners = ls.Partners(src, false)
 					}
 					for _, p := range partners {
 						var err error

@@ -29,33 +29,13 @@ type Deriver struct {
 	fromA  []bool               // per edge: true when edge.From is the link type's side A
 	roots  *storage.Container
 
-	// ts pins every read — root occurrence and link traversals — to one
-	// commit timestamp; zero reads the latest published view. Pinned
-	// derivers come from AtSnapshot and make a whole derivation run
-	// consistent with exactly one commit, no matter how many writers
-	// commit while it streams.
-	ts uint64
-
-	// view, when non-nil, redirects every read through an AtomView — an
-	// alternative consistent read surface such as a transaction's
-	// effective view (begin snapshot plus its own buffered writes). It
-	// takes precedence over ts.
-	view AtomView
-}
-
-// AtomView is an alternative read surface for derivation: a consistent
-// effective view — e.g. a transaction's begin snapshot with its own
-// buffered writes merged over it (storage.Txn) — that the deriver lays
-// the structure template over instead of the committed store.
-type AtomView interface {
-	// EffIDs enumerates the type's effective occurrence in a
-	// deterministic order.
-	EffIDs(typeName string) []model.AtomID
-	// EffAtom resolves one atom through the view.
-	EffAtom(typeName string, id model.AtomID) (model.Atom, bool)
-	// EffPartners returns the partners of id along the named link type,
-	// from side A when fromSideA is set (the side-B view otherwise).
-	EffPartners(linkName string, id model.AtomID, fromSideA bool) []model.AtomID
+	// view is the database every read — root occurrence and link
+	// traversals, downward and upward — looks at: the latest published
+	// commit unless At attached a pinned snapshot or a transaction's
+	// effective view. One view makes a whole derivation run consistent
+	// with exactly one state, no matter how many writers commit while it
+	// streams.
+	view storage.View
 }
 
 // NewDeriver prepares a derivation plan for the description: it resolves
@@ -66,6 +46,7 @@ func NewDeriver(db *storage.Database, desc *Desc) (*Deriver, error) {
 		desc:   desc,
 		stores: make([]*storage.LinkStore, desc.NumEdges()),
 		fromA:  make([]bool, desc.NumEdges()),
+		view:   db.View(0),
 	}
 	for i, e := range desc.Edges() {
 		ls, ok := db.LinkStore(e.Link)
@@ -88,79 +69,32 @@ func NewDeriver(db *storage.Database, desc *Desc) (*Deriver, error) {
 	return dv, nil
 }
 
-// AtSnapshot returns a copy of the deriver pinned to the snapshot's
-// commit timestamp: every root lookup and link traversal resolves
-// against that timestamp, so the derivation can never observe a torn
-// molecule while writers commit concurrently. The copy shares the
-// resolved stores and containers — pinning is free. The snapshot must
-// stay open (un-Closed) for the lifetime of the pinned deriver, since
-// it is what holds vacuum back from the pinned versions.
-func (dv *Deriver) AtSnapshot(s *storage.Snapshot) *Deriver {
-	cp := *dv
-	cp.ts = s.TS()
-	return &cp
-}
-
-// TS reports the commit timestamp the deriver is pinned to (zero =
-// latest view).
-func (dv *Deriver) TS() uint64 { return dv.ts }
-
-// AtView returns a copy of the deriver reading every root occurrence
-// and link traversal through the view instead of the committed store —
-// the read-your-writes derivation path: laying the template over a
-// transaction's effective view derives molecules that include the
-// transaction's own uncommitted inserts, updates and connects. The view
-// must stay valid (the transaction unfinished) for the lifetime of the
-// returned deriver.
-func (dv *Deriver) AtView(v AtomView) *Deriver {
+// At returns a copy of the deriver reading through the view: a pinned
+// snapshot makes the derivation immune to torn molecules under concurrent
+// commits, a transaction's effective view derives molecules that include
+// its own uncommitted inserts, updates and connects (read-your-writes).
+// The copy shares the resolved stores and containers — attaching is free.
+// Whatever keeps the view valid (the snapshot open, the transaction
+// unfinished and not written to) must outlive the returned deriver.
+func (dv *Deriver) At(v storage.View) *Deriver {
 	cp := *dv
 	cp.view = v
 	return &cp
 }
 
-// rootHas and rootIDs dispatch the root-occurrence reads on the pin: the
-// effective view when one is attached, the latest head view when
-// unpinned, the snapshot view at dv.ts otherwise.
-func (dv *Deriver) rootHas(id model.AtomID) bool {
-	if dv.view != nil {
-		_, ok := dv.view.EffAtom(dv.desc.Root(), id)
-		return ok
-	}
-	if dv.ts != 0 {
-		return dv.roots.HasAt(id, dv.ts)
-	}
-	return dv.roots.Has(id)
-}
+// View reports the view the deriver reads through.
+func (dv *Deriver) View() storage.View { return dv.view }
 
-func (dv *Deriver) rootIDs() []model.AtomID {
-	if dv.view != nil {
-		return dv.view.EffIDs(dv.desc.Root())
-	}
-	if dv.ts != 0 {
-		return dv.roots.IDsAt(dv.ts)
-	}
-	return dv.roots.IDs()
-}
+func (dv *Deriver) rootHas(id model.AtomID) bool { return dv.view.Has(dv.roots, id) }
+
+func (dv *Deriver) rootIDs() []model.AtomID { return dv.view.IDs(dv.roots) }
 
 // partners returns the children of atom a along edge ei, honouring the
-// edge's traversal orientation and the deriver's pin, and accounts the
-// logical work: into the scratch tally when sc is non-nil (flushed to
-// the shared stats once per batch), directly into the shared atomic
-// counters otherwise.
+// edge's traversal orientation, and accounts the logical work: into the
+// scratch tally when sc is non-nil (flushed to the shared stats once per
+// batch), directly into the shared atomic counters otherwise.
 func (dv *Deriver) partners(ei int, a model.AtomID, sc *deriveScratch) []model.AtomID {
-	var out []model.AtomID
-	switch {
-	case dv.view != nil:
-		out = dv.view.EffPartners(dv.stores[ei].Name(), a, dv.fromA[ei])
-	case dv.ts != 0 && dv.fromA[ei]:
-		out = dv.stores[ei].PartnersFromAAt(a, dv.ts)
-	case dv.ts != 0:
-		out = dv.stores[ei].PartnersFromBAt(a, dv.ts)
-	case dv.fromA[ei]:
-		out = dv.stores[ei].PartnersFromA(a)
-	default:
-		out = dv.stores[ei].PartnersFromB(a)
-	}
+	out := dv.view.Partners(dv.stores[ei], a, dv.fromA[ei])
 	if sc != nil {
 		sc.work.LinksTraversed += int64(len(out)) + 1
 	} else {

@@ -81,19 +81,13 @@ type Binding struct {
 	DB *storage.Database
 	M  *Molecule
 
-	// TS pins attribute fetches to one commit timestamp (zero = latest
-	// view). Streamed executions set it to their cursor's snapshot so a
-	// molecule derived at that snapshot is also *evaluated* against it —
-	// a concurrent UPDATE can never make a residual predicate judge a
-	// molecule against values from a different commit than its structure.
-	TS uint64
-
-	// Lookup, when non-nil, overrides component-atom reads entirely:
-	// attribute fetches resolve through it instead of the container (and
-	// TS is ignored). The read-your-writes query path sets it to a
-	// transaction's EffAtom so predicates judge molecules against the
-	// same effective view their structure was derived from.
-	Lookup func(typeName string, id model.AtomID) (model.Atom, bool)
+	// View is the database attribute fetches look at; the zero View reads
+	// the latest published commit. Streamed executions set it to the view
+	// their molecules were derived through — the cursor's snapshot, or the
+	// transaction's effective view — so a molecule is *evaluated* against
+	// the same state as its structure: a concurrent UPDATE can never make
+	// a residual predicate judge it against values from another commit.
+	View storage.View
 }
 
 // ResolveUnqualified finds the unique component type of the structure
@@ -146,22 +140,9 @@ func (b Binding) Resolve(typeName, attr string) ([]model.Value, error) {
 		return nil, fmt.Errorf("expr: atom type %q has no attribute %q", typeName, attr)
 	}
 	ids := b.M.AtomsAt(pos)
-	out := make([]model.Value, 0, len(ids))
-	for _, id := range ids {
-		var a model.Atom
-		var ok bool
-		switch {
-		case b.Lookup != nil:
-			a, ok = b.Lookup(typeName, id)
-		case b.TS != 0:
-			a, ok = c.GetAt(id, b.TS)
-		default:
-			a, ok = c.Get(id)
-		}
-		if !ok {
-			return nil, fmt.Errorf("expr: component atom %v missing from %q", id, typeName)
-		}
-		out = append(out, a.Get(i))
+	out, ok := b.View.Attr(c, ids, i)
+	if !ok {
+		return nil, fmt.Errorf("expr: component atom %v missing from %q", ids[len(out)], typeName)
 	}
 	b.DB.Stats().AtomsFetched.Add(int64(len(ids)))
 	return out, nil

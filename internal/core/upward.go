@@ -30,17 +30,7 @@ import (
 // reversal of partners — accounting the logical work both in the shared
 // statistics and in the caller's climb counter.
 func (dv *Deriver) parents(ei int, a model.AtomID, climbed *int64) []model.AtomID {
-	var out []model.AtomID
-	switch {
-	case dv.ts != 0 && dv.fromA[ei]:
-		out = dv.stores[ei].PartnersFromBAt(a, dv.ts)
-	case dv.ts != 0:
-		out = dv.stores[ei].PartnersFromAAt(a, dv.ts)
-	case dv.fromA[ei]:
-		out = dv.stores[ei].PartnersFromB(a)
-	default:
-		out = dv.stores[ei].PartnersFromA(a)
-	}
+	out := dv.view.Partners(dv.stores[ei], a, !dv.fromA[ei])
 	steps := int64(len(out)) + 1
 	dv.db.Stats().LinksTraversed.Add(steps)
 	*climbed += steps

@@ -174,6 +174,26 @@ func TestRecoverRootsDiamondSuperset(t *testing.T) {
 		t.Fatalf("pruned derivation from over-approximated root: %d survived, err=%v, want pruned", survived, err)
 	}
 
+	// The climb reads the view the deriver is attached to, like the
+	// derivation does: a root a transaction inserted and connected to x1
+	// is recovered through the transaction's view, and only through it.
+	txn := db.Begin()
+	defer txn.Rollback()
+	r3, err := txn.InsertAtom("r", model.Int(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Connect("rx", r3, x1); err != nil {
+		t.Fatal(err)
+	}
+	roots, err = dv.At(txn.View()).RecoverRoots(zPos, []model.AtomID{z1})
+	if err != nil || !slices.Equal(roots, []model.AtomID{r1, r3}) {
+		t.Fatalf("RecoverRoots(z1) through the transaction's view = %v, %v, want [%v %v]", roots, err, r1, r3)
+	}
+	if roots, _ = dv.RecoverRoots(zPos, []model.AtomID{z1}); !slices.Equal(roots, []model.AtomID{r1}) {
+		t.Fatalf("RecoverRoots(z1) on the committed state = %v, want [%v]", roots, r1)
+	}
+
 	// Out-of-range position errors.
 	if _, err := dv.RecoverRoots(99, nil); err == nil {
 		t.Fatal("out-of-range position must fail")

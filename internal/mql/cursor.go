@@ -65,9 +65,9 @@ func WithNoCache() QueryOption {
 type Cursor struct {
 	db     *storage.Database
 	stream *plan.Stream
-	// view is the session's transaction while it holds buffered writes:
-	// drained values then resolve through its effective view.
-	view *storage.Txn
+	// view is what the stream reads through; drained values resolve
+	// through it too.
+	view storage.View
 	// desc is the delivered structure (the projected sub-description
 	// when the SELECT list narrows); sub is non-nil when each molecule
 	// must be pruned to it before delivery.
@@ -142,11 +142,11 @@ func (s *Session) selectCursor(ctx context.Context, sel *SelectStmt, desc *core.
 	if err != nil {
 		return nil, err
 	}
-	c := &Cursor{db: s.db, stream: stream, view: s.view(), desc: desc, sub: sub, attrs: attrs}
+	c := &Cursor{db: s.db, stream: stream, view: s.view(stream.SnapshotTS()), desc: desc, sub: sub, attrs: attrs}
 	if sub != nil {
 		c.desc = sub
 	}
-	if c.view == nil {
+	if !s.dirty() {
 		return c, nil
 	}
 	// A storage.Txn is not safe for use concurrent with the session's next
@@ -268,7 +268,7 @@ func (c *Cursor) Result() (*Result, error) {
 				if _, done := atoms[id]; done {
 					continue
 				}
-				if a, ok := readAtomIn(c.view, cont, typeName, id, ts); ok {
+				if a, ok := c.view.Atom(cont, id); ok {
 					atoms[id] = a
 				}
 			}
@@ -276,16 +276,6 @@ func (c *Cursor) Result() (*Result, error) {
 		set = append(set, m)
 	}
 	return &Result{Kind: RMolecules, Set: set, Desc: c.desc, Attrs: c.attrs, TS: ts, atoms: atoms}, nil
-}
-
-// readAtomIn reads one atom of the container's type through a session's
-// read view: the transaction's effective view when one is given, the
-// committed state at ts otherwise.
-func readAtomIn(view *storage.Txn, c *storage.Container, typeName string, id model.AtomID, ts uint64) (model.Atom, bool) {
-	if view != nil {
-		return view.EffAtom(typeName, id)
-	}
-	return c.GetAt(id, ts)
 }
 
 // Close cancels an in-flight SELECT, waits for its workers to wind down

@@ -58,14 +58,18 @@ func (s *Session) DB() *storage.Database { return s.db }
 // InTxn reports whether a BEGIN transaction is open on the session.
 func (s *Session) InTxn() bool { return s.txn != nil }
 
-// view is the open transaction while it holds buffered writes — the
-// effective view the session's reads then resolve through — and nil
-// otherwise (reads resolve against one commit timestamp).
-func (s *Session) view() *storage.Txn {
-	if s.txn != nil && s.txn.Dirty() {
-		return s.txn
+// dirty reports whether the session's reads resolve through an open
+// transaction's buffered writes, which only a full scan can enter.
+func (s *Session) dirty() bool { return s.txn != nil && s.txn.Dirty() }
+
+// view is what the session's reads resolve through: the open
+// transaction's effective view, else the committed state at ts — zero for
+// the latest commit, a stream's SnapshotTS for the snapshot it pinned.
+func (s *Session) view(ts uint64) storage.View {
+	if s.txn != nil {
+		return s.txn.View()
 	}
-	return nil
+	return s.db.View(ts)
 }
 
 // Close releases the session's resources: an open transaction is rolled
@@ -236,7 +240,7 @@ func (s *Session) execBegin() (*Result, error) {
 	}
 	s.txn = s.db.Begin()
 	return &Result{Kind: RMessage, Message: fmt.Sprintf(
-		"transaction started (snapshot at commit %d)", s.txn.SnapshotTS())}, nil
+		"transaction started (snapshot at commit %d)", s.txn.View().TS())}, nil
 }
 
 // execCommit installs the open transaction's buffered mutations
@@ -439,7 +443,7 @@ func (s *Session) planSelect(st *SelectStmt, desc *core.Desc, o queryOpts) (*pla
 		err error
 	)
 	switch {
-	case s.view() != nil:
+	case s.dirty():
 		p, err = plan.CompileForced(s.db, desc, st.Where, order, "full scan of "+desc.Root())
 	case s.noCache || o.noCache:
 		p, err = plan.CompileOrdered(s.db, desc, st.Where, order)
@@ -522,7 +526,7 @@ func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc
 		return nil, err
 	}
 	defer stream.Close()
-	view, ts := s.view(), stream.SnapshotTS()
+	view := s.view(stream.SnapshotTS())
 	counts := make(map[model.Key]*GroupCount)
 	for {
 		m, err := stream.Next()
@@ -532,7 +536,7 @@ func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc
 		if m == nil {
 			break
 		}
-		a, ok := readAtomIn(view, c, desc.Root(), m.Root(), ts)
+		a, ok := view.Atom(c, m.Root())
 		if !ok {
 			continue
 		}
@@ -791,15 +795,10 @@ func (s *Session) matchAtoms(typeName string, pred expr.Expr) ([]model.Atom, err
 	var evalErr error
 	// Inside a transaction DML predicates match the effective view —
 	// begin snapshot plus this transaction's own buffered writes — so a
-	// statement can target atoms the transaction just inserted (SELECTs
-	// stay on the begin snapshot; see ExecuteStream).
-	var scanErr error
-	scan := c.Scan
-	if s.txn != nil {
-		txn := s.txn
-		scan = func(fn func(model.Atom) bool) { scanErr = txn.ScanEff(typeName, fn) }
-	}
-	scan(func(a model.Atom) bool {
+	// statement can target atoms the transaction just inserted.
+	scanned := int64(0)
+	s.view(0).Scan(c, func(a model.Atom) bool {
+		scanned++
 		keep, err := expr.EvalPredicate(pred, expr.AtomBinding{TypeName: typeName, Desc: c.Desc(), Atom: a})
 		if err != nil {
 			evalErr = err
@@ -810,8 +809,11 @@ func (s *Session) matchAtoms(typeName string, pred expr.Expr) ([]model.Atom, err
 		}
 		return true
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	if s.txn != nil {
+		// Work accounting: a transaction's DML scan counts as atom fetches
+		// (commit-mix-writer's traced storage.atom_fetches_per_molecule
+		// reads it); an auto-commit statement's scan is not booked.
+		s.db.Stats().AtomsFetched.Add(scanned)
 	}
 	return out, evalErr
 }

@@ -38,7 +38,7 @@ func (r *Result) Render(db *storage.Database) string {
 		var b strings.Builder
 		b.WriteString(RenderSummary(len(r.Set), r.Desc))
 		for i, m := range r.Set {
-			b.WriteString(renderMolecule(db, r.TS, i+1, m, r.Attrs, r.atoms))
+			b.WriteString(renderMolecule(db, db.View(r.TS), i+1, m, r.Attrs, r.atoms))
 		}
 		return b.String()
 	}
@@ -69,19 +69,19 @@ func RenderMolecule(db *storage.Database, i int, m *core.Molecule, attrs map[str
 // commit timestamp ts (zero = latest view), so a molecule derived at a
 // snapshot renders the values of that same commit.
 func RenderMoleculeAt(db *storage.Database, ts uint64, i int, m *core.Molecule, attrs map[string][]string) string {
-	return renderMolecule(db, ts, i, m, attrs, nil)
+	return renderMolecule(db, db.View(ts), i, m, attrs, nil)
 }
 
 // renderMolecule renders the i-th molecule's header and body: an indented
 // component tree, or — for a recursive molecule — its levels. Atom values
-// come from cache (resolved while the result's snapshot was still pinned)
-// before a database read at ts.
-func renderMolecule(db *storage.Database, ts uint64, i int, m *core.Molecule, attrs map[string][]string, cache map[model.AtomID]model.Atom) string {
+// come from cache (resolved while the result's view was still valid)
+// before a read through view.
+func renderMolecule(db *storage.Database, view storage.View, i int, m *core.Molecule, attrs map[string][]string, cache map[model.AtomID]model.Atom) string {
 	var b strings.Builder
 	levels := m.Levels()
 	if levels == nil {
 		fmt.Fprintf(&b, "-- molecule %d (%d atoms, %d links)\n", i, m.Size(), m.NumLinks())
-		b.WriteString(formatMolecule(db, ts, m, attrs, cache))
+		b.WriteString(formatMolecule(db, view, m, attrs, cache))
 		return b.String()
 	}
 	fmt.Fprintf(&b, "-- molecule %d (root %s, %d atoms, depth %d)\n", i, m.Root(), m.Size(), len(levels)-1)
@@ -89,7 +89,11 @@ func renderMolecule(db *storage.Database, ts uint64, i int, m *core.Molecule, at
 	for depth, level := range levels {
 		fmt.Fprintf(&b, "level %d:", depth)
 		for _, id := range level {
-			if a, ok := readAtom(c, ts, id, cache); ok {
+			a, ok := cache[id]
+			if !ok && c != nil {
+				a, ok = view.Atom(c, id)
+			}
+			if ok {
 				fmt.Fprintf(&b, " %s", a.Get(0))
 			} else {
 				fmt.Fprintf(&b, " %s", id)
@@ -100,32 +104,16 @@ func renderMolecule(db *storage.Database, ts uint64, i int, m *core.Molecule, at
 	return b.String()
 }
 
-// readAtom resolves one atom for rendering: from cache when the drain
-// resolved it, else from its container (nil = none) at ts (zero = latest
-// view).
-func readAtom(c *storage.Container, ts uint64, id model.AtomID, cache map[model.AtomID]model.Atom) (model.Atom, bool) {
-	if a, ok := cache[id]; ok {
-		return a, true
-	}
-	if c == nil {
-		return model.Atom{}, false
-	}
-	if ts != 0 {
-		return c.GetAt(id, ts)
-	}
-	return c.Get(id)
-}
-
 // formatMolecule renders one molecule as an indented tree honouring the
 // projection's attribute narrowing.
-func formatMolecule(db *storage.Database, ts uint64, m *core.Molecule, attrs map[string][]string, cache map[model.AtomID]model.Atom) string {
+func formatMolecule(db *storage.Database, view storage.View, m *core.Molecule, attrs map[string][]string, cache map[model.AtomID]model.Atom) string {
 	var b strings.Builder
 	d := m.Desc()
 	printed := make(map[model.AtomID]bool)
 	var rec func(typeName string, id model.AtomID, depth int)
 	rec = func(typeName string, id model.AtomID, depth int) {
 		b.WriteString(strings.Repeat("  ", depth))
-		label := renderAtom(db, ts, typeName, id, attrs[typeName], cache)
+		label := renderAtom(db, view, typeName, id, attrs[typeName], cache)
 		if printed[id] {
 			fmt.Fprintf(&b, "^%s: %s (shared)\n", typeName, label)
 			return
@@ -146,14 +134,17 @@ func formatMolecule(db *storage.Database, ts uint64, m *core.Molecule, attrs map
 }
 
 // renderAtom renders one atom with (possibly narrowed) attributes,
-// preferring values from cache (resolved while the result's snapshot was
-// pinned) over a database read at ts.
-func renderAtom(db *storage.Database, ts uint64, typeName string, id model.AtomID, attrs []string, cache map[model.AtomID]model.Atom) string {
+// preferring values from cache (resolved while the result's view was
+// valid) over a read through view.
+func renderAtom(db *storage.Database, view storage.View, typeName string, id model.AtomID, attrs []string, cache map[model.AtomID]model.Atom) string {
 	c, ok := db.Container(typeName)
 	if !ok {
 		return id.String()
 	}
-	a, ok := readAtom(c, ts, id, cache)
+	a, ok := cache[id]
+	if !ok {
+		a, ok = view.Atom(c, id)
+	}
 	if !ok {
 		return id.String()
 	}

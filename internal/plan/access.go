@@ -222,8 +222,8 @@ func (cc *contest) climb(typeName string, entries int) (recovered int, cost floa
 	return recovered, cost, upPath, perEntry, src
 }
 
-// readIndex reads the index on typeName.attr at the deriver's pinned
-// timestamp: the posting list of key, or with walk set a key-ordered walk
+// readIndex reads the index on typeName.attr through the deriver's
+// view: the posting list of key, or with walk set a key-ordered walk
 // of the ordered index view inside the access node's range bounds (none
 // set walks every key). Keys below the low bound are skipped, the walk
 // stops past the high bound, and a ranged access never admits null keys
@@ -235,11 +235,11 @@ func (p *Plan) readIndex(dv *core.Deriver, typeName, attr string, key model.Valu
 	var out []model.AtomID
 	var ok bool
 	if !walk {
-		out, ok = p.db.IndexLookupAt(typeName, attr, key, dv.TS())
+		out, ok = dv.View().IndexLookup(typeName, attr, key)
 	} else {
 		a := &p.Access
 		descending := keyOrder && p.Order != nil && p.Order.Desc
-		ok = p.db.IndexOrderedAt(typeName, attr, dv.TS(), descending, func(v model.Value, ids []model.AtomID) bool {
+		ok = dv.View().IndexOrdered(typeName, attr, descending, func(v model.Value, ids []model.AtomID) bool {
 			if a.Ranged && v.IsNull() {
 				return true
 			}

@@ -86,6 +86,15 @@ type parityCase struct {
 	same  func(got *core.Molecule) bool
 }
 
+// view is what the case's oracle reads through: the open transaction's
+// effective view, the latest commit without one.
+func (c *parityCase) view() storage.View {
+	if c.txn != nil {
+		return c.txn.View()
+	}
+	return c.db.View(0)
+}
+
 // closureDB generates a random reflexive graph — self-loops, cycles and
 // reconvergent paths included — over one atom type with the layered
 // generator's attributes (v from a small domain, w for ordering).
@@ -126,7 +135,8 @@ func dirty(rng *rand.Rand, db *storage.Database, desc *core.Desc) *storage.Txn {
 		return []model.Value{model.Int(int64(rng.Intn(4))), model.Float(rng.Float64() * 100)}
 	}
 	pick := func(typeName string) (model.AtomID, bool) {
-		ids := txn.EffIDs(typeName)
+		c, _ := db.Container(typeName)
+		ids := txn.View().IDs(c)
 		if len(ids) == 0 {
 			return 0, false
 		}
@@ -165,13 +175,13 @@ func dirty(rng *rand.Rand, db *storage.Database, desc *core.Desc) *storage.Txn {
 // viewClosure is the dirty-view closure oracle: the recursive molecule of
 // root over the comp link as the transaction sees it — level by level,
 // every atom at the level it is first reached, every traversed link kept.
-func viewClosure(txn *storage.Txn, root model.AtomID, up bool, depth int) *recursive.Molecule {
+func viewClosure(view storage.View, comp *storage.LinkStore, root model.AtomID, up bool, depth int) *recursive.Molecule {
 	m := &recursive.Molecule{Root: root, Levels: [][]model.AtomID{{root}}}
 	seen := map[model.AtomID]bool{root: true}
 	for d := 1; depth == 0 || d <= depth; d++ {
 		var next []model.AtomID
 		for _, a := range m.Levels[d-1] {
-			for _, b := range txn.EffPartners("comp", a, !up) {
+			for _, b := range view.Partners(comp, a, !up) {
 				m.Links = append(m.Links, model.Link{A: a, B: b})
 				if !seen[b] {
 					seen[b] = true
@@ -199,10 +209,7 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 		cont, _ := c.db.Container(root)
 		pos, _ := cont.Desc().Lookup(c.order.Attr)
 		key := func(id model.AtomID) model.Value {
-			a, ok := cont.Get(id)
-			if c.txn != nil {
-				a, ok = c.txn.EffAtom(root, id)
-			}
+			a, ok := c.view().Atom(cont, id)
 			if !ok {
 				t.Fatalf("seed %d: oracle root %v vanished", seed, id)
 			}
@@ -303,8 +310,9 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 //     Links;
 //   - dirty views: either kind of structure inside a transaction holding
 //     random buffered writes, the stream opened over its effective view;
-//     oracle Deriver.AtView(txn).Walk + EvalPredicate reading EffAtom for
-//     a structure, a breadth-first walk over EffPartners for a closure.
+//     oracle Deriver.At(txn.View()).Walk + EvalPredicate reading through
+//     the same view for a structure, a breadth-first walk over the
+//     view's Partners for a closure.
 //
 // Run with -quickchecks 1000 for the long form.
 func TestForcedPathParityRandom(t *testing.T) {
@@ -339,11 +347,8 @@ func TestForcedPathParityRandom(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if c.txn != nil {
-			dv = dv.AtView(c.txn)
-		}
 		want := make(map[model.AtomID]*core.Molecule)
-		dv.Walk(func(m *core.Molecule) bool {
+		dv.At(c.view()).Walk(func(m *core.Molecule) bool {
 			var keep bool
 			if keep, err = judge(m); keep {
 				c.roots = append(c.roots, m.Root())
@@ -375,11 +380,10 @@ func TestForcedPathParityRandom(t *testing.T) {
 			return c, err
 		}
 		shape(rng, &c)
-		b := core.Binding{DB: db}
 		if inTxn {
 			c.txn = dirty(rng, db, c.desc)
-			b.Lookup = c.txn.EffAtom
 		}
+		b := core.Binding{DB: db, View: c.view()}
 		return c, walk(&c, func(m *core.Molecule) (bool, error) {
 			b.M = m
 			return expr.EvalPredicate(c.pred, b)
@@ -412,19 +416,18 @@ func TestForcedPathParityRandom(t *testing.T) {
 		// derivation over the committed state, a plain breadth-first walk
 		// over the transaction's effective partners inside one.
 		cont, _ := db.Container("part")
-		ids, lookup, derive := cont.IDs(), cont.Get, rt.DeriveFor
+		comp, _ := db.LinkStore("comp")
+		derive := rt.DeriveFor
 		if inTxn {
 			c.txn = dirty(rng, db, desc)
-			ids = c.txn.EffIDs("part")
-			lookup = func(id model.AtomID) (model.Atom, bool) { return c.txn.EffAtom("part", id) }
 			derive = func(root model.AtomID) (*recursive.Molecule, error) {
-				return viewClosure(c.txn, root, up, depth), nil
+				return viewClosure(c.view(), comp, root, up, depth), nil
 			}
 		}
 		want := make(map[model.AtomID]*recursive.Molecule)
-		for _, id := range ids {
+		for _, id := range c.view().IDs(cont) {
 			// The qualification of a recursive molecule judges its root atom.
-			a, _ := lookup(id)
+			a, _ := c.view().Atom(cont, id)
 			keep, err := expr.EvalPredicate(c.pred, expr.AtomBinding{TypeName: "part", Desc: cont.Desc(), Atom: a})
 			if err != nil {
 				return c, err

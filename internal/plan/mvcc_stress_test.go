@@ -212,6 +212,8 @@ func TestMVCCStressWritersVsStreamingReaders(t *testing.T) {
 	// Readers: each opens fresh streaming cursors against the shared
 	// database and checks every delivered molecule against the snapshot
 	// it is pinned to.
+	rootC, _ := db.Container("root")
+	leafC, _ := db.Container("leaf")
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -250,7 +252,7 @@ func TestMVCCStressWritersVsStreamingReaders(t *testing.T) {
 					}
 					// Read every atom back at the cursor's snapshot
 					// timestamp: all must exist and agree on "v".
-					ra, ok := db.GetAtomAt("root", roots[0], ts)
+					ra, ok := db.View(ts).Atom(rootC, roots[0])
 					if !ok {
 						errc <- fmt.Errorf("reader %d ts %d: root %s vanished from snapshot", r, ts, roots[0])
 						st.Close()
@@ -258,7 +260,7 @@ func TestMVCCStressWritersVsStreamingReaders(t *testing.T) {
 					}
 					want := ra.Get(1)
 					for _, l := range leaves {
-						la, ok := db.GetAtomAt("leaf", l, ts)
+						la, ok := db.View(ts).Atom(leafC, l)
 						if !ok {
 							errc <- fmt.Errorf("reader %d ts %d: leaf %s vanished from snapshot", r, ts, l)
 							st.Close()

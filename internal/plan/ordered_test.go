@@ -31,9 +31,9 @@ func orderedReference(t *testing.T, db *storage.Database, rootType string, full 
 	if !ok {
 		t.Fatalf("no attribute %q on %q", order.Attr, rootType)
 	}
-	ts := db.LatestTS()
+	view := db.View(db.LatestTS())
 	key := func(id model.AtomID) model.Value {
-		a, ok := c.GetAt(id, ts)
+		a, ok := view.Atom(c, id)
 		if !ok {
 			t.Fatalf("root %d vanished", id)
 		}

@@ -738,17 +738,17 @@ func (b *evalErrBox) get() error {
 }
 
 // atomPred compiles a conjunct into a per-atom predicate over the named
-// type, reading atom values through rd. Evaluation errors surface
+// type, reading atom values through view. Evaluation errors surface
 // through eb (first one wins); the returned predicate is safe for
 // concurrent use.
-func (p *Plan) atomPred(typeName string, conjunct expr.Expr, eb *evalErrBox, rd reader) (func(model.AtomID) bool, error) {
+func (p *Plan) atomPred(typeName string, conjunct expr.Expr, eb *evalErrBox, view storage.View) (func(model.AtomID) bool, error) {
 	c, ok := p.db.Container(typeName)
 	if !ok {
 		return nil, fmt.Errorf("plan: atom type %q has no container", typeName)
 	}
 	desc := c.Desc()
 	return func(id model.AtomID) bool {
-		a, ok := rd.atom(c, typeName, id)
+		a, ok := view.Atom(c, id)
 		if !ok {
 			return false
 		}
@@ -841,11 +841,11 @@ func (p *Plan) resetActuals() {
 // prepareRoots runs the access path and the pre-derivation root filter,
 // returning the root batch entering derivation; cancelling ctx abandons
 // the filter.
-func (p *Plan) prepareRoots(ctx context.Context, dv *core.Deriver, rd reader, eb *evalErrBox) ([]model.AtomID, error) {
+func (p *Plan) prepareRoots(ctx context.Context, dv *core.Deriver, eb *evalErrBox) ([]model.AtomID, error) {
 	var rootFilter func(model.AtomID) bool
 	var err error
 	if p.Access.Filter != nil {
-		rootFilter, err = p.atomPred(p.Access.Root, p.Access.Filter, eb, rd)
+		rootFilter, err = p.atomPred(p.Access.Root, p.Access.Filter, eb, dv.View())
 		if err != nil {
 			return nil, err
 		}
@@ -994,7 +994,7 @@ func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error
 		}
 		return n, nil
 	}
-	dv, rd, own, err := p.open(txn)
+	dv, own, err := p.open(txn)
 	if err != nil {
 		return 0, err
 	}
@@ -1002,7 +1002,7 @@ func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error
 		defer own.Close()
 	}
 	p.resetActuals()
-	roots, err := p.prepareRoots(ctx, dv, rd, &evalErrBox{})
+	roots, err := p.prepareRoots(ctx, dv, &evalErrBox{})
 	if err != nil {
 		return 0, err
 	}

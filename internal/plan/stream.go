@@ -44,14 +44,14 @@ type Stream struct {
 	p      *Plan
 	cancel context.CancelFunc
 
-	// rd is the consistent view the whole run reads through: every
+	// view is the consistent view the whole run reads through: every
 	// access-path lookup, derivation step, residual evaluation and ORDER
 	// BY key resolves against it, however many writers commit while the
 	// stream drains. own is the snapshot the stream pinned itself,
 	// released when the stream ends; nil when it reads through a
 	// transaction, whose begin snapshot stays the transaction's to close.
-	rd  reader
-	own *storage.Snapshot
+	view storage.View
+	own  *storage.Snapshot
 
 	batches chan core.MoleculeSet
 	errc    chan error
@@ -65,46 +65,26 @@ type Stream struct {
 // SnapshotTS reports the commit timestamp the stream's results are
 // consistent with: every molecule the cursor delivers was derived and
 // filtered against this one committed state.
-func (st *Stream) SnapshotTS() uint64 { return st.rd.ts }
+func (st *Stream) SnapshotTS() uint64 { return st.view.TS() }
 
-// reader is the read view one execution runs against: one commit
-// timestamp, or — view set — a transaction's effective view (its begin
-// snapshot at ts with its own buffered writes merged over it).
-type reader struct {
-	ts   uint64
-	view core.AtomView
-}
-
-// atom reads one atom of the container's type through the view.
-func (rd reader) atom(c *storage.Container, typeName string, id model.AtomID) (model.Atom, bool) {
-	if rd.view != nil {
-		return rd.view.EffAtom(typeName, id)
-	}
-	return c.GetAt(id, rd.ts)
-}
-
-// open resolves the view an execution of the plan inside txn reads
-// through and pins a deriver to it: the latest commit when txn is nil
-// (the returned snapshot is the caller's to close), the transaction's
-// begin snapshot while it is clean, its effective view once it holds
-// buffered writes. Index postings hold committed versions only, so only a
-// plan entering by the plain container scan may open a dirty view.
-func (p *Plan) open(txn *storage.Txn) (dv *core.Deriver, rd reader, own *storage.Snapshot, err error) {
+// open pins a deriver to the view an execution of the plan inside txn
+// reads through: the latest commit when txn is nil (the returned snapshot
+// is the caller's to close), otherwise the transaction's view — its begin
+// snapshot while it is clean, its effective view once it holds buffered
+// writes. Index postings hold committed versions only, so only a plan
+// entering by the plain container scan may open a dirty view.
+func (p *Plan) open(txn *storage.Txn) (dv *core.Deriver, own *storage.Snapshot, err error) {
 	if dv, err = core.NewDeriver(p.db, p.desc); err != nil {
-		return nil, rd, nil, err
+		return nil, nil, err
 	}
 	if txn == nil {
 		own = p.db.Snapshot()
-		return dv.AtSnapshot(own), reader{ts: own.TS()}, own, nil
+		return dv.At(own.View), own, nil
 	}
-	dv, rd = dv.AtSnapshot(txn.Snapshot()), reader{ts: txn.SnapshotTS()}
-	if txn.Dirty() {
-		if p.path != (scan{}) {
-			return nil, rd, nil, errors.New("plan: a transaction's uncommitted writes are only reachable by a full scan (compile with CompileForced)")
-		}
-		dv, rd.view = dv.AtView(txn), txn
+	if txn.Dirty() && p.path != (scan{}) {
+		return nil, nil, errors.New("plan: a transaction's uncommitted writes are only reachable by a full scan (compile with CompileForced)")
 	}
-	return dv, rd, nil, nil
+	return dv.At(txn.View()), nil, nil
 }
 
 // Stream starts executing the plan and returns the result cursor. The
@@ -138,11 +118,11 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 	}
 	fb := feedbackLookup(p.db)
 	p.applyFeedback(fb)
-	dv, rd, own, err := p.open(txn)
+	dv, own, err := p.open(txn)
 	if err != nil {
 		return nil, err
 	}
-	if rd.view != nil {
+	if txn != nil && txn.Dirty() {
 		fb = nil // the run observes uncommitted state: it teaches the store nothing
 	}
 	p.resetActuals()
@@ -155,7 +135,7 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 	eb := &evalErrBox{}
 	preds := make([]func(model.AtomID) bool, len(p.Pushdowns))
 	for i := range p.Pushdowns {
-		preds[i], err = p.atomPred(p.Pushdowns[i].Type, p.Pushdowns[i].Conjunct, eb, rd)
+		preds[i], err = p.atomPred(p.Pushdowns[i].Type, p.Pushdowns[i].Conjunct, eb, dv.View())
 		if err != nil {
 			if own != nil {
 				own.Close()
@@ -168,7 +148,7 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 	st := &Stream{
 		p:       p,
 		cancel:  cancel,
-		rd:      rd,
+		view:    dv.View(),
 		own:     own,
 		batches: make(chan core.MoleculeSet, streamBufBatches),
 		errc:    make(chan error, 1),
@@ -266,7 +246,7 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 	defer close(st.batches)
 	p := st.p
 
-	roots, err := p.prepareRoots(ctx, dv, st.rd, eb)
+	roots, err := p.prepareRoots(ctx, dv, eb)
 	if err != nil {
 		st.errc <- err
 		return
@@ -289,7 +269,7 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 			return
 		}
 		keyOf = func(id model.AtomID) (model.Value, bool) {
-			a, ok := st.rd.atom(c, p.Access.Root, id)
+			a, ok := st.view.Atom(c, id)
 			if !ok {
 				var zero model.Value
 				return zero, false
@@ -359,10 +339,11 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 				return false
 			}
 			ws.derived++
-			b := core.Binding{DB: p.db, M: m, TS: st.rd.ts}
-			if st.rd.view != nil {
-				b.Lookup = st.rd.view.EffAtom
+			if len(p.Residuals) == 0 {
+				return true
 			}
+			// Boxed once per molecule, not once per conjunct evaluated.
+			var b expr.Binding = core.Binding{DB: p.db, M: m, View: st.view}
 			for i := range p.Residuals {
 				ws.evals[i]++
 				var t0 time.Time

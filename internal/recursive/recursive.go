@@ -126,9 +126,9 @@ func (t *Type) DeriveFor(root model.AtomID) (*Molecule, error) {
 		for _, a := range frontier {
 			var partners []model.AtomID
 			if t.Up {
-				partners = ls.PartnersFromB(a)
+				partners = ls.Partners(a, false)
 			} else {
-				partners = ls.PartnersFromA(a)
+				partners = ls.Partners(a, true)
 			}
 			t.db.Stats().LinksTraversed.Add(int64(len(partners)) + 1)
 			for _, p := range partners {

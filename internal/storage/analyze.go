@@ -45,7 +45,7 @@ func (db *Database) Analyze(typeNames ...string) (int, error) {
 	// invalidates the plans costed against the old ones.
 	containers := make([]*Container, len(typeNames))
 	for i, name := range typeNames {
-		c, ok := db.containerByName(name)
+		c, ok := db.containers[name]
 		if !ok {
 			return 0, fmt.Errorf("storage: unknown atom type %q", name)
 		}
@@ -141,7 +141,7 @@ func (db *Database) maybeAutoAnalyze(typeName string) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	c, ok := db.containerByName(typeName)
+	c, ok := db.containers[typeName]
 	if !ok {
 		return
 	}

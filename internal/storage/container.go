@@ -5,49 +5,25 @@
 // (Section 3.1). Together with a catalog.Schema it realizes the "atom
 // networks" that molecule derivation is laid over.
 //
-// Since the MVCC refactor every occurrence is versioned: each atom, link
-// partner list and index posting is the head of an immutable version chain
-// stamped with the commit timestamp that installed it. Readers resolve a
-// chain against a timestamp — either the database's published commit
-// timestamp (the "latest" view every legacy method serves) or a pinned
-// Snapshot — and therefore never block behind writers; writers serialize
-// on the database's commit mutex and publish atomically by advancing the
-// shared clock.
+// Every occurrence is versioned: each atom, link partner list and index
+// posting is the head of an immutable version chain (chain.go) stamped
+// with the commit timestamp that installed it. Which occurrence a read
+// sees is decided once, by the View it reads through (view.go) — the
+// latest published commit, a pinned Snapshot, or a transaction's
+// effective view — so readers never block behind writers; how a write
+// becomes a version is decided once too, by applyOp (apply.go), which
+// auto-commits, Txn.Commit and WAL replay all run under the database's
+// commit mutex.
 package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"mad/internal/model"
 )
-
-// verAtom is one version of an atom: the value it had from commit ts
-// until the next version's commit, or a tombstone when deleted is set.
-// Nodes are immutable once linked into a chain — mutation pushes a new
-// head — except for prev, which vacuum severs under the write latch.
-type verAtom struct {
-	atom    model.Atom
-	ts      uint64
-	deleted bool
-	prev    *verAtom
-}
-
-// visibleAtom resolves a chain against a read timestamp: the newest
-// version whose commit timestamp is ≤ ts. ok=false when the atom did not
-// exist (or was deleted) at that time.
-func visibleAtom(v *verAtom, ts uint64) (model.Atom, bool) {
-	for ; v != nil; v = v.prev {
-		if v.ts <= ts {
-			if v.deleted {
-				return model.Atom{}, false
-			}
-			return v.atom, true
-		}
-	}
-	return model.Atom{}, false
-}
 
 // Container holds the occurrence of one atom type: a set of atoms in
 // stable insertion order with O(1) lookup by identifier, versioned so
@@ -59,37 +35,33 @@ func visibleAtom(v *verAtom, ts uint64) (model.Atom, bool) {
 // occurrences — the very same atoms, so subobject sharing stays literal.
 // Only natively inserted atoms draw fresh identifiers from this
 // container's sequence.
+//
+// The exported readers serve the latest published commit; a View reads
+// the same chains at its own timestamp.
 type Container struct {
 	typeName string
 	num      model.TypeNum
 	desc     *model.Desc
-	clock    *atomic.Uint64 // published commit timestamp (shared with the database)
+	clock    *atomic.Uint64 // the database's published commit timestamp
 
 	latch sync.RWMutex
-	order []model.AtomID            // append-only insertion order; may hold vacuumed ids
-	index map[model.AtomID]*verAtom // id → newest version
-	seq   uint64                    // last issued native sequence number
-	live  int                       // atoms visible at the newest version heads
+	order []model.AtomID                   // insertion order, one slot per key of index
+	index chains[model.AtomID, model.Atom] // id → version chain
+	seq   uint64                           // last issued native sequence number
+	live  int                              // atoms live at the chain heads
 }
 
-// NewContainer creates an empty container for the given atom type. A
-// standalone container owns a private clock; the database rebinds it to
-// the shared commit clock on registration.
-func NewContainer(typeName string, num model.TypeNum, desc *model.Desc) *Container {
-	clock := new(atomic.Uint64)
-	clock.Store(1)
+// newContainer creates an empty container for the given atom type whose
+// latest-view readers follow clock.
+func newContainer(typeName string, num model.TypeNum, desc *model.Desc, clock *atomic.Uint64) *Container {
 	return &Container{
 		typeName: typeName,
 		num:      num,
 		desc:     desc,
 		clock:    clock,
-		index:    make(map[model.AtomID]*verAtom),
+		index:    make(chains[model.AtomID, model.Atom]),
 	}
 }
-
-// bindClock attaches the container to the database's published commit
-// timestamp so its latest-view methods track commits.
-func (c *Container) bindClock(clock *atomic.Uint64) { c.clock = clock }
 
 // TypeName returns the owning atom type's name.
 func (c *Container) TypeName() string { return c.typeName }
@@ -98,38 +70,28 @@ func (c *Container) TypeName() string { return c.typeName }
 func (c *Container) Desc() *model.Desc { return c.desc }
 
 // Len returns the number of atoms in the occurrence at the newest
-// versions. Use LenAt for an exact count under a pinned snapshot.
+// versions.
 func (c *Container) Len() int {
 	c.latch.RLock()
 	defer c.latch.RUnlock()
 	return c.live
 }
 
-// LenAt counts the atoms visible at the given commit timestamp.
-func (c *Container) LenAt(ts uint64) int {
-	c.latch.RLock()
-	defer c.latch.RUnlock()
-	n := 0
-	for _, id := range c.order {
-		if _, ok := visibleAtom(c.index[id], ts); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// allocID reserves a fresh native identifier. Buffered transactions call
-// this at buffer time so the caller learns the identifier before commit;
-// an aborted transaction burns the reserved sequence number, which is
-// harmless (identifiers need only be unique, not dense).
-func (c *Container) allocID() (model.AtomID, error) {
+// newAtom reserves a fresh native identifier and validates vals under it.
+// Buffered transactions call this at buffer time so the caller learns the
+// identifier before commit; an aborted transaction (or a rejected value
+// list) burns the reserved sequence number, which is harmless —
+// identifiers need only be unique, not dense.
+func (c *Container) newAtom(vals []model.Value) (model.Atom, error) {
 	c.latch.Lock()
-	defer c.latch.Unlock()
 	if c.seq >= model.MaxSeq {
-		return 0, fmt.Errorf("storage: atom type %q exhausted its identifier space", c.typeName)
+		c.latch.Unlock()
+		return model.Atom{}, fmt.Errorf("storage: atom type %q exhausted its identifier space", c.typeName)
 	}
 	c.seq++
-	return model.MakeAtomID(c.num, c.seq), nil
+	id := model.MakeAtomID(c.num, c.seq)
+	c.latch.Unlock()
+	return c.validate(id, vals)
 }
 
 // validate widens and checks vals against the description, returning the
@@ -142,129 +104,123 @@ func (c *Container) validate(id model.AtomID, vals []model.Value) (model.Atom, e
 	return a, nil
 }
 
-// applyPut installs a version of the atom at commit timestamp ts: a fresh
-// insertion when the identifier has no live head, an update otherwise.
-// The returned undo pops the pushed version; callers hold the database's
-// commit mutex so at most one commit mutates the chain at a time.
-func (c *Container) applyPut(a model.Atom, ts uint64) (undo func()) {
+// put installs a version of the atom at commit timestamp ts — an insertion
+// when the identifier has no live head, an update otherwise; expect
+// (putUpsert, putNew, putReplace) says which of the two the caller
+// requires, and a put that is the other pushes nothing and errs. It
+// returns the value replaced, and keeps the native sequence ahead of the
+// identifier (adopted, snapshot-loaded and replayed atoms carry identifiers
+// issued elsewhere; fresh allocations must not collide with them). The
+// undo pops the version; callers hold the database's commit mutex, so one
+// commit mutates the chains at a time.
+func (c *Container) put(a model.Atom, ts uint64, expect uint8) (old model.Atom, hadOld bool, undo func(), err error) {
 	c.latch.Lock()
 	defer c.latch.Unlock()
-	old := c.index[a.ID]
-	c.index[a.ID] = &verAtom{atom: a, ts: ts, prev: old}
-	wasLive := old != nil && !old.deleted
+	old, hadOld = c.index.head(a.ID)
+	switch {
+	case expect == putReplace && !hadOld:
+		return old, false, nil, fmt.Errorf("storage: atom %v not in %q", a.ID, c.typeName)
+	case expect == putNew && hadOld:
+		return old, true, nil, fmt.Errorf("storage: atom %v already present in %q", a.ID, c.typeName)
+	}
+	if a.ID.TypeNum() == c.num && a.ID.Seq() > c.seq {
+		c.seq = a.ID.Seq()
+	}
+	prev, wasLive := c.index.push(a.ID, a, ts, false), hadOld
 	if !wasLive {
 		c.live++
 	}
-	if old == nil {
+	if prev == nil {
 		c.order = append(c.order, a.ID)
 	}
-	return func() {
+	return old, hadOld, func() {
 		c.latch.Lock()
 		defer c.latch.Unlock()
-		if old == nil {
-			delete(c.index, a.ID)
-			// Undos run in reverse op order under the commit mutex, so the
-			// order slot this put appended is the newest one holding a.ID.
+		c.index.pop(a.ID, prev)
+		if prev == nil {
+			// Undos run in reverse op order, so the slot this put appended
+			// is the newest one holding a.ID.
 			for i := len(c.order) - 1; i >= 0; i-- {
 				if c.order[i] == a.ID {
-					c.order = append(c.order[:i], c.order[i+1:]...)
+					c.order = slices.Delete(c.order, i, i+1)
 					break
 				}
 			}
-		} else {
-			c.index[a.ID] = old
 		}
 		if !wasLive {
 			c.live--
 		}
-	}
+	}, nil
 }
 
-// applyAdopt installs an atom under its existing identifier at ts — the
-// propagation / snapshot-loading path. Duplicate identifiers are errors.
-func (c *Container) applyAdopt(a model.Atom, ts uint64) (undo func(), err error) {
-	c.latch.RLock()
-	head, dup := c.index[a.ID]
-	c.latch.RUnlock()
-	if dup && !head.deleted {
-		return nil, fmt.Errorf("storage: atom %v already present in %q", a.ID, c.typeName)
-	}
-	c.latch.Lock()
-	if a.ID.TypeNum() == c.num && a.ID.Seq() > c.seq {
-		c.seq = a.ID.Seq() // keep native sequence ahead of loaded atoms
-	}
-	c.latch.Unlock()
-	return c.applyPut(a, ts), nil
-}
-
-// syncSeq keeps the native sequence ahead of an externally supplied
-// identifier — the snapshot-load and WAL-replay paths install atoms with
-// identifiers issued by a previous process life, and fresh allocations
-// must not collide with them.
-func (c *Container) syncSeq(id model.AtomID) {
-	c.latch.Lock()
-	if id.TypeNum() == c.num && id.Seq() > c.seq {
-		c.seq = id.Seq()
-	}
-	c.latch.Unlock()
-}
-
-// applyDelete installs a tombstone at ts. It errs when the atom has no
-// live newest version.
-func (c *Container) applyDelete(id model.AtomID, ts uint64) (undo func(), err error) {
+// remove installs a tombstone at ts and returns the value it buries. It
+// errs, pushing nothing, when the atom has no live newest version.
+func (c *Container) remove(id model.AtomID, ts uint64) (old model.Atom, undo func(), err error) {
 	c.latch.Lock()
 	defer c.latch.Unlock()
-	old := c.index[id]
-	if old == nil || old.deleted {
-		return nil, fmt.Errorf("storage: atom %v not in %q", id, c.typeName)
+	old, ok := c.index.head(id)
+	if !ok {
+		return old, nil, fmt.Errorf("storage: atom %v not in %q", id, c.typeName)
 	}
-	c.index[id] = &verAtom{ts: ts, deleted: true, prev: old}
+	prev := c.index.push(id, model.Atom{}, ts, true)
 	c.live--
-	return func() {
+	return old, func() {
 		c.latch.Lock()
 		defer c.latch.Unlock()
-		c.index[id] = old
+		c.index.pop(id, prev)
 		c.live++
 	}, nil
 }
 
-// Get returns the atom with the given identifier at the latest published
-// commit.
-func (c *Container) Get(id model.AtomID) (model.Atom, bool) {
-	return c.GetAt(id, c.clock.Load())
-}
-
-// GetAt returns the atom visible at the given commit timestamp.
-func (c *Container) GetAt(id model.AtomID, ts uint64) (model.Atom, bool) {
+// get resolves one atom at commit timestamp ts.
+func (c *Container) get(id model.AtomID, ts uint64) (model.Atom, bool) {
 	c.latch.RLock()
 	defer c.latch.RUnlock()
-	return visibleAtom(c.index[id], ts)
+	return c.index[id].at(ts)
 }
+
+// atoms returns the atoms visible at ts in insertion order. The slice is
+// captured under the read latch, so callers iterate it free to re-enter
+// the storage layer.
+func (c *Container) atoms(ts uint64) []model.Atom {
+	c.latch.RLock()
+	defer c.latch.RUnlock()
+	out := make([]model.Atom, 0, c.live)
+	for _, id := range c.order {
+		if a, ok := c.index[id].at(ts); ok {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// ids returns the identifiers visible at ts in insertion order.
+func (c *Container) ids(ts uint64) []model.AtomID {
+	c.latch.RLock()
+	defer c.latch.RUnlock()
+	out := make([]model.AtomID, 0, c.live)
+	for _, id := range c.order {
+		if _, ok := c.index[id].at(ts); ok {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// Get returns the atom with the given identifier at the latest published
+// commit.
+func (c *Container) Get(id model.AtomID) (model.Atom, bool) { return c.get(id, c.clock.Load()) }
 
 // Has reports whether the identifier is present at the latest commit.
 func (c *Container) Has(id model.AtomID) bool {
-	return c.HasAt(id, c.clock.Load())
-}
-
-// HasAt reports whether the identifier is visible at ts.
-func (c *Container) HasAt(id model.AtomID, ts uint64) bool {
-	c.latch.RLock()
-	defer c.latch.RUnlock()
-	_, ok := visibleAtom(c.index[id], ts)
+	_, ok := c.Get(id)
 	return ok
 }
 
 // Scan calls fn for every atom in insertion order at the latest commit;
 // fn returning false stops the scan early.
 func (c *Container) Scan(fn func(model.Atom) bool) {
-	c.ScanAt(c.clock.Load(), fn)
-}
-
-// ScanAt iterates the atoms visible at ts in insertion order. The visible
-// set is captured under the read latch and fn runs outside it, so fn may
-// freely re-enter the storage layer.
-func (c *Container) ScanAt(ts uint64, fn func(model.Atom) bool) {
-	for _, a := range c.AtomsAt(ts) {
+	for _, a := range c.Atoms() {
 		if !fn(a) {
 			return
 		}
@@ -273,110 +229,17 @@ func (c *Container) ScanAt(ts uint64, fn func(model.Atom) bool) {
 
 // IDs returns the identifiers of all atoms in insertion order at the
 // latest commit.
-func (c *Container) IDs() []model.AtomID {
-	return c.IDsAt(c.clock.Load())
-}
-
-// IDsAt returns the identifiers visible at ts in insertion order.
-func (c *Container) IDsAt(ts uint64) []model.AtomID {
-	c.latch.RLock()
-	defer c.latch.RUnlock()
-	ids := make([]model.AtomID, 0, c.live)
-	for _, id := range c.order {
-		if _, ok := visibleAtom(c.index[id], ts); ok {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
+func (c *Container) IDs() []model.AtomID { return c.ids(c.clock.Load()) }
 
 // Atoms returns a copy of the occurrence in insertion order at the latest
 // commit.
-func (c *Container) Atoms() []model.Atom {
-	return c.AtomsAt(c.clock.Load())
+func (c *Container) Atoms() []model.Atom { return c.atoms(c.clock.Load()) }
+
+func (c *Container) chainSets() (*sync.RWMutex, []chainSet) {
+	return &c.latch, []chainSet{c.index}
 }
 
-// AtomsAt returns the atoms visible at ts in insertion order.
-func (c *Container) AtomsAt(ts uint64) []model.Atom {
-	c.latch.RLock()
-	defer c.latch.RUnlock()
-	out := make([]model.Atom, 0, c.live)
-	for _, id := range c.order {
-		if a, ok := visibleAtom(c.index[id], ts); ok {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// versionCount reports the total number of version nodes in all chains —
-// the leak-check metric vacuum tests compare before and after.
-func (c *Container) versionCount() int {
-	c.latch.RLock()
-	defer c.latch.RUnlock()
-	n := 0
-	for _, head := range c.index {
-		for v := head; v != nil; v = v.prev {
-			n++
-		}
-	}
-	return n
-}
-
-// chainStats reports the occurrence's version-chain pressure: number of
-// chains, total version nodes and the longest chain.
-func (c *Container) chainStats() (chains, nodes, maxLen int) {
-	c.latch.RLock()
-	defer c.latch.RUnlock()
-	for _, head := range c.index {
-		n := 0
-		for v := head; v != nil; v = v.prev {
-			n++
-		}
-		chains++
-		nodes += n
-		if n > maxLen {
-			maxLen = n
-		}
-	}
-	return chains, nodes, maxLen
-}
-
-// vacuum truncates every chain below the horizon: the newest version at
-// or below horizon becomes the chain's tail, and identifiers whose entire
-// visible history at the horizon is a tombstone are removed outright. It
-// returns the number of version nodes reclaimed.
-func (c *Container) vacuum(horizon uint64) int {
-	c.latch.Lock()
-	defer c.latch.Unlock()
-	reclaimed := 0
-	newOrder := c.order[:0:0]
-	for _, id := range c.order {
-		head := c.index[id]
-		if head == nil {
-			continue // popped by an aborted commit; drop the order slot
-		}
-		// Find the newest version at or below the horizon.
-		var anchor *verAtom
-		for v := head; v != nil; v = v.prev {
-			if v.ts <= horizon {
-				anchor = v
-				break
-			}
-		}
-		if anchor != nil {
-			for v := anchor.prev; v != nil; v = v.prev {
-				reclaimed++
-			}
-			anchor.prev = nil
-			if anchor == head && anchor.deleted {
-				delete(c.index, id)
-				reclaimed++
-				continue
-			}
-		}
-		newOrder = append(newOrder, id)
-	}
-	c.order = newOrder
-	return reclaimed
+// swept drops the insertion-order slots of identifiers truncate removed.
+func (c *Container) swept() {
+	c.order = slices.DeleteFunc(c.order, func(id model.AtomID) bool { return c.index[id] == nil })
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,17 +11,17 @@ import (
 )
 
 // Database is a MAD database DB = <AT, LT> (Definition 3): a schema plus
-// the occurrences of every atom type and link type. Since the MVCC
-// refactor the single stop-the-world mutex is gone: every occurrence is a
-// set of version chains stamped with commit timestamps, readers resolve
-// chains against either the published clock (latest view) or a pinned
-// Snapshot and never block behind writers, and writers serialize on a
-// dedicated commit mutex whose critical section is just "apply the
-// buffered operations, advance the clock". All mutation goes through
-// Database methods (auto-commits) or a buffered Txn, which maintain
-// referential integrity ("there are no dangling references"), link
-// symmetry, cardinality restrictions, secondary indexes and the
-// per-attribute histograms built by Analyze.
+// the occurrences of every atom type and link type. Every occurrence is a
+// set of version chains stamped with commit timestamps; readers resolve
+// them through a View (the latest published commit, a pinned Snapshot, a
+// transaction's effective view) and never block behind writers, and
+// writers serialize on a dedicated commit mutex whose critical section is
+// just "apply the operations, advance the clock". All mutation goes
+// through Database methods (auto-commits) or a buffered Txn, both of
+// which run applyOp — the one place that maintains referential integrity
+// ("there are no dangling references"), link symmetry, cardinality
+// restrictions and secondary indexes; the per-attribute histograms built
+// by Analyze follow after publication.
 //
 // Lock order, outermost first: commitMu → mu → per-occurrence latches.
 // snapMu is a leaf lock guarding only the live-snapshot registry.
@@ -37,9 +38,9 @@ type Database struct {
 	// commitMu serializes writers: one commit installs and publishes at a
 	// time. Readers never take it.
 	commitMu sync.Mutex
-	// latestTS is the published commit timestamp — the version every
-	// legacy (timestamp-less) read method serves. It starts at 1 so 0 can
-	// mean "unpinned" elsewhere; the first commit publishes 2.
+	// latestTS is the published commit timestamp — the version the latest
+	// View (and so every timestamp-less read method) serves. It starts at 1
+	// so 0 can mean "unpinned" elsewhere; the first commit publishes 2.
 	latestTS atomic.Uint64
 	// lastAlloc is the allocation clock: the newest timestamp any commit
 	// has applied versions at, published or not. With a WAL attached it
@@ -202,9 +203,7 @@ func (db *Database) defineAtomType(name string, desc *model.Desc) (*catalog.Atom
 	if err != nil {
 		return nil, err
 	}
-	c := NewContainer(name, at.Num, desc)
-	c.bindClock(&db.latestTS)
-	db.containers[name] = c
+	db.containers[name] = newContainer(name, at.Num, desc, &db.latestTS)
 	db.bumpPlanEpoch()
 	return at, nil
 }
@@ -241,27 +240,19 @@ func (db *Database) defineLinkType(name string, desc model.LinkDesc) (*catalog.L
 	if err != nil {
 		return nil, err
 	}
-	ls := NewLinkStore(name, desc)
-	ls.bindClock(&db.latestTS)
-	db.links[name] = ls
+	db.links[name] = newLinkStore(name, desc, &db.latestTS)
 	db.bumpPlanEpoch()
 	return lt, nil
 }
 
-// containerByName resolves a container; callers hold db.mu.
-func (db *Database) containerByName(name string) (*Container, bool) {
-	c, ok := db.containers[name]
-	return c, ok
-}
-
-// Container exposes the container of an atom type for read-mostly callers
-// such as the algebra layers. The container is shared, not a copy; its
-// timestamp-less methods serve the latest published commit, the *At
-// variants a pinned snapshot.
+// Container exposes the container of an atom type: the handle a View's
+// readers take. The container is shared, not a copy; its own readers serve
+// the latest published commit.
 func (db *Database) Container(name string) (*Container, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.containerByName(name)
+	c, ok := db.containers[name]
+	return c, ok
 }
 
 // LinkStore exposes the store of a link type.
@@ -272,102 +263,104 @@ func (db *Database) LinkStore(name string) (*LinkStore, bool) {
 	return ls, ok
 }
 
+// container resolves a container or explains its absence.
+func (db *Database) container(typeName string) (*Container, error) {
+	c, ok := db.Container(typeName)
+	if !ok {
+		return nil, fmt.Errorf("storage: unknown atom type %q", typeName)
+	}
+	return c, nil
+}
+
 // InsertAtom validates and stores a new atom of the named type as one
 // auto-commit, returning its identifier.
 func (db *Database) InsertAtom(typeName string, vals ...model.Value) (model.AtomID, error) {
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
-		return 0, err
-	}
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	ixs := db.indexesOf(typeName)
-	db.mu.RUnlock()
-	if !ok {
-		db.commitMu.Unlock()
-		return 0, fmt.Errorf("storage: unknown atom type %q", typeName)
-	}
-	id, err := c.allocID()
+	c, err := db.container(typeName)
 	if err != nil {
-		db.commitMu.Unlock()
 		return 0, err
 	}
-	a, err := c.validate(id, vals)
+	a, err := c.newAtom(vals)
 	if err != nil {
-		db.commitMu.Unlock()
 		return 0, err
 	}
-	ts := db.lastAlloc + 1
-	c.applyPut(a, ts)
-	for _, ix := range ixs {
-		ix.applyAdd(a, ts)
-	}
-	if err := db.sealCommit(ts, []walOp{{kind: walOpPut, name: typeName, atom: a}}); err != nil {
+	if _, err := db.autoCommit(walOp{kind: walOpPut, name: typeName, atom: a, put: putNew}); err != nil {
 		return 0, err
 	}
-	db.stats.AtomsInserted.Add(1)
-	db.histInsert(typeName, a)
-	db.maybeAutoAnalyze(typeName)
-	return id, nil
+	return a.ID, nil
 }
 
 // AdoptAtom stores an atom under its existing identifier — used by
-// propagation (Definition 9) and snapshot loading.
+// propagation (Definition 9), whose result types share the very atoms of
+// the occurrences they restrict. An identifier already live in the type
+// is an error.
 func (db *Database) AdoptAtom(typeName string, a model.Atom) error {
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
+	c, err := db.container(typeName)
+	if err != nil {
 		return err
 	}
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	ixs := db.indexesOf(typeName)
-	db.mu.RUnlock()
-	if !ok {
-		db.commitMu.Unlock()
-		return fmt.Errorf("storage: unknown atom type %q", typeName)
-	}
 	if !a.ID.Valid() {
-		db.commitMu.Unlock()
 		return fmt.Errorf("storage: cannot adopt atom with invalid id into %q", typeName)
 	}
 	stored, err := c.validate(a.ID, a.Vals)
 	if err != nil {
-		db.commitMu.Unlock()
 		return err
 	}
-	ts := db.lastAlloc + 1
-	if _, err := c.applyAdopt(stored, ts); err != nil {
-		db.commitMu.Unlock()
-		return err
-	}
-	for _, ix := range ixs {
-		ix.applyAdd(stored, ts)
-	}
-	if err := db.sealCommit(ts, []walOp{{kind: walOpPut, name: typeName, atom: stored}}); err != nil {
-		return err
-	}
-	db.stats.AtomsInserted.Add(1)
-	db.histInsert(typeName, stored)
-	db.maybeAutoAnalyze(typeName)
-	return nil
+	_, err = db.autoCommit(walOp{kind: walOpPut, name: typeName, atom: stored, put: putNew})
+	return err
 }
+
+// UpdateAtom replaces the attribute values of an existing atom as one
+// auto-commit, keeping secondary indexes in step.
+func (db *Database) UpdateAtom(typeName string, id model.AtomID, vals []model.Value) error {
+	c, err := db.container(typeName)
+	if err != nil {
+		return err
+	}
+	updated, err := c.validate(id, vals)
+	if err != nil {
+		return err
+	}
+	_, err = db.autoCommit(walOp{kind: walOpPut, name: typeName, atom: updated, put: putReplace})
+	return err
+}
+
+// DeleteAtom removes an atom from the named type's occurrence and drops
+// every link incident to it in link types mentioning that type, so no
+// dangling links remain — all as one atomic commit. It returns the number
+// of links dropped.
+func (db *Database) DeleteAtom(typeName string, id model.AtomID) (int, error) {
+	eff, err := db.autoCommit(walOp{kind: walOpDelete, name: typeName, id: id})
+	return int(eff.dropped), err
+}
+
+// Connect inserts a link of the named type between atom a (side A) and
+// atom b (side B) as one auto-commit. Both endpoints must exist in their
+// side's occurrence; cardinality restrictions are enforced. Connecting an
+// existing link is a no-op: nothing is published, nothing logged.
+func (db *Database) Connect(linkName string, a, b model.AtomID) error {
+	_, err := db.autoCommit(walOp{kind: walOpConnect, name: linkName, a: a, b: b})
+	return err
+}
+
+// Disconnect removes a link as one auto-commit; it reports whether the
+// link existed.
+func (db *Database) Disconnect(linkName string, a, b model.AtomID) (bool, error) {
+	eff, err := db.autoCommit(walOp{kind: walOpDisconnect, name: linkName, a: a, b: b})
+	return eff.dropped > 0, err
+}
+
+// The readers below are the latest View under the type and link *names*:
+// conveniences for the paper baselines, the codec and the examples, each
+// booking its logical work. Derivation and planned execution read through
+// a View and resolved handles instead.
 
 // GetAtom fetches one atom of the named type at the latest commit.
 func (db *Database) GetAtom(typeName string, id model.AtomID) (model.Atom, bool) {
-	return db.GetAtomAt(typeName, id, db.latestTS.Load())
-}
-
-// GetAtomAt fetches one atom as of the given commit timestamp.
-func (db *Database) GetAtomAt(typeName string, id model.AtomID, ts uint64) (model.Atom, bool) {
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	db.mu.RUnlock()
+	c, ok := db.Container(typeName)
 	if !ok {
 		return model.Atom{}, false
 	}
-	a, ok := c.GetAt(id, ts)
+	a, ok := c.Get(id)
 	if ok {
 		db.stats.AtomsFetched.Add(1)
 	}
@@ -376,9 +369,7 @@ func (db *Database) GetAtomAt(typeName string, id model.AtomID, ts uint64) (mode
 
 // HasAtom reports whether the named type's occurrence contains id.
 func (db *Database) HasAtom(typeName string, id model.AtomID) bool {
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	db.mu.RUnlock()
+	c, ok := db.Container(typeName)
 	return ok && c.Has(id)
 }
 
@@ -386,213 +377,12 @@ func (db *Database) HasAtom(typeName string, id model.AtomID) bool {
 // type whose number the identifier embeds. It returns the atom and the
 // type name.
 func (db *Database) ResolveAtom(id model.AtomID) (model.Atom, string, bool) {
-	return db.ResolveAtomAt(id, db.latestTS.Load())
-}
-
-// ResolveAtomAt resolves the atom as of the given commit timestamp.
-func (db *Database) ResolveAtomAt(id model.AtomID, ts uint64) (model.Atom, string, bool) {
-	db.mu.RLock()
-	at, ok := db.schema.AtomTypeByNum(id.TypeNum())
-	if !ok {
-		db.mu.RUnlock()
-		return model.Atom{}, "", false
-	}
-	c, ok := db.containerByName(at.Name)
-	db.mu.RUnlock()
+	at, ok := db.Schema().AtomTypeByNum(id.TypeNum())
 	if !ok {
 		return model.Atom{}, "", false
 	}
-	a, ok := c.GetAt(id, ts)
-	if ok {
-		db.stats.AtomsFetched.Add(1)
-	}
+	a, ok := db.GetAtom(at.Name, id)
 	return a, at.Name, ok
-}
-
-// UpdateAtom replaces the attribute values of an existing atom as one
-// auto-commit, keeping secondary indexes in step.
-func (db *Database) UpdateAtom(typeName string, id model.AtomID, vals []model.Value) error {
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
-		return err
-	}
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	ixs := db.indexesOf(typeName)
-	db.mu.RUnlock()
-	if !ok {
-		db.commitMu.Unlock()
-		return fmt.Errorf("storage: unknown atom type %q", typeName)
-	}
-	// Validation reads resolve at the candidate timestamp, not the
-	// published clock: with a WAL attached, earlier commits may be applied
-	// but still awaiting their fsync, and this commit is ordered after
-	// them.
-	ts := db.lastAlloc + 1
-	old, ok := c.GetAt(id, ts)
-	if !ok {
-		db.commitMu.Unlock()
-		return fmt.Errorf("storage: atom %v not in %q", id, typeName)
-	}
-	updated, err := c.validate(id, vals)
-	if err != nil {
-		db.commitMu.Unlock()
-		return err
-	}
-	c.applyPut(updated, ts)
-	for _, ix := range ixs {
-		ix.applyRemove(old, ts)
-		ix.applyAdd(updated, ts)
-	}
-	if err := db.sealCommit(ts, []walOp{{kind: walOpPut, name: typeName, atom: updated}}); err != nil {
-		return err
-	}
-	db.histDelete(typeName, old)
-	db.histInsert(typeName, updated)
-	db.maybeAutoAnalyze(typeName)
-	return nil
-}
-
-// DeleteAtom removes an atom from the named type's occurrence and drops
-// every link incident to it in link types mentioning that type, so no
-// dangling links remain — all as one atomic commit. It returns the number
-// of links dropped.
-func (db *Database) DeleteAtom(typeName string, id model.AtomID) (int, error) {
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
-		return 0, err
-	}
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	ixs := db.indexesOf(typeName)
-	var stores []*LinkStore
-	if ok {
-		for _, lt := range db.schema.LinkTypesOf(typeName) {
-			if ls, present := db.links[lt.Name]; present {
-				stores = append(stores, ls)
-			}
-		}
-	}
-	db.mu.RUnlock()
-	if !ok {
-		db.commitMu.Unlock()
-		return 0, fmt.Errorf("storage: unknown atom type %q", typeName)
-	}
-	ts := db.lastAlloc + 1
-	a, ok := c.GetAt(id, ts)
-	if !ok {
-		db.commitMu.Unlock()
-		return 0, fmt.Errorf("storage: atom %v not in %q", id, typeName)
-	}
-	dropped := 0
-	var bumped []*LinkStore
-	for _, ls := range stores {
-		if n, _ := ls.applyDropAtom(id, ts); n > 0 {
-			dropped += n
-			bumped = append(bumped, ls)
-		}
-	}
-	if _, err := c.applyDelete(id, ts); err != nil {
-		// Unreachable after the existence check above (commitMu excludes
-		// concurrent writers), but keep the chain consistent regardless.
-		db.commitMu.Unlock()
-		return 0, err
-	}
-	for _, ix := range ixs {
-		ix.applyRemove(a, ts)
-	}
-	// The log carries only the delete; replay recomputes the link cascade
-	// through the same applyDropAtom path, so it cannot diverge.
-	if err := db.sealCommit(ts, []walOp{{kind: walOpDelete, name: typeName, id: id}}); err != nil {
-		return 0, err
-	}
-	db.stats.AtomsDeleted.Add(1)
-	db.stats.LinksDropped.Add(int64(dropped))
-	db.histDelete(typeName, a)
-	for _, ls := range bumped {
-		db.maybeLinkEpochBump(ls)
-	}
-	db.maybeAutoAnalyze(typeName)
-	return dropped, nil
-}
-
-// Connect inserts a link of the named type between atom a (side A) and
-// atom b (side B) as one auto-commit. Both endpoints must exist in their
-// side's occurrence; cardinality restrictions are enforced.
-func (db *Database) Connect(linkName string, a, b model.AtomID) error {
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
-		return err
-	}
-	db.mu.RLock()
-	ls, ok := db.links[linkName]
-	var ca, cb *Container
-	var okA, okB bool
-	if ok {
-		ca, okA = db.containerByName(ls.desc.SideA)
-		cb, okB = db.containerByName(ls.desc.SideB)
-	}
-	db.mu.RUnlock()
-	if !ok {
-		db.commitMu.Unlock()
-		return fmt.Errorf("storage: unknown link type %q", linkName)
-	}
-	ts := db.lastAlloc + 1
-	if !okA || !ca.HasAt(a, ts) {
-		db.commitMu.Unlock()
-		return fmt.Errorf("storage: link %q: atom %v not in %q", linkName, a, ls.desc.SideA)
-	}
-	if !okB || !cb.HasAt(b, ts) {
-		db.commitMu.Unlock()
-		return fmt.Errorf("storage: link %q: atom %v not in %q", linkName, b, ls.desc.SideB)
-	}
-	undo, err := ls.applyConnect(a, b, ts)
-	if err != nil {
-		db.commitMu.Unlock()
-		return err
-	}
-	if undo == nil {
-		db.commitMu.Unlock()
-		return nil // idempotent: the link already existed, nothing to publish
-	}
-	if err := db.sealCommit(ts, []walOp{{kind: walOpConnect, name: linkName, a: a, b: b}}); err != nil {
-		return err
-	}
-	db.stats.LinksConnected.Add(1)
-	db.maybeLinkEpochBump(ls)
-	return nil
-}
-
-// Disconnect removes a link as one auto-commit; it reports whether the
-// link existed.
-func (db *Database) Disconnect(linkName string, a, b model.AtomID) (bool, error) {
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
-		return false, err
-	}
-	db.mu.RLock()
-	ls, ok := db.links[linkName]
-	db.mu.RUnlock()
-	if !ok {
-		db.commitMu.Unlock()
-		return false, fmt.Errorf("storage: unknown link type %q", linkName)
-	}
-	ts := db.lastAlloc + 1
-	removed, _ := ls.applyDisconnect(a, b, ts)
-	if !removed {
-		db.commitMu.Unlock()
-		return false, nil
-	}
-	if err := db.sealCommit(ts, []walOp{{kind: walOpDisconnect, name: linkName, a: a, b: b}}); err != nil {
-		return false, err
-	}
-	db.stats.LinksDropped.Add(1)
-	db.maybeLinkEpochBump(ls)
-	return true, nil
 }
 
 // Partners returns the atoms linked to id through the named link type at
@@ -601,23 +391,11 @@ func (db *Database) Disconnect(linkName string, a, b model.AtomID) (bool, error)
 // derivation. The returned slice is an immutable version; callers must
 // not mutate it.
 func (db *Database) Partners(linkName string, id model.AtomID, fromSideA bool) ([]model.AtomID, error) {
-	return db.PartnersAt(linkName, id, fromSideA, db.latestTS.Load())
-}
-
-// PartnersAt returns the linked atoms as of the given commit timestamp.
-func (db *Database) PartnersAt(linkName string, id model.AtomID, fromSideA bool, ts uint64) ([]model.AtomID, error) {
-	db.mu.RLock()
-	ls, ok := db.links[linkName]
-	db.mu.RUnlock()
+	ls, ok := db.LinkStore(linkName)
 	if !ok {
 		return nil, fmt.Errorf("storage: unknown link type %q", linkName)
 	}
-	var out []model.AtomID
-	if fromSideA {
-		out = ls.PartnersFromAAt(id, ts)
-	} else {
-		out = ls.PartnersFromBAt(id, ts)
-	}
+	out := ls.Partners(id, fromSideA)
 	db.stats.LinksTraversed.Add(int64(len(out)) + 1)
 	return out, nil
 }
@@ -625,19 +403,12 @@ func (db *Database) PartnersAt(linkName string, id model.AtomID, fromSideA bool,
 // ScanAtoms iterates the named type's occurrence in insertion order at
 // the latest commit.
 func (db *Database) ScanAtoms(typeName string, fn func(model.Atom) bool) error {
-	return db.ScanAtomsAt(typeName, db.latestTS.Load(), fn)
-}
-
-// ScanAtomsAt iterates the occurrence as of the given commit timestamp.
-func (db *Database) ScanAtomsAt(typeName string, ts uint64, fn func(model.Atom) bool) error {
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("storage: unknown atom type %q", typeName)
+	c, err := db.container(typeName)
+	if err != nil {
+		return err
 	}
 	n := int64(0)
-	c.ScanAt(ts, func(a model.Atom) bool {
+	c.Scan(func(a model.Atom) bool {
 		n++
 		return fn(a)
 	})
@@ -645,22 +416,24 @@ func (db *Database) ScanAtomsAt(typeName string, ts uint64, fn func(model.Atom) 
 	return nil
 }
 
+// IndexLookup consults the index over typeName.attr at the latest commit,
+// returning ok=false when no such index exists.
+func (db *Database) IndexLookup(typeName, attr string, v model.Value) ([]model.AtomID, bool) {
+	return db.View(0).IndexLookup(typeName, attr, v)
+}
+
 // CountAtoms returns the occurrence size of the named atom type.
 func (db *Database) CountAtoms(typeName string) (int, error) {
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	db.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("storage: unknown atom type %q", typeName)
+	c, err := db.container(typeName)
+	if err != nil {
+		return 0, err
 	}
 	return c.Len(), nil
 }
 
 // CountLinks returns the occurrence size of the named link type.
 func (db *Database) CountLinks(linkName string) (int, error) {
-	db.mu.RLock()
-	ls, ok := db.links[linkName]
-	db.mu.RUnlock()
+	ls, ok := db.LinkStore(linkName)
 	if !ok {
 		return 0, fmt.Errorf("storage: unknown link type %q", linkName)
 	}
@@ -697,40 +470,38 @@ func (db *Database) TotalLinks() int {
 func (db *Database) CheckIntegrity() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	ts := db.latestTS.Load()
+	v := db.View(db.latestTS.Load())
 	for _, lt := range db.schema.LinkTypes() {
 		ls := db.links[lt.Name]
 		if ls == nil {
 			return fmt.Errorf("storage: link type %q has no store", lt.Name)
 		}
-		ca, ok := db.containerByName(lt.Desc.SideA)
+		ca, ok := db.containers[lt.Desc.SideA]
 		if !ok {
 			return fmt.Errorf("storage: link type %q: side %q has no container", lt.Name, lt.Desc.SideA)
 		}
-		cb, ok := db.containerByName(lt.Desc.SideB)
+		cb, ok := db.containers[lt.Desc.SideB]
 		if !ok {
 			return fmt.Errorf("storage: link type %q: side %q has no container", lt.Name, lt.Desc.SideB)
 		}
 		var err error
 		degA := make(map[model.AtomID]int)
 		degB := make(map[model.AtomID]int)
-		ls.ScanAt(ts, func(l model.Link) bool {
-			if !ca.HasAt(l.A, ts) {
+		for _, l := range ls.links(v.ts) {
+			switch {
+			case !v.Has(ca, l.A):
 				err = fmt.Errorf("storage: dangling link %v in %q: %v not in %q", l, lt.Name, l.A, lt.Desc.SideA)
-				return false
-			}
-			if !cb.HasAt(l.B, ts) {
+			case !v.Has(cb, l.B):
 				err = fmt.Errorf("storage: dangling link %v in %q: %v not in %q", l, lt.Name, l.B, lt.Desc.SideB)
-				return false
-			}
-			if !containsID(ls.PartnersFromBAt(l.B, ts), l.A) {
+			case !slices.Contains(v.Partners(ls, l.B, false), l.A):
 				err = fmt.Errorf("storage: asymmetric link %v in %q", l, lt.Name)
-				return false
+			}
+			if err != nil {
+				break
 			}
 			degA[l.A]++
 			degB[l.B]++
-			return true
-		})
+		}
 		if err != nil {
 			return err
 		}

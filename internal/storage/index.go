@@ -2,9 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"mad/internal/model"
 )
@@ -19,15 +19,14 @@ type Index struct {
 	typeName string
 	attr     string
 	pos      int
-	clock    *atomic.Uint64
 
 	latch   sync.RWMutex
-	entries map[model.Key]*verList
+	entries chains[model.Key, []model.AtomID]
 	keys    int // distinct keys with a non-empty newest posting
 
 	// vals recovers the attribute value behind each entry key (Key is a
 	// one-way encoding), and order caches the entry keys sorted by that
-	// value — the ordered view ScanOrderedAt walks. order is rebuilt
+	// value — the ordered view scanOrdered walks. order is rebuilt
 	// lazily: mutations only invalidate it when the key *set* changes
 	// (first posting for a value, vacuum dropping a dead key), so steady
 	// UPDATE/DELETE traffic on existing keys never pays a re-sort.
@@ -43,111 +42,61 @@ type orderedKey struct {
 	k model.Key
 }
 
-// NewIndex creates an empty index over the attribute at position pos.
-func NewIndex(typeName, attr string, pos int) *Index {
-	clock := new(atomic.Uint64)
-	clock.Store(1)
+// newIndex creates an empty index over the attribute at position pos.
+func newIndex(typeName, attr string, pos int) *Index {
 	return &Index{
 		typeName: typeName,
 		attr:     attr,
 		pos:      pos,
-		clock:    clock,
-		entries:  make(map[model.Key]*verList),
+		entries:  make(chains[model.Key, []model.AtomID]),
 		vals:     make(map[model.Key]model.Value),
 	}
 }
 
-// bindClock attaches the index to the database's published commit clock.
-func (ix *Index) bindClock(clock *atomic.Uint64) { ix.clock = clock }
-
-// Attr returns the indexed attribute name.
-func (ix *Index) Attr() string { return ix.attr }
-
-// applyAdd registers an atom under its attribute value at commit
-// timestamp ts, returning an undo that pops the pushed posting version.
-func (ix *Index) applyAdd(a model.Atom, ts uint64) (undo func()) {
+// post installs the posting list edit(head posting) under the atom's
+// attribute value at commit timestamp ts, returning an undo that pops it.
+func (ix *Index) post(a model.Atom, ts uint64, edit func([]model.AtomID) []model.AtomID) (undo func()) {
 	v := a.Get(ix.pos)
 	k := v.Key()
 	ix.latch.Lock()
 	defer ix.latch.Unlock()
-	old := ix.entries[k]
-	items := headPosting(old)
-	ix.entries[k] = &verList{items: append(append([]model.AtomID(nil), items...), a.ID), ts: ts, prev: old}
+	before, _ := ix.entries.head(k)
+	items := edit(before)
+	old := ix.entries.push(k, items, ts, len(items) == 0)
 	if old == nil {
 		ix.vals[k] = v
 		ix.orderDirty = true
 	}
-	wasEmpty := len(items) == 0
-	if wasEmpty {
-		ix.keys++
-	}
+	// keys moves when the posting crosses between empty and non-empty.
+	delta := min(len(items), 1) - min(len(before), 1)
+	ix.keys += delta
 	return func() {
 		ix.latch.Lock()
 		defer ix.latch.Unlock()
+		ix.entries.pop(k, old)
 		if old == nil {
-			delete(ix.entries, k)
 			delete(ix.vals, k)
 			ix.orderDirty = true
-		} else {
-			ix.entries[k] = old
 		}
-		if wasEmpty {
-			ix.keys--
-		}
+		ix.keys -= delta
 	}
 }
 
-// applyRemove unregisters an atom at ts.
-func (ix *Index) applyRemove(a model.Atom, ts uint64) (undo func()) {
-	v := a.Get(ix.pos)
-	k := v.Key()
-	ix.latch.Lock()
-	defer ix.latch.Unlock()
-	old := ix.entries[k]
-	items := removeIDCopy(headPosting(old), a.ID)
-	ix.entries[k] = &verList{items: items, ts: ts, prev: old}
-	if old == nil {
-		ix.vals[k] = v
-		ix.orderDirty = true
-	}
-	nowEmpty := len(items) == 0 && len(headPosting(old)) > 0
-	if nowEmpty {
-		ix.keys--
-	}
-	return func() {
-		ix.latch.Lock()
-		defer ix.latch.Unlock()
-		if old == nil {
-			delete(ix.entries, k)
-			delete(ix.vals, k)
-			ix.orderDirty = true
-		} else {
-			ix.entries[k] = old
-		}
-		if nowEmpty {
-			ix.keys++
-		}
-	}
+// add registers an atom under its attribute value at ts.
+func (ix *Index) add(a model.Atom, ts uint64) (undo func()) {
+	return ix.post(a, ts, func(ids []model.AtomID) []model.AtomID { return append(slices.Clone(ids), a.ID) })
 }
 
-// headPosting returns the newest posting list of a chain, nil for nil.
-func headPosting(v *verList) []model.AtomID {
-	if v == nil {
-		return nil
-	}
-	return v.items
+// remove unregisters an atom at ts.
+func (ix *Index) remove(a model.Atom, ts uint64) (undo func()) {
+	return ix.post(a, ts, func(ids []model.AtomID) []model.AtomID { return without(ids, a.ID) })
 }
 
-// Lookup returns the identifiers of atoms whose attribute equals v at the
-// latest commit, sorted ascending for determinism.
-func (ix *Index) Lookup(v model.Value) []model.AtomID {
-	return ix.LookupAt(v, ix.clock.Load())
-}
-
-// LookupAt returns the identifiers visible at ts, sorted ascending.
-func (ix *Index) LookupAt(v model.Value, ts uint64) []model.AtomID {
+// lookup returns the identifiers of atoms whose attribute equals v at
+// commit timestamp ts, sorted ascending for determinism.
+func (ix *Index) lookup(v model.Value, ts uint64) []model.AtomID {
 	ix.latch.RLock()
-	ids := visibleList(ix.entries[v.Key()], ts)
+	ids, _ := ix.entries[v.Key()].at(ts)
 	ix.latch.RUnlock()
 	out := make([]model.AtomID, len(ids))
 	copy(out, ids)
@@ -162,68 +111,18 @@ func (ix *Index) Len() int {
 	return ix.keys
 }
 
-// versionCount reports the total number of posting versions.
-func (ix *Index) versionCount() int {
-	ix.latch.RLock()
-	defer ix.latch.RUnlock()
-	n := 0
-	for _, head := range ix.entries {
-		for v := head; v != nil; v = v.prev {
-			n++
-		}
-	}
-	return n
+func (ix *Index) chainSets() (*sync.RWMutex, []chainSet) {
+	return &ix.latch, []chainSet{ix.entries}
 }
 
-// chainStats reports the index's version-chain pressure: posting chains,
-// total versions and the longest chain.
-func (ix *Index) chainStats() (chains, nodes, maxLen int) {
-	ix.latch.RLock()
-	defer ix.latch.RUnlock()
-	for _, head := range ix.entries {
-		n := 0
-		for v := head; v != nil; v = v.prev {
-			n++
-		}
-		chains++
-		nodes += n
-		if n > maxLen {
-			maxLen = n
-		}
-	}
-	return chains, nodes, maxLen
-}
-
-// vacuum truncates posting chains below the horizon, dropping keys whose
-// anchored posting is empty with no newer versions. It returns the number
-// of versions reclaimed.
-func (ix *Index) vacuum(horizon uint64) int {
-	ix.latch.Lock()
-	defer ix.latch.Unlock()
-	reclaimed := 0
-	for k, head := range ix.entries {
-		var anchor *verList
-		for v := head; v != nil; v = v.prev {
-			if v.ts <= horizon {
-				anchor = v
-				break
-			}
-		}
-		if anchor == nil {
-			continue
-		}
-		for v := anchor.prev; v != nil; v = v.prev {
-			reclaimed++
-		}
-		anchor.prev = nil
-		if anchor == head && len(anchor.items) == 0 {
-			delete(ix.entries, k)
+// swept forgets the values of keys truncate removed.
+func (ix *Index) swept() {
+	for k := range ix.vals {
+		if ix.entries[k] == nil {
 			delete(ix.vals, k)
 			ix.orderDirty = true
-			reclaimed++
 		}
 	}
-	return reclaimed
 }
 
 // keyLess is a total order over entry keys, used only as a determinism
@@ -261,7 +160,7 @@ func (ix *Index) rebuildOrderLocked() {
 	ix.orderDirty = false
 }
 
-// ScanOrderedAt walks the index in attribute-value order (descending
+// scanOrdered walks the index in attribute-value order (descending
 // when desc is set) as of commit timestamp ts, invoking fn with each
 // value and the identifiers of the atoms carrying it — sorted ascending,
 // so equal-key runs have a deterministic ID order regardless of scan
@@ -270,7 +169,7 @@ func (ix *Index) rebuildOrderLocked() {
 // is what makes the walk MVCC-correct: a key committed after ts resolves
 // to an empty visible posting, and vacuum can only drop keys whose
 // posting is empty at every reachable timestamp.
-func (ix *Index) ScanOrderedAt(ts uint64, desc bool, fn func(model.Value, []model.AtomID) bool) {
+func (ix *Index) scanOrdered(ts uint64, desc bool, fn func(model.Value, []model.AtomID) bool) {
 	// The order cache is copied under the latch and walked without it:
 	// keys added mid-walk committed above ts, keys removed mid-walk
 	// resolve to empty postings — either way the walk's view at ts is
@@ -282,7 +181,7 @@ func (ix *Index) ScanOrderedAt(ts uint64, desc bool, fn func(model.Value, []mode
 	ix.latch.Unlock()
 	step := func(ok orderedKey) bool {
 		ix.latch.RLock()
-		ids := visibleList(ix.entries[ok.k], ts)
+		ids, _ := ix.entries[ok.k].at(ts)
 		ix.latch.RUnlock()
 		if len(ids) == 0 {
 			return true
@@ -332,7 +231,7 @@ func (db *Database) CreateIndex(typeName, attr string) error {
 func (db *Database) createIndexAt(typeName, attr string, ts uint64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	c, ok := db.containerByName(typeName)
+	c, ok := db.containers[typeName]
 	if !ok {
 		return fmt.Errorf("storage: unknown atom type %q", typeName)
 	}
@@ -344,12 +243,10 @@ func (db *Database) createIndexAt(typeName, attr string, ts uint64) error {
 	if _, dup := db.indexes[key]; dup {
 		return fmt.Errorf("storage: index on %s already exists", key)
 	}
-	ix := NewIndex(typeName, attr, pos)
-	ix.bindClock(&db.latestTS)
-	c.ScanAt(ts, func(a model.Atom) bool {
-		ix.applyAdd(a, ts)
-		return true
-	})
+	ix := newIndex(typeName, attr, pos)
+	for _, a := range c.atoms(ts) {
+		ix.add(a, ts)
+	}
 	db.indexes[key] = ix
 	db.bumpPlanEpoch()
 	return nil
@@ -384,40 +281,6 @@ func (db *Database) dropIndex(typeName, attr string) bool {
 	}
 	delete(db.indexes, key)
 	db.bumpPlanEpoch()
-	return true
-}
-
-// IndexLookup consults the index over typeName.attr at the latest commit,
-// returning ok=false when no such index exists.
-func (db *Database) IndexLookup(typeName, attr string, v model.Value) ([]model.AtomID, bool) {
-	return db.IndexLookupAt(typeName, attr, v, db.latestTS.Load())
-}
-
-// IndexLookupAt consults the index at the given commit timestamp.
-func (db *Database) IndexLookupAt(typeName, attr string, v model.Value, ts uint64) ([]model.AtomID, bool) {
-	db.mu.RLock()
-	ix, ok := db.indexes[indexKey(typeName, attr)]
-	db.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	db.stats.IndexLookups.Add(1)
-	return ix.LookupAt(v, ts), true
-}
-
-// IndexOrderedAt walks the index over typeName.attr in attribute-value
-// order at the given commit timestamp (see Index.ScanOrderedAt), giving
-// the query planner its sort-free ORDER BY access path. ok=false when no
-// such index exists.
-func (db *Database) IndexOrderedAt(typeName, attr string, ts uint64, desc bool, fn func(model.Value, []model.AtomID) bool) bool {
-	db.mu.RLock()
-	ix, ok := db.indexes[indexKey(typeName, attr)]
-	db.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	db.stats.IndexLookups.Add(1)
-	ix.ScanOrderedAt(ts, desc, fn)
 	return true
 }
 

@@ -11,13 +11,13 @@ import (
 // posting IDs for membership checks.
 func orderedScanKeys(t *testing.T, db *Database, typeName, attr string, ts uint64, desc bool) (vals []model.Value, ids []model.AtomID) {
 	t.Helper()
-	ok := db.IndexOrderedAt(typeName, attr, ts, desc, func(v model.Value, post []model.AtomID) bool {
+	ok := db.View(ts).IndexOrdered(typeName, attr, desc, func(v model.Value, post []model.AtomID) bool {
 		vals = append(vals, v)
 		ids = append(ids, post...)
 		return true
 	})
 	if !ok {
-		t.Fatalf("IndexOrderedAt(%s.%s): no index", typeName, attr)
+		t.Fatalf("IndexOrdered(%s.%s): no index", typeName, attr)
 	}
 	return vals, ids
 }
@@ -62,7 +62,7 @@ func TestIndexOrderedScan(t *testing.T) {
 	}
 
 	// Postings for the duplicated key hold both atoms, ID-ascending.
-	db.IndexOrderedAt("item", "rank", ts, false, func(v model.Value, post []model.AtomID) bool {
+	db.View(ts).IndexOrdered("item", "rank", false, func(v model.Value, post []model.AtomID) bool {
 		if r, _ := v.AsInt(); r == 3 {
 			if len(post) != 2 || post[0] >= post[1] {
 				t.Fatalf("rank 3 posting = %v, want both atoms ID-ascending", post)
@@ -102,7 +102,7 @@ func TestIndexOrderedScan(t *testing.T) {
 	}
 	db.Vacuum()
 	found := false
-	db.IndexOrderedAt("item", "rank", db.LatestTS(), false, func(v model.Value, _ []model.AtomID) bool {
+	db.View(0).IndexOrdered("item", "rank", false, func(v model.Value, _ []model.AtomID) bool {
 		if r, _ := v.AsInt(); r == 9 {
 			found = true
 		}
@@ -136,7 +136,7 @@ func TestIndexOrderedScanStrings(t *testing.T) {
 			t.Fatalf("keys out of order at %d: %v >= %v", i, vals[i-1], vals[i])
 		}
 	}
-	if db.IndexOrderedAt("asm", "nope", db.LatestTS(), false, nil) {
+	if db.View(0).IndexOrdered("asm", "nope", false, nil) {
 		t.Fatal("ordered scan over missing index reported ok")
 	}
 }

@@ -2,33 +2,12 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"mad/internal/model"
 )
-
-// verList is one version of an atom's partner list: an immutable slice
-// installed at commit timestamp ts. Mutation never edits a list in place
-// — connect and disconnect push a copy-on-write head — so a reader that
-// resolved a chain may keep using the slice without holding any lock.
-// Only prev is ever written after linking, by vacuum under the write
-// latch.
-type verList struct {
-	items []model.AtomID
-	ts    uint64
-	prev  *verList
-}
-
-// visibleList resolves a partner-list chain against a read timestamp.
-func visibleList(v *verList, ts uint64) []model.AtomID {
-	for ; v != nil; v = v.prev {
-		if v.ts <= ts {
-			return v.items
-		}
-	}
-	return nil
-}
 
 // LinkStore holds the occurrence of one link type as a pair of adjacency
 // maps, one per declared side, so that both traversal directions are O(1)
@@ -36,22 +15,26 @@ func visibleList(v *verList, ts uint64) []model.AtomID {
 // ("the direct representation and the consideration of bidirectional, i.e.
 // symmetric links establish the basis of the model's flexibility",
 // Section 2). Each adjacency entry is a version chain of copy-on-write
-// partner lists, so snapshot readers traverse the lists a past commit
-// installed while writers push new heads.
+// partner lists — connect and disconnect push a fresh list, never edit
+// one — so snapshot readers traverse the lists a past commit installed
+// while writers push new heads.
 //
 // For reflexive link types the sides remain distinct roles — the paper's
 // bill-of-material example evaluates either the super-component or the
 // sub-component view by traversing the same link type in one direction or
 // the other.
+//
+// The exported readers serve the latest published commit; a View reads
+// the same chains at its own timestamp.
 type LinkStore struct {
 	name  string
 	desc  model.LinkDesc
-	clock *atomic.Uint64
+	clock *atomic.Uint64 // the database's published commit timestamp
 
 	latch sync.RWMutex
-	fromA map[model.AtomID]*verList // side-A atom → side-B partners
-	fromB map[model.AtomID]*verList // side-B atom → side-A partners
-	live  int                       // links present at the newest version heads
+	fromA chains[model.AtomID, []model.AtomID] // side-A atom → side-B partners
+	fromB chains[model.AtomID, []model.AtomID] // side-B atom → side-A partners
+	live  int                                  // links present at the chain heads
 	// epochBase is the occurrence size at the last plan-epoch bump this
 	// store caused; the database compares live against it to decide when
 	// link churn has drifted far enough to invalidate cached plans (plans
@@ -59,23 +42,17 @@ type LinkStore struct {
 	epochBase int
 }
 
-// NewLinkStore creates an empty occurrence for the given link type. A
-// standalone store owns a private clock; the database rebinds it to the
-// shared commit clock on registration.
-func NewLinkStore(name string, desc model.LinkDesc) *LinkStore {
-	clock := new(atomic.Uint64)
-	clock.Store(1)
+// newLinkStore creates an empty occurrence for the given link type whose
+// latest-view readers follow clock.
+func newLinkStore(name string, desc model.LinkDesc, clock *atomic.Uint64) *LinkStore {
 	return &LinkStore{
 		name:  name,
 		desc:  desc,
 		clock: clock,
-		fromA: make(map[model.AtomID]*verList),
-		fromB: make(map[model.AtomID]*verList),
+		fromA: make(chains[model.AtomID, []model.AtomID]),
+		fromB: make(chains[model.AtomID, []model.AtomID]),
 	}
 }
-
-// bindClock attaches the store to the database's published commit clock.
-func (ls *LinkStore) bindClock(clock *atomic.Uint64) { ls.clock = clock }
 
 // Name returns the link type's name.
 func (ls *LinkStore) Name() string { return ls.name }
@@ -84,101 +61,80 @@ func (ls *LinkStore) Name() string { return ls.name }
 func (ls *LinkStore) Desc() model.LinkDesc { return ls.desc }
 
 // Len returns the number of links in the occurrence at the newest
-// versions. Use LenAt for an exact count under a pinned snapshot.
+// versions.
 func (ls *LinkStore) Len() int {
 	ls.latch.RLock()
 	defer ls.latch.RUnlock()
 	return ls.live
 }
 
-// LenAt counts the links visible at the given commit timestamp.
-func (ls *LinkStore) LenAt(ts uint64) int {
-	ls.latch.RLock()
-	defer ls.latch.RUnlock()
-	n := 0
-	for _, head := range ls.fromA {
-		n += len(visibleList(head, ts))
+// side returns the adjacency map traversed from the given side.
+func (ls *LinkStore) side(fromA bool) chains[model.AtomID, []model.AtomID] {
+	if fromA {
+		return ls.fromA
 	}
-	return n
+	return ls.fromB
+}
+
+// partners returns the atoms linked to id at commit timestamp ts, in
+// insertion order: the side-B partners of a side-A atom when fromA is
+// set, the symmetric view otherwise. The returned slice is an immutable
+// version; callers must not mutate it.
+func (ls *LinkStore) partners(id model.AtomID, fromA bool, ts uint64) []model.AtomID {
+	m := ls.side(fromA)
+	ls.latch.RLock()
+	out, _ := m[id].at(ts)
+	ls.latch.RUnlock()
+	return out
+}
+
+// Partners returns the atoms linked to id at the latest commit — the
+// side-B partners of a side-A atom when fromA is set (for a reflexive
+// link type the "forward" view, e.g. sub-components), the side-A partners
+// of a side-B atom otherwise. The returned slice is an immutable version;
+// callers must not mutate it.
+func (ls *LinkStore) Partners(id model.AtomID, fromA bool) []model.AtomID {
+	return ls.partners(id, fromA, ls.clock.Load())
 }
 
 // Has reports whether the link <a, b> (a on side A) is present at the
 // latest commit. For reflexive link types the unsorted-pair reading
 // applies: <a, b> and <b, a> denote the same link.
-func (ls *LinkStore) Has(a, b model.AtomID) bool {
-	return ls.HasAt(a, b, ls.clock.Load())
-}
+func (ls *LinkStore) Has(a, b model.AtomID) bool { return View{}.hasLink(ls, a, b) }
 
-// HasAt reports whether the link is visible at ts.
-func (ls *LinkStore) HasAt(a, b model.AtomID, ts uint64) bool {
-	ls.latch.RLock()
-	defer ls.latch.RUnlock()
-	return ls.hasLocked(a, b, ts)
-}
-
-func (ls *LinkStore) hasLocked(a, b model.AtomID, ts uint64) bool {
-	if containsID(visibleList(ls.fromA[a], ts), b) {
-		return true
-	}
-	if ls.desc.Reflexive() && containsID(visibleList(ls.fromA[b], ts), a) {
-		return true
-	}
-	return false
-}
-
-// hasExactAt reports presence of the directed representation only.
-func (ls *LinkStore) hasExactAt(a, b model.AtomID, ts uint64) bool {
-	ls.latch.RLock()
-	defer ls.latch.RUnlock()
-	return containsID(visibleList(ls.fromA[a], ts), b)
-}
-
-func containsID(ids []model.AtomID, id model.AtomID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-// push installs a new list version for id in the given direction map at
-// ts and returns an undo that pops it.
-func (ls *LinkStore) push(m map[model.AtomID]*verList, id model.AtomID, items []model.AtomID, ts uint64) func() {
-	old := m[id]
-	m[id] = &verList{items: items, ts: ts, prev: old}
+// pushPair installs the partner lists la (of a, side A) and lb (of b, side
+// B) at ts, moves the live count by delta and returns the undo. Callers
+// hold the write latch; the undo takes it itself.
+func (ls *LinkStore) pushPair(a, b model.AtomID, la, lb []model.AtomID, ts uint64, delta int) (undo func()) {
+	oldA := ls.fromA.push(a, la, ts, len(la) == 0)
+	oldB := ls.fromB.push(b, lb, ts, len(lb) == 0)
+	ls.live += delta
 	return func() {
-		if old == nil {
-			delete(m, id)
-		} else {
-			m[id] = old
-		}
+		ls.latch.Lock()
+		defer ls.latch.Unlock()
+		ls.fromB.pop(b, oldB)
+		ls.fromA.pop(a, oldA)
+		ls.live -= delta
 	}
 }
 
-// headItems returns the newest partner list for id, including versions a
-// mid-flight commit has installed but not yet published. Commit apply
-// paths read this; callers hold the latch.
-func headItems(m map[model.AtomID]*verList, id model.AtomID) []model.AtomID {
-	if head := m[id]; head != nil {
-		return head.items
-	}
-	return nil
-}
-
-// applyConnect installs the link <a, b> at commit timestamp ts. It is
+// connect installs the link <a, b> at commit timestamp ts. It is
 // idempotent: inserting an existing link (including the mirrored form of
 // a reflexive link) is a no-op with a nil undo. Cardinality restrictions
-// are enforced here. Callers hold the database's commit mutex.
-func (ls *LinkStore) applyConnect(a, b model.AtomID, ts uint64) (undo func(), err error) {
+// are enforced here. Like every write primitive it reads the chain
+// *heads*, not the published view — earlier operations of the same commit
+// may have pushed lists at ts — and callers hold the commit mutex.
+func (ls *LinkStore) connect(a, b model.AtomID, ts uint64) (undo func(), err error) {
 	ls.latch.Lock()
 	defer ls.latch.Unlock()
-	headTS := ts // heads pushed by this commit are newest; resolve against ts
-	if ls.hasLocked(a, b, headTS) {
+	la, _ := ls.fromA.head(a)
+	lb, _ := ls.fromB.head(b)
+	if slices.Contains(la, b) {
 		return nil, nil
 	}
-	la := headItems(ls.fromA, a)
-	lb := headItems(ls.fromB, b)
+	if mirrored, _ := ls.fromA.head(b); ls.desc.Reflexive() && slices.Contains(mirrored, a) {
+		return nil, nil
+	}
 	if max := ls.desc.CardA.Max; max > 0 && len(la)+1 > max {
 		return nil, fmt.Errorf("storage: link type %q: atom %v exceeds cardinality %s on side %s",
 			ls.name, a, ls.desc.CardA, ls.desc.SideA)
@@ -187,128 +143,61 @@ func (ls *LinkStore) applyConnect(a, b model.AtomID, ts uint64) (undo func(), er
 		return nil, fmt.Errorf("storage: link type %q: atom %v exceeds cardinality %s on side %s",
 			ls.name, b, ls.desc.CardB, ls.desc.SideB)
 	}
-	undoA := ls.push(ls.fromA, a, append(append([]model.AtomID(nil), la...), b), ts)
-	undoB := ls.push(ls.fromB, b, append(append([]model.AtomID(nil), lb...), a), ts)
-	ls.live++
-	return func() {
-		ls.latch.Lock()
-		defer ls.latch.Unlock()
-		undoB()
-		undoA()
-		ls.live--
-	}, nil
+	return ls.pushPair(a, b, append(slices.Clone(la), b), append(slices.Clone(lb), a), ts, +1), nil
 }
 
-// applyDisconnect removes the link <a, b> at ts, handling the mirrored
-// orientation of reflexive links. removed=false (with nil undo) when the
-// link is absent.
-func (ls *LinkStore) applyDisconnect(a, b model.AtomID, ts uint64) (removed bool, undo func()) {
+// disconnect removes the link <a, b> at ts, handling the mirrored
+// orientation of reflexive links; a nil undo means the link was absent.
+func (ls *LinkStore) disconnect(a, b model.AtomID, ts uint64) (undo func()) {
 	ls.latch.Lock()
 	defer ls.latch.Unlock()
-	if containsID(headItems(ls.fromA, a), b) {
-		// stored as <a, b>
-	} else if ls.desc.Reflexive() && containsID(headItems(ls.fromA, b), a) {
+	la, _ := ls.fromA.head(a)
+	if !slices.Contains(la, b) {
+		la, _ = ls.fromA.head(b)
+		if !ls.desc.Reflexive() || !slices.Contains(la, a) {
+			return nil
+		}
 		a, b = b, a // stored mirrored
-	} else {
-		return false, nil
 	}
-	undoA := ls.push(ls.fromA, a, removeIDCopy(headItems(ls.fromA, a), b), ts)
-	undoB := ls.push(ls.fromB, b, removeIDCopy(headItems(ls.fromB, b), a), ts)
-	ls.live--
-	return true, func() {
-		ls.latch.Lock()
-		defer ls.latch.Unlock()
-		undoB()
-		undoA()
-		ls.live++
-	}
+	lb, _ := ls.fromB.head(b)
+	return ls.pushPair(a, b, without(la, b), without(lb, a), ts, -1)
 }
 
-// removeIDCopy returns a copy of ids without the first occurrence of id.
-func removeIDCopy(ids []model.AtomID, id model.AtomID) []model.AtomID {
-	out := make([]model.AtomID, 0, len(ids))
-	skipped := false
-	for _, x := range ids {
-		if !skipped && x == id {
-			skipped = true
-			continue
-		}
-		out = append(out, x)
+// without returns a copy of ids lacking the first occurrence of id.
+func without(ids []model.AtomID, id model.AtomID) []model.AtomID {
+	out := slices.Clone(ids)
+	if i := slices.Index(out, id); i >= 0 {
+		out = slices.Delete(out, i, i+1)
 	}
 	return out
 }
 
-// applyDropAtom removes every link incident to the atom on either side at
-// ts and returns how many links were removed plus one undo covering all
-// of them. The database uses this to guarantee there are "no dangling
-// references (i.e. links)" after atom deletion.
-func (ls *LinkStore) applyDropAtom(id model.AtomID, ts uint64) (removed int, undo func()) {
-	// Read the chain heads, not the published view: earlier operations of
-	// the same commit may have installed partners at the candidate ts.
+// dropAtom removes every link incident to the atom on either side at ts
+// and returns how many links were removed plus one undo covering all of
+// them — the cascade that guarantees there are "no dangling references
+// (i.e. links)" after atom deletion.
+func (ls *LinkStore) dropAtom(id model.AtomID, ts uint64) (removed int, undo func()) {
 	ls.latch.RLock()
-	partnersA := append([]model.AtomID(nil), headItems(ls.fromA, id)...)
-	partnersB := append([]model.AtomID(nil), headItems(ls.fromB, id)...)
+	partnersA, _ := ls.fromA.head(id)
+	partnersB, _ := ls.fromB.head(id)
 	ls.latch.RUnlock()
 	var undos []func()
 	for _, b := range partnersA {
-		if ok, u := ls.applyDisconnect(id, b, ts); ok {
-			removed++
+		if u := ls.disconnect(id, b, ts); u != nil {
 			undos = append(undos, u)
 		}
 	}
 	for _, a := range partnersB {
-		if ok, u := ls.applyDisconnect(a, id, ts); ok {
-			removed++
+		if u := ls.disconnect(a, id, ts); u != nil {
 			undos = append(undos, u)
 		}
 	}
-	if removed == 0 {
-		return 0, nil
-	}
-	return removed, func() {
-		for i := len(undos) - 1; i >= 0; i-- {
-			undos[i]()
-		}
-	}
-}
-
-// PartnersFromA returns side-B partners of a side-A atom at the latest
-// commit, in insertion order. For reflexive link types this is the
-// "forward" view (e.g. sub-components). The returned slice is an
-// immutable version; callers must not mutate it.
-func (ls *LinkStore) PartnersFromA(a model.AtomID) []model.AtomID {
-	return ls.PartnersFromAAt(a, ls.clock.Load())
-}
-
-// PartnersFromAAt returns the side-B partners visible at ts.
-func (ls *LinkStore) PartnersFromAAt(a model.AtomID, ts uint64) []model.AtomID {
-	ls.latch.RLock()
-	defer ls.latch.RUnlock()
-	return visibleList(ls.fromA[a], ts)
-}
-
-// PartnersFromB returns side-A partners of a side-B atom — the symmetric
-// view. The returned slice is an immutable version; callers must not
-// mutate it.
-func (ls *LinkStore) PartnersFromB(b model.AtomID) []model.AtomID {
-	return ls.PartnersFromBAt(b, ls.clock.Load())
-}
-
-// PartnersFromBAt returns the side-A partners visible at ts.
-func (ls *LinkStore) PartnersFromBAt(b model.AtomID, ts uint64) []model.AtomID {
-	ls.latch.RLock()
-	defer ls.latch.RUnlock()
-	return visibleList(ls.fromB[b], ts)
+	return len(undos), func() { undoAll(undos) }
 }
 
 // Degree returns the number of partners of an atom on the given side at
 // the latest commit.
-func (ls *LinkStore) Degree(id model.AtomID, sideA bool) int {
-	if sideA {
-		return len(ls.PartnersFromA(id))
-	}
-	return len(ls.PartnersFromB(id))
-}
+func (ls *LinkStore) Degree(id model.AtomID, sideA bool) int { return len(ls.Partners(id, sideA)) }
 
 // SideAtoms returns the number of distinct atoms with at least one
 // partner on the given side at the latest commit — the denominator of the
@@ -318,13 +207,9 @@ func (ls *LinkStore) SideAtoms(sideA bool) int {
 	ls.latch.RLock()
 	defer ls.latch.RUnlock()
 	ts := ls.clock.Load()
-	m := ls.fromA
-	if !sideA {
-		m = ls.fromB
-	}
 	n := 0
-	for _, head := range m {
-		if len(visibleList(head, ts)) > 0 {
+	for _, head := range ls.side(sideA) {
+		if _, ok := head.at(ts); ok {
 			n++
 		}
 	}
@@ -349,14 +234,7 @@ func (ls *LinkStore) AvgFan(fromSideA bool) float64 {
 // first, in a deterministic order (side-A atoms ascending, partners in
 // insertion order). fn returning false stops the scan.
 func (ls *LinkStore) Scan(fn func(model.Link) bool) {
-	ls.ScanAt(ls.clock.Load(), fn)
-}
-
-// ScanAt iterates the links visible at ts in the deterministic scan
-// order. The visible set is captured under the read latch and fn runs
-// outside it, so fn may freely re-enter the storage layer.
-func (ls *LinkStore) ScanAt(ts uint64, fn func(model.Link) bool) {
-	for _, l := range ls.LinksAt(ts) {
+	for _, l := range ls.Links() {
 		if !fn(l) {
 			return
 		}
@@ -364,17 +242,17 @@ func (ls *LinkStore) ScanAt(ts uint64, fn func(model.Link) bool) {
 }
 
 // Links returns all links at the latest commit in deterministic order.
-func (ls *LinkStore) Links() []model.Link {
-	return ls.LinksAt(ls.clock.Load())
-}
+func (ls *LinkStore) Links() []model.Link { return ls.links(ls.clock.Load()) }
 
-// LinksAt returns the links visible at ts in deterministic order.
-func (ls *LinkStore) LinksAt(ts uint64) []model.Link {
+// links returns the links visible at ts in the deterministic scan order.
+// The visible lists are captured under the read latch, so callers iterate
+// the result free to re-enter the storage layer.
+func (ls *LinkStore) links(ts uint64) []model.Link {
 	ls.latch.RLock()
 	ids := make([]model.AtomID, 0, len(ls.fromA))
 	lists := make(map[model.AtomID][]model.AtomID, len(ls.fromA))
 	for a, head := range ls.fromA {
-		if items := visibleList(head, ts); len(items) > 0 {
+		if items, ok := head.at(ts); ok {
 			ids = append(ids, a)
 			lists[a] = items
 		}
@@ -390,74 +268,8 @@ func (ls *LinkStore) LinksAt(ts uint64) []model.Link {
 	return out
 }
 
-// versionCount reports the total number of version nodes across both
-// adjacency directions — the vacuum leak-check metric.
-func (ls *LinkStore) versionCount() int {
-	ls.latch.RLock()
-	defer ls.latch.RUnlock()
-	n := 0
-	for _, head := range ls.fromA {
-		for v := head; v != nil; v = v.prev {
-			n++
-		}
-	}
-	for _, head := range ls.fromB {
-		for v := head; v != nil; v = v.prev {
-			n++
-		}
-	}
-	return n
+func (ls *LinkStore) chainSets() (*sync.RWMutex, []chainSet) {
+	return &ls.latch, []chainSet{ls.fromA, ls.fromB}
 }
 
-// chainStats reports the store's version-chain pressure across both
-// adjacency directions: chains, total nodes and the longest chain.
-func (ls *LinkStore) chainStats() (chains, nodes, maxLen int) {
-	ls.latch.RLock()
-	defer ls.latch.RUnlock()
-	for _, m := range []map[model.AtomID]*verList{ls.fromA, ls.fromB} {
-		for _, head := range m {
-			n := 0
-			for v := head; v != nil; v = v.prev {
-				n++
-			}
-			chains++
-			nodes += n
-			if n > maxLen {
-				maxLen = n
-			}
-		}
-	}
-	return chains, nodes, maxLen
-}
-
-// vacuum truncates every partner-list chain below the horizon and drops
-// entries whose anchored list is empty with no newer versions. It returns
-// the number of version nodes reclaimed.
-func (ls *LinkStore) vacuum(horizon uint64) int {
-	ls.latch.Lock()
-	defer ls.latch.Unlock()
-	reclaimed := 0
-	for _, m := range []map[model.AtomID]*verList{ls.fromA, ls.fromB} {
-		for id, head := range m {
-			var anchor *verList
-			for v := head; v != nil; v = v.prev {
-				if v.ts <= horizon {
-					anchor = v
-					break
-				}
-			}
-			if anchor == nil {
-				continue
-			}
-			for v := anchor.prev; v != nil; v = v.prev {
-				reclaimed++
-			}
-			anchor.prev = nil
-			if anchor == head && len(anchor.items) == 0 {
-				delete(m, id)
-				reclaimed++
-			}
-		}
-	}
-	return reclaimed
-}
+func (ls *LinkStore) swept() {}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"mad/internal/model"
 	"mad/internal/storage/stats"
 )
 
@@ -36,13 +35,12 @@ var ErrNotDurable = errors.New("storage: database has no write-ahead log (use Op
 // torn record tail left by a crash is truncated away; everything before
 // it replays.
 func Open(dir string) (*Database, error) {
-	return openWith(dir, osOpenWAL, false)
+	return openWith(dir, osOpenWAL)
 }
 
-// openWith is Open with the log's file implementation and sync policy
-// injectable — the crash-injection harness and the group-commit
-// benchmark enter here.
-func openWith(dir string, openFn walOpenFunc, perCommitSync bool) (*Database, error) {
+// openWith is Open with the log's file implementation injectable — the
+// crash-injection harness and the group-commit benchmark enter here.
+func openWith(dir string, openFn walOpenFunc) (*Database, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -76,7 +74,7 @@ func openWith(dir string, openFn walOpenFunc, perCommitSync bool) (*Database, er
 	if len(segs) > 0 {
 		next = segs[len(segs)-1] + 1
 	}
-	w, err := newWAL(dir, next, db.publishUpTo, openFn, perCommitSync)
+	w, err := newWAL(dir, next, db.publishUpTo, openFn)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +199,7 @@ func replaySegments(db *Database, dir string, ckptTS uint64) (*tornInfo, error) 
 			if ts <= ckptTS {
 				return nil // already inside the checkpoint
 			}
-			if err := db.applyWALRecord(ts, ops); err != nil {
+			if err := db.replay(ts, ops); err != nil {
 				return err
 			}
 			db.latestTS.Store(ts)
@@ -222,121 +220,30 @@ func replaySegments(db *Database, dir string, ckptTS uint64) (*tornInfo, error) 
 	return nil, nil
 }
 
-// applyWALRecord redoes one commit's write set at its original
-// timestamp, through the same apply paths live commits use.
-func (db *Database) applyWALRecord(ts uint64, ops []walOp) error {
+// replay redoes one commit's write set at its original timestamp. Replay
+// IS applyOp — the path the commit itself took — so the recovered state
+// cannot diverge from the one that wrote the log; what it adds is for
+// input that arrives from disk instead of from a validating mutator (puts
+// are re-checked against the type's description), and it books the
+// counters and histograms but leaves drift-triggered ANALYZE and plan
+// epochs to the live database.
+func (db *Database) replay(ts uint64, ops []walOp) error {
 	for i := range ops {
-		if err := db.applyWALOp(ts, &ops[i]); err != nil {
+		op := &ops[i]
+		if op.kind == walOpPut {
+			c, err := db.container(op.name)
+			if err == nil {
+				op.atom, err = c.validate(op.atom.ID, op.atom.Vals)
+			}
+			if err != nil {
+				return fmt.Errorf("storage: wal replay at ts %d: %w", ts, err)
+			}
+		}
+		eff, err := db.applyOp(ts, op, nil)
+		if err != nil {
 			return fmt.Errorf("storage: wal replay at ts %d: %w", ts, err)
 		}
-	}
-	return nil
-}
-
-func (db *Database) applyWALOp(ts uint64, op *walOp) error {
-	switch op.kind {
-	case walOpPut:
-		db.mu.RLock()
-		c, ok := db.containerByName(op.name)
-		ixs := db.indexesOf(op.name)
-		db.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("unknown atom type %q", op.name)
-		}
-		stored, err := c.validate(op.atom.ID, op.atom.Vals)
-		if err != nil {
-			return err
-		}
-		old, hadOld := c.GetAt(stored.ID, ts)
-		c.syncSeq(stored.ID)
-		c.applyPut(stored, ts)
-		for _, ix := range ixs {
-			if hadOld {
-				ix.applyRemove(old, ts)
-			}
-			ix.applyAdd(stored, ts)
-		}
-		if hadOld {
-			db.histDelete(op.name, old)
-		} else {
-			db.stats.AtomsInserted.Add(1)
-		}
-		db.histInsert(op.name, stored)
-	case walOpDelete:
-		db.mu.RLock()
-		c, ok := db.containerByName(op.name)
-		ixs := db.indexesOf(op.name)
-		var stores []*LinkStore
-		if ok {
-			for _, lt := range db.schema.LinkTypesOf(op.name) {
-				if ls, present := db.links[lt.Name]; present {
-					stores = append(stores, ls)
-				}
-			}
-		}
-		db.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("unknown atom type %q", op.name)
-		}
-		a, ok := c.GetAt(op.id, ts)
-		if !ok {
-			return fmt.Errorf("atom %v not in %q", op.id, op.name)
-		}
-		// The record carries only the delete; the link cascade recomputes
-		// here exactly as it did at commit time, since replay reproduces
-		// the same pre-state.
-		dropped := 0
-		for _, ls := range stores {
-			if n, _ := ls.applyDropAtom(op.id, ts); n > 0 {
-				dropped += n
-			}
-		}
-		if _, err := c.applyDelete(op.id, ts); err != nil {
-			return err
-		}
-		for _, ix := range ixs {
-			ix.applyRemove(a, ts)
-		}
-		db.stats.AtomsDeleted.Add(1)
-		db.stats.LinksDropped.Add(int64(dropped))
-		db.histDelete(op.name, a)
-	case walOpConnect:
-		db.mu.RLock()
-		ls, ok := db.links[op.name]
-		db.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("unknown link type %q", op.name)
-		}
-		if _, err := ls.applyConnect(op.a, op.b, ts); err != nil {
-			return err
-		}
-		db.stats.LinksConnected.Add(1)
-	case walOpDisconnect:
-		db.mu.RLock()
-		ls, ok := db.links[op.name]
-		db.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("unknown link type %q", op.name)
-		}
-		if removed, _ := ls.applyDisconnect(op.a, op.b, ts); removed {
-			db.stats.LinksDropped.Add(1)
-		}
-	case walOpAtomType:
-		desc, err := model.NewDesc(op.attrs...)
-		if err != nil {
-			return err
-		}
-		_, err = db.defineAtomType(op.name, desc)
-		return err
-	case walOpLinkType:
-		_, err := db.defineLinkType(op.name, op.link)
-		return err
-	case walOpCreateIndex:
-		return db.createIndexAt(op.name, op.attr, ts)
-	case walOpDropIndex:
-		db.dropIndex(op.name, op.attr)
-	default:
-		return fmt.Errorf("unknown wal op kind %d", op.kind)
+		db.book(&eff)
 	}
 	return nil
 }

@@ -18,13 +18,12 @@ import (
 // storage package once checkpointing reused it, because Checkpoint and
 // Recover are Database-level operations and codec sits above storage.
 //
-// Two read views exist: EncodeSnapshot serializes the latest published
-// commit, EncodeSnapshotAt a pinned snapshot timestamp (the checkpoint
-// path, which must not observe commits that raced past the pin). On the
-// way in, DecodeSnapshot installs every occurrence at one synthetic
-// commit timestamp instead of one commit per atom: recovery then replays
-// WAL records stamped above the checkpoint timestamp on top, and version
-// chains stay monotonic.
+// EncodeSnapshot serializes the latest published commit; the checkpoint
+// encodes the same sections at its pinned timestamp (it must not observe
+// commits that raced past the pin). On the way in, DecodeSnapshot
+// installs every occurrence at one synthetic commit timestamp instead of
+// one commit per atom: recovery then replays WAL records stamped above
+// the checkpoint timestamp on top, and version chains stay monotonic.
 
 // snapMagic identifies snapshot files; the trailing digit is the format
 // version.
@@ -194,15 +193,6 @@ func EncodeSnapshot(db *Database, out io.Writer) error {
 	return w.flush()
 }
 
-// EncodeSnapshotAt writes a snapshot as of the given commit timestamp.
-// Callers that encode concurrently with writers must hold a Snapshot pin
-// at ts so vacuum cannot reclaim the versions mid-encode.
-func EncodeSnapshotAt(db *Database, ts uint64, out io.Writer) error {
-	w := newSnapWriter(out)
-	encodeSnapshotTo(w, db, ts)
-	return w.flush()
-}
-
 // encodeSnapshotTo writes magic plus body into an existing writer — the
 // checkpoint container embeds the snapshot between its own sections.
 func encodeSnapshotTo(w *snapWriter, db *Database, ts uint64) {
@@ -246,7 +236,7 @@ func encodeSnapshotSections(w *snapWriter, db *Database, ts uint64, atomTypes []
 			}
 			return
 		}
-		atoms := c.AtomsAt(ts)
+		atoms := c.atoms(ts)
 		w.uvarint(uint64(len(atoms)))
 		for _, a := range atoms {
 			w.u64(uint64(a.ID))
@@ -266,7 +256,7 @@ func encodeSnapshotSections(w *snapWriter, db *Database, ts uint64, atomTypes []
 			}
 			return
 		}
-		links := ls.LinksAt(ts)
+		links := ls.links(ts)
 		w.uvarint(uint64(len(links)))
 		for _, l := range links {
 			w.u64(uint64(l.A))
@@ -351,6 +341,7 @@ func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
 		linkNames = append(linkNames, name)
 	}
 
+	view := db.View(applyTS)
 	for _, at := range atomTypes {
 		c, _ := db.Container(at.name)
 		n := r.uvarint()
@@ -368,8 +359,7 @@ func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
 			if err != nil {
 				return err
 			}
-			c.syncSeq(id)
-			if _, err := c.applyAdopt(stored, applyTS); err != nil {
+			if _, _, _, err := c.put(stored, applyTS, putNew); err != nil {
 				return err
 			}
 		}
@@ -385,13 +375,13 @@ func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
 			if r.err != nil {
 				break
 			}
-			if !okA || !ca.HasAt(a, applyTS) {
+			if !okA || !view.Has(ca, a) {
 				return fmt.Errorf("storage: link %q: atom %v not in %q", name, a, ls.desc.SideA)
 			}
-			if !okB || !cb.HasAt(b, applyTS) {
+			if !okB || !view.Has(cb, b) {
 				return fmt.Errorf("storage: link %q: atom %v not in %q", name, b, ls.desc.SideB)
 			}
-			if _, err := ls.applyConnect(a, b, applyTS); err != nil {
+			if _, err := ls.connect(a, b, applyTS); err != nil {
 				return err
 			}
 		}

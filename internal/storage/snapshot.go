@@ -1,23 +1,15 @@
 package storage
 
-import (
-	"fmt"
-	"sync/atomic"
+import "sync/atomic"
 
-	"mad/internal/catalog"
-	"mad/internal/model"
-)
-
-// Snapshot is an immutable, consistent read view of the database: every
-// read through it resolves version chains against the commit timestamp
-// that was published when the snapshot was taken. Snapshots never block
-// behind writers and writers never block behind snapshots; a live
-// snapshot only holds the vacuum horizon back, so Close it when done.
-// A Snapshot is safe for concurrent use by multiple goroutines; Close is
-// idempotent.
+// Snapshot is a View pinned at one commit: every read through it resolves
+// version chains against the commit timestamp that was published when the
+// snapshot was taken, and the pin holds the vacuum horizon back so those
+// versions stay reachable. Snapshots never block behind writers and
+// writers never block behind snapshots; Close it when done. A Snapshot is
+// safe for concurrent use by multiple goroutines; Close is idempotent.
 type Snapshot struct {
-	db     *Database
-	ts     uint64
+	View
 	closed atomic.Bool
 }
 
@@ -27,16 +19,17 @@ func (db *Database) Snapshot() *Snapshot {
 	defer db.snapMu.Unlock()
 	ts := db.latestTS.Load()
 	db.liveSnaps[ts]++
-	return &Snapshot{db: db, ts: ts}
+	return &Snapshot{View: db.View(ts)}
 }
 
-// snapshotAt registers a view at an already-pinned timestamp (transaction
-// begin shares the registration path).
+// snapshotAt registers a view at a timestamp the caller already keeps
+// reachable (the checkpoint pins the newest allocated commit under the
+// commit mutex).
 func (db *Database) snapshotAt(ts uint64) *Snapshot {
 	db.snapMu.Lock()
 	defer db.snapMu.Unlock()
 	db.liveSnaps[ts]++
-	return &Snapshot{db: db, ts: ts}
+	return &Snapshot{View: db.View(ts)}
 }
 
 // Close releases the snapshot's pin on its versions, letting vacuum
@@ -54,112 +47,6 @@ func (s *Snapshot) Close() {
 	} else {
 		delete(db.liveSnaps, s.ts)
 	}
-}
-
-// TS returns the commit timestamp the snapshot is pinned to.
-func (s *Snapshot) TS() uint64 { return s.ts }
-
-// DB returns the underlying database (for registry-level lookups that
-// are not versioned, such as schema access).
-func (s *Snapshot) DB() *Database { return s.db }
-
-// Schema exposes the catalog. Schema definition is not versioned; the
-// snapshot sees the current schema with occurrences as of its timestamp.
-func (s *Snapshot) Schema() *catalog.Schema { return s.db.Schema() }
-
-// Container resolves the container of an atom type; read it with the *At
-// methods using this snapshot's TS.
-func (s *Snapshot) Container(name string) (*Container, bool) { return s.db.Container(name) }
-
-// LinkStore resolves the store of a link type.
-func (s *Snapshot) LinkStore(name string) (*LinkStore, bool) { return s.db.LinkStore(name) }
-
-// GetAtom fetches one atom of the named type as of the snapshot.
-func (s *Snapshot) GetAtom(typeName string, id model.AtomID) (model.Atom, bool) {
-	return s.db.GetAtomAt(typeName, id, s.ts)
-}
-
-// HasAtom reports whether the named type's occurrence contains id as of
-// the snapshot.
-func (s *Snapshot) HasAtom(typeName string, id model.AtomID) bool {
-	c, ok := s.db.Container(typeName)
-	return ok && c.HasAt(id, s.ts)
-}
-
-// ResolveAtom finds the atom by identifier in its native type.
-func (s *Snapshot) ResolveAtom(id model.AtomID) (model.Atom, string, bool) {
-	return s.db.ResolveAtomAt(id, s.ts)
-}
-
-// ScanAtoms iterates the named type's occurrence in insertion order.
-func (s *Snapshot) ScanAtoms(typeName string, fn func(model.Atom) bool) error {
-	return s.db.ScanAtomsAt(typeName, s.ts, fn)
-}
-
-// Partners returns the atoms linked to id through the named link type as
-// of the snapshot. The returned slice is an immutable version; callers
-// must not mutate it.
-func (s *Snapshot) Partners(linkName string, id model.AtomID, fromSideA bool) ([]model.AtomID, error) {
-	return s.db.PartnersAt(linkName, id, fromSideA, s.ts)
-}
-
-// IndexLookup consults the index over typeName.attr as of the snapshot.
-func (s *Snapshot) IndexLookup(typeName, attr string, v model.Value) ([]model.AtomID, bool) {
-	return s.db.IndexLookupAt(typeName, attr, v, s.ts)
-}
-
-// CountAtoms returns the named atom type's occurrence size as of the
-// snapshot (an exact count, unlike the latest view's head-state counter).
-func (s *Snapshot) CountAtoms(typeName string) (int, error) {
-	c, ok := s.db.Container(typeName)
-	if !ok {
-		return 0, fmt.Errorf("storage: unknown atom type %q", typeName)
-	}
-	return c.LenAt(s.ts), nil
-}
-
-// CountLinks returns the named link type's occurrence size as of the
-// snapshot.
-func (s *Snapshot) CountLinks(linkName string) (int, error) {
-	ls, ok := s.db.LinkStore(linkName)
-	if !ok {
-		return 0, fmt.Errorf("storage: unknown link type %q", linkName)
-	}
-	return ls.LenAt(s.ts), nil
-}
-
-// TotalAtoms returns the number of atoms across all atom types as of the
-// snapshot.
-func (s *Snapshot) TotalAtoms() int {
-	db := s.db
-	db.mu.RLock()
-	containers := make([]*Container, 0, len(db.containers))
-	for _, c := range db.containers {
-		containers = append(containers, c)
-	}
-	db.mu.RUnlock()
-	n := 0
-	for _, c := range containers {
-		n += c.LenAt(s.ts)
-	}
-	return n
-}
-
-// TotalLinks returns the number of links across all link types as of the
-// snapshot.
-func (s *Snapshot) TotalLinks() int {
-	db := s.db
-	db.mu.RLock()
-	stores := make([]*LinkStore, 0, len(db.links))
-	for _, ls := range db.links {
-		stores = append(stores, ls)
-	}
-	db.mu.RUnlock()
-	n := 0
-	for _, ls := range stores {
-		n += ls.LenAt(s.ts)
-	}
-	return n
 }
 
 // oldestLiveSnapshot returns the smallest pinned snapshot timestamp and

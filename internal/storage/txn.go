@@ -2,28 +2,28 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"mad/internal/model"
 )
 
 // Txn groups mutations so they install atomically — the transactional
 // side of the "powerful manipulation facilities" the paper demands for
-// complex-object processing. Since the MVCC refactor a Txn buffers its
-// writes privately: nothing is visible to any reader (including the
-// owning goroutine's own queries) until Commit installs every buffered
-// operation under the database's commit mutex and publishes one commit
-// timestamp for all of them. An owner that errors mid-batch can simply
-// abandon or Rollback the Txn — zero versions were ever visible — and a
-// Commit that fails re-validation pops every version it pushed before
-// publishing, so failure is all-or-nothing too.
+// complex-object processing. A Txn buffers its writes privately as a list
+// of logical operations: nothing is visible to any other reader until
+// Commit runs every buffered operation through applyOp under the
+// database's commit mutex and publishes one commit timestamp for all of
+// them. An owner that errors mid-batch can simply abandon or Rollback the
+// Txn — zero versions were ever visible — and a Commit that fails
+// re-validation pops every version it pushed before publishing, so
+// failure is all-or-nothing too.
 //
 // Reads used for buffer-time validation resolve against the snapshot
 // pinned at Begin plus this transaction's own buffered writes (its
-// overlay) — the transaction's *effective view*, exposed through
-// ScanEff, EffAtom, EffIDs and EffPartners so the owning session can
-// also query its own uncommitted writes (read-your-writes). Readers
-// elsewhere never see the overlay: to every other session the
-// transaction is invisible until Commit.
+// overlay) — the transaction's *effective view*, which View hands to the
+// owning session so it can also query its own uncommitted writes
+// (read-your-writes). Readers elsewhere never see the overlay: to every
+// other session the transaction is invisible until Commit.
 //
 // A Txn is not safe for concurrent use; the database it belongs to
 // remains fully concurrent.
@@ -32,24 +32,15 @@ type Txn struct {
 	snap *Snapshot
 	done bool // finished by Commit or Rollback (or a failed Commit)
 
-	// ops apply the buffered mutations at the commit timestamp; each
-	// returns an undo that pops exactly what it pushed.
-	ops []func(ts uint64) (undo func(), err error)
-	// wops is the logical write set the WAL records at Commit, parallel to
-	// ops: puts carry the stored atom, deletes just the identifier (the
-	// link cascade is recomputed at replay through the same apply path).
+	// wops is the buffered write set in op order: what Commit applies and
+	// the WAL records. Puts carry the stored atom, deletes just the
+	// identifier (the link cascade is recomputed when the op applies).
 	wops []walOp
-	// post runs after a successful publish: statistics and histogram
-	// maintenance (advisory state, outside the versioned store).
-	post []func()
 
 	// Overlay: this transaction's private view of its own writes, merged
-	// over the begin snapshot for buffer-time validation.
-	atoms   map[string]map[model.AtomID]ovAtom
-	linkOps map[string][]linkDelta
-	// touched types / stores for the one-shot epoch maintenance at commit.
-	touchedTypes map[string]bool
-	touchedLinks map[string]*LinkStore
+	// over the begin snapshot by View's readers.
+	atoms   map[*Container]map[model.AtomID]ovAtom
+	linkOps map[*LinkStore][]linkDelta
 }
 
 // ovAtom is the overlay state of one atom: its buffered value, or a
@@ -73,75 +64,28 @@ type linkDelta struct {
 // transaction finishes.
 func (db *Database) Begin() *Txn {
 	return &Txn{
-		db:           db,
-		snap:         db.Snapshot(),
-		atoms:        make(map[string]map[model.AtomID]ovAtom),
-		linkOps:      make(map[string][]linkDelta),
-		touchedTypes: make(map[string]bool),
-		touchedLinks: make(map[string]*LinkStore),
+		db:      db,
+		snap:    db.Snapshot(),
+		atoms:   make(map[*Container]map[model.AtomID]ovAtom),
+		linkOps: make(map[*LinkStore][]linkDelta),
 	}
 }
 
-// SnapshotTS returns the commit timestamp of the transaction's begin
-// snapshot — the version its validation reads resolve against.
-func (t *Txn) SnapshotTS() uint64 { return t.snap.TS() }
-
-// Snapshot exposes the transaction's begin snapshot so queries issued
-// inside the transaction can read the same consistent view it validates
-// against. Buffered writes are NOT visible through the snapshot itself —
-// readers that want the transaction's own writes merged in use the
-// effective view (EffAtom/EffIDs/EffPartners/ScanEff) instead. The
-// snapshot stays owned by the transaction: it closes at Commit/Rollback,
-// so callers must not Close it and must not use it past the transaction.
-func (t *Txn) Snapshot() *Snapshot { return t.snap }
-
-// ScanEff scans the transaction's effective view of an atom type: the
-// begin snapshot with this transaction's buffered writes merged over it
-// (updates replace the snapshot value, tombstones hide it, inserts are
-// appended after the snapshot's atoms). This is the view the MQL layer
-// matches DML predicates against inside a transaction — a statement can
-// UPDATE or CONNECT an atom the same transaction just inserted — and,
-// together with EffAtom/EffIDs/EffPartners, the view in-transaction
-// SELECT queries derive from once the transaction holds buffered
-// writes.
-func (t *Txn) ScanEff(typeName string, fn func(model.Atom) bool) error {
-	if err := t.active(); err != nil {
-		return err
+// View returns the transaction's effective view: its begin snapshot, with
+// its buffered writes merged over it once it holds any (updates replace
+// the snapshot value, tombstones hide it, inserts follow the snapshot's
+// atoms, link deltas replay over the snapshot's adjacency). It is the view
+// buffer-time validation reads, the MQL layer matches DML predicates
+// against — a statement can UPDATE or CONNECT an atom the same
+// transaction just inserted — and in-transaction SELECTs derive from. The
+// view is a value: take a fresh one after buffering more writes, and do
+// not read through it once the transaction has finished.
+func (t *Txn) View() View {
+	v := t.snap.View
+	if len(t.wops) > 0 {
+		v.txn = t
 	}
-	ov := t.atoms[typeName]
-	stopped := false
-	err := t.snap.ScanAtoms(typeName, func(a model.Atom) bool {
-		if o, ok := ov[a.ID]; ok {
-			if o.deleted {
-				return true
-			}
-			if !fn(o.atom) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		if !fn(a) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if err != nil || stopped {
-		return err
-	}
-	for id, o := range ov {
-		if o.deleted {
-			continue
-		}
-		if _, inSnap := t.snap.GetAtom(typeName, id); inSnap {
-			continue // already delivered as a replacement above
-		}
-		if !fn(o.atom) {
-			return nil
-		}
-	}
-	return nil
+	return v
 }
 
 // active guards against use after Commit/Rollback.
@@ -152,45 +96,74 @@ func (t *Txn) active() error {
 	return nil
 }
 
-// lookupEff resolves an atom through the overlay, falling back to the
-// begin snapshot.
-func (t *Txn) lookupEff(typeName string, id model.AtomID) (model.Atom, bool) {
-	if m := t.atoms[typeName]; m != nil {
-		if ov, ok := m[id]; ok {
-			return ov.atom, !ov.deleted
-		}
-	}
-	// Atoms dropped by a buffered cascade-less delete of another type
-	// cannot alias here (identifiers are type-scoped), so the snapshot is
-	// authoritative for everything the overlay doesn't mention.
-	return t.snap.GetAtom(typeName, id)
-}
-
 // setOverlay records the overlay state of one atom.
-func (t *Txn) setOverlay(typeName string, id model.AtomID, ov ovAtom) {
-	m := t.atoms[typeName]
+func (t *Txn) setOverlay(c *Container, id model.AtomID, ov ovAtom) {
+	m := t.atoms[c]
 	if m == nil {
 		m = make(map[model.AtomID]ovAtom)
-		t.atoms[typeName] = m
+		t.atoms[c] = m
 	}
 	m[id] = ov
 }
 
-// effHas reports whether the link <a, b> exists in the transaction's
-// effective view: the begin snapshot with the buffered deltas replayed in
-// op order.
-func (t *Txn) effHas(linkName string, ls *LinkStore, a, b model.AtomID) bool {
-	present := ls.HasAt(a, b, t.snap.TS())
-	refl := ls.desc.Reflexive()
-	for _, d := range t.linkOps[linkName] {
-		switch {
-		case d.drop && (d.a == a || d.a == b):
-			present = false
-		case !d.drop && (d.a == a && d.b == b || refl && d.a == b && d.b == a):
-			present = d.added
+// overlayPartners replays the buffered link deltas of ls, in op order,
+// over base — the begin snapshot's partners of id in the given direction.
+func (t *Txn) overlayPartners(ls *LinkStore, id model.AtomID, fromA bool, base []model.AtomID) []model.AtomID {
+	deltas := t.linkOps[ls]
+	if len(deltas) == 0 {
+		return base
+	}
+	// base is an immutable version list; replay on a copy.
+	out := slices.Clone(base)
+	remove := func(p model.AtomID) {
+		if i := slices.Index(out, p); i >= 0 {
+			out = slices.Delete(out, i, i+1)
 		}
 	}
-	return present
+	refl := ls.desc.Reflexive()
+	for _, d := range deltas {
+		// near is the endpoint on the side the traversal starts from.
+		near, far := d.a, d.b
+		if !fromA {
+			near, far = far, near
+		}
+		switch {
+		case d.drop:
+			// Cascade of a buffered delete: every link incident to d.a goes.
+			if d.a == id {
+				out = out[:0]
+			} else {
+				remove(d.a)
+			}
+		case d.added:
+			// Connect buffers the pair as given and the store installs that
+			// same orientation, so no reflexive mirroring here.
+			if near == id && !slices.Contains(out, far) {
+				out = append(out, far)
+			}
+		default:
+			// Disconnect: for a reflexive link the stored pair may carry
+			// either orientation, so drop whichever endpoint matches.
+			if near == id {
+				remove(far)
+			}
+			if refl && far == id {
+				remove(near)
+			}
+		}
+	}
+	return out
+}
+
+// has is buffer-time validation's read of one atom through the effective
+// view. Like Database.GetAtom it books the fetch when it reaches the
+// committed store; the transaction's own buffered value costs nothing.
+func (t *Txn) has(c *Container, id model.AtomID) bool {
+	ok := t.View().Has(c, id)
+	if _, buffered := t.atoms[c][id]; ok && !buffered {
+		t.db.stats.AtomsFetched.Add(1)
+	}
+	return ok
 }
 
 // InsertAtom buffers the insertion of a new atom, validating its values
@@ -200,39 +173,17 @@ func (t *Txn) InsertAtom(typeName string, vals ...model.Value) (model.AtomID, er
 	if err := t.active(); err != nil {
 		return 0, err
 	}
-	db := t.db
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	db.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("storage: unknown atom type %q", typeName)
-	}
-	id, err := c.allocID()
+	c, err := t.db.container(typeName)
 	if err != nil {
 		return 0, err
 	}
-	a, err := c.validate(id, vals)
+	a, err := c.newAtom(vals)
 	if err != nil {
 		return 0, err
 	}
-	t.setOverlay(typeName, id, ovAtom{atom: a})
-	t.touchedTypes[typeName] = true
-	t.wops = append(t.wops, walOp{kind: walOpPut, name: typeName, atom: a})
-	t.ops = append(t.ops, func(ts uint64) (func(), error) {
-		undos := []func(){c.applyPut(a, ts)}
-		db.mu.RLock()
-		ixs := db.indexesOf(typeName)
-		db.mu.RUnlock()
-		for _, ix := range ixs {
-			undos = append(undos, ix.applyAdd(a, ts))
-		}
-		return joinUndos(undos), nil
-	})
-	t.post = append(t.post, func() {
-		db.stats.AtomsInserted.Add(1)
-		db.histInsert(typeName, a)
-	})
-	return id, nil
+	t.setOverlay(c, a.ID, ovAtom{atom: a})
+	t.wops = append(t.wops, walOp{kind: walOpPut, name: typeName, atom: a, put: putNew})
+	return a.ID, nil
 }
 
 // UpdateAtom buffers the replacement of an atom's values. The atom must
@@ -242,44 +193,19 @@ func (t *Txn) UpdateAtom(typeName string, id model.AtomID, vals []model.Value) e
 	if err := t.active(); err != nil {
 		return err
 	}
-	db := t.db
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("storage: unknown atom type %q", typeName)
+	c, err := t.db.container(typeName)
+	if err != nil {
+		return err
 	}
-	old, ok := t.lookupEff(typeName, id)
-	if !ok {
+	if !t.has(c, id) {
 		return fmt.Errorf("storage: atom %v not in %q", id, typeName)
 	}
 	updated, err := c.validate(id, vals)
 	if err != nil {
 		return err
 	}
-	t.setOverlay(typeName, id, ovAtom{atom: updated})
-	t.touchedTypes[typeName] = true
-	t.wops = append(t.wops, walOp{kind: walOpPut, name: typeName, atom: updated})
-	t.ops = append(t.ops, func(ts uint64) (func(), error) {
-		prev, ok := c.GetAt(id, ts)
-		if !ok {
-			return nil, fmt.Errorf("storage: atom %v not in %q", id, typeName)
-		}
-		undos := []func(){c.applyPut(updated, ts)}
-		db.mu.RLock()
-		ixs := db.indexesOf(typeName)
-		db.mu.RUnlock()
-		for _, ix := range ixs {
-			undos = append(undos, ix.applyRemove(prev, ts))
-			undos = append(undos, ix.applyAdd(updated, ts))
-		}
-		return joinUndos(undos), nil
-	})
-	prevVals := old.Clone()
-	t.post = append(t.post, func() {
-		db.histDelete(typeName, prevVals)
-		db.histInsert(typeName, updated)
-	})
+	t.setOverlay(c, id, ovAtom{atom: updated})
+	t.wops = append(t.wops, walOp{kind: walOpPut, name: typeName, atom: updated, put: putReplace})
 	return nil
 }
 
@@ -291,74 +217,18 @@ func (t *Txn) DeleteAtom(typeName string, id model.AtomID) error {
 	if err := t.active(); err != nil {
 		return err
 	}
-	db := t.db
-	db.mu.RLock()
-	c, ok := db.containerByName(typeName)
-	var stores []*LinkStore
-	var storeNames []string
-	if ok {
-		for _, lt := range db.schema.LinkTypesOf(typeName) {
-			if ls, present := db.links[lt.Name]; present {
-				stores = append(stores, ls)
-				storeNames = append(storeNames, lt.Name)
-			}
-		}
+	c, _, stores, err := t.db.resolveAtomType(typeName, true)
+	if err != nil {
+		return err
 	}
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("storage: unknown atom type %q", typeName)
-	}
-	old, ok := t.lookupEff(typeName, id)
-	if !ok {
+	if !t.has(c, id) {
 		return fmt.Errorf("storage: atom %v not in %q", id, typeName)
 	}
-	t.setOverlay(typeName, id, ovAtom{deleted: true})
-	for i, name := range storeNames {
-		t.linkOps[name] = append(t.linkOps[name], linkDelta{a: id, drop: true})
-		t.touchedLinks[name] = stores[i]
+	t.setOverlay(c, id, ovAtom{deleted: true})
+	for _, ls := range stores {
+		t.linkOps[ls] = append(t.linkOps[ls], linkDelta{a: id, drop: true})
 	}
-	t.touchedTypes[typeName] = true
 	t.wops = append(t.wops, walOp{kind: walOpDelete, name: typeName, id: id})
-	t.ops = append(t.ops, func(ts uint64) (func(), error) {
-		// Capture the value being deleted before pushing the tombstone:
-		// an earlier operation of this very transaction may have updated
-		// the atom at the candidate timestamp, and the index postings to
-		// remove are the ones that value carries.
-		prev, prevOK := c.GetAt(id, ts)
-		var undos []func()
-		dropped := 0
-		for _, ls := range stores {
-			if n, u := ls.applyDropAtom(id, ts); n > 0 {
-				dropped += n
-				undos = append(undos, u)
-			}
-		}
-		undoDel, err := c.applyDelete(id, ts)
-		if err != nil {
-			for i := len(undos) - 1; i >= 0; i-- {
-				undos[i]()
-			}
-			return nil, err
-		}
-		undos = append(undos, undoDel)
-		db.mu.RLock()
-		ixs := db.indexesOf(typeName)
-		db.mu.RUnlock()
-		if prevOK {
-			for _, ix := range ixs {
-				undos = append(undos, ix.applyRemove(prev, ts))
-			}
-		}
-		t.post = append(t.post, func() {
-			db.stats.LinksDropped.Add(int64(dropped))
-		})
-		return joinUndos(undos), nil
-	})
-	prevVals := old.Clone()
-	t.post = append(t.post, func() {
-		db.stats.AtomsDeleted.Add(1)
-		db.histDelete(typeName, prevVals)
-	})
 	return nil
 }
 
@@ -371,54 +241,22 @@ func (t *Txn) Connect(linkName string, a, b model.AtomID) error {
 	if err := t.active(); err != nil {
 		return err
 	}
-	db := t.db
-	db.mu.RLock()
-	ls, ok := db.links[linkName]
-	var ca, cb *Container
-	var okA, okB bool
-	if ok {
-		ca, okA = db.containerByName(ls.desc.SideA)
-		cb, okB = db.containerByName(ls.desc.SideB)
+	ls, ca, cb, err := t.db.resolveLinkType(linkName)
+	if err != nil {
+		return err
 	}
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("storage: unknown link type %q", linkName)
-	}
-	if !okA || !t.hasEff(ls.desc.SideA, a) {
+	if !t.has(ca, a) {
 		return fmt.Errorf("storage: link %q: atom %v not in %q", linkName, a, ls.desc.SideA)
 	}
-	if !okB || !t.hasEff(ls.desc.SideB, b) {
+	if !t.has(cb, b) {
 		return fmt.Errorf("storage: link %q: atom %v not in %q", linkName, b, ls.desc.SideB)
 	}
-	if t.effHas(linkName, ls, a, b) {
+	if t.View().hasLink(ls, a, b) {
 		return nil // idempotent connect: already present, nothing to buffer
 	}
-	t.linkOps[linkName] = append(t.linkOps[linkName], linkDelta{a: a, b: b, added: true})
-	t.touchedLinks[linkName] = ls
+	t.linkOps[ls] = append(t.linkOps[ls], linkDelta{a: a, b: b, added: true})
 	t.wops = append(t.wops, walOp{kind: walOpConnect, name: linkName, a: a, b: b})
-	t.ops = append(t.ops, func(ts uint64) (func(), error) {
-		if !ca.HasAt(a, ts) {
-			return nil, fmt.Errorf("storage: link %q: atom %v not in %q", linkName, a, ls.desc.SideA)
-		}
-		if !cb.HasAt(b, ts) {
-			return nil, fmt.Errorf("storage: link %q: atom %v not in %q", linkName, b, ls.desc.SideB)
-		}
-		undo, err := ls.applyConnect(a, b, ts)
-		if err != nil {
-			return nil, err
-		}
-		return undo, nil // nil undo when a concurrent commit already connected it
-	})
-	t.post = append(t.post, func() {
-		db.stats.LinksConnected.Add(1)
-	})
 	return nil
-}
-
-// hasEff reports whether an atom exists in the effective view.
-func (t *Txn) hasEff(typeName string, id model.AtomID) bool {
-	_, ok := t.lookupEff(typeName, id)
-	return ok
 }
 
 // Disconnect buffers the removal of a link; removed reports whether the
@@ -427,39 +265,16 @@ func (t *Txn) Disconnect(linkName string, a, b model.AtomID) (bool, error) {
 	if err := t.active(); err != nil {
 		return false, err
 	}
-	db := t.db
-	db.mu.RLock()
-	ls, ok := db.links[linkName]
-	db.mu.RUnlock()
-	if !ok {
-		return false, fmt.Errorf("storage: unknown link type %q", linkName)
+	ls, _, _, err := t.db.resolveLinkType(linkName)
+	if err != nil {
+		return false, err
 	}
-	if !t.effHas(linkName, ls, a, b) {
+	if !t.View().hasLink(ls, a, b) {
 		return false, nil
 	}
-	t.linkOps[linkName] = append(t.linkOps[linkName], linkDelta{a: a, b: b})
-	t.touchedLinks[linkName] = ls
+	t.linkOps[ls] = append(t.linkOps[ls], linkDelta{a: a, b: b})
 	t.wops = append(t.wops, walOp{kind: walOpDisconnect, name: linkName, a: a, b: b})
-	t.ops = append(t.ops, func(ts uint64) (func(), error) {
-		_, undo := ls.applyDisconnect(a, b, ts)
-		return undo, nil // nil undo when a concurrent commit already removed it
-	})
-	t.post = append(t.post, func() {
-		db.stats.LinksDropped.Add(1)
-	})
 	return true, nil
-}
-
-// joinUndos folds a list of undos into one that runs them in reverse.
-func joinUndos(undos []func()) func() {
-	if len(undos) == 1 {
-		return undos[0]
-	}
-	return func() {
-		for i := len(undos) - 1; i >= 0; i-- {
-			undos[i]()
-		}
-	}
 }
 
 // Commit installs every buffered operation at one fresh commit timestamp
@@ -476,7 +291,7 @@ func (t *Txn) Commit() error {
 	}
 	t.done = true
 	defer t.snap.Close()
-	if len(t.ops) == 0 {
+	if len(t.wops) == 0 {
 		return nil // nothing buffered, nothing to publish
 	}
 	db := t.db
@@ -486,19 +301,16 @@ func (t *Txn) Commit() error {
 		return err
 	}
 	ts := db.lastAlloc + 1
+	effs := make([]effect, 0, len(t.wops))
 	var undos []func()
-	for i, op := range t.ops {
-		undo, err := op(ts)
+	for i := range t.wops {
+		eff, err := db.applyOp(ts, &t.wops[i], &undos)
 		if err != nil {
-			for j := len(undos) - 1; j >= 0; j-- {
-				undos[j]()
-			}
+			undoAll(undos)
 			db.commitMu.Unlock()
 			return fmt.Errorf("storage: commit failed at operation %d: %w", i, err)
 		}
-		if undo != nil {
-			undos = append(undos, undo)
-		}
+		effs = append(effs, eff)
 	}
 	// sealCommit releases commitMu; with a WAL attached it returns only
 	// after this transaction's record is fsynced and published, so a nil
@@ -506,16 +318,8 @@ func (t *Txn) Commit() error {
 	if err := db.sealCommit(ts, t.wops); err != nil {
 		return err
 	}
-	for _, fn := range t.post {
-		fn()
-	}
-	for _, ls := range t.touchedLinks {
-		db.maybeLinkEpochBump(ls)
-	}
-	for typeName := range t.touchedTypes {
-		db.maybeAutoAnalyze(typeName)
-	}
-	t.ops, t.wops, t.post = nil, nil, nil
+	db.settle(effs)
+	t.wops = nil
 	return nil
 }
 
@@ -528,141 +332,13 @@ func (t *Txn) Rollback() error {
 	}
 	t.done = true
 	t.snap.Close()
-	t.ops, t.wops, t.post = nil, nil, nil
+	t.wops = nil
 	return nil
 }
 
 // Mutations reports how many mutations the transaction has buffered.
-func (t *Txn) Mutations() int { return len(t.ops) }
+func (t *Txn) Mutations() int { return len(t.wops) }
 
-// Dirty reports whether the transaction holds buffered writes — the
-// signal the query layer uses to decide between the plain begin-snapshot
-// read path and the effective-view (read-your-writes) path.
-func (t *Txn) Dirty() bool { return len(t.ops) > 0 }
-
-// EffAtom resolves one atom through the transaction's effective view:
-// the overlay value when buffered (false for a tombstone), the begin
-// snapshot otherwise. It returns false on a finished transaction.
-func (t *Txn) EffAtom(typeName string, id model.AtomID) (model.Atom, bool) {
-	if t.done {
-		return model.Atom{}, false
-	}
-	return t.lookupEff(typeName, id)
-}
-
-// EffIDs returns the identifiers of a type's effective occurrence:
-// snapshot atoms minus buffered tombstones, followed by this
-// transaction's own inserts in identifier order. The enumeration is
-// deterministic, matching ScanEff's delivery order.
-func (t *Txn) EffIDs(typeName string) []model.AtomID {
-	if t.done {
-		return nil
-	}
-	ov := t.atoms[typeName]
-	var out []model.AtomID
-	_ = t.snap.ScanAtoms(typeName, func(a model.Atom) bool {
-		if o, ok := ov[a.ID]; ok && o.deleted {
-			return true
-		}
-		out = append(out, a.ID)
-		return true
-	})
-	var extra []model.AtomID
-	for id, o := range ov {
-		if o.deleted {
-			continue
-		}
-		if _, inSnap := t.snap.GetAtom(typeName, id); inSnap {
-			continue // an update, already enumerated above
-		}
-		extra = append(extra, id)
-	}
-	model.SortAtomIDs(extra)
-	return append(out, extra...)
-}
-
-// EffPartners returns the partners of an atom along the named link type
-// in the transaction's effective view — the begin snapshot's adjacency
-// with the buffered link deltas replayed in op order. fromSideA selects
-// the traversal direction (side-B partners of a side-A atom, or the
-// symmetric view), mirroring PartnersFromAAt/PartnersFromBAt.
-func (t *Txn) EffPartners(linkName string, id model.AtomID, fromSideA bool) []model.AtomID {
-	if t.done {
-		return nil
-	}
-	db := t.db
-	db.mu.RLock()
-	ls, ok := db.links[linkName]
-	db.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	var base []model.AtomID
-	if fromSideA {
-		base = ls.PartnersFromAAt(id, t.snap.TS())
-	} else {
-		base = ls.PartnersFromBAt(id, t.snap.TS())
-	}
-	deltas := t.linkOps[linkName]
-	if len(deltas) == 0 {
-		return base
-	}
-	// The base slice is an immutable version list; replay on a copy.
-	out := append([]model.AtomID(nil), base...)
-	remove := func(p model.AtomID) {
-		for i, q := range out {
-			if q == p {
-				out = append(out[:i], out[i+1:]...)
-				return
-			}
-		}
-	}
-	add := func(p model.AtomID) {
-		for _, q := range out {
-			if q == p {
-				return
-			}
-		}
-		out = append(out, p)
-	}
-	refl := ls.desc.Reflexive()
-	for _, d := range deltas {
-		switch {
-		case d.drop:
-			// Cascade of a buffered delete: every link incident to d.a goes.
-			if d.a == id {
-				out = out[:0]
-			} else {
-				remove(d.a)
-			}
-		case d.added:
-			// Connect buffers the pair as given; applyConnect stores that
-			// same orientation, so no reflexive mirroring here.
-			if fromSideA && d.a == id {
-				add(d.b)
-			}
-			if !fromSideA && d.b == id {
-				add(d.a)
-			}
-		default:
-			// Disconnect: for a reflexive link the stored pair may carry
-			// either orientation, so drop whichever endpoint matches.
-			if fromSideA {
-				if d.a == id {
-					remove(d.b)
-				}
-				if refl && d.b == id {
-					remove(d.a)
-				}
-			} else {
-				if d.b == id {
-					remove(d.a)
-				}
-				if refl && d.a == id {
-					remove(d.b)
-				}
-			}
-		}
-	}
-	return out
-}
+// Dirty reports whether the transaction holds buffered writes — whether
+// its View carries an overlay, which only a full scan can enter.
+func (t *Txn) Dirty() bool { return len(t.wops) > 0 }

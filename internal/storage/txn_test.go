@@ -16,7 +16,12 @@ import (
 // txnDB builds a small database with a reflexive link type.
 func txnDB(t testing.TB) *storage.Database {
 	t.Helper()
-	db := storage.NewDatabase()
+	return txnSchema(t, storage.NewDatabase())
+}
+
+// txnSchema declares txnDB's schema on db.
+func txnSchema(t testing.TB, db *storage.Database) *storage.Database {
+	t.Helper()
 	if _, err := db.DefineAtomType("n", model.MustDesc(
 		model.AttrDesc{Name: "v", Kind: model.KInt},
 	)); err != nil {
@@ -258,82 +263,49 @@ func TestTxnAbandonedMidBatchLeavesNothing(t *testing.T) {
 	}
 }
 
-// TestTxnCommitConflictInstallsNothing drives a commit-time failure: the
-// transaction connects to an atom a concurrent auto-commit deletes after
-// Begin. The commit must fail as a unit, leaving zero versions visible.
+// TestTxnCommitConflictInstallsNothing drives commit-time failures: the
+// transaction connects to, or updates, an atom a concurrent auto-commit
+// deletes after Begin. The commit must fail as a unit, leaving zero
+// versions visible — an update must not resurrect the deleted atom.
 func TestTxnCommitConflictInstallsNothing(t *testing.T) {
-	db := txnDB(t)
-	a, _ := db.InsertAtom("n", model.Int(1))
-	victim, _ := db.InsertAtom("n", model.Int(2))
+	for name, touch := range map[string]func(txn *storage.Txn, a, victim model.AtomID) error{
+		"connect": func(txn *storage.Txn, a, victim model.AtomID) error { return txn.Connect("e", a, victim) },
+		"update": func(txn *storage.Txn, _, victim model.AtomID) error {
+			return txn.UpdateAtom("n", victim, []model.Value{model.Int(9)})
+		},
+	} {
+		db := txnDB(t)
+		a, _ := db.InsertAtom("n", model.Int(1))
+		victim, _ := db.InsertAtom("n", model.Int(2))
 
-	txn := db.Begin()
-	if _, err := txn.InsertAtom("n", model.Int(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Connect("e", a, victim); err != nil {
-		t.Fatal(err)
-	}
-	// Concurrent writer removes the endpoint between Begin and Commit.
-	if _, err := db.DeleteAtom("n", victim); err != nil {
-		t.Fatal(err)
-	}
-	before := snapshot(t, db)
-	versions := db.VersionCount()
-	if err := txn.Commit(); err == nil {
-		t.Fatal("commit with a deleted endpoint must fail")
-	}
-	if !bytes.Equal(before, snapshot(t, db)) {
-		t.Fatal("failed commit leaked state")
-	}
-	if got := db.VersionCount(); got != versions {
-		t.Fatalf("failed commit leaked versions: %d -> %d", versions, got)
-	}
-	if err := txn.Rollback(); err == nil {
-		t.Fatal("rollback after a failed commit must still be a hard error")
-	}
-	if err := db.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTxnSnapshotIsolationFromWriter pins a snapshot, commits a
-// transaction, and checks the snapshot still serves the old state while
-// the latest view serves the new one.
-func TestTxnSnapshotIsolationFromWriter(t *testing.T) {
-	db := txnDB(t)
-	a, _ := db.InsertAtom("n", model.Int(1))
-	snap := db.Snapshot()
-	defer snap.Close()
-
-	txn := db.Begin()
-	if err := txn.UpdateAtom("n", a, []model.Value{model.Int(2)}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := txn.InsertAtom("n", model.Int(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Connect("e", a, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, _ := snap.GetAtom("n", a); got.Get(0).String() != "1" {
-		t.Fatalf("snapshot sees updated value %v", got.Get(0))
-	}
-	if snap.HasAtom("n", b) {
-		t.Fatal("snapshot sees an atom committed after it was taken")
-	}
-	if n, _ := snap.CountLinks("e"); n != 0 {
-		t.Fatal("snapshot sees links committed after it was taken")
-	}
-	if got, _ := db.GetAtom("n", a); got.Get(0).String() != "2" {
-		t.Fatalf("latest view missed the update: %v", got.Get(0))
-	}
-	if !db.HasAtom("n", b) || db.TotalLinks() != 1 {
-		t.Fatal("latest view missed the commit")
+		txn := db.Begin()
+		if _, err := txn.InsertAtom("n", model.Int(3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := touch(txn, a, victim); err != nil {
+			t.Fatal(err)
+		}
+		// Concurrent writer removes the atom between Begin and Commit.
+		if _, err := db.DeleteAtom("n", victim); err != nil {
+			t.Fatal(err)
+		}
+		before := snapshot(t, db)
+		versions := db.VersionCount()
+		if err := txn.Commit(); err == nil {
+			t.Fatalf("%s: commit touching a deleted atom must fail", name)
+		}
+		if !bytes.Equal(before, snapshot(t, db)) {
+			t.Fatalf("%s: failed commit leaked state", name)
+		}
+		if got := db.VersionCount(); got != versions {
+			t.Fatalf("%s: failed commit leaked versions: %d -> %d", name, versions, got)
+		}
+		if err := txn.Rollback(); err == nil {
+			t.Fatal("rollback after a failed commit must still be a hard error")
+		}
+		if err := db.CheckIntegrity(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -415,69 +387,6 @@ func TestTxnRollbackPropertyRandomOps(t *testing.T) {
 			return false
 		}
 		return bytes.Equal(before, snapshot(t, db))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTxnCommitPropertyRandomOps is the committing twin: random buffered
-// batches must install atomically and leave an integral database.
-func TestTxnCommitPropertyRandomOps(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		db := txnDB(t)
-		var live []model.AtomID
-		for i := 0; i < 8; i++ {
-			id, err := db.InsertAtom("n", model.Int(int64(i)))
-			if err != nil {
-				return false
-			}
-			live = append(live, id)
-		}
-		txn := db.Begin()
-		inTxn := append([]model.AtomID(nil), live...)
-		for op := 0; op < 30; op++ {
-			switch r := rng.Intn(10); {
-			case r < 4:
-				id, err := txn.InsertAtom("n", model.Int(int64(100+op)))
-				if err != nil {
-					return false
-				}
-				inTxn = append(inTxn, id)
-			case r < 7 && len(inTxn) >= 2:
-				a := inTxn[rng.Intn(len(inTxn))]
-				b := inTxn[rng.Intn(len(inTxn))]
-				if a == b {
-					continue
-				}
-				if err := txn.Connect("e", a, b); err != nil {
-					return false
-				}
-			case r < 8 && len(inTxn) > 0:
-				id := inTxn[rng.Intn(len(inTxn))]
-				if err := txn.UpdateAtom("n", id, []model.Value{model.Int(int64(rng.Intn(1000)))}); err != nil {
-					return false
-				}
-			default:
-				if len(inTxn) == 0 {
-					continue
-				}
-				i := rng.Intn(len(inTxn))
-				if err := txn.DeleteAtom("n", inTxn[i]); err != nil {
-					return false
-				}
-				inTxn = append(inTxn[:i], inTxn[i+1:]...)
-			}
-		}
-		if err := txn.Commit(); err != nil {
-			return false
-		}
-		if db.CheckIntegrity() != nil {
-			return false
-		}
-		// Committed membership matches the overlay's bookkeeping.
-		return db.TotalAtoms() == len(inTxn)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -44,6 +44,42 @@ func (db *Database) VacuumHorizon() uint64 {
 	return latest
 }
 
+// stores lists every Container, LinkStore and Index — the one iterator
+// over all version chains that Vacuum, VersionCount and the chain-pressure
+// figures share.
+func (db *Database) stores() []store {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := make([]store, 0, len(db.containers)+len(db.links)+len(db.indexes))
+	for _, c := range db.containers {
+		out = append(out, c)
+	}
+	for _, ls := range db.links {
+		out = append(out, ls)
+	}
+	for _, ix := range db.indexes {
+		out = append(out, ix)
+	}
+	return out
+}
+
+// chainStats reports the version-chain pressure across every occurrence
+// and index: chains, total version nodes and the longest chain.
+func (db *Database) chainStats() (chains, nodes, maxLen int) {
+	for _, s := range db.stores() {
+		latch, sets := s.chainSets()
+		latch.RLock()
+		for _, set := range sets {
+			n, v, l := set.pressure()
+			chains += n
+			nodes += v
+			maxLen = max(maxLen, l)
+		}
+		latch.RUnlock()
+	}
+	return chains, nodes, maxLen
+}
+
 // Vacuum reclaims version-chain nodes no live snapshot can reach: for
 // every chain it keeps the newest version at or below the horizon as the
 // new tail and severs everything older, and removes slots whose entire
@@ -51,48 +87,23 @@ func (db *Database) VacuumHorizon() uint64 {
 // readers stream and writers commit; it takes each occurrence's write
 // latch briefly, never the commit mutex.
 func (db *Database) Vacuum() VacuumStats {
-	horizon := db.VacuumHorizon()
-	db.mu.RLock()
-	containers := make([]*Container, 0, len(db.containers))
-	for _, c := range db.containers {
-		containers = append(containers, c)
-	}
-	stores := make([]*LinkStore, 0, len(db.links))
-	for _, ls := range db.links {
-		stores = append(stores, ls)
-	}
-	indexes := make([]*Index, 0, len(db.indexes))
-	for _, ix := range db.indexes {
-		indexes = append(indexes, ix)
-	}
-	db.mu.RUnlock()
-	st := VacuumStats{Horizon: horizon}
-	for _, c := range containers {
-		st.Reclaimed += c.vacuum(horizon)
-	}
-	for _, ls := range stores {
-		st.Reclaimed += ls.vacuum(horizon)
-	}
-	for _, ix := range indexes {
-		st.Reclaimed += ix.vacuum(horizon)
-	}
-	nodes := 0
-	fold := func(chains, n, maxLen int) {
-		st.Chains += chains
-		nodes += n
-		if maxLen > st.MaxChain {
-			st.MaxChain = maxLen
+	st := VacuumStats{Horizon: db.VacuumHorizon()}
+	for _, s := range db.stores() {
+		latch, sets := s.chainSets()
+		latch.Lock()
+		removed := 0
+		for _, set := range sets {
+			reclaimed, dropped := set.truncate(st.Horizon)
+			st.Reclaimed += reclaimed
+			removed += dropped
 		}
+		if removed > 0 {
+			s.swept()
+		}
+		latch.Unlock()
 	}
-	for _, c := range containers {
-		fold(c.chainStats())
-	}
-	for _, ls := range stores {
-		fold(ls.chainStats())
-	}
-	for _, ix := range indexes {
-		fold(ix.chainStats())
-	}
+	var nodes int
+	st.Chains, nodes, st.MaxChain = db.chainStats()
 	if st.Chains > 0 {
 		st.MeanChain = float64(nodes) / float64(st.Chains)
 	}
@@ -103,31 +114,8 @@ func (db *Database) Vacuum() VacuumStats {
 // occurrence and index — the metric snapshot/GC tests leak-check: it must
 // shrink back once snapshots close and vacuum runs.
 func (db *Database) VersionCount() int {
-	db.mu.RLock()
-	containers := make([]*Container, 0, len(db.containers))
-	for _, c := range db.containers {
-		containers = append(containers, c)
-	}
-	stores := make([]*LinkStore, 0, len(db.links))
-	for _, ls := range db.links {
-		stores = append(stores, ls)
-	}
-	indexes := make([]*Index, 0, len(db.indexes))
-	for _, ix := range db.indexes {
-		indexes = append(indexes, ix)
-	}
-	db.mu.RUnlock()
-	n := 0
-	for _, c := range containers {
-		n += c.versionCount()
-	}
-	for _, ls := range stores {
-		n += ls.versionCount()
-	}
-	for _, ix := range indexes {
-		n += ix.versionCount()
-	}
-	return n
+	_, nodes, _ := db.chainStats()
+	return nodes
 }
 
 // Chain-pressure thresholds for the adaptive vacuum cadence: a residual

@@ -54,9 +54,9 @@ func osOpenWAL(path string) (walFile, error) {
 // errWALClosed rejects commits after Database.Close.
 var errWALClosed = errors.New("storage: wal closed")
 
-// walOp kinds — the logical redo operations a record carries. Replay
-// applies them through the same apply paths commits use, so cascades
-// (link drops on atom deletion) are recomputed rather than logged.
+// walOp kinds — the logical operations a commit is made of. Replay runs
+// them through applyOp like the commit did, so cascades (link drops on
+// atom deletion) are recomputed rather than logged.
 const (
 	walOpPut uint8 = iota + 1
 	walOpDelete
@@ -68,7 +68,8 @@ const (
 	walOpDropIndex
 )
 
-// walOp is one logical operation of a commit's write set.
+// walOp is one logical operation of a commit's write set — the unit
+// applyOp installs, a Txn buffers and a log record carries.
 type walOp struct {
 	kind  uint8
 	name  string // atom-type, link-type or index target name
@@ -78,7 +79,18 @@ type walOp struct {
 	attrs []model.AttrDesc
 	link  model.LinkDesc
 	attr  string
+
+	// put constrains a walOpPut against the pre-state at its commit
+	// timestamp. It lives in memory only: the log does not say whether a
+	// put inserted or updated, and replay takes it either way.
+	put uint8
 }
+
+const (
+	putUpsert  uint8 = iota // replayed: whichever the pre-state makes it
+	putNew                  // insert, adopt: the identifier must not be live
+	putReplace              // update: the atom must be live
+)
 
 // walRecHeader is the frame prefix: u32 payload length + u32 CRC32(payload).
 const walRecHeader = 8
@@ -295,9 +307,6 @@ type WAL struct {
 	dir     string
 	open    walOpenFunc
 	publish func(ts uint64)
-	// perCommitSync degrades group commit to one fsync per record — the
-	// "naive" baseline the P14 benchmark contrasts against.
-	perCommitSync bool
 
 	mu     sync.Mutex
 	queue  []*walReq
@@ -330,14 +339,13 @@ type WAL struct {
 }
 
 // newWAL opens a fresh segment numbered seg and starts the flusher.
-func newWAL(dir string, seg uint64, publish func(uint64), open walOpenFunc, perCommitSync bool) (*WAL, error) {
+func newWAL(dir string, seg uint64, publish func(uint64), open walOpenFunc) (*WAL, error) {
 	w := &WAL{
-		dir:           dir,
-		open:          open,
-		publish:       publish,
-		perCommitSync: perCommitSync,
-		signal:        make(chan struct{}, 1),
-		stop:          make(chan struct{}),
+		dir:     dir,
+		open:    open,
+		publish: publish,
+		signal:  make(chan struct{}, 1),
+		stop:    make(chan struct{}),
 	}
 	f, err := open(filepath.Join(dir, walSegName(seg)))
 	if err != nil {
@@ -472,27 +480,8 @@ func (w *WAL) flushBatch(batch []*walReq) {
 	}
 }
 
-// writeRun appends records back to back, syncs, publishes and acks. In
-// perCommitSync mode every record gets its own fsync — the naive
-// baseline group commit is measured against.
+// writeRun appends records back to back, syncs once, publishes and acks.
 func (w *WAL) writeRun(run []*walReq) error {
-	if w.perCommitSync {
-		for _, req := range run {
-			if _, err := w.f.Write(req.rec); err != nil {
-				return err
-			}
-			w.appends.Add(1)
-			w.liveBytes.Add(int64(len(req.rec)))
-			if err := w.f.Sync(); err != nil {
-				return err
-			}
-			w.syncs.Add(1)
-			w.publish(req.ts)
-			req.done <- nil
-		}
-		w.maybeAutoCheckpoint()
-		return nil
-	}
 	for _, req := range run {
 		if _, err := w.f.Write(req.rec); err != nil {
 			return err

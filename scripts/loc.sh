@@ -1,9 +1,10 @@
 #!/bin/sh
 # loc.sh — the code-line figures simplicity PRs quote: non-blank,
 # non-comment lines of .go source, non-test and _test.go separately, per
-# pipeline package and repo-wide outside benchmark/ (a module of its own
-# that engine PRs may not edit). Exported-identifier counts of the two
-# packages whose surface the issues bound ride along.
+# pipeline package, for the storage layer below them and repo-wide outside
+# benchmark/ (a module of its own that engine PRs may not edit).
+# Exported-identifier counts of the packages whose surface the issues
+# bound ride along.
 #
 # Usage: scripts/loc.sh [dir]   (default: the repository root)
 set -eu
@@ -28,12 +29,14 @@ for pkg in core plan mql recursive server; do
 	printf '%-20s %9d %9d\n' "internal/$pkg" "$n" "$(count test "internal/$pkg")"
 done
 printf '%-20s %9d\n' "the five together" "$sum"
+# The storage layer proper: the package's own files, not storage/stats.
+printf '%-20s %9d %9d\n' internal/storage "$(count code internal/storage/*.go)" "$(count test internal/storage/*.go)"
 printf '%-20s %9d %9d\n' "repo (no benchmark/)" "$(count code .)" "$(count test .)"
 printf '%-20s %9s %9d\n' "  _test.go, raw lines" "" \
 	"$(find . -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)"
 
 # Exported identifiers: top-level declarations, methods and struct fields.
-for pkg in plan mql; do
+for pkg in storage core plan mql; do
 	n=$(go doc -all "./internal/$pkg" | grep -cE '^(func|type|var|const) |^    [A-Z][A-Za-z0-9_]* ' || true)
-	printf 'exported identifiers  internal/%-5s %d\n' "$pkg" "$n"
+	printf 'exported identifiers  internal/%-7s %d\n' "$pkg" "$n"
 done

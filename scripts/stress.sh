@@ -22,7 +22,7 @@ timeout="${TIMEOUT:-10m}"
 
 echo "== storage: transaction + snapshot/vacuum property tests (race, -count=$count)"
 go test -race -count="$count" -timeout "$timeout" \
-	-run 'TestTxn|TestVacuum|TestSnapshot' ./internal/storage/
+	-run 'TestTxn|TestVacuum|TestSnapshot|Property' ./internal/storage/
 
 echo "== storage: WAL kill-and-recover crash injection (race, -count=$count)"
 go test -race -count="$count" -timeout "$timeout" \
@@ -32,8 +32,8 @@ echo "== plan: writers vs streaming readers stress (race, -count=$count)"
 go test -race -count="$count" -timeout "$timeout" \
 	-run 'TestMVCCStress' ./internal/plan/
 
-# The closure and dirty-view configurations fan a transaction's Eff*
-# reads and the per-round closure loop over the worker pool.
+# The closure and dirty-view configurations fan reads through a
+# transaction's View and the per-round closure loop over the worker pool.
 echo "== plan: forced-path parity over structures, closures and dirty views (race, 1000 checks)"
 go test -race -timeout "$timeout" \
 	-run 'TestForcedPathParityRandom' ./internal/plan/ -quickchecks 1000
