@@ -116,62 +116,43 @@ func openDatabase(loadGeo bool, path, dataDir string) (*storage.Database, error)
 	}
 }
 
-// seedGeo loads the geographic sample into a fresh durable database by
-// replaying its build script, so the data goes through the WAL.
+// seedGeo loads the geographic sample into a fresh durable database as
+// one transaction — schema, atoms and links — so the data goes through the
+// WAL and lands whole or not at all.
 func seedGeo(db *storage.Database) error {
 	s, err := geo.BuildSample()
 	if err != nil {
 		return err
 	}
-	var out strings.Builder
-	if err := storage.EncodeSnapshot(s.DB, &out); err != nil {
-		return err
-	}
-	src, err := storage.DecodeSnapshot(strings.NewReader(out.String()))
-	if err != nil {
-		return err
-	}
-	return copyInto(db, src)
-}
-
-// copyInto replays src's schema and occurrences into db as ordinary
-// commits.
-func copyInto(db, src *storage.Database) error {
-	for _, at := range src.Schema().AtomTypes() {
-		if _, err := db.DefineAtomType(at.Name, at.Desc); err != nil {
+	schema, t := s.DB.Schema(), db.Begin()
+	defer t.Rollback()
+	for _, at := range schema.AtomTypes() {
+		if err := t.DefineAtomType(at.Name, at.Desc); err != nil {
 			return err
 		}
 	}
-	for _, lt := range src.Schema().LinkTypes() {
-		if _, err := db.DefineLinkType(lt.Name, lt.Desc); err != nil {
+	for _, lt := range schema.LinkTypes() {
+		if err := t.DefineLinkType(lt.Name, lt.Desc); err != nil {
 			return err
 		}
 	}
-	for _, at := range src.Schema().AtomTypes() {
-		var ierr error
-		src.ScanAtoms(at.Name, func(a mad.Atom) bool {
-			ierr = db.AdoptAtom(at.Name, a)
-			return ierr == nil
-		})
-		if ierr != nil {
-			return ierr
+	for _, at := range schema.AtomTypes() {
+		c, _ := s.DB.Container(at.Name)
+		for _, a := range c.Atoms() {
+			if err := t.AdoptAtom(at.Name, a); err != nil {
+				return err
+			}
 		}
 	}
-	for _, lt := range src.Schema().LinkTypes() {
-		ls, ok := src.LinkStore(lt.Name)
-		if !ok {
-			continue
-		}
-		var cerr error
-		ls.Scan(func(l mad.Link) bool {
-			cerr = db.Connect(lt.Name, l.A, l.B)
-			return cerr == nil
-		})
-		if cerr != nil {
-			return cerr
+	for _, lt := range schema.LinkTypes() {
+		ls, _ := s.DB.LinkStore(lt.Name)
+		for _, l := range ls.Links() {
+			if err := t.Connect(lt.Name, l.A, l.B); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
+	return t.Commit()
 }
 
 func closeDatabase(db *storage.Database) {

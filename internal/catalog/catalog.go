@@ -134,6 +134,22 @@ func (s *Schema) AddLinkType(name string, desc model.LinkDesc) (*LinkType, error
 	return lt, nil
 }
 
+// Retract removes name, the type added last, and gives its type number
+// back: the undo of an AddAtomType or AddLinkType whose commit failed.
+func (s *Schema) Retract(name string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if at, ok := s.atomsByName[name]; ok {
+		delete(s.atomsByName, name)
+		delete(s.atomsByNum, at.Num)
+		s.nextNum--
+		s.atomOrder = s.atomOrder[:len(s.atomOrder)-1]
+		return
+	}
+	delete(s.linksByName, name)
+	s.linkOrder = s.linkOrder[:len(s.linkOrder)-1]
+}
+
 // AtomType resolves an atom type by name (the atyp function of the paper).
 func (s *Schema) AtomType(name string) (*AtomType, bool) {
 	s.mu.RLock()

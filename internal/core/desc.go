@@ -60,9 +60,9 @@ type Closure struct {
 	Depth int
 }
 
-// NewDesc validates <C, G> against the database schema and computes the
+// NewDesc validates <C, G> against the database and computes the
 // traversal structure. It enforces md_graph: every node and edge must
-// exist in the schema with compatible sides, and the graph must be
+// exist in the database with compatible sides, and the graph must be
 // directed, acyclic, coherent, and single-rooted.
 func NewDesc(db *storage.Database, types []string, edges []DirectedLink) (*Desc, error) {
 	if len(types) == 0 {
@@ -75,12 +75,13 @@ func NewDesc(db *storage.Database, types []string, edges []DirectedLink) (*Desc,
 		outgoing: make(map[string][]int),
 		pos:      make(map[string]int),
 	}
-	schema := db.Schema()
+	// Types resolve through their occurrences, not the catalog: a type a
+	// transaction defined is part of its structures before it commits.
 	for i, t := range d.types {
 		if _, dup := d.pos[t]; dup {
 			return nil, fmt.Errorf("core: atom type %q appears twice in C (C is a set)", t)
 		}
-		if _, ok := schema.AtomType(t); !ok {
+		if _, ok := db.Container(t); !ok {
 			return nil, fmt.Errorf("core: unknown atom type %q in molecule description", t)
 		}
 		d.pos[t] = i
@@ -92,11 +93,11 @@ func NewDesc(db *storage.Database, types []string, edges []DirectedLink) (*Desc,
 		if _, ok := d.pos[e.To]; !ok {
 			return nil, fmt.Errorf("core: edge %s ends outside C", e)
 		}
-		lt, ok := schema.LinkType(e.Link)
+		ls, ok := db.LinkStore(e.Link)
 		if !ok {
 			return nil, fmt.Errorf("core: unknown link type %q in molecule description", e.Link)
 		}
-		ld := lt.Desc
+		ld := ls.Desc()
 		if !(ld.SideA == e.From && ld.SideB == e.To) && !(ld.SideA == e.To && ld.SideB == e.From) {
 			return nil, fmt.Errorf("core: link type %q connects %s, not %q→%q", e.Link, ld, e.From, e.To)
 		}
@@ -122,14 +123,14 @@ func NewDesc(db *storage.Database, types []string, edges []DirectedLink) (*Desc,
 // any other description, while propagation (and with it Σ, Π, X, Ω, Δ in
 // algebra mode) rejects it.
 func NewClosureDesc(db *storage.Database, atomType, link string, up bool, depth int) (*Desc, error) {
-	if _, ok := db.Schema().AtomType(atomType); !ok {
+	if _, ok := db.Container(atomType); !ok {
 		return nil, fmt.Errorf("core: unknown atom type %q in recursive structure", atomType)
 	}
-	lt, ok := db.Schema().LinkType(link)
+	ls, ok := db.LinkStore(link)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown link type %q in recursive structure", link)
 	}
-	if !lt.Desc.Reflexive() || lt.Desc.SideA != atomType {
+	if ld := ls.Desc(); !ld.Reflexive() || ld.SideA != atomType {
 		return nil, fmt.Errorf("core: link type %q is not reflexive on %q", link, atomType)
 	}
 	if depth < 0 {
@@ -150,6 +151,39 @@ func NewClosureDesc(db *storage.Database, atomType, link string, up bool, depth 
 // Closure returns the recursion shape of a closure description, nil for
 // a plain one.
 func (d *Desc) Closure() *Closure { return d.closure }
+
+// Sub returns the description induced by keep — the kept types in
+// declaration order and every edge between two of them — the structure
+// of a projection Π, which must keep the root and stay coherent.
+func (d *Desc) Sub(db *storage.Database, keep []string) (*Desc, error) {
+	in := make(map[string]bool, len(keep))
+	for _, t := range keep {
+		if !d.HasType(t) {
+			return nil, fmt.Errorf("core: Π: type %q is not part of %s", t, d)
+		}
+		in[t] = true
+	}
+	if !in[d.root] {
+		return nil, fmt.Errorf("core: Π: projection must keep the root type %q", d.root)
+	}
+	var types []string
+	for _, t := range d.types {
+		if in[t] {
+			types = append(types, t)
+		}
+	}
+	var edges []DirectedLink
+	for _, e := range d.edges {
+		if in[e.From] && in[e.To] {
+			edges = append(edges, e)
+		}
+	}
+	sub, err := NewDesc(db, types, edges)
+	if err != nil {
+		return nil, fmt.Errorf("core: Π: induced structure invalid: %w", err)
+	}
+	return sub, nil
+}
 
 // computeGraph checks acyclicity, coherence and single-rootedness, and
 // fixes a topological order (root first, then by Kahn's algorithm with

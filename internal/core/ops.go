@@ -2,32 +2,43 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mad/internal/expr"
 	"mad/internal/model"
 	"mad/internal/storage"
 )
 
+// The operators below are the paper's reference algebra, kept for the
+// frozen F/Q experiments and as oracles: each derives its result set
+// through one transaction's view, materializes it (the op-specific phase
+// of Fig. 5), feeds it to the one sink, Prop, and commits — one
+// transaction, one commit. MQL's DEFINE feeds the same sink from the
+// planner's stream instead.
+
 // Restrict is the molecule-type restriction Σ[restr(md)](mt)
 // (Definition 10): it derives mv, keeps the molecules fulfilling the
 // qualification formula, and propagates the result set into the enlarged
 // database, closing with α. A nil predicate keeps every molecule.
 func Restrict(mt *MoleculeType, pred expr.Expr, resultName string, tr *OpTrace) (*MoleculeType, error) {
-	tr.SetOp(fmt.Sprintf("Σ[%s](%s)", exprString(pred), mt.Name()))
+	tr.setOp(fmt.Sprintf("Σ[%s](%s)", exprString(pred), mt.Name()))
 	if err := expr.Check(pred, Scope{DB: mt.db, Desc: mt.desc}); err != nil {
 		return nil, err
 	}
-	done := tr.Begin("restriction (op-specific)")
+	done := tr.begin("restriction (op-specific)")
 	dv, err := mt.Deriver()
 	if err != nil {
 		return nil, err
 	}
+	txn := mt.db.Begin()
+	defer txn.Rollback()
+	view := txn.View()
 	var rsv MoleculeSet
 	var evalErr error
 	total := 0
-	dv.Walk(func(m *Molecule) bool {
+	dv.At(view).Walk(func(m *Molecule) bool {
 		total++
-		ok, err := expr.EvalPredicate(pred, Binding{DB: mt.db, M: m})
+		ok, err := expr.EvalPredicate(pred, Binding{DB: mt.db, M: m, View: view})
 		if err != nil {
 			evalErr = err
 			return false
@@ -41,11 +52,7 @@ func Restrict(mt *MoleculeType, pred expr.Expr, resultName string, tr *OpTrace) 
 		return nil, evalErr
 	}
 	done(fmt.Sprintf("qualified %d of %d molecules", len(rsv), total))
-	res, err := Prop(mt.db, resultName, mt.desc, rsv, nil, tr)
-	if err != nil {
-		return nil, err
-	}
-	return res.Type, nil
+	return propagate(txn, resultName, mt.desc, rsv, nil, tr)
 }
 
 func exprString(e expr.Expr) string {
@@ -71,51 +78,22 @@ type Projection struct {
 // narrows component descriptions, preserving atom identity — duplicate
 // elimination is an atom-type-level (π) concern, not a molecule-level one.
 func Project(mt *MoleculeType, p Projection, resultName string, tr *OpTrace) (*MoleculeType, error) {
-	tr.SetOp(fmt.Sprintf("Π[%v](%s)", p.Keep, mt.Name()))
-	done := tr.Begin("projection (op-specific)")
-	keep := make(map[string]bool, len(p.Keep))
-	for _, t := range p.Keep {
-		if !mt.desc.HasType(t) {
-			return nil, fmt.Errorf("core: Π: type %q is not part of %s", t, mt.desc)
-		}
-		keep[t] = true
-	}
-	if !keep[mt.desc.Root()] {
-		return nil, fmt.Errorf("core: Π: projection must keep the root type %q", mt.desc.Root())
-	}
-	// Induced sub-description, preserving declaration order.
-	var subTypes []string
-	for _, t := range mt.desc.Types() {
-		if keep[t] {
-			subTypes = append(subTypes, t)
-		}
-	}
-	var subEdges []DirectedLink
-	keptEdge := make([]int, 0) // original edge index per kept edge
-	for ei, e := range mt.desc.Edges() {
-		if keep[e.From] && keep[e.To] {
-			subEdges = append(subEdges, e)
-			keptEdge = append(keptEdge, ei)
-		}
-	}
-	rsd, err := NewDesc(mt.db, subTypes, subEdges)
+	tr.setOp(fmt.Sprintf("Π[%v](%s)", p.Keep, mt.Name()))
+	done := tr.begin("projection (op-specific)")
+	rsd, err := mt.desc.Sub(mt.db, p.Keep)
 	if err != nil {
-		return nil, fmt.Errorf("core: Π: induced structure invalid: %w", err)
+		return nil, err
 	}
 	// Re-derive over the pruned structure so component sets follow the
 	// pruned containment semantics exactly.
-	dv, err := NewDeriver(mt.db, rsd)
+	txn := mt.db.Begin()
+	defer txn.Rollback()
+	rsv, err := deriveIn(txn, rsd)
 	if err != nil {
 		return nil, err
 	}
-	rsv := dv.Derive()
-	done(fmt.Sprintf("kept %d/%d types, %d/%d edges", len(subTypes), mt.desc.NumTypes(), len(subEdges), mt.desc.NumEdges()))
-	_ = keptEdge
-	res, err := Prop(mt.db, resultName, rsd, rsv, p.Attrs, tr)
-	if err != nil {
-		return nil, err
-	}
-	return res.Type, nil
+	done(fmt.Sprintf("kept %d/%d types, %d/%d edges", rsd.NumTypes(), mt.desc.NumTypes(), rsd.NumEdges(), mt.desc.NumEdges()))
+	return propagate(txn, resultName, rsd, rsv, p.Attrs, tr)
 }
 
 // Product is the molecule-type cartesian product X(mt1, mt2). The paper
@@ -125,77 +103,84 @@ func Project(mt *MoleculeType, p Projection, resultName string, tr *OpTrace) (*M
 // created, and each pair molecule connects one molecule of mv1 with one of
 // mv2 — |mv1| × |mv2| result molecules.
 func Product(mt1, mt2 *MoleculeType, resultName string, tr *OpTrace) (*MoleculeType, error) {
-	tr.SetOp(fmt.Sprintf("X(%s, %s)", mt1.Name(), mt2.Name()))
+	tr.setOp(fmt.Sprintf("X(%s, %s)", mt1.Name(), mt2.Name()))
 	if mt1.db != mt2.db {
 		return nil, fmt.Errorf("core: X: operands live in different databases")
 	}
 	db := mt1.db
-	done := tr.Begin("product (op-specific)")
-	mv1, err := mt1.Derive()
+	// X is the one operator that mints atoms — the pair roots — and a Txn
+	// can only adopt atoms into a type it defined (native identifiers
+	// embed a type number, assigned at commit). So the pair-root atom type
+	// alone is defined by one DDL auto-commit before X's transaction; a
+	// failed X leaves it behind, empty. MQL does not reach X.
+	pairName := db.Schema().FreshAtomName("pair")
+	pairDesc := model.MustDesc(
+		model.AttrDesc{Name: "left", Kind: model.KID, NotNull: true},
+		model.AttrDesc{Name: "right", Kind: model.KID, NotNull: true},
+	)
+	if _, err := db.DefineAtomType(pairName, pairDesc); err != nil {
+		return nil, err
+	}
+	txn := db.Begin()
+	defer txn.Rollback()
+	done := tr.begin("product (op-specific)")
+	mv1, err := deriveIn(txn, mt1.desc)
 	if err != nil {
 		return nil, err
 	}
-	mv2, err := mt2.Derive()
+	mv2, err := deriveIn(txn, mt2.desc)
 	if err != nil {
 		return nil, err
 	}
 	done(fmt.Sprintf("|mv1|=%d × |mv2|=%d", len(mv1), len(mv2)))
 
-	p1, err := Prop(db, "", mt1.desc, mv1, nil, tr)
+	p1, err := Prop(txn, "", mt1.desc, each(mv1), nil, tr)
 	if err != nil {
 		return nil, err
 	}
-	p2, err := Prop(db, "", mt2.desc, mv2, nil, tr)
+	p2, err := Prop(txn, "", mt2.desc, each(mv2), nil, tr)
 	if err != nil {
 		return nil, err
 	}
 
-	doneRoot := tr.Begin("product (pair root)")
-	pairDesc := model.MustDesc(
-		model.AttrDesc{Name: "left", Kind: model.KID, NotNull: true},
-		model.AttrDesc{Name: "right", Kind: model.KID, NotNull: true},
-	)
-	pairName := db.Schema().FreshAtomName("pair")
-	if _, err := db.DefineAtomType(pairName, pairDesc); err != nil {
-		return nil, err
-	}
-	d1, d2 := p1.Type.Desc(), p2.Type.Desc()
+	doneRoot := tr.begin("product (pair root)")
+	d1, d2 := p1.Desc(), p2.Desc()
 	leftRoot, rightRoot := d1.Root(), d2.Root()
 	leftLink := db.Schema().FreshLinkName("pair_left")
-	if _, err := db.DefineLinkType(leftLink, model.LinkDesc{SideA: pairName, SideB: leftRoot}); err != nil {
+	if err := txn.DefineLinkType(leftLink, model.LinkDesc{SideA: pairName, SideB: leftRoot}); err != nil {
 		return nil, err
 	}
 	rightLink := db.Schema().FreshLinkName("pair_right")
-	if _, err := db.DefineLinkType(rightLink, model.LinkDesc{SideA: pairName, SideB: rightRoot}); err != nil {
+	if err := txn.DefineLinkType(rightLink, model.LinkDesc{SideA: pairName, SideB: rightRoot}); err != nil {
 		return nil, err
 	}
 	for _, m1 := range mv1 {
 		for _, m2 := range mv2 {
-			pid, err := db.InsertAtom(pairName, model.ID(m1.Root()), model.ID(m2.Root()))
+			pid, err := txn.InsertAtom(pairName, model.ID(m1.Root()), model.ID(m2.Root()))
 			if err != nil {
 				return nil, err
 			}
-			if err := db.Connect(leftLink, pid, m1.Root()); err != nil {
+			if err := txn.Connect(leftLink, pid, m1.Root()); err != nil {
 				return nil, err
 			}
-			if err := db.Connect(rightLink, pid, m2.Root()); err != nil {
+			if err := txn.Connect(rightLink, pid, m2.Root()); err != nil {
 				return nil, err
 			}
 		}
 	}
-	types := append([]string{pairName}, d1.Types()...)
-	types = append(types, d2.Types()...)
-	edges := []DirectedLink{
+	types := slices.Concat([]string{pairName}, d1.Types(), d2.Types())
+	edges := slices.Concat([]DirectedLink{
 		{Link: leftLink, From: pairName, To: leftRoot},
 		{Link: rightLink, From: pairName, To: rightRoot},
-	}
-	edges = append(edges, d1.Edges()...)
-	edges = append(edges, d2.Edges()...)
+	}, d1.Edges(), d2.Edges())
 	doneRoot(fmt.Sprintf("%d pair atoms", len(mv1)*len(mv2)))
 
-	doneAlpha := tr.Begin("definition (α)")
+	doneAlpha := tr.begin("definition (α)")
 	mtx, err := Define(db, resultName, types, edges)
 	if err != nil {
+		return nil, err
+	}
+	if err := txn.Commit(); err != nil {
 		return nil, err
 	}
 	doneAlpha("pair-rooted structure")
@@ -227,109 +212,131 @@ func compatible(mt1, mt2 *MoleculeType) error {
 	return nil
 }
 
+// Combine is the one combinator of the set operations, over molecule
+// identity (Molecule.Key), for molecule sources of two compatible types:
+// Ω ('Ω') streams left then right, skipping molecules already seen; Δ
+// ('Δ') drains right into an identity set, then streams the molecules of
+// left outside it; Ψ ('Ψ') streams those inside it — the intersection
+// Ψ(a, b) = Δ(a, Δ(a, b)) as one membership pass, so one propagation.
+// Both sources must read a view no write of the consumer can change.
+func Combine(op rune, mt1, mt2 *MoleculeType, left, right func() (*Molecule, error)) (func() (*Molecule, error), error) {
+	if op != 'Ω' && op != 'Δ' && op != 'Ψ' {
+		return nil, fmt.Errorf("core: unknown set operation %q", op)
+	}
+	if err := compatible(mt1, mt2); err != nil {
+		return nil, err
+	}
+	keys := make(map[string]bool) // Ω: seen so far; Δ, Ψ: right's identities
+	for op != 'Ω' {
+		m, err := right()
+		if err != nil {
+			return nil, err
+		}
+		if m == nil {
+			right = nil
+			break
+		}
+		keys[m.Key()] = true
+	}
+	return func() (*Molecule, error) {
+		for {
+			m, err := left()
+			if err != nil || m == nil && right == nil {
+				return nil, err
+			}
+			if m == nil { // Ω: the right source continues the concatenation
+				left, right = right, nil
+				continue
+			}
+			if k := m.Key(); keys[k] == (op == 'Ψ') {
+				if op == 'Ω' {
+					keys[k] = true
+				}
+				return m, nil
+			}
+		}
+	}, nil
+}
+
 // Union is the molecule-type union Ω(mt1, mt2): the set union of the two
 // occurrences over compatible descriptions, molecules compared by
 // component identity, propagated and closed with α.
 func Union(mt1, mt2 *MoleculeType, resultName string, tr *OpTrace) (*MoleculeType, error) {
-	tr.SetOp(fmt.Sprintf("Ω(%s, %s)", mt1.Name(), mt2.Name()))
-	if err := compatible(mt1, mt2); err != nil {
-		return nil, err
-	}
-	done := tr.Begin("union (op-specific)")
-	mv1, err := mt1.Derive()
-	if err != nil {
-		return nil, err
-	}
-	mv2, err := mt2.Derive()
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool, len(mv1))
-	rsv := make(MoleculeSet, 0, len(mv1)+len(mv2))
-	for _, m := range mv1 {
-		seen[m.Key()] = true
-		rsv = append(rsv, m)
-	}
-	dups := 0
-	for _, m := range mv2 {
-		if seen[m.Key()] {
-			dups++
-			continue
-		}
-		// mv2's molecules keep their own (same-shaped) description; Prop
-		// resolves their atoms positionally.
-		rsv = append(rsv, m)
-	}
-	done(fmt.Sprintf("|mv1|=%d ∪ |mv2|=%d (%d duplicates)", len(mv1), len(mv2), dups))
-	res, err := Prop(mt1.db, resultName, mt1.desc, rsv, nil, tr)
-	if err != nil {
-		return nil, err
-	}
-	return res.Type, nil
+	return setOperation('Ω', "union", mt1, mt2, resultName, tr)
 }
 
 // Difference is the molecule-type difference Δ(mt1, mt2): the molecules of
 // mv1 with no equal molecule in mv2, compared by component identity.
 func Difference(mt1, mt2 *MoleculeType, resultName string, tr *OpTrace) (*MoleculeType, error) {
-	tr.SetOp(fmt.Sprintf("Δ(%s, %s)", mt1.Name(), mt2.Name()))
-	if err := compatible(mt1, mt2); err != nil {
-		return nil, err
-	}
-	done := tr.Begin("difference (op-specific)")
-	mv1, err := mt1.Derive()
-	if err != nil {
-		return nil, err
-	}
-	mv2, err := mt2.Derive()
-	if err != nil {
-		return nil, err
-	}
-	drop := make(map[string]bool, len(mv2))
-	for _, m := range mv2 {
-		drop[m.Key()] = true
-	}
-	var rsv MoleculeSet
-	for _, m := range mv1 {
-		if !drop[m.Key()] {
-			rsv = append(rsv, m)
-		}
-	}
-	done(fmt.Sprintf("|mv1|=%d − |mv2|=%d → %d", len(mv1), len(mv2), len(rsv)))
-	res, err := Prop(mt1.db, resultName, mt1.desc, rsv, nil, tr)
-	if err != nil {
-		return nil, err
-	}
-	return res.Type, nil
+	return setOperation('Δ', "difference", mt1, mt2, resultName, tr)
 }
 
 // Intersect is the derived molecule-type intersection
-// Ψ(mt1, mt2) = Δ(mt1, Δ(mt1, mt2)) — built, exactly as the paper builds
-// it, from two applications of the difference (Theorem 3 commentary).
+// Ψ(mt1, mt2) = Δ(mt1, Δ(mt1, mt2)) (Theorem 3 commentary): the molecules
+// of mv1 with an equal molecule in mv2 — one membership pass, one
+// propagation.
 func Intersect(mt1, mt2 *MoleculeType, resultName string, tr *OpTrace) (*MoleculeType, error) {
-	inner, err := Difference(mt1, mt2, "", tr)
-	if err != nil {
-		return nil, err
-	}
-	out, err := Difference(mt1, inner, resultName, tr)
-	if err != nil {
-		return nil, err
-	}
-	tr.SetOp(fmt.Sprintf("Ψ(%s, %s) = Δ(%s, Δ(%s, %s))",
-		mt1.Name(), mt2.Name(), mt1.Name(), mt1.Name(), mt2.Name()))
-	return out, nil
+	return setOperation('Ψ', "intersection", mt1, mt2, resultName, tr)
 }
 
-// rebind reinterprets a molecule positionally under another same-shaped
-// description (no copying of atoms or links).
-func rebind(m *Molecule, d *Desc) *Molecule {
-	out := &Molecule{
-		desc:   d,
-		root:   m.root,
-		atoms:  m.atoms,
-		links:  m.links,
-		member: m.member,
+// setOperation derives both operands through one transaction's view,
+// combines them and propagates the result over mt1's description.
+func setOperation(op rune, phase string, mt1, mt2 *MoleculeType, resultName string, tr *OpTrace) (*MoleculeType, error) {
+	tr.setOp(fmt.Sprintf("%c(%s, %s)", op, mt1.Name(), mt2.Name()))
+	done := tr.begin(phase + " (op-specific)")
+	txn := mt1.db.Begin()
+	defer txn.Rollback()
+	mv1, err := deriveIn(txn, mt1.desc)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	mv2, err := deriveIn(txn, mt2.desc)
+	if err != nil {
+		return nil, err
+	}
+	next, err := Combine(op, mt1, mt2, each(mv1), each(mv2))
+	if err != nil {
+		return nil, err
+	}
+	var rsv MoleculeSet
+	for m, _ := next(); m != nil; m, _ = next() { // sets never fail to yield
+		rsv = append(rsv, m)
+	}
+	done(fmt.Sprintf("|mv1|=%d %c |mv2|=%d → %d", len(mv1), op, len(mv2), len(rsv)))
+	return propagate(txn, resultName, mt1.desc, rsv, nil, tr)
+}
+
+// deriveIn materializes the occurrence of d through txn's view.
+func deriveIn(txn *storage.Txn, d *Desc) (MoleculeSet, error) {
+	dv, err := NewDeriver(txn.DB(), d)
+	if err != nil {
+		return nil, err
+	}
+	return dv.At(txn.View()).Derive(), nil
+}
+
+// each adapts a materialized set to a molecule source.
+func each(set MoleculeSet) func() (*Molecule, error) {
+	return func() (*Molecule, error) {
+		if len(set) == 0 {
+			return nil, nil
+		}
+		m := set[0]
+		set = set[1:]
+		return m, nil
+	}
+}
+
+// propagate feeds rsv to the sink inside txn and commits it.
+func propagate(txn *storage.Txn, resultName string, rsd *Desc, rsv MoleculeSet, projections map[string][]string, tr *OpTrace) (*MoleculeType, error) {
+	mt, err := Prop(txn, resultName, rsd, each(rsv), projections, tr)
+	if err != nil {
+		return nil, err
+	}
+	if err := txn.Commit(); err != nil {
+		return nil, err
+	}
+	return mt, nil
 }
 
 // Derived helper: EquivalentOccurrence reports whether re-deriving mt's
@@ -354,12 +361,9 @@ func EquivalentOccurrence(mt *MoleculeType, want MoleculeSet) (bool, error) {
 		if !ok {
 			return false, nil
 		}
-		if !g.Equal(rebind(w, g.desc)) {
+		if !g.Equal(w) { // positional: propagation keeps the shape
 			return false, nil
 		}
 	}
 	return true, nil
 }
-
-// Ensure storage import is used even if future refactors drop direct uses.
-var _ = storage.StatsSnapshot{}

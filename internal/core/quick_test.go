@@ -9,6 +9,8 @@ import (
 	"mad/internal/core"
 	"mad/internal/expr"
 	"mad/internal/model"
+	"mad/internal/mql"
+	"mad/internal/plan"
 	"mad/internal/storage"
 )
 
@@ -125,7 +127,11 @@ func TestDerivationMatchesSpecOnRandomDBs(t *testing.T) {
 
 // TestClosurePropertyRandomPipelines checks DESIGN.md property 7: random
 // Σ/Π pipelines of depth 3 over random databases always yield valid,
-// re-derivable, verifiable molecule types.
+// re-derivable, verifiable molecule types. Its MQL arm runs the same
+// pipeline as DEFINE statements, each of which must propagate an
+// occurrence equivalent to the core reference's; the structure has a
+// multi-parent type, and one Π keeps it without one of its parents —
+// where Π's re-derivation and a prune of the molecules differ.
 func TestClosurePropertyRandomPipelines(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -133,37 +139,50 @@ func TestClosurePropertyRandomPipelines(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer plan.Release(db)
 		cur, err := core.Define(db, "p0", types, edges)
 		if err != nil {
 			return false
 		}
-		for step := 0; step < 3; step++ {
-			switch rng.Intn(2) {
-			case 0:
-				root := cur.Desc().Root()
+		sess := mql.NewSession(db)
+		if err := sess.Register("p0", cur); err != nil {
+			return false
+		}
+		for step := 1; step <= 3; step++ {
+			prev, _ := sess.NamedType(fmt.Sprintf("p%d", step-1))
+			name := fmt.Sprintf("p%d", step)
+			var next *core.MoleculeType
+			var define *mql.DefineStmt
+			if choice := rng.Intn(3); choice == 0 {
 				threshold := rng.Float64() * 100
-				next, err := core.Restrict(cur, expr.Cmp{Op: expr.LE,
-					L: expr.Attr{Type: root, Name: "w"},
-					R: expr.Lit(model.Float(threshold))}, "", nil)
-				if err != nil {
-					t.Logf("Σ step %d: %v", step, err)
-					return false
+				pred := func(root string) expr.Expr {
+					return expr.Cmp{Op: expr.LE, L: expr.Attr{Type: root, Name: "w"}, R: expr.Lit(model.Float(threshold))}
 				}
-				cur = next
-			case 1:
-				// Keep a coherent prefix of the types (root plus the
-				// chain below it, dropping the deepest layer).
-				keep := cur.Desc().Types()
-				if len(keep) > 2 {
-					keep = keep[:len(keep)-1]
+				next, err = core.Restrict(cur, pred(cur.Desc().Root()), "", nil)
+				define = &mql.DefineStmt{Name: name, Select: &mql.SelectStmt{All: true,
+					From: mql.FromClause{Name: prev.Name()}, Where: pred(prev.Desc().Root())}}
+			} else {
+				// Keep the root and either the chain below it minus the
+				// deepest layer, or the deepest layer alone — the
+				// multi-parent type without its chain parent.
+				keep := []int{0, 1}
+				if n := cur.Desc().NumTypes(); n < 3 {
+					keep = keep[:n]
+				} else if choice == 2 {
+					keep = []int{0, 2}
 				}
-				next, err := core.Project(cur, core.Projection{Keep: keep}, "", nil)
-				if err != nil {
-					t.Logf("Π step %d: %v", step, err)
-					return false
+				coreKeep, items := make([]string, len(keep)), make([]mql.ProjItem, len(keep))
+				for i, pos := range keep {
+					coreKeep[i], items[i].Type = cur.Desc().Types()[pos], prev.Desc().Types()[pos]
 				}
-				cur = next
+				next, err = core.Project(cur, core.Projection{Keep: coreKeep}, "", nil)
+				define = &mql.DefineStmt{Name: name, Select: &mql.SelectStmt{Items: items, From: mql.FromClause{Name: prev.Name()}}}
 			}
+			if err != nil {
+				t.Logf("step %d: %v", step, err)
+				return false
+			}
+			cur = next
 			set, err := cur.Derive()
 			if err != nil {
 				t.Logf("derive step %d: %v", step, err)
@@ -171,6 +190,9 @@ func TestClosurePropertyRandomPipelines(t *testing.T) {
 			}
 			if err := core.VerifySet(db, set); err != nil {
 				t.Logf("verify step %d: %v", step, err)
+				return false
+			}
+			if !mqlAgrees(t, sess, define, set) {
 				return false
 			}
 		}
@@ -181,9 +203,26 @@ func TestClosurePropertyRandomPipelines(t *testing.T) {
 	}
 }
 
+// mqlAgrees runs a DEFINE — the MQL arm of the closure properties — and
+// reports whether the type it registers re-derives to the reference set.
+func mqlAgrees(t *testing.T, sess *mql.Session, define *mql.DefineStmt, want core.MoleculeSet) bool {
+	t.Helper()
+	if _, err := sess.Execute(define); err != nil {
+		t.Logf("DEFINE %s: %v", define.Name, err)
+		return false
+	}
+	mt, _ := sess.NamedType(define.Name)
+	ok, err := core.EquivalentOccurrence(mt, want)
+	if !ok || err != nil {
+		t.Logf("DEFINE %s: occurrence differs from the core reference (%v)", define.Name, err)
+	}
+	return ok && err == nil
+}
+
 // TestUnionDifferenceLawsRandom checks DESIGN.md property 8 over random
 // partitions: Ω(a,b) has |a|+|b| molecules when a,b partition, Δ(a,a)=∅,
-// Ψ(Ω(a,b), a) = a.
+// Ψ(Ω(a,b), a) = a. Its MQL arm runs every operation as a DEFINE, each of
+// which must propagate an occurrence equivalent to the core reference's.
 func TestUnionDifferenceLawsRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -191,21 +230,25 @@ func TestUnionDifferenceLawsRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer plan.Release(db)
 		mt, err := core.Define(db, "base", types, edges)
 		if err != nil {
 			return false
 		}
+		sess := mql.NewSession(db)
+		if err := sess.Register("base", mt); err != nil {
+			return false
+		}
 		threshold := rng.Float64() * 100
 		root := mt.Desc().Root()
-		lo, err := core.Restrict(mt, expr.Cmp{Op: expr.LE,
+		lessEq := expr.Cmp{Op: expr.LE,
 			L: expr.Attr{Type: root, Name: "w"},
-			R: expr.Lit(model.Float(threshold))}, "", nil)
+			R: expr.Lit(model.Float(threshold))}
+		lo, err := core.Restrict(mt, lessEq, "", nil)
 		if err != nil {
 			return false
 		}
-		hi, err := core.Restrict(mt, expr.Cmp{Op: expr.GT,
-			L: expr.Attr{Type: root, Name: "w"},
-			R: expr.Lit(model.Float(threshold))}, "", nil)
+		hi, err := core.Restrict(mt, expr.Not{E: lessEq}, "", nil)
 		if err != nil {
 			return false
 		}
@@ -237,8 +280,31 @@ func TestUnionDifferenceLawsRandom(t *testing.T) {
 			t.Logf("Ψ: %v", err)
 			return false
 		}
-		ni, _ := inter.Cardinality()
-		return ni == nLo
+		if ni, _ := inter.Cardinality(); ni != nLo {
+			return false
+		}
+		sigma := func(name string, pred expr.Expr) *mql.DefineStmt {
+			return &mql.DefineStmt{Name: name, Select: &mql.SelectStmt{All: true, From: mql.FromClause{Name: "base"}, Where: pred}}
+		}
+		setOp := func(name, op, l, r string) *mql.DefineStmt {
+			return &mql.DefineStmt{Name: name, SetOp: op, Left: l, Right: r}
+		}
+		for _, c := range []struct {
+			define *mql.DefineStmt
+			ref    *core.MoleculeType
+		}{
+			{sigma("lo", lessEq), lo},
+			{sigma("hi", expr.Not{E: lessEq}), hi},
+			{setOp("u", "UNION", "lo", "hi"), u},
+			{setOp("empty", "DIFFERENCE", "lo", "lo"), empty},
+			{setOp("inter", "INTERSECT", "u", "lo"), inter},
+		} {
+			want, err := c.ref.Derive()
+			if err != nil || !mqlAgrees(t, sess, c.define, want) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)

@@ -23,10 +23,8 @@ type OpTrace struct {
 	Phases []Phase
 }
 
-// Begin stamps the start of a phase; call the returned func to close it.
-// It is exported so cooperating packages (the query planner) can record
-// their phases in the same Fig. 5 anatomy.
-func (t *OpTrace) Begin(name string) func(note string) {
+// begin stamps the start of a phase; call the returned func to close it.
+func (t *OpTrace) begin(name string) func(note string) {
 	if t == nil {
 		return func(string) {}
 	}
@@ -36,8 +34,8 @@ func (t *OpTrace) Begin(name string) func(note string) {
 	}
 }
 
-// SetOp records which operation the trace belongs to.
-func (t *OpTrace) SetOp(op string) {
+// setOp records which operation the trace belongs to.
+func (t *OpTrace) setOp(op string) {
 	if t != nil {
 		t.Op = op
 	}

@@ -58,7 +58,7 @@ func WithNoCache() QueryOption {
 // worker pool mid-derivation. Every other statement (DDL, DML, SHOW,
 // EXPLAIN, SELECT COUNT, a SELECT inside a transaction holding buffered
 // writes) executes eagerly and carries its Result immediately; Next then
-// reports exhaustion straight away.
+// yields the eager SELECT's molecules, and nothing for the others.
 //
 // A Cursor must be drained (Next returning nil, nil) or Closed; like its
 // Session it is not safe for concurrent use.
@@ -171,13 +171,17 @@ func (c *Cursor) Desc() *core.Desc { return c.desc }
 // when every attribute is delivered).
 func (c *Cursor) Attrs() map[string][]string { return c.attrs }
 
-// Next returns the next molecule of a streaming SELECT, with the
-// statement's projection applied. A nil molecule with a nil error means
-// the cursor is exhausted (immediately so for non-streaming
-// statements); errors are terminal.
+// Next returns the next molecule of a SELECT, with the statement's
+// projection applied. A nil molecule with a nil error means the cursor is
+// exhausted (immediately so for statements that are not SELECTs); errors
+// are terminal.
 func (c *Cursor) Next() (*core.Molecule, error) {
 	if c.stream == nil {
-		return nil, nil
+		if c.res == nil || c.n == len(c.res.Set) {
+			return nil, nil
+		}
+		c.n++
+		return c.res.Set[c.n-1], nil
 	}
 	m, err := c.stream.Next()
 	if m == nil || err != nil {

@@ -3,7 +3,8 @@ package mql
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"mad/internal/core"
@@ -22,9 +23,10 @@ import (
 type Session struct {
 	db    *storage.Database
 	named map[string]*core.MoleculeType
-	// rec holds the recursive molecule types DEFINE registered, by atom
-	// type and link.
-	rec map[string]*core.MoleculeType
+	// pending holds the molecule types DEFINEd inside the open transaction:
+	// usable by its later statements, registered in named at COMMIT,
+	// forgotten at ROLLBACK.
+	pending map[string]*core.MoleculeType
 	// prepared holds the session's PREPARE'd statements by name.
 	prepared map[string]*preparedStmt
 
@@ -47,7 +49,6 @@ func NewSession(db *storage.Database) *Session {
 	return &Session{
 		db:       db,
 		named:    make(map[string]*core.MoleculeType),
-		rec:      make(map[string]*core.MoleculeType),
 		prepared: make(map[string]*preparedStmt),
 	}
 }
@@ -81,12 +82,34 @@ func (s *Session) Close() error {
 		return nil
 	}
 	err := s.txn.Rollback()
-	s.txn = nil
+	s.txn, s.pending = nil, nil
 	return err
 }
 
-// NamedType returns a molecule type registered by DEFINE or a named FROM.
+// NamedType returns a molecule type registered by DEFINE (once
+// committed), a named FROM or Register.
 func (s *Session) NamedType(name string) (*core.MoleculeType, bool) {
+	mt, ok := s.named[name]
+	return mt, ok
+}
+
+// Register binds name to a molecule type built through the core API — α
+// over a structure the FROM syntax cannot spell, such as one with a
+// multi-parent type — so statements use it as they use a DEFINEd type.
+func (s *Session) Register(name string, mt *core.MoleculeType) error {
+	if _, dup := s.lookup(name); dup {
+		return fmt.Errorf("mql: molecule type %q already defined", name)
+	}
+	s.named[name] = mt
+	return nil
+}
+
+// lookup resolves a molecule-type name: the open transaction's own
+// DEFINEs, then the session's registered types.
+func (s *Session) lookup(name string) (*core.MoleculeType, bool) {
+	if mt, ok := s.pending[name]; ok {
+		return mt, true
+	}
 	mt, ok := s.named[name]
 	return mt, ok
 }
@@ -184,19 +207,34 @@ func (s *Session) Execute(st Stmt) (*Result, error) {
 		return s.execDefine(st)
 	case *CreateAtomTypeStmt:
 		desc, err := model.NewDesc(st.Attrs...)
-		if err != nil {
-			return nil, err
+		switch {
+		case err != nil:
+		case s.txn != nil:
+			err = s.txn.DefineAtomType(st.Name, desc)
+		default:
+			_, err = s.db.DefineAtomType(st.Name, desc)
 		}
-		if _, err := s.db.DefineAtomType(st.Name, desc); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		return &Result{Kind: RMessage, Message: fmt.Sprintf("atom type %q defined", st.Name)}, nil
 	case *CreateLinkTypeStmt:
-		if _, err := s.db.DefineLinkType(st.Name, st.Desc); err != nil {
+		var err error
+		if s.txn != nil {
+			err = s.txn.DefineLinkType(st.Name, st.Desc)
+		} else {
+			_, err = s.db.DefineLinkType(st.Name, st.Desc)
+		}
+		if err != nil {
 			return nil, err
 		}
 		return &Result{Kind: RMessage, Message: fmt.Sprintf("link type %q defined", st.Name)}, nil
 	case *CreateIndexStmt:
+		if s.txn != nil {
+			// The backfill would index committed state only: an index has no
+			// view of buffered writes (ROADMAP item 8).
+			return nil, fmt.Errorf("mql: CREATE INDEX inside a transaction (COMMIT or ROLLBACK first)")
+		}
 		if err := s.db.CreateIndex(st.Type, st.Attr); err != nil {
 			return nil, err
 		}
@@ -238,13 +276,14 @@ func (s *Session) execBegin() (*Result, error) {
 	if s.txn != nil {
 		return nil, fmt.Errorf("mql: a transaction is already open (COMMIT or ROLLBACK it first)")
 	}
-	s.txn = s.db.Begin()
+	s.txn, s.pending = s.db.Begin(), make(map[string]*core.MoleculeType)
 	return &Result{Kind: RMessage, Message: fmt.Sprintf(
 		"transaction started (snapshot at commit %d)", s.txn.View().TS())}, nil
 }
 
-// execCommit installs the open transaction's buffered mutations
-// atomically. The transaction ends either way: a failed commit leaves
+// execCommit installs the open transaction's buffered mutations — type
+// definitions and DEFINEs included — atomically, and registers its
+// DEFINEd names. The transaction ends either way: a failed commit leaves
 // nothing visible and the session back in auto-commit mode.
 func (s *Session) execCommit() (*Result, error) {
 	if s.txn == nil {
@@ -252,21 +291,24 @@ func (s *Session) execCommit() (*Result, error) {
 	}
 	n := s.txn.Mutations()
 	err := s.txn.Commit()
-	s.txn = nil
+	defined := s.pending
+	s.txn, s.pending = nil, nil
 	if err != nil {
 		return nil, err
 	}
+	maps.Copy(s.named, defined)
 	return &Result{Kind: RMessage, Message: fmt.Sprintf("committed %d mutation(s)", n)}, nil
 }
 
-// execRollback discards the open transaction's buffered mutations.
+// execRollback discards the open transaction's buffered mutations and
+// DEFINEs.
 func (s *Session) execRollback() (*Result, error) {
 	if s.txn == nil {
 		return nil, fmt.Errorf("mql: no transaction is open")
 	}
 	n := s.txn.Mutations()
 	err := s.txn.Rollback()
-	s.txn = nil
+	s.txn, s.pending = nil, nil
 	if err != nil {
 		return nil, err
 	}
@@ -380,10 +422,10 @@ func (s *Session) resolveFrom(fc FromClause) (*core.MoleculeType, error) {
 	}
 	if fc.Name != "" && fc.Struct != nil && fc.Struct.Children == nil {
 		// Bare identifier: named molecule type, or single-type structure.
-		if mt, ok := s.named[fc.Name]; ok {
+		if mt, ok := s.lookup(fc.Name); ok {
 			return mt, nil
 		}
-		if _, ok := s.db.Schema().AtomType(fc.Name); !ok {
+		if _, ok := s.db.Container(fc.Name); !ok {
 			return nil, fmt.Errorf("mql: %q is neither a molecule type nor an atom type", fc.Name)
 		}
 		desc, err := BuildDesc(s.db, fc.Struct)
@@ -393,7 +435,7 @@ func (s *Session) resolveFrom(fc FromClause) (*core.MoleculeType, error) {
 		return core.DefineDesc(s.db, "", desc)
 	}
 	if fc.Struct == nil {
-		mt, ok := s.named[fc.Name]
+		mt, ok := s.lookup(fc.Name)
 		if !ok {
 			return nil, fmt.Errorf("mql: unknown molecule type %q", fc.Name)
 		}
@@ -408,7 +450,7 @@ func (s *Session) resolveFrom(fc FromClause) (*core.MoleculeType, error) {
 		return nil, err
 	}
 	if fc.Name != "" {
-		if _, dup := s.named[fc.Name]; dup {
+		if _, dup := s.lookup(fc.Name); dup {
 			return nil, fmt.Errorf("mql: molecule type %q already defined", fc.Name)
 		}
 		s.named[fc.Name] = mt
@@ -527,35 +569,18 @@ func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc
 	}
 	defer stream.Close()
 	view := s.view(stream.SnapshotTS())
-	counts := make(map[model.Key]*GroupCount)
-	for {
-		m, err := stream.Next()
-		if err != nil {
-			return nil, err
+	counts := make(map[model.Key]GroupCount)
+	for m := range stream.Seq() {
+		if a, ok := view.Atom(c, m.Root()); ok {
+			v := a.Get(pos)
+			k := v.Key()
+			counts[k] = GroupCount{Value: v, Count: counts[k].Count + 1}
 		}
-		if m == nil {
-			break
-		}
-		a, ok := view.Atom(c, m.Root())
-		if !ok {
-			continue
-		}
-		v := a.Get(pos)
-		k := v.Key()
-		gc := counts[k]
-		if gc == nil {
-			gc = &GroupCount{Value: v}
-			counts[k] = gc
-		}
-		gc.Count++
 	}
-	groups := make([]GroupCount, 0, len(counts))
-	for _, gc := range counts {
-		groups = append(groups, *gc)
+	if err := stream.Err(); err != nil {
+		return nil, err
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		return groups[i].Value.Compare(groups[j].Value) < 0
-	})
+	groups := slices.SortedFunc(maps.Values(counts), func(a, b GroupCount) int { return a.Value.Compare(b.Value) })
 	if limit > 0 && len(groups) > limit {
 		groups = groups[:limit]
 	}
@@ -594,146 +619,166 @@ func (s *Session) projectionSpec(st *SelectStmt, desc *core.Desc) (*core.Desc, m
 			attrs[it.Type] = it.Attrs
 		}
 	}
-	hasRoot := false
-	for _, t := range keep {
-		if t == desc.Root() {
-			hasRoot = true
-		}
-	}
-	if !hasRoot {
+	if !slices.Contains(keep, desc.Root()) {
 		return nil, nil, fmt.Errorf("mql: the SELECT list must include the root type %q (molecule projection keeps the root)", desc.Root())
 	}
-	// Induced sub-description over the original type names.
-	keepSet := make(map[string]bool, len(keep))
-	for _, t := range keep {
-		keepSet[t] = true
-	}
-	var subTypes []string
-	for _, t := range desc.Types() {
-		if keepSet[t] {
-			subTypes = append(subTypes, t)
-		}
-	}
-	var subEdges []core.DirectedLink
-	for _, e := range desc.Edges() {
-		if keepSet[e.From] && keepSet[e.To] {
-			subEdges = append(subEdges, e)
-		}
-	}
-	sub, err := core.NewDesc(s.db, subTypes, subEdges)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mql: projected structure invalid: %w", err)
-	}
-	return sub, attrs, nil
+	sub, err := desc.Sub(s.db, keep)
+	return sub, attrs, err
 }
 
-// execDefine runs the algebra mode: α, then Σ with propagation, then Π
-// with propagation, and registers the resulting molecule type.
+// execDefine runs the algebra mode (Fig. 5). Every form is producers
+// feeding the one propagation sink, core.Prop, inside one transaction —
+// the session's open BEGIN, or one the DEFINE opens and commits for
+// itself — so a DEFINE is exactly one commit: invisible until it lands,
+// recovered whole or not at all, and discarded by ROLLBACK together with
+// its name.
 func (s *Session) execDefine(st *DefineStmt) (*Result, error) {
-	if _, dup := s.named[st.Name]; dup {
+	if _, dup := s.lookup(st.Name); dup {
 		return nil, fmt.Errorf("mql: molecule type %q already defined", st.Name)
 	}
-	if st.SetOp != "" {
-		return s.execDefineSetOp(st)
-	}
-	sel := st.Select
-	if sel.Limit > 0 {
+	if st.SetOp == "" && st.Select.Limit > 0 {
 		// A capped definition would register a molecule type whose
 		// occurrence depends on delivery order — algebra mode defines
 		// whole occurrences (Definition 9), so reject rather than
 		// silently ignore the clause.
 		return nil, fmt.Errorf("mql: LIMIT is not supported in DEFINE ... AS SELECT")
 	}
-	mt, err := s.resolveFrom(sel.From)
+	own := s.txn == nil
+	if own {
+		s.execBegin()
+		defer s.execRollback() // refused once COMMIT has closed the transaction
+	}
+	mt, n, err := s.define(st)
 	if err != nil {
 		return nil, err
 	}
-	if cl := mt.Desc().Closure(); cl != nil {
-		// A closure description is query-mode only: the name registers the
-		// recursion shape, nothing propagates.
-		rt, err := core.DefineDesc(s.db, st.Name, mt.Desc())
-		if err != nil {
-			return nil, err
-		}
-		s.rec[mt.Desc().Root()+"/"+cl.Link] = rt
-		return &Result{Kind: RMessage, Message: fmt.Sprintf("recursive molecule type %q defined", st.Name)}, nil
-	}
-	cur := mt
-	if sel.Where != nil {
-		// Σ through the planner: derived molecule types get the same
-		// access paths and pushdown as query-mode SELECT.
-		cur, err = plan.Restrict(cur, sel.Where, "", nil)
-		if err != nil {
+	s.pending[st.Name], _ = core.DefineDesc(s.db, st.Name, mt.Desc()) // a named α cannot fail
+	if own {
+		if _, err := s.execCommit(); err != nil {
 			return nil, err
 		}
 	}
-	if !sel.All {
-		// Map projection items (original names) onto the current type's
-		// positionally renamed description.
-		origDesc := mt.Desc()
-		curDesc := cur.Desc()
-		keep := make([]string, 0, len(sel.Items))
-		attrs := make(map[string][]string)
-		for _, it := range sel.Items {
-			pos, ok := origDesc.Pos(it.Type)
-			if !ok {
-				return nil, fmt.Errorf("mql: SELECT item %q is not part of the structure %s", it.Type, origDesc)
-			}
-			renamed := curDesc.Types()[pos]
-			keep = append(keep, renamed)
-			if it.Attrs != nil {
-				attrs[renamed] = it.Attrs
-			}
-		}
-		cur, err = core.Project(cur, core.Projection{Keep: keep, Attrs: attrs}, "", nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	final, err := core.DefineDesc(s.db, st.Name, cur.Desc())
-	if err != nil {
-		return nil, err
-	}
-	s.named[st.Name] = final
-	n, _ := final.Cardinality()
 	return &Result{Kind: RMessage, Message: fmt.Sprintf("molecule type %q defined (%d molecules)", st.Name, n)}, nil
 }
 
-// execDefineSetOp runs Ω, Δ or Ψ over two named molecule types and
-// registers the propagated result.
-func (s *Session) execDefineSetOp(st *DefineStmt) (*Result, error) {
-	left, ok := s.named[st.Left]
-	if !ok {
-		return nil, fmt.Errorf("mql: unknown molecule type %q", st.Left)
+// define runs one DEFINE's producers into the sink and returns the last
+// propagated type with the number of molecules the sink installed — or,
+// for a body that only names a structure (α alone: no WHERE, no SELECT
+// list, or a recursive closure), that structure and its cardinality.
+//
+//   - Σ is the session's own SELECT pipeline: planner, plan cache,
+//     cancellation and the session's view.
+//   - Π keeps its normative semantics, re-derivation over the structure
+//     it projects — the one Σ just propagated, reached through the
+//     transaction's buffered writes by the forced full scan — not a prune
+//     of Σ's molecules, which agrees with it on tree-shaped structures
+//     only.
+//   - Ω, Δ and Ψ combine the streams of two named types by molecule
+//     identity (core.Combine).
+func (s *Session) define(st *DefineStmt) (*core.MoleculeType, int, error) {
+	all := &SelectStmt{All: true}
+	if st.SetOp != "" {
+		left, err := s.resolveFrom(FromClause{Name: st.Left})
+		if err != nil {
+			return nil, 0, err
+		}
+		right, err := s.resolveFrom(FromClause{Name: st.Right})
+		if err != nil {
+			return nil, 0, err
+		}
+		lc, err := s.selectCursor(context.Background(), all, left.Desc(), queryOpts{})
+		if err != nil {
+			return nil, 0, err
+		}
+		defer lc.Close()
+		rc, err := s.selectCursor(context.Background(), all, right.Desc(), queryOpts{})
+		if err != nil {
+			return nil, 0, err
+		}
+		defer rc.Close()
+		op := map[string]rune{"UNION": 'Ω', "DIFFERENCE": 'Δ', "INTERSECT": 'Ψ'}[st.SetOp]
+		next, err := core.Combine(op, left, right, lc.Next, rc.Next)
+		if err != nil {
+			return nil, 0, err
+		}
+		return s.sink(left.Desc(), next, nil)
 	}
-	right, ok := s.named[st.Right]
-	if !ok {
-		return nil, fmt.Errorf("mql: unknown molecule type %q", st.Right)
-	}
-	var (
-		res *core.MoleculeType
-		err error
-	)
-	switch st.SetOp {
-	case "UNION":
-		res, err = core.Union(left, right, "", nil)
-	case "DIFFERENCE":
-		res, err = core.Difference(left, right, "", nil)
-	case "INTERSECT":
-		res, err = core.Intersect(left, right, "", nil)
-	default:
-		return nil, fmt.Errorf("mql: unknown set operation %q", st.SetOp)
-	}
+	sel := st.Select
+	cur, err := s.resolveFrom(sel.From)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	final, err := core.DefineDesc(s.db, st.Name, res.Desc())
+	desc := cur.Desc()
+	if desc.Closure() != nil || sel.Where == nil && sel.All {
+		n, err := cur.Cardinality()
+		return cur, n, err
+	}
+	_, attrs, err := s.projectionSpec(sel, desc) // validates the SELECT list up front
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	s.named[st.Name] = final
-	n, _ := final.Cardinality()
-	return &Result{Kind: RMessage, Message: fmt.Sprintf("molecule type %q defined (%d molecules)", st.Name, n)}, nil
+	if sel.Where != nil {
+		mt, n, err := s.propagate(&SelectStmt{All: true, Where: sel.Where}, desc, nil)
+		if err != nil || sel.All {
+			return mt, n, err
+		}
+		cur = mt
+	}
+	// The SELECT list names the original types; Σ renamed them positionally.
+	keep, narrow := make([]string, len(sel.Items)), make(map[string][]string)
+	for i, it := range sel.Items {
+		pos, _ := desc.Pos(it.Type)
+		keep[i] = cur.Desc().Types()[pos]
+		narrow[keep[i]] = attrs[it.Type]
+	}
+	sub, err := cur.Desc().Sub(s.db, keep)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.propagate(all, sub, narrow)
+}
+
+// propagate runs sel over desc through the session's SELECT pipeline into
+// the sink.
+func (s *Session) propagate(sel *SelectStmt, desc *core.Desc, attrs map[string][]string) (*core.MoleculeType, int, error) {
+	c, err := s.selectCursor(context.Background(), sel, desc, queryOpts{})
+	if err != nil {
+		return nil, 0, err
+	}
+	defer c.Close()
+	return s.sink(desc, c.Next, attrs)
+}
+
+// sink propagates the molecules next yields over rsd inside the session's
+// transaction, counting them. Producers run beside it safely: a cursor
+// opened while the transaction was clean streams from a View of its begin
+// snapshot that carries no pointer to the transaction, so the sink's
+// buffered writes never race its reads; a cursor over a dirty transaction
+// was drained eagerly by selectCursor before the sink's first write.
+func (s *Session) sink(rsd *core.Desc, next func() (*core.Molecule, error), attrs map[string][]string) (*core.MoleculeType, int, error) {
+	n := 0
+	mt, err := core.Prop(s.txn, "", rsd, func() (*core.Molecule, error) {
+		m, err := next()
+		if m != nil {
+			n++
+		}
+		return m, err
+	}, attrs, nil)
+	return mt, n, err
+}
+
+// target is what a DML statement writes to: the open transaction's
+// buffer, or the database, one auto-commit per write.
+func (s *Session) target() interface {
+	InsertAtom(string, ...model.Value) (model.AtomID, error)
+	UpdateAtom(string, model.AtomID, []model.Value) error
+	Connect(string, model.AtomID, model.AtomID) error
+	Disconnect(string, model.AtomID, model.AtomID) (bool, error)
+} {
+	if s.txn != nil {
+		return s.txn
+	}
+	return s.db
 }
 
 func (s *Session) execInsert(st *InsertStmt) (*Result, error) {
@@ -761,15 +806,7 @@ func (s *Session) execInsert(st *InsertStmt) (*Result, error) {
 				vals[pos] = row[i]
 			}
 		}
-		var (
-			id  model.AtomID
-			err error
-		)
-		if s.txn != nil {
-			id, err = s.txn.InsertAtom(st.Type, vals...)
-		} else {
-			id, err = s.db.InsertAtom(st.Type, vals...)
-		}
+		id, err := s.target().InsertAtom(st.Type, vals...)
 		if err != nil {
 			return nil, err
 		}
@@ -840,12 +877,7 @@ func (s *Session) execUpdate(st *UpdateStmt) (*Result, error) {
 			pos, _ := desc.Lookup(name)
 			vals[pos] = v
 		}
-		if s.txn != nil {
-			err = s.txn.UpdateAtom(st.Type, a.ID, vals)
-		} else {
-			err = s.db.UpdateAtom(st.Type, a.ID, vals)
-		}
-		if err != nil {
+		if err := s.target().UpdateAtom(st.Type, a.ID, vals); err != nil {
 			return nil, err
 		}
 	}
@@ -871,13 +903,13 @@ func (s *Session) execDelete(st *DeleteStmt) (*Result, error) {
 }
 
 func (s *Session) execConnect(st *ConnectStmt) (*Result, error) {
-	lt, ok := s.db.Schema().LinkType(st.Link)
+	ls, ok := s.db.LinkStore(st.Link)
 	if !ok {
 		return nil, fmt.Errorf("mql: unknown link type %q", st.Link)
 	}
-	if lt.Desc.SideA != st.FromType || lt.Desc.SideB != st.ToType {
+	if ld := ls.Desc(); ld.SideA != st.FromType || ld.SideB != st.ToType {
 		return nil, fmt.Errorf("mql: link type %q connects %s, not %q→%q",
-			st.Link, lt.Desc, st.FromType, st.ToType)
+			st.Link, ld, st.FromType, st.ToType)
 	}
 	froms, err := s.matchAtoms(st.FromType, st.FromWhere)
 	if err != nil {
@@ -887,31 +919,19 @@ func (s *Session) execConnect(st *ConnectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := 0
+	n, w := 0, s.target()
 	for _, fa := range froms {
 		for _, ta := range tos {
+			changed := true
 			if st.Remove {
-				var removed bool
-				if s.txn != nil {
-					removed, err = s.txn.Disconnect(st.Link, fa.ID, ta.ID)
-				} else {
-					removed, err = s.db.Disconnect(st.Link, fa.ID, ta.ID)
-				}
-				if err != nil {
-					return nil, err
-				}
-				if removed {
-					n++
-				}
+				changed, err = w.Disconnect(st.Link, fa.ID, ta.ID)
 			} else {
-				if s.txn != nil {
-					err = s.txn.Connect(st.Link, fa.ID, ta.ID)
-				} else {
-					err = s.db.Connect(st.Link, fa.ID, ta.ID)
-				}
-				if err != nil {
-					return nil, err
-				}
+				err = w.Connect(st.Link, fa.ID, ta.ID)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if changed {
 				n++
 			}
 		}
@@ -925,22 +945,8 @@ func (s *Session) execShow(st *ShowStmt) (*Result, error) {
 	case "SCHEMA", "TYPES":
 		b.WriteString(s.db.Schema().Render())
 	case "MOLECULES":
-		names := make([]string, 0, len(s.named))
-		for n := range s.named {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range slices.Sorted(maps.Keys(s.named)) {
 			fmt.Fprintf(&b, "MOLECULE TYPE %s = %s;\n", n, s.named[n].Desc())
-		}
-		recNames := make([]string, 0, len(s.rec))
-		for n := range s.rec {
-			recNames = append(recNames, n)
-		}
-		sort.Strings(recNames)
-		for _, n := range recNames {
-			rt := s.rec[n]
-			fmt.Fprintf(&b, "RECURSIVE MOLECULE TYPE %s OVER %s VIA %s;\n", rt.Name(), rt.Desc().Root(), rt.Desc().Closure().Link)
 		}
 	case "INDEXES":
 		for _, ix := range s.db.Indexes() {

@@ -363,6 +363,31 @@ CONNECT parts WHERE name = 'ring' TO parts WHERE name = 'bolt' VIA composition;`
 				t.Fatalf("SHOW CACHE does not list the closure shape:\n%s", out)
 			}
 		}},
+		{"define by name", func(t *testing.T, db *storage.Database, sess *mql.Session) {
+			if _, err := sess.ExecScript(`
+DEFINE MOLECULE TYPE expl AS SELECT ALL ` + rec + `;
+DEFINE MOLECULE TYPE shallow AS SELECT ALL ` + rec + ` DEPTH 1;`); err != nil {
+				t.Fatal(err)
+			}
+			if out := execR(t, sess, "SELECT ALL FROM expl WHERE name = 'car';"); !strings.Contains(out, "4 atoms, depth 3") {
+				t.Fatalf("SELECT over the named closure:\n%s", out)
+			}
+			if out := execR(t, sess, "SELECT ALL FROM shallow WHERE name = 'car';"); !strings.Contains(out, "2 atoms, depth 1") {
+				t.Fatalf("SELECT over the named depth-bounded closure:\n%s", out)
+			}
+			out := execR(t, sess, "SHOW MOLECULES;")
+			for _, want := range []string{
+				"MOLECULE TYPE expl = <{parts*}, {<composition, parts, parts> ⟲ down}>;",
+				"MOLECULE TYPE shallow = <{parts*}, {<composition, parts, parts> ⟲ down, depth ≤ 1}>;",
+			} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("SHOW MOLECULES misses %q:\n%s", want, out)
+				}
+			}
+			if _, err := sess.Exec("DEFINE MOLECULE TYPE expl AS SELECT ALL " + rec + " UP;"); err == nil {
+				t.Fatal("redefining expl was accepted")
+			}
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -55,19 +55,12 @@ func RenderSummary(n int, desc *core.Desc) string {
 	return fmt.Sprintf("%d molecule(s) of %s\n", n, desc)
 }
 
-// RenderMolecule formats one streamed molecule exactly as Result.Render
+// RenderMoleculeAt formats one streamed molecule exactly as Result.Render
 // formats the i-th molecule (1-based) of a materialized set — the
 // building block of incremental result delivery (the TCP server renders
-// a cursor's molecules into CHUNK frames with it). Attribute values read
-// the latest view; use RenderMoleculeAt to render a snapshot cursor's
-// molecules consistently with its structure.
-func RenderMolecule(db *storage.Database, i int, m *core.Molecule, attrs map[string][]string) string {
-	return RenderMoleculeAt(db, 0, i, m, attrs)
-}
-
-// RenderMoleculeAt is RenderMolecule with attribute values resolved at
-// commit timestamp ts (zero = latest view), so a molecule derived at a
-// snapshot renders the values of that same commit.
+// a cursor's molecules into CHUNK frames with it) — with attribute values
+// resolved at commit timestamp ts (zero = latest view), so a molecule
+// derived at a snapshot renders the values of that same commit.
 func RenderMoleculeAt(db *storage.Database, ts uint64, i int, m *core.Molecule, attrs map[string][]string) string {
 	return renderMolecule(db, db.View(ts), i, m, attrs, nil)
 }

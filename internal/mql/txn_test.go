@@ -243,3 +243,91 @@ func TestSessionCloseRollsBackOpenTxn(t *testing.T) {
 		t.Fatal("second Close must be a no-op, got", err)
 	}
 }
+
+// TestTxnDDLAndDefine: inside BEGIN, CREATE ATOM/LINK TYPE and DEFINE
+// belong to the transaction — the committed catalog and other sessions do
+// not see them, ROLLBACK forgets them (the names are free again), COMMIT
+// installs everything as one commit — and CREATE INDEX is refused. A
+// DEFINE reads the transaction's own uncommitted writes.
+func TestTxnDDLAndDefine(t *testing.T) {
+	const light = `INSERT INTO parts VALUES ('ring', 0.5);
+DEFINE MOLECULE TYPE light AS SELECT ALL FROM parts WHERE weight < 1.0;`
+	for _, c := range []struct {
+		name, script, end string
+		msg, err          string   // expected in the script's last result / error
+		visible           []string // in the rendered catalog after end
+		gone              []string // names free after end
+		named             bool     // light registered after end
+	}{
+		{name: "atom type rolled back", script: "CREATE ATOM TYPE gadget (name STRING);", end: "ROLLBACK;",
+			gone: []string{"gadget"}},
+		{name: "atom and link type committed", script: "CREATE ATOM TYPE gadget (name STRING); CREATE LINK TYPE fits BETWEEN gadget AND parts;",
+			end: "COMMIT;", visible: []string{"ATOM TYPE gadget", "LINK TYPE fits BETWEEN gadget AND parts"}},
+		{name: "index refused", script: "CREATE INDEX ON parts (name);", err: "CREATE INDEX inside a transaction", end: "ROLLBACK;"},
+		{name: "define rolled back", script: light, msg: `"light" defined (1 molecules)`, end: "ROLLBACK;"},
+		{name: "define committed", script: light, msg: `"light" defined (1 molecules)`, end: "COMMIT;",
+			visible: []string{"ATOM TYPE parts~"}, named: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db, sess, other := txnSession(t)
+			before, ts := db.Schema().Render(), db.LatestTS()
+			if _, err := sess.Exec("BEGIN;"); err != nil {
+				t.Fatal(err)
+			}
+			res, err := sess.ExecScript(c.script)
+			if c.err != "" {
+				if err == nil || !strings.Contains(err.Error(), c.err) {
+					t.Fatalf("error %v, want %q", err, c.err)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			} else if msg := res[len(res)-1].Message; !strings.Contains(msg, c.msg) {
+				t.Fatalf("message %q, want %q", msg, c.msg)
+			}
+			if got := db.Schema().Render(); got != before || db.LatestTS() != ts {
+				t.Fatalf("uncommitted DDL reached the catalog or the clock:\n%s", got)
+			}
+			if _, err := other.Exec("SELECT ALL FROM light;"); err == nil {
+				t.Fatal("another session resolves the uncommitted DEFINE")
+			}
+			if _, err := sess.Exec(c.end); err != nil {
+				t.Fatal(err)
+			}
+			if c.end == "COMMIT;" && db.LatestTS() != ts+1 {
+				t.Fatalf("COMMIT advanced LatestTS %d → %d, want one commit", ts, db.LatestTS())
+			}
+			for _, want := range c.visible {
+				if !strings.Contains(db.Schema().Render(), want) {
+					t.Fatalf("%q missing after %s\n%s", want, c.end, db.Schema().Render())
+				}
+			}
+			if c.end == "ROLLBACK;" && db.Schema().Render() != before {
+				t.Fatalf("ROLLBACK left types behind:\n%s", db.Schema().Render())
+			}
+			for _, n := range c.gone {
+				if db.Schema().HasName(n) {
+					t.Fatalf("%q survives %s", n, c.end)
+				}
+			}
+			if c.err != "" && db.HasIndex("parts", "name") {
+				t.Fatal("CREATE INDEX inside BEGIN built an index")
+			}
+			if _, ok := sess.NamedType("light"); ok != c.named {
+				t.Fatalf("light registered = %v after %s", ok, c.end)
+			}
+			switch {
+			case c.named:
+				if r, err := other.Exec("SELECT ALL FROM parts WHERE weight < 1.0;"); err != nil || len(r.Set) != 1 {
+					t.Fatalf("committed ring: %v", err)
+				}
+				if r, err := sess.Exec("SELECT ALL FROM light;"); err != nil || len(r.Set) != 1 {
+					t.Fatalf("SELECT ALL FROM light after COMMIT: %v", err)
+				}
+			case c.end == "ROLLBACK;" && c.err == "":
+				if _, err := sess.ExecScript(c.script); err != nil {
+					t.Fatalf("a rolled-back name is not free again: %v", err)
+				}
+			}
+		})
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"mad/internal/core"
 	"mad/internal/expr"
 	"mad/internal/model"
+	"mad/internal/mql"
 	"mad/internal/plan"
 	"mad/internal/storage"
 )
@@ -159,7 +160,7 @@ func sameSets(a, b core.MoleculeSet) bool {
 // randomized schemas and predicates — with and without a root index, so
 // the plan exercises index-hit, index-miss and pushdown-pruned paths —
 // the planner's result is set-equal to naive Σ, and the propagated
-// restriction (plan.Restrict) re-derives to exactly that set
+// restriction (DEFINE … AS SELECT … WHERE) re-derives to exactly that set
 // (core.EquivalentOccurrence).
 func TestPlannerEquivalenceRandom(t *testing.T) {
 	f := func(seed int64) bool {
@@ -207,13 +208,20 @@ func TestPlannerEquivalenceRandom(t *testing.T) {
 			return false
 		}
 
-		// Algebra mode: the propagated planned restriction must be
-		// occurrence-equivalent to the planner's qualifying set.
-		sigma, err := plan.Restrict(mt, pred, "", nil)
-		if err != nil {
-			t.Logf("plan.Restrict: %v", err)
+		// Algebra mode: DEFINE … AS SELECT … WHERE — the planned Σ feeding
+		// the propagation sink — must be occurrence-equivalent to the
+		// planner's qualifying set.
+		defer plan.Release(db)
+		sess := mql.NewSession(db)
+		if err := sess.Register("random", mt); err != nil {
+			t.Fatal(err)
+		}
+		define := &mql.DefineStmt{Name: "sigma", Select: &mql.SelectStmt{All: true, From: mql.FromClause{Name: "random"}, Where: pred}}
+		if _, err := sess.Execute(define); err != nil {
+			t.Logf("DEFINE: %v", err)
 			return false
 		}
+		sigma, _ := sess.NamedType("sigma")
 		ok, err := core.EquivalentOccurrence(sigma, got)
 		if err != nil {
 			t.Logf("equivalent: %v", err)

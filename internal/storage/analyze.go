@@ -35,8 +35,8 @@ func (db *Database) Analyze(typeNames ...string) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if len(typeNames) == 0 {
-		for name := range db.containers {
-			typeNames = append(typeNames, name)
+		for _, at := range db.schema.AtomTypes() {
+			typeNames = append(typeNames, at.Name)
 		}
 		sort.Strings(typeNames)
 	}
@@ -46,7 +46,7 @@ func (db *Database) Analyze(typeNames ...string) (int, error) {
 	containers := make([]*Container, len(typeNames))
 	for i, name := range typeNames {
 		c, ok := db.containers[name]
-		if !ok {
+		if _, reserved := db.reserved[name]; !ok || reserved {
 			return 0, fmt.Errorf("storage: unknown atom type %q", name)
 		}
 		containers[i] = c

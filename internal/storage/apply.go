@@ -7,23 +7,21 @@ import (
 )
 
 // effect is what one applied operation changed beyond the versions it
-// pushed: the input of the advisory bookkeeping (counters, histograms,
-// plan-epoch drift) that runs after publication, outside the commit
-// critical section.
+// pushed: with the op itself — the value a put stored, the type it named —
+// the input of the advisory bookkeeping (counters, histograms, plan-epoch
+// drift) that runs after publication, outside the commit critical
+// section. A commit holds one per op until it settles, so it stays small.
 type effect struct {
-	typeName       string     // put, delete: the atom type whose occurrence changed
-	old, cur       model.Atom // the value that left / entered the occurrence
-	hadOld, hasCur bool
-	connected      int64        // links installed
-	dropped        int64        // links removed, cascades included
-	link           *LinkStore   // connect, disconnect: the store, when its occurrence changed
-	cascade        []*LinkStore // delete: the stores the cascade dropped links from
+	old     model.Atom // put, delete: the value that left the occurrence, when hadOld
+	link    *LinkStore // connect, disconnect: the store, when its occurrence changed
+	dropped int32      // links removed, cascades included
+	hadOld  bool
+	// changed is false for an op that changed nothing — an idempotent
+	// Connect of an existing link, a Disconnect of an absent one, a
+	// DropIndex of no index. An auto-commit then publishes nothing and logs
+	// nothing.
+	changed bool
 }
-
-// none reports that the operation changed nothing — an idempotent Connect
-// of an existing link, a Disconnect of an absent one. An auto-commit then
-// publishes nothing and logs nothing.
-func (e *effect) none() bool { return e.typeName == "" && e.link == nil }
 
 // applyOp makes one logical write a set of versions at commit timestamp
 // ts. It is THE write path: the auto-commit mutators, Txn.Commit (looping
@@ -47,7 +45,7 @@ func (db *Database) applyOp(ts uint64, op *walOp, undos *[]func()) (eff effect, 
 	}
 	switch op.kind {
 	case walOpPut:
-		c, ixs, _, err := db.resolveAtomType(op.name, false)
+		c, ixs, _, err := db.resolveAtomType(op.name, false, nil)
 		if err != nil {
 			return eff, err
 		}
@@ -65,25 +63,24 @@ func (db *Database) applyOp(ts uint64, op *walOp, undos *[]func()) (eff effect, 
 			}
 			pushed(ix.add(op.atom, ts))
 		}
-		eff = effect{typeName: op.name, old: old, hadOld: hadOld, cur: op.atom, hasCur: true}
+		eff = effect{old: old, hadOld: hadOld, changed: true}
 	case walOpDelete:
-		c, ixs, stores, err := db.resolveAtomType(op.name, true)
+		c, ixs, stores, err := db.resolveAtomType(op.name, true, nil)
 		if err != nil {
 			return eff, err
 		}
-		old, undo, err := c.remove(op.id, ts)
+		old, undo, err := c.remove(op.a, ts)
 		if err != nil {
 			return eff, err
 		}
 		pushed(undo)
-		eff = effect{typeName: op.name, old: old, hadOld: true}
+		eff = effect{old: old, hadOld: true, changed: true}
 		// The log carries only the delete: the cascade is recomputed from
 		// the chain heads, here and at replay alike, so links a concurrent
 		// commit connected are dropped too — no dangling references, ever.
 		for _, ls := range stores {
-			if n, undo := ls.dropAtom(op.id, ts); n > 0 {
-				eff.dropped += int64(n)
-				eff.cascade = append(eff.cascade, ls)
+			if n, undo := ls.dropAtom(op.a, ts); n > 0 {
+				eff.dropped += int32(n)
 				pushed(undo)
 			}
 		}
@@ -91,7 +88,7 @@ func (db *Database) applyOp(ts uint64, op *walOp, undos *[]func()) (eff effect, 
 			pushed(ix.remove(old, ts))
 		}
 	case walOpConnect:
-		ls, ca, cb, err := db.resolveLinkType(op.name)
+		ls, ca, cb, err := db.resolveLinkType(op.name, nil)
 		if err != nil {
 			return eff, err
 		}
@@ -107,30 +104,31 @@ func (db *Database) applyOp(ts uint64, op *walOp, undos *[]func()) (eff effect, 
 		}
 		if undo != nil {
 			pushed(undo)
-			eff = effect{connected: 1, link: ls}
+			eff = effect{link: ls, changed: true}
 		}
 	case walOpDisconnect:
-		ls, _, _, err := db.resolveLinkType(op.name)
+		ls, _, _, err := db.resolveLinkType(op.name, nil)
 		if err != nil {
 			return eff, err
 		}
 		if undo := ls.disconnect(op.a, op.b, ts); undo != nil {
 			pushed(undo)
-			eff = effect{dropped: 1, link: ls}
+			eff = effect{link: ls, dropped: 1, changed: true}
 		}
-	case walOpAtomType:
-		desc, err := model.NewDesc(op.attrs...)
-		if err == nil {
-			_, err = db.defineAtomType(op.name, desc)
+	case walOpAtomType, walOpLinkType:
+		undo, err := db.defineType(op)
+		if err != nil {
+			return eff, err
 		}
-		return eff, err
-	case walOpLinkType:
-		_, err := db.defineLinkType(op.name, op.link)
-		return eff, err
+		pushed(undo)
+		eff.changed = true
 	case walOpCreateIndex:
-		return eff, db.createIndexAt(op.name, op.attr, ts)
+		// Index DDL runs as an auto-commit only (a Txn cannot buffer it), so
+		// no later op of its commit can fail and need an undo.
+		eff.changed = true
+		return eff, db.createIndexAt(op.name, op.def.attr, ts)
 	case walOpDropIndex:
-		db.dropIndex(op.name, op.attr)
+		eff.changed = db.dropIndex(op.name, op.def.attr)
 	default:
 		return eff, fmt.Errorf("storage: unknown wal op kind %d", op.kind)
 	}
@@ -139,13 +137,18 @@ func (db *Database) applyOp(ts uint64, op *walOp, undos *[]func()) (eff effect, 
 
 // resolveAtomType looks up what a put or delete on the named type touches:
 // its container, the indexes covering it and — withLinks — the stores of
-// every link type mentioning it (the delete cascade's reach).
-func (db *Database) resolveAtomType(name string, withLinks bool) (c *Container, ixs []*Index, stores []*LinkStore, err error) {
+// every link type mentioning it (the delete cascade's reach). A type whose
+// definition is still buffered in a Txn resolves for that transaction
+// (own) alone: no other writer can put data into it.
+func (db *Database) resolveAtomType(name string, withLinks bool, own *Txn) (c *Container, ixs []*Index, stores []*LinkStore, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	c, ok := db.containers[name]
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("storage: unknown atom type %q", name)
+	}
+	if owner, reserved := db.reserved[name]; reserved && owner != own {
+		return nil, nil, nil, errUncommitted(name)
 	}
 	ixs = db.indexesOf(name)
 	if withLinks {
@@ -159,13 +162,17 @@ func (db *Database) resolveAtomType(name string, withLinks bool) (c *Container, 
 }
 
 // resolveLinkType looks up a link store and the containers of its two
-// sides.
-func (db *Database) resolveLinkType(name string) (ls *LinkStore, ca, cb *Container, err error) {
+// sides; like resolveAtomType it refuses a store another transaction's
+// buffered definition reserved.
+func (db *Database) resolveLinkType(name string, own *Txn) (ls *LinkStore, ca, cb *Container, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	ls, ok := db.links[name]
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("storage: unknown link type %q", name)
+	}
+	if owner, reserved := db.reserved[name]; reserved && owner != own {
+		return nil, nil, nil, errUncommitted(name)
 	}
 	ca, okA := db.containers[ls.desc.SideA]
 	cb, okB := db.containers[ls.desc.SideB]
@@ -184,24 +191,23 @@ func undoAll(undos []func()) {
 
 // book folds one applied op into the counters and histograms. Replay
 // stops here; live commits go through settle.
-func (db *Database) book(e *effect) {
-	switch {
-	case e.hasCur && !e.hadOld:
-		db.stats.AtomsInserted.Add(1)
-	case e.hadOld && !e.hasCur:
-		db.stats.AtomsDeleted.Add(1)
-	}
+func (db *Database) book(op *walOp, e *effect) {
 	if e.hadOld {
-		db.histDelete(e.typeName, e.old)
+		db.histDelete(op.name, e.old)
 	}
-	if e.hasCur {
-		db.histInsert(e.typeName, e.cur)
-	}
-	if e.connected != 0 {
-		db.stats.LinksConnected.Add(e.connected)
+	switch {
+	case op.kind == walOpPut:
+		if !e.hadOld {
+			db.stats.AtomsInserted.Add(1)
+		}
+		db.histInsert(op.name, op.atom)
+	case op.kind == walOpDelete:
+		db.stats.AtomsDeleted.Add(1)
+	case op.kind == walOpConnect && e.changed:
+		db.stats.LinksConnected.Add(1)
 	}
 	if e.dropped != 0 {
-		db.stats.LinksDropped.Add(e.dropped)
+		db.stats.LinksDropped.Add(int64(e.dropped))
 	}
 }
 
@@ -209,47 +215,103 @@ func (db *Database) book(e *effect) {
 // versioned store and outside commitMu. It books every effect first (an
 // automatic ANALYZE rebuilds from the committed occurrence, which already
 // holds them all), then lets each link store and atom type the commit
-// touched check whether its drift warrants a plan-epoch bump or that
-// ANALYZE; a check that has just fired, or has nothing to fire on, is a
-// few loads.
-func (db *Database) settle(effs []effect) {
-	for i := range effs {
-		db.book(&effs[i])
-	}
-	for i := range effs {
+// touched check once whether its drift warrants a plan-epoch bump or that
+// ANALYZE; a check with nothing to fire on is a few loads.
+func (db *Database) settle(ops []*walOp, effs []effect) {
+	stores, types := map[*LinkStore]bool{}, map[string]bool{}
+	for i, op := range ops {
 		e := &effs[i]
+		db.book(op, e)
 		if e.link != nil {
-			db.maybeLinkEpochBump(e.link)
+			stores[e.link] = true
 		}
-		for _, ls := range e.cascade {
-			db.maybeLinkEpochBump(ls)
+		if op.kind == walOpDelete && e.dropped > 0 {
+			// The cascade reached the stores of the link types over op.name.
+			_, _, cascade, _ := db.resolveAtomType(op.name, true, nil)
+			for _, ls := range cascade {
+				stores[ls] = true
+			}
 		}
-		if e.typeName != "" {
-			db.maybeAutoAnalyze(e.typeName)
+		if op.kind == walOpPut || op.kind == walOpDelete {
+			types[op.name] = true
 		}
+	}
+	for ls := range stores {
+		db.maybeLinkEpochBump(ls)
+	}
+	for name := range types {
+		db.maybeAutoAnalyze(name)
 	}
 }
 
-// autoCommit runs one operation as a commit of its own, directly under
-// commitMu: gate on the log's health, apply at the next timestamp, seal
-// (log, fsync, publish — which releases commitMu) and settle. It reports
-// the op's effect so a mutator can tell its caller what happened.
-func (db *Database) autoCommit(op walOp) (effect, error) {
+// commit runs ops as one commit — the one commit path, behind every
+// auto-commit mutator and Txn.Commit — directly under commitMu:
+//
+//   - frame: refuse once the log's sticky failure says durability is gone,
+//     take the commit timestamp and — with a WAL — encode the record
+//     before any op applies, so a record the log must refuse (one over
+//     maxWALRecord) fails this commit alone, nothing pushed, the log
+//     healthy;
+//   - apply each op at that timestamp into effs; a failing op undoes the
+//     ones before it, so nothing becomes visible;
+//   - seal: advance the allocation clock and publish at once (no WAL), or
+//     hand the record to the flusher, release commitMu and block until
+//     the fsync published it — a nil return IS the durability
+//     acknowledgement. A failed seal leaves the versions invisible
+//     forever: the published clock never reaches them, and the log's
+//     sticky failure refuses every later commit;
+//   - settle, outside commitMu.
+//
+// A lone op that changed nothing — an idempotent Connect, a Disconnect of
+// an absent link — publishes and logs nothing.
+func (db *Database) commit(ops []*walOp, effs []effect) error {
 	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
+	ts, rec, err := db.lastAlloc+1, []byte(nil), error(nil)
+	if db.wal != nil {
+		if err = db.wal.healthy(); err == nil {
+			rec, err = encodeWALRecord(ts, ops)
+		}
+	}
+	var undos []func()
+	keep := &undos
+	if len(ops) == 1 {
+		keep = nil // a lone op that fails has pushed nothing
+	} else {
+		undos = make([]func(), 0, len(ops))
+	}
+	for i := 0; err == nil && i < len(ops); i++ {
+		if effs[i], err = db.applyOp(ts, ops[i], keep); err != nil && len(ops) > 1 {
+			err = fmt.Errorf("storage: commit failed at operation %d: %w", i, err)
+		}
+	}
+	if err != nil || len(ops) == 1 && !effs[0].changed {
+		undoAll(undos)
 		db.commitMu.Unlock()
-		return effect{}, err
+		return err
 	}
-	ts := db.lastAlloc + 1
-	ops := []walOp{op}
-	eff, err := db.applyOp(ts, &ops[0], nil)
-	if err != nil || eff.none() {
+	db.lastAlloc = ts
+	if db.wal == nil {
+		db.latestTS.Store(ts)
 		db.commitMu.Unlock()
-		return eff, err
+	} else {
+		done, err := db.wal.enqueue(&walReq{ts: ts, rec: rec})
+		db.commitMu.Unlock()
+		if err == nil {
+			err = <-done
+		}
+		if err != nil {
+			return err
+		}
 	}
-	if err := db.sealCommit(ts, ops); err != nil {
-		return effect{}, err
-	}
-	db.settle([]effect{eff})
-	return eff, nil
+	db.settle(ops, effs)
+	return nil
+}
+
+// autoCommit runs one operation — a data mutator's or DDL's — as a commit
+// of its own, reporting its effect so a mutator can tell its caller what
+// happened.
+func (db *Database) autoCommit(op walOp) (effect, error) {
+	var eff [1]effect
+	err := db.commit([]*walOp{&op}, eff[:])
+	return eff[0], err
 }

@@ -27,13 +27,17 @@ import (
 // snapMu is a leaf lock guarding only the live-snapshot registry.
 type Database struct {
 	// mu guards the registries (schema, containers, links, indexes,
-	// hists) — not the occurrence contents, which carry their own latch.
+	// hists, reserved) — not the occurrence contents, which carry their
+	// own latch.
 	mu         sync.RWMutex
 	schema     *catalog.Schema
 	containers map[string]*Container
 	links      map[string]*LinkStore
 	indexes    map[string]*Index
 	hists      map[string]*attrHist
+	// reserved maps the name of every type a Txn has defined but not yet
+	// committed to that transaction (see reserve).
+	reserved map[string]*Txn
 
 	// commitMu serializes writers: one commit installs and publishes at a
 	// time. Readers never take it.
@@ -51,7 +55,7 @@ type Database struct {
 	// wal and dir are set by Open for a durable database; both zero for a
 	// purely in-memory one. wal is written once before the database is
 	// shared, then read-only.
-	wal *WAL
+	wal *walLog
 	dir string
 
 	// ckptMu serializes checkpoints; ckptHooks run after each successful
@@ -85,6 +89,7 @@ func NewDatabase() *Database {
 		links:           make(map[string]*LinkStore),
 		indexes:         make(map[string]*Index),
 		hists:           make(map[string]*attrHist),
+		reserved:        make(map[string]*Txn),
 		liveSnaps:       make(map[uint64]int),
 		autoAnalyzeFrac: DefaultAutoAnalyzeFraction,
 	}
@@ -106,15 +111,6 @@ func (db *Database) OnCheckpoint(fn func() error) {
 	db.ckptMu.Unlock()
 }
 
-// walGate returns the log's sticky failure, if any, so commit paths
-// refuse to apply once durability is gone. Callers hold commitMu.
-func (db *Database) walGate() error {
-	if db.wal == nil {
-		return nil
-	}
-	return db.wal.healthy()
-}
-
 // publishUpTo advances the published clock to ts unless it already
 // passed it — the WAL flusher's publication step after a batch's fsync.
 func (db *Database) publishUpTo(ts uint64) {
@@ -126,38 +122,9 @@ func (db *Database) publishUpTo(ts uint64) {
 	}
 }
 
-// sealCommit finishes one commit whose versions are applied at ts: it
-// advances the allocation clock and either publishes immediately (no
-// WAL) or hands the framed record to the flusher and blocks until the
-// fsync acknowledgement. In every path it RELEASES commitMu — callers
-// must not unlock it themselves, and post-commit bookkeeping (stats,
-// histograms, epoch bumps) runs outside the critical section. On error
-// the applied versions stay permanently invisible: the published clock
-// never reaches them, and the gate rejects all further commits.
-func (db *Database) sealCommit(ts uint64, ops []walOp) error {
-	db.lastAlloc = ts
-	if db.wal == nil {
-		db.latestTS.Store(ts)
-		db.commitMu.Unlock()
-		return nil
-	}
-	rec, err := encodeWALRecord(ts, ops)
-	if err != nil {
-		db.wal.fail(err)
-		db.commitMu.Unlock()
-		return err
-	}
-	done, err := db.wal.enqueue(ts, rec)
-	db.commitMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return <-done
-}
-
 // Schema exposes the catalog. Callers must treat it as read-only; all
-// schema mutation goes through DefineAtomType / DefineLinkType so the
-// occurrence side stays in step.
+// schema mutation goes through DefineAtomType / DefineLinkType (or their
+// Txn forms) so the occurrence side stays in step.
 func (db *Database) Schema() *catalog.Schema {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -167,82 +134,120 @@ func (db *Database) Schema() *catalog.Schema {
 // Stats returns the live statistics block.
 func (db *Database) Stats() *Stats { return &db.stats }
 
-// DefineAtomType declares an atom type and creates its (empty) container.
-// Schema definition is not versioned: the type exists for every snapshot,
-// old snapshots simply see an empty occurrence. With a WAL attached the
-// declaration is logged (and fsynced) like any commit.
+// DefineAtomType declares an atom type and creates its (empty) container
+// as one auto-commit. Schema definition is not versioned: the type exists
+// for every snapshot, old snapshots simply see an empty occurrence.
 func (db *Database) DefineAtomType(name string, desc *model.Desc) (*catalog.AtomType, error) {
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
+	if _, err := db.autoCommit(walOp{kind: walOpAtomType, name: name, def: &walDef{attrs: desc.Attrs()}}); err != nil {
 		return nil, err
 	}
-	at, err := db.defineAtomType(name, desc)
-	if err != nil {
-		db.commitMu.Unlock()
-		return nil, err
-	}
-	if db.wal == nil {
-		db.commitMu.Unlock()
-		return at, nil
-	}
-	ts := db.lastAlloc + 1
-	op := walOp{kind: walOpAtomType, name: name, attrs: desc.Attrs()}
-	if err := db.sealCommit(ts, []walOp{op}); err != nil {
-		return nil, err
-	}
+	at, _ := db.schema.AtomType(name)
 	return at, nil
 }
 
-// defineAtomType is the registry half of DefineAtomType — shared with
-// snapshot loading and WAL replay, which must not re-log.
-func (db *Database) defineAtomType(name string, desc *model.Desc) (*catalog.AtomType, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	at, err := db.schema.AddAtomType(name, desc)
-	if err != nil {
-		return nil, err
-	}
-	db.containers[name] = newContainer(name, at.Num, desc, &db.latestTS)
-	db.bumpPlanEpoch()
-	return at, nil
-}
-
-// DefineLinkType declares a link type and creates its (empty) store.
+// DefineLinkType declares a link type and creates its (empty) store as
+// one auto-commit.
 func (db *Database) DefineLinkType(name string, desc model.LinkDesc) (*catalog.LinkType, error) {
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
+	if _, err := db.autoCommit(walOp{kind: walOpLinkType, name: name, def: &walDef{link: desc}}); err != nil {
 		return nil, err
 	}
-	lt, err := db.defineLinkType(name, desc)
-	if err != nil {
-		db.commitMu.Unlock()
-		return nil, err
-	}
-	if db.wal == nil {
-		db.commitMu.Unlock()
-		return lt, nil
-	}
-	ts := db.lastAlloc + 1
-	op := walOp{kind: walOpLinkType, name: name, link: desc}
-	if err := db.sealCommit(ts, []walOp{op}); err != nil {
-		return nil, err
-	}
+	lt, _ := db.schema.LinkType(name)
 	return lt, nil
 }
 
-// defineLinkType is the registry half of DefineLinkType.
-func (db *Database) defineLinkType(name string, desc model.LinkDesc) (*catalog.LinkType, error) {
+// reserve registers the container or link store of the type op declares,
+// on behalf of owner: the name is taken and resolves through Container and
+// LinkStore — so descriptions, derivers, plans and owner's overlay reach
+// the type — with an empty occurrence, while the catalog learns of it only
+// when defineType commits it. Until then db.reserved records the owner
+// (nil for an auto-commit or replay, which commits it at once): only it may
+// put data into the type or declare a link type over it. Callers hold
+// db.mu.
+func (db *Database) reserve(op *walOp, owner *Txn) error {
+	if _, taken := db.reserved[op.name]; taken || db.schema.HasName(op.name) {
+		return fmt.Errorf("storage: type %q already defined", op.name)
+	}
+	if op.kind == walOpAtomType {
+		desc, err := model.NewDesc(op.def.attrs...)
+		if err != nil {
+			return err
+		}
+		db.containers[op.name] = newContainer(op.name, desc, &db.latestTS)
+	} else {
+		for _, side := range []string{op.def.link.SideA, op.def.link.SideB} {
+			if o, reserved := db.reserved[side]; db.containers[side] == nil || reserved && o != owner {
+				return fmt.Errorf("storage: link type %q references unknown or uncommitted atom type %q", op.name, side)
+			}
+		}
+		db.links[op.name] = newLinkStore(op.name, op.def.link, &db.latestTS)
+	}
+	db.reserved[op.name] = owner
+	return nil
+}
+
+// defineType is applyOp's arm for atom- and link-type ops: it adds the
+// type to the catalog, which gives an atom type the next type number —
+// both that number and the place in declaration order are taken here,
+// under commitMu, so WAL replay and snapshot decode reproduce them. It
+// reserves the type first unless the op commits a Txn's reservation (put
+// is putReplace). The undo restores the catalog, the next type number and
+// the reservation exactly.
+func (db *Database) defineType(op *walOp) (undo func(), err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	lt, err := db.schema.AddLinkType(name, desc)
+	owner, reserved := db.reserved[op.name]
+	switch {
+	case op.put != putReplace:
+		if err := db.reserve(op, nil); err != nil {
+			return nil, err
+		}
+	case !reserved:
+		return nil, fmt.Errorf("storage: type %q has no reservation to commit", op.name)
+	}
+	c := db.containers[op.name] // of an atom type
+	if op.kind == walOpAtomType {
+		var at *catalog.AtomType
+		if at, err = db.schema.AddAtomType(op.name, c.Desc()); err == nil {
+			c.num.Store(uint32(at.Num))
+		}
+	} else {
+		_, err = db.schema.AddLinkType(op.name, op.def.link)
+	}
 	if err != nil {
+		if !reserved {
+			db.forget(op.name)
+		}
 		return nil, err
 	}
-	db.links[name] = newLinkStore(name, desc, &db.latestTS)
+	delete(db.reserved, op.name)
 	db.bumpPlanEpoch()
-	return lt, nil
+	name := op.name // the undo must not keep an auto-commit's op on the heap
+	return func() {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		db.schema.Retract(name)
+		if !reserved {
+			db.forget(name)
+			return
+		}
+		if c != nil {
+			c.num.Store(0)
+		}
+		db.reserved[name] = owner
+	}, nil
+}
+
+// forget drops a reserved type without a trace. Callers hold db.mu.
+func (db *Database) forget(name string) {
+	delete(db.containers, name)
+	delete(db.links, name)
+	delete(db.reserved, name)
+}
+
+// errUncommitted refuses a write into a type whose definition another
+// transaction still buffers.
+func errUncommitted(name string) error {
+	return fmt.Errorf("storage: type %q is defined by an uncommitted transaction", name)
 }
 
 // Container exposes the container of an atom type: the handle a View's
@@ -289,38 +294,31 @@ func (db *Database) InsertAtom(typeName string, vals ...model.Value) (model.Atom
 	return a.ID, nil
 }
 
-// AdoptAtom stores an atom under its existing identifier — used by
-// propagation (Definition 9), whose result types share the very atoms of
-// the occurrences they restrict. An identifier already live in the type
-// is an error.
+// AdoptAtom stores an atom under its existing identifier as one
+// auto-commit (Txn.AdoptAtom buffers the same write — propagation's). An
+// identifier already live in the type is an error.
 func (db *Database) AdoptAtom(typeName string, a model.Atom) error {
-	c, err := db.container(typeName)
-	if err != nil {
-		return err
-	}
-	if !a.ID.Valid() {
-		return fmt.Errorf("storage: cannot adopt atom with invalid id into %q", typeName)
-	}
-	stored, err := c.validate(a.ID, a.Vals)
-	if err != nil {
-		return err
-	}
-	_, err = db.autoCommit(walOp{kind: walOpPut, name: typeName, atom: stored, put: putNew})
-	return err
+	return db.put(typeName, a.ID, a.Vals, putNew)
 }
 
 // UpdateAtom replaces the attribute values of an existing atom as one
 // auto-commit, keeping secondary indexes in step.
 func (db *Database) UpdateAtom(typeName string, id model.AtomID, vals []model.Value) error {
+	return db.put(typeName, id, vals, putReplace)
+}
+
+// put validates vals under id and stores them in the named type as one
+// auto-commit, as expect allows.
+func (db *Database) put(typeName string, id model.AtomID, vals []model.Value, expect uint8) error {
 	c, err := db.container(typeName)
 	if err != nil {
 		return err
 	}
-	updated, err := c.validate(id, vals)
+	stored, err := c.validate(id, vals)
 	if err != nil {
 		return err
 	}
-	_, err = db.autoCommit(walOp{kind: walOpPut, name: typeName, atom: updated, put: putReplace})
+	_, err = db.autoCommit(walOp{kind: walOpPut, name: typeName, atom: stored, put: expect})
 	return err
 }
 
@@ -329,7 +327,7 @@ func (db *Database) UpdateAtom(typeName string, id model.AtomID, vals []model.Va
 // dangling links remain — all as one atomic commit. It returns the number
 // of links dropped.
 func (db *Database) DeleteAtom(typeName string, id model.AtomID) (int, error) {
-	eff, err := db.autoCommit(walOp{kind: walOpDelete, name: typeName, id: id})
+	eff, err := db.autoCommit(walOp{kind: walOpDelete, name: typeName, a: id})
 	return int(eff.dropped), err
 }
 

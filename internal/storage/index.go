@@ -209,31 +209,25 @@ func (ix *Index) scanOrdered(ts uint64, desc bool, fn func(model.Value, []model.
 func indexKey(typeName, attr string) string { return typeName + "." + attr }
 
 // CreateIndex builds a secondary index over typeName.attr, back-filling
-// it from the current occurrence as one commit. It errs on unknown types
-// or attributes and on duplicate index creation.
+// it from the current occurrence as one auto-commit. It errs on unknown
+// or uncommitted types, unknown attributes and duplicate index creation.
 func (db *Database) CreateIndex(typeName, attr string) error {
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
-		return err
-	}
-	ts := db.lastAlloc + 1
-	if err := db.createIndexAt(typeName, attr, ts); err != nil {
-		db.commitMu.Unlock()
-		return err
-	}
-	return db.sealCommit(ts, []walOp{{kind: walOpCreateIndex, name: typeName, attr: attr}})
+	_, err := db.autoCommit(walOp{kind: walOpCreateIndex, name: typeName, def: &walDef{attr: attr}})
+	return err
 }
 
-// createIndexAt is the registry-and-backfill half of CreateIndex, shared
-// with WAL replay: the backfill scans the occurrence as of ts (every
-// earlier commit is applied by then) and installs postings at ts.
+// createIndexAt is applyOp's index-creation arm, shared with checkpoint
+// decoding: the backfill scans the occurrence as of ts (every earlier
+// commit is applied by then) and installs postings at ts.
 func (db *Database) createIndexAt(typeName, attr string, ts uint64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	c, ok := db.containers[typeName]
 	if !ok {
 		return fmt.Errorf("storage: unknown atom type %q", typeName)
+	}
+	if _, reserved := db.reserved[typeName]; reserved {
+		return errUncommitted(typeName)
 	}
 	pos, ok := c.Desc().Lookup(attr)
 	if !ok {
@@ -252,26 +246,14 @@ func (db *Database) createIndexAt(typeName, attr string, ts uint64) error {
 	return nil
 }
 
-// DropIndex removes the index over typeName.attr.
+// DropIndex removes the index over typeName.attr as one auto-commit; it
+// reports whether the index existed (and the drop committed).
 func (db *Database) DropIndex(typeName, attr string) bool {
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
-		return false
-	}
-	if !db.dropIndex(typeName, attr) {
-		db.commitMu.Unlock()
-		return false
-	}
-	if db.wal == nil {
-		db.commitMu.Unlock()
-		return true
-	}
-	ts := db.lastAlloc + 1
-	return db.sealCommit(ts, []walOp{{kind: walOpDropIndex, name: typeName, attr: attr}}) == nil
+	eff, err := db.autoCommit(walOp{kind: walOpDropIndex, name: typeName, def: &walDef{attr: attr}})
+	return err == nil && eff.changed
 }
 
-// dropIndex is the registry half of DropIndex, shared with WAL replay.
+// dropIndex is applyOp's index-removal arm.
 func (db *Database) dropIndex(typeName, attr string) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()

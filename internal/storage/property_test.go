@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -62,9 +63,43 @@ func (w *world) draw(rng *rand.Rand) op {
 // each) or a transaction (buffered).
 type writer interface {
 	InsertAtom(string, ...model.Value) (model.AtomID, error)
+	AdoptAtom(string, model.Atom) error
 	UpdateAtom(string, model.AtomID, []model.Value) error
 	Connect(string, model.AtomID, model.AtomID) error
 	Disconnect(string, model.AtomID, model.AtomID) (bool, error)
+}
+
+// defineTypes issues one schema step against wr: atom type x<k>, link
+// type y<k> from n to it, atom a (value v) adopted into x<k> and linked to
+// itself through y<k> — a transaction's buffered DDL, or four
+// auto-commits.
+func defineTypes(wr writer, k int, a model.AtomID, v int64) error {
+	x, y := fmt.Sprintf("x%d", k), fmt.Sprintf("y%d", k)
+	desc, link := model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt}), model.LinkDesc{SideA: "n", SideB: x}
+	var err error
+	if txn, ok := wr.(*storage.Txn); ok {
+		if err = txn.DefineAtomType(x, desc); err == nil {
+			err = txn.DefineLinkType(y, link)
+		}
+	} else if _, err = wr.(*storage.Database).DefineAtomType(x, desc); err == nil {
+		_, err = wr.(*storage.Database).DefineLinkType(y, link)
+	}
+	if err == nil {
+		err = wr.AdoptAtom(x, model.NewAtom(a, model.Int(v)))
+	}
+	if err == nil {
+		err = wr.Connect(y, a, a)
+	}
+	return err
+}
+
+// catalogOf renders the schema with every atom type's number.
+func catalogOf(db *storage.Database) string {
+	out := db.Schema().Render()
+	for _, at := range db.Schema().AtomTypes() {
+		out += fmt.Sprintf("%s=%d ", at.Name, at.Num)
+	}
+	return out
 }
 
 // issue runs o against wr and folds it into the model.
@@ -227,11 +262,13 @@ func TestViewProperty(t *testing.T) {
 }
 
 // TestApplyOpProperty is the one test of "how does a write become a
-// version": the same random operation sequence issued as auto-commits, as
-// one multi-op transaction, and as auto-commits to a durable database that
-// is then closed and recovered from its log must leave identical atoms,
-// links and index postings — those of the model — and an integral
-// database each time.
+// version": the same random operation sequence — data ops and, every ten
+// steps, a schema step — issued as auto-commits, as one multi-op
+// transaction, and as auto-commits to a durable database that is then
+// closed and recovered from its log must leave identical atoms, links,
+// index postings, catalogs and type numbers — the model's — and an
+// integral database each time. A commit that fails after its DDL op
+// changes neither the catalog nor the next type number.
 func TestApplyOpProperty(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -245,6 +282,15 @@ func TestApplyOpProperty(t *testing.T) {
 		txn := batch.Begin()
 		w := newWorld()
 		for step := 0; step < 50; step++ {
+			if ids := w.ids(); step%10 == 9 && len(ids) > 0 {
+				a := ids[rng.Intn(len(ids))]
+				for _, wr := range []writer{durable, txn, auto} {
+					if err := defineTypes(wr, step, a, w.atoms[a]); err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, step, err)
+					}
+				}
+				continue
+			}
 			o, before := w.draw(rng), w
 			// Identifiers are issued in the same order everywhere, so one op
 			// names the same atoms in all three databases.
@@ -276,6 +322,58 @@ func TestApplyOpProperty(t *testing.T) {
 			if got := ls.Links(); len(got) != len(w.links) || slices.ContainsFunc(got, func(l model.Link) bool { return !w.links[l] }) {
 				t.Fatalf("seed %d, %s: links %v, model %v", seed, name, got, w.links)
 			}
+			if got, want := catalogOf(db), catalogOf(auto); got != want {
+				t.Fatalf("seed %d, %s: catalog\n%s\nauto-commit\n%s", seed, name, got, want)
+			}
+			if !bytes.Equal(snapshot(t, db), snapshot(t, auto)) {
+				t.Fatalf("seed %d, %s: occurrences of the defined types differ from auto-commit", seed, name)
+			}
 		}
+	}
+
+	// The commit fails at an update of an atom a concurrent commit deleted,
+	// after its two type definitions applied: their undo restores the
+	// catalog and the next type number, so the type defined next is number
+	// 2 live and after recovery.
+	dir := t.TempDir()
+	db, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txnSchema(t, db)
+	id, err := db.InsertAtom("n", model.Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := catalogOf(db)
+	txn := db.Begin()
+	if err := defineTypes(txn, 0, id, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.UpdateAtom("n", id, []model.Value{model.Int(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.DeleteAtom("n", id); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err == nil {
+		t.Fatal("commit of an update to a concurrently deleted atom succeeded")
+	}
+	if got := catalogOf(db); got != before || db.Schema().HasName("x0") || db.Schema().HasName("y0") {
+		t.Fatalf("failed commit left its types behind:\n%s\nwant\n%s", got, before)
+	}
+	after, err := db.DefineAtomType("after", model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt}))
+	if err != nil || after.Num != 2 {
+		t.Fatalf("type defined after the failed commit: %+v, %v (want number 2)", after, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := storage.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := catalogOf(rec), catalogOf(db); got != want {
+		t.Fatalf("recovered catalog\n%s\nlive\n%s", got, want)
 	}
 }

@@ -243,7 +243,7 @@ func (db *Database) replay(ts uint64, ops []walOp) error {
 		if err != nil {
 			return fmt.Errorf("storage: wal replay at ts %d: %w", ts, err)
 		}
-		db.book(&eff)
+		db.book(op, &eff)
 	}
 	return nil
 }
@@ -298,7 +298,7 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 		histDefs = append(histDefs, histDef{ah.typeName, ah.attr, ah.pos, ah.h.State()})
 	}
 	db.mu.RUnlock()
-	rotated, err := db.wal.enqueueRotate()
+	rotated, err := db.wal.enqueue(&walReq{rotate: true})
 	db.commitMu.Unlock()
 	if err != nil {
 		pin.Close()

@@ -296,11 +296,7 @@ func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
 	}
 
 	numAtomTypes := r.uvarint()
-	type atomTypeInfo struct {
-		name string
-		desc *model.Desc
-	}
-	atomTypes := make([]atomTypeInfo, 0, numAtomTypes)
+	containers := make([]*Container, 0, numAtomTypes)
 	for i := uint64(0); i < numAtomTypes && r.err == nil; i++ {
 		name := r.str()
 		numAttrs := r.uvarint()
@@ -315,14 +311,11 @@ func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
 		if r.err != nil {
 			return r.err
 		}
-		desc, err := model.NewDesc(attrs...)
-		if err != nil {
+		if _, err := db.defineType(&walOp{kind: walOpAtomType, name: name, def: &walDef{attrs: attrs}}); err != nil {
 			return err
 		}
-		if _, err := db.defineAtomType(name, desc); err != nil {
-			return err
-		}
-		atomTypes = append(atomTypes, atomTypeInfo{name: name, desc: desc})
+		c, _ := db.Container(name)
+		containers = append(containers, c)
 	}
 
 	numLinkTypes := r.uvarint()
@@ -335,19 +328,18 @@ func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
 		if r.err != nil {
 			return r.err
 		}
-		if _, err := db.defineLinkType(name, desc); err != nil {
+		if _, err := db.defineType(&walOp{kind: walOpLinkType, name: name, def: &walDef{link: desc}}); err != nil {
 			return err
 		}
 		linkNames = append(linkNames, name)
 	}
 
 	view := db.View(applyTS)
-	for _, at := range atomTypes {
-		c, _ := db.Container(at.name)
+	for _, c := range containers {
 		n := r.uvarint()
 		for i := uint64(0); i < n && r.err == nil; i++ {
 			id := model.AtomID(r.u64())
-			vals := make([]model.Value, at.desc.Len())
+			vals := make([]model.Value, c.Desc().Len())
 			for j := range vals {
 				v, err := decodeValue(r)
 				if err != nil {

@@ -25,6 +25,10 @@ import (
 // (read-your-writes). Readers elsewhere never see the overlay: to every
 // other session the transaction is invisible until Commit.
 //
+// A Txn buffers type definitions too (DefineAtomType, DefineLinkType):
+// the name is reserved at once, the type is numbered when Commit applies
+// it, and a Rollback or failed Commit forgets it.
+//
 // A Txn is not safe for concurrent use; the database it belongs to
 // remains fully concurrent.
 type Txn struct {
@@ -35,12 +39,22 @@ type Txn struct {
 	// wops is the buffered write set in op order: what Commit applies and
 	// the WAL records. Puts carry the stored atom, deletes just the
 	// identifier (the link cascade is recomputed when the op applies).
-	wops []walOp
+	wops []*walOp
+	slab []walOp // backing store of wops, allocated a block at a time
+	// own names the types this transaction defined: empty below its own
+	// writes, which Commit validates, and forgotten unless it commits.
+	own map[string]bool
 
 	// Overlay: this transaction's private view of its own writes, merged
-	// over the begin snapshot by View's readers.
+	// over the begin snapshot by View's readers. It folds wops[:indexed]
+	// in and is brought up to date by View, so a transaction that only
+	// writes — a propagation into types it defined — never builds it.
+	indexed int
 	atoms   map[*Container]map[model.AtomID]ovAtom
-	linkOps map[*LinkStore][]linkDelta
+	// linkOps files each buffered link delta, in op order, under every atom
+	// whose partner lists it can change, so a traversal replays only its
+	// own — linear, however many links the transaction buffers.
+	linkOps map[*LinkStore]map[model.AtomID][]linkDelta
 }
 
 // ovAtom is the overlay state of one atom: its buffered value, or a
@@ -66,10 +80,14 @@ func (db *Database) Begin() *Txn {
 	return &Txn{
 		db:      db,
 		snap:    db.Snapshot(),
+		own:     make(map[string]bool),
 		atoms:   make(map[*Container]map[model.AtomID]ovAtom),
-		linkOps: make(map[*LinkStore][]linkDelta),
+		linkOps: make(map[*LinkStore]map[model.AtomID][]linkDelta),
 	}
 }
+
+// DB returns the database the transaction writes to.
+func (t *Txn) DB() *Database { return t.db }
 
 // View returns the transaction's effective view: its begin snapshot, with
 // its buffered writes merged over it once it holds any (updates replace
@@ -84,8 +102,33 @@ func (t *Txn) View() View {
 	v := t.snap.View
 	if len(t.wops) > 0 {
 		v.txn = t
+		t.index(v)
 	}
 	return v
+}
+
+// index folds the ops buffered since the last View into the overlay, in
+// op order; v reads the overlay as folded so far.
+func (t *Txn) index(v View) {
+	for ; t.indexed < len(t.wops); t.indexed++ {
+		op := t.wops[t.indexed]
+		switch op.kind {
+		case walOpPut:
+			c, _ := t.db.Container(op.name)
+			t.setOverlay(c, op.atom.ID, ovAtom{atom: op.atom})
+		case walOpDelete:
+			// The cascade can change the lists of the atom and of its
+			// partners at this point; nothing can link to it afterwards.
+			c, _, stores, _ := t.db.resolveAtomType(op.name, true, t)
+			for _, ls := range stores {
+				t.logLink(ls, linkDelta{a: op.a, drop: true}, slices.Concat([]model.AtomID{op.a}, v.Partners(ls, op.a, true), v.Partners(ls, op.a, false))...)
+			}
+			t.setOverlay(c, op.a, ovAtom{deleted: true})
+		case walOpConnect, walOpDisconnect:
+			ls, _ := t.db.LinkStore(op.name)
+			t.logLink(ls, linkDelta{a: op.a, b: op.b, added: op.kind == walOpConnect}, op.a, op.b)
+		}
+	}
 }
 
 // active guards against use after Commit/Rollback.
@@ -106,10 +149,33 @@ func (t *Txn) setOverlay(c *Container, id model.AtomID, ov ovAtom) {
 	m[id] = ov
 }
 
-// overlayPartners replays the buffered link deltas of ls, in op order,
-// over base — the begin snapshot's partners of id in the given direction.
+// buffer appends op to the write set, allocating ops in blocks that grow
+// with the transaction.
+func (t *Txn) buffer(op walOp) {
+	if len(t.slab) == cap(t.slab) {
+		t.slab = make([]walOp, 0, min(2*cap(t.slab)+4, 256))
+	}
+	t.slab = append(t.slab, op)
+	t.wops = append(t.wops, &t.slab[len(t.slab)-1])
+}
+
+// logLink buffers one link delta of ls under the given atoms.
+func (t *Txn) logLink(ls *LinkStore, d linkDelta, atoms ...model.AtomID) {
+	m := t.linkOps[ls]
+	if m == nil {
+		m = make(map[model.AtomID][]linkDelta)
+		t.linkOps[ls] = m
+	}
+	for _, id := range atoms {
+		m[id] = append(m[id], d)
+	}
+}
+
+// overlayPartners replays the buffered link deltas filed under id, in op
+// order, over base — the begin snapshot's partners of id in the given
+// direction.
 func (t *Txn) overlayPartners(ls *LinkStore, id model.AtomID, fromA bool, base []model.AtomID) []model.AtomID {
-	deltas := t.linkOps[ls]
+	deltas := t.linkOps[ls][id]
 	if len(deltas) == 0 {
 		return base
 	}
@@ -181,9 +247,70 @@ func (t *Txn) InsertAtom(typeName string, vals ...model.Value) (model.AtomID, er
 	if err != nil {
 		return 0, err
 	}
-	t.setOverlay(c, a.ID, ovAtom{atom: a})
-	t.wops = append(t.wops, walOp{kind: walOpPut, name: typeName, atom: a, put: putNew})
+	t.buffer(walOp{kind: walOpPut, name: typeName, atom: a, put: putNew})
 	return a.ID, nil
+}
+
+// AdoptAtom buffers storing an atom under its existing identifier — the
+// write of propagation (Definition 9), whose result types share the very
+// atoms of the occurrences they restrict, values included: the
+// transaction keeps a's value slice, so it must not change afterwards (an
+// atom read through a View never does). The identifier must not be live
+// in the type's effective view (for a type this transaction defined,
+// Commit checks that). Unlike InsertAtom it works on such a type.
+func (t *Txn) AdoptAtom(typeName string, a model.Atom) error {
+	if err := t.active(); err != nil {
+		return err
+	}
+	c, _, _, err := t.db.resolveAtomType(typeName, false, t)
+	if err != nil {
+		return err
+	}
+	// Only an atom with an int to widen, or one that fails the checks
+	// (validate explains why), goes through the copying path.
+	if a.Conforms(c.Desc()) != nil || !a.ID.Valid() || slices.ContainsFunc(a.Vals, func(v model.Value) bool { return v.Kind() == model.KInt }) {
+		if a, err = c.validate(a.ID, a.Vals); err != nil {
+			return err
+		}
+	}
+	if !t.own[typeName] && t.View().Has(c, a.ID) {
+		return fmt.Errorf("storage: atom %v already present in %q", a.ID, typeName)
+	}
+	t.buffer(walOp{kind: walOpPut, name: typeName, atom: a, put: putNew})
+	return nil
+}
+
+// DefineAtomType buffers the declaration of an atom type. The name is
+// reserved at once: it resolves — for this transaction's writes, reads
+// and plans alike — and no other writer can take it or put data into the
+// type. Its type number and place in declaration order are assigned only
+// when Commit applies the declaration, so nothing of it survives Rollback,
+// a failed Commit or a crash. The transaction can AdoptAtom into the type
+// but cannot InsertAtom (mint identifiers) in it.
+func (t *Txn) DefineAtomType(name string, desc *model.Desc) error {
+	return t.define(walOp{kind: walOpAtomType, name: name, def: &walDef{attrs: desc.Attrs()}, put: putReplace})
+}
+
+// DefineLinkType buffers the declaration of a link type the way
+// DefineAtomType does; its sides may be atom types this transaction
+// defined.
+func (t *Txn) DefineLinkType(name string, desc model.LinkDesc) error {
+	return t.define(walOp{kind: walOpLinkType, name: name, def: &walDef{link: desc}, put: putReplace})
+}
+
+// define reserves the type op declares and buffers the op.
+func (t *Txn) define(op walOp) error {
+	if err := t.active(); err != nil {
+		return err
+	}
+	t.db.mu.Lock()
+	err := t.db.reserve(&op, t)
+	t.db.mu.Unlock()
+	if err == nil {
+		t.own[op.name] = true
+		t.buffer(op)
+	}
+	return err
 }
 
 // UpdateAtom buffers the replacement of an atom's values. The atom must
@@ -204,8 +331,7 @@ func (t *Txn) UpdateAtom(typeName string, id model.AtomID, vals []model.Value) e
 	if err != nil {
 		return err
 	}
-	t.setOverlay(c, id, ovAtom{atom: updated})
-	t.wops = append(t.wops, walOp{kind: walOpPut, name: typeName, atom: updated, put: putReplace})
+	t.buffer(walOp{kind: walOpPut, name: typeName, atom: updated, put: putReplace})
 	return nil
 }
 
@@ -217,18 +343,14 @@ func (t *Txn) DeleteAtom(typeName string, id model.AtomID) error {
 	if err := t.active(); err != nil {
 		return err
 	}
-	c, _, stores, err := t.db.resolveAtomType(typeName, true)
+	c, _, _, err := t.db.resolveAtomType(typeName, false, t)
 	if err != nil {
 		return err
 	}
 	if !t.has(c, id) {
 		return fmt.Errorf("storage: atom %v not in %q", id, typeName)
 	}
-	t.setOverlay(c, id, ovAtom{deleted: true})
-	for _, ls := range stores {
-		t.linkOps[ls] = append(t.linkOps[ls], linkDelta{a: id, drop: true})
-	}
-	t.wops = append(t.wops, walOp{kind: walOpDelete, name: typeName, id: id})
+	t.buffer(walOp{kind: walOpDelete, name: typeName, a: id})
 	return nil
 }
 
@@ -236,26 +358,29 @@ func (t *Txn) DeleteAtom(typeName string, id model.AtomID) error {
 // against the transaction's effective view here and against the committed
 // state at Commit; cardinality restrictions are enforced at Commit.
 // Connecting a link that already exists in the effective view is a no-op,
-// matching the idempotent auto-commit Connect.
+// matching the idempotent auto-commit Connect. A link type this
+// transaction defined is empty below its own writes: a connect into it is
+// checked at Commit only, where a duplicate applies as that no-op.
 func (t *Txn) Connect(linkName string, a, b model.AtomID) error {
 	if err := t.active(); err != nil {
 		return err
 	}
-	ls, ca, cb, err := t.db.resolveLinkType(linkName)
-	if err != nil {
-		return err
+	if !t.own[linkName] {
+		ls, ca, cb, err := t.db.resolveLinkType(linkName, t)
+		if err != nil {
+			return err
+		}
+		if !t.has(ca, a) {
+			return fmt.Errorf("storage: link %q: atom %v not in %q", linkName, a, ls.desc.SideA)
+		}
+		if !t.has(cb, b) {
+			return fmt.Errorf("storage: link %q: atom %v not in %q", linkName, b, ls.desc.SideB)
+		}
+		if t.View().hasLink(ls, a, b) {
+			return nil // idempotent connect: already present, nothing to buffer
+		}
 	}
-	if !t.has(ca, a) {
-		return fmt.Errorf("storage: link %q: atom %v not in %q", linkName, a, ls.desc.SideA)
-	}
-	if !t.has(cb, b) {
-		return fmt.Errorf("storage: link %q: atom %v not in %q", linkName, b, ls.desc.SideB)
-	}
-	if t.View().hasLink(ls, a, b) {
-		return nil // idempotent connect: already present, nothing to buffer
-	}
-	t.linkOps[ls] = append(t.linkOps[ls], linkDelta{a: a, b: b, added: true})
-	t.wops = append(t.wops, walOp{kind: walOpConnect, name: linkName, a: a, b: b})
+	t.buffer(walOp{kind: walOpConnect, name: linkName, a: a, b: b})
 	return nil
 }
 
@@ -265,15 +390,14 @@ func (t *Txn) Disconnect(linkName string, a, b model.AtomID) (bool, error) {
 	if err := t.active(); err != nil {
 		return false, err
 	}
-	ls, _, _, err := t.db.resolveLinkType(linkName)
+	ls, _, _, err := t.db.resolveLinkType(linkName, t)
 	if err != nil {
 		return false, err
 	}
 	if !t.View().hasLink(ls, a, b) {
 		return false, nil
 	}
-	t.linkOps[ls] = append(t.linkOps[ls], linkDelta{a: a, b: b})
-	t.wops = append(t.wops, walOp{kind: walOpDisconnect, name: linkName, a: a, b: b})
+	t.buffer(walOp{kind: walOpDisconnect, name: linkName, a: a, b: b})
 	return true, nil
 }
 
@@ -282,9 +406,9 @@ func (t *Txn) Disconnect(linkName string, a, b model.AtomID) (bool, error) {
 // none of this transaction's writes or all of them. When an operation
 // fails re-validation against the committed state (an endpoint deleted by
 // a concurrent commit, say), every version already pushed is popped
-// before publication — zero versions become visible — and the error is
-// returned. The transaction is finished afterwards either way; Rollback
-// after Commit is a hard error.
+// before publication — zero versions become visible, the types it defined
+// are forgotten — and the error is returned. The transaction is finished
+// afterwards either way; Rollback after Commit is a hard error.
 func (t *Txn) Commit() error {
 	if err := t.active(); err != nil {
 		return err
@@ -294,46 +418,38 @@ func (t *Txn) Commit() error {
 	if len(t.wops) == 0 {
 		return nil // nothing buffered, nothing to publish
 	}
-	db := t.db
-	db.commitMu.Lock()
-	if err := db.walGate(); err != nil {
-		db.commitMu.Unlock()
+	if err := t.db.commit(t.wops, make([]effect, len(t.wops))); err != nil {
+		t.release()
 		return err
 	}
-	ts := db.lastAlloc + 1
-	effs := make([]effect, 0, len(t.wops))
-	var undos []func()
-	for i := range t.wops {
-		eff, err := db.applyOp(ts, &t.wops[i], &undos)
-		if err != nil {
-			undoAll(undos)
-			db.commitMu.Unlock()
-			return fmt.Errorf("storage: commit failed at operation %d: %w", i, err)
-		}
-		effs = append(effs, eff)
-	}
-	// sealCommit releases commitMu; with a WAL attached it returns only
-	// after this transaction's record is fsynced and published, so a nil
-	// return IS the durability acknowledgement.
-	if err := db.sealCommit(ts, t.wops); err != nil {
-		return err
-	}
-	db.settle(effs)
 	t.wops = nil
 	return nil
 }
 
-// Rollback discards the buffered operations. Nothing was ever visible, so
-// there is nothing to undo. It is a hard error after Commit (successful
-// or not) or a previous Rollback.
+// Rollback discards the buffered operations and forgets the types the
+// transaction defined. Nothing was ever visible, so there is nothing to
+// undo. It is a hard error after Commit (successful or not) or a previous
+// Rollback.
 func (t *Txn) Rollback() error {
 	if err := t.active(); err != nil {
 		return err
 	}
 	t.done = true
 	t.snap.Close()
+	t.release()
 	t.wops = nil
 	return nil
+}
+
+// release forgets the types t reserved and did not commit.
+func (t *Txn) release() {
+	t.db.mu.Lock()
+	defer t.db.mu.Unlock()
+	for name := range t.own {
+		if t.db.reserved[name] == t {
+			t.db.forget(name)
+		}
+	}
 }
 
 // Mutations reports how many mutations the transaction has buffered.

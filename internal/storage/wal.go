@@ -71,43 +71,51 @@ const (
 // walOp is one logical operation of a commit's write set — the unit
 // applyOp installs, a Txn buffers and a log record carries.
 type walOp struct {
-	kind  uint8
-	name  string // atom-type, link-type or index target name
-	atom  model.Atom
-	id    model.AtomID
-	a, b  model.AtomID
-	attrs []model.AttrDesc
-	link  model.LinkDesc
-	attr  string
-
+	kind uint8
 	// put constrains a walOpPut against the pre-state at its commit
-	// timestamp. It lives in memory only: the log does not say whether a
-	// put inserted or updated, and replay takes it either way.
-	put uint8
+	// timestamp, and marks a type op that commits a Txn's reservation. It
+	// lives in memory only: the log does not say whether a put inserted or
+	// updated, and replay takes it either way.
+	put  uint8
+	name string // atom-type, link-type or index target name
+	atom model.Atom
+	a, b model.AtomID // link endpoints; a is also the atom a delete removes
+	// def is a definition's payload: a transaction buffers many ops, so the
+	// rare kinds keep theirs behind one pointer.
+	def *walDef
+}
+
+// walDef is what a type or index definition declares.
+type walDef struct {
+	attrs []model.AttrDesc // atom type
+	link  model.LinkDesc   // link type
+	attr  string           // index
 }
 
 const (
 	putUpsert  uint8 = iota // replayed: whichever the pre-state makes it
 	putNew                  // insert, adopt: the identifier must not be live
-	putReplace              // update: the atom must be live
+	putReplace              // update: the atom must be live; type op: the name is reserved
 )
 
 // walRecHeader is the frame prefix: u32 payload length + u32 CRC32(payload).
 const walRecHeader = 8
 
-// maxWALRecord bounds a decoded record so a corrupt length prefix cannot
-// allocate unbounded memory.
-const maxWALRecord = 1 << 30
+// maxWALRecord bounds a record's payload: replay treats a larger length
+// prefix as a torn tail (a corrupt one cannot allocate unbounded memory),
+// so encoding refuses to produce one. A variable only so tests can reach
+// the bound without a gigabyte commit.
+var maxWALRecord = 1 << 30
 
 // encodeWALRecord frames one commit's write set: header plus a payload of
-// commit timestamp, op count and ops.
-func encodeWALRecord(ts uint64, ops []walOp) ([]byte, error) {
+// commit timestamp, op count and ops. A payload over maxWALRecord is an
+// error — the commit could never be replayed.
+func encodeWALRecord(ts uint64, ops []*walOp) ([]byte, error) {
 	var payload bytes.Buffer
 	w := newSnapWriter(&payload)
 	w.u64(ts)
 	w.uvarint(uint64(len(ops)))
-	for i := range ops {
-		op := &ops[i]
+	for _, op := range ops {
 		w.u8(op.kind)
 		w.str(op.name)
 		switch op.kind {
@@ -118,26 +126,27 @@ func encodeWALRecord(ts uint64, ops []walOp) ([]byte, error) {
 				encodeValue(w, v)
 			}
 		case walOpDelete:
-			w.u64(uint64(op.id))
+			w.u64(uint64(op.a))
 		case walOpConnect, walOpDisconnect:
 			w.u64(uint64(op.a))
 			w.u64(uint64(op.b))
 		case walOpAtomType:
-			w.uvarint(uint64(len(op.attrs)))
-			for _, ad := range op.attrs {
+			w.uvarint(uint64(len(op.def.attrs)))
+			for _, ad := range op.def.attrs {
 				w.str(ad.Name)
 				w.u8(uint8(ad.Kind))
 				w.boolean(ad.NotNull)
 			}
 		case walOpLinkType:
-			w.str(op.link.SideA)
-			w.str(op.link.SideB)
-			w.uvarint(uint64(op.link.CardA.Min))
-			w.uvarint(uint64(op.link.CardA.Max))
-			w.uvarint(uint64(op.link.CardB.Min))
-			w.uvarint(uint64(op.link.CardB.Max))
+			l := &op.def.link
+			w.str(l.SideA)
+			w.str(l.SideB)
+			w.uvarint(uint64(l.CardA.Min))
+			w.uvarint(uint64(l.CardA.Max))
+			w.uvarint(uint64(l.CardB.Min))
+			w.uvarint(uint64(l.CardB.Max))
 		case walOpCreateIndex, walOpDropIndex:
-			w.str(op.attr)
+			w.str(op.def.attr)
 		default:
 			return nil, fmt.Errorf("storage: unknown wal op kind %d", op.kind)
 		}
@@ -146,6 +155,9 @@ func encodeWALRecord(ts uint64, ops []walOp) ([]byte, error) {
 		return nil, err
 	}
 	body := payload.Bytes()
+	if len(body) > maxWALRecord {
+		return nil, fmt.Errorf("storage: commit record of %d bytes exceeds the %d-byte log limit", len(body), maxWALRecord)
+	}
 	rec := make([]byte, walRecHeader+len(body))
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(body))
@@ -162,9 +174,7 @@ func decodeWALPayload(body []byte) (ts uint64, ops []walOp, err error) {
 		return 0, nil, r.err
 	}
 	for i := uint64(0); i < n; i++ {
-		var op walOp
-		op.kind = r.u8()
-		op.name = r.str()
+		op := walOp{kind: r.u8(), name: r.str()}
 		switch op.kind {
 		case walOpPut:
 			id := model.AtomID(r.u64())
@@ -182,7 +192,7 @@ func decodeWALPayload(body []byte) (ts uint64, ops []walOp, err error) {
 			}
 			op.atom = model.NewAtom(id, vals...)
 		case walOpDelete:
-			op.id = model.AtomID(r.u64())
+			op.a = model.AtomID(r.u64())
 		case walOpConnect, walOpDisconnect:
 			op.a = model.AtomID(r.u64())
 			op.b = model.AtomID(r.u64())
@@ -191,19 +201,20 @@ func decodeWALPayload(body []byte) (ts uint64, ops []walOp, err error) {
 			if r.err != nil {
 				return 0, nil, r.err
 			}
+			op.def = &walDef{}
 			for j := uint64(0); j < na; j++ {
-				op.attrs = append(op.attrs, model.AttrDesc{
+				op.def.attrs = append(op.def.attrs, model.AttrDesc{
 					Name:    r.str(),
 					Kind:    model.Kind(r.u8()),
 					NotNull: r.boolean(),
 				})
 			}
 		case walOpLinkType:
-			op.link = model.LinkDesc{SideA: r.str(), SideB: r.str()}
-			op.link.CardA = model.Cardinality{Min: int(r.uvarint()), Max: int(r.uvarint())}
-			op.link.CardB = model.Cardinality{Min: int(r.uvarint()), Max: int(r.uvarint())}
+			op.def = &walDef{link: model.LinkDesc{SideA: r.str(), SideB: r.str()}}
+			op.def.link.CardA = model.Cardinality{Min: int(r.uvarint()), Max: int(r.uvarint())}
+			op.def.link.CardB = model.Cardinality{Min: int(r.uvarint()), Max: int(r.uvarint())}
 		case walOpCreateIndex, walOpDropIndex:
-			op.attr = r.str()
+			op.def = &walDef{attr: r.str()}
 		default:
 			return 0, nil, fmt.Errorf("storage: unknown wal op kind %d", op.kind)
 		}
@@ -271,7 +282,7 @@ func readWALSegment(path string, fn func(ts uint64, ops []walOp) error) (tornAt 
 		}
 		size := binary.LittleEndian.Uint32(head[0:4])
 		sum := binary.LittleEndian.Uint32(head[4:8])
-		if size > maxWALRecord {
+		if int64(size) > int64(maxWALRecord) {
 			return off, true, nil
 		}
 		body := make([]byte, size)
@@ -301,9 +312,9 @@ type walReq struct {
 	done   chan error
 }
 
-// WAL is the database's write-ahead log: an append-only segmented log
+// walLog is the database's write-ahead log: an append-only segmented log
 // with a single flusher goroutine providing group commit.
-type WAL struct {
+type walLog struct {
 	dir     string
 	open    walOpenFunc
 	publish func(ts uint64)
@@ -339,8 +350,8 @@ type WAL struct {
 }
 
 // newWAL opens a fresh segment numbered seg and starts the flusher.
-func newWAL(dir string, seg uint64, publish func(uint64), open walOpenFunc) (*WAL, error) {
-	w := &WAL{
+func newWAL(dir string, seg uint64, publish func(uint64), open walOpenFunc) (*walLog, error) {
+	w := &walLog{
 		dir:     dir,
 		open:    open,
 		publish: publish,
@@ -361,36 +372,17 @@ func newWAL(dir string, seg uint64, publish func(uint64), open walOpenFunc) (*WA
 
 // healthy returns the sticky failure, if any. Commit paths check it
 // before applying so a broken log stops accepting writes immediately.
-func (w *WAL) healthy() error {
+func (w *walLog) healthy() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.failed
 }
 
-// enqueue hands one framed record to the flusher and returns the channel
-// its fsync acknowledgement arrives on.
-func (w *WAL) enqueue(ts uint64, rec []byte) (chan error, error) {
-	req := &walReq{ts: ts, rec: rec, done: make(chan error, 1)}
-	w.mu.Lock()
-	if w.failed != nil {
-		err := w.failed
-		w.mu.Unlock()
-		return nil, err
-	}
-	w.queue = append(w.queue, req)
-	w.mu.Unlock()
-	select {
-	case w.signal <- struct{}{}:
-	default:
-	}
-	return req.done, nil
-}
-
-// enqueueRotate queues a rotation barrier: the flusher syncs everything
-// before it, closes the segment and opens the next. The returned channel
-// acks when every record enqueued before the barrier is durable.
-func (w *WAL) enqueueRotate() (chan error, error) {
-	req := &walReq{rotate: true, done: make(chan error, 1)}
+// enqueue hands one request to the flusher — a framed commit record, or a
+// rotation barrier, which acks once every record enqueued before it is
+// durable — and returns the channel its acknowledgement arrives on.
+func (w *walLog) enqueue(req *walReq) (chan error, error) {
+	req.done = make(chan error, 1)
 	w.mu.Lock()
 	if w.failed != nil {
 		err := w.failed
@@ -410,7 +402,7 @@ func (w *WAL) enqueueRotate() (chan error, error) {
 // rejected. Applied-but-unpublished versions stay invisible forever (the
 // clock never reaches them), which is exactly the recovery contract: an
 // unacknowledged commit may not be observed.
-func (w *WAL) fail(err error) {
+func (w *walLog) fail(err error) {
 	w.mu.Lock()
 	if w.failed == nil {
 		w.failed = err
@@ -419,7 +411,7 @@ func (w *WAL) fail(err error) {
 }
 
 // flusher is the single goroutine with access to the segment file.
-func (w *WAL) flusher() {
+func (w *walLog) flusher() {
 	defer w.wg.Done()
 	for {
 		select {
@@ -433,7 +425,7 @@ func (w *WAL) flusher() {
 }
 
 // drain flushes queued requests until the queue is empty.
-func (w *WAL) drain() {
+func (w *walLog) drain() {
 	for {
 		w.mu.Lock()
 		batch := w.queue
@@ -449,7 +441,7 @@ func (w *WAL) drain() {
 // flushBatch writes a run of records, issues one fsync covering them,
 // publishes the highest timestamp and acks — then handles any rotation
 // barriers interleaved in the batch.
-func (w *WAL) flushBatch(batch []*walReq) {
+func (w *walLog) flushBatch(batch []*walReq) {
 	i := 0
 	for i < len(batch) {
 		j := i
@@ -481,7 +473,7 @@ func (w *WAL) flushBatch(batch []*walReq) {
 }
 
 // writeRun appends records back to back, syncs once, publishes and acks.
-func (w *WAL) writeRun(run []*walReq) error {
+func (w *walLog) writeRun(run []*walReq) error {
 	for _, req := range run {
 		if _, err := w.f.Write(req.rec); err != nil {
 			return err
@@ -504,7 +496,7 @@ func (w *WAL) writeRun(run []*walReq) error {
 // setAutoCheckpoint installs the auto-checkpoint trigger: fire is called
 // (off the flusher goroutine) when the live log crosses limit bytes; a
 // non-positive limit disables the trigger.
-func (w *WAL) setAutoCheckpoint(limit int64, fire func()) {
+func (w *walLog) setAutoCheckpoint(limit int64, fire func()) {
 	w.mu.Lock()
 	w.onCkpt = fire
 	w.mu.Unlock()
@@ -516,7 +508,7 @@ func (w *WAL) setAutoCheckpoint(limit int64, fire func()) {
 // checkpoint itself must run elsewhere: Checkpoint enqueues a rotation
 // barrier and waits for this very flusher to ack it — calling it inline
 // would deadlock.
-func (w *WAL) maybeAutoCheckpoint() {
+func (w *walLog) maybeAutoCheckpoint() {
 	lim := w.ckptLimit.Load()
 	if lim <= 0 || w.liveBytes.Load() < lim {
 		return
@@ -545,7 +537,7 @@ func (w *WAL) maybeAutoCheckpoint() {
 
 // rotateSegment closes the current segment and opens the next. Records
 // written before the barrier were already synced by writeRun.
-func (w *WAL) rotateSegment() error {
+func (w *walLog) rotateSegment() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
@@ -568,11 +560,11 @@ func (w *WAL) rotateSegment() error {
 }
 
 // Segment returns the current segment number.
-func (w *WAL) Segment() uint64 { return w.seg.Load() }
+func (w *walLog) Segment() uint64 { return w.seg.Load() }
 
 // Counters reports appended records and fsyncs issued — the group-commit
 // observability pair (syncs ≪ appends under concurrent committers).
-func (w *WAL) Counters() (appends, syncs int64) {
+func (w *walLog) Counters() (appends, syncs int64) {
 	return w.appends.Load(), w.syncs.Load()
 }
 
@@ -584,7 +576,7 @@ func (w *WAL) Counters() (appends, syncs int64) {
 // a later Open or Recover of the same directory, which could then load
 // the old checkpoint and miss the pruned segments: every commit since
 // that checkpoint lost.
-func (w *WAL) Close() error {
+func (w *walLog) Close() error {
 	w.setAutoCheckpoint(0, nil)
 	w.ckptWG.Wait()
 	w.mu.Lock()

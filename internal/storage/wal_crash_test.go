@@ -138,7 +138,8 @@ func mustFind(db *Database, typ, name string) model.AtomID {
 
 // crashScript is the deterministic workload: every step is exactly one
 // commit, covering each WAL opcode — DDL, insert, index, connect, update,
-// a multi-op transaction, cascading deletes.
+// a multi-op transaction, one that defines and fills types, cascading
+// deletes.
 func crashScript() []walStep {
 	partDesc := model.MustDesc(
 		model.AttrDesc{Name: "name", Kind: model.KString, NotNull: true},
@@ -185,6 +186,28 @@ func crashScript() []walStep {
 				return err
 			}
 			if _, err := t.Disconnect("supplies", mustFind(db, "supplier", "acme"), mustFind(db, "part", "nut")); err != nil {
+				return err
+			}
+			return t.Commit()
+		},
+		func(db *Database) error {
+			// A propagation-shaped transaction: it defines an atom type and a
+			// link type and fills both, so recovery must show them absent or
+			// whole.
+			t := db.Begin()
+			defer t.Rollback()
+			bolt := mustFind(db, "part", "bolt")
+			a, _ := db.GetAtom("part", bolt)
+			if err := t.DefineAtomType("heavy", partDesc); err != nil {
+				return err
+			}
+			if err := t.DefineLinkType("heavy_of", model.LinkDesc{SideA: "heavy", SideB: "part"}); err != nil {
+				return err
+			}
+			if err := t.AdoptAtom("heavy", a); err != nil {
+				return err
+			}
+			if err := t.Connect("heavy_of", bolt, bolt); err != nil {
 				return err
 			}
 			return t.Commit()

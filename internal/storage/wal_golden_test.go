@@ -13,20 +13,20 @@ import (
 // every kind, encoded, must equal the bytes captured before the write path
 // was refactored — a directory written by an older build keeps recovering.
 func TestWALRecordGolden(t *testing.T) {
-	ops := []walOp{
-		{kind: walOpAtomType, name: "part", attrs: []model.AttrDesc{
-			{Name: "pn", Kind: model.KInt, NotNull: true}, {Name: "label", Kind: model.KString}}},
-		{kind: walOpLinkType, name: "comp", link: model.LinkDesc{SideA: "part", SideB: "part",
-			CardA: model.Cardinality{Min: 0, Max: 4}, CardB: model.Cardinality{Min: 1, Max: 0}}},
-		{kind: walOpCreateIndex, name: "part", attr: "pn"},
+	ops := []*walOp{
+		{kind: walOpAtomType, name: "part", def: &walDef{attrs: []model.AttrDesc{
+			{Name: "pn", Kind: model.KInt, NotNull: true}, {Name: "label", Kind: model.KString}}}},
+		{kind: walOpLinkType, name: "comp", def: &walDef{link: model.LinkDesc{SideA: "part", SideB: "part",
+			CardA: model.Cardinality{Min: 0, Max: 4}, CardB: model.Cardinality{Min: 1, Max: 0}}}},
+		{kind: walOpCreateIndex, name: "part", def: &walDef{attr: "pn"}},
 		{kind: walOpPut, name: "part", atom: model.NewAtom(model.MakeAtomID(1, 7),
 			model.Int(-42), model.Str("bolt ⌀6"))},
 		{kind: walOpPut, name: "part", atom: model.NewAtom(model.MakeAtomID(1, 8),
 			model.Int(9), model.Null())},
 		{kind: walOpConnect, name: "comp", a: model.MakeAtomID(1, 7), b: model.MakeAtomID(1, 8)},
 		{kind: walOpDisconnect, name: "comp", a: model.MakeAtomID(1, 7), b: model.MakeAtomID(1, 8)},
-		{kind: walOpDelete, name: "part", id: model.MakeAtomID(1, 8)},
-		{kind: walOpDropIndex, name: "part", attr: "pn"},
+		{kind: walOpDelete, name: "part", a: model.MakeAtomID(1, 8)},
+		{kind: walOpDropIndex, name: "part", def: &walDef{attr: "pn"}},
 	}
 	rec, err := encodeWALRecord(1<<40+3, ops)
 	if err != nil {
@@ -41,5 +41,62 @@ func TestWALRecordGolden(t *testing.T) {
 	}
 	if _, back, err := decodeWALPayload(rec[walRecHeader:]); err != nil || len(back) != len(ops) {
 		t.Fatalf("golden record does not decode: %d ops, %v", len(back), err)
+	}
+}
+
+// TestWALRecordBound: a commit whose record would exceed maxWALRecord —
+// which replay would take for a torn tail, dropping it and every later
+// commit — is refused before anything is published, failing only itself:
+// nothing visible, the log healthy. A record exactly at the bound commits
+// and recovers. The bound is lowered so no gigabyte is allocated.
+func TestWALRecordBound(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.DefineAtomType("t", model.MustDesc(model.AttrDesc{Name: "s", Kind: model.KString})); err != nil {
+		t.Fatal(err)
+	}
+	val := model.Str(strings.Repeat("x", 100))
+	insert := func() (*Txn, model.AtomID) {
+		txn := db.Begin()
+		id, err := txn.InsertAtom("t", val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return txn, id
+	}
+	txn, refused := insert()
+	rec, err := encodeWALRecord(db.LatestTS()+1, txn.wops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(limit int) { maxWALRecord = limit }(maxWALRecord)
+	maxWALRecord = len(rec) - walRecHeader - 1
+	ts := db.LatestTS()
+	if err := txn.Commit(); err == nil {
+		t.Fatal("a record one byte over the bound committed")
+	}
+	if _, err := db.InsertAtom("t", val); err == nil {
+		t.Fatal("an auto-commit one byte over the bound committed")
+	}
+	if db.LatestTS() != ts || db.HasAtom("t", refused) || db.wal.healthy() != nil {
+		t.Fatalf("refused commits published (ts %d → %d) or tripped the log (%v)", ts, db.LatestTS(), db.wal.healthy())
+	}
+	maxWALRecord++ // exactly the payload size
+	txn, kept := insert()
+	if err := txn.Commit(); err != nil {
+		t.Fatalf("a record at the bound: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec2, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec2.HasAtom("t", kept) || rec2.HasAtom("t", refused) {
+		t.Fatal("recovery lost the record at the bound or resurrected the refused one")
 	}
 }

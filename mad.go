@@ -312,6 +312,25 @@ func Define(db *Database, name string, types []string, edges []DirectedLink) (*M
 // Restrict is the molecule-type restriction Σ (Definition 10); it enlarges
 // the database with the propagated result (Definition 9) and returns the
 // result type. A nil trace disables tracing.
+//
+// # Migration: Planned-Restrict → DEFINE … AS SELECT, or Restrict
+//
+// Every molecule-type operation now ends in one propagation sink that
+// buffers C′/G′ into one transaction: an operation is exactly one commit,
+// invisible until it lands, recovered whole or not at all. Σ through the
+// planner is the MQL statement — replace
+//
+//	big, _ := mad.Planned-Restrict(mt, pred, "big", nil)
+//
+// with `DEFINE MOLECULE TYPE big AS SELECT ALL FROM … WHERE …;` (planner,
+// plan cache, cancellation and the session's transaction included; a type
+// built here is usable in MQL after Session.Register), or with Restrict
+// here, the paper's reference Σ, which propagates the same occurrence. The
+// internal sink changed signature too: core.Prop(txn, mname, rsd, next,
+// projections, tr) takes the *Txn it writes into and a molecule source
+// (next returns nil, nil at the end) instead of a database and a
+// materialized set, and returns the *MoleculeType; the Prop-Result type
+// and link maps are gone. (Read each hyphen away, as in the View notes.)
 func Restrict(mt *MoleculeType, pred Expr, resultName string, tr *OpTrace) (*MoleculeType, error) {
 	return core.Restrict(mt, pred, resultName, tr)
 }
@@ -393,12 +412,6 @@ func Analyze(db *Database, typeNames ...string) (int, error) {
 	return db.Analyze(typeNames...)
 }
 
-// PlannedRestrict is Restrict evaluated through the query planner: same
-// result, less work when an index or a pushdown applies.
-func PlannedRestrict(mt *MoleculeType, pred Expr, resultName string, tr *OpTrace) (*MoleculeType, error) {
-	return plan.Restrict(mt, pred, resultName, tr)
-}
-
 // Project is the molecule-type projection Π.
 func Project(mt *MoleculeType, p Projection, resultName string, tr *OpTrace) (*MoleculeType, error) {
 	return core.Project(mt, p, resultName, tr)
@@ -419,7 +432,8 @@ func Difference(mt1, mt2 *MoleculeType, resultName string, tr *OpTrace) (*Molecu
 	return core.Difference(mt1, mt2, resultName, tr)
 }
 
-// Intersect is the derived intersection Ψ(a, b) = Δ(a, Δ(a, b)).
+// Intersect is the derived intersection Ψ(a, b) = Δ(a, Δ(a, b)), run as one
+// membership pass and one propagation.
 func Intersect(mt1, mt2 *MoleculeType, resultName string, tr *OpTrace) (*MoleculeType, error) {
 	return core.Intersect(mt1, mt2, resultName, tr)
 }

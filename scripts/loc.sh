@@ -17,7 +17,7 @@ count() {
 	if [ "$kind" = test ]; then
 		find "$@" -name '*_test.go' -not -path './benchmark/*' -print0
 	else
-		find "$@" -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0
+		find "$@" -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 2>/dev/null
 	fi | xargs -0 cat 2>/dev/null | grep -v '^[[:space:]]*//' | grep -vc '^[[:space:]]*$' || true
 }
 
@@ -29,8 +29,13 @@ for pkg in core plan mql recursive server; do
 	printf '%-20s %9d %9d\n' "internal/$pkg" "$n" "$(count test "internal/$pkg")"
 done
 printf '%-20s %9d\n' "the five together" "$sum"
-# The storage layer proper: the package's own files, not storage/stats.
+# Algebra mode: the reference operators, the propagation sink, the planned
+# Σ (gone since the DEFINE path runs it as a SELECT) and the MQL executor.
+printf '%-20s %9d\n' algebra "$(count code internal/core/ops.go internal/core/prop.go internal/plan/restrict.go internal/mql/exec.go)"
+# The storage layer proper: the package's own files, not storage/stats —
+# and the catalog of committed types beside it.
 printf '%-20s %9d %9d\n' internal/storage "$(count code internal/storage/*.go)" "$(count test internal/storage/*.go)"
+printf '%-20s %9d %9d\n' internal/catalog "$(count code internal/catalog)" "$(count test internal/catalog)"
 printf '%-20s %9d %9d\n' "repo (no benchmark/)" "$(count code .)" "$(count test .)"
 printf '%-20s %9s %9d\n' "  _test.go, raw lines" "" \
 	"$(find . -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)"

@@ -2,8 +2,10 @@
 # stress.sh — hammers the MVCC mixed read/write path and the durability
 # path: the headline snapshot-isolation stress tests (concurrent
 # transaction writers vs streaming Plan.Stream readers with background
-# vacuum, the storage property tests, and the wire-level server
-# transaction workload), the planner's differential property in its long
+# vacuum, the storage property tests — type definitions buffered in a
+# transaction included — DEFINE as one commit beside concurrent readers,
+# and the wire-level server transaction workload), the planner's
+# differential property in its long
 # form (every access path forced, over structures, recursive closures and
 # dirty transaction views) plus the WAL kill-and-recover suite (a fault is
 # injected at every write and fsync of the log, then the directory is
@@ -26,7 +28,11 @@ go test -race -count="$count" -timeout "$timeout" \
 
 echo "== storage: WAL kill-and-recover crash injection (race, -count=$count)"
 go test -race -count="$count" -timeout "$timeout" \
-	-run 'TestCrashInjection|TestTornTail|TestRecoveryRoundTrip|TestGroupCommit|TestCheckpoint|TestMidCheckpoint' ./internal/storage/
+	-run 'TestCrashInjection|TestTornTail|TestRecoveryRoundTrip|TestGroupCommit|TestCheckpoint|TestMidCheckpoint|TestWALRecordBound' ./internal/storage/
+
+echo "== mql: DEFINE is one commit beside concurrent readers (race, -count=$count)"
+go test -race -count="$count" -timeout "$timeout" \
+	-run 'TestDefineIsOneCommit|TestTxnDDLAndDefine' ./internal/mql/
 
 echo "== plan: writers vs streaming readers stress (race, -count=$count)"
 go test -race -count="$count" -timeout "$timeout" \
