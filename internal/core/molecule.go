@@ -226,47 +226,7 @@ func (m *Molecule) Key() string {
 // another path) are marked with "^" — making Fig. 2's shared subobjects
 // visible in text form.
 func (m *Molecule) Format(db *storage.Database) string {
-	var b strings.Builder
-	printed := make(map[model.AtomID]bool)
-	var rec func(typeName string, id model.AtomID, depth int)
-	rec = func(typeName string, id model.AtomID, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		a, ok := db.GetAtom(typeName, id)
-		label := id.String()
-		if ok {
-			label = formatAtom(db, typeName, a)
-		}
-		if printed[id] {
-			fmt.Fprintf(&b, "^%s: %s (shared)\n", typeName, label)
-			return
-		}
-		printed[id] = true
-		fmt.Fprintf(&b, "%s: %s\n", typeName, label)
-		for _, ei := range m.desc.Outgoing(typeName) {
-			e := m.desc.Edge(ei)
-			for _, l := range m.links[ei] {
-				if l.A == id {
-					rec(e.To, l.B, depth+1)
-				}
-			}
-		}
-	}
-	rec(m.desc.Root(), m.root, 0)
-	return b.String()
-}
-
-// formatAtom renders one atom with attribute names.
-func formatAtom(db *storage.Database, typeName string, a model.Atom) string {
-	c, ok := db.Container(typeName)
-	if !ok {
-		return a.String()
-	}
-	d := c.Desc()
-	parts := make([]string, 0, d.Len())
-	for i := 0; i < d.Len(); i++ {
-		parts = append(parts, d.Attr(i).Name+"="+a.Get(i).String())
-	}
-	return a.ID.String() + "{" + strings.Join(parts, ", ") + "}"
+	return string(NewRenderer(db, db.View(0), nil, nil).appendTree(nil, m))
 }
 
 // MoleculeSet is a materialized molecule-type occurrence.

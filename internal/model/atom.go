@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -38,8 +39,14 @@ func (id AtomID) Seq() uint64 { return uint64(id) & MaxSeq }
 func (id AtomID) Valid() bool { return id != 0 }
 
 // String renders the identifier as "t<type>#<seq>" for diagnostics.
-func (id AtomID) String() string {
-	return fmt.Sprintf("t%d#%d", id.TypeNum(), id.Seq())
+func (id AtomID) String() string { return string(id.Append(nil)) }
+
+// Append appends the text String returns to dst.
+func (id AtomID) Append(dst []byte) []byte {
+	dst = append(dst, 't')
+	dst = strconv.AppendUint(dst, uint64(id.TypeNum()), 10)
+	dst = append(dst, '#')
+	return strconv.AppendUint(dst, id.Seq(), 10)
 }
 
 // AttrDesc describes one attribute of an atom type: a name, a kind and a

@@ -267,25 +267,26 @@ func (v Value) Key() Key {
 
 // String renders the value for diagnostics and result display. Strings are
 // quoted; null renders as "⊥".
-func (v Value) String() string {
+func (v Value) String() string { return string(v.Append(nil)) }
+
+// Append appends the text String returns to dst, allocating nothing
+// beyond dst's growth.
+func (v Value) Append(dst []byte) []byte {
 	switch v.kind {
 	case KNull:
-		return "⊥"
+		return append(dst, "⊥"...)
 	case KBool:
-		if v.i != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.i != 0)
 	case KInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case KFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	case KString:
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(dst, v.s)
 	case KID:
-		return AtomID(v.i).String()
+		return AtomID(v.i).Append(dst)
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // ConformsTo reports whether the value may be stored in an attribute of

@@ -161,6 +161,8 @@ func TestKindParsing(t *testing.T) {
 	}
 }
 
+// TestValueString pins the text of every value kind, through String and
+// through Append onto a non-empty prefix.
 func TestValueString(t *testing.T) {
 	tests := []struct {
 		v    Value
@@ -168,14 +170,35 @@ func TestValueString(t *testing.T) {
 	}{
 		{Null(), "⊥"},
 		{Bool(true), "true"},
+		{Bool(false), "false"},
 		{Int(42), "42"},
+		{Int(math.MinInt64), "-9223372036854775808"},
+		{Int(math.MaxInt64), "9223372036854775807"},
 		{Float(2.5), "2.5"},
+		{Float(0), "0"},
+		{Float(math.Copysign(0, -1)), "-0"},
+		{Float(1e21), "1e+21"},
+		{Float(math.NaN()), "NaN"},
+		{Float(math.Inf(1)), "+Inf"},
+		{Float(math.Inf(-1)), "-Inf"},
 		{Str("hi"), `"hi"`},
+		{Str("a\"b\\c\nd"), `"a\"b\\c\nd"`},
+		{Str("héllo→"), `"héllo→"`},
+		{Str("\xff\xfe"), `"\xff\xfe"`},
+		{ID(MakeAtomID(math.MaxUint16, MaxSeq)), "t65535#281474976710655"},
+		{ID(MakeAtomID(1, 1)), "t1#1"},
 	}
 	for _, tc := range tests {
 		if got := tc.v.String(); got != tc.want {
 			t.Errorf("String(%v) = %q, want %q", tc.v.Kind(), got, tc.want)
 		}
+		if got := string(tc.v.Append([]byte("x="))); got != "x="+tc.want {
+			t.Errorf("Append(%v) = %q, want %q", tc.v.Kind(), got, "x="+tc.want)
+		}
+	}
+	id := MakeAtomID(math.MaxUint16, MaxSeq)
+	if got := string(id.Append([]byte("^"))); got != "^"+id.String() {
+		t.Errorf("AtomID.Append = %q", got)
 	}
 }
 

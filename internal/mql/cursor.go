@@ -76,6 +76,7 @@ type Cursor struct {
 	attrs map[string][]string
 	res   *Result // immediate result of a non-streaming statement
 	n     int
+	rd    *core.Renderer // made by the first AppendMolecule
 }
 
 // QueryContext parses and executes a single statement under ctx,
@@ -192,6 +193,22 @@ func (c *Cursor) Next() (*core.Molecule, error) {
 	}
 	c.n++
 	return m, nil
+}
+
+// AppendMolecule appends m — the molecule Next last returned — to dst,
+// numbered as delivered and rendered exactly as Result.Render renders it:
+// at the snapshot a streaming SELECT is pinned to, from the values a
+// materialized result resolved while its view was valid. The cursor's
+// renderer is made once, so a reused dst costs no allocation per molecule.
+func (c *Cursor) AppendMolecule(dst []byte, m *core.Molecule) []byte {
+	if c.rd == nil {
+		if c.res != nil {
+			c.rd = core.NewRenderer(c.db, c.db.View(c.res.TS), c.res.Attrs, c.res.atoms)
+		} else {
+			c.rd = core.NewRenderer(c.db, c.db.View(c.SnapshotTS()), c.attrs, nil)
+		}
+	}
+	return c.rd.Append(dst, c.n, m)
 }
 
 // Seq adapts the cursor to a Go 1.23 range-over-func iterator; after

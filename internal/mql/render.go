@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mad/internal/core"
-	"mad/internal/model"
 	"mad/internal/storage"
 )
 
@@ -35,12 +34,12 @@ func (r *Result) Render(db *storage.Database) string {
 		}
 		return b.String()
 	case RMolecules:
-		var b strings.Builder
-		b.WriteString(RenderSummary(len(r.Set), r.Desc))
-		for i, m := range r.Set {
-			b.WriteString(renderMolecule(db, db.View(r.TS), i+1, m, r.Attrs, r.atoms))
+		b := []byte(RenderSummary(len(r.Set), r.Desc))
+		c := &Cursor{db: db, res: r}
+		for m := range c.Seq() {
+			b = c.AppendMolecule(b, m)
 		}
-		return b.String()
+		return string(b)
 	}
 	return ""
 }
@@ -56,103 +55,11 @@ func RenderSummary(n int, desc *core.Desc) string {
 }
 
 // RenderMoleculeAt formats one streamed molecule exactly as Result.Render
-// formats the i-th molecule (1-based) of a materialized set — the
-// building block of incremental result delivery (the TCP server renders
-// a cursor's molecules into CHUNK frames with it) — with attribute values
-// resolved at commit timestamp ts (zero = latest view), so a molecule
-// derived at a snapshot renders the values of that same commit.
+// formats the i-th molecule (1-based) of a materialized set, with attribute
+// values resolved at commit timestamp ts (zero = latest view), so a
+// molecule derived at a snapshot renders the values of that same commit.
+// Cursor.AppendMolecule renders a cursor's molecules the same way without
+// resolving the description's containers again for each one.
 func RenderMoleculeAt(db *storage.Database, ts uint64, i int, m *core.Molecule, attrs map[string][]string) string {
-	return renderMolecule(db, db.View(ts), i, m, attrs, nil)
-}
-
-// renderMolecule renders the i-th molecule's header and body: an indented
-// component tree, or — for a recursive molecule — its levels. Atom values
-// come from cache (resolved while the result's view was still valid)
-// before a read through view.
-func renderMolecule(db *storage.Database, view storage.View, i int, m *core.Molecule, attrs map[string][]string, cache map[model.AtomID]model.Atom) string {
-	var b strings.Builder
-	levels := m.Levels()
-	if levels == nil {
-		fmt.Fprintf(&b, "-- molecule %d (%d atoms, %d links)\n", i, m.Size(), m.NumLinks())
-		b.WriteString(formatMolecule(db, view, m, attrs, cache))
-		return b.String()
-	}
-	fmt.Fprintf(&b, "-- molecule %d (root %s, %d atoms, depth %d)\n", i, m.Root(), m.Size(), len(levels)-1)
-	c, _ := db.Container(m.Desc().Root())
-	for depth, level := range levels {
-		fmt.Fprintf(&b, "level %d:", depth)
-		for _, id := range level {
-			a, ok := cache[id]
-			if !ok && c != nil {
-				a, ok = view.Atom(c, id)
-			}
-			if ok {
-				fmt.Fprintf(&b, " %s", a.Get(0))
-			} else {
-				fmt.Fprintf(&b, " %s", id)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// formatMolecule renders one molecule as an indented tree honouring the
-// projection's attribute narrowing.
-func formatMolecule(db *storage.Database, view storage.View, m *core.Molecule, attrs map[string][]string, cache map[model.AtomID]model.Atom) string {
-	var b strings.Builder
-	d := m.Desc()
-	printed := make(map[model.AtomID]bool)
-	var rec func(typeName string, id model.AtomID, depth int)
-	rec = func(typeName string, id model.AtomID, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		label := renderAtom(db, view, typeName, id, attrs[typeName], cache)
-		if printed[id] {
-			fmt.Fprintf(&b, "^%s: %s (shared)\n", typeName, label)
-			return
-		}
-		printed[id] = true
-		fmt.Fprintf(&b, "%s: %s\n", typeName, label)
-		for _, ei := range d.Outgoing(typeName) {
-			e := d.Edge(ei)
-			for _, l := range m.LinksAt(ei) {
-				if l.A == id {
-					rec(e.To, l.B, depth+1)
-				}
-			}
-		}
-	}
-	rec(d.Root(), m.Root(), 0)
-	return b.String()
-}
-
-// renderAtom renders one atom with (possibly narrowed) attributes,
-// preferring values from cache (resolved while the result's view was
-// valid) over a read through view.
-func renderAtom(db *storage.Database, view storage.View, typeName string, id model.AtomID, attrs []string, cache map[model.AtomID]model.Atom) string {
-	c, ok := db.Container(typeName)
-	if !ok {
-		return id.String()
-	}
-	a, ok := cache[id]
-	if !ok {
-		a, ok = view.Atom(c, id)
-	}
-	if !ok {
-		return id.String()
-	}
-	d := c.Desc()
-	var parts []string
-	if attrs == nil {
-		for i := 0; i < d.Len(); i++ {
-			parts = append(parts, d.Attr(i).Name+"="+a.Get(i).String())
-		}
-	} else {
-		for _, name := range attrs {
-			if i, ok := d.Lookup(name); ok {
-				parts = append(parts, name+"="+a.Get(i).String())
-			}
-		}
-	}
-	return id.String() + "{" + strings.Join(parts, ", ") + "}"
+	return string(core.NewRenderer(db, db.View(ts), attrs, nil).Append(nil, i, m))
 }

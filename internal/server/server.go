@@ -31,7 +31,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -215,14 +214,16 @@ func (s *Server) handleRequest(sess *mql.Session, w *bufio.Writer, req string) e
 		return w.Flush()
 	}
 	// The final OK frame carries whatever rendering is still buffered.
-	if err := writeFrame(w, "OK", ck.buf.Bytes()); err != nil {
+	if err := writeFrame(w, "OK", ck.buf); err != nil {
 		return err
 	}
 	return w.Flush()
 }
 
-// execStream runs one request's statements, streaming SELECT results
-// molecule by molecule into the chunker.
+// execStream runs one request's statements, appending each SELECT's
+// molecules one by one into the chunker — a streamed result's as they are
+// derived, a materialized one's (a SELECT inside a transaction holding
+// buffered writes) after its leading count line.
 func (s *Server) execStream(ctx context.Context, sess *mql.Session, src string, ck *chunker) error {
 	stmts, err := mql.ParseScript(src)
 	if err != nil {
@@ -238,10 +239,12 @@ func (s *Server) execStream(ctx context.Context, sess *mql.Session, src string, 
 			if err != nil {
 				return err
 			}
-			ck.add(r.Render(s.db))
-			continue
+			if r.Kind != mql.RMolecules {
+				ck.add(r.Render(s.db))
+				continue
+			}
+			ck.add(mql.RenderSummary(len(r.Set), r.Desc))
 		}
-		n := 0
 		for {
 			m, err := cur.Next()
 			if err != nil {
@@ -251,14 +254,16 @@ func (s *Server) execStream(ctx context.Context, sess *mql.Session, src string, 
 			if m == nil {
 				break
 			}
-			n++
-			ck.add(mql.RenderMoleculeAt(s.db, cur.SnapshotTS(), n, m, cur.Attrs()))
+			ck.buf = cur.AppendMolecule(ck.buf, m)
+			ck.flushFull()
 			if ck.err != nil {
 				cur.Close()
 				return ck.err
 			}
 		}
-		ck.add(mql.RenderSummary(n, cur.Desc()))
+		if cur.Streaming() {
+			ck.add(mql.RenderSummary(cur.Delivered(), cur.Desc()))
+		}
 		if err := cur.Close(); err != nil {
 			return err
 		}
@@ -268,12 +273,13 @@ func (s *Server) execStream(ctx context.Context, sess *mql.Session, src string, 
 
 // chunker accumulates rendered response text and flushes it as CHUNK
 // frames once the threshold is reached; whatever remains at the end of
-// the request travels in the final OK frame. The first write error is
-// sticky and cancels the request context — the client is gone, so the
-// in-flight work should stop too.
+// the request travels in the final OK frame. Molecules are appended
+// straight into buf. The first write error is sticky and cancels the
+// request context — the client is gone, so the in-flight work should
+// stop too.
 type chunker struct {
 	w      *bufio.Writer
-	buf    bytes.Buffer
+	buf    []byte
 	limit  int
 	cancel context.CancelFunc
 	err    error
@@ -283,23 +289,28 @@ func (c *chunker) add(s string) {
 	if c.err != nil {
 		return
 	}
-	c.buf.WriteString(s)
-	if c.buf.Len() >= c.limit {
+	c.buf = append(c.buf, s...)
+	c.flushFull()
+}
+
+// flushFull flushes a CHUNK frame once buf holds limit bytes.
+func (c *chunker) flushFull() {
+	if len(c.buf) >= c.limit {
 		c.flushChunk()
 	}
 }
 
 func (c *chunker) flushChunk() {
-	if c.err != nil || c.buf.Len() == 0 {
+	if c.err != nil || len(c.buf) == 0 {
 		return
 	}
-	if c.err = writeFrame(c.w, "CHUNK", c.buf.Bytes()); c.err == nil {
+	if c.err = writeFrame(c.w, "CHUNK", c.buf); c.err == nil {
 		c.err = c.w.Flush()
 	}
 	if c.err != nil && c.cancel != nil {
 		c.cancel()
 	}
-	c.buf.Reset()
+	c.buf = c.buf[:0]
 }
 
 // readFrame reads "<verb> <n>\n" + n bytes.
@@ -326,7 +337,9 @@ func readFrame(r *bufio.Reader, wantVerb string) ([]byte, error) {
 
 // writeFrame writes "<verb> <n>\n" + payload.
 func writeFrame(w *bufio.Writer, verb string, payload []byte) error {
-	if _, err := fmt.Fprintf(w, "%s %d\n", verb, len(payload)); err != nil {
+	var hdr [32]byte
+	h := strconv.AppendInt(append(append(hdr[:0], verb...), ' '), int64(len(payload)), 10)
+	if _, err := w.Write(append(h, '\n')); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)

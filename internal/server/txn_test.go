@@ -1,11 +1,16 @@
 package server_test
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"mad/internal/mql"
 	"mad/internal/server"
 	"mad/internal/storage"
 )
@@ -173,5 +178,101 @@ func TestServerConcurrentTxnWritersAndStreamingReaders(t *testing.T) {
 	}
 	if err := db.CheckIntegrity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerChunksMaterializedResult: a SELECT inside a transaction
+// holding buffered writes is materialized before it is sent, yet it must
+// still travel in CHUNK frames of about the chunk size — one unbounded
+// frame would exceed the frame limit clients enforce on a big enough
+// result — and reassemble to exactly what Result.Render prints.
+func TestServerChunksMaterializedResult(t *testing.T) {
+	db := storage.NewDatabase()
+	srv, addr := startServer(t, db)
+	srv.SetChunkSize(256)
+	var load strings.Builder
+	load.WriteString("CREATE ATOM TYPE parts (name STRING NOT NULL, weight FLOAT);\n")
+	for i := range 60 {
+		fmt.Fprintf(&load, "INSERT INTO parts VALUES ('p%d', %d.5);\n", i, i)
+	}
+	const dirty = "UPDATE parts SET weight = 0.25 WHERE name = 'p7';"
+	const sel = "SELECT ALL FROM parts;"
+
+	sess := mql.NewSession(db)
+	for _, src := range []string{load.String(), "BEGIN;", dirty} {
+		if _, err := sess.ExecScript(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := sess.Exec(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := r.Render(db)
+	if len(r.Set) < 50 {
+		t.Fatalf("fixture: %d molecules", len(r.Set))
+	}
+	largest := 0
+	for _, m := range strings.SplitAfter(want, "\n-- molecule") {
+		largest = max(largest, len(m))
+	}
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	br := bufio.NewReader(raw)
+	for _, src := range []string{"BEGIN;", dirty} {
+		if frames := rawExec(t, raw, br, src); len(frames) != 1 {
+			t.Fatalf("%s: %d frames", src, len(frames))
+		}
+	}
+	frames := rawExec(t, raw, br, sel)
+	if len(frames) < 3 {
+		t.Fatalf("materialized result sent in %d frame(s)", len(frames))
+	}
+	var got strings.Builder
+	for _, f := range frames {
+		if len(f) > 256+largest {
+			t.Errorf("frame of %d bytes exceeds chunk size 256 + largest molecule %d", len(f), largest)
+		}
+		got.Write(f)
+	}
+	if got.String() != want {
+		t.Errorf("reassembled frames differ from Result.Render\n--- got ---\n%.400s\n--- want ---\n%.400s", got.String(), want)
+	}
+}
+
+// rawExec sends one request over a raw connection and returns the
+// payloads of its response frames: the CHUNKs, then the closing OK.
+func rawExec(t *testing.T, w io.Writer, r *bufio.Reader, req string) [][]byte {
+	t.Helper()
+	if _, err := fmt.Fprintf(w, "REQ %d\n%s", len(req), req); err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for {
+		header, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		verb, sizeStr, _ := strings.Cut(strings.TrimSuffix(header, "\n"), " ")
+		n, err := strconv.Atoi(sizeStr)
+		if err != nil {
+			t.Fatalf("bad frame header %q", header)
+		}
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, payload)
+		switch verb {
+		case "CHUNK":
+		case "OK":
+			return frames
+		default:
+			t.Fatalf("%s: unexpected verb %q with payload %q", req, verb, payload)
+		}
 	}
 }
