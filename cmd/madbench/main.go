@@ -1,7 +1,7 @@
 // Command madbench regenerates the paper's evaluation artifacts: every
 // figure (F1–F5), the Chapter-4 example queries (Q1, Q2) and the
-// performance experiments (P1–P8). See DESIGN.md for the experiment index
-// and EXPERIMENTS.md for recorded outputs.
+// performance experiments (P1–P6): the paper's frozen reproduction
+// record. The engine's benchmark is `bash benchmark/run.sh`.
 //
 // Usage:
 //

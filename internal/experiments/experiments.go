@@ -1,9 +1,10 @@
 // Package experiments regenerates every evaluation artifact of the paper:
 // Figures 1–5, the two Chapter-4 example queries, and performance
-// experiments backing the paper's qualitative claims (see DESIGN.md §4 for
-// the experiment index and EXPERIMENTS.md for recorded outputs). The
-// madbench command is a thin CLI over this package; the repository-level
-// benchmarks reuse the same building blocks under testing.B.
+// experiments backing the paper's qualitative claims. It is the frozen
+// reproduction record: it calls the paper's operators and MQL statements,
+// never the planner's API, so the planner can change under it. The
+// madbench command is a thin CLI over this package; the engine's own
+// benchmark is the wire-to-storage one under benchmark/.
 package experiments
 
 import (
@@ -41,14 +42,6 @@ func All() []Experiment {
 		{ID: "P4", Title: "recursive molecules: parts explosion", Run: RunP4},
 		{ID: "P5", Title: "closure: operator pipelines (Theorems 1–3)", Run: RunP5},
 		{ID: "P6", Title: "PRIMA two-layer work split", Run: RunP6},
-		{ID: "P7", Title: "parallel molecule derivation (query parallelism outlook)", Run: RunP7},
-		{ID: "P8", Title: "predicate pushdown: naive Σ vs planned derivation", Run: RunP8},
-		{ID: "P9", Title: "histogram statistics: skew-proof access paths, plan caching", Run: RunP9},
-		{ID: "P10", Title: "symmetric access paths: interior-index entry vs root scan", Run: RunP10},
-		{ID: "P11", Title: "feedback-calibrated residual ordering", Run: RunP11},
-		{ID: "P12", Title: "streaming execution: first-molecule latency, LIMIT work caps", Run: RunP12},
-		{ID: "P16", Title: "composable access paths: index intersection vs single entry", Run: RunP16},
-		{ID: "P17", Title: "BOM part explosion: indexed fixpoint entry vs eager full closure", Run: RunP17},
 	}
 }
 

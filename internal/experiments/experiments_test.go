@@ -12,25 +12,19 @@ import (
 // for the key content each must report.
 func TestAllExperimentsRun(t *testing.T) {
 	wantContent := map[string][]string{
-		"F1":  {"ER → MAD", "7 atom types", "3 aux relations"},
-		"F2":  {"mt state", "point neighborhood", "GO MG MS SP", "Parana"},
-		"F3":  {"atom-type description", "referential integrity"},
-		"F4":  {"∈ AT*", "∈ LT*", "∈ DB*", "GEO_DB"},
-		"F5":  {"restriction (op-specific)", "propagation (prop)", "definition (α)"},
-		"Q1":  {"equal: true", "molecule m1"},
-		"Q2":  {"equivalent: true", "pn"},
-		"P1":  {"states", "MAD derive", "relational joins"},
-		"P2":  {"duplication", "NF² cells"},
-		"P3":  {"mt_state", "point_neighborhood", "never changed"},
-		"P4":  {"parts", "self-join closure"},
-		"P5":  {"Σ[hectare>50]", "Π[state,area]", "Definition 9"},
-		"P6":  {"molecule layer", "atom layer"},
-		"P7":  {"workers", "speedup"},
-		"P8":  {"naive Σ", "planned", "pushdown", "index lookup"},
-		"P9":  {"uniform", "histogram", "plan cache", "ANALYZE"},
-		"P10": {"root scan + pushdown", "interior-index entry", "[interior-index]", "recover roots upward"},
-		"P11": {"feedback loop", "[observed]", "conjunct evaluations"},
-		"P12": {"Execute (materialize)", "Stream (incremental)", "first molecule", "LIMIT 8", "atom fetches"},
+		"F1": {"ER → MAD", "7 atom types", "3 aux relations"},
+		"F2": {"mt state", "point neighborhood", "GO MG MS SP", "Parana"},
+		"F3": {"atom-type description", "referential integrity"},
+		"F4": {"∈ AT*", "∈ LT*", "∈ DB*", "GEO_DB"},
+		"F5": {"restriction (op-specific)", "propagation (prop)", "definition (α)"},
+		"Q1": {"equal: true", "molecule m1"},
+		"Q2": {"equivalent: true", "pn"},
+		"P1": {"states", "MAD derive", "relational joins"},
+		"P2": {"duplication", "NF² cells"},
+		"P3": {"mt_state", "point_neighborhood", "never changed"},
+		"P4": {"parts", "self-join closure"},
+		"P5": {"Σ[hectare>50]", "Π[state,area]", "Definition 9"},
+		"P6": {"molecule layer", "atom layer"},
 	}
 	for _, e := range experiments.All() {
 		e := e
@@ -59,7 +53,7 @@ func TestLookup(t *testing.T) {
 	if _, ok := experiments.Lookup("ZZ"); ok {
 		t.Fatal("ZZ must not exist")
 	}
-	if len(experiments.All()) != 21 {
-		t.Fatalf("experiment count = %d, want 21", len(experiments.All()))
+	if len(experiments.All()) != 13 {
+		t.Fatalf("experiment count = %d, want 13", len(experiments.All()))
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -404,53 +403,5 @@ func RunP6(w io.Writer, scale int) error {
 		return err
 	}
 	fmt.Fprint(w, rep.String())
-	return nil
-}
-
-// RunP7 measures derivation parallelism — the "query parallelism"
-// investigation the paper's outlook proposes: molecules are independent
-// (one per root atom), so derivation scales with workers until memory
-// bandwidth dominates.
-func RunP7(w io.Writer, scale int) error {
-	if scale < 1 {
-		scale = 1
-	}
-	syn, err := geo.BuildSynthetic(geo.Config{
-		States: 2048 * scale, EdgesPerArea: 3, Sharing: 2, Rivers: 8, RiverEdges: 16,
-	})
-	if err != nil {
-		return err
-	}
-	mt, err := defineMtState(syn.DB, "")
-	if err != nil {
-		return err
-	}
-	dv, err := core.NewDeriver(syn.DB, mt.Desc())
-	if err != nil {
-		return err
-	}
-	header(w, "P7", "parallel molecule derivation (paper outlook: query parallelism)")
-	base := time.Duration(0)
-	tw := table(w)
-	fmt.Fprintln(tw, "workers\tderive time\tspeedup\tmolecules")
-	for _, workers := range []int{1, 2, 4, 8} {
-		start := time.Now()
-		var set core.MoleculeSet
-		_, err := dv.DeriveStream(context.Background(), dv.RootIDs(), workers, nil,
-			func(int) core.FusedWorker { return core.FusedWorker{} },
-			func(batch core.MoleculeSet) error { set = append(set, batch...); return nil })
-		if err != nil {
-			return err
-		}
-		dur := time.Since(start)
-		if workers == 1 {
-			base = dur
-		}
-		fmt.Fprintf(tw, "%d\t%v\t%.2fx\t%d\n",
-			workers, dur.Round(10*time.Microsecond), float64(base)/float64(dur), len(set))
-	}
-	tw.Flush()
-	fmt.Fprintln(w, "\nmolecule derivation parallelizes over root atoms with no coordination:")
-	fmt.Fprintln(w, "each molecule is an independent hierarchical join over shared-read structures.")
 	return nil
 }

@@ -155,9 +155,7 @@ func (c Cmp) Eval(b Binding) ([]model.Value, error) {
 }
 
 // String renders the comparison.
-func (c Cmp) String() string {
-	return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R)
-}
+func (c Cmp) String() string { return render(c) }
 
 var (
 	trueVal  = []model.Value{model.Bool(true)}
@@ -184,7 +182,7 @@ func (a And) Eval(b Binding) ([]model.Value, error) {
 }
 
 // String renders the conjunction.
-func (a And) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
+func (a And) String() string { return render(a) }
 
 // Or is logical disjunction.
 type Or struct{ L, R Expr }
@@ -206,7 +204,7 @@ func (o Or) Eval(b Binding) ([]model.Value, error) {
 }
 
 // String renders the disjunction.
-func (o Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
+func (o Or) String() string { return render(o) }
 
 // Not is logical negation.
 type Not struct{ E Expr }
@@ -221,7 +219,7 @@ func (n Not) Eval(b Binding) ([]model.Value, error) {
 }
 
 // String renders the negation.
-func (n Not) String() string { return fmt.Sprintf("(NOT %s)", n.E) }
+func (n Not) String() string { return render(n) }
 
 // Arith applies an arithmetic operator. Both operands must be single
 // numeric values; integer pairs stay integral (except division by zero,
@@ -287,7 +285,7 @@ func (a Arith) Eval(b Binding) ([]model.Value, error) {
 }
 
 // String renders the arithmetic expression.
-func (a Arith) String() string { return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R) }
+func (a Arith) String() string { return render(a) }
 
 // Exists holds when the bound object contains at least one component atom
 // of the named type — useful because molecule totality permits empty
@@ -304,7 +302,7 @@ func (e Exists) Eval(b Binding) ([]model.Value, error) {
 }
 
 // String renders the quantifier.
-func (e Exists) String() string { return fmt.Sprintf("EXISTS(%s)", e.Type) }
+func (e Exists) String() string { return render(e) }
 
 // All holds when *every* component atom of the referenced type satisfies
 // the comparison — the universal counterpart of Cmp's existential default.
@@ -341,9 +339,7 @@ func (a All) Eval(b Binding) ([]model.Value, error) {
 }
 
 // String renders the quantifier.
-func (a All) String() string {
-	return fmt.Sprintf("ALL(%s %s %s)", a.Attr, a.Op, a.R)
-}
+func (a All) String() string { return render(a) }
 
 // CountOf yields the number of component atoms of the named type, enabling
 // formulas like COUNT(edge) > 3.
@@ -359,7 +355,7 @@ func (c CountOf) Eval(b Binding) ([]model.Value, error) {
 }
 
 // String renders the aggregate.
-func (c CountOf) String() string { return fmt.Sprintf("COUNT(%s)", c.Type) }
+func (c CountOf) String() string { return render(c) }
 
 // Func applies a built-in scalar function to single-valued arguments.
 // Supported: LEN, LOWER, UPPER, ABS.
@@ -447,12 +443,57 @@ func arity(name string, args []model.Value, n int) error {
 }
 
 // String renders the call.
-func (f Func) String() string {
-	parts := make([]string, len(f.Args))
-	for i, a := range f.Args {
-		parts[i] = a.String()
+func (f Func) String() string { return render(f) }
+
+// render is the String of every composite node: one appendExpr walk into
+// one buffer, so a deep predicate renders in time linear in its size
+// rather than copying every subtree's text once per enclosing node.
+func render(e Expr) string { return string(appendExpr(nil, e)) }
+
+// appendExpr appends e's MQL rendering to dst.
+func appendExpr(dst []byte, e Expr) []byte {
+	switch e := e.(type) {
+	case Const:
+		return e.V.Append(dst)
+	case Attr:
+		if e.Type != "" {
+			dst = append(append(dst, e.Type...), '.')
+		}
+		return append(dst, e.Name...)
+	case Cmp:
+		return appendInfix(dst, e.L, e.Op.String(), e.R)
+	case And:
+		return append(appendInfix(append(dst, '('), e.L, "AND", e.R), ')')
+	case Or:
+		return append(appendInfix(append(dst, '('), e.L, "OR", e.R), ')')
+	case Not:
+		return append(appendExpr(append(dst, "(NOT "...), e.E), ')')
+	case Arith:
+		return append(appendInfix(append(dst, '('), e.L, e.Op.String(), e.R), ')')
+	case Exists:
+		return append(append(append(dst, "EXISTS("...), e.Type...), ')')
+	case All:
+		return append(appendInfix(append(dst, "ALL("...), e.Attr, e.Op.String(), e.R), ')')
+	case CountOf:
+		return append(append(append(dst, "COUNT("...), e.Type...), ')')
+	case Func:
+		dst = append(append(dst, strings.ToUpper(e.Name)...), '(')
+		for i, a := range e.Args {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendExpr(dst, a)
+		}
+		return append(dst, ')')
 	}
-	return strings.ToUpper(f.Name) + "(" + strings.Join(parts, ", ") + ")"
+	// Any other node, or a missing operand, renders as fmt always did.
+	return fmt.Appendf(dst, "%s", e)
+}
+
+// appendInfix appends "l op r".
+func appendInfix(dst []byte, l Expr, op string, r Expr) []byte {
+	dst = append(append(append(appendExpr(dst, l), ' '), op...), ' ')
+	return appendExpr(dst, r)
 }
 
 func boolVal(b bool) []model.Value {

@@ -213,6 +213,19 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
+// TestPredicateRenderAllocs: rendering is one walk into one buffer, so a
+// 100 000-conjunct predicate costs a few dozen buffer growths, not an
+// allocation and a copy of the text so far per node.
+func TestPredicateRenderAllocs(t *testing.T) {
+	var e expr.Expr = expr.Cmp{Op: expr.EQ, L: expr.Attr{Type: "a", Name: "x"}, R: expr.Lit(model.Int(0))}
+	for i := 1; i < 100_000; i++ {
+		e = expr.And{L: e, R: expr.Cmp{Op: expr.LT, L: expr.Attr{Type: "a", Name: "x"}, R: expr.Lit(model.Int(int64(i)))}}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { _ = e.String() }); allocs > 64 {
+		t.Fatalf("rendering 100 000 conjuncts took %.0f allocations, want ≤ 64", allocs)
+	}
+}
+
 func TestAllQuantifier(t *testing.T) {
 	// Multi-valued binding via a fake: reuse AtomBinding twice through a
 	// molecule-like binding is exercised in core tests; here check the

@@ -162,9 +162,6 @@ func (v Value) AsID() (AtomID, bool) {
 	return AtomID(v.i), true
 }
 
-// Numeric reports whether the value is of a numeric kind.
-func (v Value) Numeric() bool { return v.kind == KInt || v.kind == KFloat }
-
 // Equal reports deep equality. Int/float cross-kind comparison follows
 // numeric equality (Int(2).Equal(Float(2)) is true); null equals only null.
 func (v Value) Equal(w Value) bool { return v.Compare(w) == 0 }

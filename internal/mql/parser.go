@@ -16,7 +16,16 @@ type Parser struct {
 	// params counts the '?' placeholders seen so far; each lexes into a
 	// positional parameter sentinel bound at EXECUTE time.
 	params int
+	// depth counts the nesting levels open at the current token.
+	depth int
 }
+
+// maxDepth bounds how deeply a statement may nest parenthesised groups,
+// function arguments, NOT, unary minus and structure branch groups. The
+// parser recurses once per level, so without a bound a hostile request
+// of a few megabytes exhausts the goroutine stack, a fatal error no
+// caller can recover from.
+const maxDepth = 1000
 
 // paramType is the sentinel attribute "type" a '?' placeholder parses
 // into: the NUL byte cannot occur in an identifier, so the sentinel never
@@ -128,6 +137,18 @@ func (p *Parser) peekIs(kind TokKind, text string) bool {
 	t := p.peek()
 	return t.Kind == kind && t.Text == text
 }
+
+// enter opens one nesting level below the token just consumed, failing
+// past maxDepth; the caller closes it with defer p.leave().
+func (p *Parser) enter() error {
+	if p.depth == maxDepth {
+		return fmt.Errorf("mql: statement nests deeper than %d levels at offset %d", maxDepth, p.toks[p.pos-1].Pos)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // Statement parses one statement.
 func (p *Parser) Statement() (Stmt, error) {
@@ -507,6 +528,10 @@ func (p *Parser) structure() (*StructNode, error) {
 			pendingLink = link
 		case p.peekIs(TSymbol, "("):
 			p.pos++ // '('
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
+			defer p.leave()
 			for {
 				child, err := p.structure()
 				if err != nil {
@@ -1000,6 +1025,10 @@ func (p *Parser) andExpr() (expr.Expr, error) {
 // notExpr := NOT notExpr | cmpExpr
 func (p *Parser) notExpr() (expr.Expr, error) {
 	if p.accept(TKeyword, "NOT") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		e, err := p.notExpr()
 		if err != nil {
 			return nil, err
@@ -1089,6 +1118,10 @@ func (p *Parser) mulExpr() (expr.Expr, error) {
 // unaryExpr := primary | '-' unaryExpr
 func (p *Parser) unaryExpr() (expr.Expr, error) {
 	if p.accept(TSymbol, "-") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		e, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
@@ -1143,6 +1176,10 @@ func (p *Parser) primaryExpr() (expr.Expr, error) {
 		return expr.Attr{Type: paramType, Name: strconv.Itoa(idx)}, nil
 	case t.Kind == TSymbol && t.Text == "(":
 		p.pos++
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		e, err := p.orExpr()
 		if err != nil {
 			return nil, err
@@ -1156,6 +1193,10 @@ func (p *Parser) primaryExpr() (expr.Expr, error) {
 		if p.peekIs(TSymbol, "(") {
 			// function call
 			p.pos++
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
+			defer p.leave()
 			var args []expr.Expr
 			if !p.peekIs(TSymbol, ")") {
 				for {

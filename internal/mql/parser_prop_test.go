@@ -114,30 +114,100 @@ func TestPredicateRenderReparse(t *testing.T) {
 	}
 }
 
-// TestParserRejectsDeepGarbage throws random token soup at the parser and
-// requires it to fail cleanly (no panic) on junk.
-func TestParserRejectsDeepGarbage(t *testing.T) {
+// depthBound is the parser's nesting budget: a statement may open this
+// many groups, function calls, NOTs, unary minuses and branch groups
+// inside one another, and one more is an error.
+const depthBound = 1000
+
+// nestingForms builds a statement nesting each recursive form of the
+// grammar n levels deep.
+var nestingForms = []struct {
+	name  string
+	build func(n int) string
+}{
+	{"parens", func(n int) string {
+		return "SELECT ALL FROM a WHERE " + strings.Repeat("(", n) + "a.x = 1" + strings.Repeat(")", n)
+	}},
+	{"not", func(n int) string { return "SELECT ALL FROM a WHERE " + strings.Repeat("NOT ", n) + "a.x = 1" }},
+	{"minus", func(n int) string { return "SELECT ALL FROM a WHERE a.x = " + strings.Repeat("- ", n) + "1" }},
+	{"call", func(n int) string {
+		return "SELECT ALL FROM a WHERE " + strings.Repeat("LEN(", n) + "a.x" + strings.Repeat(")", n) + " = 1"
+	}},
+	{"branch", func(n int) string { return "SELECT ALL FROM a" + strings.Repeat("-(b", n) + strings.Repeat(")", n) }},
+}
+
+// TestParseNestingBudget: every recursive form parses at the bound, fails
+// with an offset-bearing error one level past it, and the budget is per
+// statement, not per script.
+func TestParseNestingBudget(t *testing.T) {
+	for _, f := range nestingForms {
+		at := f.build(depthBound)
+		if _, err := mql.ParseScript(at + ";" + at); err != nil {
+			t.Errorf("%s at the bound: %v", f.name, err)
+		}
+		_, err := mql.Parse(f.build(depthBound + 1))
+		if err == nil || !strings.Contains(err.Error(), "nests deeper than 1000 levels at offset") {
+			t.Errorf("%s past the bound: got %v", f.name, err)
+		}
+	}
+}
+
+// FuzzParse: no input makes Parse or ParseScript panic, and neither does
+// rendering the predicate of an accepted SELECT. CI runs it with
+//
+//	go test -run='^$' -fuzz=FuzzParse -fuzztime=60s ./internal/mql
+//
+// Seeds: the README's statements, one statement nested exactly at the
+// depth bound, and random strings of the grammar's tokens.
+func FuzzParse(f *testing.F) {
+	for _, src := range []string{
+		"CREATE ATOM TYPE state (name STRING NOT NULL, hectare FLOAT);",
+		"CREATE LINK TYPE state-area BETWEEN state AND area;",
+		"INSERT INTO state VALUES ('Minas Gerais', 900.0);",
+		"CONNECT state TO area VIA state-area;",
+		"CONNECT state WHERE name = 'Bahia' TO area WHERE tag = 'a_BA' VIA state-area;",
+		"CREATE INDEX ON state(abbrev); ANALYZE;",
+		"SELECT ALL FROM state-area WHERE hectare > 500;",
+		"EXPLAIN SELECT ALL FROM state-area-edge-point WHERE state.abbrev = 'SP' AND edge.tag = 'e_pn_SP';",
+		"EXPLAIN (ESTIMATE) SELECT ALL FROM state-area-edge-point WHERE edge.tag = 'e_pn_SP';",
+		"EXPLAIN SELECT ALL FROM job-(machine, tool) WHERE job.id >= 8 AND job.id < 16;",
+		"EXPLAIN SELECT COUNT FROM grp-[gi]-item WHERE item.tag = 'hot';",
+		"PREPARE shop AS SELECT ALL FROM job-(machine, tool) WHERE machine.site = ? AND tool.grade = ?; EXECUTE shop (3, 5);",
+		"SELECT ALL FROM mt_state(state-area-edge-point) WHERE hectare > 100 LIMIT 2;",
+		"SELECT state FROM mt(state-area) WHERE hectare > 100 LIMIT 2;",
+		"SELECT ALL FROM point-edge-(area-state, net-river) WHERE point.name = 'pn';",
+		"SELECT ALL FROM state-area-edge-point ORDER BY hectare DESC LIMIT 4;",
+		"SELECT COUNT FROM part WHERE qty > 100 GROUP BY cat;",
+		"SELECT ALL FROM RECURSIVE parts VIA composition UP DEPTH 2 WHERE name = 'bolt';",
+		"SELECT ALL FROM RECURSIVE parts VIA composition DEPTH 1 ORDER BY name DESC LIMIT 2;",
+		"SELECT COUNT FROM RECURSIVE parts VIA composition GROUP BY cat;",
+		"BEGIN; INSERT INTO parts VALUES ('ring', 0.5); ROLLBACK; COMMIT; CHECKPOINT;",
+		"DEFINE MOLECULE TYPE light AS SELECT ALL FROM parts WHERE weight < 1.0;",
+		"SHOW SCHEMA; SHOW FEEDBACK; SHOW CACHE;",
+		"SET WORKERS 4; SET NOCACHE TRUE;",
+	} {
+		f.Add(src)
+	}
+	f.Add(nestingForms[0].build(depthBound))
 	pieces := []string{
 		"SELECT", "FROM", "WHERE", "ALL", "(", ")", "-", ",", ";",
 		"ident", "'str'", "3.5", "=", "AND", "[", "]", ".",
 	}
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 500; i++ {
-		n := 1 + rng.Intn(12)
+	for i := 0; i < 64; i++ {
 		var sb strings.Builder
-		for j := 0; j < n; j++ {
+		for j := rng.Intn(12); j >= 0; j-- {
 			sb.WriteString(pieces[rng.Intn(len(pieces))])
 			sb.WriteByte(' ')
 		}
-		src := sb.String()
-		// Must not panic; errors are fine and expected.
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("parser panicked on %q: %v", src, r)
-				}
-			}()
-			_, _ = mql.Parse(src)
-		}()
+		f.Add(sb.String())
 	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if st, err := mql.Parse(src); err == nil {
+			if sel, ok := st.(*mql.SelectStmt); ok && sel.Where != nil {
+				_ = sel.Where.String()
+			}
+		}
+		_, _ = mql.ParseScript(src)
+	})
 }

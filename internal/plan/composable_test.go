@@ -14,13 +14,13 @@ import (
 	"mad/internal/storage"
 )
 
-// jobShopDB builds the deterministic intersection fixture: 64 "job"
-// roots, each linked to one "machine" (site = i%8, indexed), one "tool"
-// (grade = (i/8)%8, indexed) and 16 "step" atoms. A conjunction of
+// jobShopDB builds the deterministic intersection fixture: side² "job"
+// roots, each linked to one "machine" (site = i%side, indexed), one
+// "tool" (grade = i/side, indexed) and 16 "step" atoms. A conjunction of
 // machine.site = a AND tool.grade = b selects exactly one job, but each
-// single entry alone recovers 8 candidate roots — the configuration
+// single entry alone recovers side candidate roots — the configuration
 // where intersecting before derivation beats any single entry.
-func jobShopDB(t testing.TB) (*storage.Database, *core.MoleculeType) {
+func jobShopDB(t testing.TB, side int) (*storage.Database, *core.MoleculeType) {
 	t.Helper()
 	db := storage.NewDatabase()
 	for _, d := range []struct {
@@ -43,16 +43,16 @@ func jobShopDB(t testing.TB) (*storage.Database, *core.MoleculeType) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < side*side; i++ {
 		j, err := db.InsertAtom("job", model.Int(int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := db.InsertAtom("machine", model.Int(int64(i%8)))
+		m, err := db.InsertAtom("machine", model.Int(int64(i%side)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tl, err := db.InsertAtom("tool", model.Int(int64((i/8)%8)))
+		tl, err := db.InsertAtom("tool", model.Int(int64(i/side)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,9 +94,11 @@ func jobShopDB(t testing.TB) (*storage.Database, *core.MoleculeType) {
 // with two selective indexed equalities on different interior types and
 // an expensive derivation, the planner must pick the multi-entry
 // intersection, the intersection must surface in EXPLAIN with per-entry
-// counts, and the result must match naive Σ.
+// counts, the result must match naive Σ, and no single entry may come
+// close to its logical work.
 func TestIndexIntersectionChosen(t *testing.T) {
-	db, mt := jobShopDB(t)
+	const side = 16
+	db, mt := jobShopDB(t, side)
 	pred := expr.And{L: intCmp(expr.EQ, "machine", "site", 3), R: intCmp(expr.EQ, "tool", "grade", 5)}
 
 	p, err := plan.Compile(db, mt.Desc(), pred)
@@ -113,7 +115,7 @@ func TestIndexIntersectionChosen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// job 43 is the only root with site 3 AND grade 5 (43%8 == 3, 43/8 == 5).
+	// job 83 is the only root with site 3 AND grade 5 (83%16 == 3, 83/16 == 5).
 	if len(got) != 1 {
 		t.Fatalf("intersection delivered %d molecules, want 1", len(got))
 	}
@@ -121,8 +123,8 @@ func TestIndexIntersectionChosen(t *testing.T) {
 		t.Fatalf("ActSurvivors = %d, want 1 intersection survivor", p.Access.ActSurvivors)
 	}
 	for i, e := range p.Access.Entries {
-		if e.ActEntries != 8 || e.ActRoots != 8 {
-			t.Fatalf("entry %d actuals = %d entries / %d roots, want 8/8", i, e.ActEntries, e.ActRoots)
+		if e.ActEntries != side || e.ActRoots != side {
+			t.Fatalf("entry %d actuals = %d entries / %d roots, want %d/%d", i, e.ActEntries, e.ActRoots, side, side)
 		}
 	}
 
@@ -135,6 +137,34 @@ func TestIndexIntersectionChosen(t *testing.T) {
 
 	if want := naiveRestrict(t, mt, pred); !sameSets(got, want) {
 		t.Fatalf("intersected %d vs naive %d molecules", len(got), len(want))
+	}
+
+	// The win is logical work: every other candidate of the contest,
+	// forced, must fetch at least 3× the atoms the intersection does.
+	fetches := func(p *plan.Plan) int64 {
+		before := db.Stats().Snapshot()
+		if _, err := p.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		return db.Stats().Snapshot().Sub(before).AtomsFetched
+	}
+	intersected := fetches(p)
+	singles := 0
+	for _, alt := range p.Alternatives {
+		if strings.HasPrefix(alt.Label, "intersect[") {
+			continue
+		}
+		forced, err := plan.CompileForced(db, mt.Desc(), pred, nil, alt.Label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if single := fetches(forced); single < 3*intersected {
+			t.Fatalf("forced %s fetched %d atoms vs %d for the intersection — want ≥3×", alt.Label, single, intersected)
+		}
+		singles++
+	}
+	if singles == 0 {
+		t.Fatalf("the contest lists no single-entry candidate:\n%s", p.Render())
 	}
 }
 
@@ -488,7 +518,7 @@ func TestDriftRecompileFlipsAccessPath(t *testing.T) {
 // a hit.
 func TestWarmCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	db, mt := jobShopDB(t)
+	db, mt := jobShopDB(t, 8)
 	cache := plan.CacheFor(db)
 	defer plan.Release(db)
 	pred := expr.And{L: intCmp(expr.EQ, "machine", "site", 3), R: intCmp(expr.EQ, "tool", "grade", 5)}
@@ -503,7 +533,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	}
 
 	// A second database with the same schema and data warms from the file.
-	db2, mt2 := jobShopDB(t)
+	db2, mt2 := jobShopDB(t, 8)
 	defer plan.Release(db2)
 	warmed, err := plan.WarmCache(db2, dir)
 	if err != nil {
@@ -527,7 +557,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	}
 
 	// Missing file: cold start, no error.
-	db3, _ := jobShopDB(t)
+	db3, _ := jobShopDB(t, 8)
 	defer plan.Release(db3)
 	if warmed, err := plan.WarmCache(db3, t.TempDir()); err != nil || warmed != 0 {
 		t.Fatalf("missing file: warmed %d, err %v; want 0, nil", warmed, err)

@@ -1,26 +1,68 @@
 package plan_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"mad/internal/core"
-	"mad/internal/experiments"
 	"mad/internal/expr"
 	"mad/internal/model"
 	"mad/internal/plan"
 	"mad/internal/storage"
 )
 
-// skewedDB builds the workload the uniform estimate gets wrong — the
-// same 90/10 part/comp distribution P9 measures (see
-// experiments.BuildSkewed), so the plan tests and the experiment can
-// never drift apart.
+// skewedDB builds the workload the uniform estimate gets wrong: parts
+// whose batch attribute is 0 for 90% of the atoms (the rest spread over
+// 1..50) and whose grade is uniform over ten values, each part linked to
+// two components. Indexes cover both part attributes, so the access-path
+// choice is a genuine contest between a heavy-hitter index and a
+// selective one.
 func skewedDB(t testing.TB, parts int) (*storage.Database, *core.MoleculeType) {
 	t.Helper()
-	db, mt, err := experiments.BuildSkewed(parts)
+	db := storage.NewDatabase()
+	partDesc := model.MustDesc(
+		model.AttrDesc{Name: "batch", Kind: model.KInt},
+		model.AttrDesc{Name: "grade", Kind: model.KString},
+	)
+	if _, err := db.DefineAtomType("part", partDesc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.DefineAtomType("comp", model.MustDesc(model.AttrDesc{Name: "weight", Kind: model.KFloat})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.DefineLinkType("part-comp", model.LinkDesc{SideA: "part", SideB: "comp"}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < parts; i++ {
+		batch := int64(0)
+		if i%10 == 9 {
+			batch = int64(1 + rng.Intn(50))
+		}
+		id, err := db.InsertAtom("part", model.Int(batch), model.Str(fmt.Sprintf("g%d", i%10)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			cid, err := db.InsertAtom("comp", model.Float(rng.Float64()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Connect("part-comp", id, cid); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, attr := range []string{"batch", "grade"} {
+		if err := db.CreateIndex("part", attr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mt, err := core.Define(db, "skewed", []string{"part", "comp"},
+		[]core.DirectedLink{{Link: "part-comp", From: "part", To: "comp"}})
 	if err != nil {
 		t.Fatal(err)
 	}

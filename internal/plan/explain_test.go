@@ -39,12 +39,12 @@ func TestExplainGolden(t *testing.T) {
 		return pred
 	}
 
-	plain, plainMT := jobShopDB(t)
-	indexed, indexedMT := jobShopDB(t)
+	plain, plainMT := jobShopDB(t, 8)
+	indexed, indexedMT := jobShopDB(t, 8)
 	if err := indexed.CreateIndex("job", "id"); err != nil {
 		t.Fatal(err)
 	}
-	analyzed, analyzedMT := jobShopDB(t)
+	analyzed, analyzedMT := jobShopDB(t, 8)
 	if err := analyzed.CreateIndex("job", "id"); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestExplainGolden(t *testing.T) {
 	// observed residual pass rate; a fresh compile over the same structure
 	// runs its contest on the calibrated derive and climb constants.
 	t.Run("observed", func(t *testing.T) {
-		db, mt := jobShopDB(t)
+		db, mt := jobShopDB(t, 8)
 		cache := plan.CacheFor(db)
 		defer plan.Release(db)
 		for _, c := range []struct {

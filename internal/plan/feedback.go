@@ -210,14 +210,6 @@ func (fb *Feedback) clearLocked() bool {
 	return had
 }
 
-// Reset unconditionally discards every observation — test and experiment
-// hook for re-running a workload from a cold feedback state.
-func (fb *Feedback) Reset() {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	fb.clearLocked()
-}
-
 // Counters reports feedback traffic: executions recorded and epoch-driven
 // resets (ANALYZE/DDL invalidating the observations).
 func (fb *Feedback) Counters() (records, resets uint64) {

@@ -193,43 +193,49 @@ func TestOrderedIndexRideNoSort(t *testing.T) {
 }
 
 // TestOrderedTopKBoundCut: with a LIMIT far below the root count and no
-// usable index, the bounded-heap path must prune roots before derivation
-// and report the cut in the plan actuals.
+// usable index, the bounded-heap path must prune roots before derivation,
+// report the cut in the plan actuals, and save the logical work it
+// claims.
 func TestOrderedTopKBoundCut(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	db, types, edges, err := layeredDB(rng, 2, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt, err := core.Define(db, "ordered_topk", types, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const roots = 2048
+	db, mt := assemblyDB(t, roots)
 	defer plan.Release(db)
 
-	order := plan.OrderBy{Attr: "w", Desc: false}
-	p := mustCompile(t, db, mt, nil, &order, 1, 4)
-	st, err := p.Stream(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	order := plan.OrderBy{Attr: "code", Desc: false}
+	// fetches drains the ordered stream of p and counts the atoms it read.
+	fetches := func(p *plan.Plan) (core.MoleculeSet, int64) {
+		before := db.Stats().Snapshot()
+		st, err := p.Stream(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := collectStream(t, st, -1)
+		return got, db.Stats().Snapshot().Sub(before).AtomsFetched
 	}
-	got := collectStream(t, st, -1)
+	p := mustCompile(t, db, mt, nil, &order, 1, 4)
+	got, topK := fetches(p)
 	if p.OrderPath != plan.OrderTopK {
 		t.Fatalf("order path %q, want %q\n%s", p.OrderPath, plan.OrderTopK, p.Render())
 	}
 	if len(got) != 4 {
 		t.Fatalf("delivered %d molecules, want 4", len(got))
 	}
-	// 512 roots, K=4: the heap bound must have cut the overwhelming
-	// majority of roots before derivation (expected survivors ≈
-	// K·(1+ln(N/K)) ≈ 23 for sequential workers).
-	if p.OrderCut < 256 {
-		t.Fatalf("bound cut only %d of 512 roots\n%s", p.OrderCut, p.Render())
+	// The cut is logical work saved: a cut root costs two reads (the root
+	// and its sort key), a derived one its whole 13-atom molecule, so top-K
+	// must fetch at least 5× fewer atoms than the full sort of the same
+	// statement.
+	if _, full := fetches(mustCompile(t, db, mt, nil, &order, 1, 0)); topK*5 > full {
+		t.Fatalf("top-K fetched %d atoms vs %d for the full sort — want ≥5× fewer", topK, full)
 	}
-	if p.Derived+p.OrderCut != 512 {
-		t.Fatalf("derived %d + cut %d ≠ 512 roots", p.Derived, p.OrderCut)
+	// K=4: once the heap is full its bound must cut the overwhelming
+	// majority of roots before derivation.
+	if p.OrderCut < roots/2 {
+		t.Fatalf("bound cut only %d of %d roots\n%s", p.OrderCut, roots, p.Render())
 	}
-	ref := orderedReference(t, db, types[0], mustMaterialize(t, db, mt), order, 4)
+	if p.Derived+p.OrderCut != roots {
+		t.Fatalf("derived %d + cut %d ≠ %d roots", p.Derived, p.OrderCut, roots)
+	}
+	ref := orderedReference(t, db, "asm", mustMaterialize(t, db, mt), order, 4)
 	for i := range got {
 		if !got[i].Equal(ref[i]) {
 			t.Fatalf("molecule %d differs from reference order", i)

@@ -443,9 +443,9 @@ func CompileOrdered(db *storage.Database, desc *core.Desc, pred expr.Expr, order
 
 // CompileForced is CompileOrdered taking the candidate the contest lists
 // under label (an Alternative.Label of the unforced compile) instead of
-// the cheapest — the hook the forced-path parity property and the P16
-// single-entry baseline execute a losing access path through. It is not
-// reachable from MQL or the session options.
+// the cheapest — the hook the forced-path parity property and the
+// intersection test's single-entry baselines execute a losing access
+// path through. It is not reachable from MQL or the session options.
 func CompileForced(db *storage.Database, desc *core.Desc, pred expr.Expr, order *OrderBy, label string) (*Plan, error) {
 	return compileKeyed(db, desc, pred, order, cacheKey(desc, pred, order), label)
 }
@@ -1013,16 +1013,6 @@ func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error
 	p.Out = n
 	p.Executed = true
 	return n, nil
-}
-
-// Summary is the one-line account of an executed plan.
-func (p *Plan) Summary() string {
-	cut := 0
-	for _, pd := range p.Pushdowns {
-		cut += pd.Cut
-	}
-	return fmt.Sprintf("%d roots in, %d pruned mid-derivation, %d derived, %d qualified",
-		p.Access.ActRoots, cut, p.Derived, p.Out)
 }
 
 // Render prints the plan tree with estimated and (when executed) actual

@@ -84,6 +84,32 @@ func TestServerErrorsAreRemoteErrors(t *testing.T) {
 	}
 }
 
+// TestServerDeepNestingIsAnError: a request nested far past the parser's
+// depth bound is answered with ERR instead of exhausting the handler's
+// stack, and the same connection then serves the next SELECT.
+func TestServerDeepNestingIsAnError(t *testing.T) {
+	_, addr := startServer(t, storage.NewDatabase())
+	c, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec("CREATE ATOM TYPE a (x INT); INSERT INTO a VALUES (1);"); err != nil {
+		t.Fatal(err)
+	}
+	const levels = 100_000
+	deep := "SELECT ALL FROM a WHERE " + strings.Repeat("(", levels) + "a.x = 1" + strings.Repeat(")", levels) + ";"
+	_, err = c.Exec(deep)
+	var re *server.RemoteError
+	if !errors.As(err, &re) || !strings.Contains(err.Error(), "nests deeper than") {
+		t.Fatalf("deep request: want the nesting ERR, got %v", err)
+	}
+	out, err := c.Exec("SELECT ALL FROM a;")
+	if err != nil || !strings.Contains(out, "1 molecule(s)") {
+		t.Fatalf("connection after the deep request: %q, %v", out, err)
+	}
+}
+
 func TestServerGeoQueries(t *testing.T) {
 	s, err := geo.BuildSample()
 	if err != nil {

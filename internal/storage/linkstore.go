@@ -195,10 +195,6 @@ func (ls *LinkStore) dropAtom(id model.AtomID, ts uint64) (removed int, undo fun
 	return len(undos), func() { undoAll(undos) }
 }
 
-// Degree returns the number of partners of an atom on the given side at
-// the latest commit.
-func (ls *LinkStore) Degree(id model.AtomID, sideA bool) int { return len(ls.Partners(id, sideA)) }
-
 // SideAtoms returns the number of distinct atoms with at least one
 // partner on the given side at the latest commit — the denominator of the
 // per-step fan-out statistic the planner uses to cost traversals in
