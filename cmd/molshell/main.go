@@ -10,8 +10,10 @@
 //
 // With -data every committed statement is fsynced through the write-ahead
 // log before it acknowledges, and the CHECKPOINT statement snapshots the
-// database (including planner statistics and feedback) so the next start
-// replays less log and plans warm.
+// database (including indexes and histograms) so the next start replays
+// less log and estimates from the same statistics. The plan cache and
+// the execution feedback are not persisted: they relearn from the first
+// executions after a start.
 //
 // Statements end with ';'. Shell commands: \h help, \q quit,
 // \save [path] snapshot, \stats counters, \trace toggles operation traces.

@@ -664,7 +664,8 @@ func (s *Session) execDefine(st *DefineStmt) (*Result, error) {
 // define runs one DEFINE's producers into the sink and returns the last
 // propagated type with the number of molecules the sink installed — or,
 // for a body that only names a structure (α alone: no WHERE, no SELECT
-// list, or a recursive closure), that structure and its cardinality.
+// list), that structure and its cardinality. A recursive closure can only
+// be named: a WHERE or a SELECT list over one is refused.
 //
 //   - Σ is the session's own SELECT pipeline: planner, plan cache,
 //     cancellation and the session's view.
@@ -709,7 +710,17 @@ func (s *Session) define(st *DefineStmt) (*core.MoleculeType, int, error) {
 		return nil, 0, err
 	}
 	desc := cur.Desc()
-	if desc.Closure() != nil || sel.Where == nil && sel.All {
+	if desc.Closure() != nil {
+		// Σ and Π over a closure need propagation of a closure description,
+		// which core.Prop refuses: reject the clause rather than drop it.
+		if sel.Where != nil {
+			return nil, 0, fmt.Errorf("mql: WHERE is not supported in DEFINE ... AS SELECT over a recursive structure")
+		}
+		if !sel.All {
+			return nil, 0, fmt.Errorf("mql: a SELECT list is not supported in DEFINE ... AS SELECT over a recursive structure; use SELECT ALL")
+		}
+	}
+	if sel.Where == nil && sel.All {
 		n, err := cur.Cardinality()
 		return cur, n, err
 	}

@@ -388,6 +388,21 @@ DEFINE MOLECULE TYPE shallow AS SELECT ALL ` + rec + ` DEPTH 1;`); err != nil {
 				t.Fatal("redefining expl was accepted")
 			}
 		}},
+		{"define refuses what it cannot propagate", func(t *testing.T, db *storage.Database, sess *mql.Session) {
+			// The SELECT returns one molecule; a DEFINE that dropped the
+			// clause would define all four.
+			for clause, src := range map[string]string{
+				"WHERE":       "DEFINE MOLECULE TYPE carx AS SELECT ALL " + rec + " WHERE name = 'car';",
+				"SELECT list": "DEFINE MOLECULE TYPE carx AS SELECT parts(name) " + rec + ";",
+			} {
+				if _, err := sess.Exec(src); err == nil || !strings.Contains(err.Error(), clause) {
+					t.Fatalf("%s: got %v, want an error naming the %s", src, err, clause)
+				}
+			}
+			if _, err := sess.Exec("SELECT ALL FROM carx;"); err == nil {
+				t.Fatal("a refused DEFINE registered its name")
+			}
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

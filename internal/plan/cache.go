@@ -26,10 +26,13 @@ const cacheLimit = 256
 // (index DDL, schema DDL or ANALYZE happened since) recompiles, so a
 // cached plan never outlives the statistics and access paths it was
 // costed against. Get hands out clones: concurrent sessions each execute
-// their own copy while sharing the compile work.
+// their own copy while sharing the compile work. The cache owns the
+// database's execution-feedback store, so one registry entry holds all of
+// a database's planner state.
 type Cache struct {
 	mu      sync.Mutex
 	db      *storage.Database
+	fb      *Feedback
 	entries map[string]*list.Element
 	lru     *list.List // cacheEntry values, most recently used at front
 
@@ -68,33 +71,37 @@ var (
 )
 
 // CacheFor returns the plan cache shared by every session over db,
-// creating it on first use. Creating the cache also registers the
-// database's execution-feedback store, so every session that plans
-// through the cache learns from its executions automatically.
+// creating it — and the execution-feedback store it owns — on first use,
+// so every session that plans through the cache learns from its
+// executions automatically.
 func CacheFor(db *storage.Database) *Cache {
 	cachesMu.Lock()
 	defer cachesMu.Unlock()
 	c, ok := caches[db]
 	if !ok {
 		c = &Cache{db: db, entries: make(map[string]*list.Element), lru: list.New()}
+		c.fb = newFeedback(c)
 		caches[db] = c
-		// Register the feedback store while still holding cachesMu: a
-		// concurrent Release must never run between the two insertions,
-		// or it would miss the feedback entry and leave it pinning the
-		// database forever. (feedbacksMu nests under cachesMu here and
-		// is never taken the other way around.)
-		FeedbackFor(db)
 	}
 	return c
 }
 
-// cacheLookup returns the database's plan cache without creating one —
-// the feedback store's drift path uses it, and a database that never
-// planned through a cache has no entries to mark stale.
-func cacheLookup(db *storage.Database) *Cache {
+// FeedbackFor returns the execution-feedback store of db's plan cache,
+// creating both on first use.
+func FeedbackFor(db *storage.Database) *Feedback { return CacheFor(db).fb }
+
+// feedbackLookup returns the database's feedback store without creating
+// or registering one — the compile/execute side goes through this, so
+// the loop only runs for databases that opted in (CacheFor or
+// FeedbackFor). Every Feedback method tolerates a nil receiver as "no
+// observations".
+func feedbackLookup(db *storage.Database) *Feedback {
 	cachesMu.Lock()
 	defer cachesMu.Unlock()
-	return caches[db]
+	if c := caches[db]; c != nil {
+		return c.fb
+	}
+	return nil
 }
 
 // markStale flags the cache entry compiled under key for a targeted
@@ -112,16 +119,15 @@ func (c *Cache) markStale(key string) bool {
 	return true
 }
 
-// Release drops the database's cache and execution-feedback store from
-// their registries. Call it when a database goes out of use — the
-// registries otherwise pin both structures and the database for the life
+// Release drops the database's cache, and the execution-feedback store it
+// owns, from the registry. Call it when a database goes out of use — the
+// registry otherwise pins both structures and the database for the life
 // of the process. A later CacheFor/FeedbackFor on the same database
 // simply starts cold.
 func Release(db *storage.Database) {
 	cachesMu.Lock()
+	defer cachesMu.Unlock()
 	delete(caches, db)
-	cachesMu.Unlock()
-	releaseFeedback(db)
 }
 
 // cacheKey identifies a plan: the structure rendering (memoized by Desc)

@@ -511,55 +511,3 @@ func TestDriftRecompileFlipsAccessPath(t *testing.T) {
 		t.Fatal("hits on a recompiled entry must inherit the provenance")
 	}
 }
-
-// TestWarmCacheRoundTrip drives the plan-shape persistence directly: the
-// shapes of cached compilations round-trip through plancache.json and
-// precompile into a fresh cache, so the first fetch after WarmCache is
-// a hit.
-func TestWarmCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	db, mt := jobShopDB(t, 8)
-	cache := plan.CacheFor(db)
-	defer plan.Release(db)
-	pred := expr.And{L: intCmp(expr.EQ, "machine", "site", 3), R: intCmp(expr.EQ, "tool", "grade", 5)}
-	if _, _, err := cache.Compile(mt.Desc(), pred); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cache.CompileOrdered(mt.Desc(), nil, &plan.OrderBy{Attr: "id"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := plan.SaveCacheShapes(db, dir); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second database with the same schema and data warms from the file.
-	db2, mt2 := jobShopDB(t, 8)
-	defer plan.Release(db2)
-	warmed, err := plan.WarmCache(db2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmed != 2 {
-		t.Fatalf("warmed %d plans, want 2", warmed)
-	}
-	if n := plan.CacheFor(db2).Len(); n != 2 {
-		t.Fatalf("warm cache holds %d entries, want 2", n)
-	}
-	p, cached, err := plan.CacheFor(db2).Compile(mt2.Desc(), pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached {
-		t.Fatal("first fetch after WarmCache must hit")
-	}
-	if p.Access.Kind != plan.IndexIntersect {
-		t.Fatalf("warmed plan chose %v, want IndexIntersect", p.Access.Kind)
-	}
-
-	// Missing file: cold start, no error.
-	db3, _ := jobShopDB(t, 8)
-	defer plan.Release(db3)
-	if warmed, err := plan.WarmCache(db3, t.TempDir()); err != nil || warmed != 0 {
-		t.Fatalf("missing file: warmed %d, err %v; want 0, nil", warmed, err)
-	}
-}

@@ -39,10 +39,12 @@ import (
 // at, and discards them all on mismatch. ANALYZE, schema or index DDL and
 // auto-ANALYZE-on-drift therefore reset stale feedback exactly as they
 // invalidate cached plans — observations never outlive the statistics
-// regime they were made under.
+// regime they were made under. The store lives in memory only, owned by
+// the database's plan Cache; a reopened database relearns it.
 type Feedback struct {
-	mu    sync.Mutex
-	db    *storage.Database
+	mu sync.Mutex
+	// cache owns the store; drift marks its entries stale.
+	cache *Cache
 	epoch uint64
 	// residuals: plan key → conjunct key → accumulated evals/passed.
 	residuals map[string]map[string]*passObs
@@ -123,47 +125,10 @@ const (
 // interior entry type the climb started from.
 func climbKey(descKey, entryType string) string { return descKey + "\x00" + entryType }
 
-// feedbacks is the per-database registry behind FeedbackFor, released
-// together with the plan cache by Release.
-var (
-	feedbacksMu sync.Mutex
-	feedbacks   = make(map[*storage.Database]*Feedback)
-)
-
-// FeedbackFor returns the execution-feedback store shared by every
-// session over db, creating it on first use. Registration is opt-in:
-// CacheFor creates the store alongside the plan cache (so every MQL
-// session learns automatically), while direct plan.Compile/Execute
-// callers stay unregistered until they ask — compiling a plan against a
-// short-lived database must not pin it in a process-wide registry (the
-// leak class PR 3's Release fixed for the cache). Release(db) drops the
-// store with the cache.
-func FeedbackFor(db *storage.Database) *Feedback {
-	feedbacksMu.Lock()
-	defer feedbacksMu.Unlock()
-	fb, ok := feedbacks[db]
-	if !ok {
-		fb = newFeedback(db)
-		feedbacks[db] = fb
-	}
-	return fb
-}
-
-// feedbackLookup returns the database's feedback store without creating
-// or registering one — the compile/execute side goes through this, so
-// the loop only runs for databases that opted in (CacheFor or an
-// explicit FeedbackFor). Every Feedback method tolerates a nil receiver
-// as "no observations".
-func feedbackLookup(db *storage.Database) *Feedback {
-	feedbacksMu.Lock()
-	defer feedbacksMu.Unlock()
-	return feedbacks[db]
-}
-
-func newFeedback(db *storage.Database) *Feedback {
+func newFeedback(c *Cache) *Feedback {
 	fb := &Feedback{
-		db:        db,
-		epoch:     db.PlanEpoch(),
+		cache:     c,
+		epoch:     c.db.PlanEpoch(),
 		residuals: make(map[string]map[string]*passObs),
 		access:    make(map[string]*accessObs),
 	}
@@ -187,7 +152,7 @@ func (fb *Feedback) Drifts() uint64 {
 // syncEpochLocked drops every observation recorded under an older plan
 // epoch; callers hold fb.mu.
 func (fb *Feedback) syncEpochLocked() {
-	epoch := fb.db.PlanEpoch()
+	epoch := fb.cache.db.PlanEpoch()
 	if epoch == fb.epoch {
 		return
 	}
@@ -206,7 +171,7 @@ func (fb *Feedback) clearLocked() bool {
 		had = had || len(m) > 0
 		clear(m)
 	}
-	fb.epoch = fb.db.PlanEpoch()
+	fb.epoch = fb.cache.db.PlanEpoch()
 	return had
 }
 
@@ -253,11 +218,8 @@ func (fb *Feedback) record(p *Plan, work storage.WorkTally) {
 	}
 	if fb.recordLocked(p, work) {
 		// The drift-triggered staleness mark runs outside fb.mu: the
-		// cache registry and entry locks nest the other way on the
-		// compile path.
-		if c := cacheLookup(fb.db); c != nil {
-			c.markStale(p.key)
-		}
+		// cache's entry lock nests the other way on the compile path.
+		fb.cache.markStale(p.key)
 	}
 }
 
@@ -537,12 +499,4 @@ func sortedKeys(m map[string]*ratioObs) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// releaseFeedback drops the database's feedback store from the registry;
-// called by Release together with the plan cache.
-func releaseFeedback(db *storage.Database) {
-	feedbacksMu.Lock()
-	defer feedbacksMu.Unlock()
-	delete(feedbacks, db)
 }

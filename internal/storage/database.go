@@ -58,12 +58,10 @@ type Database struct {
 	wal *walLog
 	dir string
 
-	// ckptMu serializes checkpoints; ckptHooks run after each successful
-	// one (feedback persistence hangs off this). ckptTestHook, when set,
-	// runs while the checkpoint holds its snapshot pin — the
-	// vacuum-interaction tests inject through it.
+	// ckptMu serializes checkpoints. ckptTestHook, when set, runs while
+	// the checkpoint holds its snapshot pin — the vacuum-interaction tests
+	// inject through it.
 	ckptMu       sync.Mutex
-	ckptHooks    []func() error
 	ckptTestHook func()
 	// autoCkpts counts checkpoints completed by the auto-checkpoint
 	// trigger (SetAutoCheckpoint), for observability and tests.
@@ -101,15 +99,6 @@ func NewDatabase() *Database {
 // LatestTS returns the published commit timestamp — the version the
 // latest view reads. A Snapshot pins one of these values.
 func (db *Database) LatestTS() uint64 { return db.latestTS.Load() }
-
-// OnCheckpoint registers fn to run after every successful Checkpoint,
-// while the checkpoint lock is still held. The mad facade hooks feedback
-// persistence here so planner observations land beside the snapshot.
-func (db *Database) OnCheckpoint(fn func() error) {
-	db.ckptMu.Lock()
-	db.ckptHooks = append(db.ckptHooks, fn)
-	db.ckptMu.Unlock()
-}
 
 // publishUpTo advances the published clock to ts unless it already
 // passed it — the WAL flusher's publication step after a batch's fsync.

@@ -379,12 +379,6 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 		cs.SegmentsRemoved++
 	}
 	syncDir(db.dir)
-
-	for _, fn := range db.ckptHooks {
-		if err := fn(); err != nil {
-			return cs, fmt.Errorf("storage: checkpoint hook: %w", err)
-		}
-	}
 	return cs, nil
 }
 

@@ -295,12 +295,14 @@ func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
 		return fmt.Errorf("storage: bad magic %q (not a MAD snapshot?)", head)
 	}
 
+	// Counts come from the file: slices grow only as entries are actually
+	// read, never to a capacity a corrupt count names.
 	numAtomTypes := r.uvarint()
-	containers := make([]*Container, 0, numAtomTypes)
+	var containers []*Container
 	for i := uint64(0); i < numAtomTypes && r.err == nil; i++ {
 		name := r.str()
 		numAttrs := r.uvarint()
-		attrs := make([]model.AttrDesc, 0, numAttrs)
+		var attrs []model.AttrDesc
 		for j := uint64(0); j < numAttrs && r.err == nil; j++ {
 			attrs = append(attrs, model.AttrDesc{
 				Name:    r.str(),
@@ -319,7 +321,7 @@ func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
 	}
 
 	numLinkTypes := r.uvarint()
-	linkNames := make([]string, 0, numLinkTypes)
+	var linkNames []string
 	for i := uint64(0); i < numLinkTypes && r.err == nil; i++ {
 		name := r.str()
 		desc := model.LinkDesc{SideA: r.str(), SideB: r.str()}

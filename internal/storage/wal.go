@@ -182,7 +182,9 @@ func decodeWALPayload(body []byte) (ts uint64, ops []walOp, err error) {
 			if r.err != nil {
 				return 0, nil, r.err
 			}
-			vals := make([]model.Value, 0, nv)
+			// Counts come from the file: slices grow only as values are
+			// actually read, never to a capacity a corrupt count names.
+			var vals []model.Value
 			for j := uint64(0); j < nv; j++ {
 				v, err := decodeValue(r)
 				if err != nil {
@@ -202,7 +204,7 @@ func decodeWALPayload(body []byte) (ts uint64, ops []walOp, err error) {
 				return 0, nil, r.err
 			}
 			op.def = &walDef{}
-			for j := uint64(0); j < na; j++ {
+			for j := uint64(0); j < na && r.err == nil; j++ {
 				op.def.attrs = append(op.def.attrs, model.AttrDesc{
 					Name:    r.str(),
 					Kind:    model.Kind(r.u8()),

@@ -245,11 +245,6 @@ type (
 	// PlanCache memoizes compiled plans per database, invalidated by DDL
 	// and ANALYZE through the plan epoch.
 	PlanCache = plan.Cache
-	// PlanFeedback records what executions actually observed — molecule-
-	// level residual pass rates, per-root derivation work, per-entry
-	// climb work — and feeds them back into later compiles and
-	// executions (EXPLAIN provenance [observed]).
-	PlanFeedback = plan.Feedback
 	// Histogram is a per-attribute equi-depth histogram — the statistics
 	// ANALYZE builds and the planner estimates selectivities from.
 	Histogram = stats.Histogram
@@ -345,8 +340,8 @@ func Restrict(mt *MoleculeType, pred Expr, resultName string, tr *OpTrace) (*Mol
 // Execute it for the qualifying set; Render it for EXPLAIN.
 //
 // Compiling and executing consults the database's execution-feedback
-// store only if one exists (PlanCacheFor and PlanFeedbackFor create it);
-// a database that never opted in is not pinned by any registry.
+// store only if one exists (PlanCacheFor creates it with the cache); a
+// database that never opted in is not pinned by the registry.
 func CompilePlan(db *Database, desc *MoleculeDesc, pred Expr) (*Plan, error) {
 	return plan.Compile(db, desc, pred)
 }
@@ -390,18 +385,9 @@ func NewClosureDesc(db *Database, atomType, link string, up bool, depth int) (*M
 // automatically). Entries evict least-recently-used first.
 func PlanCacheFor(db *Database) *PlanCache { return plan.CacheFor(db) }
 
-// PlanFeedbackFor returns the execution-feedback store shared by every
-// session over db, creating it on first use (PlanCacheFor creates it
-// too, so MQL sessions always learn). Executions record their observed
-// residual pass rates and access-path work into it; subsequent compiles
-// and executions rank residual chains and weigh access-path contests
-// from those observations instead of the histogram guesses. ANALYZE and
-// DDL reset it through the plan epoch; ReleasePlanCache drops it.
-func PlanFeedbackFor(db *Database) *PlanFeedback { return plan.FeedbackFor(db) }
-
-// ReleasePlanCache drops the database's plan cache and execution-
-// feedback store from the process-wide registries. Call it when a
-// database goes out of use — the registries otherwise pin both (and
+// ReleasePlanCache drops the database's plan cache, and the execution-
+// feedback store it owns, from the process-wide registry. Call it when a
+// database goes out of use — the registry otherwise pins both (and
 // through them the database) for the life of the process.
 func ReleasePlanCache(db *Database) { plan.Release(db) }
 
@@ -469,34 +455,13 @@ func Save(db *Database, path string) error { return codec.Save(db, path) }
 func Load(path string) (*Database, error) { return codec.Load(path) }
 
 // Open opens (or creates) a durable database in dir: the newest
-// checkpoint is loaded, the write-ahead log tail replayed, persisted
-// planner feedback installed, the persisted plan shapes precompiled into
-// a warm plan cache, and a group-commit WAL attached so every subsequent
-// commit is fsynced before it acknowledges. Checkpoints taken on the
-// returned database persist the feedback store and the plan-cache shapes
-// beside the data, so a restarted server answers its first queries off
-// warm, feedback-calibrated plans. Call Close when done.
-func Open(dir string) (*Database, error) {
-	db, err := storage.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.LoadFeedback(db, dir); err != nil {
-		db.Close()
-		return nil, err
-	}
-	if _, err := plan.WarmCache(db, dir); err != nil {
-		db.Close()
-		return nil, err
-	}
-	db.OnCheckpoint(func() error {
-		if err := plan.SaveFeedback(db, dir); err != nil {
-			return err
-		}
-		return plan.SaveCacheShapes(db, dir)
-	})
-	return db, nil
-}
+// checkpoint is loaded (data, indexes and histograms), the write-ahead
+// log tail replayed, and a group-commit WAL attached so every subsequent
+// commit is fsynced before it acknowledges. The plan cache and the
+// execution-feedback store are memory-only: a reopened database starts
+// both cold and relearns them from its first executions. Call Close when
+// done.
+func Open(dir string) (*Database, error) { return storage.Open(dir) }
 
 // Recover rebuilds the database persisted in dir without attaching a
 // write-ahead log — the read-only inspection half of Open.
