@@ -2,6 +2,8 @@
 // projection π, restriction σ, cartesian product ×, union ω and
 // difference δ, each producing a *new atom type* installed in a
 // correspondingly enlarged database — the closure property of Theorem 1.
+// Each operator is one storage transaction: the enlarged database appears
+// in one commit, or not at all when the operator fails.
 //
 // Every operation also performs the link-type inheritance the paper
 // sketches ("the link types of the operand atom types are 'inherited' to
@@ -28,7 +30,6 @@ package atomalg
 import (
 	"fmt"
 
-	"mad/internal/catalog"
 	"mad/internal/expr"
 	"mad/internal/model"
 	"mad/internal/storage"
@@ -67,28 +68,58 @@ func identity(ids []model.AtomID) provenance {
 	return p
 }
 
-// resolveName picks the result type name: the caller's, or a fresh one.
-func resolveName(db *storage.Database, want, base string) (string, error) {
-	if want == "" {
-		return db.Schema().FreshAtomName(base), nil
-	}
-	if db.Schema().HasName(want) {
-		return "", fmt.Errorf("atomalg: result name %q already in use", want)
-	}
-	return want, nil
+// op is one operator application, run as one transaction: it reads its
+// operands through view, taken before its first write, and writes only
+// through txn — the result type, its atoms and the link types it
+// inherits — so the enlarged database appears in one commit or not at all.
+type op struct {
+	txn  *storage.Txn
+	view storage.View
+	res  Result
 }
 
-// inherit installs inherited link types for every operand link type
+// begin opens an operator's transaction and defines its result atom type
+// under want, or under a fresh name derived from base.
+func begin(db *storage.Database, want, base string, desc *model.Desc) (*op, error) {
+	name := want
+	if name == "" {
+		name = db.Schema().FreshAtomName(base)
+	} else if db.Schema().HasName(want) {
+		return nil, fmt.Errorf("atomalg: result name %q already in use", want)
+	}
+	txn := db.Begin()
+	o := &op{txn: txn, view: txn.View(), res: Result{TypeName: name}}
+	if err := txn.DefineAtomType(name, desc); err != nil {
+		txn.Rollback()
+		return nil, err
+	}
+	return o, nil
+}
+
+// end commits the operator's transaction, or rolls it back when the
+// operator failed with err.
+func (o *op) end(err error) (*Result, error) {
+	if err == nil {
+		err = o.txn.Commit()
+	}
+	if err != nil {
+		o.txn.Rollback()
+		return nil, err
+	}
+	return &o.res, nil
+}
+
+// inherit installs inherited link types for every committed link type
 // mentioning operandType, wiring links according to provenance. prov maps
-// result atoms to their side-relevant operand atoms. The candidate list is
-// snapshotted by the caller *before* the operation mutates the schema, so
-// link types created by a sibling inheritance pass are not re-inherited.
-func inherit(db *storage.Database, operandType, resultName string, prov provenance, candidates []*catalog.LinkType) ([]InheritedLink, error) {
-	var out []InheritedLink
-	for _, lt := range candidates {
+// result atoms to their side-relevant operand atoms. The catalog lists
+// none of the link types the transaction defines until it commits, so a
+// sibling inheritance pass never re-inherits them.
+func (o *op) inherit(operandType string, prov provenance) error {
+	db := o.txn.DB()
+	for _, lt := range db.Schema().LinkTypesOf(operandType) {
 		ls, ok := db.LinkStore(lt.Name)
 		if !ok {
-			return nil, fmt.Errorf("atomalg: link type %q has no store", lt.Name)
+			return fmt.Errorf("atomalg: link type %q has no store", lt.Name)
 		}
 		sides := make([]bool, 0, 2) // operand-on-side-A values to process
 		if lt.Desc.SideA == operandType {
@@ -100,42 +131,32 @@ func inherit(db *storage.Database, operandType, resultName string, prov provenan
 		for _, operandOnA := range sides {
 			partner, _ := lt.Desc.OtherSide(operandType)
 			fresh := db.Schema().FreshLinkName(lt.Name)
-			var desc model.LinkDesc
-			if operandOnA {
-				desc = model.LinkDesc{SideA: resultName, SideB: partner}
-			} else {
-				desc = model.LinkDesc{SideA: partner, SideB: resultName}
+			desc := model.LinkDesc{SideA: o.res.TypeName, SideB: partner}
+			if !operandOnA {
+				desc = model.LinkDesc{SideA: partner, SideB: o.res.TypeName}
 			}
-			if _, err := db.DefineLinkType(fresh, desc); err != nil {
-				return nil, err
+			if err := o.txn.DefineLinkType(fresh, desc); err != nil {
+				return err
 			}
 			for rid, sources := range prov {
 				for _, src := range sources {
-					var partners []model.AtomID
-					if operandOnA {
-						partners = ls.Partners(src, true)
-					} else {
-						partners = ls.Partners(src, false)
-					}
-					for _, p := range partners {
-						var err error
-						if operandOnA {
-							err = db.Connect(fresh, rid, p)
-						} else {
-							err = db.Connect(fresh, p, rid)
+					for _, p := range o.view.Partners(ls, src, operandOnA) {
+						a, b := rid, p
+						if !operandOnA {
+							a, b = p, rid
 						}
-						if err != nil {
-							return nil, err
+						if err := o.txn.Connect(fresh, a, b); err != nil {
+							return err
 						}
 					}
 				}
 			}
-			out = append(out, InheritedLink{
+			o.res.Inherited = append(o.res.Inherited, InheritedLink{
 				Name: fresh, From: lt.Name, Partner: partner, ResultOnSideA: operandOnA,
 			})
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Project implements atom-type projection π[proj(ad)](at): the result
@@ -151,12 +172,8 @@ func Project(db *storage.Database, operand string, attrs []string, resultName st
 	if err != nil {
 		return nil, err
 	}
-	candidates := db.Schema().LinkTypesOf(operand)
-	name, err := resolveName(db, resultName, operand+"_proj")
+	o, err := begin(db, resultName, operand+"_proj", pdesc)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := db.DefineAtomType(name, pdesc); err != nil {
 		return nil, err
 	}
 	positions := make([]int, len(attrs))
@@ -165,8 +182,7 @@ func Project(db *storage.Database, operand string, attrs []string, resultName st
 	}
 	seen := make(map[string]model.AtomID)
 	prov := make(provenance)
-	var insertErr error
-	c.Scan(func(a model.Atom) bool {
+	o.view.Scan(c, func(a model.Atom) bool {
 		vals := make([]model.Value, len(positions))
 		for i, p := range positions {
 			vals[i] = a.Get(p)
@@ -174,8 +190,7 @@ func Project(db *storage.Database, operand string, attrs []string, resultName st
 		key := tupleKey(vals)
 		rid, dup := seen[key]
 		if !dup {
-			rid, insertErr = db.InsertAtom(name, vals...)
-			if insertErr != nil {
+			if rid, err = o.txn.InsertAtom(o.res.TypeName, vals...); err != nil {
 				return false
 			}
 			seen[key] = rid
@@ -183,14 +198,10 @@ func Project(db *storage.Database, operand string, attrs []string, resultName st
 		prov[rid] = append(prov[rid], a.ID)
 		return true
 	})
-	if insertErr != nil {
-		return nil, insertErr
+	if err == nil {
+		err = o.inherit(operand, prov)
 	}
-	inh, err := inherit(db, operand, name, prov, candidates)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{TypeName: name, Inherited: inh}, nil
+	return o.end(err)
 }
 
 // tupleKey builds a duplicate-elimination key from a value tuple.
@@ -213,39 +224,24 @@ func Restrict(db *storage.Database, operand string, pred expr.Expr, resultName s
 	if err := expr.Check(pred, expr.AtomScope{TypeName: operand, Desc: c.Desc()}); err != nil {
 		return nil, err
 	}
-	candidates := db.Schema().LinkTypesOf(operand)
-	name, err := resolveName(db, resultName, operand+"_sel")
+	o, err := begin(db, resultName, operand+"_sel", c.Desc())
 	if err != nil {
-		return nil, err
-	}
-	if _, err := db.DefineAtomType(name, c.Desc()); err != nil {
 		return nil, err
 	}
 	var kept []model.AtomID
-	var evalErr error
-	c.Scan(func(a model.Atom) bool {
-		ok, err := expr.EvalPredicate(pred, expr.AtomBinding{TypeName: operand, Desc: c.Desc(), Atom: a})
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if ok {
-			if err := db.AdoptAtom(name, a); err != nil {
-				evalErr = err
-				return false
+	o.view.Scan(c, func(a model.Atom) bool {
+		var ok bool
+		if ok, err = expr.EvalPredicate(pred, expr.AtomBinding{TypeName: operand, Desc: c.Desc(), Atom: a}); ok && err == nil {
+			if err = o.txn.AdoptAtom(o.res.TypeName, a); err == nil {
+				kept = append(kept, a.ID)
 			}
-			kept = append(kept, a.ID)
 		}
-		return true
+		return err == nil
 	})
-	if evalErr != nil {
-		return nil, evalErr
+	if err == nil {
+		err = o.inherit(operand, identity(kept))
 	}
-	inh, err := inherit(db, operand, name, identity(kept), candidates)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{TypeName: name, Inherited: inh}, nil
+	return o.end(err)
 }
 
 // Product implements the cartesian product ×(at1, at2): the result
@@ -272,49 +268,34 @@ func Product(db *storage.Database, left, right, resultName string) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	leftCandidates := db.Schema().LinkTypesOf(left)
-	rightCandidates := db.Schema().LinkTypesOf(right)
-	name, err := resolveName(db, resultName, left+"_x_"+right)
+	o, err := begin(db, resultName, left+"_x_"+right, desc)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := db.DefineAtomType(name, desc); err != nil {
 		return nil, err
 	}
 	leftProv := make(provenance)
 	rightProv := make(provenance)
-	var insertErr error
-	cl.Scan(func(a model.Atom) bool {
-		cr.Scan(func(b model.Atom) bool {
+	o.view.Scan(cl, func(a model.Atom) bool {
+		o.view.Scan(cr, func(b model.Atom) bool {
 			vals := make([]model.Value, 0, len(a.Vals)+len(b.Vals))
 			vals = append(vals, a.Vals...)
 			vals = append(vals, b.Vals...)
-			rid, err := db.InsertAtom(name, vals...)
-			if err != nil {
-				insertErr = err
+			var rid model.AtomID
+			if rid, err = o.txn.InsertAtom(o.res.TypeName, vals...); err != nil {
 				return false
 			}
 			leftProv[rid] = []model.AtomID{a.ID}
 			rightProv[rid] = []model.AtomID{b.ID}
 			return true
 		})
-		return insertErr == nil
+		return err == nil
 	})
-	if insertErr != nil {
-		return nil, insertErr
+	if err == nil {
+		err = o.inherit(left, leftProv)
 	}
-	inh, err := inherit(db, left, name, leftProv, leftCandidates)
-	if err != nil {
-		return nil, err
+	if err == nil && right != left {
+		err = o.inherit(right, rightProv)
 	}
-	if right != left {
-		inh2, err := inherit(db, right, name, rightProv, rightCandidates)
-		if err != nil {
-			return nil, err
-		}
-		inh = append(inh, inh2...)
-	}
-	return &Result{TypeName: name, Inherited: inh}, nil
+	return o.end(err)
 }
 
 // sideSuffix disambiguates the prefix when a type is crossed with itself.
@@ -356,62 +337,40 @@ func setOp(db *storage.Database, left, right, resultName, infix string, keep fun
 	if !cl.Desc().Equal(cr.Desc()) {
 		return nil, fmt.Errorf("atomalg: %q and %q have different descriptions", left, right)
 	}
-	leftCandidates := db.Schema().LinkTypesOf(left)
-	rightCandidates := db.Schema().LinkTypesOf(right)
-	name, err := resolveName(db, resultName, left+infix+right)
+	o, err := begin(db, resultName, left+infix+right, cl.Desc())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := db.DefineAtomType(name, cl.Desc()); err != nil {
-		return nil, err
-	}
+	inLeft := func(id model.AtomID) bool { return o.view.Has(cl, id) }
+	inRight := func(id model.AtomID) bool { return o.view.Has(cr, id) }
 	var kept []model.AtomID
-	var opErr error
-	adopt := func(a model.Atom) {
-		if err := db.AdoptAtom(name, a); err != nil {
-			opErr = err
-			return
+	adopt := func(a model.Atom) bool {
+		if err = o.txn.AdoptAtom(o.res.TypeName, a); err == nil {
+			kept = append(kept, a.ID)
 		}
-		kept = append(kept, a.ID)
+		return err == nil
 	}
-	cl.Scan(func(a model.Atom) bool {
-		if keep(true, cr.Has(a.ID)) {
-			adopt(a)
-		}
-		return opErr == nil
+	o.view.Scan(cl, func(a model.Atom) bool {
+		return !keep(true, inRight(a.ID)) || adopt(a)
 	})
-	if opErr != nil {
-		return nil, opErr
-	}
-	cr.Scan(func(a model.Atom) bool {
-		if cl.Has(a.ID) {
-			return true // already considered through the left scan
-		}
-		if keep(false, true) {
-			adopt(a)
-		}
-		return opErr == nil
-	})
-	if opErr != nil {
-		return nil, opErr
+	if err == nil {
+		o.view.Scan(cr, func(a model.Atom) bool {
+			// An atom also on the left was considered by the left scan.
+			return inLeft(a.ID) || !keep(false, true) || adopt(a)
+		})
 	}
 	// Inherit from the left operand's neighbourhood; for union, also from
 	// the right's (its links cover atoms absent on the left).
 	prov := identity(kept)
-	inh, err := inherit(db, left, name, restrictProv(prov, cl.Has), leftCandidates)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = o.inherit(left, restrictProv(prov, inLeft))
 	}
-	if keep(false, true) && right != left { // union only
-		inh2, err := inherit(db, right, name, restrictProv(prov, func(id model.AtomID) bool {
-			return cr.Has(id) && !cl.Has(id)
-		}), rightCandidates)
-		if err != nil {
-			return nil, err
-		}
-		inh = append(inh, inh2...)
+	if err == nil && keep(false, true) && right != left { // union only
+		err = o.inherit(right, restrictProv(prov, func(id model.AtomID) bool {
+			return inRight(id) && !inLeft(id)
+		}))
 	}
-	return &Result{TypeName: name, Inherited: inh}, nil
+	return o.end(err)
 }
 
 // restrictProv filters a provenance map to result atoms whose source

@@ -252,3 +252,59 @@ func TestReflexiveInheritance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEachOperatorIsOneCommit: every operator of Definition 4 enlarges
+// the database in exactly one commit, and one that fails part-way — a
+// predicate dividing by zero — leaves neither a commit nor a type behind.
+func TestEachOperatorIsOneCommit(t *testing.T) {
+	s := sampleDB(t)
+	db := s.DB
+	big, err := atomalg.Restrict(db, "state",
+		expr.Cmp{Op: expr.GT, L: expr.Attr{Name: "hectare"}, R: expr.Lit(model.Float(300))}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := atomalg.Restrict(db, "state",
+		expr.Cmp{Op: expr.LE, L: expr.Attr{Name: "hectare"}, R: expr.Lit(model.Float(300))}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt := func(v float64) expr.Expr {
+		return expr.Cmp{Op: expr.GT, L: expr.Attr{Name: "hectare"}, R: expr.Lit(model.Float(v))}
+	}
+	for _, c := range []struct {
+		name string
+		run  func() (*atomalg.Result, error)
+	}{
+		{"π", func() (*atomalg.Result, error) { return atomalg.Project(db, "state", []string{"abbrev"}, "") }},
+		{"σ", func() (*atomalg.Result, error) { return atomalg.Restrict(db, "state", gt(500), "") }},
+		{"×", func() (*atomalg.Result, error) { return atomalg.Product(db, "state", "area", "") }},
+		{"ω", func() (*atomalg.Result, error) { return atomalg.Union(db, big.TypeName, small.TypeName, "") }},
+		{"δ", func() (*atomalg.Result, error) { return atomalg.Difference(db, "state", small.TypeName, "") }},
+	} {
+		ts := db.LatestTS()
+		res, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := db.LatestTS() - ts; got != 1 {
+			t.Fatalf("%s took %d commits, want 1", c.name, got)
+		}
+		if n, _ := db.CountAtoms(res.TypeName); n == 0 {
+			t.Fatalf("%s: empty result", c.name)
+		}
+	}
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+
+	ts, schema := db.LatestTS(), db.Schema().Render()
+	byZero := expr.Cmp{Op: expr.GT, L: expr.Arith{Op: expr.Div, L: expr.Attr{Name: "hectare"}, R: expr.Lit(model.Float(0))},
+		R: expr.Lit(model.Float(1))}
+	if _, err := atomalg.Restrict(db, "state", byZero, ""); err == nil {
+		t.Fatal("a predicate dividing by zero succeeded")
+	}
+	if db.LatestTS() != ts || db.Schema().Render() != schema {
+		t.Fatalf("the failed σ committed (LatestTS %d → %d) or left types:\n%s", ts, db.LatestTS(), db.Schema().Render())
+	}
+}

@@ -8,6 +8,7 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -16,8 +17,8 @@ import (
 )
 
 // AtomType is a named atom type: at = <aname, ad, av> minus the occurrence
-// av, which the storage engine keeps per type number. The catalog assigns
-// each atom type a dense TypeNum used inside atom identifiers.
+// av, which the storage engine keeps per type number. The catalog hands
+// out each atom type's TypeNum, used inside atom identifiers.
 type AtomType struct {
 	Name string
 	Num  model.TypeNum
@@ -56,7 +57,7 @@ type Schema struct {
 	linksByName map[string]*LinkType
 	atomOrder   []string // declaration order, for stable rendering
 	linkOrder   []string
-	nextNum     model.TypeNum
+	nextNum     int // the next TypeNum NewTypeNum hands out
 	fresh       int // counter for generated names
 }
 
@@ -83,8 +84,23 @@ func validName(name string) error {
 	return nil
 }
 
-// AddAtomType declares a new atom type. Names are unique across atom types.
-func (s *Schema) AddAtomType(name string, desc *model.Desc) (*AtomType, error) {
+// NewTypeNum hands out the next atom-type number — the one place numbers
+// are issued. A number whose type never joins the catalog stays a hole;
+// running out of numbers is an error, never a wrap-around.
+func (s *Schema) NewTypeNum() (model.TypeNum, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.nextNum > math.MaxUint16 {
+		return 0, fmt.Errorf("catalog: all %d atom-type numbers are in use", math.MaxUint16)
+	}
+	s.nextNum++
+	return model.TypeNum(s.nextNum - 1), nil
+}
+
+// AddAtomType declares a new atom type under num, a number NewTypeNum
+// handed out (or one a log or snapshot recorded, which moves the counter
+// past it). Names are unique across atom types, numbers across the catalog.
+func (s *Schema) AddAtomType(name string, num model.TypeNum, desc *model.Desc) (*AtomType, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := validName(name); err != nil {
@@ -99,8 +115,11 @@ func (s *Schema) AddAtomType(name string, desc *model.Desc) (*AtomType, error) {
 	if _, dup := s.linksByName[name]; dup {
 		return nil, fmt.Errorf("catalog: name %q already names a link type", name)
 	}
-	at := &AtomType{Name: name, Num: s.nextNum, Desc: desc}
-	s.nextNum++
+	if _, dup := s.atomsByNum[num]; dup || num == 0 {
+		return nil, fmt.Errorf("catalog: atom type %q: type number %d is invalid or taken", name, num)
+	}
+	at := &AtomType{Name: name, Num: num, Desc: desc}
+	s.nextNum = max(s.nextNum, int(num)+1)
 	s.atomsByName[name] = at
 	s.atomsByNum[at.Num] = at
 	s.atomOrder = append(s.atomOrder, name)
@@ -134,15 +153,14 @@ func (s *Schema) AddLinkType(name string, desc model.LinkDesc) (*LinkType, error
 	return lt, nil
 }
 
-// Retract removes name, the type added last, and gives its type number
-// back: the undo of an AddAtomType or AddLinkType whose commit failed.
+// Retract removes name, the type added last: the undo of an AddAtomType
+// or AddLinkType whose commit failed. The type number stays a hole.
 func (s *Schema) Retract(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if at, ok := s.atomsByName[name]; ok {
 		delete(s.atomsByName, name)
 		delete(s.atomsByNum, at.Num)
-		s.nextNum--
 		s.atomOrder = s.atomOrder[:len(s.atomOrder)-1]
 		return
 	}
@@ -158,7 +176,7 @@ func (s *Schema) AtomType(name string) (*AtomType, bool) {
 	return at, ok
 }
 
-// AtomTypeByNum resolves an atom type by its dense number.
+// AtomTypeByNum resolves an atom type by its number.
 func (s *Schema) AtomTypeByNum(num model.TypeNum) (*AtomType, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -13,7 +13,7 @@ func schemaWith(t *testing.T) *catalog.Schema {
 	s := catalog.NewSchema()
 	desc := model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt})
 	for _, n := range []string{"a", "b", "c"} {
-		if _, err := s.AddAtomType(n, desc); err != nil {
+		if _, err := addAtomType(s, n, desc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -29,10 +29,10 @@ func schemaWith(t *testing.T) *catalog.Schema {
 func TestNamespaceRules(t *testing.T) {
 	s := schemaWith(t)
 	desc := model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt})
-	if _, err := s.AddAtomType("a", desc); err == nil {
+	if _, err := addAtomType(s, "a", desc); err == nil {
 		t.Fatal("duplicate atom type must fail")
 	}
-	if _, err := s.AddAtomType("ab", desc); err == nil {
+	if _, err := addAtomType(s, "ab", desc); err == nil {
 		t.Fatal("atom type colliding with link type must fail")
 	}
 	if _, err := s.AddLinkType("a", model.LinkDesc{SideA: "a", SideB: "b"}); err == nil {
@@ -41,10 +41,10 @@ func TestNamespaceRules(t *testing.T) {
 	if _, err := s.AddLinkType("xz", model.LinkDesc{SideA: "a", SideB: "nosuch"}); err == nil {
 		t.Fatal("dangling link side must fail")
 	}
-	if _, err := s.AddAtomType("has space", desc); err == nil {
+	if _, err := addAtomType(s, "has space", desc); err == nil {
 		t.Fatal("reserved characters must fail")
 	}
-	if _, err := s.AddAtomType("", desc); err == nil {
+	if _, err := addAtomType(s, "", desc); err == nil {
 		t.Fatal("empty name must fail")
 	}
 	// Hyphenated names are allowed (paper's own style).
@@ -106,7 +106,7 @@ func TestFreshNames(t *testing.T) {
 		t.Fatal("fresh names are not registered until defined")
 	}
 	desc := model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt})
-	if _, err := s.AddAtomType(n1, desc); err != nil {
+	if _, err := addAtomType(s, n1, desc); err != nil {
 		t.Fatalf("fresh name must be definable: %v", err)
 	}
 	n3 := s.FreshAtomName("")
@@ -145,4 +145,13 @@ func TestCardinalityRendering(t *testing.T) {
 	if !strings.Contains(lt.String(), "[0:1, 1:3]") {
 		t.Fatalf("cardinality rendering: %s", lt)
 	}
+}
+
+// addAtomType declares an atom type under the next type number.
+func addAtomType(s *catalog.Schema, name string, desc *model.Desc) (*catalog.AtomType, error) {
+	num, err := s.NewTypeNum()
+	if err != nil {
+		return nil, err
+	}
+	return s.AddAtomType(name, num, desc)
 }

@@ -1,14 +1,13 @@
 // Package codec persists MAD databases as binary snapshots: the schema
-// (atom and link types in declaration order, so type numbers survive the
-// round trip) followed by every atom-type occurrence and every link-type
+// (atom and link types in declaration order, each atom type with its type
+// number) followed by every atom-type occurrence and every link-type
 // occurrence. The format is self-contained and versioned; Decode
 // reconstructs a database whose atoms keep their identifiers, which keeps
 // propagated (identity-sharing) result types intact.
 //
-// Since the durability PR the format itself (MADSNAP1) lives in
-// internal/storage, where Checkpoint embeds it inside checkpoint files;
-// this package remains the stable save/load API for whole-database
-// snapshots.
+// The format itself (MADSNAP2) lives in internal/storage, where
+// Checkpoint embeds it inside checkpoint files; this package remains the
+// stable save/load API for whole-database snapshots.
 package codec
 
 import (

@@ -346,6 +346,42 @@ func TestProjection(t *testing.T) {
 	}
 }
 
+// TestProductIsOneCommit: X defines its pair-root type and mints the
+// pair atoms in it inside its one transaction — one commit in all.
+func TestProductIsOneCommit(t *testing.T) {
+	s := sample(t)
+	sa, err := core.Define(s.DB, "sa", []string{"state", "area"},
+		[]core.DirectedLink{{Link: "state-area", From: "state", To: "area"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn, err := core.Define(s.DB, "rn", []string{"river", "net"},
+		[]core.DirectedLink{{Link: "river-net", From: "river", To: "net"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := s.DB.LatestTS()
+	prod, err := core.Product(sa, rn, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DB.LatestTS() - ts; got != 1 {
+		t.Fatalf("X took %d commits, want 1", got)
+	}
+	root, _ := s.DB.Schema().AtomType(prod.Desc().Root())
+	n := 0
+	s.DB.ScanAtoms(root.Name, func(a model.Atom) bool {
+		if a.ID.TypeNum() != root.Num {
+			t.Fatalf("pair atom %v not numbered in %s (%d)", a.ID, root.Name, root.Num)
+		}
+		n++
+		return true
+	})
+	if n != 10*3 {
+		t.Fatalf("%d pair atoms, want 30", n)
+	}
+}
+
 func TestProduct(t *testing.T) {
 	s := sample(t)
 	stateArea, err := core.Define(s.DB, "sa", []string{"state", "area"},

@@ -108,19 +108,6 @@ func Product(mt1, mt2 *MoleculeType, resultName string, tr *OpTrace) (*MoleculeT
 		return nil, fmt.Errorf("core: X: operands live in different databases")
 	}
 	db := mt1.db
-	// X is the one operator that mints atoms — the pair roots — and a Txn
-	// can only adopt atoms into a type it defined (native identifiers
-	// embed a type number, assigned at commit). So the pair-root atom type
-	// alone is defined by one DDL auto-commit before X's transaction; a
-	// failed X leaves it behind, empty. MQL does not reach X.
-	pairName := db.Schema().FreshAtomName("pair")
-	pairDesc := model.MustDesc(
-		model.AttrDesc{Name: "left", Kind: model.KID, NotNull: true},
-		model.AttrDesc{Name: "right", Kind: model.KID, NotNull: true},
-	)
-	if _, err := db.DefineAtomType(pairName, pairDesc); err != nil {
-		return nil, err
-	}
 	txn := db.Begin()
 	defer txn.Rollback()
 	done := tr.begin("product (op-specific)")
@@ -134,6 +121,16 @@ func Product(mt1, mt2 *MoleculeType, resultName string, tr *OpTrace) (*MoleculeT
 	}
 	done(fmt.Sprintf("|mv1|=%d × |mv2|=%d", len(mv1), len(mv2)))
 
+	// The pair-root atom type is defined before the propagations, so it
+	// comes first in declaration order.
+	pairName := db.Schema().FreshAtomName("pair")
+	pairDesc := model.MustDesc(
+		model.AttrDesc{Name: "left", Kind: model.KID, NotNull: true},
+		model.AttrDesc{Name: "right", Kind: model.KID, NotNull: true},
+	)
+	if err := txn.DefineAtomType(pairName, pairDesc); err != nil {
+		return nil, err
+	}
 	p1, err := Prop(txn, "", mt1.desc, each(mv1), nil, tr)
 	if err != nil {
 		return nil, err

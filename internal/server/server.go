@@ -174,8 +174,8 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {
-		req, err := readFrame(r, "REQ")
-		if err != nil {
+		verb, req, err := readFrame(r)
+		if err != nil || verb != "REQ" {
 			return // disconnect or protocol error: drop the connection
 		}
 		if s.handleRequest(sess, w, string(req)) != nil {
@@ -313,26 +313,32 @@ func (c *chunker) flushChunk() {
 	c.buf = c.buf[:0]
 }
 
-// readFrame reads "<verb> <n>\n" + n bytes.
-func readFrame(r *bufio.Reader, wantVerb string) ([]byte, error) {
-	header, err := r.ReadString('\n')
-	if err != nil {
-		return nil, err
+// readFrame reads one "<verb> <n>\n" header and the n payload bytes
+// behind it, for requests and responses alike. The header must fit the
+// reader's buffer: a peer that never sends '\n' gets an error once the
+// buffer is full instead of growing memory.
+func readFrame(r *bufio.Reader) (verb string, payload []byte, err error) {
+	line, err := r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		return "", nil, fmt.Errorf("server: frame header longer than %d bytes", r.Size())
 	}
-	header = strings.TrimSuffix(header, "\n")
+	if err != nil {
+		return "", nil, err
+	}
+	header := string(line[:len(line)-1])
 	verb, sizeStr, ok := strings.Cut(header, " ")
-	if !ok || verb != wantVerb {
-		return nil, fmt.Errorf("server: bad frame header %q", header)
+	if !ok {
+		return "", nil, fmt.Errorf("server: bad frame header %q", header)
 	}
 	n, err := strconv.Atoi(sizeStr)
 	if err != nil || n < 0 || n > maxRequest {
-		return nil, fmt.Errorf("server: bad frame size %q", sizeStr)
+		return "", nil, fmt.Errorf("server: bad frame size %q", sizeStr)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	payload = make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return "", nil, err
 	}
-	return buf, nil
+	return verb, payload, nil
 }
 
 // writeFrame writes "<verb> <n>\n" + payload.
@@ -375,7 +381,7 @@ func (c *Client) Exec(src string) (string, error) {
 	}
 	var out strings.Builder
 	for {
-		verb, payload, err := c.readResponseFrame()
+		verb, payload, err := readFrame(c.r)
 		if err != nil {
 			return "", err
 		}
@@ -391,28 +397,6 @@ func (c *Client) Exec(src string) (string, error) {
 			return "", fmt.Errorf("server: unknown response verb %q", verb)
 		}
 	}
-}
-
-// readResponseFrame reads one response frame of any verb.
-func (c *Client) readResponseFrame() (string, []byte, error) {
-	header, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", nil, err
-	}
-	header = strings.TrimSuffix(header, "\n")
-	verb, sizeStr, ok := strings.Cut(header, " ")
-	if !ok {
-		return "", nil, fmt.Errorf("server: bad response header %q", header)
-	}
-	n, err := strconv.Atoi(sizeStr)
-	if err != nil || n < 0 || n > maxRequest {
-		return "", nil, fmt.Errorf("server: bad response size %q", sizeStr)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return "", nil, err
-	}
-	return verb, buf, nil
 }
 
 // Close closes the connection.

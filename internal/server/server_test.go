@@ -277,6 +277,44 @@ func TestServerOversizedFrameRejected(t *testing.T) {
 	}
 }
 
+// TestServerBoundsFrameHeader: a peer that sends a 64 MiB header with no
+// newline is dropped once the header outgrows the read buffer — the
+// server neither waits for the rest nor holds the bytes — and a new
+// connection is still answered.
+func TestServerBoundsFrameHeader(t *testing.T) {
+	_, addr := startServer(t, storage.NewDatabase())
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		block := []byte(strings.Repeat("R", 1<<20))
+		for i := 0; i < 64; i++ {
+			if _, err := raw.Write(block); err != nil {
+				return // dropped, as it should be
+			}
+		}
+	}()
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err = raw.Read(make([]byte, 16))
+	raw.Close()
+	<-wrote
+	var ne net.Error
+	if err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("an unterminated header was not refused: %v", err)
+	}
+	c, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec("SHOW SCHEMA;"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServerStreamsChunks speaks the raw protocol against a server with
 // a tiny chunk threshold: a large SELECT must arrive as several CHUNK
 // frames followed by the closing OK, and their concatenation must carry

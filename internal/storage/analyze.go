@@ -46,7 +46,7 @@ func (db *Database) Analyze(typeNames ...string) (int, error) {
 	containers := make([]*Container, len(typeNames))
 	for i, name := range typeNames {
 		c, ok := db.containers[name]
-		if _, reserved := db.reserved[name]; !ok || reserved {
+		if !ok || !db.visible(name, nil) {
 			return 0, fmt.Errorf("storage: unknown atom type %q", name)
 		}
 		containers[i] = c

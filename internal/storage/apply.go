@@ -144,11 +144,8 @@ func (db *Database) resolveAtomType(name string, withLinks bool, own *Txn) (c *C
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	c, ok := db.containers[name]
-	if !ok {
+	if !ok || !db.visible(name, own) {
 		return nil, nil, nil, fmt.Errorf("storage: unknown atom type %q", name)
-	}
-	if owner, reserved := db.reserved[name]; reserved && owner != own {
-		return nil, nil, nil, errUncommitted(name)
 	}
 	ixs = db.indexesOf(name)
 	if withLinks {
@@ -168,11 +165,8 @@ func (db *Database) resolveLinkType(name string, own *Txn) (ls *LinkStore, ca, c
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	ls, ok := db.links[name]
-	if !ok {
+	if !ok || !db.visible(name, own) {
 		return nil, nil, nil, fmt.Errorf("storage: unknown link type %q", name)
-	}
-	if owner, reserved := db.reserved[name]; reserved && owner != own {
-		return nil, nil, nil, errUncommitted(name)
 	}
 	ca, okA := db.containers[ls.desc.SideA]
 	cb, okB := db.containers[ls.desc.SideB]

@@ -40,7 +40,7 @@ import (
 // the same chains at its own timestamp.
 type Container struct {
 	typeName string
-	num      atomic.Uint32 // the model.TypeNum, 0 until the type's definition commits
+	num      model.TypeNum
 	desc     *model.Desc
 	clock    *atomic.Uint64 // the database's published commit timestamp
 
@@ -51,12 +51,12 @@ type Container struct {
 	live  int                              // atoms live at the chain heads
 }
 
-// newContainer creates an empty container for the given atom type whose
-// latest-view readers follow clock. Its type number is assigned when the
-// type's definition commits.
-func newContainer(typeName string, desc *model.Desc, clock *atomic.Uint64) *Container {
+// newContainer creates an empty container for the atom type numbered num
+// whose latest-view readers follow clock.
+func newContainer(typeName string, num model.TypeNum, desc *model.Desc, clock *atomic.Uint64) *Container {
 	return &Container{
 		typeName: typeName,
+		num:      num,
 		desc:     desc,
 		clock:    clock,
 		index:    make(chains[model.AtomID, model.Atom]),
@@ -81,20 +81,15 @@ func (c *Container) Len() int {
 // Buffered transactions call this at buffer time so the caller learns the
 // identifier before commit; an aborted transaction (or a rejected value
 // list) burns the reserved sequence number, which is harmless —
-// identifiers need only be unique, not dense. A type whose definition has
-// not committed has no number to mint identifiers under.
+// identifiers need only be unique, not dense.
 func (c *Container) newAtom(vals []model.Value) (model.Atom, error) {
 	c.latch.Lock()
-	if c.num.Load() == 0 {
-		c.latch.Unlock()
-		return model.Atom{}, fmt.Errorf("storage: atom type %q is not committed yet; atoms can only be adopted into it", c.typeName)
-	}
 	if c.seq >= model.MaxSeq {
 		c.latch.Unlock()
 		return model.Atom{}, fmt.Errorf("storage: atom type %q exhausted its identifier space", c.typeName)
 	}
 	c.seq++
-	id := model.MakeAtomID(model.TypeNum(c.num.Load()), c.seq)
+	id := model.MakeAtomID(c.num, c.seq)
 	c.latch.Unlock()
 	return c.validate(id, vals)
 }
@@ -131,7 +126,7 @@ func (c *Container) put(a model.Atom, ts uint64, expect uint8) (old model.Atom, 
 	case expect == putNew && hadOld:
 		return old, true, nil, fmt.Errorf("storage: atom %v already present in %q", a.ID, c.typeName)
 	}
-	if uint32(a.ID.TypeNum()) == c.num.Load() && a.ID.Seq() > c.seq {
+	if a.ID.TypeNum() == c.num && a.ID.Seq() > c.seq {
 		c.seq = a.ID.Seq()
 	}
 	prev, wasLive := c.index.push(a.ID, a, ts, false), hadOld

@@ -27,17 +27,15 @@ import (
 // snapMu is a leaf lock guarding only the live-snapshot registry.
 type Database struct {
 	// mu guards the registries (schema, containers, links, indexes,
-	// hists, reserved) — not the occurrence contents, which carry their
-	// own latch.
+	// hists) — not the occurrence contents, which carry their own latch.
+	// containers and links also hold the types Txns have defined but not
+	// yet committed (see reserve).
 	mu         sync.RWMutex
 	schema     *catalog.Schema
 	containers map[string]*Container
 	links      map[string]*LinkStore
 	indexes    map[string]*Index
 	hists      map[string]*attrHist
-	// reserved maps the name of every type a Txn has defined but not yet
-	// committed to that transaction (see reserve).
-	reserved map[string]*Txn
 
 	// commitMu serializes writers: one commit installs and publishes at a
 	// time. Readers never take it.
@@ -87,7 +85,6 @@ func NewDatabase() *Database {
 		links:           make(map[string]*LinkStore),
 		indexes:         make(map[string]*Index),
 		hists:           make(map[string]*attrHist),
-		reserved:        make(map[string]*Txn),
 		liveSnaps:       make(map[uint64]int),
 		autoAnalyzeFrac: DefaultAutoAnalyzeFraction,
 	}
@@ -124,119 +121,103 @@ func (db *Database) Schema() *catalog.Schema {
 func (db *Database) Stats() *Stats { return &db.stats }
 
 // DefineAtomType declares an atom type and creates its (empty) container
-// as one auto-commit. Schema definition is not versioned: the type exists
-// for every snapshot, old snapshots simply see an empty occurrence.
+// as a one-op transaction. Schema definition is not versioned: the type
+// exists for every snapshot, old snapshots simply see an empty occurrence.
 func (db *Database) DefineAtomType(name string, desc *model.Desc) (*catalog.AtomType, error) {
-	if _, err := db.autoCommit(walOp{kind: walOpAtomType, name: name, def: &walDef{attrs: desc.Attrs()}}); err != nil {
+	if err := db.define(walOp{kind: walOpAtomType, name: name, def: &walDef{attrs: desc.Attrs()}, put: putReplace}); err != nil {
 		return nil, err
 	}
 	at, _ := db.schema.AtomType(name)
 	return at, nil
 }
 
-// DefineLinkType declares a link type and creates its (empty) store as
-// one auto-commit.
+// DefineLinkType declares a link type and creates its (empty) store as a
+// one-op transaction.
 func (db *Database) DefineLinkType(name string, desc model.LinkDesc) (*catalog.LinkType, error) {
-	if _, err := db.autoCommit(walOp{kind: walOpLinkType, name: name, def: &walDef{link: desc}}); err != nil {
+	if err := db.define(walOp{kind: walOpLinkType, name: name, def: &walDef{link: desc}, put: putReplace}); err != nil {
 		return nil, err
 	}
 	lt, _ := db.schema.LinkType(name)
 	return lt, nil
 }
 
-// reserve registers the container or link store of the type op declares,
-// on behalf of owner: the name is taken and resolves through Container and
-// LinkStore — so descriptions, derivers, plans and owner's overlay reach
-// the type — with an empty occurrence, while the catalog learns of it only
-// when defineType commits it. Until then db.reserved records the owner
-// (nil for an auto-commit or replay, which commits it at once): only it may
-// put data into the type or declare a link type over it. Callers hold
-// db.mu.
-func (db *Database) reserve(op *walOp, owner *Txn) error {
-	if _, taken := db.reserved[op.name]; taken || db.schema.HasName(op.name) {
+// define commits op through a Txn of its own, so every definition takes
+// its type number when it is buffered.
+func (db *Database) define(op walOp) error {
+	t := db.Begin()
+	defer t.Rollback() // refused once Commit ran
+	if err := t.define(op); err != nil {
+		return err
+	}
+	return t.Commit()
+}
+
+// reserve registers the container or link store of the type op declares:
+// the name is taken and resolves through Container and LinkStore — so
+// descriptions, derivers, plans and a Txn's overlay reach the type — with
+// an empty occurrence, while the catalog learns of it only when
+// defineType commits it (and checks a link type's sides). A buffered
+// definition (put is putReplace) draws its atom type's number from the
+// catalog here; a replayed or decoded one brings the number it was given.
+// Callers hold db.mu.
+func (db *Database) reserve(op *walOp) (err error) {
+	if db.containers[op.name] != nil || db.links[op.name] != nil {
 		return fmt.Errorf("storage: type %q already defined", op.name)
 	}
-	if op.kind == walOpAtomType {
-		desc, err := model.NewDesc(op.def.attrs...)
-		if err != nil {
+	if op.kind == walOpLinkType {
+		db.links[op.name] = newLinkStore(op.name, op.def.link, &db.latestTS)
+		return nil
+	}
+	desc, err := model.NewDesc(op.def.attrs...)
+	if err != nil {
+		return err
+	}
+	if op.put == putReplace {
+		if op.def.num, err = db.schema.NewTypeNum(); err != nil {
 			return err
 		}
-		db.containers[op.name] = newContainer(op.name, desc, &db.latestTS)
-	} else {
-		for _, side := range []string{op.def.link.SideA, op.def.link.SideB} {
-			if o, reserved := db.reserved[side]; db.containers[side] == nil || reserved && o != owner {
-				return fmt.Errorf("storage: link type %q references unknown or uncommitted atom type %q", op.name, side)
-			}
-		}
-		db.links[op.name] = newLinkStore(op.name, op.def.link, &db.latestTS)
 	}
-	db.reserved[op.name] = owner
+	db.containers[op.name] = newContainer(op.name, op.def.num, desc, &db.latestTS)
 	return nil
 }
 
 // defineType is applyOp's arm for atom- and link-type ops: it adds the
-// type to the catalog, which gives an atom type the next type number —
-// both that number and the place in declaration order are taken here,
-// under commitMu, so WAL replay and snapshot decode reproduce them. It
-// reserves the type first unless the op commits a Txn's reservation (put
-// is putReplace). The undo restores the catalog, the next type number and
-// the reservation exactly.
+// type to the catalog, which commits it. The place in declaration order
+// is taken here, under commitMu, and the type number travels in the op,
+// so WAL replay and snapshot decode reproduce both. A Txn registered the
+// type when it buffered the op (put is putReplace); a replayed or decoded
+// op registers it here. The undo takes the type back out of the catalog;
+// its number stays a hole.
 func (db *Database) defineType(op *walOp) (undo func(), err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	owner, reserved := db.reserved[op.name]
-	switch {
-	case op.put != putReplace:
-		if err := db.reserve(op, nil); err != nil {
+	if op.put != putReplace {
+		if err := db.reserve(op); err != nil {
 			return nil, err
 		}
-	case !reserved:
-		return nil, fmt.Errorf("storage: type %q has no reservation to commit", op.name)
 	}
-	c := db.containers[op.name] // of an atom type
 	if op.kind == walOpAtomType {
-		var at *catalog.AtomType
-		if at, err = db.schema.AddAtomType(op.name, c.Desc()); err == nil {
-			c.num.Store(uint32(at.Num))
-		}
+		_, err = db.schema.AddAtomType(op.name, op.def.num, db.containers[op.name].Desc())
 	} else {
 		_, err = db.schema.AddLinkType(op.name, op.def.link)
 	}
 	if err != nil {
-		if !reserved {
-			db.forget(op.name)
-		}
-		return nil, err
+		return nil, err // the registration goes with the Txn's release or the failed recovery
 	}
-	delete(db.reserved, op.name)
 	db.bumpPlanEpoch()
-	name := op.name // the undo must not keep an auto-commit's op on the heap
+	name := op.name // the undo must not keep the op on the heap
 	return func() {
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		db.schema.Retract(name)
-		if !reserved {
-			db.forget(name)
-			return
-		}
-		if c != nil {
-			c.num.Store(0)
-		}
-		db.reserved[name] = owner
 	}, nil
 }
 
-// forget drops a reserved type without a trace. Callers hold db.mu.
-func (db *Database) forget(name string) {
-	delete(db.containers, name)
-	delete(db.links, name)
-	delete(db.reserved, name)
-}
-
-// errUncommitted refuses a write into a type whose definition another
-// transaction still buffers.
-func errUncommitted(name string) error {
-	return fmt.Errorf("storage: type %q is defined by an uncommitted transaction", name)
+// visible reports whether a write by t (nil for a commit applying its ops)
+// may reach the type name: a type is committed exactly when the catalog
+// lists it, and t's own when t defined it. Callers hold db.mu.
+func (db *Database) visible(name string, t *Txn) bool {
+	return t != nil && t.own[name] || db.schema.HasName(name)
 }
 
 // Container exposes the container of an atom type: the handle a View's

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -13,7 +14,8 @@ import (
 // TestHostileDecodeCounts: a count read from a snapshot or a WAL payload
 // can name far more entries than the bytes behind it hold. Decoding such
 // input returns an error; it neither panics sizing a slice to the count
-// nor loops appending past the end of the input.
+// nor loops appending past the end of the input. An atom-type number of
+// 0, above 65 535 or given twice is an error too, never renumbered.
 func TestHostileDecodeCounts(t *testing.T) {
 	const huge = 1 << 62
 	frame := func(fields func(w *snapWriter)) []byte {
@@ -33,20 +35,56 @@ func TestHostileDecodeCounts(t *testing.T) {
 		data := frame(func(w *snapWriter) { w.u64(3); w.uvarint(1); w.u8(kind); w.str("t"); fields(w) })
 		return func() error { _, _, err := decodeWALPayload(data); return err }
 	}
+	// snapTypes and walTypes declare attribute-less atom types under the
+	// given numbers, in a snapshot with no links or atoms and in one WAL
+	// record.
+	snapTypes := func(nums ...uint64) func() error {
+		return snapshot(func(w *snapWriter) {
+			w.uvarint(uint64(len(nums)))
+			for i, n := range nums {
+				w.str(fmt.Sprint("t", i))
+				w.uvarint(n)
+				w.uvarint(0)
+			}
+			w.uvarint(0)
+			for range nums {
+				w.uvarint(0)
+			}
+		})
+	}
+	walTypes := func(nums ...uint64) func() error {
+		data := frame(func(w *snapWriter) {
+			w.u64(3)
+			w.uvarint(uint64(len(nums)))
+			for i, n := range nums {
+				w.u8(walOpAtomType)
+				w.str(fmt.Sprint("t", i))
+				w.uvarint(n)
+				w.uvarint(0)
+			}
+		})
+		return func() error { _, _, err := decodeWALPayload(data); return err }
+	}
 	cases := []struct {
 		name   string
 		decode func() error
 	}{
 		{"snapshot atom-type count", snapshot(func(w *snapWriter) { w.uvarint(huge) })},
-		{"snapshot attribute count", snapshot(func(w *snapWriter) { w.uvarint(1); w.str("t"); w.uvarint(huge) })},
+		{"snapshot attribute count", snapshot(func(w *snapWriter) { w.uvarint(1); w.str("t"); w.uvarint(1); w.uvarint(huge) })},
 		{"snapshot link-type count", snapshot(func(w *snapWriter) { w.uvarint(0); w.uvarint(huge) })},
 		{"wal put value count", wal(walOpPut, func(w *snapWriter) { w.u64(uint64(model.MakeAtomID(1, 1))); w.uvarint(huge) })},
-		{"wal atom-type attribute count", wal(walOpAtomType, func(w *snapWriter) { w.uvarint(huge) })},
+		{"wal atom-type attribute count", wal(walOpAtomType, func(w *snapWriter) { w.uvarint(1); w.uvarint(huge) })},
+		{"snapshot type number 0", snapTypes(0)},
+		{"snapshot type number above 65535", snapTypes(1 << 16)},
+		{"snapshot duplicate type number", snapTypes(7, 7)},
+		{"wal type number 0", walTypes(0)},
+		{"wal type number above 65535", walTypes(1 << 16)},
+		{"wal duplicate type number", walTypes(7, 7)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if err := c.decode(); err == nil {
-				t.Fatal("decoding a count with no bytes behind it must fail")
+				t.Fatal("decoding hostile input must fail")
 			}
 		})
 	}

@@ -223,11 +223,8 @@ func (db *Database) createIndexAt(typeName, attr string, ts uint64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	c, ok := db.containers[typeName]
-	if !ok {
+	if !ok || !db.visible(typeName, nil) {
 		return fmt.Errorf("storage: unknown atom type %q", typeName)
-	}
-	if _, reserved := db.reserved[typeName]; reserved {
-		return errUncommitted(typeName)
 	}
 	pos, ok := c.Desc().Lookup(attr)
 	if !ok {

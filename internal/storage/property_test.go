@@ -333,8 +333,8 @@ func TestApplyOpProperty(t *testing.T) {
 
 	// The commit fails at an update of an atom a concurrent commit deleted,
 	// after its two type definitions applied: their undo restores the
-	// catalog and the next type number, so the type defined next is number
-	// 2 live and after recovery.
+	// catalog, and the number x0 drew (2) stays a hole, so the type defined
+	// next is number 3 live and after recovery.
 	dir := t.TempDir()
 	db, err := storage.Open(dir)
 	if err != nil {
@@ -363,8 +363,8 @@ func TestApplyOpProperty(t *testing.T) {
 		t.Fatalf("failed commit left its types behind:\n%s\nwant\n%s", got, before)
 	}
 	after, err := db.DefineAtomType("after", model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt}))
-	if err != nil || after.Num != 2 {
-		t.Fatalf("type defined after the failed commit: %+v, %v (want number 2)", after, err)
+	if err != nil || after.Num != 3 {
+		t.Fatalf("type defined after the failed commit: %+v, %v (want number 3)", after, err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // attaches a write-ahead log to a directory, Recover rebuilds a database
 // from the newest checkpoint plus the log tail, and Checkpoint writes a
 // consistent snapshot pinned at a live read view and truncates the log
-// below it. The checkpoint file ("MADCKPT1") embeds the MADSNAP1
+// below it. The checkpoint file ("MADCKPT1") embeds the MADSNAP2
 // snapshot between a header (the checkpoint timestamp) and two trailer
 // sections: the index definitions and the per-attribute histogram states
 // — so a recovered server starts with warm planner statistics.

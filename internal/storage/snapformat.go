@@ -11,8 +11,8 @@ import (
 	"mad/internal/model"
 )
 
-// This file owns the binary snapshot format ("MADSNAP1"): the schema in
-// declaration order (so type numbers survive the round trip) followed by
+// This file owns the binary snapshot format ("MADSNAP2"): the schema in
+// declaration order, each atom type with its type number, followed by
 // every atom-type and link-type occurrence. internal/codec delegates its
 // public Encode/Decode/Save/Load here — the format had to live in the
 // storage package once checkpointing reused it, because Checkpoint and
@@ -26,8 +26,8 @@ import (
 // the checkpoint timestamp on top, and version chains stay monotonic.
 
 // snapMagic identifies snapshot files; the trailing digit is the format
-// version.
-const snapMagic = "MADSNAP1"
+// version. Format 1 ("MADSNAP1") carried no type numbers and is refused.
+const snapMagic = "MADSNAP2"
 
 // maxSnapStr bounds decoded strings to keep corrupt files from
 // allocating unbounded memory.
@@ -142,6 +142,52 @@ func (r *snapReader) str() string {
 
 func (r *snapReader) boolean() bool { return r.u8() != 0 }
 
+// atomTypeDef writes an atom type's number and attributes, and
+// linkTypeDef a link type's sides and cardinalities: a type definition's
+// bytes after its name, the same in a WAL op and in a snapshot.
+func (w *snapWriter) atomTypeDef(num model.TypeNum, attrs []model.AttrDesc) {
+	w.uvarint(uint64(num))
+	w.uvarint(uint64(len(attrs)))
+	for _, ad := range attrs {
+		w.str(ad.Name)
+		w.u8(uint8(ad.Kind))
+		w.boolean(ad.NotNull)
+	}
+}
+
+func (w *snapWriter) linkTypeDef(l model.LinkDesc) {
+	w.str(l.SideA)
+	w.str(l.SideB)
+	w.uvarint(uint64(l.CardA.Min))
+	w.uvarint(uint64(l.CardA.Max))
+	w.uvarint(uint64(l.CardB.Min))
+	w.uvarint(uint64(l.CardB.Max))
+}
+
+// atomTypeDef reads what snapWriter.atomTypeDef wrote. It refuses a type
+// number of 0 (it would make the zero AtomID valid) or one a TypeNum
+// cannot hold. The attribute count comes from the file: the slice grows
+// only as attributes are actually read.
+func (r *snapReader) atomTypeDef() *walDef {
+	n := r.uvarint()
+	if r.err == nil && (n == 0 || n > math.MaxUint16) {
+		r.err = fmt.Errorf("storage: atom-type number %d out of range", n)
+	}
+	d := &walDef{num: model.TypeNum(n)}
+	for i, na := uint64(0), r.uvarint(); i < na && r.err == nil; i++ {
+		d.attrs = append(d.attrs, model.AttrDesc{Name: r.str(), Kind: model.Kind(r.u8()), NotNull: r.boolean()})
+	}
+	return d
+}
+
+// linkTypeDef reads what snapWriter.linkTypeDef wrote.
+func (r *snapReader) linkTypeDef() *walDef {
+	d := &walDef{link: model.LinkDesc{SideA: r.str(), SideB: r.str()}}
+	d.link.CardA = model.Cardinality{Min: int(r.uvarint()), Max: int(r.uvarint())}
+	d.link.CardB = model.Cardinality{Min: int(r.uvarint()), Max: int(r.uvarint())}
+	return d
+}
+
 // encodeValue writes one attribute value.
 func encodeValue(w *snapWriter, v model.Value) {
 	w.u8(uint8(v.Kind()))
@@ -185,7 +231,7 @@ func decodeValue(r *snapReader) (model.Value, error) {
 	return model.Null(), fmt.Errorf("storage: unknown value kind %d", kind)
 }
 
-// EncodeSnapshot writes a MADSNAP1 snapshot of the database as of the
+// EncodeSnapshot writes a MADSNAP2 snapshot of the database as of the
 // latest published commit.
 func EncodeSnapshot(db *Database, out io.Writer) error {
 	w := newSnapWriter(out)
@@ -211,22 +257,12 @@ func encodeSnapshotSections(w *snapWriter, db *Database, ts uint64, atomTypes []
 	w.uvarint(uint64(len(atomTypes)))
 	for _, at := range atomTypes {
 		w.str(at.Name)
-		w.uvarint(uint64(at.Desc.Len()))
-		for _, ad := range at.Desc.Attrs() {
-			w.str(ad.Name)
-			w.u8(uint8(ad.Kind))
-			w.boolean(ad.NotNull)
-		}
+		w.atomTypeDef(at.Num, at.Desc.Attrs())
 	}
 	w.uvarint(uint64(len(linkTypes)))
 	for _, lt := range linkTypes {
 		w.str(lt.Name)
-		w.str(lt.Desc.SideA)
-		w.str(lt.Desc.SideB)
-		w.uvarint(uint64(lt.Desc.CardA.Min))
-		w.uvarint(uint64(lt.Desc.CardA.Max))
-		w.uvarint(uint64(lt.Desc.CardB.Min))
-		w.uvarint(uint64(lt.Desc.CardB.Max))
+		w.linkTypeDef(lt.Desc)
 	}
 	for _, at := range atomTypes {
 		c, ok := db.Container(at.Name)
@@ -268,7 +304,7 @@ func encodeSnapshotSections(w *snapWriter, db *Database, ts uint64, atomTypes []
 	}
 }
 
-// DecodeSnapshot reconstructs a database from a MADSNAP1 snapshot. Every
+// DecodeSnapshot reconstructs a database from a MADSNAP2 snapshot. Every
 // occurrence is installed at one synthetic commit; the returned
 // database's clock publishes it.
 func DecodeSnapshot(in io.Reader) (*Database, error) {
@@ -292,7 +328,7 @@ func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
 		return fmt.Errorf("storage: reading snapshot header: %w", err)
 	}
 	if string(head) != snapMagic {
-		return fmt.Errorf("storage: bad magic %q (not a MAD snapshot?)", head)
+		return fmt.Errorf("storage: snapshot format %q, not %s (format 1, MADSNAP1, carried no type numbers)", head, snapMagic)
 	}
 
 	// Counts come from the file: slices grow only as entries are actually
@@ -300,40 +336,28 @@ func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
 	numAtomTypes := r.uvarint()
 	var containers []*Container
 	for i := uint64(0); i < numAtomTypes && r.err == nil; i++ {
-		name := r.str()
-		numAttrs := r.uvarint()
-		var attrs []model.AttrDesc
-		for j := uint64(0); j < numAttrs && r.err == nil; j++ {
-			attrs = append(attrs, model.AttrDesc{
-				Name:    r.str(),
-				Kind:    model.Kind(r.u8()),
-				NotNull: r.boolean(),
-			})
-		}
+		op := walOp{kind: walOpAtomType, name: r.str(), def: r.atomTypeDef()}
 		if r.err != nil {
 			return r.err
 		}
-		if _, err := db.defineType(&walOp{kind: walOpAtomType, name: name, def: &walDef{attrs: attrs}}); err != nil {
+		if _, err := db.defineType(&op); err != nil {
 			return err
 		}
-		c, _ := db.Container(name)
+		c, _ := db.Container(op.name)
 		containers = append(containers, c)
 	}
 
 	numLinkTypes := r.uvarint()
 	var linkNames []string
 	for i := uint64(0); i < numLinkTypes && r.err == nil; i++ {
-		name := r.str()
-		desc := model.LinkDesc{SideA: r.str(), SideB: r.str()}
-		desc.CardA = model.Cardinality{Min: int(r.uvarint()), Max: int(r.uvarint())}
-		desc.CardB = model.Cardinality{Min: int(r.uvarint()), Max: int(r.uvarint())}
+		op := walOp{kind: walOpLinkType, name: r.str(), def: r.linkTypeDef()}
 		if r.err != nil {
 			return r.err
 		}
-		if _, err := db.defineType(&walOp{kind: walOpLinkType, name: name, def: &walDef{link: desc}}); err != nil {
+		if _, err := db.defineType(&op); err != nil {
 			return err
 		}
-		linkNames = append(linkNames, name)
+		linkNames = append(linkNames, op.name)
 	}
 
 	view := db.View(applyTS)

@@ -26,8 +26,9 @@ import (
 // other session the transaction is invisible until Commit.
 //
 // A Txn buffers type definitions too (DefineAtomType, DefineLinkType):
-// the name is reserved at once, the type is numbered when Commit applies
-// it, and a Rollback or failed Commit forgets it.
+// the name is reserved and an atom type numbered at once, the catalog
+// lists the type when Commit applies it, and a Rollback or failed Commit
+// forgets it, leaving its number unused.
 //
 // A Txn is not safe for concurrent use; the database it belongs to
 // remains fully concurrent.
@@ -234,12 +235,13 @@ func (t *Txn) has(c *Container, id model.AtomID) bool {
 
 // InsertAtom buffers the insertion of a new atom, validating its values
 // and reserving its identifier immediately (an aborted transaction burns
-// the reservation, which is harmless).
+// the reservation, which is harmless). The type may be one this
+// transaction defined.
 func (t *Txn) InsertAtom(typeName string, vals ...model.Value) (model.AtomID, error) {
 	if err := t.active(); err != nil {
 		return 0, err
 	}
-	c, err := t.db.container(typeName)
+	c, _, _, err := t.db.resolveAtomType(typeName, false, t)
 	if err != nil {
 		return 0, err
 	}
@@ -257,7 +259,7 @@ func (t *Txn) InsertAtom(typeName string, vals ...model.Value) (model.AtomID, er
 // transaction keeps a's value slice, so it must not change afterwards (an
 // atom read through a View never does). The identifier must not be live
 // in the type's effective view (for a type this transaction defined,
-// Commit checks that). Unlike InsertAtom it works on such a type.
+// Commit checks that).
 func (t *Txn) AdoptAtom(typeName string, a model.Atom) error {
 	if err := t.active(); err != nil {
 		return err
@@ -281,12 +283,13 @@ func (t *Txn) AdoptAtom(typeName string, a model.Atom) error {
 }
 
 // DefineAtomType buffers the declaration of an atom type. The name is
-// reserved at once: it resolves — for this transaction's writes, reads
-// and plans alike — and no other writer can take it or put data into the
-// type. Its type number and place in declaration order are assigned only
-// when Commit applies the declaration, so nothing of it survives Rollback,
-// a failed Commit or a crash. The transaction can AdoptAtom into the type
-// but cannot InsertAtom (mint identifiers) in it.
+// reserved and the type numbered at once: it resolves — for this
+// transaction's writes, reads and plans alike — and no other writer can
+// take it or put data into the type, while the transaction can both
+// InsertAtom and AdoptAtom into it. The catalog lists it, in declaration
+// order, only when Commit applies the declaration, so nothing of it
+// survives Rollback, a failed Commit or a crash but a hole in the type
+// numbers.
 func (t *Txn) DefineAtomType(name string, desc *model.Desc) error {
 	return t.define(walOp{kind: walOpAtomType, name: name, def: &walDef{attrs: desc.Attrs()}, put: putReplace})
 }
@@ -298,19 +301,27 @@ func (t *Txn) DefineLinkType(name string, desc model.LinkDesc) error {
 	return t.define(walOp{kind: walOpLinkType, name: name, def: &walDef{link: desc}, put: putReplace})
 }
 
-// define reserves the type op declares and buffers the op.
+// define reserves the type op declares and buffers the op. A link type's
+// sides must be committed or this transaction's own.
 func (t *Txn) define(op walOp) error {
 	if err := t.active(); err != nil {
 		return err
 	}
 	t.db.mu.Lock()
-	err := t.db.reserve(&op, t)
-	t.db.mu.Unlock()
-	if err == nil {
-		t.own[op.name] = true
-		t.buffer(op)
+	defer t.db.mu.Unlock()
+	if op.kind == walOpLinkType {
+		for _, side := range []string{op.def.link.SideA, op.def.link.SideB} {
+			if t.db.containers[side] == nil || !t.db.visible(side, t) {
+				return fmt.Errorf("storage: link type %q references unknown or uncommitted atom type %q", op.name, side)
+			}
+		}
 	}
-	return err
+	if err := t.db.reserve(&op); err != nil {
+		return err
+	}
+	t.own[op.name] = true
+	t.buffer(op)
+	return nil
 }
 
 // UpdateAtom buffers the replacement of an atom's values. The atom must
@@ -441,13 +452,15 @@ func (t *Txn) Rollback() error {
 	return nil
 }
 
-// release forgets the types t reserved and did not commit.
+// release forgets the types t defined that the catalog does not list (a
+// commit whose seal failed keeps the ones it applied).
 func (t *Txn) release() {
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
 	for name := range t.own {
-		if t.db.reserved[name] == t {
-			t.db.forget(name)
+		if !t.db.schema.HasName(name) {
+			delete(t.db.containers, name)
+			delete(t.db.links, name)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package storage_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -389,6 +391,103 @@ func TestTxnRollbackPropertyRandomOps(t *testing.T) {
 		return bytes.Equal(before, snapshot(t, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTxnNumbersTypesItDefines: a transaction numbers an atom type when
+// it buffers the definition, so it can mint atoms in it; no other writer
+// reaches the type before it commits; a rolled-back definition leaves its
+// number a hole, which WAL replay and a checkpoint both keep.
+func TestTxnNumbersTypesItDefines(t *testing.T) {
+	dir := t.TempDir()
+	db, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt})
+	if _, err := db.DefineAtomType("a", desc); err != nil {
+		t.Fatal(err)
+	}
+	ghost := db.Begin()
+	if err := ghost.DefineAtomType("ghost", desc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ghost.InsertAtom("ghost", model.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	other := db.Begin()
+	if _, err := other.InsertAtom("ghost", model.Int(2)); err == nil {
+		t.Fatal("another transaction inserted into an uncommitted type")
+	}
+	other.Rollback()
+	if _, err := db.InsertAtom("ghost", model.Int(3)); err == nil {
+		t.Fatal("an auto-commit inserted into an uncommitted type")
+	}
+	if err := ghost.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	txn := db.Begin()
+	if err := txn.DefineAtomType("b", desc); err != nil {
+		t.Fatal(err)
+	}
+	id, err := txn.InsertAtom("b", model.Int(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, db *storage.Database) {
+		t.Helper()
+		b, ok := db.Schema().AtomType("b")
+		if !ok || b.Num != 3 || id.TypeNum() != 3 || !db.HasAtom("b", id) {
+			t.Fatalf("%s: b = %+v, atom %v present %v (want number 3)", label, b, id, db.HasAtom("b", id))
+		}
+		if _, taken := db.Schema().AtomTypeByNum(2); taken || db.Schema().HasName("ghost") {
+			t.Fatalf("%s: the rolled-back type's number 2 is in use", label)
+		}
+	}
+	check("live", db)
+	replayed, err := storage.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("replayed", replayed)
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := storage.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("checkpointed", rec)
+	if c, err := rec.DefineAtomType("c", desc); err != nil || c.Num != 4 {
+		t.Fatalf("type defined after recovery: %+v, %v (want number 4)", c, err)
+	}
+}
+
+// TestTypeNumbersRunOut: once all 65 535 type numbers are handed out, the
+// next atom type is refused — it neither wraps around to number 0 nor
+// takes over number 1 from the first type.
+func TestTypeNumbersRunOut(t *testing.T) {
+	db := storage.NewDatabase()
+	desc := model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt})
+	for i := 1; i <= math.MaxUint16; i++ {
+		if _, err := db.DefineAtomType(fmt.Sprintf("t%d", i), desc); err != nil {
+			t.Fatalf("type %d: %v", i, err)
+		}
+	}
+	if at, err := db.DefineAtomType("t65536", desc); err == nil {
+		t.Fatalf("the 65 536th atom type was defined, number %d", at.Num)
+	}
+	if at, ok := db.Schema().AtomTypeByNum(1); !ok || at.Name != "t1" {
+		t.Fatalf("number 1 resolves %+v, want t1", at)
+	}
+	if _, err := db.InsertAtom("t1", model.Int(1)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -62,18 +62,24 @@ const (
 	walOpDelete
 	walOpConnect
 	walOpDisconnect
-	walOpAtomType
+	walOpAtomType1 // format 1's atom type, numbered at replay: refused
 	walOpLinkType
 	walOpCreateIndex
 	walOpDropIndex
+	walOpAtomType // an atom type with the number it was given
 )
+
+// errFormat1 refuses a log record or snapshot in format 1 (MADSNAP1 and
+// the logs written beside it), whose atom types carry no type number:
+// numbering them by replay order could give a type another's number.
+var errFormat1 = errors.New("storage: format 1 (MADSNAP1) data names atom types without their type numbers; this build reads format 2 (MADSNAP2) only")
 
 // walOp is one logical operation of a commit's write set — the unit
 // applyOp installs, a Txn buffers and a log record carries.
 type walOp struct {
 	kind uint8
 	// put constrains a walOpPut against the pre-state at its commit
-	// timestamp, and marks a type op that commits a Txn's reservation. It
+	// timestamp, and marks a type op a Txn buffered (and reserved). It
 	// lives in memory only: the log does not say whether a put inserted or
 	// updated, and replay takes it either way.
 	put  uint8
@@ -88,6 +94,7 @@ type walOp struct {
 // walDef is what a type or index definition declares.
 type walDef struct {
 	attrs []model.AttrDesc // atom type
+	num   model.TypeNum    // atom type
 	link  model.LinkDesc   // link type
 	attr  string           // index
 }
@@ -131,20 +138,9 @@ func encodeWALRecord(ts uint64, ops []*walOp) ([]byte, error) {
 			w.u64(uint64(op.a))
 			w.u64(uint64(op.b))
 		case walOpAtomType:
-			w.uvarint(uint64(len(op.def.attrs)))
-			for _, ad := range op.def.attrs {
-				w.str(ad.Name)
-				w.u8(uint8(ad.Kind))
-				w.boolean(ad.NotNull)
-			}
+			w.atomTypeDef(op.def.num, op.def.attrs)
 		case walOpLinkType:
-			l := &op.def.link
-			w.str(l.SideA)
-			w.str(l.SideB)
-			w.uvarint(uint64(l.CardA.Min))
-			w.uvarint(uint64(l.CardA.Max))
-			w.uvarint(uint64(l.CardB.Min))
-			w.uvarint(uint64(l.CardB.Max))
+			w.linkTypeDef(op.def.link)
 		case walOpCreateIndex, walOpDropIndex:
 			w.str(op.def.attr)
 		default:
@@ -173,6 +169,7 @@ func decodeWALPayload(body []byte) (ts uint64, ops []walOp, err error) {
 	if r.err != nil {
 		return 0, nil, r.err
 	}
+	nums := map[model.TypeNum]bool{}
 	for i := uint64(0); i < n; i++ {
 		op := walOp{kind: r.u8(), name: r.str()}
 		switch op.kind {
@@ -199,24 +196,16 @@ func decodeWALPayload(body []byte) (ts uint64, ops []walOp, err error) {
 			op.a = model.AtomID(r.u64())
 			op.b = model.AtomID(r.u64())
 		case walOpAtomType:
-			na := r.uvarint()
-			if r.err != nil {
-				return 0, nil, r.err
+			if op.def = r.atomTypeDef(); nums[op.def.num] && r.err == nil {
+				return 0, nil, fmt.Errorf("storage: type number %d defined twice", op.def.num)
 			}
-			op.def = &walDef{}
-			for j := uint64(0); j < na && r.err == nil; j++ {
-				op.def.attrs = append(op.def.attrs, model.AttrDesc{
-					Name:    r.str(),
-					Kind:    model.Kind(r.u8()),
-					NotNull: r.boolean(),
-				})
-			}
+			nums[op.def.num] = true
 		case walOpLinkType:
-			op.def = &walDef{link: model.LinkDesc{SideA: r.str(), SideB: r.str()}}
-			op.def.link.CardA = model.Cardinality{Min: int(r.uvarint()), Max: int(r.uvarint())}
-			op.def.link.CardB = model.Cardinality{Min: int(r.uvarint()), Max: int(r.uvarint())}
+			op.def = r.linkTypeDef()
 		case walOpCreateIndex, walOpDropIndex:
 			op.def = &walDef{attr: r.str()}
+		case walOpAtomType1:
+			return 0, nil, errFormat1
 		default:
 			return 0, nil, fmt.Errorf("storage: unknown wal op kind %d", op.kind)
 		}
@@ -295,6 +284,9 @@ func readWALSegment(path string, fn func(ts uint64, ops []walOp) error) (tornAt 
 			return off, true, nil // checksum failure
 		}
 		ts, ops, err := decodeWALPayload(body)
+		if errors.Is(err, errFormat1) {
+			return off, false, fmt.Errorf("%s: %w", path, err)
+		}
 		if err != nil {
 			return off, true, nil // frame intact but payload garbage
 		}

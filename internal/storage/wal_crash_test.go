@@ -192,8 +192,14 @@ func crashScript() []walStep {
 		},
 		func(db *Database) error {
 			// A propagation-shaped transaction: it defines an atom type and a
-			// link type and fills both, so recovery must show them absent or
-			// whole.
+			// link type and fills both — adopting one atom, minting another —
+			// so recovery must show them absent or whole. A rolled-back
+			// definition first leaves a hole in the type numbers below it.
+			ghost := db.Begin()
+			if err := ghost.DefineAtomType("ghost", partDesc); err != nil {
+				return err
+			}
+			ghost.Rollback()
 			t := db.Begin()
 			defer t.Rollback()
 			bolt := mustFind(db, "part", "bolt")
@@ -205,6 +211,9 @@ func crashScript() []walStep {
 				return err
 			}
 			if err := t.AdoptAtom("heavy", a); err != nil {
+				return err
+			}
+			if _, err := t.InsertAtom("heavy", model.Str("anvil"), model.Float(50)); err != nil {
 				return err
 			}
 			if err := t.Connect("heavy_of", bolt, bolt); err != nil {
@@ -236,8 +245,9 @@ func replayTwin(t *testing.T, steps []walStep, k int) *Database {
 	return twin
 }
 
-// fingerprint renders the visible state — atoms, links, index definitions —
-// as a canonical string for whole-database equality checks.
+// fingerprint renders the visible state — atom types with their numbers,
+// atoms, links, index definitions — as a canonical string for
+// whole-database equality checks.
 func fingerprint(db *Database) string {
 	var b strings.Builder
 	types := db.Schema().AtomTypes()
@@ -253,7 +263,7 @@ func fingerprint(db *Database) string {
 			return true
 		})
 		sort.Strings(rows)
-		fmt.Fprintf(&b, "atoms %s: %s\n", at.Name, strings.Join(rows, " "))
+		fmt.Fprintf(&b, "atoms %s #%d: %s\n", at.Name, at.Num, strings.Join(rows, " "))
 	}
 	links := db.Schema().LinkTypes()
 	sort.Slice(links, func(i, j int) bool { return links[i].Name < links[j].Name })

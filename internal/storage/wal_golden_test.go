@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/hex"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 // was refactored — a directory written by an older build keeps recovering.
 func TestWALRecordGolden(t *testing.T) {
 	ops := []*walOp{
-		{kind: walOpAtomType, name: "part", def: &walDef{attrs: []model.AttrDesc{
+		{kind: walOpAtomType, name: "part", def: &walDef{num: 1, attrs: []model.AttrDesc{
 			{Name: "pn", Kind: model.KInt, NotNull: true}, {Name: "label", Kind: model.KString}}}},
 		{kind: walOpLinkType, name: "comp", def: &walDef{link: model.LinkDesc{SideA: "part", SideB: "part",
 			CardA: model.Cardinality{Min: 0, Max: 4}, CardB: model.Cardinality{Min: 1, Max: 0}}}},
@@ -98,5 +100,38 @@ func TestWALRecordBound(t *testing.T) {
 	}
 	if !rec2.HasAtom("t", kept) || rec2.HasAtom("t", refused) {
 		t.Fatal("recovery lost the record at the bound or resurrected the refused one")
+	}
+}
+
+// TestFormat1Refused: a log record or a snapshot of format 1, whose atom
+// types carry no type number, is refused with an error naming the format:
+// it is never renumbered, and the log is not cut off as a torn tail.
+func TestFormat1Refused(t *testing.T) {
+	// The golden record of format 1: the same ops as TestWALRecordGolden's,
+	// the atom type under op kind 5 and without its number.
+	rec, err := hex.DecodeString(
+		"b90000000390123b0300000000010000090504706172740202706e0201056c61" +
+			"62656c04000604636f6d70047061727404706172740004010007047061727402" +
+			"706e01047061727407000000000001000202d6ffffffffffffff0409626f6c74" +
+			"20e28c8036010470617274080000000000010002020900000000000000000304" +
+			"636f6d70070000000000010008000000000001000404636f6d70070000000000" +
+			"0100080000000000010002047061727408000000000001000804706172740270" +
+			"6e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	seg := filepath.Join(dir, walSegName(1))
+	if err := os.WriteFile(seg, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "MADSNAP1") {
+		t.Fatalf("opening a format-1 log: %v", err)
+	}
+	if data, err := os.ReadFile(seg); err != nil || !bytes.Equal(data, rec) {
+		t.Fatalf("the format-1 log changed (%v)", err)
+	}
+	if _, err := DecodeSnapshot(strings.NewReader("MADSNAP1\x00\x00")); err == nil || !strings.Contains(err.Error(), "MADSNAP1") {
+		t.Fatalf("decoding a MADSNAP1 snapshot: %v", err)
 	}
 }

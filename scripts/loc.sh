@@ -29,9 +29,9 @@ for pkg in core plan mql recursive server; do
 	printf '%-20s %9d %9d\n' "internal/$pkg" "$n" "$(count test "internal/$pkg")"
 done
 printf '%-20s %9d\n' "the five together" "$sum"
-# Algebra mode: the reference operators, the propagation sink, the planned
-# Σ (gone since the DEFINE path runs it as a SELECT) and the MQL executor.
-printf '%-20s %9d\n' algebra "$(count code internal/core/ops.go internal/core/prop.go internal/plan/restrict.go internal/mql/exec.go)"
+# Algebra mode: the molecule-type operators, the propagation sink, the
+# atom-type operators of Definition 4 and the MQL executor.
+printf '%-20s %9d\n' algebra "$(count code internal/core/ops.go internal/core/prop.go internal/atomalg/atomalg.go internal/mql/exec.go)"
 # The storage layer proper: the package's own files, not storage/stats —
 # and the catalog of committed types beside it.
 printf '%-20s %9d %9d\n' internal/storage "$(count code internal/storage/*.go)" "$(count test internal/storage/*.go)"
