@@ -11,9 +11,8 @@
 // With -data every committed statement is fsynced through the write-ahead
 // log before it acknowledges, and the CHECKPOINT statement snapshots the
 // database (including indexes and histograms) so the next start replays
-// less log and estimates from the same statistics. The plan cache and
-// the execution feedback are not persisted: they relearn from the first
-// executions after a start.
+// less log and estimates from the same statistics, so it plans as the
+// last run did. The plan cache is not persisted.
 //
 // Statements end with ';'. Shell commands: \h help, \q quit,
 // \save [path] snapshot, \stats counters, \trace toggles operation traces.

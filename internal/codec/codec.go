@@ -1,13 +1,14 @@
 // Package codec persists MAD databases as binary snapshots: the schema
 // (atom and link types in declaration order, each atom type with its type
 // number) followed by every atom-type occurrence and every link-type
-// occurrence. The format is self-contained and versioned; Decode
+// occurrence, closed by a CRC32 of the file. The format is self-contained
+// and versioned; Decode refuses a file whose checksum does not match and
 // reconstructs a database whose atoms keep their identifiers, which keeps
 // propagated (identity-sharing) result types intact.
 //
-// The format itself (MADSNAP2) lives in internal/storage, where
-// Checkpoint embeds it inside checkpoint files; this package remains the
-// stable save/load API for whole-database snapshots.
+// The format itself (MADSNAP3) lives in internal/storage, where
+// Checkpoint embeds its body inside checkpoint files; this package
+// remains the stable save/load API for whole-database snapshots.
 package codec
 
 import (

@@ -361,7 +361,7 @@ func (d *Desc) render() string {
 	}
 	if c := d.closure; c != nil {
 		// All four fields of the recursion shape: the rendering is the
-		// plan-cache and feedback key of the closure.
+		// plan-cache key of the closure.
 		if c.Up {
 			b.WriteString(" ⟲ up")
 		} else {

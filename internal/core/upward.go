@@ -27,13 +27,11 @@ import (
 // planner's interior-index access path does exactly that.
 
 // parents returns the atoms one step *up* edge ei from atom a — the
-// reversal of partners — accounting the logical work both in the shared
-// statistics and in the caller's climb counter.
-func (dv *Deriver) parents(ei int, a model.AtomID, climbed *int64) []model.AtomID {
+// reversal of partners — accounting the logical work in the shared
+// statistics.
+func (dv *Deriver) parents(ei int, a model.AtomID) []model.AtomID {
 	out := dv.view.Partners(dv.stores[ei], a, !dv.fromA[ei])
-	steps := int64(len(out)) + 1
-	dv.db.Stats().LinksTraversed.Add(steps)
-	*climbed += steps
+	dv.db.Stats().LinksTraversed.Add(int64(len(out)) + 1)
 	return out
 }
 
@@ -44,27 +42,16 @@ func (dv *Deriver) parents(ei int, a model.AtomID, climbed *int64) []model.AtomI
 // the file comment); deriving the candidates downward with the seeding
 // predicate as a prune hook yields exactly the qualifying molecules.
 func (dv *Deriver) RecoverRoots(pos int, seeds []model.AtomID) ([]model.AtomID, error) {
-	roots, _, err := dv.RecoverRootsCounted(pos, seeds)
-	return roots, err
-}
-
-// RecoverRootsCounted is RecoverRoots reporting the number of link
-// traversals the climb performed — the actual cost of the upward walk,
-// which the planner's feedback store records to calibrate the climb
-// weights of future access-path contests. The count is local to this
-// climb, unaffected by concurrent sessions.
-func (dv *Deriver) RecoverRootsCounted(pos int, seeds []model.AtomID) ([]model.AtomID, int64, error) {
-	var climbed int64
 	d := dv.desc
 	if pos < 0 || pos >= d.NumTypes() {
-		return nil, 0, fmt.Errorf("core: position %d outside the description's %d types", pos, d.NumTypes())
+		return nil, fmt.Errorf("core: position %d outside the description's %d types", pos, d.NumTypes())
 	}
 	typeName := d.Types()[pos]
 	if typeName == d.Root() {
 		// Entering at the root is the identity: the seeds are the roots.
 		out := append([]model.AtomID(nil), seeds...)
 		model.SortAtomIDs(out)
-		return dedupSorted(out), 0, nil
+		return dedupSorted(out), nil
 	}
 
 	// Per-position reached sets, seeded at the entry position. Types are
@@ -87,7 +74,7 @@ func (dv *Deriver) RecoverRootsCounted(pos int, seeds []model.AtomID) ([]model.A
 			e := d.Edge(ei)
 			fromPos, _ := d.Pos(e.From)
 			for a := range reached[tp] {
-				for _, p := range dv.parents(ei, a, &climbed) {
+				for _, p := range dv.parents(ei, a) {
 					if reached[fromPos] == nil {
 						reached[fromPos] = make(map[model.AtomID]bool)
 					}
@@ -101,7 +88,7 @@ func (dv *Deriver) RecoverRootsCounted(pos int, seeds []model.AtomID) ([]model.A
 		out = append(out, r)
 	}
 	model.SortAtomIDs(out)
-	return out, climbed, nil
+	return out, nil
 }
 
 // dedupSorted removes adjacent duplicates from a sorted identifier slice.

@@ -281,7 +281,7 @@ type AnalyzeStmt struct {
 func (*AnalyzeStmt) stmt() {}
 
 // CheckpointStmt is CHECKPOINT — it writes a consistent snapshot of the
-// database (data, indexes, histograms, feedback) and truncates the
+// database (data, indexes, histograms) and truncates the
 // write-ahead log below it. It errs on an in-memory database.
 type CheckpointStmt struct{}
 

@@ -231,8 +231,8 @@ func (s *Session) Execute(st Stmt) (*Result, error) {
 		return &Result{Kind: RMessage, Message: fmt.Sprintf("link type %q defined", st.Name)}, nil
 	case *CreateIndexStmt:
 		if s.txn != nil {
-			// The backfill would index committed state only: an index has no
-			// view of buffered writes (ROADMAP item 8).
+			// The backfill would index committed state only: an index holds
+			// committed versions and has no view of buffered writes.
 			return nil, fmt.Errorf("mql: CREATE INDEX inside a transaction (COMMIT or ROLLBACK first)")
 		}
 		if err := s.db.CreateIndex(st.Type, st.Attr); err != nil {
@@ -975,8 +975,6 @@ func (s *Session) execShow(st *ShowStmt) (*Result, error) {
 	case "STATS":
 		b.WriteString(s.db.Stats().Snapshot().String())
 		b.WriteByte('\n')
-	case "FEEDBACK":
-		b.WriteString(plan.FeedbackFor(s.db).Render())
 	case "CACHE":
 		b.WriteString(plan.CacheFor(s.db).Render())
 	}

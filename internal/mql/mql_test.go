@@ -452,42 +452,6 @@ func TestExplainShowsInteriorIndexEntry(t *testing.T) {
 	}
 }
 
-// TestExplainShowsObservedFeedback drives the execution-feedback loop
-// through MQL: the first EXPLAIN executes the plan and records the
-// observed molecule-level pass rates of its residual conjuncts; the
-// second EXPLAIN of the same statement ranks and labels them [observed].
-// SHOW FEEDBACK reports the store.
-func TestExplainShowsObservedFeedback(t *testing.T) {
-	sess, _ := session(t)
-	q := "EXPLAIN SELECT ALL FROM state-area-edge-point WHERE COUNT(point) >= COUNT(edge) AND area.tag <= point.name;"
-	first, err := sess.Exec(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(first.Message, "[observed]") {
-		t.Fatalf("first EXPLAIN must not carry observations yet:\n%s", first.Message)
-	}
-	if !strings.Contains(first.Message, "residual:") {
-		t.Fatalf("predicate must stay residual:\n%s", first.Message)
-	}
-	second, err := sess.Exec(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(second.Message, "[observed]") {
-		t.Fatalf("second EXPLAIN must rank residuals from observed pass rates:\n%s", second.Message)
-	}
-	show, err := sess.Exec("SHOW FEEDBACK;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"execution(s) recorded", "atoms/root", "[observed]"} {
-		if !strings.Contains(show.Message, want) {
-			t.Fatalf("SHOW FEEDBACK missing %q:\n%s", want, show.Message)
-		}
-	}
-}
-
 func TestDefineMoleculeTypeAlgebraMode(t *testing.T) {
 	sess, s := session(t)
 	res, err := sess.Exec("DEFINE MOLECULE TYPE big_states AS SELECT ALL FROM state-area-edge-point WHERE state.hectare > 300;")

@@ -968,7 +968,7 @@ func (p *Parser) connectStmt() (Stmt, error) {
 }
 
 // showStmt parses SHOW SCHEMA|TYPES|MOLECULE TYPES|INDEXES|STATS|
-// HISTOGRAMS|FEEDBACK.
+// HISTOGRAMS|CACHE.
 func (p *Parser) showStmt() (Stmt, error) {
 	if err := p.expect(TKeyword, "SHOW"); err != nil {
 		return nil, err
@@ -979,7 +979,7 @@ func (p *Parser) showStmt() (Stmt, error) {
 	}
 	p.pos++
 	switch t.Text {
-	case "SCHEMA", "TYPES", "INDEXES", "STATS", "HISTOGRAMS", "FEEDBACK", "CACHE":
+	case "SCHEMA", "TYPES", "INDEXES", "STATS", "HISTOGRAMS", "CACHE":
 		return &ShowStmt{What: t.Text}, nil
 	case "MOLECULE", "MOLECULES":
 		p.accept(TKeyword, "TYPES")

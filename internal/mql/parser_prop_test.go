@@ -183,7 +183,7 @@ func FuzzParse(f *testing.F) {
 		"SELECT COUNT FROM RECURSIVE parts VIA composition GROUP BY cat;",
 		"BEGIN; INSERT INTO parts VALUES ('ring', 0.5); ROLLBACK; COMMIT; CHECKPOINT;",
 		"DEFINE MOLECULE TYPE light AS SELECT ALL FROM parts WHERE weight < 1.0;",
-		"SHOW SCHEMA; SHOW FEEDBACK; SHOW CACHE;",
+		"SHOW SCHEMA; SHOW HISTOGRAMS; SHOW CACHE;",
 		"SET WORKERS 4; SET NOCACHE TRUE;",
 	} {
 		f.Add(src)

@@ -73,7 +73,7 @@ var keywords = map[string]bool{
 	"EXPLAIN": true, "RECURSIVE": true, "DEPTH": true, "DOWN": true, "UP": true,
 	"UNION": true, "DIFFERENCE": true, "INTERSECT": true, "OF": true,
 	"ANALYZE": true, "ESTIMATE": true, "HISTOGRAMS": true,
-	"FEEDBACK": true, "LIMIT": true, "CACHE": true,
+	"LIMIT": true, "CACHE": true,
 	"PREPARE": true, "EXECUTE": true,
 	"ORDER": true, "BY": true, "GROUP": true, "ASC": true, "DESC": true,
 	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "TRANSACTION": true,

@@ -55,11 +55,6 @@ var accessPaths = []accessPath{
 // plus, in an ordered plan, the ordering surcharge unsorted batches pay.
 type candidate struct {
 	path accessPath
-	// id names the path without its literals; the feedback store files
-	// this cache entry's access actuals under it, so a recompile finds
-	// the candidate they calibrate. Scans leave it empty: their batch is
-	// the container itself, nothing to calibrate.
-	id string
 	// label is the name the contest (EXPLAIN's considered: line) and
 	// CompileForced know the candidate by.
 	label string
@@ -80,16 +75,8 @@ type contest struct {
 	p         *Plan
 	n         int // atoms in the root container
 	rootConjs []rootConjInfo
-	fb        *Feedback
-	// derivCost is the expected atoms fetched deriving one molecule and
-	// allSel the selectivity of the whole root filter.
-	derivCost float64
-	allSel    float64
-	// aobs holds what executions of this exact cache entry observed about
-	// its chosen path (id "" before any was recorded); the candidate with
-	// that id takes the actuals in place of its estimates — the
-	// calibration a drift-triggered recompile flips the contest with.
-	aobs accessSnapshot
+	// allSel is the selectivity of the whole root filter.
+	allSel float64
 	// eqs lists the interior entry equalities, in pushdown order.
 	eqs []pushdownEq
 	// cands collects what the rows enumerate; path is the row at work.
@@ -136,7 +123,8 @@ func (cc *contest) pushdownEqs() []pushdownEq {
 // indexEntry is one single-index entry point before costing: an equality
 // or a merged range on the indexed attribute of one atom type.
 type indexEntry struct {
-	// id is the candidate id; lits the literal suffix of its label.
+	// id names the entry without its literals; lits is the literal
+	// suffix of its label.
 	id, lits string
 	typeName string
 	pos      int
@@ -156,14 +144,6 @@ func (e *indexEntry) fill(a *Access) {
 	a.Attr, a.Value = e.attr, e.val
 	if e.rng != nil {
 		e.rng.fillAccess(a)
-	}
-}
-
-// observe replaces the entry-atom estimate with the recorded actual when
-// this cache entry's access observation was made on the same path.
-func (e *indexEntry) observe(cc *contest) {
-	if cc.aobs.id == e.id {
-		e.est, e.src = obsCount(cc.aobs.entries), SrcObserved
 	}
 }
 
@@ -203,23 +183,6 @@ func (cc *contest) installRootFilter(skip []int, produced int, src string) {
 		a.EstRoots = scaleEst(produced, filterSel)
 		a.EstSource = combineSource(src, filterSrc)
 	}
-}
-
-// climb estimates the upward walk from entries atoms of an interior type
-// to candidate roots. The feedback store's observed links-per-entry from
-// recorded executions of this structure replaces the fan-statistic climb
-// weight once there is one.
-func (cc *contest) climb(typeName string, entries int) (recovered int, cost float64, upPath []string, perEntry float64, src string) {
-	recovered, cost, upPath = climbEstimate(cc.p.db, cc.p.desc, typeName, entries)
-	src = SrcLinkFan
-	if entries > 0 {
-		perEntry = cost / float64(entries)
-	}
-	if obs, ok := cc.fb.observed(ratioClimb, climbKey(cc.p.desc.String(), typeName)); ok {
-		perEntry, src = obs, SrcObserved
-		cost = obs * float64(entries)
-	}
-	return recovered, cost, upPath, perEntry, src
 }
 
 // readIndex reads the index on typeName.attr through the deriver's
@@ -417,9 +380,7 @@ func (ri rootIndex) enumerate(cc *contest) {
 // rest of the root filter — the conjuncts the entry absorbs taken out —
 // thins them.
 func (ri rootIndex) add(cc *contest, e indexEntry) {
-	e.observe(cc)
 	cc.add(candidate{
-		id:        e.id,
 		label:     e.id + e.lits,
 		access:    float64(e.est),
 		entering:  scaleEst(e.est, cc.selWithout(e.ords)),
@@ -436,7 +397,7 @@ func (ri rootIndex) add(cc *contest, e indexEntry) {
 func (ri rootIndex) roots(p *Plan, dv *core.Deriver) ([]model.AtomID, error) {
 	a := &p.Access
 	roots, err := p.readIndex(dv, a.Root, a.Attr, a.Value, ri.ranged, p.presorted)
-	a.ActEntries, a.ActSurvivors = len(roots), len(roots)
+	a.ActEntries = len(roots)
 	return roots, err
 }
 
@@ -505,13 +466,8 @@ func (ii interiorIndex) enumerate(cc *contest) {
 // add costs one interior entry: e.est atoms out of the index, the climb
 // to candidate roots, and the recovered roots themselves.
 func (ii interiorIndex) add(cc *contest, e indexEntry) {
-	e.observe(cc)
-	recovered, climbCost, upPath, climbPerEntry, climbSrc := cc.climb(e.typeName, e.est)
-	if cc.aobs.id == e.id && cc.aobs.roots > 0 {
-		recovered = obsCount(cc.aobs.roots)
-	}
+	recovered, climbCost, upPath := climbEstimate(cc.p.db, cc.p.desc, e.typeName, e.est)
 	cc.add(candidate{
-		id:       e.id,
 		label:    e.id + e.lits,
 		access:   float64(e.est) + climbCost + float64(recovered),
 		entering: scaleEst(recovered, cc.allSel),
@@ -521,7 +477,6 @@ func (ii interiorIndex) add(cc *contest, e indexEntry) {
 			e.fill(a)
 			a.EntryType, a.EntryPos, a.UpPath = e.typeName, e.pos, upPath
 			a.EstEntries, a.EntrySource = e.est, e.src
-			cc.p.Calibration.ClimbPerEntry, cc.p.Calibration.ClimbSrc = climbPerEntry, climbSrc
 			cc.installRootFilter(nil, recovered, combineSource(SrcLinkFan, e.src))
 		},
 	})
@@ -534,9 +489,7 @@ func (ii interiorIndex) roots(p *Plan, dv *core.Deriver) ([]model.AtomID, error)
 		return nil, err
 	}
 	a.ActEntries = len(entries)
-	roots, climbed, err := dv.RecoverRootsCounted(a.EntryPos, entries)
-	a.ActClimb, a.ActSurvivors = int(climbed), len(roots)
-	return roots, err
+	return dv.RecoverRoots(a.EntryPos, entries)
 }
 
 func (ii interiorIndex) explain(b *strings.Builder, p *Plan) {
@@ -592,7 +545,7 @@ func (intersect) enumerate(cc *contest) {
 	estSrc := SrcLinkFan
 	for _, eq := range best {
 		pd := &p.Pushdowns[eq.pi]
-		recovered, climbCost, upPath, _, _ := cc.climb(pd.Type, eq.entries)
+		recovered, climbCost, upPath := climbEstimate(p.db, p.desc, pd.Type, eq.entries)
 		ents = append(ents, AccessEntry{
 			Type: pd.Type, Pos: pd.Pos, Attr: eq.attr, Value: eq.val,
 			UpPath: upPath, EstEntries: eq.entries, EntrySource: eq.src,
@@ -604,14 +557,9 @@ func (intersect) enumerate(cc *contest) {
 		sumEntries += eq.entries
 		estSrc = combineSource(estSrc, eq.src)
 	}
-	const id = "intersect"
 	survivors := scaleEst(cc.n, frac)
-	if cc.aobs.id == id && cc.aobs.roots > 0 {
-		survivors, estSrc = obsCount(cc.aobs.roots), SrcObserved
-	}
 	cc.add(candidate{
-		id:       id,
-		label:    id + "[" + strings.Join(labels, " ∧ ") + "]",
+		label:    "intersect[" + strings.Join(labels, " ∧ ") + "]",
 		access:   access,
 		entering: scaleEst(survivors, cc.allSel),
 		install: func(a *Access) {
@@ -636,13 +584,12 @@ func (intersect) roots(p *Plan, dv *core.Deriver) ([]model.AtomID, error) {
 		if err != nil {
 			return nil, err
 		}
-		roots, climbed, err := dv.RecoverRootsCounted(en.Pos, entries)
+		roots, err := dv.RecoverRoots(en.Pos, entries)
 		if err != nil {
 			return nil, err
 		}
-		en.ActEntries, en.ActClimb, en.ActRoots = len(entries), int(climbed), len(roots)
+		en.ActEntries, en.ActRoots = len(entries), len(roots)
 		a.ActEntries += len(entries)
-		a.ActClimb += int(climbed)
 		if i == 0 {
 			inter = roots
 		} else {
@@ -706,20 +653,14 @@ func intersectSorted(a, b []model.AtomID) []model.AtomID {
 // chooseAccess runs the contest: every row of the table enumerates its
 // candidates, each is costed, and the cheapest is installed (earlier
 // candidates win ties) — or, when force names a candidate's label, that
-// one regardless of cost. Every candidate is recorded for EXPLAIN. The
-// contest constants come from the model's fan statistics until the
-// feedback store has recorded executions of this structure — then the
-// observed per-root derivation work and per-entry climb work replace the
-// fiat weights (Calibration records the provenance).
-func (p *Plan) chooseAccess(n int, rootConjs []rootConjInfo, fb *Feedback, force string) error {
-	cc := &contest{p: p, n: n, rootConjs: rootConjs, fb: fb, derivCost: derivCostPerRoot(p.db, p.desc)}
+// one regardless of cost. Every candidate is recorded for EXPLAIN.
+// derivCost, the expected atoms fetched deriving one molecule, weights
+// every candidate's entering roots; the climb weights of interior entries
+// come from the same fan statistics (climbEstimate).
+func (p *Plan) chooseAccess(n int, rootConjs []rootConjInfo, derivCost float64, force string) error {
+	p.derivCost = derivCost
+	cc := &contest{p: p, n: n, rootConjs: rootConjs}
 	cc.allSel, cc.eqs = cc.selWithout(nil), cc.pushdownEqs()
-	p.Calibration.DerivPerRoot, p.Calibration.DerivSrc = cc.derivCost, SrcLinkFan
-	if obs, ok := fb.observed(ratioDeriv, p.desc.String()); ok {
-		cc.derivCost = obs
-		p.Calibration.DerivPerRoot, p.Calibration.DerivSrc = obs, SrcObserved
-	}
-	cc.aobs = fb.accessObserved(p.key)
 
 	cc.cands = make([]candidate, 0, 4) // most contests have two or three entrants
 	for _, path := range accessPaths {
@@ -730,24 +671,15 @@ func (p *Plan) chooseAccess(n int, rootConjs []rootConjInfo, fb *Feedback, force
 
 	// Ordering surcharge: alternatives whose batch arrives unsorted pay
 	// the heap/sort comparison work over the molecules entering
-	// derivation — and, once the feedback store has observed how small a
-	// fraction of roots survives the top-K bound prune, their derivation
-	// term shrinks to that fraction, so a calibrated heap path can beat
-	// the index ride it lost to on fiat weights.
-	survival := 1.0
-	if p.Order != nil {
-		if obs, ok := fb.observed(ratioTopK, p.desc.String()); ok {
-			survival, p.Calibration.TopKSrc = obs, SrcObserved
-		}
-		p.Calibration.TopKSurvival = survival
-	}
+	// derivation. The top-K bound prune is not credited: K is set after
+	// the compile, and the cache key ignores it.
 	alts := make([]Alternative, len(cands))
 	best := -1
 	for i, c := range cands {
 		e := float64(c.entering)
-		cost := c.access + e*cc.derivCost
+		cost := c.access + e*derivCost
 		if p.Order != nil && !c.presorted {
-			cost += orderCost(e) - e*cc.derivCost*(1-survival)
+			cost += orderCost(e)
 		}
 		alts[i] = Alternative{Label: c.label, Cost: cost}
 		switch {
@@ -767,7 +699,7 @@ func (p *Plan) chooseAccess(n int, rootConjs []rootConjInfo, fb *Feedback, force
 	p.Alternatives = alts
 
 	c := cands[best]
-	p.path, p.accessID, p.accessOrds, p.presorted = c.path, c.id, c.ords, c.presorted
+	p.path, p.accessOrds, p.presorted = c.path, c.ords, c.presorted
 	c.install(&p.Access)
 	return nil
 }

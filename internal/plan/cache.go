@@ -26,21 +26,14 @@ const cacheLimit = 256
 // (index DDL, schema DDL or ANALYZE happened since) recompiles, so a
 // cached plan never outlives the statistics and access paths it was
 // costed against. Get hands out clones: concurrent sessions each execute
-// their own copy while sharing the compile work. The cache owns the
-// database's execution-feedback store, so one registry entry holds all of
-// a database's planner state.
+// their own copy while sharing the compile work.
 type Cache struct {
 	mu      sync.Mutex
 	db      *storage.Database
-	fb      *Feedback
 	entries map[string]*list.Element
 	lru     *list.List // cacheEntry values, most recently used at front
 
 	hits, misses, compiles uint64
-	// recompiles counts drift-triggered targeted recompiles: fetches that
-	// found their entry marked stale by the feedback store and reran the
-	// contest without an epoch-wide flush.
-	recompiles uint64
 }
 
 type cacheEntry struct {
@@ -52,16 +45,10 @@ type cacheEntry struct {
 	// (placeholder-canonicalized predicate) rather than literal text.
 	label  string
 	shaped bool
-	// stale marks an entry the feedback store asked to recompile: its
-	// executed actuals drifted from the compile-time estimates beyond the
-	// drift factor. A stale entry is a miss — the next fetch recompiles in
-	// place (provenance [recompiled]) without touching the plan epoch.
-	stale bool
-	// hits and recompiles are the per-entry counters SHOW CACHE exposes;
-	// createdAt dates the entry's first compilation for the age column.
-	hits       uint64
-	recompiles uint64
-	createdAt  time.Time
+	// hits is the per-entry counter SHOW CACHE exposes; createdAt dates
+	// the entry's first compilation for the age column.
+	hits      uint64
+	createdAt time.Time
 }
 
 // caches is the per-database cache registry behind CacheFor.
@@ -71,59 +58,22 @@ var (
 )
 
 // CacheFor returns the plan cache shared by every session over db,
-// creating it — and the execution-feedback store it owns — on first use,
-// so every session that plans through the cache learns from its
-// executions automatically.
+// creating it on first use.
 func CacheFor(db *storage.Database) *Cache {
 	cachesMu.Lock()
 	defer cachesMu.Unlock()
 	c, ok := caches[db]
 	if !ok {
 		c = &Cache{db: db, entries: make(map[string]*list.Element), lru: list.New()}
-		c.fb = newFeedback(c)
 		caches[db] = c
 	}
 	return c
 }
 
-// FeedbackFor returns the execution-feedback store of db's plan cache,
-// creating both on first use.
-func FeedbackFor(db *storage.Database) *Feedback { return CacheFor(db).fb }
-
-// feedbackLookup returns the database's feedback store without creating
-// or registering one — the compile/execute side goes through this, so
-// the loop only runs for databases that opted in (CacheFor or
-// FeedbackFor). Every Feedback method tolerates a nil receiver as "no
-// observations".
-func feedbackLookup(db *storage.Database) *Feedback {
-	cachesMu.Lock()
-	defer cachesMu.Unlock()
-	if c := caches[db]; c != nil {
-		return c.fb
-	}
-	return nil
-}
-
-// markStale flags the cache entry compiled under key for a targeted
-// recompile: the entry stays in place (its counters and LRU position
-// survive) but the next fetch treats it as a miss and reruns the contest.
-// Reports whether an entry was found.
-func (c *Cache) markStale(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	el.Value.(*cacheEntry).stale = true
-	return true
-}
-
-// Release drops the database's cache, and the execution-feedback store it
-// owns, from the registry. Call it when a database goes out of use — the
-// registry otherwise pins both structures and the database for the life
-// of the process. A later CacheFor/FeedbackFor on the same database
-// simply starts cold.
+// Release drops the database's cache from the registry. Call it when a
+// database goes out of use — the registry otherwise pins the cache and
+// the database for the life of the process. A later CacheFor on the same
+// database simply starts cold.
 func Release(db *storage.Database) {
 	cachesMu.Lock()
 	defer cachesMu.Unlock()
@@ -264,33 +214,24 @@ func (c *Cache) CompileShaped(desc *core.Desc, pred expr.Expr, order *OrderBy, s
 
 // compileAt is the shared hit/miss machinery behind CompileOrdered and
 // CompileShaped: key is the cache identity, shaped selects literal
-// rebinding on a hit. A stale entry (drift-marked by the feedback store)
-// counts as a miss, recompiles in place, and stamps the fresh plan
-// Recompiled — the [recompiled] EXPLAIN provenance.
+// rebinding on a hit.
 func (c *Cache) compileAt(desc *core.Desc, pred expr.Expr, order *OrderBy, key string, shaped bool) (p *Plan, cached bool, err error) {
 	epoch := c.db.PlanEpoch()
 
-	wasStale := false
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
-		if e.epoch == epoch && !e.stale {
+		if e.epoch == epoch {
 			q := e.plan.clone()
 			if !shaped || q.rebind(pred) {
 				e.hits++
 				c.hits++
 				c.lru.MoveToFront(el) // LRU: a hit renews the entry
 				c.mu.Unlock()
-				// The cached compilation may predate executions that
-				// recorded observed pass rates; re-rank the clone so a
-				// compile-only EXPLAIN shows the chain Execute will
-				// actually run.
-				q.applyFeedback(feedbackLookup(c.db))
 				return q, true, nil
 			}
 			// Rebinding metadata mismatch: recompile below.
 		}
-		wasStale = e.epoch == epoch && e.stale
 	}
 	c.misses++
 	c.mu.Unlock()
@@ -298,24 +239,16 @@ func (c *Cache) compileAt(desc *core.Desc, pred expr.Expr, order *OrderBy, key s
 	// Compile outside the cache lock: compilation reads the database and
 	// may be slow; worst case two sessions race and both store equivalent
 	// plans.
-	fresh, err := compileKeyed(c.db, desc, pred, order, key, "")
+	fresh, err := compile(c.db, desc, pred, order, "")
 	if err != nil {
 		return nil, false, err
 	}
-	// A drift-triggered recompile carries the [recompiled] provenance for
-	// the life of the entry — clones inherit it, so EXPLAIN shows why the
-	// access path changed without re-executing.
-	fresh.Recompiled = wasStale
 
 	c.mu.Lock()
 	c.compiles++
 	if el, exists := c.entries[key]; exists {
 		e := el.Value.(*cacheEntry)
-		if e.stale && e.epoch == epoch {
-			e.recompiles++
-			c.recompiles++
-		}
-		e.epoch, e.plan, e.stale = epoch, fresh, false
+		e.epoch, e.plan = epoch, fresh
 		c.lru.MoveToFront(el)
 	} else {
 		if c.lru.Len() >= cacheLimit {
@@ -387,7 +320,6 @@ func (p *Plan) rebind(newPred expr.Expr) bool {
 				return false
 			}
 			p.Residuals[i].Conjunct = c
-			p.Residuals[i].key = conjKey(c)
 			ords = append(ords, p.Residuals[i].ord)
 		}
 		// Residuals are cost-ordered; rebuild the source-order conjunction.
@@ -421,38 +353,23 @@ func (c *Cache) Counters() (hits, misses, compiles uint64) {
 	return c.hits, c.misses, c.compiles
 }
 
-// Recompiles reports how many drift-triggered targeted recompiles the
-// cache has performed — fetches that found their entry stale-marked by
-// the feedback store and reran the contest in place.
-func (c *Cache) Recompiles() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recompiles
-}
-
 // Render prints the cache's aggregate traffic and every entry with its
 // per-entry counters, most recently used first — the SHOW CACHE output.
 func (c *Cache) Render() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan cache: %d entr%s — %d hit(s), %d miss(es), %d compile(s), %d targeted recompile(s)\n",
-		len(c.entries), plural(len(c.entries), "y", "ies"), c.hits, c.misses, c.compiles, c.recompiles)
+	fmt.Fprintf(&b, "plan cache: %d entr%s — %d hit(s), %d miss(es), %d compile(s)\n",
+		len(c.entries), plural(len(c.entries), "y", "ies"), c.hits, c.misses, c.compiles)
 	now := time.Now()
 	i := 0
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
 		i++
-		line := fmt.Sprintf("%3d. %s — hits %d, age %s, recompiles %d",
-			i, e.label, e.hits, now.Sub(e.createdAt).Round(time.Second), e.recompiles)
+		line := fmt.Sprintf("%3d. %s — hits %d, age %s",
+			i, e.label, e.hits, now.Sub(e.createdAt).Round(time.Second))
 		if e.shaped {
 			line += " [shape]"
-		}
-		if e.stale {
-			line += " [stale]"
-		}
-		if e.plan.Recompiled {
-			line += " [recompiled]"
 		}
 		b.WriteString(line + "\n")
 	}

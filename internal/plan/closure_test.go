@@ -3,7 +3,6 @@ package plan_test
 import (
 	"context"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -51,16 +50,13 @@ func chainForest(t testing.TB, roots, depth int) (*storage.Database, *core.Desc)
 
 // TestFixpointIndexedEntry: a closure description takes the table's
 // contest — with an index on the root attribute and an equality conjunct
-// the closure is seeded from the index instead of scanning every root —
-// and a complete run calibrates the per-root closure estimate of the next
-// compile through the ordinary derivation-work observation.
+// the closure is seeded from the index instead of scanning every root.
 func TestFixpointIndexedEntry(t *testing.T) {
 	db, desc := chainForest(t, 64, 8)
 	defer plan.Release(db)
 	if err := db.CreateIndex("part", "pn"); err != nil {
 		t.Fatal(err)
 	}
-	plan.FeedbackFor(db)                                                // opt into the feedback loop
 	p, err := plan.Compile(db, desc, intCmp(expr.EQ, "part", "pn", 16)) // a chain head
 	if err != nil {
 		t.Fatal(err)
@@ -78,24 +74,6 @@ func TestFixpointIndexedEntry(t *testing.T) {
 	}
 	if work := db.Stats().Snapshot(); work.AtomsFetched > 16 {
 		t.Fatalf("indexed entry fetched %d atoms; the contest did not prune the scan", work.AtomsFetched)
-	}
-
-	full, err := plan.Compile(db, desc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := full.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	if out := plan.FeedbackFor(db).Render(); !strings.Contains(out, "derive "+desc.String()+": ≈6.2 atoms/root over 2 run(s)") {
-		t.Fatalf("feedback missing the closure observation:\n%s", out)
-	}
-	again, err := plan.Compile(db, desc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := again.Render(); !strings.Contains(out, "est ≈6.2 atoms/root [observed]") {
-		t.Fatalf("recompile not calibrated:\n%s", out)
 	}
 }
 

@@ -31,11 +31,6 @@ const (
 	// statistics (average partners per linked atom) — the upward-climb
 	// estimates of interior-index access paths.
 	SrcLinkFan = "link-fan"
-	// SrcObserved marks figures taken from the execution-feedback store:
-	// molecule-level residual pass rates and per-root/per-entry work
-	// actually measured on earlier executions of the same plan epoch —
-	// the strongest provenance of all, since it is not an estimate.
-	SrcObserved = "observed"
 )
 
 // Default selectivities for predicate shapes no statistic covers. The
@@ -51,7 +46,7 @@ const (
 func worseSource(a, b string) string {
 	rank := func(s string) int {
 		switch s {
-		case SrcObserved, SrcHistogram:
+		case SrcHistogram:
 			return 0
 		case SrcUniform, SrcLinkFan:
 			return 1
@@ -260,24 +255,39 @@ func cmpSelectivity(db *storage.Database, typeName, attr string, op expr.CmpOp, 
 // recursing over the boolean structure with independence assumptions.
 // The returned source is histogram only when every leaf estimate was
 // histogram-backed.
-func conjSelectivity(db *storage.Database, desc *core.Desc, c expr.Expr) (float64, string) {
+//
+// With sizes nil the estimate is per atom — what a root filter or a
+// pushdown hook sees. Otherwise sizes holds the expected component-set
+// size f of every type of the structure (componentSizes) and the estimate
+// is per molecule, the fraction a residual conjunct keeps: a comparison of
+// a type's attribute with a constant is existential over the molecule's
+// atoms of that type, so it holds with 1 − (1 − s)^f where s is the atom
+// fraction, and COUNT(T) op const is judged at COUNT(T) = f.
+func conjSelectivity(db *storage.Database, desc *core.Desc, c expr.Expr, sizes []float64) (float64, string) {
 	switch n := c.(type) {
 	case expr.And:
-		ls, lsrc := conjSelectivity(db, desc, n.L)
-		rs, rsrc := conjSelectivity(db, desc, n.R)
+		ls, lsrc := conjSelectivity(db, desc, n.L, sizes)
+		rs, rsrc := conjSelectivity(db, desc, n.R, sizes)
 		return clampSel(ls * rs), worseSource(lsrc, rsrc)
 	case expr.Or:
-		ls, lsrc := conjSelectivity(db, desc, n.L)
-		rs, rsrc := conjSelectivity(db, desc, n.R)
+		ls, lsrc := conjSelectivity(db, desc, n.L, sizes)
+		rs, rsrc := conjSelectivity(db, desc, n.R, sizes)
 		return clampSel(ls + rs - ls*rs), worseSource(lsrc, rsrc)
 	case expr.Not:
-		s, src := conjSelectivity(db, desc, n.E)
+		s, src := conjSelectivity(db, desc, n.E, sizes)
 		return clampSel(1 - s), src
 	case expr.Cmp:
 		if a, op, v, ok := attrConstCmp(c); ok {
 			if t, tok := attrType(db, desc, a); tok {
-				return cmpSelectivity(db, t, a.Name, op, v)
+				s, src := cmpSelectivity(db, t, a.Name, op, v)
+				if f := sizeOf(desc, sizes, t); f != 1 {
+					s, src = clampSel(1-math.Pow(1-s, f)), worseSource(src, SrcLinkFan)
+				}
+				return s, src
 			}
+		}
+		if s, ok := countAt(desc, sizes, n); ok {
+			return s, SrcLinkFan
 		}
 		return defSelOther, SrcDefault
 	case expr.All:
@@ -286,6 +296,47 @@ func conjSelectivity(db *storage.Database, desc *core.Desc, c expr.Expr) (float6
 		return 0.9, SrcDefault
 	}
 	return defSelOther, SrcDefault
+}
+
+// sizeOf is the expected number of typeName atoms per molecule: 1 when
+// sizes is nil (an atom-level estimate) or the type is not in it.
+func sizeOf(desc *core.Desc, sizes []float64, typeName string) float64 {
+	if pos, ok := desc.Pos(typeName); ok && sizes != nil {
+		return sizes[pos]
+	}
+	return 1
+}
+
+// countAt judges COUNT(T) op const (either orientation) at T's expected
+// component-set size: 1 when the comparison holds there, the clamped
+// floor when it does not. ok is false for any other shape and for
+// atom-level estimates.
+func countAt(desc *core.Desc, sizes []float64, cmp expr.Cmp) (float64, bool) {
+	if sizes == nil {
+		return 0, false
+	}
+	at := func(e expr.Expr) (expr.Expr, bool) {
+		c, ok := e.(expr.CountOf)
+		if !ok || !desc.HasType(c.Type) {
+			return nil, false
+		}
+		return expr.Lit(model.Float(sizeOf(desc, sizes, c.Type))), true
+	}
+	if f, ok := at(cmp.L); ok && referenceFree(cmp.R) {
+		cmp.L = f
+	} else if f, ok := at(cmp.R); ok && referenceFree(cmp.L) {
+		cmp.R = f
+	} else {
+		return 0, false
+	}
+	holds, err := expr.EvalPredicate(cmp, nil)
+	if err != nil {
+		return 0, false
+	}
+	if holds {
+		return 1, true
+	}
+	return clampSel(0), true
 }
 
 // conjCost scores the relative per-molecule cost of evaluating a conjunct
@@ -326,28 +377,22 @@ func conjCost(c expr.Expr) float64 {
 	return 1
 }
 
-// derivCostPerRoot estimates the atoms fetched deriving one molecule of
-// the structure: expected component-set sizes accumulated along the
-// forward fan of every edge, read from the link stores' average-partner
-// statistics. Types with several incoming edges take their smallest
-// incoming estimate (downward derivation intersects the parents' partner
-// sets). The figure weights the access-path contest — a root batch is
-// only as cheap as the derivations it triggers.
-func derivCostPerRoot(db *storage.Database, desc *core.Desc) float64 {
-	if cl := desc.Closure(); cl != nil {
-		// Traversal down expands A→B partners, so the per-atom fan is the
-		// link occurrence over the A-side population.
-		fan := 0.0
-		if ls, ok := db.LinkStore(cl.Link); ok {
-			fan = ls.AvgFan(!cl.Up)
-		}
-		n, _ := db.CountAtoms(desc.Root())
-		return estimateClosure(fan, cl.Depth, n)
+// componentSizes estimates, by type position, the expected size of every
+// type's component set in one molecule of the structure: 1 for the root,
+// then the parents' sizes grown along the forward fan of every edge, read
+// from the link stores' average-partner statistics. Types with several
+// incoming edges take their smallest incoming estimate (downward
+// derivation intersects the parents' partner sets). A compile computes
+// the sizes once: they weight the access-path contest (derivCostPerRoot)
+// and turn residual estimates molecule-level (conjSelectivity). A closure
+// description has none — its qualification judges the root alone.
+func componentSizes(db *storage.Database, desc *core.Desc) []float64 {
+	if desc.Closure() != nil {
+		return nil
 	}
 	est := make([]float64, desc.NumTypes())
 	rootPos, _ := desc.Pos(desc.Root())
 	est[rootPos] = 1
-	total := 1.0
 	for _, t := range desc.Topo() {
 		if t == desc.Root() {
 			continue
@@ -370,7 +415,31 @@ func derivCostPerRoot(db *storage.Database, desc *core.Desc) float64 {
 			best = 0
 		}
 		est[pos] = best
-		total += best
+	}
+	return est
+}
+
+// derivCostPerRoot estimates the atoms fetched deriving one molecule of
+// the structure: the sum of the expected component-set sizes, or for a
+// closure the expected closure size. The figure weights the access-path
+// contest — a root batch is only as cheap as the derivations it triggers.
+func derivCostPerRoot(db *storage.Database, desc *core.Desc, sizes []float64) float64 {
+	if cl := desc.Closure(); cl != nil {
+		// Traversal down expands A→B partners, so the per-atom fan is the
+		// link occurrence over the A-side population.
+		fan := 0.0
+		if ls, ok := db.LinkStore(cl.Link); ok {
+			fan = ls.AvgFan(!cl.Up)
+		}
+		n, _ := db.CountAtoms(desc.Root())
+		return estimateClosure(fan, cl.Depth, n)
+	}
+	total := 1.0
+	for _, t := range desc.Topo() {
+		if t != desc.Root() {
+			pos, _ := desc.Pos(t)
+			total += sizes[pos]
+		}
 	}
 	return total
 }
@@ -489,8 +558,7 @@ func orderCost(e float64) float64 {
 // residualRank orders residual conjuncts for short-circuit evaluation:
 // the classic (selectivity − 1)/cost criterion, most negative first, puts
 // cheap, highly selective conjuncts ahead so expected work per molecule
-// is minimized. cost is either the static conjCost score or the observed
-// ns/eval figure — rankResiduals guarantees a chain never mixes the two.
+// is minimized.
 func residualRank(sel, cost float64) float64 {
 	if cost <= 0 {
 		cost = 0.1

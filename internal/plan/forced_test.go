@@ -201,7 +201,10 @@ func viewClosure(view storage.View, comp *storage.LinkStore, root model.AtomID, 
 // forced in place of the cheapest — with 1, 3 and 8 workers and compares
 // each delivery, element-wise, with the oracle's roots ordered and cut as
 // the query asks. A dirty view admits only the full scan; every other
-// candidate must refuse to open it.
+// candidate must refuse to open it. Over committed state the case then
+// runs cache hot: a cold compile through the plan cache is executed, and
+// the hit that follows must render, before its own execution, exactly as
+// the cold compile did and deliver the oracle too.
 func (c parityCase) check(t *testing.T, seed int64) bool {
 	root := c.desc.Root()
 	want := c.roots
@@ -261,17 +264,8 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 				t.Logf("seed %d: %q workers=%d: %v", seed, alt.Label, workers, err)
 				return false
 			}
-			if len(got) != len(want) {
-				t.Logf("seed %d: %q workers=%d: %d molecules, oracle %d (pred %s)\n%s",
-					seed, alt.Label, workers, len(got), len(want), c.pred, p.Render())
+			if !c.delivers(t, seed, p, got, want, alt.Label) {
 				return false
-			}
-			for i, m := range got {
-				if m.Root() != want[i] || !c.same(m) {
-					t.Logf("seed %d: %q workers=%d: molecule %d differs from the oracle (pred %s)\n%s",
-						seed, alt.Label, workers, i, c.pred, p.Render())
-					return false
-				}
 			}
 			if c.limit > 0 {
 				continue // truncated and bound-pruned runs stop where timing says
@@ -288,6 +282,53 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 		t.Logf("seed %d: forcing an unknown label must fail", seed)
 		return false
 	}
+	if c.txn != nil {
+		return true // a cached plan may enter by an index the dirty view cannot open
+	}
+
+	cache := plan.CacheFor(c.db)
+	defer plan.Release(c.db)
+	var cold string
+	for run := 0; run < 2; run++ {
+		p, cached, err := cache.CompileOrdered(c.desc, c.pred, c.order)
+		if err != nil {
+			t.Logf("seed %d: cache compile: %v", seed, err)
+			return false
+		}
+		p.Limit = c.limit
+		if run == 0 {
+			cold = p.Render()
+		} else if !cached || p.Render() != cold {
+			t.Logf("seed %d: cache hit (cached %v) renders\n%s\nthe cold compile rendered\n%s", seed, cached, p.Render(), cold)
+			return false
+		}
+		got, err := p.Execute()
+		if err != nil {
+			t.Logf("seed %d: cached run %d: %v", seed, run, err)
+			return false
+		}
+		if !c.delivers(t, seed, p, got, want, "cache hot") {
+			return false
+		}
+	}
+	return true
+}
+
+// delivers compares one run's molecules, element-wise, with the oracle's
+// roots in delivery order.
+func (c parityCase) delivers(t *testing.T, seed int64, p *plan.Plan, got core.MoleculeSet, want []model.AtomID, label string) bool {
+	if len(got) != len(want) {
+		t.Logf("seed %d: %q workers=%d: %d molecules, oracle %d (pred %s)\n%s",
+			seed, label, p.Workers, len(got), len(want), c.pred, p.Render())
+		return false
+	}
+	for i, m := range got {
+		if m.Root() != want[i] || !c.same(m) {
+			t.Logf("seed %d: %q workers=%d: molecule %d differs from the oracle (pred %s)\n%s",
+				seed, label, p.Workers, i, c.pred, p.Render())
+			return false
+		}
+	}
 	return true
 }
 
@@ -297,9 +338,10 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 // path yields root-ID order when no ORDER BY asks otherwise), for 1, 3 and
 // 8 workers; complete runs additionally report the same roots/derived/out,
 // per-pushdown Cut and per-residual Evals/Passed for every worker count,
-// and the unforced compile installs the cheapest candidate. Three
-// configurations share the random index and statistics regimes, the
-// optional ORDER BY / LIMIT and the check:
+// and the unforced compile installs the cheapest candidate; over committed
+// state the plan cache's hit renders as its cold compile did and delivers
+// the oracle too. Three configurations share the random index and
+// statistics regimes, the optional ORDER BY / LIMIT and the check:
 //
 //   - structures: random 2–4-type structures with shared and multi-parent
 //     atoms under random conjunctive predicates; oracle Deriver.Walk +

@@ -45,14 +45,12 @@
 // histograms of storage/stats when ANALYZE has built them, falling back
 // to the uniform occurrence/distinct-keys assumption (and finally to
 // fixed shape defaults); EXPLAIN labels every estimate with its source.
-// Executions feed a per-database Feedback store with what they actually
-// observed — molecule-level residual pass rates, per-root derivation
-// work, per-entry climb work — and later compiles and executions prefer
-// those observations (provenance [observed]) over the guesses, so a
-// mis-ranked residual chain or a mis-weighted access-path contest is
-// corrected by the second execution. Compiled plans are memoized per
-// database in a Cache invalidated by the storage layer's plan epoch
-// (DDL, index changes, ANALYZE), which resets the feedback store too.
+// Residual conjuncts are estimated per molecule in closed form from the
+// same statistics and the link fan-outs (conjSelectivity), so a plan
+// depends only on the data and its statistics: the same statement over
+// the same data compiles to the same plan however often it has run.
+// Compiled plans are memoized per database in a Cache invalidated by the
+// storage layer's plan epoch (DDL, index changes, ANALYZE).
 //
 // The planner is sound with respect to the molecule algebra: a plan's
 // result is always set-equal to naive Σ (core.Restrict) over the same
@@ -167,10 +165,6 @@ type Access struct {
 	EstSource string
 	// ActRoots counts the roots that actually entered derivation.
 	ActRoots int
-	// ActClimb counts the link traversals the upward climb of an
-	// InteriorIndex access actually performed — the actual the feedback
-	// store calibrates future climb weights from.
-	ActClimb int
 
 	// Ranged marks an IndexScan or InteriorIndex whose index access is a
 	// key-bounded walk of the ordered index over a range conjunction
@@ -183,15 +177,11 @@ type Access struct {
 	LoInc, HiInc bool
 
 	// Entries carries the per-entry detail of an IndexIntersect access:
-	// each entry's lookup, climb and recovery figures, estimate and
-	// actual. The aggregate ActEntries/ActClimb fields above sum over
-	// the entries.
+	// each entry's lookup and recovery figures, estimate and actual. The
+	// aggregate ActEntries field above sums over the entries.
 	Entries []AccessEntry
-	// ActSurvivors counts the candidate roots the access path produced
-	// before the root filter ran: the sorted-merge intersection
-	// survivors of an IndexIntersect, the recovered roots of an
-	// InteriorIndex, the posting/walk size of an IndexScan — the figure
-	// the feedback store calibrates future contests with.
+	// ActSurvivors counts the sorted-merge intersection survivors of an
+	// IndexIntersect access, before the root filter ran.
 	ActSurvivors int
 }
 
@@ -206,39 +196,17 @@ type AccessEntry struct {
 	// through, entry first, root last.
 	UpPath []string
 	// EstEntries/ActEntries: atoms the entry lookup returns; EstRoots/
-	// ActRoots: candidate roots the climb recovers; ActClimb: link
-	// traversals performed. When the intersection short-circuits on an
-	// empty running set, later entries are never probed and keep zero
-	// actuals.
+	// ActRoots: candidate roots the climb recovers. When the intersection
+	// short-circuits on an empty running set, later entries are never
+	// probed and keep zero actuals.
 	EstEntries  int
 	EntrySource string
 	ActEntries  int
 	EstRoots    int
 	ActRoots    int
-	ActClimb    int
 	// ord is the entry conjunct's ordinal in the split predicate, for
 	// rebinding a shape-cached plan to fresh literals.
 	ord int
-}
-
-// Calibration records the contest constants a compile weighed the
-// access-path alternatives with, and where they came from: the model's
-// fan-statistic estimate (SrcLinkFan) until executions have been
-// recorded, the feedback store's observed actuals (SrcObserved) after.
-type Calibration struct {
-	// DerivPerRoot is the expected atoms fetched deriving one molecule.
-	DerivPerRoot float64
-	DerivSrc     string
-	// ClimbPerEntry is the expected link traversals per interior entry
-	// atom, filled only when the chosen access path is an interior entry.
-	ClimbPerEntry float64
-	ClimbSrc      string
-	// TopKSurvival is the fraction of roots expected to survive the
-	// top-K heap's bound prune and reach derivation, filled only for
-	// ordered plans: 1 until the feedback store has recorded a bounded
-	// run of this structure, the observed fraction after.
-	TopKSurvival float64
-	TopKSrc      string
 }
 
 // Alternative is one access path the planner considered, with its total
@@ -273,12 +241,6 @@ type Pushdown struct {
 // execution, with evaluation actuals.
 type ResidualConjunct struct {
 	Conjunct expr.Expr
-	// key is the conjunct's canonical encoding, computed once at compile
-	// time — the feedback store files and looks up observations under it
-	// on every execution, so re-encoding the tree per run (under the
-	// store's lock) would repeat the cost cacheKey was engineered to
-	// avoid.
-	key string
 	// Sel estimates the fraction of molecules the conjunct keeps; Source
 	// records which statistic produced it.
 	Sel    float64
@@ -286,20 +248,10 @@ type ResidualConjunct struct {
 	// Cost scores the relative per-molecule evaluation cost (the static
 	// shape-based conjCost score).
 	Cost float64
-	// ObsCost is the observed wall-clock evaluation cost in ns/eval, 0
-	// until the feedback store has recorded executions; CostSrc is
-	// SrcObserved when the chain was ranked on the observed costs
-	// (rendered as [observed-cost] by EXPLAIN), "" when the static score
-	// decided.
-	ObsCost float64
-	CostSrc string
 	// Evals and Passed count molecules evaluated and kept (short-circuit
-	// means later conjuncts see fewer molecules than earlier ones);
-	// Nanos accumulates the wall-clock nanoseconds spent evaluating the
-	// conjunct — the actual the feedback store learns ObsCost from.
+	// means later conjuncts see fewer molecules than earlier ones).
 	Evals  int
 	Passed int
-	Nanos  int64
 	// ord is the conjunct's ordinal in the split predicate, for
 	// rebinding a shape-cached plan to fresh literals.
 	ord int
@@ -311,26 +263,19 @@ type ResidualConjunct struct {
 type Plan struct {
 	db   *storage.Database
 	desc *core.Desc
-	// key is the plan's cache identity (structure + canonical predicate
-	// encoding); the feedback store files residual observations under it.
-	key string
-	// epoch is the database's plan epoch at compile time; the feedback
-	// store discards observations from plans compiled under an older
-	// statistics regime.
-	epoch uint64
 	// pred is the whole compiled predicate — kept so the plan-cache
 	// image can persist the shape and so shape-cached plans can rebind.
 	pred expr.Expr
 	// path is the row of the access-path table the contest installed; it
 	// produces the root batch, renders the access lines and rebinds the
-	// access literals. accessID is the path's literal-free identity the
-	// feedback store files this plan's access actuals under ("" for
-	// scans, whose cardinality is not an estimate), and presorted marks a
-	// root batch that already arrives in the requested order: an ordered
-	// index walk, or an index entry on the ORDER BY attribute itself.
+	// access literals; presorted marks a root batch that already arrives
+	// in the requested order: an ordered index walk, or an index entry on
+	// the ORDER BY attribute itself.
 	path      accessPath
-	accessID  string
 	presorted bool
+	// derivCost is the expected atoms fetched deriving one molecule, the
+	// link-fan constant the contest weighed the alternatives with.
+	derivCost float64
 	// Rebinding metadata: which conjunct ordinals of the split predicate
 	// fed the root filter and the access path's literals. A shape-keyed
 	// cache hit with fresh literals replays these against the new
@@ -339,8 +284,6 @@ type Plan struct {
 	accessOrds []int
 
 	Access Access
-	// Calibration is the contest-constant provenance of this compile.
-	Calibration Calibration
 	// Alternatives records every access path considered at compile time,
 	// most attractive first, with the chosen one marked.
 	Alternatives []Alternative
@@ -358,7 +301,7 @@ type Plan struct {
 	// Execute returns): 0 means unlimited. When the cap is reached the
 	// in-flight derivation is cancelled, so a LIMIT query never derives
 	// far past its answer. A truncated run's actuals cover only the work
-	// actually done and are not recorded into the feedback store. On an
+	// actually done. On an
 	// ordered plan without an index ride, Limit instead selects the
 	// top-K heap: the whole root batch is examined (under the heap-bound
 	// prune), and exactly the K best molecules are delivered.
@@ -370,14 +313,6 @@ type Plan struct {
 	Order     *OrderBy
 	OrderPath string
 	OrderCut  int
-
-	// Recompiled marks a plan produced by a drift-triggered targeted
-	// recompile: the feedback store observed this cache entry's actuals
-	// diverging from its compile-time estimates beyond the drift factor,
-	// marked just that entry stale, and the next fetch reran the contest
-	// on calibrated numbers — without bumping the plan epoch. EXPLAIN
-	// renders it as [recompiled].
-	Recompiled bool
 
 	// Execution actuals (valid after Execute).
 	Derived  int // molecules fully derived (survived every pushdown)
@@ -429,7 +364,7 @@ type rootConjInfo struct {
 // restriction). pred must already be statically valid for the structure
 // (expr.Check against core.Scope).
 func Compile(db *storage.Database, desc *core.Desc, pred expr.Expr) (*Plan, error) {
-	return compileKeyed(db, desc, pred, nil, cacheKey(desc, pred, nil), "")
+	return compile(db, desc, pred, nil, "")
 }
 
 // CompileOrdered is Compile with an ORDER BY on a root attribute: the
@@ -438,7 +373,7 @@ func Compile(db *storage.Database, desc *core.Desc, pred expr.Expr) (*Plan, erro
 // order. order must name an attribute of the root type; a nil order
 // degrades to Compile.
 func CompileOrdered(db *storage.Database, desc *core.Desc, pred expr.Expr, order *OrderBy) (*Plan, error) {
-	return compileKeyed(db, desc, pred, order, cacheKey(desc, pred, order), "")
+	return compile(db, desc, pred, order, "")
 }
 
 // CompileForced is CompileOrdered taking the candidate the contest lists
@@ -447,19 +382,15 @@ func CompileOrdered(db *storage.Database, desc *core.Desc, pred expr.Expr, order
 // intersection test's single-entry baselines execute a losing access
 // path through. It is not reachable from MQL or the session options.
 func CompileForced(db *storage.Database, desc *core.Desc, pred expr.Expr, order *OrderBy, label string) (*Plan, error) {
-	return compileKeyed(db, desc, pred, order, cacheKey(desc, pred, order), label)
+	return compile(db, desc, pred, order, label)
 }
 
-// compileKeyed is Compile with the cache key already computed — the plan
-// cache passes the key it looked up with, so a miss does not encode the
-// predicate tree a second time. A non-empty force selects the access-path
-// candidate with that label.
-func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *OrderBy, key, force string) (*Plan, error) {
+// compile is CompileOrdered where a non-empty force selects the
+// access-path candidate with that label.
+func compile(db *storage.Database, desc *core.Desc, pred expr.Expr, order *OrderBy, force string) (*Plan, error) {
 	p := &Plan{
 		db:     db,
 		desc:   desc,
-		key:    key,
-		epoch:  db.PlanEpoch(),
 		pred:   pred,
 		Access: Access{Root: desc.Root()},
 	}
@@ -478,6 +409,8 @@ func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *
 	if err != nil {
 		return nil, err
 	}
+	// Read once: the fan statistics behind them walk every linked atom.
+	sizes := componentSizes(db, desc)
 
 	var rootConjs []rootConjInfo
 	for ord, c := range splitConjuncts(pred) {
@@ -497,7 +430,7 @@ func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *
 		switch {
 		case single && t == desc.Root():
 			info := rootConjInfo{conj: c, ord: ord}
-			info.sel, info.src = conjSelectivity(db, desc, c)
+			info.sel, info.src = conjSelectivity(db, desc, c, nil)
 			if a, op, v, ok := attrConstCmp(c); ok && db.HasIndex(t, a.Name) {
 				info.attr, info.op, info.val = a.Name, op, v
 				if op == expr.EQ {
@@ -507,33 +440,22 @@ func compileKeyed(db *storage.Database, desc *core.Desc, pred expr.Expr, order *
 			rootConjs = append(rootConjs, info)
 		case single && pushableShape(c):
 			pos, _ := desc.Pos(t)
-			sel, src := conjSelectivity(db, desc, c)
+			sel, src := conjSelectivity(db, desc, c, nil)
 			p.Pushdowns = append(p.Pushdowns, Pushdown{
 				Type: t, Pos: pos, Conjunct: c, Sel: sel, Source: src, ord: ord,
 			})
 		default:
 			p.Residual = combine(p.Residual, c)
-			sel, src := conjSelectivity(db, desc, c)
+			sel, src := conjSelectivity(db, desc, c, sizes)
 			p.Residuals = append(p.Residuals, ResidualConjunct{
-				Conjunct: c, key: conjKey(c), Sel: sel, Source: src, Cost: conjCost(c), ord: ord,
+				Conjunct: c, Sel: sel, Source: src, Cost: conjCost(c), ord: ord,
 			})
 		}
 	}
 
-	// Lookup only: compiling against a database that never opted into
-	// feedback (CacheFor or FeedbackFor) must not register it — all
-	// Feedback methods treat a nil receiver as "no observations".
-	fb := feedbackLookup(db)
-	if err := p.chooseAccess(n, rootConjs, fb, force); err != nil {
+	if err := p.chooseAccess(n, rootConjs, derivCostPerRoot(db, desc, sizes), force); err != nil {
 		return nil, err
 	}
-
-	// Residual selectivities and evaluation costs: the feedback store's
-	// observed molecule-level pass rates and wall-clock per-eval costs
-	// supersede the histogram/default guesses wherever executions of
-	// this plan (same epoch) have been recorded; rankResiduals orders
-	// the chain around whatever figures are in force.
-	fb.observeResiduals(p)
 	p.rankResiduals()
 	// Pushdown order follows the topological order of the structure (a
 	// hook can only fire once its type's component set is complete);
@@ -763,69 +685,22 @@ func (p *Plan) atomPred(typeName string, conjunct expr.Expr, eb *evalErrBox, vie
 	}, nil
 }
 
-// obsCount rounds an observed average cardinality to the integer the
-// contest compares estimates with, floored at 1 (an observation exists,
-// so the cardinality was not structurally zero).
-func obsCount(avg float64) int {
-	n := int(avg + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// applyFeedback re-ranks the residual chain around the feedback store's
-// observed molecule-level pass rates and per-eval costs (no-op when fb
-// is nil or has no observations for this plan). Fresh compiles, cache
-// hits and Stream/Execute all go through it, so every surface — EXPLAIN
-// (ESTIMATE) included — shows the chain the engine will actually run.
-func (p *Plan) applyFeedback(fb *Feedback) {
-	if fb.observeResiduals(p) {
-		p.rankResiduals()
-	}
-}
-
 // rankResiduals orders the residual chain by the (selectivity − 1)/cost
 // criterion so short-circuit evaluation does the least expected work per
-// molecule. The per-eval cost is the static conjCost shape score until
-// the feedback store has observed a wall-clock cost for every conjunct
-// of the chain; the two scales are incommensurable, so a chain never
-// mixes them — all-observed chains rank on measured ns/eval (provenance
-// [observed-cost] in EXPLAIN), everything else on the static score.
+// molecule.
 func (p *Plan) rankResiduals() {
-	useObs := len(p.Residuals) > 0
-	for i := range p.Residuals {
-		if p.Residuals[i].ObsCost <= 0 {
-			useObs = false
-			break
-		}
-	}
-	cost := func(r *ResidualConjunct) float64 {
-		if useObs {
-			return r.ObsCost
-		}
-		return r.Cost
-	}
-	for i := range p.Residuals {
-		if useObs {
-			p.Residuals[i].CostSrc = SrcObserved
-		} else {
-			p.Residuals[i].CostSrc = ""
-		}
-	}
 	sort.SliceStable(p.Residuals, func(i, j int) bool {
 		ri, rj := &p.Residuals[i], &p.Residuals[j]
-		return residualRank(ri.Sel, cost(ri)) < residualRank(rj.Sel, cost(rj))
+		return residualRank(ri.Sel, ri.Cost) < residualRank(rj.Sel, rj.Cost)
 	})
 }
 
 // resetActuals zeroes every execution actual before a run.
 func (p *Plan) resetActuals() {
-	p.Access.ActRoots, p.Access.ActEntries, p.Access.ActClimb = 0, 0, 0
-	p.Access.ActSurvivors = 0
+	p.Access.ActRoots, p.Access.ActEntries, p.Access.ActSurvivors = 0, 0, 0
 	for i := range p.Access.Entries {
 		e := &p.Access.Entries[i]
-		e.ActEntries, e.ActRoots, e.ActClimb = 0, 0, 0
+		e.ActEntries, e.ActRoots = 0, 0
 	}
 	p.Derived, p.Out, p.work = 0, 0, storage.WorkTally{}
 	p.OrderPath, p.OrderCut = "", 0
@@ -834,7 +709,7 @@ func (p *Plan) resetActuals() {
 		p.Pushdowns[i].Cut = 0
 	}
 	for i := range p.Residuals {
-		p.Residuals[i].Evals, p.Residuals[i].Passed, p.Residuals[i].Nanos = 0, 0, 0
+		p.Residuals[i].Evals, p.Residuals[i].Passed = 0, 0
 	}
 }
 
@@ -1025,9 +900,6 @@ func (p *Plan) Render() string {
 	if p.Access.Filter != nil {
 		fmt.Fprintf(&b, "           root filter %s before derivation\n", p.Access.Filter)
 	}
-	if p.Recompiled {
-		b.WriteString("provenance: [recompiled] — feedback drift marked this cache entry stale; the contest reran on calibrated numbers\n")
-	}
 	if p.Order != nil {
 		dir := "asc"
 		if p.Order.Desc {
@@ -1057,23 +929,11 @@ func (p *Plan) Render() string {
 		}
 		fmt.Fprintf(&b, "considered: %s\n", strings.Join(parts, "; "))
 	}
-	// The contest-constant provenance is only worth a line once the
-	// feedback loop has replaced a fiat weight with a recorded actual.
-	if p.Calibration.DerivSrc == SrcObserved || p.Calibration.ClimbSrc == SrcObserved || p.Calibration.TopKSrc == SrcObserved {
-		line := fmt.Sprintf("costs:     derive ≈%.1f atoms/root [%s]", p.Calibration.DerivPerRoot, p.Calibration.DerivSrc)
-		if p.Calibration.ClimbSrc != "" {
-			line += fmt.Sprintf("; climb ≈%.1f links/entry [%s]", p.Calibration.ClimbPerEntry, p.Calibration.ClimbSrc)
-		}
-		if p.Calibration.TopKSrc == SrcObserved {
-			line += fmt.Sprintf("; top-k survival ≈%.2f [%s]", p.Calibration.TopKSurvival, p.Calibration.TopKSrc)
-		}
-		b.WriteString(line + "\n")
-	}
 	if p.desc.Closure() == nil {
 		fmt.Fprintf(&b, "derive:    structure template over the atom network%s\n", p.actual(p.Derived))
 	} else {
 		line := fmt.Sprintf("derive:    reflexive edge followed to a fixpoint, semi-naive (est ≈%.1f atoms/root [%s]",
-			p.Calibration.DerivPerRoot, p.Calibration.DerivSrc)
+			p.derivCost, SrcLinkFan)
 		if p.Derived > 0 {
 			line += fmt.Sprintf(", actual %d at %.1f atoms/root", p.Derived, float64(p.work.AtomsFetched)/float64(p.Derived))
 		} else {
@@ -1090,12 +950,8 @@ func (p *Plan) Render() string {
 		b.WriteString(line + "\n")
 	}
 	for i, r := range p.Residuals {
-		cost := fmt.Sprintf("cost %.1f", r.Cost)
-		if r.CostSrc == SrcObserved {
-			cost = fmt.Sprintf("cost ≈%.0fns [observed-cost]", r.ObsCost)
-		}
-		line := fmt.Sprintf("residual:  %d. Σ[%s] (est sel %.2f [%s], %s)",
-			i+1, r.Conjunct, r.Sel, r.Source, cost)
+		line := fmt.Sprintf("residual:  %d. Σ[%s] (est sel %.2f [%s], cost %.1f)",
+			i+1, r.Conjunct, r.Sel, r.Source, r.Cost)
 		if p.Executed {
 			line += fmt.Sprintf(" — passed %d/%d", r.Passed, r.Evals)
 		}

@@ -7,7 +7,6 @@ import (
 	"iter"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"mad/internal/core"
 	"mad/internal/expr"
@@ -96,9 +95,7 @@ func (p *Plan) open(txn *storage.Txn) (dv *core.Deriver, own *storage.Snapshot, 
 //
 // The plan's execution actuals (EXPLAIN's "actual" figures, Derived,
 // Out) are valid once the stream has ended — drained, errored or closed
-// — not while it is live. Feedback is recorded only for complete runs:
-// a cancelled or LIMIT-truncated execution observed a biased sample and
-// teaches the store nothing.
+// — not while it is live.
 func (p *Plan) Stream(ctx context.Context) (*Stream, error) {
 	return p.StreamIn(ctx, nil)
 }
@@ -108,22 +105,16 @@ func (p *Plan) Stream(ctx context.Context) (*Stream, error) {
 // snapshot rather than the latest commit, and one holding buffered
 // writes reads its effective view, so the owner queries its own
 // uncommitted inserts, updates and connects (the plan must then enter by
-// the full scan; such a run observed uncommitted state and records no
-// feedback). The transaction must stay open, and issue no write, until
+// the full scan). The transaction must stay open, and issue no write, until
 // the stream ends. A nil transaction pins the latest commit for the
 // duration of the stream (Stream's behaviour).
 func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	fb := feedbackLookup(p.db)
-	p.applyFeedback(fb)
 	dv, own, err := p.open(txn)
 	if err != nil {
 		return nil, err
-	}
-	if txn != nil && txn.Dirty() {
-		fb = nil // the run observes uncommitted state: it teaches the store nothing
 	}
 	p.resetActuals()
 
@@ -153,7 +144,7 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 		batches: make(chan core.MoleculeSet, streamBufBatches),
 		errc:    make(chan error, 1),
 	}
-	go st.run(ctx, dv, eb, preds, fb)
+	go st.run(ctx, dv, eb, preds)
 	return st, nil
 }
 
@@ -173,7 +164,6 @@ type workerState struct {
 	cuts     []int64
 	evals    []int64
 	passed   []int64
-	nanos    []int64
 	derived  int64
 	orderCut int64
 }
@@ -242,7 +232,7 @@ func (h *topkHeap) Pop() any {
 // streaming executor, forwards every emitted batch through the
 // bounded channel, and — once the executor has joined its workers —
 // merges the per-worker actuals into the plan and closes the stream.
-func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, preds []func(model.AtomID) bool, fb *Feedback) {
+func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, preds []func(model.AtomID) bool) {
 	defer close(st.batches)
 	p := st.p
 
@@ -283,18 +273,12 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 	var bound atomic.Pointer[orderBound]
 
 	rootPos, _ := p.desc.Pos(p.Access.Root)
-	// Timing each residual evaluation costs two clock reads per conjunct
-	// per molecule; without a feedback store to learn from them the
-	// samples would be thrown away, so the hot path only pays when the
-	// database opted into the loop.
-	timed := fb != nil
 	var states []*workerState
 	newWorker := func(int) core.FusedWorker {
 		ws := &workerState{
 			cuts:   make([]int64, len(p.Pushdowns)),
 			evals:  make([]int64, len(p.Residuals)),
 			passed: make([]int64, len(p.Residuals)),
-			nanos:  make([]int64, len(p.Residuals)),
 		}
 		states = append(states, ws)
 		checks := []core.PruneCheck{{Pos: rootPos, Qualifies: func([]model.AtomID) bool {
@@ -346,14 +330,7 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 			var b expr.Binding = core.Binding{DB: p.db, M: m, View: st.view}
 			for i := range p.Residuals {
 				ws.evals[i]++
-				var t0 time.Time
-				if timed {
-					t0 = time.Now()
-				}
 				ok, err := expr.EvalPredicate(p.Residuals[i].Conjunct, b)
-				if timed {
-					ws.nanos[i] += int64(time.Since(t0))
-				}
 				if err != nil {
 					eb.set(err)
 					return false
@@ -453,13 +430,11 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 	}
 
 	work, err := dv.DeriveStream(ctx, roots, p.Workers, sizer, newWorker, emit)
-	complete := err == nil
 	if errors.Is(err, errStreamLimit) {
 		err = nil
 	}
 	if err == nil {
 		err = eb.get()
-		complete = complete && err == nil
 	}
 
 	// Merge the per-worker actuals even for truncated runs — partial
@@ -473,7 +448,6 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 		for i := range p.Residuals {
 			p.Residuals[i].Evals += int(ws.evals[i])
 			p.Residuals[i].Passed += int(ws.passed[i])
-			p.Residuals[i].Nanos += ws.nanos[i]
 		}
 	}
 	if err != nil {
@@ -524,9 +498,6 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 	p.Out = delivered
 	p.Executed = true
 	p.work = work
-	if complete {
-		fb.record(p, work)
-	}
 	st.errc <- nil
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"mad/internal/core"
 	"mad/internal/expr"
-	"mad/internal/model"
 	"mad/internal/plan"
 	"mad/internal/storage"
 )
@@ -253,41 +252,5 @@ func TestStreamSeq(t *testing.T) {
 	}
 	if err := st.Err(); err != nil {
 		t.Fatalf("err after exhaustion: %v", err)
-	}
-}
-
-// TestStreamTruncationSkipsFeedback: a LIMIT-truncated run must not
-// record execution feedback (its actuals are a biased sample), while the
-// following complete run must.
-func TestStreamTruncationSkipsFeedback(t *testing.T) {
-	db, mt := streamWorkload(t, 12)
-	defer plan.Release(db)
-	fb := plan.FeedbackFor(db)
-	pred := expr.Cmp{Op: expr.GE, L: expr.CountOf{Type: "t1"}, R: expr.Lit(model.Int(0))}
-	if err := expr.Check(pred, core.Scope{DB: db, Desc: mt.Desc()}); err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := plan.Compile(db, mt.Desc(), pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Limit = 3
-	if _, err := p.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	if records, _ := fb.Counters(); records != 0 {
-		t.Fatalf("truncated run recorded feedback (%d records)", records)
-	}
-
-	p2, err := plan.Compile(db, mt.Desc(), pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	if records, _ := fb.Counters(); records != 1 {
-		t.Fatalf("complete run records = %d, want 1", records)
 	}
 }

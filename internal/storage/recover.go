@@ -14,13 +14,14 @@ import (
 // attaches a write-ahead log to a directory, Recover rebuilds a database
 // from the newest checkpoint plus the log tail, and Checkpoint writes a
 // consistent snapshot pinned at a live read view and truncates the log
-// below it. The checkpoint file ("MADCKPT1") embeds the MADSNAP2
-// snapshot between a header (the checkpoint timestamp) and two trailer
-// sections: the index definitions and the per-attribute histogram states
-// — so a recovered server starts with warm planner statistics.
+// below it. The checkpoint file ("MADCKPT2") embeds the snapshot body
+// between a header (the checkpoint timestamp) and two trailer sections:
+// the index definitions and the per-attribute histogram states — so a
+// recovered server starts with warm planner statistics — and ends, like a
+// snapshot, with the CRC32 of everything before it.
 
 const (
-	ckptMagic   = "MADCKPT1"
+	ckptMagic   = "MADCKPT2"
 	ckptFile    = "checkpoint.mad"
 	ckptTmpFile = "checkpoint.tmp"
 )
@@ -320,10 +321,7 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 	if err != nil {
 		return cs, err
 	}
-	w := newSnapWriter(f)
-	if w.err == nil {
-		_, w.err = w.w.WriteString(ckptMagic)
-	}
+	w := newFileWriter(f, ckptMagic)
 	w.u64(ts)
 	encodeSnapshotSections(w, db, ts, atomTypes, linkTypes)
 	w.uvarint(uint64(len(ixDefs)))
@@ -429,18 +427,14 @@ func decodeHistState(r *snapReader) (stats.State, error) {
 	return st, r.err
 }
 
-// decodeCheckpoint reconstructs a database from a MADCKPT1 file: the
+// decodeCheckpoint reconstructs a database from a MADCKPT2 file: the
 // embedded snapshot installs at the checkpoint timestamp, indexes are
 // rebuilt by backfill (cheaper and safer than serializing postings) and
 // histograms restore their exact states.
 func decodeCheckpoint(in io.Reader) (*Database, uint64, error) {
-	r := newSnapReader(in)
-	head := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(r.r, head); err != nil {
-		return nil, 0, fmt.Errorf("reading header: %w", err)
-	}
-	if string(head) != ckptMagic {
-		return nil, 0, fmt.Errorf("bad magic %q (not a MAD checkpoint?)", head)
+	r, err := readFile(in, "checkpoint", ckptMagic, "MADCKPT1 carried no checksum")
+	if err != nil {
+		return nil, 0, err
 	}
 	ts := r.u64()
 	if r.err != nil {

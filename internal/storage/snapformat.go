@@ -2,8 +2,11 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/crc32"
 	"io"
 	"math"
 
@@ -11,9 +14,10 @@ import (
 	"mad/internal/model"
 )
 
-// This file owns the binary snapshot format ("MADSNAP2"): the schema in
+// This file owns the binary snapshot format ("MADSNAP3"): the schema in
 // declaration order, each atom type with its type number, followed by
-// every atom-type and link-type occurrence. internal/codec delegates its
+// every atom-type and link-type occurrence, and the CRC32 of everything
+// before it as the file's last four bytes. internal/codec delegates its
 // public Encode/Decode/Save/Load here — the format had to live in the
 // storage package once checkpointing reused it, because Checkpoint and
 // Recover are Database-level operations and codec sits above storage.
@@ -26,20 +30,36 @@ import (
 // the checkpoint timestamp on top, and version chains stay monotonic.
 
 // snapMagic identifies snapshot files; the trailing digit is the format
-// version. Format 1 ("MADSNAP1") carried no type numbers and is refused.
-const snapMagic = "MADSNAP2"
+// version. Formats 1 and 2 are refused: "MADSNAP1" carried no type
+// numbers, "MADSNAP2" no checksum.
+const snapMagic = "MADSNAP3"
 
 // maxSnapStr bounds decoded strings to keep corrupt files from
 // allocating unbounded memory.
 const maxSnapStr = 1 << 24
 
 type snapWriter struct {
-	w   *bufio.Writer
+	w *bufio.Writer
+	// out and sum are set for a whole durable file (newFileWriter): flush
+	// ends the file with the CRC32 of every byte written before it.
+	out io.Writer
+	sum hash.Hash32
 	err error
 }
 
 func newSnapWriter(out io.Writer) *snapWriter {
 	return &snapWriter{w: bufio.NewWriter(out)}
+}
+
+// newFileWriter is newSnapWriter for a whole durable file, a snapshot or
+// a checkpoint, that starts with magic; readFile checks the magic and
+// what flush appends.
+func newFileWriter(out io.Writer, magic string) *snapWriter {
+	sum := crc32.NewIEEE()
+	w := newSnapWriter(io.MultiWriter(out, sum))
+	w.out, w.sum = out, sum
+	_, w.err = w.w.WriteString(magic)
+	return w
 }
 
 func (w *snapWriter) u8(v uint8) {
@@ -85,7 +105,11 @@ func (w *snapWriter) flush() error {
 	if w.err != nil {
 		return w.err
 	}
-	return w.w.Flush()
+	if err := w.w.Flush(); err != nil || w.sum == nil {
+		return err
+	}
+	_, err := w.out.Write(binary.LittleEndian.AppendUint32(nil, w.sum.Sum32()))
+	return err
 }
 
 type snapReader struct {
@@ -95,6 +119,25 @@ type snapReader struct {
 
 func newSnapReader(in io.Reader) *snapReader {
 	return &snapReader{r: bufio.NewReader(in)}
+}
+
+// readFile reads a whole durable file that newFileWriter wrote, and
+// returns a reader over what follows the magic once the file's trailing
+// CRC32 matches its bytes. A file in another format is
+// refused with an error naming it; refused explains the older formats.
+func readFile(in io.Reader, kind, magic, refused string) (*snapReader, error) {
+	data, err := io.ReadAll(in)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.HasPrefix(data, []byte(magic)) {
+		return nil, fmt.Errorf("storage: %s format %q, not %s (%s)", kind, data[:min(len(data), len(magic))], magic, refused)
+	}
+	end := len(data) - 4
+	if end < len(magic) || crc32.ChecksumIEEE(data[:end]) != binary.LittleEndian.Uint32(data[end:]) {
+		return nil, fmt.Errorf("storage: %s checksum mismatch: the file is corrupt", kind)
+	}
+	return newSnapReader(bytes.NewReader(data[len(magic):end])), nil
 }
 
 func (r *snapReader) u8() uint8 {
@@ -231,29 +274,21 @@ func decodeValue(r *snapReader) (model.Value, error) {
 	return model.Null(), fmt.Errorf("storage: unknown value kind %d", kind)
 }
 
-// EncodeSnapshot writes a MADSNAP2 snapshot of the database as of the
+// EncodeSnapshot writes a MADSNAP3 snapshot of the database as of the
 // latest published commit.
 func EncodeSnapshot(db *Database, out io.Writer) error {
-	w := newSnapWriter(out)
-	encodeSnapshotTo(w, db, db.latestTS.Load())
+	w := newFileWriter(out, snapMagic)
+	schema := db.Schema()
+	encodeSnapshotSections(w, db, db.latestTS.Load(), schema.AtomTypes(), schema.LinkTypes())
 	return w.flush()
 }
 
-// encodeSnapshotTo writes magic plus body into an existing writer — the
-// checkpoint container embeds the snapshot between its own sections.
-func encodeSnapshotTo(w *snapWriter, db *Database, ts uint64) {
-	schema := db.Schema()
-	encodeSnapshotSections(w, db, ts, schema.AtomTypes(), schema.LinkTypes())
-}
-
-// encodeSnapshotSections writes the snapshot against explicitly captured
-// type lists. Checkpoint captures them under the commit mutex at pin
+// encodeSnapshotSections writes the snapshot body against explicitly
+// captured type lists — the checkpoint embeds it between its own
+// sections. Checkpoint captures the lists under the commit mutex at pin
 // time: a type defined after the pin must stay out of the snapshot so
 // replaying its (higher-stamped) DDL record does not collide.
 func encodeSnapshotSections(w *snapWriter, db *Database, ts uint64, atomTypes []*catalog.AtomType, linkTypes []*catalog.LinkType) {
-	if w.err == nil {
-		_, w.err = w.w.WriteString(snapMagic)
-	}
 	w.uvarint(uint64(len(atomTypes)))
 	for _, at := range atomTypes {
 		w.str(at.Name)
@@ -304,11 +339,14 @@ func encodeSnapshotSections(w *snapWriter, db *Database, ts uint64, atomTypes []
 	}
 }
 
-// DecodeSnapshot reconstructs a database from a MADSNAP2 snapshot. Every
+// DecodeSnapshot reconstructs a database from a MADSNAP3 snapshot. Every
 // occurrence is installed at one synthetic commit; the returned
 // database's clock publishes it.
 func DecodeSnapshot(in io.Reader) (*Database, error) {
-	r := newSnapReader(in)
+	r, err := readFile(in, "snapshot", snapMagic, "MADSNAP1 carried no type numbers, MADSNAP2 no checksum")
+	if err != nil {
+		return nil, err
+	}
 	db := NewDatabase()
 	const loadTS = 2
 	if err := decodeSnapshotInto(r, db, loadTS); err != nil {
@@ -319,18 +357,10 @@ func DecodeSnapshot(in io.Reader) (*Database, error) {
 	return db, nil
 }
 
-// decodeSnapshotInto reads magic plus body, installing every occurrence
-// into db at commit timestamp applyTS. db must be empty; the caller owns
-// clock bookkeeping.
+// decodeSnapshotInto reads the snapshot body, installing every
+// occurrence into db at commit timestamp applyTS. db must be empty; the
+// caller owns clock bookkeeping.
 func decodeSnapshotInto(r *snapReader, db *Database, applyTS uint64) error {
-	head := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(r.r, head); err != nil {
-		return fmt.Errorf("storage: reading snapshot header: %w", err)
-	}
-	if string(head) != snapMagic {
-		return fmt.Errorf("storage: snapshot format %q, not %s (format 1, MADSNAP1, carried no type numbers)", head, snapMagic)
-	}
-
 	// Counts come from the file: slices grow only as entries are actually
 	// read, never to a capacity a corrupt count names.
 	numAtomTypes := r.uvarint()

@@ -72,7 +72,7 @@ const (
 // errFormat1 refuses a log record or snapshot in format 1 (MADSNAP1 and
 // the logs written beside it), whose atom types carry no type number:
 // numbering them by replay order could give a type another's number.
-var errFormat1 = errors.New("storage: format 1 (MADSNAP1) data names atom types without their type numbers; this build reads format 2 (MADSNAP2) only")
+var errFormat1 = errors.New("storage: format 1 (MADSNAP1) data names atom types without their type numbers; this build refuses it")
 
 // walOp is one logical operation of a commit's write set — the unit
 // applyOp installs, a Txn buffers and a log record carries.

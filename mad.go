@@ -98,73 +98,24 @@ type (
 
 // Concurrency types.
 //
-// # Migration: locked reads → snapshots and transactions
-//
-// Since the MVCC redesign the storage layer keeps a short per-key chain
-// of versions stamped with a monotonic commit timestamp instead of
-// guarding one mutable copy with a global reader/writer lock. Three
-// consequences for callers:
-//
-//   - Reads never block behind writes. Database.Snapshot() pins an
-//     immutable, transaction-consistent view of the latest commit; every
-//     read through the snapshot answers from that view no matter what
-//     writers commit afterwards. Close it when done — a live snapshot
-//     holds the vacuum horizon back.
-//   - Plan.Stream pins its own snapshot at cursor open and releases it
-//     at exhaustion or Close, so a long streaming SELECT observes exactly
-//     one commit timestamp end to end (no torn molecules). Plan.StreamIn
-//     runs a cursor inside a transaction instead — reading its begin
-//     snapshot while it is clean and its effective view (begin snapshot
-//     plus its own buffered writes) once it is not — which is how SELECTs
-//     inside an MQL transaction read.
-//   - Database.Begin() opens a buffered-write Txn: its mutations stay
-//     private (validated, but invisible to every other reader) until
-//     Commit installs them atomically under the next commit timestamp.
-//     Rollback discards them. MQL exposes the same protocol as
-//     BEGIN [TRANSACTION] / COMMIT / ROLLBACK per session.
-//
-// Direct mutators (Database.InsertAtom, Connect, ...) behave exactly as
-// before — each is now simply a single-statement transaction. Old
-// versions are reclaimed by Database.Vacuum (or a StartVacuum background
-// loop) once no live snapshot can reach them.
-//
-// # Migration: …At / Eff… readers → View
+// Reads never block behind writes. Database.Snapshot() pins an immutable,
+// transaction-consistent view of the latest commit; Close it when done — a
+// live snapshot holds the vacuum horizon back. Plan.Stream pins its own
+// snapshot for the life of the cursor, so a streaming SELECT observes one
+// commit timestamp end to end; Plan.StreamIn reads inside a transaction
+// instead. Database.Begin() opens a buffered-write Txn whose writes stay
+// private until Commit installs them atomically under the next commit
+// timestamp (MQL: BEGIN / COMMIT / ROLLBACK per session). Each direct
+// mutator (Database.InsertAtom, Connect, …) is a single-statement
+// transaction, and Database.Vacuum (or a StartVacuum background loop)
+// reclaims the versions no live snapshot can reach.
 //
 // Which state a read looks at is one value, View: the committed state at
 // a timestamp (Database.View(ts); 0 = the latest commit at each read), a
-// Snapshot (a View pinned against vacuum) or a transaction's effective
-// view (Txn.View()). Its readers take the handles Database.Container and
-// Database.LinkStore resolve. The per-view method families are gone; each
-// removed name is a reader below with a suffix or prefix that said which
-// view it served (X-At(…, ts) on Database, Container, LinkStore and Index;
-// the same X on Snapshot; Eff-X / Scan-Eff on Txn):
-//
-//	GetAtom-At, Snapshot.GetAtom, Container.Get-At, Txn Eff-Atom        → view.Atom(c, id)
-//	Snapshot.HasAtom, Container.Has-At                                  → view.Has(c, id)
-//	Container.IDs-At, Txn Eff-IDs                                       → view.IDs(c)
-//	ScanAtoms-At, Snapshot.ScanAtoms, Container.Scan-At, Txn Scan-Eff   → view.Scan(c, fn)
-//	Partners-At, Snapshot.Partners, Txn Eff-Partners,
-//	LinkStore.PartnersFromA-At / PartnersFromB-At                       → view.Partners(ls, id, fromA)
-//	LinkStore.PartnersFromA(id) / PartnersFromB(id)                     → ls.Partners(id, true / false)
-//	IndexLookup-At, Snapshot.IndexLookup                                → view.IndexLookup(t, a, v)
-//	IndexOrdered-At                                                     → view.IndexOrdered(t, a, desc, fn)
-//	ResolveAtom-At, Snapshot.ResolveAtom                                → db.Schema().AtomTypeByNum + view.Atom
-//	Snapshot.CountAtoms, Container.Len-At                               → len(view.IDs(c))
-//	Snapshot.CountLinks/TotalAtoms/TotalLinks/Container/LinkStore/DB/Schema,
-//	LinkStore.Len-At/Has-At/Scan-At/Links-At, Container.Atoms-At,
-//	EncodeSnapshot-At, NewContainer/NewLinkStore/NewIndex,
-//	Index.Lookup(-At)/ScanOrdered-At/Attr                               → no caller; removed
-//	Txn.Snapshot(), Txn.SnapshotTS()                                    → txn.View(), txn.View().TS()
-//	Deriver At-Snapshot(s) / At-View(txn) / TS()                        → Deriver.At(view), Deriver.View()
-//	core's Atom-View interface                                          → storage.View
-//	core.Binding{TS, Lookup}                                            → core.Binding{View}
-//
-// (Read each hyphen away: the names are spelled apart so that a search for
-// a removed identifier finds no file.)
-//
-// The timestamp-less Database and store readers (GetAtom, Partners,
-// ScanAtoms, IndexLookup, Container.Get, …) remain: the latest view by
-// name.
+// Snapshot, or a transaction's effective view (Txn.View()). Its readers
+// take the handles Database.Container and Database.LinkStore resolve; the
+// timestamp-less Database readers (GetAtom, Partners, ScanAtoms,
+// IndexLookup, …) read the latest commit.
 type (
 	// Txn is a buffered-write transaction over the database: writes
 	// validate eagerly against its begin snapshot but install atomically
@@ -306,26 +257,9 @@ func Define(db *Database, name string, types []string, edges []DirectedLink) (*M
 
 // Restrict is the molecule-type restriction Σ (Definition 10); it enlarges
 // the database with the propagated result (Definition 9) and returns the
-// result type. A nil trace disables tracing.
-//
-// # Migration: Planned-Restrict → DEFINE … AS SELECT, or Restrict
-//
-// Every molecule-type operation now ends in one propagation sink that
-// buffers C′/G′ into one transaction: an operation is exactly one commit,
-// invisible until it lands, recovered whole or not at all. Σ through the
-// planner is the MQL statement — replace
-//
-//	big, _ := mad.Planned-Restrict(mt, pred, "big", nil)
-//
-// with `DEFINE MOLECULE TYPE big AS SELECT ALL FROM … WHERE …;` (planner,
-// plan cache, cancellation and the session's transaction included; a type
-// built here is usable in MQL after Session.Register), or with Restrict
-// here, the paper's reference Σ, which propagates the same occurrence. The
-// internal sink changed signature too: core.Prop(txn, mname, rsd, next,
-// projections, tr) takes the *Txn it writes into and a molecule source
-// (next returns nil, nil at the end) instead of a database and a
-// materialized set, and returns the *MoleculeType; the Prop-Result type
-// and link maps are gone. (Read each hyphen away, as in the View notes.)
+// result type. A nil trace disables tracing. Σ through the planner is the
+// MQL statement DEFINE MOLECULE TYPE … AS SELECT …; both propagate the same
+// occurrence in one commit.
 func Restrict(mt *MoleculeType, pred Expr, resultName string, tr *OpTrace) (*MoleculeType, error) {
 	return core.Restrict(mt, pred, resultName, tr)
 }
@@ -339,9 +273,9 @@ func Restrict(mt *MoleculeType, pred Expr, resultName string, tr *OpTrace) (*Mol
 // residual conjuncts run per molecule in selectivity × cost order.
 // Execute it for the qualifying set; Render it for EXPLAIN.
 //
-// Compiling and executing consults the database's execution-feedback
-// store only if one exists (PlanCacheFor creates it with the cache); a
-// database that never opted in is not pinned by the registry.
+// The plan depends only on the data and its statistics: the same
+// predicate over the same data compiles to the same plan, however often
+// it has run.
 func CompilePlan(db *Database, desc *MoleculeDesc, pred Expr) (*Plan, error) {
 	return plan.Compile(db, desc, pred)
 }
@@ -355,26 +289,6 @@ func CompilePlan(db *Database, desc *MoleculeDesc, pred Expr) (*Plan, error) {
 // delivers each molecule — Molecule.Levels groups its atoms by the round
 // that first reached them — as its own closure finishes, at one pinned
 // snapshot.
-//
-// # Migration: FixpointPlan → Compile over a closure description
-//
-// CompileFixpoint, FixpointPlan, FixpointStream and RecursiveMolecule are
-// gone: a recursive closure is a molecule whose description carries a
-// reflexive edge followed to a fixpoint, and it runs through the one
-// pipeline. Replace
-//
-//	fp, _ := mad.CompileFixpoint(db, "parts", "composition", false, 4, pred)
-//	st, _ := fp.Stream(ctx)          // *recursive.Molecule: Root, Levels, Links
-//
-// with
-//
-//	desc, _ := mad.NewClosureDesc(db, "parts", "composition", false, 4)
-//	p, _ := mad.CompilePlan(db, desc, pred)   // or PlanCacheFor(db).CompileOrdered
-//	st, _ := p.Stream(ctx)           // *Molecule: Root(), Levels(), LinksAt(0)
-//
-// FixpointPlan.Workers/Limit are Plan.Workers/Limit; ORDER BY, top-K,
-// range entry, the plan cache and PREPARE apply unchanged. In MQL,
-// Result.RecSet is Result.Set and Cursor.NextRec is Cursor.Next.
 func NewClosureDesc(db *Database, atomType, link string, up bool, depth int) (*MoleculeDesc, error) {
 	return core.NewClosureDesc(db, atomType, link, up, depth)
 }
@@ -385,10 +299,10 @@ func NewClosureDesc(db *Database, atomType, link string, up bool, depth int) (*M
 // automatically). Entries evict least-recently-used first.
 func PlanCacheFor(db *Database) *PlanCache { return plan.CacheFor(db) }
 
-// ReleasePlanCache drops the database's plan cache, and the execution-
-// feedback store it owns, from the process-wide registry. Call it when a
-// database goes out of use — the registry otherwise pins both (and
-// through them the database) for the life of the process.
+// ReleasePlanCache drops the database's plan cache from the process-wide
+// registry. Call it when a database goes out of use — the registry
+// otherwise pins the cache (and through it the database) for the life of
+// the process.
 func ReleasePlanCache(db *Database) { plan.Release(db) }
 
 // Analyze builds equi-depth histograms over every attribute of the named
@@ -457,10 +371,8 @@ func Load(path string) (*Database, error) { return codec.Load(path) }
 // Open opens (or creates) a durable database in dir: the newest
 // checkpoint is loaded (data, indexes and histograms), the write-ahead
 // log tail replayed, and a group-commit WAL attached so every subsequent
-// commit is fsynced before it acknowledges. The plan cache and the
-// execution-feedback store are memory-only: a reopened database starts
-// both cold and relearns them from its first executions. Call Close when
-// done.
+// commit is fsynced before it acknowledges. The plan cache is
+// memory-only: a reopened database starts it cold. Call Close when done.
 func Open(dir string) (*Database, error) { return storage.Open(dir) }
 
 // Recover rebuilds the database persisted in dir without attaching a

@@ -460,9 +460,9 @@ func TestCheckpointRequiresDurable(t *testing.T) {
 
 // TestRestartKeepsHistograms pins what survives a restart of the planner's
 // state: the histograms ANALYZE built live in the checkpoint, so the first
-// EXPLAIN after reopening estimates from them; the plan cache and the
-// execution feedback are memory-only, so no [observed] figure survives and
-// the directory holds nothing beside the WAL segments and the checkpoint.
+// EXPLAIN after reopening estimates from them and plans exactly as the
+// live session did; the plan cache is memory-only, so the directory holds
+// nothing beside the WAL segments and the checkpoint.
 func TestRestartKeepsHistograms(t *testing.T) {
 	dir := t.TempDir()
 	db, sess := durableLibrary(t, dir)
@@ -470,7 +470,7 @@ func TestRestartKeepsHistograms(t *testing.T) {
 	q := `SELECT ALL FROM author-[wrote]-paper WHERE year = 1985 AND COUNT(paper) >= COUNT(author);`
 	script := []string{
 		`ANALYZE;`,
-		`EXPLAIN ` + q, // executes: records derive/climb observations
+		`EXPLAIN ` + q, // executes the plan
 		`EXPLAIN ` + q,
 		`CHECKPOINT;`,
 	}
@@ -479,15 +479,12 @@ func TestRestartKeepsHistograms(t *testing.T) {
 			t.Fatalf("%s: %v", stmt, err)
 		}
 	}
-	// Sanity: the live session shows both provenances.
 	res, err := sess.Exec(`EXPLAIN (ESTIMATE) ` + q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tag := range []string{"[histogram]", "[observed]"} {
-		if !strings.Contains(res.Message, tag) {
-			t.Fatalf("pre-restart EXPLAIN lacks %s:\n%s", tag, res.Message)
-		}
+	if !strings.Contains(res.Message, "[histogram]") {
+		t.Fatalf("pre-restart EXPLAIN lacks [histogram] provenance:\n%s", res.Message)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -511,10 +508,7 @@ func TestRestartKeepsHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res2.Message, "[histogram]") {
-		t.Fatalf("first post-restart EXPLAIN lacks [histogram] provenance:\n%s", res2.Message)
-	}
-	if strings.Contains(res2.Message, "[observed]") {
-		t.Fatalf("first post-restart EXPLAIN shows [observed]; feedback is memory-only:\n%s", res2.Message)
+	if res2.Message != res.Message {
+		t.Fatalf("first post-restart EXPLAIN differs from the live session's:\n%s\nwant:\n%s", res2.Message, res.Message)
 	}
 }

@@ -4,7 +4,8 @@
 # transaction writers vs streaming Plan.Stream readers with background
 # vacuum, the storage property tests — type definitions buffered in a
 # transaction included — DEFINE as one commit beside concurrent readers,
-# and the wire-level server transaction workload), the planner's
+# EXPLAIN byte-equal however often a statement ran beside concurrent
+# streams, and the wire-level server transaction workload), the planner's
 # differential property in its long
 # form (every access path forced, over structures, recursive closures and
 # dirty transaction views) plus the WAL kill-and-recover suite (a fault is
@@ -34,9 +35,9 @@ echo "== mql: DEFINE is one commit beside concurrent readers (race, -count=$coun
 go test -race -count="$count" -timeout "$timeout" \
 	-run 'TestDefineIsOneCommit|TestTxnDDLAndDefine' ./internal/mql/
 
-echo "== plan: writers vs streaming readers stress (race, -count=$count)"
+echo "== plan: writers vs streaming readers stress, deterministic EXPLAIN (race, -count=$count)"
 go test -race -count="$count" -timeout "$timeout" \
-	-run 'TestMVCCStress' ./internal/plan/
+	-run 'TestMVCCStress|TestExplainDeterministic' ./internal/plan/
 
 # The closure and dirty-view configurations fan reads through a
 # transaction's View and the per-round closure loop over the worker pool.
