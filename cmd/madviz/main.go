@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"mad/internal/codec"
 	"mad/internal/geo"
 	"mad/internal/mql"
 	"mad/internal/storage"
@@ -34,7 +33,7 @@ func main() {
 	var db *storage.Database
 	switch {
 	case *dbFlag != "":
-		loaded, err := codec.Load(*dbFlag)
+		loaded, err := storage.Load(*dbFlag)
 		if err != nil {
 			fatal(err)
 		}

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"mad"
-	"mad/internal/codec"
 	"mad/internal/geo"
 	"mad/internal/mql"
 	"mad/internal/storage"
@@ -105,7 +104,7 @@ func openDatabase(loadGeo bool, path, dataDir string) (*storage.Database, error)
 		}
 		return db, nil
 	case path != "":
-		return codec.Load(path)
+		return storage.Load(path)
 	case loadGeo:
 		s, err := geo.BuildSample()
 		if err != nil {
@@ -210,7 +209,7 @@ shell: \q quit, \save [path] snapshot, \stats counters`)
 			fmt.Fprintln(os.Stderr, "error: \\save needs a path (no -db given)")
 			return false
 		}
-		if err := codec.Save(db, path); err != nil {
+		if err := storage.Save(db, path); err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		} else {
 			fmt.Printf("saved to %s\n", path)

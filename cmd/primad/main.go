@@ -19,7 +19,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"mad/internal/codec"
 	"mad/internal/geo"
 	"mad/internal/server"
 	"mad/internal/storage"
@@ -37,7 +36,7 @@ func main() {
 	var db *storage.Database
 	switch {
 	case *dbFlag != "":
-		loaded, err := codec.Load(*dbFlag)
+		loaded, err := storage.Load(*dbFlag)
 		if err != nil {
 			fatal(err)
 		}
@@ -72,7 +71,7 @@ func main() {
 		fatal(err)
 	}
 	if *saveFlag != "" {
-		if err := codec.Save(db, *saveFlag); err != nil {
+		if err := storage.Save(db, *saveFlag); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("primad: snapshot written to %s\n", *saveFlag)

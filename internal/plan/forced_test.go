@@ -3,6 +3,7 @@ package plan_test
 import (
 	"context"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"sort"
 	"testing"
@@ -204,7 +205,9 @@ func viewClosure(view storage.View, comp *storage.LinkStore, root model.AtomID, 
 // candidate must refuse to open it. Over committed state the case then
 // runs cache hot: a cold compile through the plan cache is executed, and
 // the hit that follows must render, before its own execution, exactly as
-// the cold compile did and deliver the oracle too.
+// the cold compile did and deliver the oracle too. Last it runs reloaded:
+// over the database saved as a state file and loaded back, the unforced
+// compile must render byte-equal to the original's and deliver the oracle.
 func (c parityCase) check(t *testing.T, seed int64) bool {
 	root := c.desc.Root()
 	want := c.roots
@@ -311,7 +314,36 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 			return false
 		}
 	}
-	return true
+
+	// Reloaded: the database written as a state file and read back — its
+	// indexes and histograms with it — compiles to the plan the original
+	// did and delivers the oracle.
+	path := filepath.Join(t.TempDir(), "reloaded.mad")
+	if err := storage.Save(c.db, path); err != nil {
+		t.Logf("seed %d: save: %v", seed, err)
+		return false
+	}
+	back, err := storage.Load(path)
+	if err != nil {
+		t.Logf("seed %d: load: %v", seed, err)
+		return false
+	}
+	p, err := plan.CompileOrdered(back, c.desc, c.pred, c.order)
+	if err != nil {
+		t.Logf("seed %d: reloaded compile: %v", seed, err)
+		return false
+	}
+	if p.Render() != contested.Render() {
+		t.Logf("seed %d: reloaded plan renders\n%s\nthe original rendered\n%s", seed, p.Render(), contested.Render())
+		return false
+	}
+	p.Limit = c.limit
+	got, err := p.Execute()
+	if err != nil {
+		t.Logf("seed %d: reloaded run: %v", seed, err)
+		return false
+	}
+	return c.delivers(t, seed, p, got, want, "reloaded")
 }
 
 // delivers compares one run's molecules, element-wise, with the oracle's
@@ -340,8 +372,11 @@ func (c parityCase) delivers(t *testing.T, seed int64, p *plan.Plan, got core.Mo
 // per-pushdown Cut and per-residual Evals/Passed for every worker count,
 // and the unforced compile installs the cheapest candidate; over committed
 // state the plan cache's hit renders as its cold compile did and delivers
-// the oracle too. Three configurations share the random index and
-// statistics regimes, the optional ORDER BY / LIMIT and the check:
+// the oracle too, and so does the database written as a state file and
+// read back (reloaded: its indexes and histograms return, so its plan
+// renders byte-equal to the original's). Three configurations share the
+// random index and statistics regimes, the optional ORDER BY / LIMIT and
+// the check:
 //
 //   - structures: random 2–4-type structures with shared and multi-parent
 //     atoms under random conjunctive predicates; oracle Deriver.Walk +

@@ -90,6 +90,20 @@ func (db *Database) analyzeLocked(name string, c *Container) int {
 	return built
 }
 
+// restoreHist is applyOp's arm for a histogram a state file carries: the
+// state comes from the file, the attribute's position from the type's
+// description.
+func (db *Database) restoreHist(typeName string, d *walDef) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	_, pos, err := db.attrOf(typeName, d.attr)
+	if err != nil {
+		return err
+	}
+	db.hists[indexKey(typeName, d.attr)] = &attrHist{typeName: typeName, attr: d.attr, pos: pos, h: stats.FromState(*d.hist)}
+	return nil
+}
+
 // DefaultAutoAnalyzeFraction is the drift threshold installed on new
 // databases: a type's histograms rebuild once any of them has absorbed
 // incremental mutations exceeding this fraction of the values it

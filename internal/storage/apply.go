@@ -129,6 +129,9 @@ func (db *Database) applyOp(ts uint64, op *walOp, undos *[]func()) (eff effect, 
 		return eff, db.createIndexAt(op.name, op.def.attr, ts)
 	case walOpDropIndex:
 		eff.changed = db.dropIndex(op.name, op.def.attr)
+	case walOpHistogram:
+		eff.changed = true
+		return eff, db.restoreHist(op.name, op.def)
 	default:
 		return eff, fmt.Errorf("storage: unknown wal op kind %d", op.kind)
 	}

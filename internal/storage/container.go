@@ -112,8 +112,8 @@ func (c *Container) validate(id model.AtomID, vals []model.Value) (model.Atom, e
 // (putUpsert, putNew, putReplace) says which of the two the caller
 // requires, and a put that is the other pushes nothing and errs. It
 // returns the value replaced, and keeps the native sequence ahead of the
-// identifier (adopted, snapshot-loaded and replayed atoms carry identifiers
-// issued elsewhere; fresh allocations must not collide with them). The
+// identifier (adopted and replayed atoms carry identifiers issued
+// elsewhere; fresh allocations must not collide with them). The
 // undo pops the version; callers hold the database's commit mutex, so one
 // commit mutates the chains at a time.
 func (c *Container) put(a model.Atom, ts uint64, expect uint8) (old model.Atom, hadOld bool, undo func(), err error) {

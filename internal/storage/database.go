@@ -158,7 +158,7 @@ func (db *Database) define(op walOp) error {
 // an empty occurrence, while the catalog learns of it only when
 // defineType commits it (and checks a link type's sides). A buffered
 // definition (put is putReplace) draws its atom type's number from the
-// catalog here; a replayed or decoded one brings the number it was given.
+// catalog here; a replayed one brings the number it was given.
 // Callers hold db.mu.
 func (db *Database) reserve(op *walOp) (err error) {
 	if db.containers[op.name] != nil || db.links[op.name] != nil {
@@ -184,9 +184,9 @@ func (db *Database) reserve(op *walOp) (err error) {
 // defineType is applyOp's arm for atom- and link-type ops: it adds the
 // type to the catalog, which commits it. The place in declaration order
 // is taken here, under commitMu, and the type number travels in the op,
-// so WAL replay and snapshot decode reproduce both. A Txn registered the
-// type when it buffered the op (put is putReplace); a replayed or decoded
-// op registers it here. The undo takes the type back out of the catalog;
+// so replay — of the log or of a state file — reproduces both. A Txn
+// registered the type when it buffered the op (put is putReplace); a
+// replayed op registers it here. The undo takes the type back out of the catalog;
 // its number stays a hole.
 func (db *Database) defineType(op *walOp) (undo func(), err error) {
 	db.mu.Lock()
@@ -318,7 +318,7 @@ func (db *Database) Disconnect(linkName string, a, b model.AtomID) (bool, error)
 }
 
 // The readers below are the latest View under the type and link *names*:
-// conveniences for the paper baselines, the codec and the examples, each
+// conveniences for the paper baselines, the tests and the examples, each
 // booking its logical work. Derivation and planned execution read through
 // a View and resolved handles instead.
 

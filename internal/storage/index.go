@@ -216,19 +216,15 @@ func (db *Database) CreateIndex(typeName, attr string) error {
 	return err
 }
 
-// createIndexAt is applyOp's index-creation arm, shared with checkpoint
-// decoding: the backfill scans the occurrence as of ts (every earlier
-// commit is applied by then) and installs postings at ts.
+// createIndexAt is applyOp's index-creation arm: the backfill scans the
+// occurrence as of ts (every earlier commit is applied by then) and
+// installs postings at ts.
 func (db *Database) createIndexAt(typeName, attr string, ts uint64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	c, ok := db.containers[typeName]
-	if !ok || !db.visible(typeName, nil) {
-		return fmt.Errorf("storage: unknown atom type %q", typeName)
-	}
-	pos, ok := c.Desc().Lookup(attr)
-	if !ok {
-		return fmt.Errorf("storage: atom type %q has no attribute %q", typeName, attr)
+	c, pos, err := db.attrOf(typeName, attr)
+	if err != nil {
+		return err
 	}
 	key := indexKey(typeName, attr)
 	if _, dup := db.indexes[key]; dup {
@@ -241,6 +237,20 @@ func (db *Database) createIndexAt(typeName, attr string, ts uint64) error {
 	db.indexes[key] = ix
 	db.bumpPlanEpoch()
 	return nil
+}
+
+// attrOf resolves a committed atom type's container and the position of
+// its attribute attr; callers hold db.mu.
+func (db *Database) attrOf(typeName, attr string) (*Container, int, error) {
+	c, ok := db.containers[typeName]
+	if !ok || !db.visible(typeName, nil) {
+		return nil, 0, fmt.Errorf("storage: unknown atom type %q", typeName)
+	}
+	pos, ok := c.Desc().Lookup(attr)
+	if !ok {
+		return nil, 0, fmt.Errorf("storage: atom type %q has no attribute %q", typeName, attr)
+	}
+	return c, pos, nil
 }
 
 // DropIndex removes the index over typeName.attr as one auto-commit; it

@@ -264,6 +264,65 @@ func (ls *LinkStore) links(ts uint64) []model.Link {
 	return out
 }
 
+// connectOrder returns the links visible at ts in an order that,
+// connected one by one into an empty store, rebuilds both sides' partner
+// lists as they are — the order a state file writes them in, so a loaded
+// database traverses partners as the one that wrote it did. Each list
+// holds its partners in the order their links were connected, so such an
+// order exists: a link goes out once it heads what is left of both its
+// lists. Only a list of two or more partners constrains the order.
+func (ls *LinkStore) connectOrder(ts uint64) ([]model.Link, error) {
+	links := ls.links(ts) // by side-A atom, each one's partners in order
+	fromB := map[model.AtomID][]model.AtomID{}
+	ls.latch.RLock()
+	for b, head := range ls.fromB {
+		if items, ok := head.at(ts); ok && len(items) > 1 {
+			fromB[b] = items
+		}
+	}
+	ls.latch.RUnlock()
+	if len(fromB) == 0 {
+		return links, nil
+	}
+	fromA := map[model.AtomID][]model.Link{} // what is left of each list
+	var ready []model.Link
+	heads := func(a, b model.AtomID) bool {
+		la, okA := fromA[a]
+		lb, okB := fromB[b]
+		return (!okA || len(la) > 0 && la[0].B == b) && (!okB || len(lb) > 0 && lb[0] == a)
+	}
+	for i, j := 0, 0; i < len(links); i = j {
+		for j = i + 1; j < len(links) && links[j].A == links[i].A; j++ {
+		}
+		if j-i > 1 {
+			fromA[links[i].A] = links[i:j]
+		}
+		if heads(links[i].A, links[i].B) {
+			ready = append(ready, links[i])
+		}
+	}
+	out := make([]model.Link, 0, len(links))
+	for len(ready) > 0 {
+		l := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		out = append(out, l)
+		if la, ok := fromA[l.A]; ok {
+			if fromA[l.A] = la[1:]; len(la) > 1 && heads(l.A, la[1].B) {
+				ready = append(ready, la[1])
+			}
+		}
+		if lb, ok := fromB[l.B]; ok {
+			if fromB[l.B] = lb[1:]; len(lb) > 1 && heads(lb[1], l.B) {
+				ready = append(ready, model.Link{A: lb[1], B: l.B})
+			}
+		}
+	}
+	if len(out) != len(links) {
+		return nil, fmt.Errorf("storage: link type %q: the partner lists of its sides disagree", ls.name)
+	}
+	return out, nil
+}
+
 func (ls *LinkStore) chainSets() (*sync.RWMutex, []chainSet) {
 	return &ls.latch, []chainSet{ls.fromA, ls.fromB}
 }

@@ -6,24 +6,21 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"mad/internal/storage/stats"
 )
 
 // This file implements the durable half of the storage layer: Open
 // attaches a write-ahead log to a directory, Recover rebuilds a database
 // from the newest checkpoint plus the log tail, and Checkpoint writes a
-// consistent snapshot pinned at a live read view and truncates the log
-// below it. The checkpoint file ("MADCKPT2") embeds the snapshot body
-// between a header (the checkpoint timestamp) and two trailer sections:
-// the index definitions and the per-attribute histogram states — so a
-// recovered server starts with warm planner statistics — and ends, like a
-// snapshot, with the CRC32 of everything before it.
+// consistent state file pinned at a live read view and truncates the log
+// below it. The checkpoint is a state file (format.go) like the one Save
+// writes: log records of the types, atoms, links, index definitions and
+// histogram states — so a recovered server starts with warm planner
+// statistics — loaded through replay, the path the log tail takes after
+// it.
 
 const (
-	ckptMagic   = "MADCKPT2"
 	ckptFile    = "checkpoint.mad"
-	ckptTmpFile = "checkpoint.tmp"
+	ckptTmpFile = ckptFile + ".tmp" // writeFile's temporary
 )
 
 // ErrNotDurable is returned by durability operations on a database that
@@ -45,7 +42,7 @@ func openWith(dir string, openFn walOpenFunc) (*Database, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// A crash mid-checkpoint leaves checkpoint.tmp; the rename never
+	// A crash mid-checkpoint leaves its temporary file; the rename never
 	// happened, so the previous checkpoint (if any) is still authoritative.
 	os.Remove(filepath.Join(dir, ckptTmpFile))
 	db, torn, err := recoverDir(dir)
@@ -168,7 +165,7 @@ func recoverDir(dir string) (*Database, *tornInfo, error) {
 	f, err := os.Open(filepath.Join(dir, ckptFile))
 	switch {
 	case err == nil:
-		db, ckptTS, err = decodeCheckpoint(f)
+		db, ckptTS, err = loadState(f)
 		f.Close()
 		if err != nil {
 			return nil, nil, fmt.Errorf("storage: reading checkpoint: %w", err)
@@ -221,7 +218,8 @@ func replaySegments(db *Database, dir string, ckptTS uint64) (*tornInfo, error) 
 	return nil, nil
 }
 
-// replay redoes one commit's write set at its original timestamp. Replay
+// replay redoes one commit's write set at its original timestamp — a log
+// record's, or a state file's record at the state's timestamp. Replay
 // IS applyOp — the path the commit itself took — so the recovered state
 // cannot diverge from the one that wrote the log; what it adds is for
 // input that arrives from disk instead of from a validating mutator (puts
@@ -252,19 +250,20 @@ func (db *Database) replay(ts uint64, ops []walOp) error {
 // CheckpointStats summarizes one checkpoint.
 type CheckpointStats struct {
 	// TS is the commit timestamp the checkpoint captured — every commit
-	// at or below it is inside the snapshot.
+	// at or below it is inside the checkpoint file.
 	TS uint64
 	// SegmentsRemoved counts log segments truncated away.
 	SegmentsRemoved int
 }
 
-// Checkpoint writes a consistent snapshot of the database — pinned at a
-// live read view so vacuum cannot reclaim the versions it reads — plus
-// the index definitions and histogram states, then truncates the log
-// below it. The snapshot is taken at the newest allocated commit: the
-// log rotates through the flusher queue first, so every covered record
-// is durable (and in a closed segment) before the old segments go away.
-// Concurrent commits proceed throughout; they land in the new segment.
+// Checkpoint writes a consistent state file (see format.go) of the
+// database — pinned at a live read view so vacuum cannot reclaim the
+// versions it reads — with the index definitions and histogram states,
+// then truncates the log below it. The state is taken at the newest
+// allocated commit: the log rotates through the flusher queue first, so
+// every covered record is durable (and in a closed segment) before the
+// old segments go away. Concurrent commits proceed throughout; they land
+// in the new segment.
 func (db *Database) Checkpoint() (CheckpointStats, error) {
 	var cs CheckpointStats
 	if db.wal == nil {
@@ -279,33 +278,13 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 	// double-apply DDL or drift the statistics.
 	db.commitMu.Lock()
 	ts := db.lastAlloc
-	pin := db.snapshotAt(ts)
-	schema := db.schema
-	atomTypes := schema.AtomTypes()
-	linkTypes := schema.LinkTypes()
-	db.mu.RLock()
-	type ixDef struct{ typeName, attr string }
-	ixDefs := make([]ixDef, 0, len(db.indexes))
-	for _, ix := range db.indexes {
-		ixDefs = append(ixDefs, ixDef{ix.typeName, ix.attr})
-	}
-	type histDef struct {
-		typeName, attr string
-		pos            int
-		st             stats.State
-	}
-	histDefs := make([]histDef, 0, len(db.hists))
-	for _, ah := range db.hists {
-		histDefs = append(histDefs, histDef{ah.typeName, ah.attr, ah.pos, ah.h.State()})
-	}
-	db.mu.RUnlock()
+	state := db.captureState(ts)
 	rotated, err := db.wal.enqueue(&walReq{rotate: true})
 	db.commitMu.Unlock()
+	defer state.pin.Close()
 	if err != nil {
-		pin.Close()
 		return cs, err
 	}
-	defer pin.Close()
 	// The rotation ack means every record ≤ ts is fsynced into a closed
 	// segment: once the checkpoint file lands, those segments are
 	// redundant.
@@ -315,49 +294,12 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 	if db.ckptTestHook != nil {
 		db.ckptTestHook()
 	}
-
-	tmp := filepath.Join(db.dir, ckptTmpFile)
-	f, err := os.Create(tmp)
-	if err != nil {
+	// The file opens through the log's opener, so a fault injected into
+	// the log reaches the checkpoint too.
+	write := func(w io.Writer) error { return db.writeState(w, state) }
+	if err := writeFile(db.wal.open, filepath.Join(db.dir, ckptFile), write); err != nil {
 		return cs, err
 	}
-	w := newFileWriter(f, ckptMagic)
-	w.u64(ts)
-	encodeSnapshotSections(w, db, ts, atomTypes, linkTypes)
-	w.uvarint(uint64(len(ixDefs)))
-	for _, d := range ixDefs {
-		w.str(d.typeName)
-		w.str(d.attr)
-	}
-	w.uvarint(uint64(len(histDefs)))
-	for _, d := range histDefs {
-		w.str(d.typeName)
-		w.str(d.attr)
-		w.uvarint(uint64(d.pos))
-		encodeHistState(w, d.st)
-	}
-	if err := w.flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return cs, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return cs, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return cs, err
-	}
-	// The rename is the commit point of the checkpoint: a crash on either
-	// side leaves a consistent directory (old checkpoint + longer replay,
-	// or new checkpoint + shorter replay).
-	if err := os.Rename(tmp, filepath.Join(db.dir, ckptFile)); err != nil {
-		os.Remove(tmp)
-		return cs, err
-	}
-	syncDir(db.dir)
 	cs.TS = ts
 
 	// Every record ≤ ts lives in a segment below the current one (the
@@ -378,104 +320,4 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 	}
 	syncDir(db.dir)
 	return cs, nil
-}
-
-// encodeHistState writes one histogram's exported state.
-func encodeHistState(w *snapWriter, st stats.State) {
-	encodeValue(w, st.Lower)
-	w.uvarint(uint64(len(st.Buckets)))
-	for _, b := range st.Buckets {
-		encodeValue(w, b.Upper)
-		w.u64(uint64(b.Count))
-		w.u64(uint64(b.Distinct))
-	}
-	w.u64(uint64(st.Total))
-	w.u64(uint64(st.Nulls))
-	w.u64(uint64(st.Drift))
-}
-
-// decodeHistState reads one histogram state.
-func decodeHistState(r *snapReader) (stats.State, error) {
-	var st stats.State
-	lower, err := decodeValue(r)
-	if err != nil {
-		return st, err
-	}
-	st.Lower = lower
-	n := r.uvarint()
-	if r.err != nil {
-		return st, r.err
-	}
-	if n > maxSnapStr {
-		return st, fmt.Errorf("storage: histogram bucket count %d exceeds limit", n)
-	}
-	st.Buckets = make([]stats.Bucket, 0, n)
-	for i := uint64(0); i < n; i++ {
-		upper, err := decodeValue(r)
-		if err != nil {
-			return st, err
-		}
-		st.Buckets = append(st.Buckets, stats.Bucket{
-			Upper:    upper,
-			Count:    int64(r.u64()),
-			Distinct: int64(r.u64()),
-		})
-	}
-	st.Total = int64(r.u64())
-	st.Nulls = int64(r.u64())
-	st.Drift = int64(r.u64())
-	return st, r.err
-}
-
-// decodeCheckpoint reconstructs a database from a MADCKPT2 file: the
-// embedded snapshot installs at the checkpoint timestamp, indexes are
-// rebuilt by backfill (cheaper and safer than serializing postings) and
-// histograms restore their exact states.
-func decodeCheckpoint(in io.Reader) (*Database, uint64, error) {
-	r, err := readFile(in, "checkpoint", ckptMagic, "MADCKPT1 carried no checksum")
-	if err != nil {
-		return nil, 0, err
-	}
-	ts := r.u64()
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	db := NewDatabase()
-	if err := decodeSnapshotInto(r, db, ts); err != nil {
-		return nil, 0, err
-	}
-	db.latestTS.Store(ts)
-	db.lastAlloc = ts
-
-	nIx := r.uvarint()
-	for i := uint64(0); i < nIx && r.err == nil; i++ {
-		typeName := r.str()
-		attr := r.str()
-		if r.err != nil {
-			break
-		}
-		if err := db.createIndexAt(typeName, attr, ts); err != nil {
-			return nil, 0, err
-		}
-	}
-	nHist := r.uvarint()
-	for i := uint64(0); i < nHist && r.err == nil; i++ {
-		typeName := r.str()
-		attr := r.str()
-		pos := int(r.uvarint())
-		st, err := decodeHistState(r)
-		if err != nil {
-			return nil, 0, err
-		}
-		db.hists[indexKey(typeName, attr)] = &attrHist{
-			typeName: typeName,
-			attr:     attr,
-			pos:      pos,
-			h:        stats.FromState(st),
-		}
-	}
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	return db, ts, nil
 }

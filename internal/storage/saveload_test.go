@@ -1,19 +1,34 @@
-package codec_test
+package storage_test
+
+// Save and Load over databases built above the storage layer: the
+// paper's geography sample and what propagation adds to it.
 
 import (
-	"bytes"
 	"math"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 
-	"mad/internal/codec"
 	"mad/internal/core"
 	"mad/internal/geo"
 	"mad/internal/model"
 	"mad/internal/storage"
 )
+
+// roundTrip saves db to a file and loads it back.
+func roundTrip(t testing.TB, db *storage.Database) *storage.Database {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "db.mad")
+	if err := storage.Save(db, path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := storage.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
 
 // equalDatabases compares schema object counts, atom contents and link
 // contents of two databases.
@@ -77,14 +92,7 @@ func TestRoundTripSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := codec.Encode(s.DB, &buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := codec.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := roundTrip(t, s.DB)
 	equalDatabases(t, s.DB, back)
 	if err := back.CheckIntegrity(); err != nil {
 		t.Fatal(err)
@@ -119,8 +127,8 @@ func TestRoundTripSample(t *testing.T) {
 }
 
 func TestRoundTripAfterPropagation(t *testing.T) {
-	// Propagated types adopt foreign identifiers; the snapshot must keep
-	// them intact.
+	// Propagated types adopt foreign identifiers; the state file must
+	// keep them intact.
 	s, err := geo.BuildSample()
 	if err != nil {
 		t.Fatal(err)
@@ -133,14 +141,7 @@ func TestRoundTripAfterPropagation(t *testing.T) {
 	if _, err := core.Restrict(mt, nil, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := codec.Encode(s.DB, &buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := codec.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := roundTrip(t, s.DB)
 	equalDatabases(t, s.DB, back)
 }
 
@@ -150,10 +151,10 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "geo.mad")
-	if err := codec.Save(s.DB, path); err != nil {
+	if err := storage.Save(s.DB, path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := codec.Load(path)
+	back, err := storage.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,24 +162,29 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := codec.Decode(strings.NewReader("not a snapshot")); err == nil {
-		t.Fatal("garbage must fail")
-	}
-	if _, err := codec.Decode(strings.NewReader("")); err == nil {
-		t.Fatal("empty input must fail")
-	}
-	// Truncated valid prefix.
 	s, err := geo.BuildSample()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := codec.Encode(s.DB, &buf); err != nil {
+	path := filepath.Join(t.TempDir(), "geo.mad")
+	if err := storage.Save(s.DB, path); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := codec.Decode(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated snapshot must fail")
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"garbage":   []byte("not a state file"),
+		"empty":     nil,
+		"truncated": saved[:len(saved)/2],
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := storage.Load(path); err == nil {
+			t.Fatalf("%s input must fail", name)
+		}
 	}
 }
 
@@ -207,14 +213,7 @@ func TestValueRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var buf bytes.Buffer
-		if err := codec.Encode(db, &buf); err != nil {
-			return false
-		}
-		back, err := codec.Decode(&buf)
-		if err != nil {
-			return false
-		}
+		back := roundTrip(t, db)
 		a, ok := back.GetAtom("t", id)
 		if !ok {
 			return false

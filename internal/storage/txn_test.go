@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"mad/internal/codec"
 	"mad/internal/model"
 	"mad/internal/storage"
 )
@@ -39,12 +39,10 @@ func txnSchema(t testing.TB, db *storage.Database) *storage.Database {
 // state: per atom type the sorted set of (id, values), per link type the
 // sorted set of links. Buffered transactions never leak partial state, so
 // the fingerprint before Begin and after Rollback must match exactly.
-// (The codec round-trip below additionally confirms the state is
-// serializable.)
+// (Saving it first additionally confirms the state is serializable.)
 func snapshot(t testing.TB, db *storage.Database) []byte {
 	t.Helper()
-	var probe bytes.Buffer
-	if err := codec.Encode(db, &probe); err != nil {
+	if err := storage.Save(db, filepath.Join(t.TempDir(), "probe.mad")); err != nil {
 		t.Fatal(err)
 	}
 	var lines []string

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"mad/internal/model"
+	"mad/internal/storage/stats"
 )
 
 // The write-ahead log makes commits durable before they become visible:
@@ -66,11 +67,12 @@ const (
 	walOpLinkType
 	walOpCreateIndex
 	walOpDropIndex
-	walOpAtomType // an atom type with the number it was given
+	walOpAtomType  // an atom type with the number it was given
+	walOpHistogram // a histogram's state: written into state files only
 )
 
-// errFormat1 refuses a log record or snapshot in format 1 (MADSNAP1 and
-// the logs written beside it), whose atom types carry no type number:
+// errFormat1 refuses a log record of format 1 (the logs written beside
+// MADSNAP1 snapshots), whose atom types carry no type number:
 // numbering them by replay order could give a type another's number.
 var errFormat1 = errors.New("storage: format 1 (MADSNAP1) data names atom types without their type numbers; this build refuses it")
 
@@ -81,9 +83,10 @@ type walOp struct {
 	// put constrains a walOpPut against the pre-state at its commit
 	// timestamp, and marks a type op a Txn buffered (and reserved). It
 	// lives in memory only: the log does not say whether a put inserted or
-	// updated, and replay takes it either way.
+	// updated, and replay takes it either way — except from a state file,
+	// whose puts all insert.
 	put  uint8
-	name string // atom-type, link-type or index target name
+	name string // atom-type, link-type, index or histogram target name
 	atom model.Atom
 	a, b model.AtomID // link endpoints; a is also the atom a delete removes
 	// def is a definition's payload: a transaction buffers many ops, so the
@@ -96,7 +99,8 @@ type walDef struct {
 	attrs []model.AttrDesc // atom type
 	num   model.TypeNum    // atom type
 	link  model.LinkDesc   // link type
-	attr  string           // index
+	attr  string           // index, histogram
+	hist  *stats.State     // histogram
 }
 
 const (
@@ -118,78 +122,84 @@ var maxWALRecord = 1 << 30
 // commit timestamp, op count and ops. A payload over maxWALRecord is an
 // error — the commit could never be replayed.
 func encodeWALRecord(ts uint64, ops []*walOp) ([]byte, error) {
-	var payload bytes.Buffer
-	w := newSnapWriter(&payload)
-	w.u64(ts)
-	w.uvarint(uint64(len(ops)))
+	var body bytes.Buffer
+	w := newEncoder(&body)
 	for _, op := range ops {
-		w.u8(op.kind)
-		w.str(op.name)
-		switch op.kind {
-		case walOpPut:
-			w.u64(uint64(op.atom.ID))
-			w.uvarint(uint64(len(op.atom.Vals)))
-			for _, v := range op.atom.Vals {
-				encodeValue(w, v)
-			}
-		case walOpDelete:
-			w.u64(uint64(op.a))
-		case walOpConnect, walOpDisconnect:
-			w.u64(uint64(op.a))
-			w.u64(uint64(op.b))
-		case walOpAtomType:
-			w.atomTypeDef(op.def.num, op.def.attrs)
-		case walOpLinkType:
-			w.linkTypeDef(op.def.link)
-		case walOpCreateIndex, walOpDropIndex:
-			w.str(op.def.attr)
-		default:
-			return nil, fmt.Errorf("storage: unknown wal op kind %d", op.kind)
-		}
+		w.op(op)
 	}
 	if err := w.flush(); err != nil {
 		return nil, err
 	}
-	body := payload.Bytes()
+	return frameRecord(make([]byte, 0, walRecHeader+8+binary.MaxVarintLen64+body.Len()), ts, len(ops), body.Bytes())
+}
+
+// frameRecord frames one record in buf's memory: the header, then the
+// payload — ts, the op count n and ops, n encoded ops.
+func frameRecord(buf []byte, ts uint64, n int, ops []byte) ([]byte, error) {
+	rec := binary.LittleEndian.AppendUint64(append(buf[:0], make([]byte, walRecHeader)...), ts)
+	rec = append(binary.AppendUvarint(rec, uint64(n)), ops...)
+	body := rec[walRecHeader:]
 	if len(body) > maxWALRecord {
 		return nil, fmt.Errorf("storage: commit record of %d bytes exceeds the %d-byte log limit", len(body), maxWALRecord)
 	}
-	rec := make([]byte, walRecHeader+len(body))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(body))
-	copy(rec[walRecHeader:], body)
+	binary.LittleEndian.PutUint32(rec, uint32(len(body)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(body))
 	return rec, nil
 }
 
-// decodeWALPayload parses a checksum-verified record payload.
+// op writes one operation: its kind, the name it targets, its fields.
+func (w *encoder) op(op *walOp) {
+	w.u8(op.kind)
+	w.str(op.name)
+	switch op.kind {
+	case walOpPut:
+		w.u64(uint64(op.atom.ID))
+		w.uvarint(uint64(len(op.atom.Vals)))
+		for _, v := range op.atom.Vals {
+			w.value(v)
+		}
+	case walOpDelete:
+		w.u64(uint64(op.a))
+	case walOpConnect, walOpDisconnect:
+		w.u64(uint64(op.a))
+		w.u64(uint64(op.b))
+	case walOpAtomType:
+		w.atomTypeDef(op.def.num, op.def.attrs)
+	case walOpLinkType:
+		w.linkTypeDef(op.def.link)
+	case walOpCreateIndex, walOpDropIndex:
+		w.str(op.def.attr)
+	case walOpHistogram:
+		w.str(op.def.attr)
+		w.histState(op.def.hist)
+	default:
+		if w.err == nil {
+			w.err = fmt.Errorf("storage: unknown wal op kind %d", op.kind)
+		}
+	}
+}
+
+// decodeWALPayload parses a checksum-verified record payload. Counts come
+// from the input: slices grow only as entries are actually read, past a
+// capacity of maxPresized, never to a capacity a corrupt count names.
 func decodeWALPayload(body []byte) (ts uint64, ops []walOp, err error) {
-	r := newSnapReader(bytes.NewReader(body))
+	r := &decoder{b: body}
 	ts = r.u64()
 	n := r.uvarint()
-	if r.err != nil {
-		return 0, nil, r.err
-	}
 	nums := map[model.TypeNum]bool{}
-	for i := uint64(0); i < n; i++ {
-		op := walOp{kind: r.u8(), name: r.str()}
+	name := ""
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		op := walOp{kind: r.u8()}
+		op.name = r.name(name)
+		name = op.name
 		switch op.kind {
 		case walOpPut:
-			id := model.AtomID(r.u64())
+			op.atom.ID = model.AtomID(r.u64())
 			nv := r.uvarint()
-			if r.err != nil {
-				return 0, nil, r.err
+			op.atom.Vals = make([]model.Value, 0, min(nv, maxPresized))
+			for j := uint64(0); j < nv && r.err == nil; j++ {
+				op.atom.Vals = append(op.atom.Vals, r.value())
 			}
-			// Counts come from the file: slices grow only as values are
-			// actually read, never to a capacity a corrupt count names.
-			var vals []model.Value
-			for j := uint64(0); j < nv; j++ {
-				v, err := decodeValue(r)
-				if err != nil {
-					return 0, nil, err
-				}
-				vals = append(vals, v)
-			}
-			op.atom = model.NewAtom(id, vals...)
 		case walOpDelete:
 			op.a = model.AtomID(r.u64())
 		case walOpConnect, walOpDisconnect:
@@ -204,18 +214,28 @@ func decodeWALPayload(body []byte) (ts uint64, ops []walOp, err error) {
 			op.def = r.linkTypeDef()
 		case walOpCreateIndex, walOpDropIndex:
 			op.def = &walDef{attr: r.str()}
+		case walOpHistogram:
+			op.def = &walDef{attr: r.str()}
+			op.def.hist = r.histState()
 		case walOpAtomType1:
 			return 0, nil, errFormat1
 		default:
-			return 0, nil, fmt.Errorf("storage: unknown wal op kind %d", op.kind)
-		}
-		if r.err != nil {
-			return 0, nil, r.err
+			if r.err == nil {
+				return 0, nil, fmt.Errorf("storage: unknown wal op kind %d", op.kind)
+			}
 		}
 		ops = append(ops, op)
 	}
-	return ts, ops, r.err
+	if r.err != nil {
+		return 0, nil, r.err
+	}
+	return ts, ops, nil
 }
+
+// maxPresized is how many values a put's count sizes its slice for before
+// the values are read: an atom of up to this many attributes decodes into
+// one allocation.
+const maxPresized = 16
 
 // walSegName names segment files so lexicographic order is replay order.
 func walSegName(seg uint64) string {
@@ -251,47 +271,59 @@ func listWALSegments(dir string) ([]uint64, error) {
 }
 
 // readWALSegment streams one segment's records through fn, stopping at
-// the first torn frame: a truncated header, truncated payload or CRC
-// mismatch. tornAt is the byte offset of that frame (== the segment size
-// for a clean read) — recovery truncates there before appending again.
-// fn errors abort the read (a real error, not a torn tail).
+// the first torn frame (see readFrames). tornAt is the byte offset of that
+// frame (== the segment size for a clean read) — recovery truncates there
+// before appending again. fn errors abort the read (a real error, not a
+// torn tail).
 func readWALSegment(path string, fn func(ts uint64, ops []walOp) error) (tornAt int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var off int64
+	off, why, err := readFrames(bufio.NewReaderSize(f, 1<<16), fn)
+	if errors.Is(err, errFormat1) {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return off, why != nil, err
+}
+
+// readFrames streams framed records through fn — the one frame loop, for
+// log segments and state files alike — until the input ends or a frame
+// is torn: a truncated header or payload, a length over maxWALRecord, a
+// CRC mismatch or a payload that does not decode. off is where the torn
+// frame starts, or the bytes read; torn says what tore it. Format 1 data
+// and fn's errors abort the read.
+func readFrames(r io.Reader, fn func(ts uint64, ops []walOp) error) (off int64, torn, err error) {
 	var head [walRecHeader]byte
+	var body bytes.Buffer // grows as bytes arrive, never to a length a corrupt header names
 	for {
 		if _, err := io.ReadFull(r, head[:]); err != nil {
 			if err == io.EOF {
-				return off, false, nil // clean end
+				return off, nil, nil // clean end
 			}
-			return off, true, nil // torn header
+			return off, errors.New("storage: torn record header"), nil
 		}
 		size := binary.LittleEndian.Uint32(head[0:4])
-		sum := binary.LittleEndian.Uint32(head[4:8])
 		if int64(size) > int64(maxWALRecord) {
-			return off, true, nil
+			return off, fmt.Errorf("storage: record length %d over the log limit", size), nil
 		}
-		body := make([]byte, size)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return off, true, nil // torn payload
+		body.Reset()
+		if _, err := io.CopyN(&body, r, int64(size)); err != nil {
+			return off, errors.New("storage: torn record payload"), nil
 		}
-		if crc32.ChecksumIEEE(body) != sum {
-			return off, true, nil // checksum failure
+		if crc32.ChecksumIEEE(body.Bytes()) != binary.LittleEndian.Uint32(head[4:8]) {
+			return off, errors.New("storage: record checksum mismatch"), nil
 		}
-		ts, ops, err := decodeWALPayload(body)
+		ts, ops, err := decodeWALPayload(body.Bytes())
 		if errors.Is(err, errFormat1) {
-			return off, false, fmt.Errorf("%s: %w", path, err)
+			return off, nil, err
 		}
 		if err != nil {
-			return off, true, nil // frame intact but payload garbage
+			return off, err, nil // frame intact but payload garbage
 		}
 		if err := fn(ts, ops); err != nil {
-			return off, false, err
+			return off, nil, err
 		}
 		off += walRecHeader + int64(size)
 	}

@@ -10,6 +10,7 @@ package storage
 // record made it to the log whole.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -136,10 +137,10 @@ func mustFind(db *Database, typ, name string) model.AtomID {
 	return id
 }
 
-// crashScript is the deterministic workload: every step is exactly one
-// commit, covering each WAL opcode — DDL, insert, index, connect, update,
-// a multi-op transaction, one that defines and fills types, cascading
-// deletes.
+// crashScript is the deterministic workload: every step but one is
+// exactly one commit, covering each WAL opcode — DDL, insert, index,
+// connect, update, a multi-op transaction, one that defines and fills
+// types, cascading deletes. The one in the middle is a checkpoint.
 func crashScript() []walStep {
 	partDesc := model.MustDesc(
 		model.AttrDesc{Name: "name", Kind: model.KString, NotNull: true},
@@ -170,6 +171,15 @@ func crashScript() []walStep {
 		},
 		func(db *Database) error {
 			return db.Connect("supplies", mustFind(db, "supplier", "acme"), mustFind(db, "part", "nut"))
+		},
+		func(db *Database) error {
+			// The checkpoint writes its file through the log's opener, so its
+			// every write and fsync is an injection point too. The in-memory
+			// twin has no log: there the step changes nothing.
+			if _, err := db.Checkpoint(); !errors.Is(err, ErrNotDurable) {
+				return err
+			}
+			return nil
 		},
 		func(db *Database) error {
 			id := mustFind(db, "part", "bolt")

@@ -103,9 +103,10 @@ func TestWALRecordBound(t *testing.T) {
 	}
 }
 
-// TestFormat1Refused: a log record or a snapshot of format 1, whose atom
-// types carry no type number, is refused with an error naming the format:
-// it is never renumbered, and the log is not cut off as a torn tail.
+// TestFormat1Refused: a log record of format 1, whose atom types carry no
+// type number, is refused with an error naming the format: it is never
+// renumbered, and the log is not cut off as a torn tail. A snapshot or
+// checkpoint file of an older format is refused by name too.
 func TestFormat1Refused(t *testing.T) {
 	// The golden record of format 1: the same ops as TestWALRecordGolden's,
 	// the atom type under op kind 5 and without its number.
@@ -131,7 +132,18 @@ func TestFormat1Refused(t *testing.T) {
 	if data, err := os.ReadFile(seg); err != nil || !bytes.Equal(data, rec) {
 		t.Fatalf("the format-1 log changed (%v)", err)
 	}
-	if _, err := DecodeSnapshot(strings.NewReader("MADSNAP1\x00\x00")); err == nil || !strings.Contains(err.Error(), "MADSNAP1") {
-		t.Fatalf("decoding a MADSNAP1 snapshot: %v", err)
+	// The snapshot and checkpoint formats before the state file are
+	// refused by name, whether loaded or recovered.
+	for _, magic := range []string{"MADSNAP1", "MADSNAP2", "MADSNAP3", "MADCKPT1", "MADCKPT2"} {
+		old := filepath.Join(t.TempDir(), ckptFile)
+		if err := os.WriteFile(old, []byte(magic+"\x00\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(old); err == nil || !strings.Contains(err.Error(), magic) {
+			t.Fatalf("loading a %s file: %v", magic, err)
+		}
+		if _, err := Recover(filepath.Dir(old)); err == nil || !strings.Contains(err.Error(), magic) {
+			t.Fatalf("recovering beside a %s checkpoint: %v", magic, err)
+		}
 	}
 }

@@ -35,7 +35,6 @@ package mad
 
 import (
 	"mad/internal/atomalg"
-	"mad/internal/codec"
 	"mad/internal/core"
 	"mad/internal/expr"
 	"mad/internal/model"
@@ -362,11 +361,14 @@ var (
 	AtomDifference = atomalg.Difference
 )
 
-// Save writes a binary snapshot of the database to a file.
-func Save(db *Database, path string) error { return codec.Save(db, path) }
+// Save writes the database — data, indexes and histograms, as of its
+// latest commit — to a file atomically, in the state-file format a
+// checkpoint uses.
+func Save(db *Database, path string) error { return storage.Save(db, path) }
 
-// Load reads a binary snapshot from a file.
-func Load(path string) (*Database, error) { return codec.Load(path) }
+// Load reads a file Save (or a checkpoint) wrote into a new in-memory
+// database.
+func Load(path string) (*Database, error) { return storage.Load(path) }
 
 // Open opens (or creates) a durable database in dir: the newest
 // checkpoint is loaded (data, indexes and histograms), the write-ahead
