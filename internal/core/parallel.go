@@ -24,93 +24,11 @@ type FusedWorker struct {
 	Keep   func(m *Molecule) bool
 }
 
-// DefaultStreamBatch is the root-batch granularity a sizer starts from:
+// DefaultStreamBatch is the streaming executor's root-batch granularity:
 // large enough that the per-batch channel traffic disappears against the
 // derivation work, small enough that the first molecules reach the
 // consumer long before the root batch is exhausted.
 const DefaultStreamBatch = 64
-
-// MinStreamBatch and MaxStreamBatch bound the adaptive batch sizer:
-// under sustained backpressure batches shrink toward MinStreamBatch so
-// the consumer keeps receiving fresh, small deliveries instead of
-// waiting on big ones; with a fast consumer they grow toward
-// MaxStreamBatch to amortize the per-batch hand-off.
-const (
-	MinStreamBatch = 16
-	MaxStreamBatch = 1024
-)
-
-// BatchSizer adapts the streaming executor's root-batch granularity to
-// consumer backpressure. The producer calls Observe after every emit —
-// blocked=true when the bounded hand-off channel was full — and the
-// dispatcher reads Size when cutting the next batch: a blocked emit
-// halves the size immediately (backpressure is urgent), while growth
-// waits for a streak of unblocked emits and then doubles (growth is
-// speculative). Size and Observe may run on different goroutines.
-type BatchSizer struct {
-	size atomic.Int64
-	fast atomic.Int64
-	min  int64
-	max  int64
-}
-
-// growStreak is how many consecutive unblocked emits the sizer wants to
-// see before doubling the batch size.
-const growStreak = 4
-
-// NewBatchSizer returns a sizer starting at start (DefaultStreamBatch
-// when <= 0), clamped to [min, max] (MinStreamBatch / MaxStreamBatch
-// when <= 0). min == max pins the size, turning Observe into a no-op.
-func NewBatchSizer(start, min, max int) *BatchSizer {
-	if start <= 0 {
-		start = DefaultStreamBatch
-	}
-	if min <= 0 {
-		min = MinStreamBatch
-	}
-	if max <= 0 {
-		max = MaxStreamBatch
-	}
-	if max < min {
-		max = min
-	}
-	if start < min {
-		start = min
-	}
-	if start > max {
-		start = max
-	}
-	b := &BatchSizer{min: int64(min), max: int64(max)}
-	b.size.Store(int64(start))
-	return b
-}
-
-// Size returns the current batch size.
-func (b *BatchSizer) Size() int { return int(b.size.Load()) }
-
-// Observe feeds one emit outcome back into the sizer.
-func (b *BatchSizer) Observe(blocked bool) {
-	if b.min == b.max {
-		return
-	}
-	if blocked {
-		b.fast.Store(0)
-		if s := b.size.Load() / 2; s >= b.min {
-			b.size.Store(s)
-		} else {
-			b.size.Store(b.min)
-		}
-		return
-	}
-	if b.fast.Add(1) >= growStreak {
-		b.fast.Store(0)
-		if s := b.size.Load() * 2; s <= b.max {
-			b.size.Store(s)
-		} else {
-			b.size.Store(b.max)
-		}
-	}
-}
 
 // fusedSlot is one dispatched root range of the streaming executor,
 // with a one-slot channel its worker publishes the finished batch into
@@ -123,29 +41,26 @@ type fusedSlot struct {
 // DeriveStream is the derivation executor: it derives the molecules of
 // the given roots on a pool of workers (<= 0 selects GOMAXPROCS) and
 // filters each one on the worker that derived it — no barrier separates
-// the two stages. The root batch is cut into batches at the sizer's
-// current granularity, each batch is derived and filtered by one worker,
-// and emit receives the surviving molecules of every batch — compacted,
-// in exact root order — as soon as that batch is done, so the output is
-// deterministic for any worker count. At most workers+1 batches are in
-// flight at any moment, which bounds the footprint at O(workers × batch)
-// molecules however large the root batch is; batches are pipelined —
+// the two stages. The root batch is cut into batches of size roots (<= 0
+// selects DefaultStreamBatch), each batch is derived and filtered by one
+// worker, and emit receives the surviving molecules of every batch —
+// compacted, in exact root order — as soon as that batch is done, so the
+// output is deterministic for any worker count. At most workers+1 batches
+// are in flight at any moment, which bounds the footprint at
+// O(workers × size) molecules however large the root batch is; batches are pipelined —
 // worker w derives batch k+1 while emit still drains batch k.
 //
 // newWorker is called on the calling goroutine, once per worker actually
 // spawned (ids 0..n-1), so callers can set up per-worker accumulators
 // lock-free and merge them after the call returns. emit runs on the
-// calling goroutine too; an emit callback that feeds its hand-off
-// outcomes back via sizer.Observe makes the batch granularity track
-// consumer backpressure (a nil sizer selects an adaptive one with the
-// default bounds). Returning an error from emit stops the workers and
+// calling goroutine too; returning an error from it stops the workers and
 // surfaces that error. Cancelling ctx stops every worker loop
 // mid-derivation (checked per root) and returns ctx.Err(); ctx may be
 // nil for uncancellable runs. No goroutine outlives the call either
 // way, and empty batches are not emitted. The returned tally is the
 // run's derivation work — atoms fetched and links traversed — already
 // folded into the database's shared statistics.
-func (dv *Deriver) DeriveStream(ctx context.Context, roots []model.AtomID, workers int, sizer *BatchSizer, newWorker func(w int) FusedWorker, emit func(MoleculeSet) error) (storage.WorkTally, error) {
+func (dv *Deriver) DeriveStream(ctx context.Context, roots []model.AtomID, workers, size int, newWorker func(w int) FusedWorker, emit func(MoleculeSet) error) (storage.WorkTally, error) {
 	var work storage.WorkTally
 	for _, r := range roots {
 		if !dv.rootHas(r) {
@@ -158,8 +73,8 @@ func (dv *Deriver) DeriveStream(ctx context.Context, roots []model.AtomID, worke
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if sizer == nil {
-		sizer = NewBatchSizer(0, 0, 0)
+	if size <= 0 {
+		size = DefaultStreamBatch
 	}
 
 	// stop flags cancellation to the per-root worker loops without the
@@ -190,19 +105,15 @@ func (dv *Deriver) DeriveStream(ctx context.Context, roots []model.AtomID, worke
 		return batch
 	}
 
-	// Clamp the pool by the batch count the current size implies: more
-	// workers than batches would idle from the start (the size can only
-	// shrink the count further mid-run, which just idles stragglers).
-	if est := (len(roots) + sizer.Size() - 1) / sizer.Size(); workers > est {
-		workers = est
-	}
+	// More workers than batches would idle from the start.
+	workers = min(workers, (len(roots)+size-1)/size)
 	if workers <= 1 {
 		// Sequential fast path: one worker, batches emitted in place.
 		sc := newDeriveScratch(&stop)
 		fw := newWorker(0)
 		var err error
 		for lo := 0; lo < len(roots) && err == nil; {
-			hi := min(lo+sizer.Size(), len(roots))
+			hi := min(lo+size, len(roots))
 			batch := deriveBatch(fw, sc, lo, hi)
 			lo = hi
 			// ctx.Err() — not the stop flag — decides: Err is set
@@ -221,11 +132,10 @@ func (dv *Deriver) DeriveStream(ctx context.Context, roots []model.AtomID, worke
 		return work, err
 	}
 
-	// Pipelined path. The dispatcher cuts root ranges at the sizer's
-	// current granularity, workers pull the slots from workCh and publish
-	// each finished batch into the slot's one-slot channel, and the
-	// emitter below replays the slots in dispatch order. The sem token
-	// bound keeps at most workers+1 slots in flight — the dispatcher
+	// Pipelined path. The dispatcher cuts root ranges of size roots,
+	// workers pull the slots from workCh and publish each finished batch
+	// into the slot's one-slot channel, and the emitter below replays the
+	// slots in dispatch order. The sem token bound keeps at most workers+1 slots in flight — the dispatcher
 	// acquires before cutting a slot, the emitter releases after draining
 	// it — which also bounds slotCh's occupancy, so its sends never block.
 	slotCh := make(chan *fusedSlot, workers+1)
@@ -251,7 +161,7 @@ func (dv *Deriver) DeriveStream(ctx context.Context, roots []model.AtomID, worke
 		defer close(workCh)
 		defer close(slotCh)
 		for lo := 0; lo < len(roots); {
-			hi := min(lo+sizer.Size(), len(roots))
+			hi := min(lo+size, len(roots))
 			s := &fusedSlot{lo: lo, hi: hi, out: make(chan MoleculeSet, 1)}
 			lo = hi
 			select {

@@ -125,8 +125,8 @@ type SelectStmt struct {
 	GroupBy *GroupClause
 	// OrderBy delivers molecules sorted by a root attribute; the planner
 	// rides an ordered index when one covers the attribute and otherwise
-	// reorders the stream (bounded top-K heap under LIMIT, terminal sort
-	// without).
+	// reorders the stream through a heap (bounded to the top K under
+	// LIMIT).
 	OrderBy *OrderClause
 	// Limit caps the molecules delivered (0 = no limit); execution
 	// cancels the in-flight derivation once the cap is reached.

@@ -204,31 +204,25 @@ func (s *Session) Execute(st Stmt) (*Result, error) {
 	case *SelectStmt:
 		return s.execSelect(st)
 	case *DefineStmt:
-		return s.execDefine(st)
+		return s.write(func() (*Result, error) { return s.execDefine(st) })
 	case *CreateAtomTypeStmt:
-		desc, err := model.NewDesc(st.Attrs...)
-		switch {
-		case err != nil:
-		case s.txn != nil:
-			err = s.txn.DefineAtomType(st.Name, desc)
-		default:
-			_, err = s.db.DefineAtomType(st.Name, desc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Kind: RMessage, Message: fmt.Sprintf("atom type %q defined", st.Name)}, nil
+		return s.write(func() (*Result, error) {
+			desc, err := model.NewDesc(st.Attrs...)
+			if err == nil {
+				err = s.txn.DefineAtomType(st.Name, desc)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Kind: RMessage, Message: fmt.Sprintf("atom type %q defined", st.Name)}, nil
+		})
 	case *CreateLinkTypeStmt:
-		var err error
-		if s.txn != nil {
-			err = s.txn.DefineLinkType(st.Name, st.Desc)
-		} else {
-			_, err = s.db.DefineLinkType(st.Name, st.Desc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Kind: RMessage, Message: fmt.Sprintf("link type %q defined", st.Name)}, nil
+		return s.write(func() (*Result, error) {
+			if err := s.txn.DefineLinkType(st.Name, st.Desc); err != nil {
+				return nil, err
+			}
+			return &Result{Kind: RMessage, Message: fmt.Sprintf("link type %q defined", st.Name)}, nil
+		})
 	case *CreateIndexStmt:
 		if s.txn != nil {
 			// The backfill would index committed state only: an index holds
@@ -240,13 +234,13 @@ func (s *Session) Execute(st Stmt) (*Result, error) {
 		}
 		return &Result{Kind: RMessage, Message: fmt.Sprintf("index on %s.%s created", st.Type, st.Attr)}, nil
 	case *InsertStmt:
-		return s.execInsert(st)
+		return s.write(func() (*Result, error) { return s.execInsert(st) })
 	case *UpdateStmt:
-		return s.execUpdate(st)
+		return s.write(func() (*Result, error) { return s.execUpdate(st) })
 	case *DeleteStmt:
-		return s.execDelete(st)
+		return s.write(func() (*Result, error) { return s.execDelete(st) })
 	case *ConnectStmt:
-		return s.execConnect(st)
+		return s.write(func() (*Result, error) { return s.execConnect(st) })
 	case *ShowStmt:
 		return s.execShow(st)
 	case *ExplainStmt:
@@ -269,6 +263,26 @@ func (s *Session) Execute(st Stmt) (*Result, error) {
 		return s.execRollback()
 	}
 	return nil, fmt.Errorf("mql: unsupported statement %T", st)
+}
+
+// write runs a write statement inside the session's open transaction,
+// or — in auto-commit mode — inside one it opens and commits itself, so
+// the statement is exactly one commit: a statement that fails part-way
+// leaves nothing behind.
+func (s *Session) write(exec func() (*Result, error)) (*Result, error) {
+	if s.txn != nil {
+		return exec()
+	}
+	s.execBegin()
+	defer s.execRollback() // refused once COMMIT has closed the transaction
+	r, err := exec()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.execCommit(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // execBegin opens a buffered-write transaction on the session.
@@ -472,18 +486,11 @@ func (s *Session) planSelect(st *SelectStmt, desc *core.Desc, o queryOpts) (*pla
 			return nil, err
 		}
 	}
-	var order *plan.OrderBy
-	if st.OrderBy != nil {
-		if st.OrderBy.Type != "" && st.OrderBy.Type != desc.Root() {
-			return nil, fmt.Errorf("mql: ORDER BY %s.%s: molecules order by their root type %q",
-				st.OrderBy.Type, st.OrderBy.Attr, desc.Root())
-		}
-		order = &plan.OrderBy{Attr: st.OrderBy.Attr, Desc: st.OrderBy.Desc}
+	order, err := orderBy(st, desc)
+	if err != nil {
+		return nil, err
 	}
-	var (
-		p   *plan.Plan
-		err error
-	)
+	var p *plan.Plan
 	switch {
 	case s.dirty():
 		p, err = plan.CompileForced(s.db, desc, st.Where, order, "full scan of "+desc.Root())
@@ -509,6 +516,19 @@ func (s *Session) planSelect(st *SelectStmt, desc *core.Desc, o queryOpts) (*pla
 		p.Limit = o.limit
 	}
 	return p, nil
+}
+
+// orderBy resolves a SELECT's ORDER BY clause against the structure it
+// orders (nil without one): molecules order by a root attribute only.
+func orderBy(st *SelectStmt, desc *core.Desc) (*plan.OrderBy, error) {
+	if st.OrderBy == nil {
+		return nil, nil
+	}
+	if st.OrderBy.Type != "" && st.OrderBy.Type != desc.Root() {
+		return nil, fmt.Errorf("mql: ORDER BY %s.%s: molecules order by their root type %q",
+			st.OrderBy.Type, st.OrderBy.Attr, desc.Root())
+	}
+	return &plan.OrderBy{Attr: st.OrderBy.Attr, Desc: st.OrderBy.Desc}, nil
 }
 
 // execSelect runs a query-mode SELECT through the planner: access path
@@ -627,11 +647,10 @@ func (s *Session) projectionSpec(st *SelectStmt, desc *core.Desc) (*core.Desc, m
 }
 
 // execDefine runs the algebra mode (Fig. 5). Every form is producers
-// feeding the one propagation sink, core.Prop, inside one transaction —
-// the session's open BEGIN, or one the DEFINE opens and commits for
-// itself — so a DEFINE is exactly one commit: invisible until it lands,
-// recovered whole or not at all, and discarded by ROLLBACK together with
-// its name.
+// feeding the one propagation sink, core.Prop, inside the statement's
+// transaction (see write) — so a DEFINE is exactly one commit: invisible
+// until it lands, recovered whole or not at all, and discarded by
+// ROLLBACK together with its name.
 func (s *Session) execDefine(st *DefineStmt) (*Result, error) {
 	if _, dup := s.lookup(st.Name); dup {
 		return nil, fmt.Errorf("mql: molecule type %q already defined", st.Name)
@@ -643,21 +662,11 @@ func (s *Session) execDefine(st *DefineStmt) (*Result, error) {
 		// silently ignore the clause.
 		return nil, fmt.Errorf("mql: LIMIT is not supported in DEFINE ... AS SELECT")
 	}
-	own := s.txn == nil
-	if own {
-		s.execBegin()
-		defer s.execRollback() // refused once COMMIT has closed the transaction
-	}
 	mt, n, err := s.define(st)
 	if err != nil {
 		return nil, err
 	}
 	s.pending[st.Name], _ = core.DefineDesc(s.db, st.Name, mt.Desc()) // a named α cannot fail
-	if own {
-		if _, err := s.execCommit(); err != nil {
-			return nil, err
-		}
-	}
 	return &Result{Kind: RMessage, Message: fmt.Sprintf("molecule type %q defined (%d molecules)", st.Name, n)}, nil
 }
 
@@ -778,20 +787,6 @@ func (s *Session) sink(rsd *core.Desc, next func() (*core.Molecule, error), attr
 	return mt, n, err
 }
 
-// target is what a DML statement writes to: the open transaction's
-// buffer, or the database, one auto-commit per write.
-func (s *Session) target() interface {
-	InsertAtom(string, ...model.Value) (model.AtomID, error)
-	UpdateAtom(string, model.AtomID, []model.Value) error
-	Connect(string, model.AtomID, model.AtomID) error
-	Disconnect(string, model.AtomID, model.AtomID) (bool, error)
-} {
-	if s.txn != nil {
-		return s.txn
-	}
-	return s.db
-}
-
 func (s *Session) execInsert(st *InsertStmt) (*Result, error) {
 	c, ok := s.db.Container(st.Type)
 	if !ok {
@@ -817,7 +812,7 @@ func (s *Session) execInsert(st *InsertStmt) (*Result, error) {
 				vals[pos] = row[i]
 			}
 		}
-		id, err := s.target().InsertAtom(st.Type, vals...)
+		id, err := s.txn.InsertAtom(st.Type, vals...)
 		if err != nil {
 			return nil, err
 		}
@@ -826,8 +821,8 @@ func (s *Session) execInsert(st *InsertStmt) (*Result, error) {
 	return res, nil
 }
 
-// matchAtoms collects the atoms of a type satisfying a predicate. Inside
-// a transaction the scan reads the begin snapshot, so the selected set is
+// matchAtoms collects the atoms of a type satisfying a predicate. The
+// scan reads the statement's transaction, so the selected set is
 // consistent with every other read the transaction performs.
 func (s *Session) matchAtoms(typeName string, pred expr.Expr) ([]model.Atom, error) {
 	c, ok := s.db.Container(typeName)
@@ -841,11 +836,11 @@ func (s *Session) matchAtoms(typeName string, pred expr.Expr) ([]model.Atom, err
 	}
 	var out []model.Atom
 	var evalErr error
-	// Inside a transaction DML predicates match the effective view —
-	// begin snapshot plus this transaction's own buffered writes — so a
-	// statement can target atoms the transaction just inserted.
+	// DML predicates match the effective view — begin snapshot plus the
+	// transaction's own buffered writes — so a statement can target atoms
+	// the transaction just inserted.
 	scanned := int64(0)
-	s.view(0).Scan(c, func(a model.Atom) bool {
+	s.txn.View().Scan(c, func(a model.Atom) bool {
 		scanned++
 		keep, err := expr.EvalPredicate(pred, expr.AtomBinding{TypeName: typeName, Desc: c.Desc(), Atom: a})
 		if err != nil {
@@ -857,12 +852,8 @@ func (s *Session) matchAtoms(typeName string, pred expr.Expr) ([]model.Atom, err
 		}
 		return true
 	})
-	if s.txn != nil {
-		// Work accounting: a transaction's DML scan counts as atom fetches
-		// (commit-mix-writer's traced storage.atom_fetches_per_molecule
-		// reads it); an auto-commit statement's scan is not booked.
-		s.db.Stats().AtomsFetched.Add(scanned)
-	}
+	// Work accounting: a DML scan counts as atom fetches.
+	s.db.Stats().AtomsFetched.Add(scanned)
 	return out, evalErr
 }
 
@@ -888,7 +879,7 @@ func (s *Session) execUpdate(st *UpdateStmt) (*Result, error) {
 			pos, _ := desc.Lookup(name)
 			vals[pos] = v
 		}
-		if err := s.target().UpdateAtom(st.Type, a.ID, vals); err != nil {
+		if err := s.txn.UpdateAtom(st.Type, a.ID, vals); err != nil {
 			return nil, err
 		}
 	}
@@ -901,12 +892,7 @@ func (s *Session) execDelete(st *DeleteStmt) (*Result, error) {
 		return nil, err
 	}
 	for _, a := range atoms {
-		if s.txn != nil {
-			err = s.txn.DeleteAtom(st.Type, a.ID)
-		} else {
-			_, err = s.db.DeleteAtom(st.Type, a.ID)
-		}
-		if err != nil {
+		if err := s.txn.DeleteAtom(st.Type, a.ID); err != nil {
 			return nil, err
 		}
 	}
@@ -930,14 +916,14 @@ func (s *Session) execConnect(st *ConnectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, w := 0, s.target()
+	n := 0
 	for _, fa := range froms {
 		for _, ta := range tos {
 			changed := true
 			if st.Remove {
-				changed, err = w.Disconnect(st.Link, fa.ID, ta.ID)
+				changed, err = s.txn.Disconnect(st.Link, fa.ID, ta.ID)
 			} else {
-				err = w.Connect(st.Link, fa.ID, ta.ID)
+				err = s.txn.Connect(st.Link, fa.ID, ta.ID)
 			}
 			if err != nil {
 				return nil, err

@@ -36,13 +36,9 @@ func (s *Session) execPrepare(st *PrepareStmt) (*Result, error) {
 		return nil, err
 	}
 	desc := mt.Desc()
-	var order *plan.OrderBy
-	if sel.OrderBy != nil {
-		if sel.OrderBy.Type != "" && sel.OrderBy.Type != desc.Root() {
-			return nil, fmt.Errorf("mql: ORDER BY %s.%s: molecules order by their root type %q",
-				sel.OrderBy.Type, sel.OrderBy.Attr, desc.Root())
-		}
-		order = &plan.OrderBy{Attr: sel.OrderBy.Attr, Desc: sel.OrderBy.Desc}
+	order, err := orderBy(sel, desc)
+	if err != nil {
+		return nil, err
 	}
 	ps := &preparedStmt{
 		sel:      sel,

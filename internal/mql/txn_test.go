@@ -331,3 +331,45 @@ DEFINE MOLECULE TYPE light AS SELECT ALL FROM parts WHERE weight < 1.0;`
 		})
 	}
 }
+
+// TestAutoCommitStatementIsOneCommit: outside BEGIN a write statement is
+// one transaction of its own — a row that fails leaves the rows before it
+// uncommitted, and a multi-row INSERT or a multi-atom UPDATE lands as a
+// single commit (one fsync on a durable database).
+func TestAutoCommitStatementIsOneCommit(t *testing.T) {
+	db := storage.NewDatabase()
+	sess := mql.NewSession(db)
+	if _, err := sess.Exec("CREATE ATOM TYPE a (n INT NOT NULL);"); err != nil {
+		t.Fatal(err)
+	}
+	count := func() int {
+		n, err := db.CountAtoms("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	ts := db.LatestTS()
+	if _, err := sess.Exec("INSERT INTO a VALUES (1), (2), (NULL);"); err == nil {
+		t.Fatal("INSERT of a NULL into a NOT NULL attribute succeeded")
+	}
+	if n := count(); n != 0 || db.LatestTS() != ts {
+		t.Fatalf("failed INSERT left %d atom(s) and %d commit(s)", n, db.LatestTS()-ts)
+	}
+	if _, err := sess.Exec("INSERT INTO a VALUES (1), (2), (3), (4);"); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 4 || db.LatestTS() != ts+1 {
+		t.Fatalf("4-row INSERT: %d atom(s) in %d commit(s), want 4 in 1", n, db.LatestTS()-ts)
+	}
+	r, err := sess.Exec("UPDATE a SET n = 0;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Affected != 4 || db.LatestTS() != ts+2 {
+		t.Fatalf("UPDATE of %d atom(s) took %d commit(s), want 4 in 1", r.Affected, db.LatestTS()-ts-1)
+	}
+	if sess.InTxn() {
+		t.Fatal("an auto-commit statement left a transaction open")
+	}
+}

@@ -161,7 +161,7 @@ func (cc *contest) selWithout(skip []int) float64 {
 
 // installRootFilter conjoins every root conjunct except the skipped
 // ordinals (those the access path absorbs exactly — an index equality or
-// a key-bounded range walk) into the pre-derivation root filter. EstRoots
+// a key-bounded range walk) into the root filter. EstRoots
 // approximates the roots that *enter derivation*: the produced batch
 // scaled by the filter's selectivity, its provenance src weakened by the
 // filter's.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"mad/internal/core"
 	"mad/internal/expr"
@@ -298,68 +297,6 @@ func TestRangeEntryParity(t *testing.T) {
 	}
 	if want := naiveRestrict(t, mt, xpred); len(want) == 0 || !sameSets(xgot, want) {
 		t.Fatalf("disjoint interior ranges: plan %d vs naive %d\n%s", len(xgot), len(want), xp.Render())
-	}
-}
-
-// TestRangeWalkParityRandom drives random one- and two-sided ranges on
-// an indexed root attribute against naive Σ — with histograms half the
-// time, so both the histogram-bucket and default range estimates feed
-// the contest.
-func TestRangeWalkParityRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		db, types, edges, err := starDB(rng, 2, 10+rng.Intn(30), 12)
-		if err != nil {
-			t.Logf("build: %v", err)
-			return false
-		}
-		if err := db.CreateIndex("r", "v"); err != nil {
-			t.Logf("index: %v", err)
-			return false
-		}
-		if rng.Intn(2) == 0 {
-			if _, err := db.Analyze(); err != nil {
-				t.Logf("analyze: %v", err)
-				return false
-			}
-		}
-		mt, err := core.Define(db, "star", types, edges)
-		if err != nil {
-			t.Logf("define: %v", err)
-			return false
-		}
-		ops := []expr.CmpOp{expr.LT, expr.LE, expr.GT, expr.GE}
-		pred := expr.Expr(expr.Cmp{
-			Op: ops[rng.Intn(len(ops))],
-			L:  expr.Attr{Type: "r", Name: "v"},
-			R:  expr.Lit(model.Int(int64(rng.Intn(12)))),
-		})
-		if rng.Intn(2) == 0 {
-			pred = expr.And{L: pred, R: expr.Cmp{
-				Op: ops[rng.Intn(len(ops))],
-				L:  expr.Attr{Type: "r", Name: "v"},
-				R:  expr.Lit(model.Int(int64(rng.Intn(12)))),
-			}}
-		}
-		want := naiveRestrict(t, mt, pred)
-		p, err := plan.Compile(db, mt.Desc(), pred)
-		if err != nil {
-			t.Logf("compile: %v", err)
-			return false
-		}
-		got, err := p.Execute()
-		if err != nil {
-			t.Logf("execute: %v", err)
-			return false
-		}
-		if !sameSets(got, want) {
-			t.Logf("seed %d: plan %d vs naive %d (pred %s)\n%s", seed, len(got), len(want), pred, p.Render())
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"mad/internal/core"
 	"mad/internal/expr"
 	"mad/internal/model"
+	"mad/internal/mql"
 	"mad/internal/plan"
 	"mad/internal/recursive"
 	"mad/internal/storage"
@@ -21,7 +22,7 @@ import (
 // comparisons on the v attribute of random types — root and interior, so
 // with indexes in place every row of the access-path table finds
 // candidates — plus, sometimes, an OR-shaped pushdown and a residual-only
-// conjunct.
+// conjunct (a COUNT, a negation or a comparison across two types).
 func accessPredicate(rng *rand.Rand, types []string) expr.Expr {
 	ops := []expr.CmpOp{expr.EQ, expr.EQ, expr.LT, expr.LE, expr.GT, expr.GE}
 	cmp := func() expr.Expr {
@@ -42,7 +43,12 @@ func accessPredicate(rng *rand.Rand, types []string) expr.Expr {
 		pred = expr.And{L: pred, R: expr.Or{L: intCmp(expr.EQ, t, "v", int64(rng.Intn(4))), R: intCmp(expr.EQ, t, "v", int64(rng.Intn(4)))}}
 	}
 	if len(types) > 1 && rng.Intn(3) == 0 {
-		pred = expr.And{L: pred, R: expr.Cmp{Op: expr.GE, L: expr.CountOf{Type: types[1]}, R: expr.Lit(model.Int(int64(rng.Intn(3))))}}
+		residuals := []expr.Expr{
+			expr.Cmp{Op: expr.GE, L: expr.CountOf{Type: types[1]}, R: expr.Lit(model.Int(int64(rng.Intn(3))))},
+			expr.Not{E: intCmp(expr.EQ, types[len(types)-1], "v", int64(rng.Intn(4)))},
+			expr.Cmp{Op: expr.LE, L: expr.Attr{Type: types[0], Name: "w"}, R: expr.Attr{Type: types[1], Name: "w"}},
+		}
+		pred = expr.And{L: pred, R: residuals[rng.Intn(len(residuals))]}
 	}
 	return pred
 }
@@ -81,6 +87,9 @@ type parityCase struct {
 	// txn, when set, is an open transaction holding buffered writes: the
 	// plan streams over its effective view, and the oracle read it too.
 	txn *storage.Txn
+	// many marks a root type populated past two executor batches, so the
+	// full scan's 3- and 8-worker runs take the pipelined path.
+	many bool
 	// roots are the oracle's qualifying roots in scan order; same compares
 	// a delivered molecule with the oracle's molecule of the same root.
 	roots []model.AtomID
@@ -96,10 +105,10 @@ func (c *parityCase) view() storage.View {
 	return c.db.View(0)
 }
 
-// closureDB generates a random reflexive graph — self-loops, cycles and
-// reconvergent paths included — over one atom type with the layered
-// generator's attributes (v from a small domain, w for ordering).
-func closureDB(rng *rand.Rand) (*storage.Database, error) {
+// closureDB generates a random reflexive graph of n atoms — self-loops,
+// cycles and reconvergent paths included — over one atom type with the
+// layered generator's attributes (v from a small domain, w for ordering).
+func closureDB(rng *rand.Rand, n int) (*storage.Database, error) {
 	db := storage.NewDatabase()
 	desc := model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt}, model.AttrDesc{Name: "w", Kind: model.KFloat})
 	if _, err := db.DefineAtomType("part", desc); err != nil {
@@ -108,7 +117,6 @@ func closureDB(rng *rand.Rand) (*storage.Database, error) {
 	if _, err := db.DefineLinkType("comp", model.LinkDesc{SideA: "part", SideB: "part"}); err != nil {
 		return nil, err
 	}
-	n := 1 + rng.Intn(20)
 	ids := make([]model.AtomID, n)
 	for i := range ids {
 		id, err := db.InsertAtom("part", model.Int(int64(rng.Intn(4))), model.Float(rng.Float64()*100))
@@ -201,18 +209,26 @@ func viewClosure(view storage.View, comp *storage.LinkStore, root model.AtomID, 
 // check executes every candidate the contest enumerates for the case —
 // forced in place of the cheapest — with 1, 3 and 8 workers and compares
 // each delivery, element-wise, with the oracle's roots ordered and cut as
-// the query asks. A dirty view admits only the full scan; every other
-// candidate must refuse to open it. Over committed state the case then
-// runs cache hot: a cold compile through the plan cache is executed, and
-// the hit that follows must render, before its own execution, exactly as
-// the cold compile did and deliver the oracle too. Last it runs reloaded:
-// over the database saved as a state file and loaded back, the unforced
-// compile must render byte-equal to the original's and deliver the oracle.
+// the query asks; a stream of the same plan closed at a random point
+// must have delivered a prefix of it. A dirty view admits only the full
+// scan; every other candidate must refuse to open it. Over committed
+// state the case then runs cache hot: a cold compile through the plan
+// cache is executed, and the hit that follows must render, before its
+// own execution, exactly as the cold compile did and deliver the oracle
+// too. Then it runs reloaded: over the database saved as a state file
+// and loaded back, the unforced compile must render byte-equal to the
+// original's and deliver the oracle. Last, an unlimited structure case
+// is propagated: DEFINE … AS SELECT … WHERE through an MQL session must
+// define an occurrence equivalent to the delivered set.
 func (c parityCase) check(t *testing.T, seed int64) bool {
 	root := c.desc.Root()
+	cont, _ := c.db.Container(root)
+	if n := len(c.view().IDs(cont)); c.many && n <= 2*core.DefaultStreamBatch {
+		t.Logf("seed %d: many-roots case has %d roots, not more than two batches", seed, n)
+		return false
+	}
 	want := c.roots
 	if c.order != nil {
-		cont, _ := c.db.Container(root)
 		pos, _ := cont.Desc().Lookup(c.order.Attr)
 		key := func(id model.AtomID) model.Value {
 			a, ok := c.view().Atom(cont, id)
@@ -246,6 +262,7 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 		t.Logf("seed %d: unforced compile did not install the cheapest candidate:\n%s", seed, contested.Render())
 		return false
 	}
+	rng := rand.New(rand.NewSource(seed))
 	for _, alt := range contested.Alternatives {
 		var base runActuals
 		for _, workers := range []int{1, 3, 8} {
@@ -270,10 +287,14 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 			if !c.delivers(t, seed, p, got, want, alt.Label) {
 				return false
 			}
+			a := actualsOf(p)
+			if !c.prefix(t, seed, p, rng, want, alt.Label) {
+				return false
+			}
 			if c.limit > 0 {
 				continue // truncated and bound-pruned runs stop where timing says
 			}
-			if a := actualsOf(p); workers == 1 {
+			if workers == 1 {
 				base = a
 			} else if !a.equal(base) {
 				t.Logf("seed %d: %q workers=%d: actuals %+v, sequential %+v", seed, alt.Label, workers, a, base)
@@ -292,6 +313,7 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 	cache := plan.CacheFor(c.db)
 	defer plan.Release(c.db)
 	var cold string
+	var hot core.MoleculeSet
 	for run := 0; run < 2; run++ {
 		p, cached, err := cache.CompileOrdered(c.desc, c.pred, c.order)
 		if err != nil {
@@ -313,6 +335,7 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 		if !c.delivers(t, seed, p, got, want, "cache hot") {
 			return false
 		}
+		hot = got
 	}
 
 	// Reloaded: the database written as a state file and read back — its
@@ -343,7 +366,61 @@ func (c parityCase) check(t *testing.T, seed int64) bool {
 		t.Logf("seed %d: reloaded run: %v", seed, err)
 		return false
 	}
-	return c.delivers(t, seed, p, got, want, "reloaded")
+	if !c.delivers(t, seed, p, got, want, "reloaded") {
+		return false
+	}
+
+	// Propagated: algebra mode's Σ, the planned stream feeding the
+	// propagation sink, defines the occurrence the plan delivered. A
+	// recursive WHERE cannot be propagated, and a LIMIT cannot be defined.
+	if c.desc.Closure() != nil || c.limit > 0 {
+		return true
+	}
+	mt, err := core.DefineDesc(c.db, "", c.desc)
+	if err != nil {
+		t.Logf("seed %d: %v", seed, err)
+		return false
+	}
+	sess := mql.NewSession(c.db)
+	if err := sess.Register("random", mt); err != nil {
+		t.Logf("seed %d: %v", seed, err)
+		return false
+	}
+	define := &mql.DefineStmt{Name: "sigma", Select: &mql.SelectStmt{All: true, From: mql.FromClause{Name: "random"}, Where: c.pred}}
+	if _, err := sess.Execute(define); err != nil {
+		t.Logf("seed %d: DEFINE: %v", seed, err)
+		return false
+	}
+	sigma, _ := sess.NamedType("sigma")
+	if ok, err := core.EquivalentOccurrence(sigma, hot); err != nil || !ok {
+		t.Logf("seed %d: propagated occurrence differs from the delivered set (pred %s, err %v)", seed, c.pred, err)
+		return false
+	}
+	return true
+}
+
+// prefix streams p again and closes it after a random number of
+// molecules: what it delivered must be exactly that prefix of want.
+func (c parityCase) prefix(t *testing.T, seed int64, p *plan.Plan, rng *rand.Rand, want []model.AtomID, label string) bool {
+	st, err := p.StreamIn(context.Background(), c.txn)
+	if err != nil {
+		t.Logf("seed %d: %q workers=%d: stream: %v", seed, label, p.Workers, err)
+		return false
+	}
+	j := rng.Intn(len(want) + 1)
+	var got core.MoleculeSet
+	for len(got) < j {
+		m, err := st.Next()
+		if m == nil || err != nil {
+			break
+		}
+		got = append(got, m)
+	}
+	if err := st.Close(); err != nil {
+		t.Logf("seed %d: %q workers=%d: close after %d: %v", seed, label, p.Workers, j, err)
+		return false
+	}
+	return c.delivers(t, seed, p, got, want[:j], label+" closed early")
 }
 
 // delivers compares one run's molecules, element-wise, with the oracle's
@@ -370,13 +447,17 @@ func (c parityCase) delivers(t *testing.T, seed int64, p *plan.Plan, got core.Mo
 // path yields root-ID order when no ORDER BY asks otherwise), for 1, 3 and
 // 8 workers; complete runs additionally report the same roots/derived/out,
 // per-pushdown Cut and per-residual Evals/Passed for every worker count,
-// and the unforced compile installs the cheapest candidate; over committed
+// a stream closed at a random point has delivered an exact prefix, and
+// the unforced compile installs the cheapest candidate; over committed
 // state the plan cache's hit renders as its cold compile did and delivers
 // the oracle too, and so does the database written as a state file and
 // read back (reloaded: its indexes and histograms return, so its plan
-// renders byte-equal to the original's). Three configurations share the
-// random index and statistics regimes, the optional ORDER BY / LIMIT and
-// the check:
+// renders byte-equal to the original's); an unlimited structure case
+// propagated through DEFINE … AS SELECT … WHERE defines the delivered
+// occurrence. Three configurations share the random index and statistics
+// regimes, the population regime (about one case in four holds more than
+// two executor batches of roots, so 3 and 8 workers run pipelined), the
+// optional ORDER BY / LIMIT and the check:
 //
 //   - structures: random 2–4-type structures with shared and multi-parent
 //     atoms under random conjunctive predicates; oracle Deriver.Walk +
@@ -407,6 +488,15 @@ func TestForcedPathParityRandom(t *testing.T) {
 			return err
 		}
 		return nil
+	}
+	// population draws how many atoms each generated type holds: few, or
+	// — in about one case in four — more than two executor batches, so the
+	// full scan's root batch fans out over the 3- and 8-worker pools.
+	population := func(rng *rand.Rand, few int) (int, bool) {
+		if rng.Intn(4) > 0 {
+			return few, false
+		}
+		return 2*core.DefaultStreamBatch + 16 + rng.Intn(core.DefaultStreamBatch), true
 	}
 	// shape draws the optional ORDER BY and LIMIT.
 	shape := func(rng *rand.Rand, c *parityCase) {
@@ -441,7 +531,8 @@ func TestForcedPathParityRandom(t *testing.T) {
 	}
 
 	structures := func(rng *rand.Rand, inTxn bool) (c parityCase, err error) {
-		db, types, edges, err := layeredDB(rng, 1+rng.Intn(3), 4+rng.Intn(9))
+		n, many := population(rng, 4+rng.Intn(9))
+		db, types, edges, err := layeredDB(rng, 1+rng.Intn(3), n)
 		if err != nil {
 			return c, err
 		}
@@ -452,7 +543,7 @@ func TestForcedPathParityRandom(t *testing.T) {
 		if err != nil {
 			return c, err
 		}
-		c = parityCase{db: db, desc: mt.Desc(), pred: accessPredicate(rng, types)}
+		c = parityCase{db: db, desc: mt.Desc(), pred: accessPredicate(rng, types), many: many}
 		if err := expr.Check(c.pred, core.Scope{DB: db, Desc: c.desc}); err != nil {
 			return c, err
 		}
@@ -468,7 +559,8 @@ func TestForcedPathParityRandom(t *testing.T) {
 	}
 
 	closures := func(rng *rand.Rand, inTxn bool) (c parityCase, err error) {
-		db, err := closureDB(rng)
+		n, many := population(rng, 1+rng.Intn(20))
+		db, err := closureDB(rng, n)
 		if err != nil {
 			return c, err
 		}
@@ -480,7 +572,7 @@ func TestForcedPathParityRandom(t *testing.T) {
 		if err != nil {
 			return c, err
 		}
-		c = parityCase{db: db, desc: desc}
+		c = parityCase{db: db, desc: desc, many: many}
 		if rng.Intn(3) > 0 {
 			c.pred = accessPredicate(rng, []string{"part"})
 		}

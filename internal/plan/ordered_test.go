@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"mad/internal/core"
@@ -56,84 +55,6 @@ func orderedReference(t *testing.T, db *storage.Database, rootType string, full 
 	return ref
 }
 
-// TestOrderedStreamParityRandom is the ordering property: over random
-// structures, predicates, index regimes (the ordered-index ride vs the
-// heap/sort paths), directions, limits and worker counts, an ordered
-// stream delivers exactly the sort-after-materialize reference —
-// element-wise, not just as a set.
-func TestOrderedStreamParityRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		depth := 2 + rng.Intn(2)
-		db, types, edges, err := layeredDB(rng, depth, 4+rng.Intn(6))
-		if err != nil {
-			t.Logf("build: %v", err)
-			return false
-		}
-		// Half the runs index the ORDER BY attribute, so both the
-		// index-order ride and the heap/sort paths are exercised.
-		indexed := rng.Intn(2) == 0
-		if indexed {
-			if err := db.CreateIndex(types[0], "v"); err != nil {
-				t.Logf("index: %v", err)
-				return false
-			}
-		}
-		mt, err := core.Define(db, "ordered_random", types, edges)
-		if err != nil {
-			t.Logf("define: %v", err)
-			return false
-		}
-		defer plan.Release(db)
-
-		var pred expr.Expr
-		if rng.Intn(3) > 0 {
-			pred = randomPredicate(rng, types)
-			if err := expr.Check(pred, core.Scope{DB: db, Desc: mt.Desc()}); err != nil {
-				t.Logf("check: %v", err)
-				return false
-			}
-		}
-		full, err := mustCompile(t, db, mt, pred, nil, 1, 0).Execute()
-		if err != nil {
-			t.Logf("execute: %v", err)
-			return false
-		}
-
-		attrs := []string{"v", "w"}
-		order := plan.OrderBy{Attr: attrs[rng.Intn(len(attrs))], Desc: rng.Intn(2) == 0}
-		limits := []int{0, 1 + rng.Intn(len(full)+2)}
-		for _, limit := range limits {
-			ref := orderedReference(t, db, types[0], full, order, limit)
-			for _, workers := range []int{1, 2, 4} {
-				p := mustCompile(t, db, mt, pred, &order, workers, limit)
-				st, err := p.Stream(context.Background())
-				if err != nil {
-					t.Logf("stream: %v", err)
-					return false
-				}
-				got := collectStream(t, st, -1)
-				if len(got) != len(ref) {
-					t.Logf("seed %d order %+v limit %d workers %d path %q: got %d molecules, want %d",
-						seed, order, limit, workers, p.OrderPath, len(got), len(ref))
-					return false
-				}
-				for i := range got {
-					if !got[i].Equal(ref[i]) {
-						t.Logf("seed %d order %+v limit %d workers %d path %q: molecule %d differs",
-							seed, order, limit, workers, p.OrderPath, i)
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func mustCompile(t *testing.T, db *storage.Database, mt *core.MoleculeType, pred expr.Expr, order *plan.OrderBy, workers, limit int) *plan.Plan {
 	t.Helper()
 	p, err := plan.CompileOrdered(db, mt.Desc(), pred, order)
@@ -177,7 +98,7 @@ func TestOrderedIndexRideNoSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := collectStream(t, st, -1)
+		got := collectStream(t, st)
 		if p.OrderPath != plan.OrderIndex {
 			t.Fatalf("desc=%v: order path %q, want %q", desc, p.OrderPath, plan.OrderIndex)
 		}
@@ -209,7 +130,7 @@ func TestOrderedTopKBoundCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := collectStream(t, st, -1)
+		got := collectStream(t, st)
 		return got, db.Stats().Snapshot().Sub(before).AtomsFetched
 	}
 	p := mustCompile(t, db, mt, nil, &order, 1, 4)

@@ -12,8 +12,8 @@
 //     derived downward as usual), an intersection of several interior
 //     entries, and an ordered index walk. Every row's candidates are
 //     costed in one contest against histogram estimates and link fan-out
-//     statistics, root-only conjuncts the path does not absorb pre-filter
-//     the batch, and EXPLAIN records the contest;
+//     statistics, root-only conjuncts the path does not absorb become the
+//     root filter, and EXPLAIN records the contest;
 //   - the derivation node, annotated with per-atom-type pushdown
 //     conjuncts: conjuncts referencing a single non-root atom type are
 //     evaluated inside core.Deriver while the structure template is laid
@@ -29,9 +29,10 @@
 //     conjuncts short-circuit the expensive ones.
 //
 // Execution is streaming: the root batch is cut into batches that fan
-// out over the worker pool (core.DeriveStream), each worker runs the
-// residual chain on a molecule the moment it finishes deriving it — no
-// barrier separates derivation from filtering,
+// out over the worker pool (core.DeriveStream) — the one place a query
+// fans out — each worker judges the root filter and the pushdowns as
+// prune hooks and runs the residual chain on a molecule the moment it
+// finishes deriving it — no barrier separates derivation from filtering,
 // rejected molecules never cross a goroutine, and every worker keeps
 // private Evals/Passed/Cut accumulators merged at batch end so the
 // EXPLAIN actuals stay exact — and every finished batch is emitted in
@@ -64,7 +65,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -111,15 +111,15 @@ const (
 	// access path as a root prune — roots that cannot beat it are cut
 	// before derivation.
 	OrderTopK = "top-k heap"
-	// OrderSort: no index and no LIMIT — the full result is collected
-	// and sorted before delivery.
+	// OrderSort: no index and no LIMIT — the same heap, never popped
+	// until the whole result is in, so no bound is published.
 	OrderSort = "sort"
 )
 
 // OrderBy asks a plan to deliver molecules ordered by a root attribute.
 // Ties (equal keys) are broken by root atom ID ascending regardless of
-// direction, so every delivery mechanism — index ride, bounded heap,
-// terminal sort — produces the identical sequence.
+// direction, so both delivery mechanisms — index ride and heap — produce
+// the identical sequence.
 type OrderBy struct {
 	Attr string
 	Desc bool
@@ -144,9 +144,10 @@ type Access struct {
 	// UpPath lists the atom types the upward climb of an InteriorIndex
 	// access passes through, entry first, root last — for EXPLAIN.
 	UpPath []string
-	// Filter holds the remaining root-only conjuncts; they are evaluated
-	// per root atom before derivation starts (every molecule has exactly
-	// one root atom, so per-atom evaluation equals molecule evaluation).
+	// Filter holds the remaining root-only conjuncts; derivation judges
+	// them per root atom as the first prune hook, before anything below
+	// the root is traversed (every molecule has exactly one root atom, so
+	// per-atom evaluation equals molecule evaluation).
 	Filter expr.Expr
 	// EstEntries estimates the interior atoms matching an InteriorIndex
 	// entry equality (EntrySource records the statistic behind it);
@@ -163,7 +164,9 @@ type Access struct {
 	// EstSource records which statistic produced EstRoots (SrcHistogram,
 	// SrcUniform, SrcContainer, SrcLinkFan or SrcDefault) for EXPLAIN.
 	EstSource string
-	// ActRoots counts the roots that actually entered derivation.
+	// ActRoots counts the roots that passed the root filter and so
+	// entered derivation; like Derived, a truncated run counts only the
+	// roots it got to.
 	ActRoots int
 
 	// Ranged marks an IndexScan or InteriorIndex whose index access is a
@@ -263,8 +266,8 @@ type ResidualConjunct struct {
 type Plan struct {
 	db   *storage.Database
 	desc *core.Desc
-	// pred is the whole compiled predicate — kept so the plan-cache
-	// image can persist the shape and so shape-cached plans can rebind.
+	// pred is the whole compiled predicate — kept so a shape-cached plan
+	// can rebind it to fresh literals.
 	pred expr.Expr
 	// path is the row of the access-path table the contest installed; it
 	// produces the root batch, renders the access lines and rebinds the
@@ -713,101 +716,13 @@ func (p *Plan) resetActuals() {
 	}
 }
 
-// prepareRoots runs the access path and the pre-derivation root filter,
-// returning the root batch entering derivation; cancelling ctx abandons
-// the filter.
-func (p *Plan) prepareRoots(ctx context.Context, dv *core.Deriver, eb *evalErrBox) ([]model.AtomID, error) {
-	var rootFilter func(model.AtomID) bool
-	var err error
-	if p.Access.Filter != nil {
-		rootFilter, err = p.atomPred(p.Access.Root, p.Access.Filter, eb, dv.View())
-		if err != nil {
-			return nil, err
-		}
+// rootFilter compiles Access.Filter into a per-root predicate reading
+// through view; nil when the access path absorbed every root conjunct.
+func (p *Plan) rootFilter(eb *evalErrBox, view storage.View) (func(model.AtomID) bool, error) {
+	if p.Access.Filter == nil {
+		return nil, nil
 	}
-	roots, err := p.path.roots(p, dv)
-	if err != nil {
-		return nil, err
-	}
-	if rootFilter != nil {
-		roots, err = p.filterRoots(ctx, roots, rootFilter, eb)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := eb.get(); err != nil {
-		return nil, err
-	}
-	p.Access.ActRoots = len(roots)
-	return roots, nil
-}
-
-// parallelFilterMin is the root-batch size below which the pre-derivation
-// root filter stays sequential: a per-atom comparison is so cheap that
-// spawning goroutines for a small batch costs more than it saves.
-const parallelFilterMin = 128
-
-// filterRoots evaluates the pre-derivation root filter over the batch,
-// fanning it over the worker pool when the batch is big enough to pay.
-// Every worker fills a private range of keep flags and the compaction
-// runs sequentially afterwards, so the output order (and therefore every
-// downstream result order) is exactly the sequential one.
-func (p *Plan) filterRoots(ctx context.Context, roots []model.AtomID, rootFilter func(model.AtomID) bool, eb *evalErrBox) ([]model.AtomID, error) {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(roots) < parallelFilterMin || len(roots) < 2*workers {
-		kept := make([]model.AtomID, 0, len(roots))
-		for _, r := range roots {
-			if eb.failed.Load() {
-				break
-			}
-			if rootFilter(r) {
-				kept = append(kept, r)
-			}
-		}
-		return kept, nil
-	}
-
-	var stop atomic.Bool
-	if ctx != nil {
-		unregister := context.AfterFunc(ctx, func() { stop.Store(true) })
-		defer unregister()
-	}
-	keep := make([]bool, len(roots))
-	chunk := (len(roots) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(roots) {
-			break
-		}
-		hi := min(lo+chunk, len(roots))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if stop.Load() || eb.failed.Load() {
-					return
-				}
-				keep[i] = rootFilter(roots[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	kept := make([]model.AtomID, 0, len(roots))
-	for i, ok := range keep {
-		if ok {
-			kept = append(kept, roots[i])
-		}
-	}
-	return kept, nil
+	return p.atomPred(p.Access.Root, p.Access.Filter, eb, view)
 }
 
 // Execute runs the plan and returns the qualifying molecules, filling
@@ -845,19 +760,20 @@ func (p *Plan) drain(ctx context.Context, txn *storage.Txn, fn func(*core.Molecu
 
 // CanCountFast reports whether the plan can answer a COUNT without
 // deriving a single molecule: with no interior pushdowns and no residual
-// chain, every root entering derivation yields exactly one qualifying
-// molecule (a root always derives), so the count is the filtered
-// root-batch length itself.
+// chain, every root passing the root filter yields exactly one
+// qualifying molecule (a root always derives), so the count is the
+// number of passing roots.
 func (p *Plan) CanCountFast() bool {
 	return len(p.Pushdowns) == 0 && len(p.Residuals) == 0
 }
 
 // ExecuteCountIn counts the plan's qualifying molecules through txn's
 // view (see StreamIn; nil pins the latest commit for the call). When
-// CanCountFast holds, only the access path and the pre-derivation root
-// filter run — zero derivations, zero molecules materialized. Otherwise
-// the counting rides the stream, where a LIMIT still cancels derivation
-// mid-run the moment the bound is reached (the errStreamLimit path).
+// CanCountFast holds, only the access path runs, and one loop counts the
+// roots passing the root filter — zero derivations, zero molecules
+// materialized. Otherwise the counting rides the stream, where a LIMIT
+// still cancels derivation mid-run the moment the bound is reached (the
+// errStreamLimit path).
 func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -877,17 +793,32 @@ func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error
 		defer own.Close()
 	}
 	p.resetActuals()
-	roots, err := p.prepareRoots(ctx, dv, &evalErrBox{})
+	eb := &evalErrBox{}
+	filter, err := p.rootFilter(eb, dv.View())
 	if err != nil {
 		return 0, err
 	}
-	n := len(roots)
-	if p.Limit > 0 && n > p.Limit {
-		n = p.Limit
+	roots, err := p.path.roots(p, dv)
+	if err != nil {
+		return 0, err
 	}
-	p.Out = n
+	for _, r := range roots {
+		if eb.failed.Load() {
+			break
+		}
+		if filter == nil || filter(r) {
+			p.Access.ActRoots++
+		}
+	}
+	if err := eb.get(); err != nil {
+		return 0, err
+	}
+	p.Out = p.Access.ActRoots
+	if p.Limit > 0 {
+		p.Out = min(p.Out, p.Limit)
+	}
 	p.Executed = true
-	return n, nil
+	return p.Out, nil
 }
 
 // Render prints the plan tree with estimated and (when executed) actual

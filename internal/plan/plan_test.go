@@ -5,12 +5,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"mad/internal/core"
 	"mad/internal/expr"
 	"mad/internal/model"
-	"mad/internal/mql"
 	"mad/internal/plan"
 	"mad/internal/storage"
 )
@@ -80,39 +78,6 @@ func layeredDB(rng *rand.Rand, depth, atomsPerType int) (*storage.Database, []st
 	return db, types, edges, nil
 }
 
-// randomPredicate builds a random conjunction exercising every planner
-// path: root equality (index hit or miss depending on the caller),
-// single-type pushdown conjuncts (plain and OR-shaped) on deeper types,
-// and residual-only conjuncts (NOT, COUNT, multi-type comparison).
-func randomPredicate(rng *rand.Rand, types []string) expr.Expr {
-	eq := func(t string, k int64) expr.Expr {
-		return expr.Cmp{Op: expr.EQ, L: expr.Attr{Type: t, Name: "v"}, R: expr.Lit(model.Int(k))}
-	}
-	choices := []func() expr.Expr{
-		func() expr.Expr { return eq(types[0], int64(rng.Intn(5))) },
-		func() expr.Expr { return eq(types[len(types)-1], int64(rng.Intn(5))) },
-		func() expr.Expr {
-			t := types[1+rng.Intn(len(types)-1)]
-			return expr.Or{L: eq(t, int64(rng.Intn(4))), R: eq(t, int64(rng.Intn(4)))}
-		},
-		func() expr.Expr {
-			return expr.Cmp{Op: expr.GE, L: expr.Attr{Type: types[1], Name: "w"}, R: expr.Lit(model.Float(rng.Float64() * 100))}
-		},
-		func() expr.Expr { return expr.Not{E: eq(types[len(types)-1], int64(rng.Intn(4)))} },
-		func() expr.Expr {
-			return expr.Cmp{Op: expr.GE, L: expr.CountOf{Type: types[1]}, R: expr.Lit(model.Int(int64(rng.Intn(3))))}
-		},
-		func() expr.Expr {
-			return expr.Cmp{Op: expr.LE, L: expr.Attr{Type: types[0], Name: "w"}, R: expr.Attr{Type: types[1], Name: "w"}}
-		},
-	}
-	pred := choices[rng.Intn(len(choices))]()
-	for n := rng.Intn(2); n > 0; n-- {
-		pred = expr.And{L: pred, R: choices[rng.Intn(len(choices))]()}
-	}
-	return pred
-}
-
 // naiveRestrict is the specification the planner must match: derive the
 // full occurrence, keep the molecules fulfilling the predicate.
 func naiveRestrict(t *testing.T, mt *core.MoleculeType, pred expr.Expr) core.MoleculeSet {
@@ -154,87 +119,6 @@ func sameSets(a, b core.MoleculeSet) bool {
 		}
 	}
 	return true
-}
-
-// TestPlannerEquivalenceRandom is the planner-vs-naive property: over
-// randomized schemas and predicates — with and without a root index, so
-// the plan exercises index-hit, index-miss and pushdown-pruned paths —
-// the planner's result is set-equal to naive Σ, and the propagated
-// restriction (DEFINE … AS SELECT … WHERE) re-derives to exactly that set
-// (core.EquivalentOccurrence).
-func TestPlannerEquivalenceRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		depth := 2 + rng.Intn(2)
-		db, types, edges, err := layeredDB(rng, depth, 4+rng.Intn(5))
-		if err != nil {
-			t.Logf("build: %v", err)
-			return false
-		}
-		if rng.Intn(2) == 0 {
-			// Half the runs index the root's equality attribute, so the
-			// compiled plan alternates between index and scan access.
-			if err := db.CreateIndex(types[0], "v"); err != nil {
-				t.Logf("index: %v", err)
-				return false
-			}
-		}
-		mt, err := core.Define(db, "random", types, edges)
-		if err != nil {
-			t.Logf("define: %v", err)
-			return false
-		}
-		pred := randomPredicate(rng, types)
-		if err := expr.Check(pred, core.Scope{DB: db, Desc: mt.Desc()}); err != nil {
-			t.Logf("check: %v", err)
-			return false
-		}
-
-		want := naiveRestrict(t, mt, pred)
-
-		p, err := plan.Compile(db, mt.Desc(), pred)
-		if err != nil {
-			t.Logf("compile: %v", err)
-			return false
-		}
-		got, err := p.Execute()
-		if err != nil {
-			t.Logf("execute: %v", err)
-			return false
-		}
-		if !sameSets(got, want) {
-			t.Logf("seed %d: plan %d molecules, naive %d (pred %s)\nplan:\n%s",
-				seed, len(got), len(want), pred, p.Render())
-			return false
-		}
-
-		// Algebra mode: DEFINE … AS SELECT … WHERE — the planned Σ feeding
-		// the propagation sink — must be occurrence-equivalent to the
-		// planner's qualifying set.
-		defer plan.Release(db)
-		sess := mql.NewSession(db)
-		if err := sess.Register("random", mt); err != nil {
-			t.Fatal(err)
-		}
-		define := &mql.DefineStmt{Name: "sigma", Select: &mql.SelectStmt{All: true, From: mql.FromClause{Name: "random"}, Where: pred}}
-		if _, err := sess.Execute(define); err != nil {
-			t.Logf("DEFINE: %v", err)
-			return false
-		}
-		sigma, _ := sess.NamedType("sigma")
-		ok, err := core.EquivalentOccurrence(sigma, got)
-		if err != nil {
-			t.Logf("equivalent: %v", err)
-			return false
-		}
-		if !ok {
-			t.Logf("seed %d: propagated occurrence differs (pred %s)", seed, pred)
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // fixture builds a deterministic three-layer database for the targeted
@@ -534,95 +418,6 @@ func TestCompileChoosesInteriorIndex(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", wantLine, out)
 		}
 	}
-}
-
-// TestInteriorRootScanEquivalenceRandom is the satellite property: over
-// randomized structures and predicates that include an equality on an
-// indexed non-root type, the compiled plan — whichever entry point the
-// cost contest picks — returns exactly the molecule set of the root-scan
-// plan compiled before the index existed, and of naive Σ.
-func TestInteriorRootScanEquivalenceRandom(t *testing.T) {
-	kinds := make(map[plan.AccessKind]int)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		depth := 2 + rng.Intn(2)
-		db, types, edges, err := layeredDB(rng, depth, 4+rng.Intn(5))
-		if err != nil {
-			t.Logf("build: %v", err)
-			return false
-		}
-		mt, err := core.Define(db, "random", types, edges)
-		if err != nil {
-			t.Logf("define: %v", err)
-			return false
-		}
-		// The predicate always includes an equality on a non-root type
-		// (the interior entry candidate) plus random extra conjuncts.
-		interiorType := types[1+rng.Intn(len(types)-1)]
-		pred := expr.Expr(expr.Cmp{Op: expr.EQ,
-			L: expr.Attr{Type: interiorType, Name: "v"}, R: expr.Lit(model.Int(int64(rng.Intn(4))))})
-		if rng.Intn(2) == 0 {
-			pred = expr.And{L: pred, R: randomPredicate(rng, types)}
-		}
-		if err := expr.Check(pred, core.Scope{DB: db, Desc: mt.Desc()}); err != nil {
-			t.Logf("check: %v", err)
-			return false
-		}
-
-		// Root-scan plan: compiled while no index exists.
-		rootScan, err := plan.Compile(db, mt.Desc(), pred)
-		if err != nil {
-			t.Logf("compile root scan: %v", err)
-			return false
-		}
-		if rootScan.Access.Kind != plan.FullScan {
-			t.Logf("seed %d: pre-index plan is not a root scan", seed)
-			return false
-		}
-		if err := db.CreateIndex(interiorType, "v"); err != nil {
-			t.Logf("index: %v", err)
-			return false
-		}
-		if rng.Intn(2) == 0 {
-			// Half the runs get histogram estimates for the contest.
-			if _, err := db.Analyze(interiorType); err != nil {
-				t.Logf("analyze: %v", err)
-				return false
-			}
-		}
-		contested, err := plan.Compile(db, mt.Desc(), pred)
-		if err != nil {
-			t.Logf("compile contested: %v", err)
-			return false
-		}
-		kinds[contested.Access.Kind]++
-
-		want := naiveRestrict(t, mt, pred)
-		gotScan, err := rootScan.Execute()
-		if err != nil {
-			t.Logf("execute root scan: %v", err)
-			return false
-		}
-		gotContested, err := contested.Execute()
-		if err != nil {
-			t.Logf("execute contested: %v", err)
-			return false
-		}
-		if !sameSets(gotScan, want) {
-			t.Logf("seed %d: root-scan plan %d molecules, naive %d", seed, len(gotScan), len(want))
-			return false
-		}
-		if !sameSets(gotContested, want) {
-			t.Logf("seed %d: contested plan (%v) %d molecules, naive %d (pred %s)\nplan:\n%s",
-				seed, contested.Access.Kind, len(gotContested), len(want), pred, contested.Render())
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("access kinds exercised: %v", kinds)
 }
 
 // TestInteriorDiamondEquivalence drives the interior entry through a

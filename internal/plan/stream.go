@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"iter"
-	"sort"
 	"sync/atomic"
 
 	"mad/internal/core"
@@ -87,10 +86,10 @@ func (p *Plan) open(txn *storage.Txn) (dv *core.Deriver, own *storage.Snapshot, 
 }
 
 // Stream starts executing the plan and returns the result cursor. The
-// pipeline underneath — access path, parallel pre-derivation root
-// filter, pruned derivation with the residual chain run on the deriving
-// worker — hands completed batches to the consumer the moment they
-// exist. Cancelling ctx (or Close) stops the worker pool mid-derivation
+// pipeline underneath — access path, then derivation on the worker pool
+// with the root filter and the pushdowns as prune hooks and the residual
+// chain run on the deriving worker — hands completed batches to the
+// consumer the moment they exist. Cancelling ctx (or Close) stops the worker pool mid-derivation
 // without leaking goroutines.
 //
 // The plan's execution actuals (EXPLAIN's "actual" figures, Derived,
@@ -124,15 +123,16 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 	// remaining batch degrades to a cheap root sweep instead of deriving
 	// occurrences that will be discarded.
 	eb := &evalErrBox{}
+	filter, err := p.rootFilter(eb, dv.View())
 	preds := make([]func(model.AtomID) bool, len(p.Pushdowns))
-	for i := range p.Pushdowns {
+	for i := 0; i < len(preds) && err == nil; i++ {
 		preds[i], err = p.atomPred(p.Pushdowns[i].Type, p.Pushdowns[i].Conjunct, eb, dv.View())
-		if err != nil {
-			if own != nil {
-				own.Close()
-			}
-			return nil, err
+	}
+	if err != nil {
+		if own != nil {
+			own.Close()
 		}
+		return nil, err
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -144,7 +144,7 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 		batches: make(chan core.MoleculeSet, streamBufBatches),
 		errc:    make(chan error, 1),
 	}
-	go st.run(ctx, dv, eb, preds)
+	go st.run(ctx, dv, eb, filter, preds)
 	return st, nil
 }
 
@@ -161,6 +161,8 @@ func (st *Stream) release() {
 // and merges them after the executor has joined its workers, so the
 // hot path performs no atomic operation per molecule.
 type workerState struct {
+	roots    int64 // roots the root filter passed
+	rejected int64 // roots the root filter rejected
 	cuts     []int64
 	evals    []int64
 	passed   []int64
@@ -169,7 +171,7 @@ type workerState struct {
 }
 
 // orderedEntry pairs a qualifying molecule with its ORDER BY key, the
-// unit the heap and sort delivery paths work over.
+// unit the ordering heap works over.
 type orderedEntry struct {
 	key model.Value
 	m   *core.Molecule
@@ -186,8 +188,8 @@ type orderBound struct {
 
 // orderCmp compares two (key, root) pairs under the plan's order: the
 // key comparison honours ASC/DESC, ties always break by root atom ID
-// ascending — the contract that makes the index ride, the bounded heap
-// and the terminal sort element-wise identical.
+// ascending — a total order, which makes the index ride and the heap
+// element-wise identical.
 func (p *Plan) orderCmp(ka model.Value, ia model.AtomID, kb model.Value, ib model.AtomID) int {
 	c := ka.Compare(kb)
 	if p.Order.Desc {
@@ -205,9 +207,10 @@ func (p *Plan) orderCmp(ka model.Value, ia model.AtomID, kb model.Value, ib mode
 	return 0
 }
 
-// topkHeap is the bounded worst-at-top heap of the OrderTopK delivery
-// path: Pop removes the entry that sorts last, so holding the heap at
-// Limit entries keeps exactly the best K seen so far.
+// topkHeap is the worst-at-top heap every reordering ORDER BY drains:
+// Pop removes the entry that sorts last, so holding the heap at Limit
+// entries keeps exactly the best K seen so far (OrderTopK), and a heap
+// never popped before the end holds the whole result (OrderSort).
 type topkHeap struct {
 	p     *Plan
 	items []orderedEntry
@@ -228,15 +231,15 @@ func (h *topkHeap) Pop() any {
 	return e
 }
 
-// run is the stream's producer: it prepares the root batch, drives the
+// run is the stream's producer: it produces the root batch, drives the
 // streaming executor, forwards every emitted batch through the
 // bounded channel, and — once the executor has joined its workers —
 // merges the per-worker actuals into the plan and closes the stream.
-func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, preds []func(model.AtomID) bool) {
+func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, filter func(model.AtomID) bool, preds []func(model.AtomID) bool) {
 	defer close(st.batches)
 	p := st.p
 
-	roots, err := p.prepareRoots(ctx, dv, eb)
+	roots, err := p.path.roots(p, dv)
 	if err != nil {
 		st.errc <- err
 		return
@@ -244,15 +247,14 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 
 	// Ordered delivery: an access path that already yields roots in key
 	// order (OrderIndex) needs nothing extra — the executor's root-batch
-	// order IS the requested order. Otherwise a bounded heap (OrderTopK,
-	// Limit set) or a terminal sort (OrderSort) reorders the qualifying
-	// molecules before they reach the consumer, and the heap additionally
-	// publishes its bound so workers cut hopeless roots pre-derivation.
+	// order IS the requested order. Otherwise the qualifying molecules
+	// feed a heap that reorders them before they reach the consumer; with
+	// a Limit (OrderTopK) the heap stays bounded and publishes its bound so
+	// workers cut hopeless roots pre-derivation.
 	p.OrderPath = p.orderPath()
-	topK := p.OrderPath == OrderTopK
-	sortAll := p.OrderPath == OrderSort
+	reorder := p.OrderPath == OrderTopK || p.OrderPath == OrderSort
 	var keyOf func(model.AtomID) (model.Value, bool)
-	if topK || sortAll {
+	if reorder {
 		c, ok := p.db.Container(p.Access.Root)
 		if !ok {
 			st.errc <- errors.New("plan: root container vanished between compile and execute")
@@ -281,10 +283,21 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 			passed: make([]int64, len(p.Residuals)),
 		}
 		states = append(states, ws)
-		checks := []core.PruneCheck{{Pos: rootPos, Qualifies: func([]model.AtomID) bool {
-			return !eb.failed.Load()
+		checks := []core.PruneCheck{{Pos: rootPos, Qualifies: func(atoms []model.AtomID) bool {
+			// The root filter: a molecule has exactly one root atom, so
+			// judging it here judges the molecule. A pending evaluation
+			// error rejects every root.
+			if eb.failed.Load() {
+				return false
+			}
+			if filter != nil && !filter(atoms[0]) {
+				ws.rejected++
+				return false
+			}
+			ws.roots++
+			return true
 		}}}
-		if topK {
+		if p.OrderPath == OrderTopK {
 			// The bound prune: once the heap is full, a root whose key
 			// cannot beat the heap's worst entry is cut before its
 			// molecule is derived. The bound only tightens over a run, so
@@ -345,30 +358,22 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 		return core.FusedWorker{Checks: dv.PrepareChecks(checks), Keep: keep}
 	}
 
-	// The emit hook feeds consumer backpressure into the batch sizer: a
-	// hand-off that would block (bounded channel full) shrinks the next
-	// batches so the consumer keeps getting fresh small deliveries; a
-	// streak of instant hand-offs grows them back to amortize the channel
-	// traffic. An unordered run ends at its Limit-th qualifying molecule
-	// with workers+1 batches in flight, all derived for nothing, so its
-	// batches start no larger than the limit.
-	start := core.DefaultStreamBatch
+	// An unordered run ends at its Limit-th qualifying molecule with
+	// workers+1 batches in flight, all derived for nothing, so its batches
+	// are no larger than the limit.
+	size := core.DefaultStreamBatch
 	if p.Limit > 0 && p.Order == nil {
-		start = min(start, p.Limit)
+		size = min(size, p.Limit)
 	}
-	sizer := core.NewBatchSizer(start, 0, 0)
 	delivered := 0
 	var emit func(core.MoleculeSet) error
-	var kh *topkHeap
-	var held []orderedEntry
-	switch {
-	case topK:
-		// Qualifying molecules feed the bounded heap instead of the
-		// hand-off channel; the K survivors are delivered after the
-		// executor completes. Limit slicing is the heap's job here, so
-		// the run never returns errStreamLimit — the whole root batch is
-		// examined under the bound prune.
-		kh = &topkHeap{p: p}
+	kh := &topkHeap{p: p}
+	if reorder {
+		// Qualifying molecules feed the heap instead of the hand-off
+		// channel and are delivered after the executor completes. Limit
+		// slicing is the heap's job here, so the run never returns
+		// errStreamLimit — the whole root batch is examined (under the
+		// bound prune when there is a bound).
 		emit = func(ms core.MoleculeSet) error {
 			for _, m := range ms {
 				k, ok := keyOf(m.Root())
@@ -376,6 +381,9 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 					continue
 				}
 				heap.Push(kh, orderedEntry{key: k, m: m})
+				if p.Limit == 0 {
+					continue
+				}
 				if kh.Len() > p.Limit {
 					heap.Pop(kh)
 				}
@@ -386,20 +394,7 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 			}
 			return nil
 		}
-	case sortAll:
-		// No bound to exploit without a Limit: collect everything and
-		// sort once at the end.
-		emit = func(ms core.MoleculeSet) error {
-			for _, m := range ms {
-				k, ok := keyOf(m.Root())
-				if !ok {
-					continue
-				}
-				held = append(held, orderedEntry{key: k, m: m})
-			}
-			return nil
-		}
-	default:
+	} else {
 		emit = func(ms core.MoleculeSet) error {
 			limited := false
 			if p.Limit > 0 {
@@ -410,16 +405,9 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 			if len(ms) > 0 {
 				select {
 				case st.batches <- ms:
-					sizer.Observe(false)
 					delivered += len(ms)
-				default:
-					sizer.Observe(true)
-					select {
-					case st.batches <- ms:
-						delivered += len(ms)
-					case <-ctx.Done():
-						return ctx.Err()
-					}
+				case <-ctx.Done():
+					return ctx.Err()
 				}
 			}
 			if limited {
@@ -429,7 +417,7 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 		}
 	}
 
-	work, err := dv.DeriveStream(ctx, roots, p.Workers, sizer, newWorker, emit)
+	work, err := dv.DeriveStream(ctx, roots, p.Workers, size, newWorker, emit)
 	if errors.Is(err, errStreamLimit) {
 		err = nil
 	}
@@ -438,8 +426,12 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 	}
 
 	// Merge the per-worker actuals even for truncated runs — partial
-	// actuals still describe the work actually done.
+	// actuals still describe the work actually done. A root the filter
+	// rejected never entered derivation (ActRoots leaves it out), so its
+	// placement is not part of the derivation work EXPLAIN reports.
 	for _, ws := range states {
+		p.Access.ActRoots += int(ws.roots)
+		work.AtomsFetched -= ws.rejected
 		p.Derived += int(ws.derived)
 		p.OrderCut += int(ws.orderCut)
 		for i := range p.Pushdowns {
@@ -455,43 +447,26 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, pre
 		return
 	}
 
-	// The heap and sort paths held their results back; order and deliver
-	// them now. The executor has joined its workers, so this runs alone.
-	if topK || sortAll {
-		var final []orderedEntry
-		if topK {
-			// Popping the worst-at-top heap yields worst-first; fill the
-			// slice back to front for best-first delivery.
-			final = make([]orderedEntry, kh.Len())
-			for i := len(final) - 1; i >= 0; i-- {
-				final[i] = heap.Pop(kh).(orderedEntry)
-			}
-		} else {
-			sort.SliceStable(held, func(i, j int) bool {
-				return p.orderCmp(held[i].key, held[i].m.Root(), held[j].key, held[j].m.Root()) < 0
-			})
-			final = held
-			if p.Limit > 0 && len(final) > p.Limit {
-				final = final[:p.Limit]
-			}
+	// Deliver what the heap kept back: popping the worst-at-top heap
+	// yields worst-first, so fill the slice back to front for best-first
+	// delivery. The executor has joined its workers, so this runs alone.
+	final := make([]orderedEntry, kh.Len())
+	for i := len(final) - 1; i >= 0; i-- {
+		final[i] = heap.Pop(kh).(orderedEntry)
+	}
+	for len(final) > 0 {
+		n := min(core.DefaultStreamBatch, len(final))
+		batch := make(core.MoleculeSet, n)
+		for i := range batch {
+			batch[i] = final[i].m
 		}
-		for len(final) > 0 {
-			n := core.DefaultStreamBatch
-			if n > len(final) {
-				n = len(final)
-			}
-			batch := make(core.MoleculeSet, n)
-			for i := range batch {
-				batch[i] = final[i].m
-			}
-			final = final[n:]
-			select {
-			case st.batches <- batch:
-				delivered += n
-			case <-ctx.Done():
-				st.errc <- ctx.Err()
-				return
-			}
+		final = final[n:]
+		select {
+		case st.batches <- batch:
+			delivered += n
+		case <-ctx.Done():
+			st.errc <- ctx.Err()
+			return
 		}
 	}
 

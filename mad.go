@@ -158,8 +158,8 @@ func TakeSnapshot(db *Database) *Snapshot { return db.Snapshot() }
 // and `SET NOCACHE TRUE;` install session defaults, and a SELECT may
 // carry a trailing `LIMIT n`. A SELECT may also order its stream
 // (`ORDER BY attr [ASC|DESC]` on a root attribute — served off an
-// ordered index ride when one covers the attribute, a bounded top-K
-// heap under LIMIT, a terminal sort otherwise) or aggregate instead of
+// ordered index ride when one covers the attribute, otherwise a heap —
+// bounded to the top K under LIMIT) or aggregate instead of
 // materialize (`SELECT COUNT ... [GROUP BY attr]`, folded batch by
 // batch off the stream).
 type (
