@@ -12,7 +12,7 @@
 // log before it acknowledges, and the CHECKPOINT statement snapshots the
 // database (including indexes and histograms) so the next start replays
 // less log and estimates from the same statistics, so it plans as the
-// last run did. The plan cache is not persisted.
+// last run did.
 //
 // Statements end with ';'. Shell commands: \h help, \q quit,
 // \save [path] snapshot, \stats counters, \trace toggles operation traces.

@@ -334,8 +334,8 @@ func (d *Desc) Equal(o *Desc) bool {
 }
 
 // String returns the description in the paper's notation: "<{C}, {G}>"
-// with the root marked. The rendering is memoized at construction — the
-// plan cache keys on it per statement, so it must not allocate.
+// with the root marked. The rendering is memoized at construction, so it
+// does not allocate.
 func (d *Desc) String() string { return d.str }
 
 // render builds the String rendering once, at construction.
@@ -360,8 +360,8 @@ func (d *Desc) render() string {
 		b.WriteString(e.String())
 	}
 	if c := d.closure; c != nil {
-		// All four fields of the recursion shape: the rendering is the
-		// plan-cache key of the closure.
+		// All four fields of the recursion shape: two closures render
+		// alike only if they derive alike.
 		if c.Up {
 			b.WriteString(" ⟲ up")
 		} else {

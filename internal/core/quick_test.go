@@ -10,7 +10,6 @@ import (
 	"mad/internal/expr"
 	"mad/internal/model"
 	"mad/internal/mql"
-	"mad/internal/plan"
 	"mad/internal/storage"
 )
 
@@ -139,7 +138,6 @@ func TestClosurePropertyRandomPipelines(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		defer plan.Release(db)
 		cur, err := core.Define(db, "p0", types, edges)
 		if err != nil {
 			return false
@@ -230,7 +228,6 @@ func TestUnionDifferenceLawsRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		defer plan.Release(db)
 		mt, err := core.Define(db, "base", types, edges)
 		if err != nil {
 			return false

@@ -1,11 +1,13 @@
 package mql_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"mad/internal/mql"
 	"mad/internal/plan"
+	"mad/internal/storage"
 )
 
 func TestAnalyzeStatement(t *testing.T) {
@@ -77,63 +79,109 @@ func TestExplainEstimateDoesNotExecute(t *testing.T) {
 	}
 }
 
-// TestSessionPlanCacheProbe is the compile-count probe of the acceptance
-// criteria: repeated execution of a named-molecule SELECT skips
-// recompilation, and both DDL and ANALYZE bust the cache.
+// TestSessionPlanCacheProbe: a named-molecule SELECT compiles on the
+// indexes and statistics of the moment — the statement right after
+// CREATE INDEX enters by the index, the one right after ANALYZE
+// estimates from the histogram.
 func TestSessionPlanCacheProbe(t *testing.T) {
-	sess, s := session(t)
-	cache := plan.CacheFor(s.DB)
+	sess, _ := session(t)
 	if _, err := sess.Exec("DEFINE MOLECULE TYPE mt_st AS SELECT ALL FROM state-area;"); err != nil {
 		t.Fatal(err)
 	}
-	_, _, base := cache.Counters()
-
-	q := "SELECT ALL FROM mt_st WHERE hectare > 100;"
-	for i := 0; i < 4; i++ {
-		if _, err := sess.Exec(q); err != nil {
+	explain := func() string {
+		t.Helper()
+		if _, err := sess.Exec("SELECT ALL FROM mt_st WHERE abbrev = 'NY';"); err != nil {
 			t.Fatal(err)
 		}
+		res, err := sess.Exec("EXPLAIN (ESTIMATE) SELECT ALL FROM mt_st WHERE abbrev = 'NY';")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Message
 	}
-	if _, _, compiles := cache.Counters(); compiles != base+1 {
-		t.Fatalf("4 executions compiled %d plans, want 1", compiles-base)
+	if out := explain(); !strings.Contains(out, "access:    full scan of state") {
+		t.Fatalf("no index yet, yet:\n%s", out)
 	}
-
-	// A second session over the same database shares the cache: named
-	// types are session-local, but the cache keys on the structure, so
-	// the same query phrased structurally reuses the compilation.
-	if _, err := mql.NewSession(s.DB).Exec("SELECT ALL FROM state-area WHERE hectare > 100;"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, compiles := cache.Counters(); compiles != base+1 {
-		t.Fatal("sessions over one database must share compiled plans")
-	}
-
-	// DDL busts it.
 	if _, err := sess.Exec("CREATE INDEX ON state(abbrev);"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Exec(q); err != nil {
-		t.Fatal(err)
+	out := explain()
+	if !strings.Contains(out, "access:    index lookup state.abbrev") {
+		t.Fatalf("the statement after CREATE INDEX does not enter by it:\n%s", out)
 	}
-	if _, _, compiles := cache.Counters(); compiles != base+2 {
-		t.Fatalf("CREATE INDEX must invalidate cached plans (compiles %d, want %d)", compiles, base+2)
+	if strings.Contains(out, "[histogram]") {
+		t.Fatalf("histogram estimate before ANALYZE:\n%s", out)
 	}
-
-	// ANALYZE busts it again.
 	if _, err := sess.Exec("ANALYZE state;"); err != nil {
 		t.Fatal(err)
 	}
+	if out := explain(); !strings.Contains(out, "[histogram]") {
+		t.Fatalf("the statement after ANALYZE does not estimate from the histogram:\n%s", out)
+	}
+}
+
+// TestExplainCostsCurrentStatistics: a session's plan is costed on the
+// statistics of the moment it compiles. After a SELECT ran, a commit of
+// nine links moves side a's fan by a tenth (90 → 99 links over 45 atoms)
+// while no index, type or histogram changes; the session's EXPLAIN
+// (ESTIMATE) of the same statement must then render byte-equal to a fresh
+// compile over the same database.
+func TestExplainCostsCurrentStatistics(t *testing.T) {
+	db := storage.NewDatabase()
+	sess := mql.NewSession(db)
+	var sb strings.Builder
+	sb.WriteString(`
+CREATE ATOM TYPE a (k INT NOT NULL);
+CREATE ATOM TYPE b (v INT NOT NULL);
+CREATE LINK TYPE ab BETWEEN a AND b;
+CREATE INDEX ON b(v);
+`)
+	for i := 0; i < 45; i++ {
+		fmt.Fprintf(&sb, "INSERT INTO a VALUES (%d);\n", i)
+		for j := 0; j < 2; j++ {
+			fmt.Fprintf(&sb, "INSERT INTO b VALUES (%d);\n", 2*i+j)
+			fmt.Fprintf(&sb, "CONNECT a WHERE k = %d TO b WHERE v = %d VIA ab;\n", i, 2*i+j)
+		}
+	}
+	if _, err := sess.ExecScript(sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT ALL FROM a-[ab]-b WHERE b.v = 7;"
 	if _, err := sess.Exec(q); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, compiles := cache.Counters(); compiles != base+3 {
-		t.Fatalf("ANALYZE must invalidate cached plans (compiles %d, want %d)", compiles, base+3)
+
+	ca, _ := db.Container("a")
+	cb, _ := db.Container("b")
+	as, bs := db.View(0).IDs(ca), db.View(0).IDs(cb)
+	txn := db.Begin()
+	for i := 0; i < 9; i++ {
+		if err := txn.Connect("ab", as[i], bs[2*i+4]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// And once rebuilt, it stays warm.
-	if _, err := sess.Exec(q); err != nil {
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, compiles := cache.Counters(); compiles != base+3 {
-		t.Fatal("cache must warm again after invalidation")
+
+	res, err := sess.Exec("EXPLAIN (ESTIMATE) " + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := mql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := st.(*mql.SelectStmt)
+	desc, err := mql.BuildDesc(db, sel.From.Struct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := plan.CompileOrdered(db, desc, sel.Where, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Message != fresh.Render() {
+		t.Fatalf("the session's EXPLAIN renders\n%s\na compile over the same database renders\n%s", res.Message, fresh.Render())
 	}
 }

@@ -240,11 +240,10 @@ type ExplainStmt struct {
 
 func (*ExplainStmt) stmt() {}
 
-// PrepareStmt is PREPARE name AS SELECT ... — it parses and shape-keys a
+// PrepareStmt is PREPARE name AS SELECT ... — it parses and resolves a
 // parameterized SELECT whose WHERE clause may contain '?' placeholders.
-// Later EXECUTEs bind literals to the placeholders and plan through the
-// shape-keyed cache entry, so repeated point queries stop recompiling on
-// literal text.
+// Later EXECUTEs bind literals to the placeholders and compile the bound
+// statement.
 type PrepareStmt struct {
 	Name   string
 	Select *SelectStmt
@@ -263,7 +262,7 @@ func (*ExecuteStmt) stmt() {}
 
 // SetStmt is SET <option> [=] <literal> — per-session execution options
 // threaded into subsequent query plans: SET WORKERS n bounds the worker
-// pool (0 = all cores), SET NOCACHE TRUE bypasses the plan cache.
+// pool (0 = all cores).
 type SetStmt struct {
 	Name  string
 	Value model.Value
@@ -273,7 +272,7 @@ func (*SetStmt) stmt() {}
 
 // AnalyzeStmt is ANALYZE [type] — it (re)builds the equi-depth
 // histograms the planner estimates selectivities from, over one atom
-// type or all of them, and invalidates cached plans.
+// type or all of them.
 type AnalyzeStmt struct {
 	Type string // "" = every atom type
 }

@@ -18,10 +18,6 @@ type queryOpts struct {
 	workersSet bool
 	limit      int
 	limitSet   bool
-	noCache    bool
-	// shapeKey, when set, plans through the shape-keyed plan-cache entry
-	// of a PREPARE'd statement instead of the literal cache key.
-	shapeKey string
 }
 
 // QueryOption tunes one QueryContext call. Options override the
@@ -40,13 +36,6 @@ func WithWorkers(n int) QueryOption {
 // the statement itself carries.
 func WithLimit(n int) QueryOption {
 	return func(o *queryOpts) { o.limit, o.limitSet = n, true }
-}
-
-// WithNoCache bypasses the plan cache for this query: the plan is
-// compiled fresh and not memoized — useful for one-off ad-hoc
-// statements that should not evict hot cached plans.
-func WithNoCache() QueryOption {
-	return func(o *queryOpts) { o.noCache = true }
 }
 
 // Cursor is the streaming result of one statement. For a SELECT — over a

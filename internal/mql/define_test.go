@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mad/internal/mql"
-	"mad/internal/plan"
 	"mad/internal/storage"
 )
 
@@ -158,7 +157,6 @@ DEFINE MOLECULE TYPE big AS SELECT ALL FROM assembly-part WHERE assembly.weight 
 		if r, err := sess.Exec("SHOW MOLECULES;"); err != nil || strings.Count(r.Message, "MOLECULE TYPE") != len(forms) {
 			t.Fatalf("durable=%v: SHOW MOLECULES:\n%v %v", durable, r, err)
 		}
-		plan.Release(db)
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -16,8 +16,8 @@ import (
 
 // Session executes MQL statements against a database. It tracks the named
 // molecule types created by DEFINE MOLECULE TYPE and by named FROM
-// clauses, plus the per-session execution options installed by SET
-// (workers, cache bypass). A Session is not safe for concurrent use;
+// clauses, plus the per-session execution option installed by SET
+// (workers). A Session is not safe for concurrent use;
 // open one per client, and finish (drain or Close) a streaming Cursor
 // before issuing the next statement.
 type Session struct {
@@ -31,9 +31,8 @@ type Session struct {
 	prepared map[string]*preparedStmt
 
 	// workers is the SET WORKERS session default threaded into every
-	// plan (0 = GOMAXPROCS); noCache bypasses the plan cache when set.
+	// plan (0 = GOMAXPROCS).
 	workers int
-	noCache bool
 
 	// txn is the open BEGIN transaction, nil in auto-commit mode. While
 	// set, DML buffers into it and SELECTs are read-your-writes: the plan's
@@ -341,20 +340,12 @@ func (s *Session) execSet(st *SetStmt) (*Result, error) {
 		}
 		s.workers = int(n)
 		return &Result{Kind: RMessage, Message: fmt.Sprintf("workers set to %d (0 = all cores)", n)}, nil
-	case "NOCACHE":
-		b, ok := st.Value.AsBool()
-		if !ok {
-			return nil, fmt.Errorf("mql: SET NOCACHE needs TRUE or FALSE, got %s", st.Value)
-		}
-		s.noCache = b
-		return &Result{Kind: RMessage, Message: fmt.Sprintf("plan-cache bypass set to %v", b)}, nil
 	}
-	return nil, fmt.Errorf("mql: unknown session option %q (supported: WORKERS, NOCACHE)", st.Name)
+	return nil, fmt.Errorf("mql: unknown session option %q (supported: WORKERS)", st.Name)
 }
 
 // execAnalyze rebuilds the per-attribute histograms of one atom type (or
-// all of them). The storage layer bumps the plan epoch, so every cached
-// plan recompiles against the fresh statistics.
+// all of them); every statement compiled afterwards is costed on them.
 func (s *Session) execAnalyze(st *AnalyzeStmt) (*Result, error) {
 	var (
 		built int
@@ -369,7 +360,7 @@ func (s *Session) execAnalyze(st *AnalyzeStmt) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Kind: RMessage, Message: fmt.Sprintf(
-		"analyzed %d attribute histogram(s); cached plans invalidated", built)}, nil
+		"analyzed %d attribute histogram(s)", built)}, nil
 }
 
 // execCheckpoint writes a durable snapshot and truncates the log below
@@ -472,14 +463,12 @@ func (s *Session) resolveFrom(fc FromClause) (*core.MoleculeType, error) {
 	return mt, nil
 }
 
-// planSelect compiles a SELECT body into a query plan, going through the
-// database's plan cache: repeated statements over the same structure
-// (named molecule types above all) reuse the compiled plan until DDL or
-// ANALYZE bumps the plan epoch. Inside a transaction holding buffered
-// writes the plan is compiled fresh onto the full scan instead — index
-// postings hold committed versions only — and stays out of the cache.
-// The session's SET options, the statement's LIMIT and any per-query
-// options (strongest last) parameterize the returned plan.
+// planSelect compiles a SELECT body into a query plan, costed on the
+// indexes and statistics of the moment — every statement compiles.
+// Inside a transaction holding buffered writes the plan is forced onto
+// the full scan — index postings hold committed versions only. The
+// session's SET options, the statement's LIMIT and any per-query options
+// (strongest last) parameterize the returned plan.
 func (s *Session) planSelect(st *SelectStmt, desc *core.Desc, o queryOpts) (*plan.Plan, error) {
 	if st.Where != nil {
 		if err := expr.Check(st.Where, core.Scope{DB: s.db, Desc: desc}); err != nil {
@@ -491,18 +480,10 @@ func (s *Session) planSelect(st *SelectStmt, desc *core.Desc, o queryOpts) (*pla
 		return nil, err
 	}
 	var p *plan.Plan
-	switch {
-	case s.dirty():
+	if s.dirty() {
 		p, err = plan.CompileForced(s.db, desc, st.Where, order, "full scan of "+desc.Root())
-	case s.noCache || o.noCache:
+	} else {
 		p, err = plan.CompileOrdered(s.db, desc, st.Where, order)
-	case o.shapeKey != "":
-		// EXECUTE of a PREPARE'd statement: plan through the shape-keyed
-		// entry, so every binding of the same statement shares (and
-		// rebinds) one cached compilation.
-		p, _, err = plan.CacheFor(s.db).CompileShaped(desc, st.Where, order, o.shapeKey)
-	default:
-		p, _, err = plan.CacheFor(s.db).CompileOrdered(desc, st.Where, order)
 	}
 	if err != nil {
 		return nil, err
@@ -676,8 +657,8 @@ func (s *Session) execDefine(st *DefineStmt) (*Result, error) {
 // list), that structure and its cardinality. A recursive closure can only
 // be named: a WHERE or a SELECT list over one is refused.
 //
-//   - Σ is the session's own SELECT pipeline: planner, plan cache,
-//     cancellation and the session's view.
+//   - Σ is the session's own SELECT pipeline: planner, cancellation and
+//     the session's view.
 //   - Π keeps its normative semantics, re-derivation over the structure
 //     it projects — the one Σ just propagated, reached through the
 //     transaction's buffered writes by the forced full scan — not a prune
@@ -961,8 +942,6 @@ func (s *Session) execShow(st *ShowStmt) (*Result, error) {
 	case "STATS":
 		b.WriteString(s.db.Stats().Snapshot().String())
 		b.WriteByte('\n')
-	case "CACHE":
-		b.WriteString(plan.CacheFor(s.db).Render())
 	}
 	return &Result{Kind: RMessage, Message: b.String()}, nil
 }

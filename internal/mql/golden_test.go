@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mad/internal/mql"
-	"mad/internal/plan"
 	"mad/internal/storage"
 )
 
@@ -35,7 +34,6 @@ CONNECT parts WHERE name = 'nut' TO parts WHERE name = 'engine' VIA composition;
 // SELECT pipeline, so the unified path must reproduce it exactly.
 func TestRecursiveRenderGolden(t *testing.T) {
 	db := storage.NewDatabase()
-	defer plan.Release(db)
 	sess := mql.NewSession(db)
 	if _, err := sess.ExecScript(bomGoldenSetup); err != nil {
 		t.Fatal(err)

@@ -124,6 +124,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT ALL FROM a; SELECT",   // trailing garbage for Parse
 		"INSERT INTO t VALUES 1",      // missing parens
 		"CREATE ATOM TYPE t (a BLOB)", // unknown kind
+		"SHOW CACHE",                  // unknown SHOW target
 	}
 	for _, src := range bad {
 		if _, err := mql.Parse(src); err == nil {

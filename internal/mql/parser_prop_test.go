@@ -183,8 +183,8 @@ func FuzzParse(f *testing.F) {
 		"SELECT COUNT FROM RECURSIVE parts VIA composition GROUP BY cat;",
 		"BEGIN; INSERT INTO parts VALUES ('ring', 0.5); ROLLBACK; COMMIT; CHECKPOINT;",
 		"DEFINE MOLECULE TYPE light AS SELECT ALL FROM parts WHERE weight < 1.0;",
-		"SHOW SCHEMA; SHOW HISTOGRAMS; SHOW CACHE;",
-		"SET WORKERS 4; SET NOCACHE TRUE;",
+		"SHOW SCHEMA; SHOW HISTOGRAMS;",
+		"SET WORKERS 4;",
 	} {
 		f.Add(src)
 	}

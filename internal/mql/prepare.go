@@ -8,24 +8,19 @@ import (
 	"mad/internal/core"
 	"mad/internal/expr"
 	"mad/internal/model"
-	"mad/internal/plan"
 )
 
 // preparedStmt is one PREPARE'd statement: the parsed SELECT with its
-// placeholder sentinels still in place, the resolved structure, and the
-// shape key every EXECUTE plans through. The shape key is computed over
-// the placeholder-canonicalized predicate, so all bindings of the same
-// statement share one plan-cache entry.
+// placeholder sentinels still in place and the resolved structure.
 type preparedStmt struct {
-	sel      *SelectStmt
-	desc     *core.Desc
-	shapeKey string
-	nparams  int
+	sel     *SelectStmt
+	desc    *core.Desc
+	nparams int
 }
 
-// execPrepare resolves and shape-keys a PREPARE name AS SELECT. The
-// structure resolves now (errors surface at PREPARE time); the predicate
-// is only checked at EXECUTE, once the placeholders hold real literals.
+// execPrepare resolves a PREPARE name AS SELECT. The structure and the
+// ORDER BY resolve now (errors surface at PREPARE time); the predicate is
+// only checked at EXECUTE, once the placeholders hold real literals.
 func (s *Session) execPrepare(st *PrepareStmt) (*Result, error) {
 	if _, dup := s.prepared[st.Name]; dup {
 		return nil, fmt.Errorf("mql: statement %q already prepared", st.Name)
@@ -36,25 +31,18 @@ func (s *Session) execPrepare(st *PrepareStmt) (*Result, error) {
 		return nil, err
 	}
 	desc := mt.Desc()
-	order, err := orderBy(sel, desc)
-	if err != nil {
+	if _, err := orderBy(sel, desc); err != nil {
 		return nil, err
 	}
-	ps := &preparedStmt{
-		sel:      sel,
-		desc:     desc,
-		shapeKey: plan.ShapeKey(desc, sel.Where, order),
-		nparams:  countParams(sel.Where),
-	}
+	ps := &preparedStmt{sel: sel, desc: desc, nparams: countParams(sel.Where)}
 	s.prepared[st.Name] = ps
 	return &Result{Kind: RMessage, Message: fmt.Sprintf(
 		"statement %q prepared (%d parameter(s))", st.Name, ps.nparams)}, nil
 }
 
 // execExecute binds the EXECUTE literals into the prepared statement's
-// placeholders and runs the SELECT through the shape-keyed plan cache:
-// a repeat execution with different literals hits the cached compilation
-// and rebinds it instead of recompiling.
+// placeholders and runs the SELECT, compiled like any other on the
+// statistics of the moment.
 func (s *Session) execExecute(st *ExecuteStmt) (*Result, error) {
 	ps, ok := s.prepared[st.Name]
 	if !ok {
@@ -68,7 +56,7 @@ func (s *Session) execExecute(st *ExecuteStmt) (*Result, error) {
 	if ps.sel.Where != nil {
 		bound.Where = bindParams(ps.sel.Where, st.Args)
 	}
-	cur, err := s.selectCursor(context.Background(), &bound, ps.desc, queryOpts{shapeKey: ps.shapeKey})
+	cur, err := s.selectCursor(context.Background(), &bound, ps.desc, queryOpts{})
 	if err != nil {
 		return nil, err
 	}

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"mad/internal/mql"
-	"mad/internal/plan"
 	"mad/internal/storage"
 )
 
 // prepSession builds a session over a small indexed part-supplier
 // database: 12 "part" roots (pn = i, bin = i%3, indexed) each linked to
 // one "box" (slot = i).
-func prepSession(t *testing.T) (*mql.Session, *storage.Database) {
+func prepSession(t *testing.T) *mql.Session {
 	t.Helper()
 	db := storage.NewDatabase()
 	sess := mql.NewSession(db)
@@ -32,17 +31,14 @@ CREATE INDEX ON part(bin);
 	if _, err := sess.ExecScript(sb.String()); err != nil {
 		t.Fatal(err)
 	}
-	return sess, db
+	return sess
 }
 
 // TestPrepareExecute is the parameterized-statement contract: EXECUTE
-// binds literals into the prepared shape, repeated EXECUTEs of the same
-// statement hit one shape-keyed cache entry (rebinding, not
-// recompiling), and each binding returns exactly the molecules its
-// literals select.
+// binds literals into the prepared statement, and each binding returns
+// exactly the molecules its literals select.
 func TestPrepareExecute(t *testing.T) {
-	sess, db := prepSession(t)
-	defer plan.Release(db)
+	sess := prepSession(t)
 
 	res, err := sess.Exec(`PREPARE by_bin AS SELECT ALL FROM part-[pb]-box WHERE part.bin = ?;`)
 	if err != nil {
@@ -59,23 +55,14 @@ func TestPrepareExecute(t *testing.T) {
 	if len(r0.Set) != 4 {
 		t.Fatalf("EXECUTE by_bin (0) delivered %d molecules, want 4", len(r0.Set))
 	}
-	hits0, _, compiles0 := plan.CacheFor(db).Counters()
 
-	// A different literal through the same shape: correct result, cache
-	// hit, no new compile.
+	// A different literal through the same statement.
 	r1, err := sess.Exec(`EXECUTE by_bin (1);`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r1.Set) != 4 {
 		t.Fatalf("EXECUTE by_bin (1) delivered %d molecules, want 4", len(r1.Set))
-	}
-	hits1, _, compiles1 := plan.CacheFor(db).Counters()
-	if hits1 != hits0+1 {
-		t.Fatalf("second EXECUTE: hits %d → %d, want a shape-cache hit", hits0, hits1)
-	}
-	if compiles1 != compiles0 {
-		t.Fatalf("second EXECUTE recompiled (%d → %d compiles); want rebind", compiles0, compiles1)
 	}
 
 	// The two bindings must select disjoint parts (bin 0 vs bin 1).
@@ -85,7 +72,7 @@ func TestPrepareExecute(t *testing.T) {
 	}
 	for _, m := range r1.Set {
 		if keys[m.Key()] {
-			t.Fatal("EXECUTE (0) and EXECUTE (1) overlap; rebinding leaked a literal")
+			t.Fatal("EXECUTE (0) and EXECUTE (1) overlap; a binding leaked a literal")
 		}
 	}
 
@@ -102,8 +89,7 @@ func TestPrepareExecute(t *testing.T) {
 // TestPrepareExecuteErrors pins the error surface: duplicate PREPARE,
 // unknown statement, and arity mismatch all fail cleanly.
 func TestPrepareExecuteErrors(t *testing.T) {
-	sess, db := prepSession(t)
-	defer plan.Release(db)
+	sess := prepSession(t)
 	if _, err := sess.Exec(`PREPARE q AS SELECT ALL FROM part-[pb]-box WHERE part.bin = ?;`); err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +110,7 @@ func TestPrepareExecuteErrors(t *testing.T) {
 // TestPrepareCount covers the aggregate path: a prepared SELECT COUNT
 // folds per binding without materializing molecules.
 func TestPrepareCount(t *testing.T) {
-	sess, db := prepSession(t)
-	defer plan.Release(db)
+	sess := prepSession(t)
 	if _, err := sess.Exec(`PREPARE n AS SELECT COUNT FROM part-[pb]-box WHERE part.bin = ?;`); err != nil {
 		t.Fatal(err)
 	}
@@ -135,30 +120,5 @@ func TestPrepareCount(t *testing.T) {
 	}
 	if res.Count != 4 {
 		t.Fatalf("EXECUTE n (2) counted %d, want 4", res.Count)
-	}
-}
-
-// TestShowCache exercises the SHOW CACHE statement: aggregate traffic,
-// per-entry lines, and the [shape] tag on PREPARE'd entries.
-func TestShowCache(t *testing.T) {
-	sess, db := prepSession(t)
-	defer plan.Release(db)
-	if _, err := sess.Exec(`SELECT ALL FROM part-[pb]-box WHERE part.pn = 3;`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Exec(`PREPARE q AS SELECT ALL FROM part-[pb]-box WHERE part.bin = ?;`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Exec(`EXECUTE q (1);`); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.Exec(`SHOW CACHE;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"plan cache:", "hit(s)", "part WHERE", "[shape]"} {
-		if !strings.Contains(res.Message, want) {
-			t.Fatalf("SHOW CACHE lacks %q:\n%s", want, res.Message)
-		}
 	}
 }

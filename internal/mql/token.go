@@ -72,8 +72,7 @@ var keywords = map[string]bool{
 	"STATS": true, "MOLECULES": true,
 	"EXPLAIN": true, "RECURSIVE": true, "DEPTH": true, "DOWN": true, "UP": true,
 	"UNION": true, "DIFFERENCE": true, "INTERSECT": true, "OF": true,
-	"ANALYZE": true, "ESTIMATE": true, "HISTOGRAMS": true,
-	"LIMIT": true, "CACHE": true,
+	"ANALYZE": true, "ESTIMATE": true, "HISTOGRAMS": true, "LIMIT": true,
 	"PREPARE": true, "EXECUTE": true,
 	"ORDER": true, "BY": true, "GROUP": true, "ASC": true, "DESC": true,
 	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "TRANSACTION": true,

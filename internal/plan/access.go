@@ -15,10 +15,10 @@ import (
 // root batch that enters derivation. The links of the model are
 // symmetric, so every atom type of the structure is a legal entry point
 // and the rows are peers — compile enumerates every row's candidates and
-// costs them in one contest, and the chosen row then serves execution,
-// EXPLAIN and literal rebinding of the plan it was installed in. Rows are
-// stateless: everything a chosen path needs at run time lives in the
-// plan's Access node.
+// costs them in one contest, and the chosen row then serves execution
+// and EXPLAIN of the plan it was installed in. Rows are stateless:
+// everything a chosen path needs at run time lives in the plan's Access
+// node.
 type accessPath interface {
 	// enumerate adds the row's candidates for the compile to cc.
 	enumerate(cc *contest)
@@ -29,10 +29,6 @@ type accessPath interface {
 	roots(p *Plan, dv *core.Deriver) ([]model.AtomID, error)
 	// explain writes the EXPLAIN access lines.
 	explain(b *strings.Builder, p *Plan)
-	// rebind replays the path's literals from a freshly bound predicate:
-	// at resolves a conjunct ordinal of the split predicate. It reports
-	// false when the recorded ordinals do not line up.
-	rebind(p *Plan, at func(ord int) (expr.Expr, bool)) bool
 }
 
 // accessPaths is the table, in contest order: when costs tie the earlier
@@ -64,8 +60,6 @@ type candidate struct {
 	entering int
 	// presorted marks a batch that already carries the requested order.
 	presorted bool
-	// ords are the conjunct ordinals holding the path's literals.
-	ords []int
 	// install writes the chosen path into the plan's access node.
 	install func(a *Access)
 }
@@ -133,7 +127,8 @@ type indexEntry struct {
 	est int
 	src string
 	// The entry's literals: the equality value, or (rng non-nil) the
-	// interval; ords are the conjunct ordinals they came from.
+	// interval; at the root, ords are the conjunct ordinals they came
+	// from, which leave the root filter.
 	val  model.Value
 	rng  *rangeSpec
 	ords []int
@@ -175,7 +170,6 @@ func (cc *contest) installRootFilter(skip []int, produced int, src string) {
 			continue
 		}
 		a.Filter = combine(a.Filter, rc.conj)
-		p.filterOrds = append(p.filterOrds, rc.ord)
 		filterSel *= rc.sel
 		filterSrc = combineSource(filterSrc, rc.src)
 	}
@@ -229,37 +223,6 @@ func (p *Plan) readIndex(dv *core.Deriver, typeName, attr string, key model.Valu
 		return nil, fmt.Errorf("plan: index on %s.%s vanished between compile and execute", typeName, attr)
 	}
 	return out, nil
-}
-
-// literalAt extracts the constant of the "attr op const" conjunct at ord.
-func literalAt(at func(int) (expr.Expr, bool), ord int) (expr.CmpOp, model.Value, bool) {
-	c, ok := at(ord)
-	if !ok {
-		return 0, model.Null(), false
-	}
-	_, op, v, ok := attrConstCmp(c)
-	return op, v, ok
-}
-
-// rebindEntry replays a single index entry's literals into the access
-// node: the equality value, or the range bounds re-merged from every
-// covered conjunct.
-func rebindEntry(p *Plan, ranged bool, at func(int) (expr.Expr, bool)) bool {
-	if !ranged {
-		_, v, ok := literalAt(at, p.accessOrds[0])
-		p.Access.Value = v
-		return ok
-	}
-	var spec rangeSpec
-	for _, o := range p.accessOrds {
-		op, v, ok := literalAt(at, o)
-		if !ok || !isRangeOp(op) {
-			return false
-		}
-		spec.addBound(op, v)
-	}
-	spec.fillAccess(&p.Access)
-	return true
 }
 
 // entryDetail renders an index entry's condition: "= v" or the interval.
@@ -322,8 +285,6 @@ func (s scan) explain(b *strings.Builder, p *Plan) {
 	fmt.Fprintf(b, "access:    %s (est %s roots [%s]%s)\n", what, approx(a.EstRoots), a.EstSource, p.actual(a.ActRoots))
 }
 
-func (scan) rebind(*Plan, func(int) (expr.Expr, bool)) bool { return true }
-
 // rootIndex reads only the root atoms a secondary index on the root type
 // maps an equality conjunct's value to, or — ranged — the root atoms
 // inside the interval its range conjuncts on one indexed attribute merge
@@ -385,7 +346,6 @@ func (ri rootIndex) add(cc *contest, e indexEntry) {
 		access:    float64(e.est),
 		entering:  scaleEst(e.est, cc.selWithout(e.ords)),
 		presorted: cc.p.Order != nil && e.attr == cc.p.Order.Attr,
-		ords:      e.ords,
 		install: func(a *Access) {
 			a.Kind = IndexScan
 			e.fill(a)
@@ -411,10 +371,6 @@ func (ri rootIndex) explain(b *strings.Builder, p *Plan) {
 		approx(a.EstRoots), a.EstSource, p.actual(a.ActRoots))
 }
 
-func (ri rootIndex) rebind(p *Plan, at func(int) (expr.Expr, bool)) bool {
-	return rebindEntry(p, ri.ranged, at)
-}
-
 // interiorIndex enters the structure at a non-root atom type: an index
 // maps an equality conjunct's value — or, ranged, the half-open interval
 // of one range conjunct pushed down at an indexed attribute — to interior
@@ -432,7 +388,7 @@ func (ii interiorIndex) enumerate(cc *contest) {
 			pd := &p.Pushdowns[eq.pi]
 			ii.add(cc, indexEntry{
 				id: "interior-index " + pd.Type + "." + eq.attr, typeName: pd.Type, pos: pd.Pos, attr: eq.attr,
-				est: eq.entries, src: eq.src, val: eq.val, ords: []int{pd.ord},
+				est: eq.entries, src: eq.src, val: eq.val,
 			})
 		}
 		return
@@ -458,7 +414,7 @@ func (ii interiorIndex) enumerate(cc *contest) {
 		ii.add(cc, indexEntry{
 			id: "interior-range " + pd.Type + "." + a.Name, lits: " " + spec.String(),
 			typeName: pd.Type, pos: pd.Pos, attr: a.Name,
-			est: entries, src: src, rng: spec, ords: []int{pd.ord},
+			est: entries, src: src, rng: spec,
 		})
 	}
 }
@@ -471,7 +427,6 @@ func (ii interiorIndex) add(cc *contest, e indexEntry) {
 		label:    e.id + e.lits,
 		access:   float64(e.est) + climbCost + float64(recovered),
 		entering: scaleEst(recovered, cc.allSel),
-		ords:     e.ords,
 		install: func(a *Access) {
 			a.Kind = InteriorIndex
 			e.fill(a)
@@ -502,10 +457,6 @@ func (ii interiorIndex) explain(b *strings.Builder, p *Plan) {
 		approx(a.EstEntries), a.EntrySource, p.actual(a.ActEntries))
 	fmt.Fprintf(b, "           recover roots upward %s (est %s roots [%s]%s)\n", strings.Join(a.UpPath, " ⇡ "),
 		approx(a.EstRoots), a.EstSource, p.actual(a.ActRoots))
-}
-
-func (ii interiorIndex) rebind(p *Plan, at func(int) (expr.Expr, bool)) bool {
-	return rebindEntry(p, ii.ranged, at)
 }
 
 // intersect composes several interior entries — a molecule-level index
@@ -549,7 +500,7 @@ func (intersect) enumerate(cc *contest) {
 		ents = append(ents, AccessEntry{
 			Type: pd.Type, Pos: pd.Pos, Attr: eq.attr, Value: eq.val,
 			UpPath: upPath, EstEntries: eq.entries, EntrySource: eq.src,
-			EstRoots: recovered, ord: pd.ord,
+			EstRoots: recovered,
 		})
 		labels = append(labels, pd.Type+"."+eq.attr)
 		access += float64(eq.entries) + climbCost + float64(recovered)
@@ -618,18 +569,6 @@ func (intersect) explain(b *strings.Builder, p *Plan) {
 	}
 }
 
-func (intersect) rebind(p *Plan, at func(int) (expr.Expr, bool)) bool {
-	for i := range p.Access.Entries {
-		en := &p.Access.Entries[i]
-		_, v, ok := literalAt(at, en.ord)
-		if !ok {
-			return false
-		}
-		en.Value = v
-	}
-	return true
-}
-
 // intersectSorted merges two ascending, deduplicated root-ID slices into
 // their intersection.
 func intersectSorted(a, b []model.AtomID) []model.AtomID {
@@ -671,8 +610,8 @@ func (p *Plan) chooseAccess(n int, rootConjs []rootConjInfo, derivCost float64, 
 
 	// Ordering surcharge: alternatives whose batch arrives unsorted pay
 	// the heap/sort comparison work over the molecules entering
-	// derivation. The top-K bound prune is not credited: K is set after
-	// the compile, and the cache key ignores it.
+	// derivation. The top-K bound prune is not credited: K is set on the
+	// plan after the compile.
 	alts := make([]Alternative, len(cands))
 	best := -1
 	for i, c := range cands {
@@ -699,7 +638,7 @@ func (p *Plan) chooseAccess(n int, rootConjs []rootConjInfo, derivCost float64, 
 	p.Alternatives = alts
 
 	c := cands[best]
-	p.path, p.accessOrds, p.presorted = c.path, c.ords, c.presorted
+	p.path, p.presorted = c.path, c.presorted
 	c.install(&p.Access)
 	return nil
 }

@@ -44,18 +44,6 @@ func BenchmarkCompileOnly(b *testing.B) {
 			}
 		}
 	})
-	b.Run("compile_cached", func(b *testing.B) {
-		cache := plan.CacheFor(s.DB)
-		if _, _, err := cache.Compile(mt.Desc(), pred); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := cache.Compile(mt.Desc(), pred); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("compile_execute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p, err := plan.Compile(s.DB, mt.Desc(), pred)

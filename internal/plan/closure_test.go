@@ -53,7 +53,6 @@ func chainForest(t testing.TB, roots, depth int) (*storage.Database, *core.Desc)
 // the closure is seeded from the index instead of scanning every root.
 func TestFixpointIndexedEntry(t *testing.T) {
 	db, desc := chainForest(t, 64, 8)
-	defer plan.Release(db)
 	if err := db.CreateIndex("part", "pn"); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,6 @@ func TestFixpointLimitStopsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const roots, depth = 512, 6
 	db, desc := chainForest(t, roots, depth)
-	defer plan.Release(db)
 	p, err := plan.Compile(db, desc, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,6 @@ func TestResidualEstimatesAreMoleculeLevel(t *testing.T) {
 // database.
 func TestExplainDeterministic(t *testing.T) {
 	db, _ := assemblyDB(t, 64)
-	defer plan.Release(db)
 	const where = " FROM asm-unit-part WHERE COUNT(part) >= COUNT(unit) AND (part.serial = 'S-42' OR COUNT(part) < 0);"
 	sess := mql.NewSession(db)
 	exec := func(src string) *mql.Result {

@@ -81,7 +81,6 @@ func TestOrderedIndexRideNoSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plan.Release(db)
 
 	for _, desc := range []bool{false, true} {
 		order := plan.OrderBy{Attr: "v", Desc: desc}
@@ -120,7 +119,6 @@ func TestOrderedIndexRideNoSort(t *testing.T) {
 func TestOrderedTopKBoundCut(t *testing.T) {
 	const roots = 2048
 	db, mt := assemblyDB(t, roots)
-	defer plan.Release(db)
 
 	order := plan.OrderBy{Attr: "code", Desc: false}
 	// fetches drains the ordered stream of p and counts the atoms it read.
@@ -187,7 +185,6 @@ func TestOrderedStreamCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plan.Release(db)
 
 	before := runtime.NumGoroutine()
 	pins := db.LiveSnapshots()

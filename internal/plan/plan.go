@@ -49,9 +49,10 @@
 // Residual conjuncts are estimated per molecule in closed form from the
 // same statistics and the link fan-outs (conjSelectivity), so a plan
 // depends only on the data and its statistics: the same statement over
-// the same data compiles to the same plan however often it has run.
-// Compiled plans are memoized per database in a Cache invalidated by the
-// storage layer's plan epoch (DDL, index changes, ANALYZE).
+// the same data compiles to the same plan however often it has run. The
+// storage layer keeps every statistic a compile reads as the data
+// changes, so a compile costs the same on any database, and every
+// statement compiles afresh, costed on the statistics of its moment.
 //
 // The planner is sound with respect to the molecule algebra: a plan's
 // result is always set-equal to naive Σ (core.Restrict) over the same
@@ -207,9 +208,6 @@ type AccessEntry struct {
 	ActEntries  int
 	EstRoots    int
 	ActRoots    int
-	// ord is the entry conjunct's ordinal in the split predicate, for
-	// rebinding a shape-cached plan to fresh literals.
-	ord int
 }
 
 // Alternative is one access path the planner considered, with its total
@@ -234,9 +232,6 @@ type Pushdown struct {
 	Source string
 	// Cut counts the molecules this node disqualified mid-derivation.
 	Cut int
-	// ord is the conjunct's ordinal in the split predicate, for
-	// rebinding a shape-cached plan to fresh literals.
-	ord int
 }
 
 // ResidualConjunct is one molecule-level conjunct of the residual filter,
@@ -255,9 +250,6 @@ type ResidualConjunct struct {
 	// means later conjuncts see fewer molecules than earlier ones).
 	Evals  int
 	Passed int
-	// ord is the conjunct's ordinal in the split predicate, for
-	// rebinding a shape-cached plan to fresh literals.
-	ord int
 }
 
 // Plan is a compiled query plan: access path → derivation with pushdown →
@@ -266,25 +258,16 @@ type ResidualConjunct struct {
 type Plan struct {
 	db   *storage.Database
 	desc *core.Desc
-	// pred is the whole compiled predicate — kept so a shape-cached plan
-	// can rebind it to fresh literals.
-	pred expr.Expr
 	// path is the row of the access-path table the contest installed; it
-	// produces the root batch, renders the access lines and rebinds the
-	// access literals; presorted marks a root batch that already arrives
-	// in the requested order: an ordered index walk, or an index entry on
-	// the ORDER BY attribute itself.
+	// produces the root batch and renders the access lines; presorted
+	// marks a root batch that already arrives in the requested order: an
+	// ordered index walk, or an index entry on the ORDER BY attribute
+	// itself.
 	path      accessPath
 	presorted bool
 	// derivCost is the expected atoms fetched deriving one molecule, the
 	// link-fan constant the contest weighed the alternatives with.
 	derivCost float64
-	// Rebinding metadata: which conjunct ordinals of the split predicate
-	// fed the root filter and the access path's literals. A shape-keyed
-	// cache hit with fresh literals replays these against the new
-	// predicate's conjuncts instead of recompiling.
-	filterOrds []int
-	accessOrds []int
 
 	Access Access
 	// Alternatives records every access path considered at compile time,
@@ -394,7 +377,6 @@ func compile(db *storage.Database, desc *core.Desc, pred expr.Expr, order *Order
 	p := &Plan{
 		db:     db,
 		desc:   desc,
-		pred:   pred,
 		Access: Access{Root: desc.Root()},
 	}
 	if order != nil {
@@ -412,7 +394,6 @@ func compile(db *storage.Database, desc *core.Desc, pred expr.Expr, order *Order
 	if err != nil {
 		return nil, err
 	}
-	// Read once: the fan statistics behind them walk every linked atom.
 	sizes := componentSizes(db, desc)
 
 	var rootConjs []rootConjInfo
@@ -445,13 +426,13 @@ func compile(db *storage.Database, desc *core.Desc, pred expr.Expr, order *Order
 			pos, _ := desc.Pos(t)
 			sel, src := conjSelectivity(db, desc, c, nil)
 			p.Pushdowns = append(p.Pushdowns, Pushdown{
-				Type: t, Pos: pos, Conjunct: c, Sel: sel, Source: src, ord: ord,
+				Type: t, Pos: pos, Conjunct: c, Sel: sel, Source: src,
 			})
 		default:
 			p.Residual = combine(p.Residual, c)
 			sel, src := conjSelectivity(db, desc, c, sizes)
 			p.Residuals = append(p.Residuals, ResidualConjunct{
-				Conjunct: c, Sel: sel, Source: src, Cost: conjCost(c), ord: ord,
+				Conjunct: c, Sel: sel, Source: src, Cost: conjCost(c),
 			})
 		}
 	}

@@ -60,7 +60,6 @@ func TestStreamCancelStopsWorkers(t *testing.T) {
 	// 2 batches, the producer cannot run to completion while the consumer
 	// has taken only one molecule — cancellation always lands mid-flight.
 	db, mt := streamWorkload(t, 400)
-	defer plan.Release(db)
 	p, err := plan.Compile(db, mt.Desc(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +106,6 @@ func TestStreamCancelStopsWorkers(t *testing.T) {
 // leaves Err nil on exhaustion.
 func TestStreamSeq(t *testing.T) {
 	db, mt := streamWorkload(t, 8)
-	defer plan.Release(db)
 	p, err := plan.Compile(db, mt.Desc(), nil)
 	if err != nil {
 		t.Fatal(err)

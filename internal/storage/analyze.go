@@ -17,20 +17,10 @@ type attrHist struct {
 	h        *stats.Histogram
 }
 
-// PlanEpoch returns the database's plan epoch: a counter bumped by every
-// change that can invalidate a compiled plan — schema DDL, index creation
-// or removal, and ANALYZE (new statistics mean new estimates). The plan
-// cache compares a cached plan's epoch against this value and recompiles
-// on mismatch.
-func (db *Database) PlanEpoch() uint64 { return db.planEpoch.Load() }
-
-// bumpPlanEpoch invalidates all cached plans for this database.
-func (db *Database) bumpPlanEpoch() { db.planEpoch.Add(1) }
-
 // Analyze builds equi-depth histograms over every attribute of the named
 // atom types (all types when none are given), replacing any previous
-// histograms, and bumps the plan epoch so cached plans recompile against
-// the fresh statistics. It returns the number of histograms built.
+// histograms; every statement compiled afterwards is costed on them. It
+// returns the number of histograms built.
 func (db *Database) Analyze(typeNames ...string) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -41,8 +31,7 @@ func (db *Database) Analyze(typeNames ...string) (int, error) {
 		sort.Strings(typeNames)
 	}
 	// Resolve every name before installing anything: a failed Analyze
-	// must not leave new histograms behind without the epoch bump that
-	// invalidates the plans costed against the old ones.
+	// leaves the statistics as they were.
 	containers := make([]*Container, len(typeNames))
 	for i, name := range typeNames {
 		c, ok := db.containers[name]
@@ -55,14 +44,13 @@ func (db *Database) Analyze(typeNames ...string) (int, error) {
 	for i, name := range typeNames {
 		built += db.analyzeLocked(name, containers[i])
 	}
-	db.bumpPlanEpoch()
 	return built, nil
 }
 
 // analyzeLocked rebuilds the histograms of one atom type; callers hold
 // db.mu (the container scan resolves the latest published commit, so a
 // concurrent writer at most leaves the histogram one commit stale — it is
-// advisory, not versioned) and bump the plan epoch themselves.
+// advisory, not versioned).
 func (db *Database) analyzeLocked(name string, c *Container) int {
 	desc := c.Desc()
 	// One pass over the occurrence gathers every attribute column.
@@ -124,12 +112,12 @@ func (db *Database) SetAutoAnalyze(frac float64) {
 }
 
 // maybeAutoAnalyze rebuilds the named type's histograms when any of them
-// has drifted past the configured fraction of its occurrence, bumping the
-// plan epoch so stale plans recompile against the fresh statistics —
-// ANALYZE-on-drift instead of ANALYZE-on-request. Callers hold commitMu
-// (the epoch therefore keys off committed state, never an in-flight
-// buffer) and have already routed the triggering mutation into the
-// histograms; db.mu is taken here for the registry reads and the rebuild.
+// has drifted past the configured fraction of its occurrence —
+// ANALYZE-on-drift instead of ANALYZE-on-request, so the statements
+// compiled next are costed on fresh statistics. Callers run it after the
+// triggering commit published and have already routed its mutations into
+// the histograms; db.mu is taken here for the registry reads and the
+// rebuild.
 func (db *Database) maybeAutoAnalyze(typeName string) {
 	db.mu.RLock()
 	frac := db.autoAnalyzeFrac
@@ -160,40 +148,7 @@ func (db *Database) maybeAutoAnalyze(typeName string) {
 		return
 	}
 	db.analyzeLocked(typeName, c)
-	db.bumpPlanEpoch()
 	db.stats.AutoAnalyzes.Add(1)
-}
-
-// maybeLinkEpochBump bumps the plan epoch once a link occurrence has
-// drifted past the auto-analyze fraction since the last bump it caused:
-// the planner costs traversals (derivation work, interior-index climbs)
-// from the store's fan statistics, so link churn goes stale the same way
-// value drift does for histograms. Sharing the auto-analyze fraction
-// keeps one staleness policy; frac <= 0 disables this too. The epochBase
-// read-modify-write runs under db.mu: since the WAL refactor, commit
-// bookkeeping runs outside commitMu, so concurrent committers can reach
-// here at once.
-func (db *Database) maybeLinkEpochBump(ls *LinkStore) {
-	db.mu.RLock()
-	frac := db.autoAnalyzeFrac
-	db.mu.RUnlock()
-	if frac <= 0 {
-		return
-	}
-	count := ls.Len()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	drift := count - ls.epochBase
-	if drift < 0 {
-		drift = -drift
-	}
-	if drift < autoAnalyzeMinDrift {
-		return
-	}
-	if float64(drift) > frac*float64(ls.epochBase) {
-		ls.epochBase = count
-		db.bumpPlanEpoch()
-	}
 }
 
 // Histogram returns the histogram over typeName.attr built by the most

@@ -53,16 +53,18 @@ func TestAnalyzeBuildsHistograms(t *testing.T) {
 		t.Fatal("Analyze of an unknown type must fail")
 	}
 	// A partially valid request fails atomically: nothing is installed,
-	// so cached plans stay consistent with the statistics they saw.
-	epoch := db.PlanEpoch()
+	// not even over the valid type it names.
+	if _, err := db.InsertAtom("part", model.Str("late"), model.Int(7)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := db.Analyze("part", "nosuch"); err == nil {
 		t.Fatal("Analyze with an unknown type in the list must fail")
 	}
-	if db.PlanEpoch() != epoch {
-		t.Fatal("failed Analyze must not bump the plan epoch")
-	}
 	if len(db.Histograms()) != 2 {
 		t.Fatalf("failed Analyze must not install histograms: %v", db.Histograms())
+	}
+	if h2, _ := db.Histogram("part", "size"); h2 != h || h2.Drift() != 1 {
+		t.Fatal("failed Analyze must leave the installed histogram and its drift in place")
 	}
 }
 
@@ -100,7 +102,7 @@ func TestAnalyzeIncrementalMaintenance(t *testing.T) {
 
 // TestAutoAnalyzeOnDrift checks ANALYZE-on-drift: once incremental
 // mutations exceed the configured fraction of an occurrence, the type's
-// histograms rebuild on their own and the plan epoch bumps; below the
+// histograms rebuild on their own and the rebuild is counted; below the
 // threshold (or with the feature disabled) nothing happens.
 func TestAutoAnalyzeOnDrift(t *testing.T) {
 	db := analyzeFixture(t) // 100 atoms
@@ -108,25 +110,24 @@ func TestAutoAnalyzeOnDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, _ := db.Histogram("part", "size")
-	epoch := db.PlanEpoch()
+	autos := db.Stats().Snapshot().AutoAnalyzes
 
 	// A few mutations stay under the default 20% threshold: the drift
-	// accumulates, the epoch holds, cached plans stay valid.
+	// accumulates and nothing rebuilds.
 	for i := 0; i < 10; i++ {
 		if _, err := db.InsertAtom("part", model.Str("new"), model.Int(99)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if db.PlanEpoch() != epoch {
-		t.Fatal("sub-threshold drift must not bump the plan epoch")
+	if db.Stats().Snapshot().AutoAnalyzes != autos {
+		t.Fatal("sub-threshold drift must not trigger auto-ANALYZE")
 	}
 	if h.Drift() != 10 {
 		t.Fatalf("drift = %d, want 10", h.Drift())
 	}
 
 	// Crossing the threshold rebuilds: fresh histograms (drift resets),
-	// a bumped epoch, and the rebuild shows up in the stats block.
-	before := db.Stats().Snapshot()
+	// and the rebuild shows up in the stats block.
 	for i := 0; i < 30; i++ {
 		if _, err := db.InsertAtom("part", model.Str("new"), model.Int(99)); err != nil {
 			t.Fatal(err)
@@ -136,10 +137,7 @@ func TestAutoAnalyzeOnDrift(t *testing.T) {
 	if h2.Drift() >= 30 {
 		t.Fatalf("drift = %d after crossing the threshold, want a rebuilt histogram", h2.Drift())
 	}
-	if db.PlanEpoch() == epoch {
-		t.Fatal("auto-ANALYZE must bump the plan epoch")
-	}
-	if db.Stats().Snapshot().AutoAnalyzes <= before.AutoAnalyzes {
+	if db.Stats().Snapshot().AutoAnalyzes <= autos {
 		t.Fatal("auto-ANALYZE must be counted in the stats block")
 	}
 	// The rebuilt histogram sees the inserted skew directly.
@@ -147,9 +145,9 @@ func TestAutoAnalyzeOnDrift(t *testing.T) {
 		t.Fatalf("rebuilt histogram estimates %d atoms at size=99, want ≈40", est)
 	}
 
-	// Disabled: drift accumulates without bound and the epoch holds.
+	// Disabled: drift accumulates without bound and nothing rebuilds.
 	db.SetAutoAnalyze(0)
-	epoch = db.PlanEpoch()
+	autos = db.Stats().Snapshot().AutoAnalyzes
 	h3, _ := db.Histogram("part", "size")
 	d0 := h3.Drift()
 	for i := 0; i < 200; i++ {
@@ -157,101 +155,10 @@ func TestAutoAnalyzeOnDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.PlanEpoch() != epoch {
-		t.Fatal("disabled auto-ANALYZE must never bump the plan epoch")
+	if db.Stats().Snapshot().AutoAnalyzes != autos {
+		t.Fatal("disabled auto-ANALYZE must never rebuild")
 	}
 	if h3.Drift() != d0+200 {
 		t.Fatalf("disabled auto-ANALYZE must leave drift accumulating (drift = %d, want %d)", h3.Drift(), d0+200)
-	}
-}
-
-// TestLinkDriftBumpsPlanEpoch checks the staleness policy for link fan
-// statistics: plans cost traversals from the link stores, so enough link
-// churn must invalidate cached plans even though no histogram moved.
-func TestLinkDriftBumpsPlanEpoch(t *testing.T) {
-	db := storage.NewDatabase()
-	desc := model.MustDesc(model.AttrDesc{Name: "v", Kind: model.KInt})
-	for _, tn := range []string{"a", "b"} {
-		if _, err := db.DefineAtomType(tn, desc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := db.DefineLinkType("ab", model.LinkDesc{SideA: "a", SideB: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	var as, bs []model.AtomID
-	for i := 0; i < 40; i++ {
-		ai, err := db.InsertAtom("a", model.Int(int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bi, err := db.InsertAtom("b", model.Int(int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		as, bs = append(as, ai), append(bs, bi)
-	}
-	epoch := db.PlanEpoch()
-	// A handful of links stay under the drift floor.
-	for i := 0; i < 4; i++ {
-		if err := db.Connect("ab", as[i], bs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if db.PlanEpoch() != epoch {
-		t.Fatal("sub-threshold link churn must not bump the plan epoch")
-	}
-	// Sustained churn crosses it.
-	for i := 4; i < 40; i++ {
-		if err := db.Connect("ab", as[i], bs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if db.PlanEpoch() == epoch {
-		t.Fatal("link drift must bump the plan epoch (fan statistics went stale)")
-	}
-	// Disabled along with auto-ANALYZE: no further bumps.
-	db.SetAutoAnalyze(0)
-	epoch = db.PlanEpoch()
-	for i := 0; i < 40; i++ {
-		if err := db.Connect("ab", as[i], bs[(i+1)%40]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if db.PlanEpoch() != epoch {
-		t.Fatal("disabled drift policy must never bump the plan epoch")
-	}
-}
-
-func TestPlanEpochBumps(t *testing.T) {
-	db := analyzeFixture(t)
-	e0 := db.PlanEpoch()
-	if err := db.CreateIndex("part", "name"); err != nil {
-		t.Fatal(err)
-	}
-	e1 := db.PlanEpoch()
-	if e1 <= e0 {
-		t.Fatalf("CREATE INDEX must bump the plan epoch (%d → %d)", e0, e1)
-	}
-	if _, err := db.Analyze("part"); err != nil {
-		t.Fatal(err)
-	}
-	e2 := db.PlanEpoch()
-	if e2 <= e1 {
-		t.Fatalf("ANALYZE must bump the plan epoch (%d → %d)", e1, e2)
-	}
-	if !db.DropIndex("part", "name") {
-		t.Fatal("DropIndex")
-	}
-	if db.PlanEpoch() <= e2 {
-		t.Fatal("DROP INDEX must bump the plan epoch")
-	}
-	// Plain DML does not invalidate plans.
-	e3 := db.PlanEpoch()
-	if _, err := db.InsertAtom("part", model.Str("x"), model.Int(1)); err != nil {
-		t.Fatal(err)
-	}
-	if db.PlanEpoch() != e3 {
-		t.Fatal("INSERT must not bump the plan epoch")
 	}
 }

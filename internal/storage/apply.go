@@ -8,12 +8,11 @@ import (
 
 // effect is what one applied operation changed beyond the versions it
 // pushed: with the op itself — the value a put stored, the type it named —
-// the input of the advisory bookkeeping (counters, histograms, plan-epoch
-// drift) that runs after publication, outside the commit critical
-// section. A commit holds one per op until it settles, so it stays small.
+// the input of the advisory bookkeeping (counters, histograms) that runs
+// after publication, outside the commit critical section. A commit holds
+// one per op until it settles, so it stays small.
 type effect struct {
 	old     model.Atom // put, delete: the value that left the occurrence, when hadOld
-	link    *LinkStore // connect, disconnect: the store, when its occurrence changed
 	dropped int32      // links removed, cascades included
 	hadOld  bool
 	// changed is false for an op that changed nothing — an idempotent
@@ -104,7 +103,7 @@ func (db *Database) applyOp(ts uint64, op *walOp, undos *[]func()) (eff effect, 
 		}
 		if undo != nil {
 			pushed(undo)
-			eff = effect{link: ls, changed: true}
+			eff = effect{changed: true}
 		}
 	case walOpDisconnect:
 		ls, _, _, err := db.resolveLinkType(op.name, nil)
@@ -113,7 +112,7 @@ func (db *Database) applyOp(ts uint64, op *walOp, undos *[]func()) (eff effect, 
 		}
 		if undo := ls.disconnect(op.a, op.b, ts); undo != nil {
 			pushed(undo)
-			eff = effect{link: ls, dropped: 1, changed: true}
+			eff = effect{dropped: 1, changed: true}
 		}
 	case walOpAtomType, walOpLinkType:
 		undo, err := db.defineType(op)
@@ -211,30 +210,16 @@ func (db *Database) book(op *walOp, e *effect) {
 // settle runs a published commit's advisory bookkeeping — outside the
 // versioned store and outside commitMu. It books every effect first (an
 // automatic ANALYZE rebuilds from the committed occurrence, which already
-// holds them all), then lets each link store and atom type the commit
-// touched check once whether its drift warrants a plan-epoch bump or that
-// ANALYZE; a check with nothing to fire on is a few loads.
+// holds them all), then lets each atom type the commit put or deleted
+// check once whether its drift warrants that ANALYZE; a check with
+// nothing to fire on is a few loads.
 func (db *Database) settle(ops []*walOp, effs []effect) {
-	stores, types := map[*LinkStore]bool{}, map[string]bool{}
+	types := map[string]bool{}
 	for i, op := range ops {
-		e := &effs[i]
-		db.book(op, e)
-		if e.link != nil {
-			stores[e.link] = true
-		}
-		if op.kind == walOpDelete && e.dropped > 0 {
-			// The cascade reached the stores of the link types over op.name.
-			_, _, cascade, _ := db.resolveAtomType(op.name, true, nil)
-			for _, ls := range cascade {
-				stores[ls] = true
-			}
-		}
+		db.book(op, &effs[i])
 		if op.kind == walOpPut || op.kind == walOpDelete {
 			types[op.name] = true
 		}
-	}
-	for ls := range stores {
-		db.maybeLinkEpochBump(ls)
 	}
 	for name := range types {
 		db.maybeAutoAnalyze(name)

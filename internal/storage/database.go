@@ -70,8 +70,7 @@ type Database struct {
 	snapMu    sync.Mutex
 	liveSnaps map[uint64]int
 
-	stats     Stats
-	planEpoch atomic.Uint64
+	stats Stats
 	// autoAnalyzeFrac triggers a histogram rebuild once incremental drift
 	// exceeds this fraction of an occurrence; <= 0 disables it.
 	autoAnalyzeFrac float64
@@ -204,7 +203,6 @@ func (db *Database) defineType(op *walOp) (undo func(), err error) {
 	if err != nil {
 		return nil, err // the registration goes with the Txn's release or the failed recovery
 	}
-	db.bumpPlanEpoch()
 	name := op.name // the undo must not keep the op on the heap
 	return func() {
 		db.mu.Lock()

@@ -235,7 +235,6 @@ func (db *Database) createIndexAt(typeName, attr string, ts uint64) error {
 		ix.add(a, ts)
 	}
 	db.indexes[key] = ix
-	db.bumpPlanEpoch()
 	return nil
 }
 
@@ -269,7 +268,6 @@ func (db *Database) dropIndex(typeName, attr string) bool {
 		return false
 	}
 	delete(db.indexes, key)
-	db.bumpPlanEpoch()
 	return true
 }
 

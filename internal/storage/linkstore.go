@@ -35,11 +35,10 @@ type LinkStore struct {
 	fromA chains[model.AtomID, []model.AtomID] // side-A atom → side-B partners
 	fromB chains[model.AtomID, []model.AtomID] // side-B atom → side-A partners
 	live  int                                  // links present at the chain heads
-	// epochBase is the occurrence size at the last plan-epoch bump this
-	// store caused; the database compares live against it to decide when
-	// link churn has drifted far enough to invalidate cached plans (plans
-	// cost traversals from the store's fan statistics).
-	epochBase int
+	// linkedA and linkedB count the atoms whose partner list at the chain
+	// head is non-empty, per side: the denominators of AvgFan. pushPair,
+	// the one writer of both maps, keeps them.
+	linkedA, linkedB int
 }
 
 // newLinkStore creates an empty occurrence for the given link type whose
@@ -103,19 +102,38 @@ func (ls *LinkStore) Partners(id model.AtomID, fromA bool) []model.AtomID {
 func (ls *LinkStore) Has(a, b model.AtomID) bool { return View{}.hasLink(ls, a, b) }
 
 // pushPair installs the partner lists la (of a, side A) and lb (of b, side
-// B) at ts, moves the live count by delta and returns the undo. Callers
+// B) at ts, moves the live count by delta and the linked-atom counts by
+// the lists that turned empty or non-empty, and returns the undo. Callers
 // hold the write latch; the undo takes it itself.
 func (ls *LinkStore) pushPair(a, b model.AtomID, la, lb []model.AtomID, ts uint64, delta int) (undo func()) {
 	oldA := ls.fromA.push(a, la, ts, len(la) == 0)
 	oldB := ls.fromB.push(b, lb, ts, len(lb) == 0)
+	dA, dB := linkedDelta(oldA, la), linkedDelta(oldB, lb)
 	ls.live += delta
+	ls.linkedA += dA
+	ls.linkedB += dB
 	return func() {
 		ls.latch.Lock()
 		defer ls.latch.Unlock()
 		ls.fromB.pop(b, oldB)
 		ls.fromA.pop(a, oldA)
 		ls.live -= delta
+		ls.linkedA -= dA
+		ls.linkedB -= dB
 	}
+}
+
+// linkedDelta is how a partner list replacing the head old moves its
+// side's linked-atom count: +1 empty → non-empty, -1 back, 0 otherwise.
+func linkedDelta(old *version[[]model.AtomID], list []model.AtomID) int {
+	was := old != nil && !old.dead
+	switch {
+	case len(list) > 0 && !was:
+		return 1
+	case len(list) == 0 && was:
+		return -1
+	}
+	return 0
 }
 
 // connect installs the link <a, b> at commit timestamp ts. It is
@@ -195,35 +213,24 @@ func (ls *LinkStore) dropAtom(id model.AtomID, ts uint64) (removed int, undo fun
 	return len(undos), func() { undoAll(undos) }
 }
 
-// SideAtoms returns the number of distinct atoms with at least one
-// partner on the given side at the latest commit — the denominator of the
-// per-step fan-out statistic the planner uses to cost traversals in
-// either direction.
-func (ls *LinkStore) SideAtoms(sideA bool) int {
-	ls.latch.RLock()
-	defer ls.latch.RUnlock()
-	ts := ls.clock.Load()
-	n := 0
-	for _, head := range ls.side(sideA) {
-		if _, ok := head.at(ts); ok {
-			n++
-		}
-	}
-	return n
-}
-
 // AvgFan returns the average number of partners an atom on the given side
 // reaches in one traversal step (occurrence size over distinct linked
-// atoms on that side). Links are symmetric, so the statistic exists for
-// both directions; the planner reads the child side's fan to cost the
+// atoms on that side), read from counts the writers keep, so it costs the
+// same on any occurrence. Links are symmetric, so the statistic exists
+// for both directions; the planner reads the child side's fan to cost the
 // upward climb of an interior-index access path. Zero when the side has
 // no linked atoms.
 func (ls *LinkStore) AvgFan(fromSideA bool) float64 {
-	n := ls.SideAtoms(fromSideA)
+	ls.latch.RLock()
+	defer ls.latch.RUnlock()
+	n := ls.linkedB
+	if fromSideA {
+		n = ls.linkedA
+	}
 	if n == 0 {
 		return 0
 	}
-	return float64(ls.Len()) / float64(n)
+	return float64(ls.live) / float64(n)
 }
 
 // Scan calls fn for every link at the latest commit, side-A endpoint

@@ -224,8 +224,8 @@ func replaySegments(db *Database, dir string, ckptTS uint64) (*tornInfo, error) 
 // cannot diverge from the one that wrote the log; what it adds is for
 // input that arrives from disk instead of from a validating mutator (puts
 // are re-checked against the type's description), and it books the
-// counters and histograms but leaves drift-triggered ANALYZE and plan
-// epochs to the live database.
+// counters and histograms but leaves drift-triggered ANALYZE to the live
+// database.
 func (db *Database) replay(ts uint64, ops []walOp) error {
 	for i := range ops {
 		op := &ops[i]

@@ -155,8 +155,10 @@ func TakeSnapshot(db *Database) *Snapshot { return db.Snapshot() }
 //	if err := cur.Err(); err != nil { ... }
 //
 // The same options are available inside MQL itself: `SET WORKERS n;`
-// and `SET NOCACHE TRUE;` install session defaults, and a SELECT may
-// carry a trailing `LIMIT n`. A SELECT may also order its stream
+// installs a session default, and a SELECT may carry a trailing
+// `LIMIT n`. Every statement compiles its plan afresh, costed on the
+// indexes and statistics of the moment — compiling reads only counts
+// the storage layer keeps, so it costs the same on any database. A SELECT may also order its stream
 // (`ORDER BY attr [ASC|DESC]` on a root attribute — served off an
 // ordered index ride when one covers the attribute, otherwise a heap —
 // bounded to the top K under LIMIT) or aggregate instead of
@@ -171,8 +173,7 @@ type (
 	// arrive incrementally in deterministic order, with the SELECT
 	// list's projection applied per molecule (see Session.QueryContext).
 	Cursor = mql.Cursor
-	// QueryOption tunes one QueryContext call (WithWorkers, WithLimit,
-	// WithNoCache).
+	// QueryOption tunes one QueryContext call (WithWorkers, WithLimit).
 	QueryOption = mql.QueryOption
 	// Stream is a plan's incremental result cursor: the fused parallel
 	// executor feeds it through a bounded channel, so first results
@@ -192,9 +193,6 @@ type (
 	// PlanAlternative is one access path the planner considered, with
 	// its estimated cost — the EXPLAIN "considered" provenance.
 	PlanAlternative = plan.Alternative
-	// PlanCache memoizes compiled plans per database, invalidated by DDL
-	// and ANALYZE through the plan epoch.
-	PlanCache = plan.Cache
 	// Histogram is a per-attribute equi-depth histogram — the statistics
 	// ANALYZE builds and the planner estimates selectivities from.
 	Histogram = stats.Histogram
@@ -218,9 +216,6 @@ var (
 	// WithLimit caps the molecules delivered; the in-flight derivation
 	// is cancelled once the cap is reached.
 	WithLimit = mql.WithLimit
-	// WithNoCache compiles the query's plan fresh, bypassing the plan
-	// cache.
-	WithNoCache = mql.WithNoCache
 )
 
 // NewDatabase returns an empty MAD database.
@@ -292,18 +287,6 @@ func NewClosureDesc(db *Database, atomType, link string, up bool, depth int) (*M
 	return core.NewClosureDesc(db, atomType, link, up, depth)
 }
 
-// PlanCacheFor returns the plan cache shared by every session over db.
-// Cache.Compile memoizes compilations until DDL, index changes or
-// Analyze invalidate them (the MQL session layer goes through it
-// automatically). Entries evict least-recently-used first.
-func PlanCacheFor(db *Database) *PlanCache { return plan.CacheFor(db) }
-
-// ReleasePlanCache drops the database's plan cache from the process-wide
-// registry. Call it when a database goes out of use — the registry
-// otherwise pins the cache (and through it the database) for the life of
-// the process.
-func ReleasePlanCache(db *Database) { plan.Release(db) }
-
 // Analyze builds equi-depth histograms over every attribute of the named
 // atom types (all types when none are given) — the MQL ANALYZE
 // statement. It returns the number of histograms built.
@@ -373,8 +356,7 @@ func Load(path string) (*Database, error) { return storage.Load(path) }
 // Open opens (or creates) a durable database in dir: the newest
 // checkpoint is loaded (data, indexes and histograms), the write-ahead
 // log tail replayed, and a group-commit WAL attached so every subsequent
-// commit is fsynced before it acknowledges. The plan cache is
-// memory-only: a reopened database starts it cold. Call Close when done.
+// commit is fsynced before it acknowledges. Call Close when done.
 func Open(dir string) (*Database, error) { return storage.Open(dir) }
 
 // Recover rebuilds the database persisted in dir without attaching a

@@ -294,18 +294,10 @@ func TestFacadeStatsAndPlanCache(t *testing.T) {
 		t.Fatalf("histogram on paper.year: ok=%v", ok)
 	}
 
-	cache := mad.PlanCacheFor(db)
-	_, _, base := cache.Counters()
 	q := `SELECT ALL FROM author-[wrote]-paper WHERE year = 1987;`
-	for i := 0; i < 3; i++ {
-		if _, err := sess.Exec(q); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := sess.Exec(q); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, compiles := cache.Counters(); compiles != base+1 {
-		t.Fatalf("3 executions compiled %d plans, want 1", compiles-base)
-	}
-
 	res, err := sess.Exec(`EXPLAIN (ESTIMATE) ` + q)
 	if err != nil {
 		t.Fatal(err)
@@ -324,14 +316,13 @@ func TestFacadeStatsAndPlanCache(t *testing.T) {
 // Plan.Stream with a context.
 func TestFacadeStreamingQuery(t *testing.T) {
 	db, sess := buildLibrary(t)
-	defer mad.ReleasePlanCache(db)
 
 	full, err := sess.Exec(`SELECT ALL FROM author-paper;`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cur, err := sess.QueryContext(context.Background(), `SELECT ALL FROM author-paper;`,
-		mad.WithWorkers(2), mad.WithLimit(1), mad.WithNoCache())
+		mad.WithWorkers(2), mad.WithLimit(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@
 # recursive closures and dirty transaction views, about one case in four
 # with more than two executor batches of roots; steps: every access path
 # forced with 1, 3 and 8 workers, actuals compared, each stream closed
-# again at a random point, then cache hot, reloaded from a state file and
-# propagated through DEFINE) plus the WAL kill-and-recover suite (a fault is
+# again at a random point, then reloaded from a state file and propagated
+# through DEFINE) plus the WAL kill-and-recover suite (a fault is
 # injected at every write and fsync of the log, then the directory is
 # recovered and compared against an in-memory twin) run repeatedly under
 # the race detector. Gating: any torn molecule, version-tear,
@@ -46,7 +46,7 @@ go test -race -count="$count" -timeout "$timeout" \
 # transaction's View and the per-round closure loop over the worker pool;
 # the many-roots cases run the root-filter hook, the unbounded ORDER BY
 # heap and the pipelined dispatcher under 3 and 8 workers.
-echo "== plan: differential harness — forced paths, close-early prefix, cache hot, reloaded, propagated; structures, closures, dirty views (race, 1000 checks)"
+echo "== plan: differential harness — forced paths, close-early prefix, reloaded, propagated; structures, closures, dirty views (race, 1000 checks)"
 go test -race -timeout "$timeout" \
 	-run 'TestForcedPathParityRandom' ./internal/plan/ -quickchecks 1000
 
