@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"mad/internal/model"
 	"mad/internal/storage"
@@ -48,7 +47,7 @@ func NewDeriver(db *storage.Database, desc *Desc) (*Deriver, error) {
 		fromA:  make([]bool, desc.NumEdges()),
 		view:   db.View(0),
 	}
-	for i, e := range desc.Edges() {
+	for i, e := range desc.edges {
 		ls, ok := db.LinkStore(e.Link)
 		if !ok {
 			return nil, fmt.Errorf("core: link type %q has no store", e.Link)
@@ -87,8 +86,6 @@ func (dv *Deriver) View() storage.View { return dv.view }
 
 func (dv *Deriver) rootHas(id model.AtomID) bool { return dv.view.Has(dv.roots, id) }
 
-func (dv *Deriver) rootIDs() []model.AtomID { return dv.view.IDs(dv.roots) }
-
 // partners returns the children of atom a along edge ei, honouring the
 // edge's traversal orientation, and accounts the logical work: into the
 // scratch tally when sc is non-nil (flushed to the shared stats once per
@@ -114,17 +111,17 @@ type deriveScratch struct {
 	cand map[model.AtomID]bool
 	tmp  map[model.AtomID]bool
 	work storage.WorkTally
-	// stop is the executor's cancellation flag: the closure loop polls it
-	// per round, so a cancelled run does not finish a deep closure it will
-	// never deliver.
-	stop *atomic.Bool
+	// run is the executor run the scratch serves; the closure loop polls
+	// it per round, so a stopped run does not finish a deep closure it
+	// will never deliver.
+	run *executor
 }
 
-func newDeriveScratch(stop *atomic.Bool) *deriveScratch {
+func newDeriveScratch(run *executor) *deriveScratch {
 	return &deriveScratch{
 		cand: make(map[model.AtomID]bool),
 		tmp:  make(map[model.AtomID]bool),
-		stop: stop,
+		run:  run,
 	}
 }
 
@@ -239,7 +236,7 @@ func (dv *Deriver) deriveScratched(root model.AtomID, byPos PreparedChecks, sc *
 		return dv.closeOver(m, cl.Depth, sc)
 	}
 
-	for _, t := range d.Topo() {
+	for _, t := range d.topo {
 		if t == d.Root() {
 			continue
 		}
@@ -321,7 +318,7 @@ func (dv *Deriver) deriveScratched(root model.AtomID, byPos PreparedChecks, sc *
 func (dv *Deriver) closeOver(m *Molecule, depth int, sc *deriveScratch) *Molecule {
 	m.levels = append(m.levels, 1)
 	for lo, round := 0, 1; lo < len(m.atoms[0]) && (depth == 0 || round <= depth); round++ {
-		if sc != nil && sc.stop.Load() {
+		if sc != nil && sc.run.stopped() {
 			sc.recycle(m)
 			return nil
 		}
@@ -348,12 +345,12 @@ func (dv *Deriver) closeOver(m *Molecule, depth int, sc *deriveScratch) *Molecul
 
 // RootIDs returns the root-type occurrence's identifiers in insertion
 // order — the full root batch of a scan-based derivation.
-func (dv *Deriver) RootIDs() []model.AtomID { return dv.rootIDs() }
+func (dv *Deriver) RootIDs() []model.AtomID { return dv.view.IDs(dv.roots) }
 
 // Derive materializes the full molecule-type occurrence: one molecule per
 // atom of the root type, in the root container's insertion order.
 func (dv *Deriver) Derive() MoleculeSet {
-	roots := dv.rootIDs()
+	roots := dv.RootIDs()
 	out := make(MoleculeSet, len(roots))
 	for i, r := range roots {
 		out[i] = dv.derive(r)
@@ -378,7 +375,7 @@ func (dv *Deriver) DeriveRoots(roots []model.AtomID) (MoleculeSet, error) {
 // Walk streams molecules one root at a time without materializing the
 // whole occurrence; fn returning false stops the walk.
 func (dv *Deriver) Walk(fn func(*Molecule) bool) {
-	for _, r := range dv.rootIDs() {
+	for _, r := range dv.RootIDs() {
 		if !fn(dv.derive(r)) {
 			return
 		}

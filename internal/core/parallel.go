@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,187 +28,230 @@ type FusedWorker struct {
 // DefaultStreamBatch is the streaming executor's root-batch granularity:
 // large enough that the per-batch channel traffic disappears against the
 // derivation work, small enough that the first molecules reach the
-// consumer long before the root batch is exhausted.
+// consumer long before the roots are exhausted.
 const DefaultStreamBatch = 64
 
-// fusedSlot is one dispatched root range of the streaming executor,
-// with a one-slot channel its worker publishes the finished batch into
-// so a worker send never blocks.
+// fusedSlot is one dispatched root batch of the worker pool: its roots,
+// and a one-slot channel its worker publishes the finished batch into —
+// err set first when a root is not in the root type — so a worker send
+// never blocks.
 type fusedSlot struct {
-	lo, hi int
-	out    chan MoleculeSet
+	roots []model.AtomID
+	err   error
+	out   chan MoleculeSet
 }
 
-// DeriveStream is the derivation executor: it derives the molecules of
-// the given roots on a pool of workers (<= 0 selects GOMAXPROCS) and
-// filters each one on the worker that derived it — no barrier separates
-// the two stages. The root batch is cut into batches of size roots (<= 0
-// selects DefaultStreamBatch), each batch is derived and filtered by one
-// worker, and emit receives the surviving molecules of every batch —
-// compacted, in exact root order — as soon as that batch is done, so the
-// output is deterministic for any worker count. At most workers+1 batches
-// are in flight at any moment, which bounds the footprint at
-// O(workers × size) molecules however large the root batch is; batches are pipelined —
-// worker w derives batch k+1 while emit still drains batch k.
+// DeriveStream is the derivation executor: it pulls roots from the
+// sequence, derives their molecules and filters each one on the worker
+// that derived it — no barrier separates the two stages. The roots are
+// cut into batches of size roots (<= 0 selects DefaultStreamBatch) as
+// they are pulled; each batch is checked against the root type's
+// occurrence, derived and filtered by one worker, and emit receives the
+// surviving molecules of every batch — compacted, in exact root order —
+// as soon as that batch is done, so the output is deterministic for any
+// worker count.
 //
-// newWorker is called on the calling goroutine, once per worker actually
-// spawned (ids 0..n-1), so callers can set up per-worker accumulators
-// lock-free and merge them after the call returns. emit runs on the
-// calling goroutine too; returning an error from it stops the workers and
-// surfaces that error. Cancelling ctx stops every worker loop
-// mid-derivation (checked per root) and returns ctx.Err(); ctx may be
-// nil for uncancellable runs. No goroutine outlives the call either
-// way, and empty batches are not emitted. The returned tally is the
-// run's derivation work — atoms fetched and links traversed — already
-// folded into the database's shared statistics.
-func (dv *Deriver) DeriveStream(ctx context.Context, roots []model.AtomID, workers, size int, newWorker func(w int) FusedWorker, emit func(MoleculeSet) error) (storage.WorkTally, error) {
-	var work storage.WorkTally
-	for _, r := range roots {
-		if !dv.rootHas(r) {
-			return work, dv.errNotRoot(r)
-		}
-	}
+// The first batch is derived on the calling goroutine and emitted before
+// another root is pulled: a run that ends there — one batch of roots, or
+// a LIMIT the first batch meets — starts no goroutine and derives nothing
+// it does not deliver. A run that goes on cuts the rest into batches for
+// a pool of workers (<= 0 selects GOMAXPROCS; 1 keeps every batch on the
+// calling goroutine). At most workers+1 batches are in flight, and no
+// root is pulled past them, so the footprint stays O(workers × size)
+// molecules however long the sequence is; batches are pipelined — worker
+// w derives batch k+1 while emit still drains batch k. A run that ends
+// early stops the sequence.
+//
+// newWorker is called on the calling goroutine, once per worker harness
+// (ids 0..n-1; harness 0 derives on the calling goroutine), so callers
+// can set up per-worker accumulators lock-free and merge them after the
+// call returns. emit runs on the calling goroutine too; returning an
+// error from it stops the workers and surfaces that error. A root outside
+// the root type's occurrence surfaces its error after the batches before
+// it. Cancelling ctx stops every worker loop mid-derivation (checked per
+// root) and returns ctx.Err(); ctx may be nil for uncancellable runs. No
+// goroutine outlives the call either way, and empty batches are not
+// emitted. The returned tally is the run's derivation work — atoms
+// fetched and links traversed — already folded into the database's
+// shared statistics.
+func (dv *Deriver) DeriveStream(ctx context.Context, roots iter.Seq[model.AtomID], workers, size int, newWorker func(w int) FusedWorker, emit func(MoleculeSet) error) (storage.WorkTally, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	x := &executor{dv: dv, ctx: ctx, done: ctx.Done(), workers: workers, size: size, newWorker: newWorker, emit: emit}
+	if x.workers <= 0 {
+		x.workers = runtime.GOMAXPROCS(0)
 	}
-	if size <= 0 {
-		size = DefaultStreamBatch
+	if x.size <= 0 {
+		x.size = DefaultStreamBatch
 	}
-
-	// stop flags cancellation to the per-root worker loops without the
-	// mutex a ctx.Err() probe would take on every root.
-	var stop atomic.Bool
-	unregister := context.AfterFunc(ctx, func() { stop.Store(true) })
-	defer unregister()
-
-	// deriveBatch derives roots[lo:hi) under one worker's hooks and sink,
-	// compacting in root order. A cancelled batch returns what it had —
-	// the emitter discards it, so a partial batch is never delivered.
-	deriveBatch := func(fw FusedWorker, sc *deriveScratch, lo, hi int) MoleculeSet {
-		batch := make(MoleculeSet, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if stop.Load() {
-				break
-			}
-			m := dv.deriveScratched(roots[i], fw.Checks, sc)
-			if m == nil {
-				continue
-			}
-			if fw.Keep != nil && !fw.Keep(m) {
-				sc.recycle(m)
-				continue
-			}
-			batch = append(batch, m)
+	x.fw, x.sc, x.buf = newWorker(0), newDeriveScratch(x), x.first[:0]
+	for r := range roots {
+		if x.buf = append(x.buf, r); len(x.buf) == x.size {
+			x.cut()
 		}
-		return batch
-	}
-
-	// More workers than batches would idle from the start.
-	workers = min(workers, (len(roots)+size-1)/size)
-	if workers <= 1 {
-		// Sequential fast path: one worker, batches emitted in place.
-		sc := newDeriveScratch(&stop)
-		fw := newWorker(0)
-		var err error
-		for lo := 0; lo < len(roots) && err == nil; {
-			hi := min(lo+size, len(roots))
-			batch := deriveBatch(fw, sc, lo, hi)
-			lo = hi
-			// ctx.Err() — not the stop flag — decides: Err is set
-			// synchronously with cancellation while the AfterFunc above
-			// runs asynchronously, and stop implies Err non-nil, so a
-			// batch cut short mid-derivation is never delivered.
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			if len(batch) > 0 {
-				err = emit(batch)
-			}
+		if x.err != nil {
+			break
 		}
-		work = sc.work
-		sc.flush(dv.db)
-		return work, err
 	}
+	return x.finish()
+}
 
-	// Pipelined path. The dispatcher cuts root ranges of size roots,
-	// workers pull the slots from workCh and publish each finished batch
-	// into the slot's one-slot channel, and the emitter below replays the
-	// slots in dispatch order. The sem token bound keeps at most workers+1 slots in flight — the dispatcher
-	// acquires before cutting a slot, the emitter releases after draining
-	// it — which also bounds slotCh's occupancy, so its sends never block.
-	slotCh := make(chan *fusedSlot, workers+1)
-	workCh := make(chan *fusedSlot)
-	sem := make(chan struct{}, workers+1)
-	abort := make(chan struct{}) // closed when the emitter bails early
-	var wg sync.WaitGroup
-	tallies := make([]storage.WorkTally, workers)
-	for w := 0; w < workers; w++ {
-		fw := newWorker(w)
-		wg.Add(1)
-		go func(w int, fw FusedWorker) {
-			defer wg.Done()
-			sc := newDeriveScratch(&stop)
-			for s := range workCh {
-				s.out <- deriveBatch(fw, sc, s.lo, s.hi)
-			}
-			tallies[w] = sc.work
-			sc.flush(dv.db)
-		}(w, fw)
+// executor is the state of one DeriveStream run.
+type executor struct {
+	dv        *Deriver
+	ctx       context.Context
+	done      <-chan struct{}
+	workers   int
+	size      int
+	newWorker func(w int) FusedWorker
+	emit      func(MoleculeSet) error
+	// halt stops the derivation loops once the run has failed; a
+	// cancelled context stops them through done.
+	halt atomic.Bool
+	err  error
+
+	// buf collects the batch being cut; the calling goroutine's batches
+	// reuse first. fw and sc are harness 0, which derives them; the
+	// pool's workers get harnesses 1..workers.
+	buf   []model.AtomID
+	first [DefaultStreamBatch]model.AtomID
+	fw    FusedWorker
+	sc    *deriveScratch
+
+	// The pool, once the run is past its first batch (piped): work feeds
+	// the workers, queue holds the in-flight batches in dispatch order,
+	// tallies has one entry per worker started.
+	piped   bool
+	work    chan *fusedSlot
+	queue   []*fusedSlot
+	wg      sync.WaitGroup
+	tallies []storage.WorkTally
+}
+
+// stopped reports whether the run failed or its context was cancelled.
+// Polling done takes no lock, unlike asking the context for its error.
+func (x *executor) stopped() bool {
+	select {
+	case <-x.done:
+		return true
+	default:
+		return x.halt.Load()
 	}
-	go func() { // dispatcher
-		defer close(workCh)
-		defer close(slotCh)
-		for lo := 0; lo < len(roots); {
-			hi := min(lo+size, len(roots))
-			s := &fusedSlot{lo: lo, hi: hi, out: make(chan MoleculeSet, 1)}
-			lo = hi
-			select {
-			case sem <- struct{}{}:
-			case <-abort:
-				return
-			}
-			slotCh <- s // never blocks: occupancy ≤ sem tokens ≤ cap
-			select {
-			case workCh <- s:
-			case <-abort:
-				return
-			}
-		}
-	}()
+}
 
-	err := func() error {
-		defer close(abort)
-		for s := range slotCh {
-			var batch MoleculeSet
-			select {
-			case batch = <-s.out:
-			case <-ctx.Done():
-				return ctx.Err()
+// cut hands the batch in buf on: derived and emitted on the calling
+// goroutine until the run is piped, otherwise dispatched to the pool —
+// starting one more worker while the pool is short of one per batch —
+// and, with workers+1 batches in flight, the oldest emitted before
+// another root is pulled.
+func (x *executor) cut() {
+	if !x.piped {
+		batch, err := x.derive(x.fw, x.sc, x.buf)
+		x.err = x.deliver(batch, err)
+		x.buf, x.piped = x.buf[:0], x.workers > 1
+		return
+	}
+	if x.work == nil {
+		// Sends never block: the queue bound below caps the slots the
+		// channel holds.
+		x.work = make(chan *fusedSlot, x.workers+1)
+		x.tallies = make([]storage.WorkTally, 0, x.workers)
+	}
+	if w := len(x.tallies); w < x.workers {
+		fw, sc := x.newWorker(w+1), newDeriveScratch(x)
+		x.tallies = append(x.tallies, storage.WorkTally{})
+		x.wg.Add(1)
+		go func() {
+			defer x.wg.Done()
+			for s := range x.work {
+				batch, err := x.derive(fw, sc, s.roots)
+				s.err = err
+				s.out <- batch
 			}
-			// ctx.Err() — not the stop flag — decides: Err is set
-			// synchronously with cancellation while the AfterFunc above
-			// runs asynchronously, and a worker only cuts a batch short
-			// after stop (which implies Err non-nil), so a partial batch
-			// is never delivered.
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if len(batch) > 0 {
-				if err := emit(batch); err != nil {
-					stop.Store(true)
-					return err
-				}
-			}
-			<-sem
+			x.tallies[w] = sc.work
+			sc.flush(x.dv.db)
+		}()
+	}
+	s := &fusedSlot{roots: x.buf, out: make(chan MoleculeSet, 1)}
+	x.work <- s
+	x.queue = append(x.queue, s)
+	x.buf = make([]model.AtomID, 0, x.size)
+	for len(x.queue) > x.workers && x.err == nil {
+		x.next()
+	}
+}
+
+// next waits for the oldest in-flight batch and delivers it.
+func (x *executor) next() {
+	s := x.queue[0]
+	x.queue = x.queue[1:]
+	select {
+	case batch := <-s.out:
+		x.err = x.deliver(batch, s.err)
+	case <-x.done:
+		x.err = x.ctx.Err()
+	}
+}
+
+// deliver emits a finished batch. ctx.Err() decides whether the batch is
+// whole: a derivation loop cuts a batch short only once done is closed or
+// the run has failed, and the context sets Err before it closes done, so
+// a partial batch is never emitted.
+func (x *executor) deliver(batch MoleculeSet, err error) error {
+	if err == nil {
+		err = x.ctx.Err()
+	}
+	if err == nil && len(batch) > 0 {
+		err = x.emit(batch)
+	}
+	return err
+}
+
+// derive checks roots against the root type, derives their molecules
+// under a worker's hooks and sink, and compacts the survivors in root
+// order. A stopped run returns what it had.
+func (x *executor) derive(fw FusedWorker, sc *deriveScratch, roots []model.AtomID) (MoleculeSet, error) {
+	batch := make(MoleculeSet, 0, len(roots))
+	for _, r := range roots {
+		if x.stopped() {
+			break
 		}
-		return nil
-	}()
-	wg.Wait()
-	for _, t := range tallies {
+		if !x.dv.rootHas(r) {
+			return nil, x.dv.errNotRoot(r)
+		}
+		m := x.dv.deriveScratched(r, fw.Checks, sc)
+		if m == nil {
+			continue
+		}
+		if fw.Keep != nil && !fw.Keep(m) {
+			sc.recycle(m)
+			continue
+		}
+		batch = append(batch, m)
+	}
+	return batch, nil
+}
+
+// finish cuts the last batch and delivers every batch still in flight,
+// in order — or, once the run has failed, halts the workers — then joins
+// the pool and returns the run's work.
+func (x *executor) finish() (storage.WorkTally, error) {
+	if x.err == nil && len(x.buf) > 0 {
+		x.cut()
+	}
+	for len(x.queue) > 0 && x.err == nil {
+		x.next()
+	}
+	if x.work != nil {
+		x.halt.Store(x.err != nil)
+		close(x.work)
+		x.wg.Wait()
+	}
+	work := x.sc.work
+	x.sc.flush(x.dv.db)
+	for _, t := range x.tallies {
 		work.Add(t)
 	}
-	return work, err
+	return work, x.err
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"mad/internal/core"
@@ -51,7 +52,7 @@ func TestDeriveStreamOrder(t *testing.T) {
 		for _, batchSize := range []int{1, 7, 64, 1000} {
 			var got core.MoleculeSet
 			batches := 0
-			_, err := dv.DeriveStream(context.Background(), roots, workers, batchSize, passThrough,
+			_, err := dv.DeriveStream(context.Background(), slices.Values(roots), workers, batchSize, passThrough,
 				func(ms core.MoleculeSet) error {
 					if len(ms) == 0 || len(ms) > batchSize {
 						t.Fatalf("workers=%d batch=%d: emitted batch of %d", workers, batchSize, len(ms))
@@ -87,7 +88,7 @@ func TestDeriveStreamCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		delivered := 0
-		_, err := dv.DeriveStream(ctx, roots, workers, 8, passThrough,
+		_, err := dv.DeriveStream(ctx, slices.Values(roots), workers, 8, passThrough,
 			func(ms core.MoleculeSet) error {
 				delivered += len(ms)
 				cancel()
@@ -111,7 +112,7 @@ func TestDeriveStreamEmitError(t *testing.T) {
 	sentinel := errors.New("stop")
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		_, err := dv.DeriveStream(context.Background(), roots, workers, 8, passThrough,
+		_, err := dv.DeriveStream(context.Background(), slices.Values(roots), workers, 8, passThrough,
 			func(ms core.MoleculeSet) error {
 				calls++
 				return sentinel
@@ -127,8 +128,8 @@ func TestDeriveStreamEmitError(t *testing.T) {
 
 // TestDeriveStreamCtx: an already-cancelled context derives nothing, a
 // nil context and a zero batch size mean "run to completion at the
-// default batch size", and a root outside the occurrence is rejected before any
-// derivation starts.
+// default batch size", and a root outside the occurrence fails its
+// batch, so nothing of it is delivered.
 func TestDeriveStreamCtx(t *testing.T) {
 	dv, want := streamFixture(t)
 	roots := dv.RootIDs()
@@ -139,13 +140,13 @@ func TestDeriveStreamCtx(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := dv.DeriveStream(ctx, roots, 4, 0, passThrough, collect); !errors.Is(err, context.Canceled) {
+	if _, err := dv.DeriveStream(ctx, slices.Values(roots), 4, 0, passThrough, collect); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(out) != 0 {
 		t.Fatalf("cancelled run delivered %d molecules", len(out))
 	}
-	work, err := dv.DeriveStream(nil, roots, 4, 0, passThrough, collect)
+	work, err := dv.DeriveStream(nil, slices.Values(roots), 4, 0, passThrough, collect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestDeriveStreamCtx(t *testing.T) {
 		t.Fatalf("work tally not reported: %+v", work)
 	}
 	out = nil
-	if _, err := dv.DeriveStream(nil, []model.AtomID{roots[0], 0}, 4, 0, passThrough, collect); err == nil || len(out) != 0 {
-		t.Fatalf("non-root atom: err = %v with %d molecules delivered, want rejection up front", err, len(out))
+	if _, err := dv.DeriveStream(nil, slices.Values([]model.AtomID{roots[0], 0}), 4, 0, passThrough, collect); err == nil || len(out) != 0 {
+		t.Fatalf("non-root atom: err = %v with %d molecules delivered, want the batch rejected", err, len(out))
 	}
 }

@@ -46,7 +46,7 @@ func (dv *Deriver) RecoverRoots(pos int, seeds []model.AtomID) ([]model.AtomID, 
 	if pos < 0 || pos >= d.NumTypes() {
 		return nil, fmt.Errorf("core: position %d outside the description's %d types", pos, d.NumTypes())
 	}
-	typeName := d.Types()[pos]
+	typeName := d.types[pos]
 	if typeName == d.Root() {
 		// Entering at the root is the identity: the seeds are the roots.
 		out := append([]model.AtomID(nil), seeds...)
@@ -62,7 +62,7 @@ func (dv *Deriver) RecoverRoots(pos int, seeds []model.AtomID) ([]model.AtomID, 
 	for _, s := range seeds {
 		reached[pos][s] = true
 	}
-	topo := d.Topo()
+	topo := d.topo
 	rootPos, _ := d.Pos(d.Root())
 	for i := len(topo) - 1; i >= 0; i-- {
 		t := topo[i]

@@ -167,7 +167,7 @@ func TestRecoverRootsDiamondSuperset(t *testing.T) {
 		return slices.Contains(atoms, z2)
 	}}})
 	survived := 0
-	_, err = dv.DeriveStream(nil, []model.AtomID{r2}, 1, 0,
+	_, err = dv.DeriveStream(nil, slices.Values([]model.AtomID{r2}), 1, 0,
 		func(int) core.FusedWorker { return core.FusedWorker{Checks: pc} },
 		func(ms core.MoleculeSet) error { survived += len(ms); return nil })
 	if err != nil || survived != 0 {
@@ -241,7 +241,7 @@ func TestDeriveStreamPrunes(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		var got core.MoleculeSet
-		_, err := dv.DeriveStream(nil, dv.RootIDs(), workers, 2,
+		_, err := dv.DeriveStream(nil, slices.Values(dv.RootIDs()), workers, 2,
 			func(int) core.FusedWorker {
 				return core.FusedWorker{
 					Checks: dv.PrepareChecks([]core.PruneCheck{{Pos: statePos, Qualifies: bigState}}),

@@ -2,7 +2,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -287,6 +287,6 @@ func (a Atom) String() string {
 // SortAtomIDs sorts a slice of atom identifiers in place and returns it,
 // giving derived sets a canonical order for display and comparison.
 func SortAtomIDs(ids []AtomID) []AtomID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

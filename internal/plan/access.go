@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 	"strings"
@@ -12,7 +13,7 @@ import (
 )
 
 // accessPath is one row of the access-path table: a way of producing the
-// root batch that enters derivation. The links of the model are
+// roots that enter derivation. The links of the model are
 // symmetric, so every atom type of the structure is a legal entry point
 // and the rows are peers — compile enumerates every row's candidates and
 // costs them in one contest, and the chosen row then serves execution
@@ -22,11 +23,14 @@ import (
 type accessPath interface {
 	// enumerate adds the row's candidates for the compile to cc.
 	enumerate(cc *contest)
-	// roots produces the root batch, before the root filter, reading at
-	// the deriver's pinned timestamp so the batch agrees with the
-	// occurrence view derivation will traverse; it records the access
-	// actuals in p.Access.
-	roots(p *Plan, dv *core.Deriver) ([]model.AtomID, error)
+	// roots returns the sequence of roots, before the root filter, read
+	// at the deriver's pinned timestamp so they agree with the occurrence
+	// view derivation will traverse; it records the access actuals in
+	// p.Access. The ORDER BY ride is pulled — the index walk advances
+	// only as derivation takes roots and stops with it; the other rows
+	// need their whole set (an ID sort, a climb, an intersection) and
+	// collect it first.
+	roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error)
 	// explain writes the EXPLAIN access lines.
 	explain(b *strings.Builder, p *Plan)
 }
@@ -138,7 +142,7 @@ type indexEntry struct {
 func (e *indexEntry) fill(a *Access) {
 	a.Attr, a.Value = e.attr, e.val
 	if e.rng != nil {
-		e.rng.fillAccess(a)
+		a.Ranged, a.KeyRange = true, e.rng.KeyRange
 	}
 }
 
@@ -179,56 +183,57 @@ func (cc *contest) installRootFilter(skip []int, produced int, src string) {
 	}
 }
 
-// readIndex reads the index on typeName.attr through the deriver's
-// view: the posting list of key, or with walk set a key-ordered walk
-// of the ordered index view inside the access node's range bounds (none
-// set walks every key). Keys below the low bound are skipped, the walk
-// stops past the high bound, and a ranged access never admits null keys
-// (a null compares to nothing under predicate evaluation). keyOrder keeps
-// the walk's key order — the ORDER BY ride — and walks descending when
-// the order asks for it; otherwise the batch is re-sorted by atom ID so
-// every access path yields the same deterministic root order.
-func (p *Plan) readIndex(dv *core.Deriver, typeName, attr string, key model.Value, walk, keyOrder bool) ([]model.AtomID, error) {
-	var out []model.AtomID
-	var ok bool
+// lookup reads the index on typeName.attr through the deriver's view:
+// the posting list of key, or with walk set the atoms of every key inside
+// the access node's range bounds. Either way the atoms come sorted by ID,
+// so every collecting access path yields the same deterministic root
+// order.
+func (p *Plan) lookup(dv *core.Deriver, typeName, attr string, key model.Value, walk bool) ([]model.AtomID, error) {
 	if !walk {
-		out, ok = dv.View().IndexLookup(typeName, attr, key)
-	} else {
-		a := &p.Access
-		descending := keyOrder && p.Order != nil && p.Order.Desc
-		ok = dv.View().IndexOrdered(typeName, attr, descending, func(v model.Value, ids []model.AtomID) bool {
-			if a.Ranged && v.IsNull() {
-				return true
-			}
-			if a.HasLo {
-				if c := v.Compare(a.Lo); c < 0 || (c == 0 && !a.LoInc) {
-					// Below the low bound: ascending walks skip forward,
-					// descending walks are done.
-					return !descending
-				}
-			}
-			if a.HasHi {
-				if c := v.Compare(a.Hi); c > 0 || (c == 0 && !a.HiInc) {
-					return descending
-				}
-			}
-			out = append(out, ids...)
-			return true
-		})
-		if !keyOrder {
-			slices.Sort(out)
+		ids, ok := dv.View().IndexLookup(typeName, attr, key)
+		if !ok {
+			return nil, errIndexVanished(typeName, attr)
 		}
+		return ids, nil
 	}
+	keys, ok := dv.View().IndexOrdered(typeName, attr, p.Access.KeyRange, false)
 	if !ok {
-		return nil, fmt.Errorf("plan: index on %s.%s vanished between compile and execute", typeName, attr)
+		return nil, errIndexVanished(typeName, attr)
 	}
-	return out, nil
+	var out []model.AtomID
+	for _, ids := range keys {
+		out = append(out, ids...)
+	}
+	return model.SortAtomIDs(out), nil
+}
+
+// ride pulls the root index on attr inside the access node's range bounds
+// in key order — descending when the ORDER BY asks for it — so the roots
+// arrive in the requested order: the ORDER BY ride.
+func (p *Plan) ride(dv *core.Deriver, attr string) (iter.Seq[model.AtomID], error) {
+	keys, ok := dv.View().IndexOrdered(p.Access.Root, attr, p.Access.KeyRange, p.Order.Desc)
+	if !ok {
+		return nil, errIndexVanished(p.Access.Root, attr)
+	}
+	return func(yield func(model.AtomID) bool) {
+		for _, ids := range keys {
+			for _, id := range ids {
+				if !yield(id) {
+					return
+				}
+			}
+		}
+	}, nil
+}
+
+func errIndexVanished(typeName, attr string) error {
+	return fmt.Errorf("plan: index on %s.%s vanished between compile and execute", typeName, attr)
 }
 
 // entryDetail renders an index entry's condition: "= v" or the interval.
 func entryDetail(a *Access, ranged bool) string {
 	if ranged {
-		return a.rangeString()
+		return rangeString(a.KeyRange)
 	}
 	return "= " + a.Value.String()
 }
@@ -269,11 +274,11 @@ func (s scan) enumerate(cc *contest) {
 	cc.add(c)
 }
 
-func (s scan) roots(p *Plan, dv *core.Deriver) ([]model.AtomID, error) {
+func (s scan) roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error) {
 	if !s.ordered {
-		return dv.RootIDs(), nil
+		return slices.Values(dv.RootIDs()), nil
 	}
-	return p.readIndex(dv, p.Access.Root, p.Access.Attr, model.Null(), true, true)
+	return p.ride(dv, p.Access.Attr)
 }
 
 func (s scan) explain(b *strings.Builder, p *Plan) {
@@ -331,7 +336,7 @@ func (ri rootIndex) enumerate(cc *contest) {
 	for _, spec := range specs {
 		est, src := estimateRangeCount(cc.p.db, root, spec, cc.n)
 		ri.add(cc, indexEntry{
-			id: "index range " + root + "." + spec.attr, lits: " " + spec.String(), attr: spec.attr, est: est, src: src,
+			id: "index range " + root + "." + spec.attr, lits: " " + rangeString(spec.KeyRange), attr: spec.attr, est: est, src: src,
 			rng: spec, ords: spec.ords,
 		})
 	}
@@ -354,11 +359,13 @@ func (ri rootIndex) add(cc *contest, e indexEntry) {
 	})
 }
 
-func (ri rootIndex) roots(p *Plan, dv *core.Deriver) ([]model.AtomID, error) {
+func (ri rootIndex) roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error) {
 	a := &p.Access
-	roots, err := p.readIndex(dv, a.Root, a.Attr, a.Value, ri.ranged, p.presorted)
-	a.ActEntries = len(roots)
-	return roots, err
+	if ri.ranged && p.presorted {
+		return p.ride(dv, a.Attr)
+	}
+	roots, err := p.lookup(dv, a.Root, a.Attr, a.Value, ri.ranged)
+	return slices.Values(roots), err
 }
 
 func (ri rootIndex) explain(b *strings.Builder, p *Plan) {
@@ -412,7 +419,7 @@ func (ii interiorIndex) enumerate(cc *contest) {
 		spec.addBound(op, v)
 		entries, src := estimateRangeCount(p.db, pd.Type, spec, nT)
 		ii.add(cc, indexEntry{
-			id: "interior-range " + pd.Type + "." + a.Name, lits: " " + spec.String(),
+			id: "interior-range " + pd.Type + "." + a.Name, lits: " " + rangeString(spec.KeyRange),
 			typeName: pd.Type, pos: pd.Pos, attr: a.Name,
 			est: entries, src: src, rng: spec,
 		})
@@ -437,14 +444,15 @@ func (ii interiorIndex) add(cc *contest, e indexEntry) {
 	})
 }
 
-func (ii interiorIndex) roots(p *Plan, dv *core.Deriver) ([]model.AtomID, error) {
+func (ii interiorIndex) roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error) {
 	a := &p.Access
-	entries, err := p.readIndex(dv, a.EntryType, a.Attr, a.Value, ii.ranged, false)
+	entries, err := p.lookup(dv, a.EntryType, a.Attr, a.Value, ii.ranged)
 	if err != nil {
 		return nil, err
 	}
 	a.ActEntries = len(entries)
-	return dv.RecoverRoots(a.EntryPos, entries)
+	roots, err := dv.RecoverRoots(a.EntryPos, entries)
+	return slices.Values(roots), err
 }
 
 func (ii interiorIndex) explain(b *strings.Builder, p *Plan) {
@@ -526,12 +534,12 @@ func (intersect) enumerate(cc *contest) {
 // sets (RecoverRoots returns ascending IDs) intersect progressively,
 // short-circuiting the remaining entries the moment the running
 // intersection empties.
-func (intersect) roots(p *Plan, dv *core.Deriver) ([]model.AtomID, error) {
+func (intersect) roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error) {
 	a := &p.Access
 	var inter []model.AtomID
 	for i := range a.Entries {
 		en := &a.Entries[i]
-		entries, err := p.readIndex(dv, en.Type, en.Attr, en.Value, false, false)
+		entries, err := p.lookup(dv, en.Type, en.Attr, en.Value, false)
 		if err != nil {
 			return nil, err
 		}
@@ -551,7 +559,7 @@ func (intersect) roots(p *Plan, dv *core.Deriver) ([]model.AtomID, error) {
 		}
 	}
 	a.ActSurvivors = len(inter)
-	return inter, nil
+	return slices.Values(inter), nil
 }
 
 func (intersect) explain(b *strings.Builder, p *Plan) {

@@ -107,11 +107,9 @@ func isRangeOp(op expr.CmpOp) bool {
 // a BETWEEN-shaped AND pair arrives as two conjuncts and merges into a
 // two-sided spec — plus the ordinals of the conjuncts it absorbs.
 type rangeSpec struct {
-	attr         string
-	hasLo, hasHi bool
-	lo, hi       model.Value
-	loInc, hiInc bool
-	ords         []int // conjunct ordinals folded into the bounds
+	attr string
+	storage.KeyRange
+	ords []int // conjunct ordinals folded into the bounds
 }
 
 // addBound tightens the spec with one more "attr op v" conjunct; the
@@ -121,67 +119,41 @@ func (s *rangeSpec) addBound(op expr.CmpOp, v model.Value) {
 	switch op {
 	case expr.GT, expr.GE:
 		inc := op == expr.GE
-		if !s.hasLo {
-			s.hasLo, s.lo, s.loInc = true, v, inc
-			return
-		}
-		c := v.Compare(s.lo)
-		if c > 0 || (c == 0 && s.loInc && !inc) {
-			s.lo, s.loInc = v, inc
+		if c := v.Compare(s.Lo); !s.HasLo || c > 0 || (c == 0 && s.LoInc && !inc) {
+			s.HasLo, s.Lo, s.LoInc = true, v, inc
 		}
 	case expr.LT, expr.LE:
 		inc := op == expr.LE
-		if !s.hasHi {
-			s.hasHi, s.hi, s.hiInc = true, v, inc
-			return
-		}
-		c := v.Compare(s.hi)
-		if c < 0 || (c == 0 && s.hiInc && !inc) {
-			s.hi, s.hiInc = v, inc
+		if c := v.Compare(s.Hi); !s.HasHi || c < 0 || (c == 0 && s.HiInc && !inc) {
+			s.HasHi, s.Hi, s.HiInc = true, v, inc
 		}
 	}
 }
 
-// fillAccess copies the spec's bounds into an access node.
-func (s *rangeSpec) fillAccess(a *Access) {
-	a.Ranged = true
-	a.HasLo, a.Lo, a.LoInc = s.hasLo, s.lo, s.loInc
-	a.HasHi, a.Hi, a.HiInc = s.hasHi, s.hi, s.hiInc
-}
-
-// String renders the interval for EXPLAIN and contest labels.
-func (s *rangeSpec) String() string {
+// rangeString renders an interval for EXPLAIN and contest labels.
+func rangeString(r storage.KeyRange) string {
 	switch {
-	case s.hasLo && s.hasHi:
-		l, r := "(", ")"
-		if s.loInc {
+	case r.HasLo && r.HasHi:
+		l, h := "(", ")"
+		if r.LoInc {
 			l = "["
 		}
-		if s.hiInc {
-			r = "]"
+		if r.HiInc {
+			h = "]"
 		}
-		return fmt.Sprintf("∈ %s%s, %s%s", l, s.lo, s.hi, r)
-	case s.hasLo:
-		if s.loInc {
-			return fmt.Sprintf("≥ %s", s.lo)
+		return fmt.Sprintf("∈ %s%s, %s%s", l, r.Lo, r.Hi, h)
+	case r.HasLo:
+		if r.LoInc {
+			return fmt.Sprintf("≥ %s", r.Lo)
 		}
-		return fmt.Sprintf("> %s", s.lo)
-	case s.hasHi:
-		if s.hiInc {
-			return fmt.Sprintf("≤ %s", s.hi)
+		return fmt.Sprintf("> %s", r.Lo)
+	case r.HasHi:
+		if r.HiInc {
+			return fmt.Sprintf("≤ %s", r.Hi)
 		}
-		return fmt.Sprintf("< %s", s.hi)
+		return fmt.Sprintf("< %s", r.Hi)
 	}
 	return ""
-}
-
-// rangeString renders a ranged access's interval (see rangeSpec.String).
-func (a *Access) rangeString() string {
-	s := rangeSpec{
-		hasLo: a.HasLo, lo: a.Lo, loInc: a.LoInc,
-		hasHi: a.HasHi, hi: a.Hi, hiInc: a.HiInc,
-	}
-	return s.String()
 }
 
 // estimateRangeCount estimates how many atoms of typeName fall inside
@@ -191,12 +163,12 @@ func estimateRangeCount(db *storage.Database, typeName string, spec *rangeSpec, 
 	if h, ok := db.Histogram(typeName, spec.attr); ok && h.Total() > 0 {
 		var est int64
 		switch {
-		case spec.hasLo && spec.hasHi:
-			est = h.EstimateLess(spec.hi, spec.hiInc) - h.EstimateLess(spec.lo, !spec.loInc)
-		case spec.hasLo:
-			est = h.Total() - h.EstimateLess(spec.lo, !spec.loInc)
-		case spec.hasHi:
-			est = h.EstimateLess(spec.hi, spec.hiInc)
+		case spec.HasLo && spec.HasHi:
+			est = h.EstimateLess(spec.Hi, spec.HiInc) - h.EstimateLess(spec.Lo, !spec.LoInc)
+		case spec.HasLo:
+			est = h.Total() - h.EstimateLess(spec.Lo, !spec.LoInc)
+		case spec.HasHi:
+			est = h.EstimateLess(spec.Hi, spec.HiInc)
 		}
 		e := int(est)
 		if e > n {
@@ -208,10 +180,10 @@ func estimateRangeCount(db *storage.Database, typeName string, spec *rangeSpec, 
 		return e, SrcHistogram
 	}
 	sel := 1.0
-	if spec.hasLo {
+	if spec.HasLo {
 		sel *= defSelRange
 	}
-	if spec.hasHi {
+	if spec.HasHi {
 		sel *= defSelRange
 	}
 	return scaleEst(n, sel), SrcDefault

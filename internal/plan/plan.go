@@ -28,9 +28,10 @@
 //     estimated selectivity × evaluation cost so cheap, selective
 //     conjuncts short-circuit the expensive ones.
 //
-// Execution is streaming: the root batch is cut into batches that fan
-// out over the worker pool (core.DeriveStream) — the one place a query
-// fans out — each worker judges the root filter and the pushdowns as
+// Execution is streaming: the access path's roots are pulled and cut
+// into batches that fan out over the worker pool (core.DeriveStream,
+// which derives the first batch on the calling goroutine) — the one
+// place a query fans out — each worker judges the root filter and the pushdowns as
 // prune hooks and runs the residual chain on a molecule the moment it
 // finishes deriving it — no barrier separates derivation from filtering,
 // rejected molecules never cross a goroutine, and every worker keeps
@@ -93,7 +94,8 @@ const (
 	// recovers the candidate roots by climbing the links upward.
 	InteriorIndex
 	// OrderedScan walks a secondary index on the ORDER BY attribute in
-	// key order, producing the whole root batch already sorted.
+	// key order, yielding the roots already sorted as derivation pulls
+	// them.
 	OrderedScan
 	// IndexIntersect intersects the candidate roots of several interior
 	// entries before a single molecule is derived.
@@ -173,12 +175,9 @@ type Access struct {
 	// Ranged marks an IndexScan or InteriorIndex whose index access is a
 	// key-bounded walk of the ordered index over a range conjunction
 	// (<, <=, >, >=, BETWEEN-shaped AND pairs) instead of an equality
-	// lookup. Lo/Hi carry the merged bounds; HasLo/HasHi mark one-sided
-	// ranges and LoInc/HiInc the bound inclusivity.
-	Ranged       bool
-	HasLo, HasHi bool
-	Lo, Hi       model.Value
-	LoInc, HiInc bool
+	// lookup; the KeyRange carries the merged bounds.
+	Ranged bool
+	storage.KeyRange
 
 	// Entries carries the per-entry detail of an IndexIntersect access:
 	// each entry's lookup and recovery figures, estimate and actual. The
@@ -783,7 +782,7 @@ func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error
 	if err != nil {
 		return 0, err
 	}
-	for _, r := range roots {
+	for r := range roots {
 		if eb.failed.Load() {
 			break
 		}

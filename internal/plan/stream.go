@@ -29,7 +29,7 @@ const streamBufBatches = 2
 // Stream is an incremental cursor over a plan's qualifying molecules:
 // the parallel executor feeds it batch by batch through a bounded
 // channel, so the first molecules reach the consumer while the bulk of
-// the root batch is still deriving, and the memory footprint stays
+// the roots is still deriving, and the memory footprint stays
 // O(workers × batch) instead of O(result). Molecules arrive in exactly
 // Execute's deterministic root-aligned order for any worker count — a
 // consumed prefix of a Stream is always a prefix of the materialized
@@ -231,8 +231,8 @@ func (h *topkHeap) Pop() any {
 	return e
 }
 
-// run is the stream's producer: it produces the root batch, drives the
-// streaming executor, forwards every emitted batch through the
+// run is the stream's producer: it takes the access path's root
+// sequence, drives the streaming executor over it, forwards every emitted batch through the
 // bounded channel, and — once the executor has joined its workers —
 // merges the per-worker actuals into the plan and closes the stream.
 func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, filter func(model.AtomID) bool, preds []func(model.AtomID) bool) {
@@ -358,11 +358,12 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, fil
 		return core.FusedWorker{Checks: dv.PrepareChecks(checks), Keep: keep}
 	}
 
-	// An unordered run ends at its Limit-th qualifying molecule with
+	// A run that delivers as it derives — unordered, or riding an index
+	// in key order — ends at its Limit-th qualifying molecule with
 	// workers+1 batches in flight, all derived for nothing, so its batches
 	// are no larger than the limit.
 	size := core.DefaultStreamBatch
-	if p.Limit > 0 && p.Order == nil {
+	if p.Limit > 0 && !reorder {
 		size = min(size, p.Limit)
 	}
 	delivered := 0

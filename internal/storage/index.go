@@ -26,9 +26,9 @@ type Index struct {
 
 	// vals recovers the attribute value behind each entry key (Key is a
 	// one-way encoding), and order caches the entry keys sorted by that
-	// value — the ordered view scanOrdered walks. order is rebuilt
-	// lazily: mutations only invalidate it when the key *set* changes
-	// (first posting for a value, vacuum dropping a dead key), so steady
+	// value — the ordered view walk seeks in. order is rebuilt lazily:
+	// mutations only invalidate it when the key *set* changes (first
+	// posting for a value, vacuum dropping a dead key), so steady
 	// UPDATE/DELETE traffic on existing keys never pays a re-sort.
 	vals       map[model.Key]model.Value
 	order      []orderedKey
@@ -140,66 +140,95 @@ func keyLess(a, b model.Key) bool {
 	return a.S < b.S
 }
 
-// rebuildOrderLocked refreshes the value-sorted entry-key cache. Values
-// that compare equal across kinds (1 and 1.0) fall back to the entry-key
-// order so the walk is deterministic. Callers hold the write latch.
-func (ix *Index) rebuildOrderLocked() {
-	if !ix.orderDirty {
-		return
+// ordered returns the value-sorted entry-key view, rebuilding it first
+// when the key set changed. Values that compare equal across kinds (1 and
+// 1.0) fall back to the entry-key order so walks are deterministic. A
+// rebuild publishes a fresh slice and never writes a published one, so a
+// walk keeps reading the view it got without the latch and without a
+// copy; only a rebuild takes the write latch.
+func (ix *Index) ordered() []orderedKey {
+	ix.latch.RLock()
+	order, dirty := ix.order, ix.orderDirty
+	ix.latch.RUnlock()
+	if !dirty {
+		return order
 	}
-	ix.order = ix.order[:0]
-	for k, v := range ix.vals {
-		ix.order = append(ix.order, orderedKey{v: v, k: k})
-	}
-	sort.Slice(ix.order, func(i, j int) bool {
-		if c := ix.order[i].v.Compare(ix.order[j].v); c != 0 {
-			return c < 0
+	ix.latch.Lock()
+	defer ix.latch.Unlock()
+	if ix.orderDirty {
+		order = make([]orderedKey, 0, len(ix.vals))
+		for k, v := range ix.vals {
+			order = append(order, orderedKey{v: v, k: k})
 		}
-		return keyLess(ix.order[i].k, ix.order[j].k)
-	})
-	ix.orderDirty = false
+		sort.Slice(order, func(i, j int) bool {
+			if c := order[i].v.Compare(order[j].v); c != 0 {
+				return c < 0
+			}
+			return keyLess(order[i].k, order[j].k)
+		})
+		ix.order, ix.orderDirty = order, false
+	}
+	return ix.order
 }
 
-// scanOrdered walks the index in attribute-value order (descending
-// when desc is set) as of commit timestamp ts, invoking fn with each
-// value and the identifiers of the atoms carrying it — sorted ascending,
-// so equal-key runs have a deterministic ID order regardless of scan
-// direction. fn returning false stops the walk. Empty postings (keys
-// whose atoms are all newer than ts, or deleted by ts) are skipped, which
-// is what makes the walk MVCC-correct: a key committed after ts resolves
-// to an empty visible posting, and vacuum can only drop keys whose
-// posting is empty at every reachable timestamp.
-func (ix *Index) scanOrdered(ts uint64, desc bool, fn func(model.Value, []model.AtomID) bool) {
-	// The order cache is copied under the latch and walked without it:
-	// keys added mid-walk committed above ts, keys removed mid-walk
-	// resolve to empty postings — either way the walk's view at ts is
-	// unaffected.
-	ix.latch.Lock()
-	ix.rebuildOrderLocked()
-	order := make([]orderedKey, len(ix.order))
-	copy(order, ix.order)
-	ix.latch.Unlock()
-	step := func(ok orderedKey) bool {
+// KeyRange bounds an ordered index walk to an interval of attribute
+// values; HasLo/HasHi mark the bounds present and LoInc/HiInc their
+// inclusivity. The zero range walks every key. A bounded range never
+// admits null keys: a null compares to nothing under predicate
+// evaluation.
+type KeyRange struct {
+	HasLo, HasHi bool
+	Lo, Hi       model.Value
+	LoInc, HiInc bool
+}
+
+// span seeks the range's ends in the value-sorted view: the keys inside
+// it are order[lo:hi]. Nulls sort first, so a bounded range starts past
+// them.
+func (r KeyRange) span(order []orderedKey) (lo, hi int) {
+	hi = len(order)
+	if r.HasLo || r.HasHi {
+		lo = sort.Search(hi, func(i int) bool { return !order[i].v.IsNull() })
+	}
+	if r.HasLo {
+		lo = max(lo, sort.Search(len(order), func(i int) bool {
+			c := order[i].v.Compare(r.Lo)
+			return c > 0 || c == 0 && r.LoInc
+		}))
+	}
+	if r.HasHi {
+		hi = sort.Search(len(order), func(i int) bool {
+			c := order[i].v.Compare(r.Hi)
+			return c > 0 || c == 0 && !r.HiInc
+		})
+	}
+	return lo, max(lo, hi)
+}
+
+// walk visits the keys inside r in attribute-value order (descending
+// when desc is set) as of commit timestamp ts, yielding each value with
+// the identifiers of the atoms carrying it — sorted ascending, so
+// equal-key runs have a deterministic ID order in either direction — and
+// stops when yield does. It seeks the range's first key by binary
+// search, and reads and copies a posting only when it visits its key;
+// visited counts the keys it read. Empty postings (keys whose atoms are
+// all newer than ts, or deleted by ts) are skipped, which is what makes
+// the walk MVCC-correct: a key committed after ts resolves to an empty
+// visible posting, and vacuum can only drop keys whose posting is empty
+// at every reachable timestamp.
+func (ix *Index) walk(ts uint64, r KeyRange, desc bool, visited *int64, yield func(model.Value, []model.AtomID) bool) {
+	order := ix.ordered()
+	lo, hi := r.span(order)
+	for n := range hi - lo {
+		i := lo + n
+		if desc {
+			i = hi - 1 - n
+		}
 		ix.latch.RLock()
-		ids, _ := ix.entries[ok.k].at(ts)
+		ids, _ := ix.entries[order[i].k].at(ts)
 		ix.latch.RUnlock()
-		if len(ids) == 0 {
-			return true
-		}
-		out := make([]model.AtomID, len(ids))
-		copy(out, ids)
-		return fn(ok.v, model.SortAtomIDs(out))
-	}
-	if desc {
-		for i := len(order) - 1; i >= 0; i-- {
-			if !step(order[i]) {
-				return
-			}
-		}
-		return
-	}
-	for _, ok := range order {
-		if !step(ok) {
+		*visited++
+		if len(ids) > 0 && !yield(order[i].v, model.SortAtomIDs(slices.Clone(ids))) {
 			return
 		}
 	}

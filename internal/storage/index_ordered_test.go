@@ -2,6 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mad/internal/model"
@@ -11,13 +14,13 @@ import (
 // posting IDs for membership checks.
 func orderedScanKeys(t *testing.T, db *Database, typeName, attr string, ts uint64, desc bool) (vals []model.Value, ids []model.AtomID) {
 	t.Helper()
-	ok := db.View(ts).IndexOrdered(typeName, attr, desc, func(v model.Value, post []model.AtomID) bool {
-		vals = append(vals, v)
-		ids = append(ids, post...)
-		return true
-	})
+	keys, ok := db.View(ts).IndexOrdered(typeName, attr, KeyRange{}, desc)
 	if !ok {
 		t.Fatalf("IndexOrdered(%s.%s): no index", typeName, attr)
+	}
+	for v, post := range keys {
+		vals = append(vals, v)
+		ids = append(ids, post...)
 	}
 	return vals, ids
 }
@@ -62,14 +65,14 @@ func TestIndexOrderedScan(t *testing.T) {
 	}
 
 	// Postings for the duplicated key hold both atoms, ID-ascending.
-	db.View(ts).IndexOrdered("item", "rank", false, func(v model.Value, post []model.AtomID) bool {
+	keys, _ := db.View(ts).IndexOrdered("item", "rank", KeyRange{}, false)
+	for v, post := range keys {
 		if r, _ := v.AsInt(); r == 3 {
 			if len(post) != 2 || post[0] >= post[1] {
 				t.Fatalf("rank 3 posting = %v, want both atoms ID-ascending", post)
 			}
 		}
-		return true
-	})
+	}
 
 	// MVCC: a new key committed after ts stays invisible to the old scan
 	// but appears, in place, to a fresh one.
@@ -102,12 +105,12 @@ func TestIndexOrderedScan(t *testing.T) {
 	}
 	db.Vacuum()
 	found := false
-	db.View(0).IndexOrdered("item", "rank", false, func(v model.Value, _ []model.AtomID) bool {
+	keys, _ = db.View(0).IndexOrdered("item", "rank", KeyRange{}, false)
+	for v := range keys {
 		if r, _ := v.AsInt(); r == 9 {
 			found = true
 		}
-		return true
-	})
+	}
 	if found {
 		t.Fatal("vacuumed key 9 still visited by ordered scan")
 	}
@@ -136,7 +139,194 @@ func TestIndexOrderedScanStrings(t *testing.T) {
 			t.Fatalf("keys out of order at %d: %v >= %v", i, vals[i-1], vals[i])
 		}
 	}
-	if db.View(0).IndexOrdered("asm", "nope", false, nil) {
+	if _, ok := db.View(0).IndexOrdered("asm", "nope", KeyRange{}, false); ok {
 		t.Fatal("ordered scan over missing index reported ok")
+	}
+}
+
+// TestIndexWalkRange: a bounded walk seeks its first key and stops past
+// its last — a range holding 10 keys visits at most 11, ascending and
+// descending — and never admits null keys, while the unbounded walk
+// does.
+func TestIndexWalkRange(t *testing.T) {
+	db := NewDatabase()
+	if _, err := db.DefineAtomType("item", model.MustDesc(model.AttrDesc{Name: "k", Kind: model.KInt})); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex("item", "k"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4096 {
+		if _, err := db.InsertAtom("item", model.Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		if _, err := db.InsertAtom("item", model.Null()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk := func(r KeyRange, desc bool) (vals []model.Value, visited int64) {
+		t.Helper()
+		before := db.Stats().Snapshot()
+		keys, ok := db.View(0).IndexOrdered("item", "k", r, desc)
+		if !ok {
+			t.Fatal("no index on item.k")
+		}
+		for v := range keys {
+			vals = append(vals, v)
+		}
+		return vals, db.Stats().Snapshot().Sub(before).IndexKeysVisited
+	}
+	for _, tc := range []struct {
+		name   string
+		r      KeyRange
+		lo, hi int64 // the keys inside, [lo, hi)
+	}{
+		{"[2000, 2010)", KeyRange{HasLo: true, Lo: model.Int(2000), LoInc: true, HasHi: true, Hi: model.Int(2010)}, 2000, 2010},
+		{"(1999, 2009]", KeyRange{HasLo: true, Lo: model.Int(1999), HasHi: true, Hi: model.Int(2009), HiInc: true}, 2000, 2010},
+		{"< 10", KeyRange{HasHi: true, Hi: model.Int(10)}, 0, 10},
+		{">= 4086", KeyRange{HasLo: true, Lo: model.Int(4086), LoInc: true}, 4086, 4096},
+	} {
+		for _, desc := range []bool{false, true} {
+			vals, visited := walk(tc.r, desc)
+			if len(vals) != int(tc.hi-tc.lo) || visited > tc.hi-tc.lo+1 {
+				t.Fatalf("%s desc=%v: %d keys after visiting %d, want %d after at most %d",
+					tc.name, desc, len(vals), visited, tc.hi-tc.lo, tc.hi-tc.lo+1)
+			}
+			for i, v := range vals {
+				want := tc.lo + int64(i)
+				if desc {
+					want = tc.hi - 1 - int64(i)
+				}
+				if got, ok := v.AsInt(); !ok || got != want {
+					t.Fatalf("%s desc=%v: key %d = %v, want %d", tc.name, desc, i, v, want)
+				}
+			}
+		}
+	}
+	if vals, _ := walk(KeyRange{}, false); len(vals) != 4097 || !vals[0].IsNull() {
+		t.Fatalf("unbounded walk: %d keys starting at %v, want 4097 starting at null", len(vals), vals[0])
+	}
+	// Stopping the consumer stops the walk.
+	keys, _ := db.View(0).IndexOrdered("item", "k", KeyRange{}, true)
+	before := db.Stats().Snapshot()
+	for range keys {
+		break
+	}
+	if visited := db.Stats().Snapshot().Sub(before).IndexKeysVisited; visited != 1 {
+		t.Fatalf("a walk stopped at its first key visited %d keys", visited)
+	}
+}
+
+// TestIndexWalkBesideWrites runs ordered walks beside insert, update and
+// delete traffic on the indexed attribute: every walk of a pinned
+// snapshot must equal the index its snapshot's scan implies, key for key
+// and posting for posting, however the key set changes underneath (a
+// new key rebuilds the ordered view the walks read). Run it under -race.
+func TestIndexWalkBesideWrites(t *testing.T) {
+	db := NewDatabase()
+	if _, err := db.DefineAtomType("item", model.MustDesc(model.AttrDesc{Name: "k", Kind: model.KInt})); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex("item", "k"); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := db.Container("item")
+	var live []model.AtomID
+	for i := range 64 {
+		id, err := db.InsertAtom("item", model.Int(int64(i*2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, id)
+	}
+
+	done := make(chan struct{})
+	writerErr := make(chan error, 1)
+	var writes atomic.Int64
+	var stopped atomic.Bool
+	go func() {
+		defer close(writerErr)
+		defer stopped.Store(true)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var err error
+			switch id := live[i%len(live)]; i % 3 {
+			case 0: // a key never seen before, or an old one
+				var nid model.AtomID
+				if nid, err = db.InsertAtom("item", model.Int(int64(i%257))); err == nil {
+					live = append(live, nid)
+				}
+			case 1:
+				err = db.UpdateAtom("item", id, []model.Value{model.Int(int64(i % 131))})
+			default:
+				if _, err = db.DeleteAtom("item", id); err == nil {
+					live = slices.DeleteFunc(live, func(x model.AtomID) bool { return x == id })
+				}
+			}
+			if err != nil {
+				writerErr <- err
+				return
+			}
+			writes.Add(1)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// At least 200 walks, and enough of them that the writer
+			// commits a few hundred times while they run.
+			for i := 0; i < 200 || writes.Load() < 300 && !stopped.Load(); i++ {
+				snap := db.Snapshot()
+				want := map[int64][]model.AtomID{}
+				snap.Scan(c, func(a model.Atom) bool {
+					k, _ := a.Get(0).AsInt()
+					want[k] = append(want[k], a.ID)
+					return true
+				})
+				lo := int64(i % 100)
+				r := KeyRange{HasLo: true, Lo: model.Int(lo), LoInc: true, HasHi: true, Hi: model.Int(lo + 40)}
+				if (i+w)%2 == 0 {
+					r = KeyRange{}
+				}
+				desc := i%3 == 0
+				keys, _ := snap.IndexOrdered("item", "k", r, desc)
+				seen, prev := 0, int64(0)
+				for v, ids := range keys {
+					k, _ := v.AsInt()
+					if seen > 0 && (desc && k >= prev || !desc && k <= prev) {
+						t.Errorf("walk out of order: %d after %d (desc=%v)", k, prev, desc)
+					}
+					prev = k
+					if !slices.Equal(ids, model.SortAtomIDs(want[k])) {
+						t.Errorf("snapshot %d, key %d: walk posting %v, scan has %v", snap.TS(), k, ids, want[k])
+					}
+					seen++
+				}
+				inside := 0
+				for k := range want {
+					if r == (KeyRange{}) || k >= lo && k < lo+40 {
+						inside++
+					}
+				}
+				if seen != inside {
+					t.Errorf("snapshot %d: walk visited %d keys with atoms, the scan has %d in range", snap.TS(), seen, inside)
+				}
+				snap.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	if err := <-writerErr; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"iter"
 	"slices"
 	"sync/atomic"
 
@@ -166,22 +167,31 @@ func (v View) index(typeName, attr string) (*Index, bool) {
 }
 
 // IndexLookup consults the index over typeName.attr for the atoms whose
-// attribute equals val, ascending; ok=false when no index can answer.
+// attribute equals val, ascending; ok=false when no index can answer. It
+// visits one key.
 func (v View) IndexLookup(typeName, attr string, val model.Value) ([]model.AtomID, bool) {
 	ix, ok := v.index(typeName, attr)
 	if !ok {
 		return nil, false
 	}
+	v.db.stats.IndexKeysVisited.Add(1)
 	return ix.lookup(val, v.at(&v.db.latestTS)), true
 }
 
-// IndexOrdered walks the index over typeName.attr in attribute-value
-// order (see Index.scanOrdered), giving the query planner its sort-free
-// ORDER BY access path. ok=false when no index can answer.
-func (v View) IndexOrdered(typeName, attr string, desc bool, fn func(model.Value, []model.AtomID) bool) bool {
+// IndexOrdered returns the walk of the index over typeName.attr inside r
+// in attribute-value order (see Index.walk), giving the query planner its
+// sort-free ORDER BY access path and its range walks; ok=false when no
+// index can answer. The walk is pulled: it reads the index only as it is
+// iterated, stops with its consumer, and then folds the keys it visited
+// into the database's statistics.
+func (v View) IndexOrdered(typeName, attr string, r KeyRange, desc bool) (iter.Seq2[model.Value, []model.AtomID], bool) {
 	ix, ok := v.index(typeName, attr)
-	if ok {
-		ix.scanOrdered(v.at(&v.db.latestTS), desc, fn)
+	if !ok {
+		return nil, false
 	}
-	return ok
+	return func(yield func(model.Value, []model.AtomID) bool) {
+		var work WorkTally
+		ix.walk(v.at(&v.db.latestTS), r, desc, &work.KeysVisited, yield)
+		work.FlushTo(&v.db.stats)
+	}, true
 }
