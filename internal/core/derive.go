@@ -114,10 +114,10 @@ type deriveScratch struct {
 	// run is the executor run the scratch serves; the closure loop polls
 	// it per round, so a stopped run does not finish a deep closure it
 	// will never deliver.
-	run *executor
+	run *Run
 }
 
-func newDeriveScratch(run *executor) *deriveScratch {
+func newDeriveScratch(run *Run) *deriveScratch {
 	return &deriveScratch{
 		cand: make(map[model.AtomID]bool),
 		tmp:  make(map[model.AtomID]bool),

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,10 +25,24 @@ type FusedWorker struct {
 }
 
 // DefaultStreamBatch is the streaming executor's root-batch granularity:
-// large enough that the per-batch channel traffic disappears against the
+// large enough that the per-batch hand-off disappears against the
 // derivation work, small enough that the first molecules reach the
 // consumer long before the roots are exhausted.
 const DefaultStreamBatch = 64
+
+// Roots pulls a run's roots batch by batch: each call fills dst up to
+// its capacity and returns it, and an empty result means the roots are
+// exhausted.
+type Roots func(dst []model.AtomID) []model.AtomID
+
+// RootSlice is the pull over a collected root slice.
+func RootSlice(ids []model.AtomID) Roots {
+	return func(dst []model.AtomID) []model.AtomID {
+		n := copy(dst[:cap(dst)], ids)
+		ids = ids[n:]
+		return dst[:n]
+	}
+}
 
 // fusedSlot is one dispatched root batch of the worker pool: its roots,
 // and a one-slot channel its worker publishes the finished batch into —
@@ -41,79 +54,68 @@ type fusedSlot struct {
 	out   chan MoleculeSet
 }
 
-// DeriveStream is the derivation executor: it pulls roots from the
-// sequence, derives their molecules and filters each one on the worker
-// that derived it — no barrier separates the two stages. The roots are
-// cut into batches of size roots (<= 0 selects DefaultStreamBatch) as
-// they are pulled; each batch is checked against the root type's
-// occurrence, derived and filtered by one worker, and emit receives the
-// surviving molecules of every batch — compacted, in exact root order —
-// as soon as that batch is done, so the output is deterministic for any
-// worker count.
+// DeriveStream starts the derivation executor over the roots: each call
+// of the returned run's Next pulls the roots of the next batch (size
+// roots; <= 0 selects DefaultStreamBatch), checks them against the root
+// type's occurrence, derives their molecules and filters each one on the
+// worker that derived it — no barrier separates the two stages — and
+// returns the surviving molecules, compacted, in exact root order, so
+// the output is deterministic for any worker count.
 //
-// The first batch is derived on the calling goroutine and emitted before
-// another root is pulled: a run that ends there — one batch of roots, or
-// a LIMIT the first batch meets — starts no goroutine and derives nothing
-// it does not deliver. A run that goes on cuts the rest into batches for
-// a pool of workers (<= 0 selects GOMAXPROCS; 1 keeps every batch on the
-// calling goroutine). At most workers+1 batches are in flight, and no
-// root is pulled past them, so the footprint stays O(workers × size)
-// molecules however long the sequence is; batches are pipelined — worker
-// w derives batch k+1 while emit still drains batch k. A run that ends
-// early stops the sequence.
+// The consumer drives the run. The first batch is derived inline by the
+// first Next: a run that ends there — one batch of roots, or a LIMIT the
+// first batch meets — starts no goroutine and derives nothing it does not
+// deliver. From the second batch on, a pool of workers (<= 0 selects
+// GOMAXPROCS; 1 keeps every batch inline) derives ahead of the consumer —
+// the second batch still derives inline, beside the pool's start on the
+// batches behind it: after Next hands a batch out, workers+2 batches are
+// in flight, and no root is pulled past them, so the footprint stays
+// O(workers × size) molecules however many roots there are.
 //
-// newWorker is called on the calling goroutine, once per worker harness
-// (ids 0..n-1; harness 0 derives on the calling goroutine), so callers
-// can set up per-worker accumulators lock-free and merge them after the
-// call returns. emit runs on the calling goroutine too; returning an
-// error from it stops the workers and surfaces that error. A root outside
-// the root type's occurrence surfaces its error after the batches before
-// it. Cancelling ctx stops every worker loop mid-derivation (checked per
-// root) and returns ctx.Err(); ctx may be nil for uncancellable runs. No
-// goroutine outlives the call either way, and empty batches are not
-// emitted. The returned tally is the run's derivation work — atoms
-// fetched and links traversed — already folded into the database's
-// shared statistics.
-func (dv *Deriver) DeriveStream(ctx context.Context, roots iter.Seq[model.AtomID], workers, size int, newWorker func(w int) FusedWorker, emit func(MoleculeSet) error) (storage.WorkTally, error) {
+// newWorker is called on the consumer's goroutine — by DeriveStream and
+// Next — once per worker harness (ids 0..n-1; harness 0 derives inline),
+// so callers can set up per-worker accumulators lock-free and merge them
+// after Close. A root outside the root type's occurrence fails its batch, after the
+// batches before it. Cancelling ctx stops every derivation loop (checked
+// per root) and every pool worker, Close or no Close, and Next then
+// returns ctx.Err(); ctx may be nil for uncancellable runs.
+func (dv *Deriver) DeriveStream(ctx context.Context, roots Roots, workers, size int, newWorker func(w int) FusedWorker) *Run {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	x := &executor{dv: dv, ctx: ctx, done: ctx.Done(), workers: workers, size: size, newWorker: newWorker, emit: emit}
-	if x.workers <= 0 {
-		x.workers = runtime.GOMAXPROCS(0)
+	r := &Run{dv: dv, ctx: ctx, done: ctx.Done(), roots: roots, workers: workers, size: size, newWorker: newWorker}
+	if r.workers <= 0 {
+		r.workers = runtime.GOMAXPROCS(0)
 	}
-	if x.size <= 0 {
-		x.size = DefaultStreamBatch
+	if r.size <= 0 {
+		r.size = DefaultStreamBatch
 	}
-	x.fw, x.sc, x.buf = newWorker(0), newDeriveScratch(x), x.first[:0]
-	for r := range roots {
-		if x.buf = append(x.buf, r); len(x.buf) == x.size {
-			x.cut()
-		}
-		if x.err != nil {
-			break
-		}
+	r.buf = r.first[:0:min(r.size, DefaultStreamBatch)]
+	if r.size > DefaultStreamBatch {
+		r.buf = make([]model.AtomID, 0, r.size)
 	}
-	return x.finish()
+	r.fw, r.sc = newWorker(0), newDeriveScratch(r)
+	return r
 }
 
-// executor is the state of one DeriveStream run.
-type executor struct {
+// Run is one DeriveStream execution. It is not safe for concurrent use.
+type Run struct {
 	dv        *Deriver
 	ctx       context.Context
 	done      <-chan struct{}
+	roots     Roots
 	workers   int
 	size      int
 	newWorker func(w int) FusedWorker
-	emit      func(MoleculeSet) error
-	// halt stops the derivation loops once the run has failed; a
+	// halt stops the derivation loops once the run is closed; a
 	// cancelled context stops them through done.
 	halt atomic.Bool
 	err  error
+	// drained is set once the roots are exhausted.
+	drained bool
 
-	// buf collects the batch being cut; the calling goroutine's batches
-	// reuse first. fw and sc are harness 0, which derives them; the
-	// pool's workers get harnesses 1..workers.
+	// fw and sc are harness 0, which derives the inline batches; their
+	// roots are pulled into buf, which reuses first.
 	buf   []model.AtomID
 	first [DefaultStreamBatch]model.AtomID
 	fw    FusedWorker
@@ -129,98 +131,126 @@ type executor struct {
 	tallies []storage.WorkTally
 }
 
-// stopped reports whether the run failed or its context was cancelled.
+// stopped reports whether the run was closed or its context cancelled.
 // Polling done takes no lock, unlike asking the context for its error.
-func (x *executor) stopped() bool {
+func (r *Run) stopped() bool {
 	select {
-	case <-x.done:
+	case <-r.done:
 		return true
 	default:
-		return x.halt.Load()
+		return r.halt.Load()
 	}
 }
 
-// cut hands the batch in buf on: derived and emitted on the calling
-// goroutine until the run is piped, otherwise dispatched to the pool —
-// starting one more worker while the pool is short of one per batch —
-// and, with workers+1 batches in flight, the oldest emitted before
-// another root is pulled.
-func (x *executor) cut() {
-	if !x.piped {
-		batch, err := x.derive(x.fw, x.sc, x.buf)
-		x.err = x.deliver(batch, err)
-		x.buf, x.piped = x.buf[:0], x.workers > 1
-		return
-	}
-	if x.work == nil {
-		// Sends never block: the queue bound below caps the slots the
-		// channel holds.
-		x.work = make(chan *fusedSlot, x.workers+1)
-		x.tallies = make([]storage.WorkTally, 0, x.workers)
-	}
-	if w := len(x.tallies); w < x.workers {
-		fw, sc := x.newWorker(w+1), newDeriveScratch(x)
-		x.tallies = append(x.tallies, storage.WorkTally{})
-		x.wg.Add(1)
-		go func() {
-			defer x.wg.Done()
-			for s := range x.work {
-				batch, err := x.derive(fw, sc, s.roots)
-				s.err = err
-				s.out <- batch
+// Next returns the next non-empty batch of surviving molecules; an empty
+// batch with a nil error means the roots are exhausted. Errors are
+// terminal. ctx.Err() decides whether a batch is whole: a derivation
+// loop cuts a batch short only once done is closed or the run is halted,
+// and the context sets Err before it closes done, so a partial batch is
+// never returned.
+func (r *Run) Next() (MoleculeSet, error) {
+	for r.err == nil && !(r.drained && len(r.queue) == 0) {
+		var batch MoleculeSet
+		var err error
+		if len(r.queue) == 0 {
+			// Nothing is in flight: the batch derives inline, and once
+			// the run is piped the pool starts on the batches behind it.
+			roots := r.roots(r.buf)
+			if len(roots) == 0 {
+				r.drained = true
+				break
 			}
-			x.tallies[w] = sc.work
-			sc.flush(x.dv.db)
-		}()
+			if r.piped {
+				r.fill()
+			}
+			batch, err = r.derive(r.fw, r.sc, roots)
+			r.piped = r.workers > 1
+		} else {
+			s := r.queue[0]
+			r.queue = r.queue[1:]
+			r.fill()
+			select {
+			case batch = <-s.out:
+				err = s.err
+			case <-r.done:
+			}
+		}
+		if err == nil {
+			err = r.ctx.Err()
+		}
+		if r.err = err; err == nil && len(batch) > 0 {
+			return batch, nil
+		}
 	}
-	s := &fusedSlot{roots: x.buf, out: make(chan MoleculeSet, 1)}
-	x.work <- s
-	x.queue = append(x.queue, s)
-	x.buf = make([]model.AtomID, 0, x.size)
-	for len(x.queue) > x.workers && x.err == nil {
-		x.next()
+	return nil, r.err
+}
+
+// fill dispatches root batches to the pool until workers+2 are in flight
+// behind the batch Next is about to hand out, starting one more worker
+// while the pool is short of one per batch.
+func (r *Run) fill() {
+	if r.work == nil {
+		// Sends never block: the queue bound caps the slots the channel
+		// holds.
+		r.work = make(chan *fusedSlot, r.workers+3)
+		r.tallies = make([]storage.WorkTally, 0, r.workers)
+	}
+	for !r.drained && len(r.queue) < r.workers+2 && !r.stopped() {
+		roots := r.roots(make([]model.AtomID, 0, r.size))
+		if len(roots) == 0 {
+			r.drained = true
+			return
+		}
+		if w := len(r.tallies); w < r.workers {
+			fw, sc := r.newWorker(w+1), newDeriveScratch(r)
+			// tallies never outgrows its capacity, so each worker keeps
+			// a stable pointer to its own entry.
+			r.tallies = append(r.tallies, storage.WorkTally{})
+			r.wg.Add(1)
+			go r.serve(fw, sc, &r.tallies[w])
+		}
+		s := &fusedSlot{roots: roots, out: make(chan MoleculeSet, 1)}
+		r.work <- s
+		r.queue = append(r.queue, s)
 	}
 }
 
-// next waits for the oldest in-flight batch and delivers it.
-func (x *executor) next() {
-	s := x.queue[0]
-	x.queue = x.queue[1:]
-	select {
-	case batch := <-s.out:
-		x.err = x.deliver(batch, s.err)
-	case <-x.done:
-		x.err = x.ctx.Err()
+// serve is a pool worker's loop: it derives dispatched batches until the
+// run is closed or its context cancelled, then records its work in tally.
+func (r *Run) serve(fw FusedWorker, sc *deriveScratch, tally *storage.WorkTally) {
+	defer func() {
+		*tally = sc.work
+		sc.flush(r.dv.db)
+		r.wg.Done()
+	}()
+	for {
+		select {
+		case s, ok := <-r.work:
+			if !ok {
+				return
+			}
+			var batch MoleculeSet
+			batch, s.err = r.derive(fw, sc, s.roots)
+			s.out <- batch
+		case <-r.done:
+			return
+		}
 	}
-}
-
-// deliver emits a finished batch. ctx.Err() decides whether the batch is
-// whole: a derivation loop cuts a batch short only once done is closed or
-// the run has failed, and the context sets Err before it closes done, so
-// a partial batch is never emitted.
-func (x *executor) deliver(batch MoleculeSet, err error) error {
-	if err == nil {
-		err = x.ctx.Err()
-	}
-	if err == nil && len(batch) > 0 {
-		err = x.emit(batch)
-	}
-	return err
 }
 
 // derive checks roots against the root type, derives their molecules
 // under a worker's hooks and sink, and compacts the survivors in root
 // order. A stopped run returns what it had.
-func (x *executor) derive(fw FusedWorker, sc *deriveScratch, roots []model.AtomID) (MoleculeSet, error) {
+func (r *Run) derive(fw FusedWorker, sc *deriveScratch, roots []model.AtomID) (MoleculeSet, error) {
 	batch := make(MoleculeSet, 0, len(roots))
-	for _, r := range roots {
-		if x.stopped() {
+	for _, id := range roots {
+		if r.stopped() {
 			break
 		}
-		if !x.dv.rootHas(r) {
-			return nil, x.dv.errNotRoot(r)
+		if !r.dv.rootHas(id) {
+			return nil, r.dv.errNotRoot(id)
 		}
-		m := x.dv.deriveScratched(r, fw.Checks, sc)
+		m := r.dv.deriveScratched(id, fw.Checks, sc)
 		if m == nil {
 			continue
 		}
@@ -233,25 +263,19 @@ func (x *executor) derive(fw FusedWorker, sc *deriveScratch, roots []model.AtomI
 	return batch, nil
 }
 
-// finish cuts the last batch and delivers every batch still in flight,
-// in order — or, once the run has failed, halts the workers — then joins
-// the pool and returns the run's work.
-func (x *executor) finish() (storage.WorkTally, error) {
-	if x.err == nil && len(x.buf) > 0 {
-		x.cut()
+// Close halts the run, joins its pool and returns its derivation work —
+// atoms fetched and links traversed, already folded into the database's
+// shared statistics. Call it once, after the last Next.
+func (r *Run) Close() storage.WorkTally {
+	if r.work != nil {
+		r.halt.Store(true)
+		close(r.work)
+		r.wg.Wait()
 	}
-	for len(x.queue) > 0 && x.err == nil {
-		x.next()
-	}
-	if x.work != nil {
-		x.halt.Store(x.err != nil)
-		close(x.work)
-		x.wg.Wait()
-	}
-	work := x.sc.work
-	x.sc.flush(x.dv.db)
-	for _, t := range x.tallies {
+	work := r.sc.work
+	r.sc.flush(r.dv.db)
+	for _, t := range r.tallies {
 		work.Add(t)
 	}
-	return work, x.err
+	return work
 }

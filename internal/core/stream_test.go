@@ -3,12 +3,13 @@ package core_test
 import (
 	"context"
 	"errors"
-	"slices"
+	"sync/atomic"
 	"testing"
 
 	"mad/internal/core"
 	"mad/internal/geo"
 	"mad/internal/model"
+	"mad/internal/storage"
 )
 
 // passThrough is the worker of a run with no hooks and no filter sink.
@@ -41,26 +42,33 @@ func streamFixture(t *testing.T) (*core.Deriver, core.MoleculeSet) {
 	return dv, dv.Derive()
 }
 
+// drain pulls a run to exhaustion and closes it, checking every batch
+// against the batch-size bound; it returns the molecules, the number of
+// batches and the run's work.
+func drain(t *testing.T, run *core.Run, size int) (core.MoleculeSet, int, storage.WorkTally, error) {
+	t.Helper()
+	var got core.MoleculeSet
+	for batches := 0; ; batches++ {
+		ms, err := run.Next()
+		if err != nil || len(ms) == 0 {
+			return got, batches, run.Close(), err
+		}
+		if len(ms) > size {
+			t.Fatalf("batch of %d, want at most %d", len(ms), size)
+		}
+		got = append(got, ms...)
+	}
+}
+
 // TestDeriveStreamOrder: for any worker count (0 = GOMAXPROCS) and batch
-// size, the concatenation of the emitted batches is exactly the
-// sequential derivation order, and every batch respects the batch-size
-// bound.
+// size, the concatenation of the batches is exactly the sequential
+// derivation order, and every batch respects the batch-size bound.
 func TestDeriveStreamOrder(t *testing.T) {
 	dv, want := streamFixture(t)
 	roots := dv.RootIDs()
 	for _, workers := range []int{0, 1, 2, 3, 8} {
 		for _, batchSize := range []int{1, 7, 64, 1000} {
-			var got core.MoleculeSet
-			batches := 0
-			_, err := dv.DeriveStream(context.Background(), slices.Values(roots), workers, batchSize, passThrough,
-				func(ms core.MoleculeSet) error {
-					if len(ms) == 0 || len(ms) > batchSize {
-						t.Fatalf("workers=%d batch=%d: emitted batch of %d", workers, batchSize, len(ms))
-					}
-					batches++
-					got = append(got, ms...)
-					return nil
-				})
+			got, batches, _, err := drain(t, dv.DeriveStream(context.Background(), core.RootSlice(roots), workers, batchSize, passThrough), batchSize)
 			if err != nil {
 				t.Fatalf("workers=%d batch=%d: %v", workers, batchSize, err)
 			}
@@ -79,49 +87,56 @@ func TestDeriveStreamOrder(t *testing.T) {
 	}
 }
 
-// TestDeriveStreamCancel: cancelling the context after the first batch
-// stops the executor with ctx.Err() — in particular it does not deliver
-// the remaining batches — and the call still joins all its workers.
+// TestDeriveStreamCancel: cancelling the context after the second batch
+// — the first the pool derives — stops the executor with ctx.Err() — in
+// particular it does not deliver the remaining batches — and Close still
+// joins all its workers.
 func TestDeriveStreamCancel(t *testing.T) {
 	dv, want := streamFixture(t)
 	roots := dv.RootIDs()
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
+		run := dv.DeriveStream(ctx, core.RootSlice(roots), workers, 8, passThrough)
 		delivered := 0
-		_, err := dv.DeriveStream(ctx, slices.Values(roots), workers, 8, passThrough,
-			func(ms core.MoleculeSet) error {
-				delivered += len(ms)
-				cancel()
-				return nil
-			})
+		for range 2 {
+			ms, err := run.Next()
+			if err != nil || len(ms) == 0 {
+				t.Fatalf("workers=%d: batch of %d molecules, %v", workers, len(ms), err)
+			}
+			delivered += len(ms)
+		}
+		cancel()
+		got, _, _, err := drain(t, run, 8)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		if delivered == 0 || delivered >= len(want) {
+		if delivered += len(got); delivered >= len(want) {
 			t.Fatalf("workers=%d: delivered %d of %d after first-batch cancel", workers, delivered, len(want))
 		}
-		cancel()
 	}
 }
 
-// TestDeriveStreamEmitError: an emit error stops the workers and
-// surfaces unchanged.
-func TestDeriveStreamEmitError(t *testing.T) {
+// TestDeriveStreamCloseEarly: a consumer that stops pulling and closes
+// the run stops its workers — Close returns with the pool joined — and
+// the pool derived no more than the workers+2 batches it keeps in
+// flight past the last batch handed out.
+func TestDeriveStreamCloseEarly(t *testing.T) {
 	dv, _ := streamFixture(t)
 	roots := dv.RootIDs()
-	sentinel := errors.New("stop")
 	for _, workers := range []int{1, 4} {
-		calls := 0
-		_, err := dv.DeriveStream(context.Background(), slices.Values(roots), workers, 8, passThrough,
-			func(ms core.MoleculeSet) error {
-				calls++
-				return sentinel
-			})
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("workers=%d: err = %v, want sentinel", workers, err)
+		var derived atomic.Int64
+		count := func(int) core.FusedWorker {
+			return core.FusedWorker{Keep: func(*core.Molecule) bool { derived.Add(1); return true }}
 		}
-		if calls != 1 {
-			t.Fatalf("workers=%d: emit called %d times after error", workers, calls)
+		run := dv.DeriveStream(context.Background(), core.RootSlice(roots), workers, 8, count)
+		for range 2 {
+			if ms, err := run.Next(); err != nil || len(ms) != 8 {
+				t.Fatalf("workers=%d: batch of %d, %v", workers, len(ms), err)
+			}
+		}
+		run.Close()
+		if n, bound := derived.Load(), int64(2+workers+2)*8; n > bound {
+			t.Fatalf("workers=%d: derived %d molecules for 2 batches handed out, want at most %d", workers, n, bound)
 		}
 	}
 }
@@ -133,20 +148,16 @@ func TestDeriveStreamEmitError(t *testing.T) {
 func TestDeriveStreamCtx(t *testing.T) {
 	dv, want := streamFixture(t)
 	roots := dv.RootIDs()
-	var out core.MoleculeSet
-	collect := func(ms core.MoleculeSet) error {
-		out = append(out, ms...)
-		return nil
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := dv.DeriveStream(ctx, slices.Values(roots), 4, 0, passThrough, collect); !errors.Is(err, context.Canceled) {
+	out, _, _, err := drain(t, dv.DeriveStream(ctx, core.RootSlice(roots), 4, 0, passThrough), core.DefaultStreamBatch)
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(out) != 0 {
 		t.Fatalf("cancelled run delivered %d molecules", len(out))
 	}
-	work, err := dv.DeriveStream(nil, slices.Values(roots), 4, 0, passThrough, collect)
+	out, _, work, err := drain(t, dv.DeriveStream(nil, core.RootSlice(roots), 4, 0, passThrough), core.DefaultStreamBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +167,8 @@ func TestDeriveStreamCtx(t *testing.T) {
 	if work.AtomsFetched == 0 || work.LinksTraversed == 0 {
 		t.Fatalf("work tally not reported: %+v", work)
 	}
-	out = nil
-	if _, err := dv.DeriveStream(nil, slices.Values([]model.AtomID{roots[0], 0}), 4, 0, passThrough, collect); err == nil || len(out) != 0 {
+	run := dv.DeriveStream(nil, core.RootSlice([]model.AtomID{roots[0], 0}), 4, 0, passThrough)
+	if out, _, _, err = drain(t, run, core.DefaultStreamBatch); err == nil || len(out) != 0 {
 		t.Fatalf("non-root atom: err = %v with %d molecules delivered, want the batch rejected", err, len(out))
 	}
 }

@@ -166,11 +166,11 @@ func TestRecoverRootsDiamondSuperset(t *testing.T) {
 	pc := dv.PrepareChecks([]core.PruneCheck{{Pos: zPos, Qualifies: func(atoms []model.AtomID) bool {
 		return slices.Contains(atoms, z2)
 	}}})
-	survived := 0
-	_, err = dv.DeriveStream(nil, slices.Values([]model.AtomID{r2}), 1, 0,
-		func(int) core.FusedWorker { return core.FusedWorker{Checks: pc} },
-		func(ms core.MoleculeSet) error { survived += len(ms); return nil })
-	if err != nil || survived != 0 {
+	run := dv.DeriveStream(nil, core.RootSlice([]model.AtomID{r2}), 1, 0,
+		func(int) core.FusedWorker { return core.FusedWorker{Checks: pc} })
+	survivors, err := run.Next()
+	run.Close()
+	if survived := len(survivors); err != nil || survived != 0 {
 		t.Fatalf("pruned derivation from over-approximated root: %d survived, err=%v, want pruned", survived, err)
 	}
 
@@ -240,15 +240,13 @@ func TestDeriveStreamPrunes(t *testing.T) {
 		t.Fatalf("fixture broken: %d of %d molecules qualify", len(want), len(dv.RootIDs()))
 	}
 	for _, workers := range []int{1, 2, 8} {
-		var got core.MoleculeSet
-		_, err := dv.DeriveStream(nil, slices.Values(dv.RootIDs()), workers, 2,
+		got, _, _, err := drain(t, dv.DeriveStream(nil, core.RootSlice(dv.RootIDs()), workers, 2,
 			func(int) core.FusedWorker {
 				return core.FusedWorker{
 					Checks: dv.PrepareChecks([]core.PruneCheck{{Pos: statePos, Qualifies: bigState}}),
 					Keep:   manyEdges,
 				}
-			},
-			func(ms core.MoleculeSet) error { got = append(got, ms...); return nil })
+			}), 2)
 		if err != nil {
 			t.Fatal(err)
 		}

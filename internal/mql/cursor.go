@@ -10,34 +10,6 @@ import (
 	"mad/internal/storage"
 )
 
-// queryOpts carries the per-query execution options of one QueryContext
-// call; unset fields fall back to the session's SET defaults and the
-// statement's own LIMIT clause.
-type queryOpts struct {
-	workers    int
-	workersSet bool
-	limit      int
-	limitSet   bool
-}
-
-// QueryOption tunes one QueryContext call. Options override the
-// session-level SET defaults and the statement's LIMIT clause for this
-// query only.
-type QueryOption func(*queryOpts)
-
-// WithWorkers bounds the worker pool the query's derivation fans out
-// over: 0 selects all cores, 1 forces sequential execution.
-func WithWorkers(n int) QueryOption {
-	return func(o *queryOpts) { o.workers, o.workersSet = n, true }
-}
-
-// WithLimit caps the molecules the cursor delivers; the in-flight
-// derivation is cancelled once the cap is reached. 0 removes a LIMIT
-// the statement itself carries.
-func WithLimit(n int) QueryOption {
-	return func(o *queryOpts) { o.limit, o.limitSet = n, true }
-}
-
 // Cursor is the streaming result of one statement. For a SELECT — over a
 // plain structure or a recursive one — it wraps a plan.Stream: molecules
 // arrive incrementally, in the deterministic root-aligned execution
@@ -70,24 +42,20 @@ type Cursor struct {
 
 // QueryContext parses and executes a single statement under ctx,
 // returning a streaming Cursor. Cancelling ctx (or reaching its
-// deadline) stops an in-flight SELECT mid-derivation; per-query options
-// override the session's SET defaults.
-func (s *Session) QueryContext(ctx context.Context, src string, opts ...QueryOption) (*Cursor, error) {
+// deadline) stops an in-flight SELECT mid-derivation; the session's SET
+// WORKERS default and the statement's LIMIT parameterize it.
+func (s *Session) QueryContext(ctx context.Context, src string) (*Cursor, error) {
 	st, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecuteStream(ctx, st, opts...)
+	return s.ExecuteStream(ctx, st)
 }
 
 // ExecuteStream is QueryContext over an already-parsed statement — the
 // entry point for callers that manage their own parsing (the TCP server
 // runs each statement of a request script through it).
-func (s *Session) ExecuteStream(ctx context.Context, st Stmt, opts ...QueryOption) (*Cursor, error) {
-	var o queryOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+func (s *Session) ExecuteStream(ctx context.Context, st Stmt) (*Cursor, error) {
 	sel, ok := st.(*SelectStmt)
 	if !ok {
 		r, err := s.Execute(st)
@@ -100,7 +68,7 @@ func (s *Session) ExecuteStream(ctx context.Context, st Stmt, opts ...QueryOptio
 	if err != nil {
 		return nil, err
 	}
-	return s.selectCursor(ctx, sel, mt.Desc(), o)
+	return s.selectCursor(ctx, sel, mt.Desc())
 }
 
 // selectCursor runs one SELECT over desc through the planner and returns
@@ -108,18 +76,18 @@ func (s *Session) ExecuteStream(ctx context.Context, st Stmt, opts ...QueryOptio
 // begin snapshot, or its effective view) is what the plan's stream opens
 // against, so every form — plain, recursive, ordered, counted, prepared —
 // takes this one path.
-func (s *Session) selectCursor(ctx context.Context, sel *SelectStmt, desc *core.Desc, o queryOpts) (*Cursor, error) {
+func (s *Session) selectCursor(ctx context.Context, sel *SelectStmt, desc *core.Desc) (*Cursor, error) {
 	if sel.Count {
 		// COUNT aggregates eagerly — a count (grouped or not) has no
 		// molecules to stream; the fold itself still consumes the plan's
 		// stream batch by batch without materializing the result set.
-		r, err := s.execCount(ctx, sel, desc, o)
+		r, err := s.execCount(ctx, sel, desc)
 		if err != nil {
 			return nil, err
 		}
 		return &Cursor{db: s.db, res: r}, nil
 	}
-	p, err := s.planSelect(sel, desc, o)
+	p, err := s.planSelect(sel, desc)
 	if err != nil {
 		return nil, err
 	}

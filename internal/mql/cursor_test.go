@@ -119,20 +119,6 @@ func TestCursorLimitSyntax(t *testing.T) {
 	if _, err := sess.Exec("SELECT ALL FROM mt_state LIMIT 0;"); err == nil {
 		t.Fatal("LIMIT 0 must be rejected")
 	}
-
-	// WithLimit overrides the statement for one query.
-	cur, err := sess.QueryContext(context.Background(), "SELECT ALL FROM mt_state LIMIT 2;", mql.WithLimit(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	r, err := cur.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Set) != 1 {
-		t.Fatalf("WithLimit(1) delivered %d", len(r.Set))
-	}
 }
 
 // TestCursorCancel: cancelling the query context surfaces through Next
@@ -236,9 +222,9 @@ CONNECT parts WHERE name = 'engine' TO parts WHERE name = 'piston' VIA compositi
 			t.Fatalf("recursive LIMIT must deliver a prefix; molecule %d differs", i)
 		}
 	}
-	// WithLimit applies to the recursive path too.
+	// The streaming surface honours it too.
 	cur, err := sess.QueryContext(context.Background(),
-		"SELECT ALL FROM RECURSIVE parts VIA composition;", mql.WithLimit(1))
+		"SELECT ALL FROM RECURSIVE parts VIA composition LIMIT 1;")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +234,7 @@ CONNECT parts WHERE name = 'engine' TO parts WHERE name = 'piston' VIA compositi
 		t.Fatal(err)
 	}
 	if len(r.Set) != 1 {
-		t.Fatalf("WithLimit(1) recursive returned %d", len(r.Set))
+		t.Fatalf("recursive LIMIT 1 through QueryContext returned %d", len(r.Set))
 	}
 
 	if _, err := sess.Exec("DEFINE MOLECULE TYPE few AS SELECT ALL FROM parts LIMIT 1;"); err == nil {

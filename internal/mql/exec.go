@@ -467,9 +467,9 @@ func (s *Session) resolveFrom(fc FromClause) (*core.MoleculeType, error) {
 // indexes and statistics of the moment — every statement compiles.
 // Inside a transaction holding buffered writes the plan is forced onto
 // the full scan — index postings hold committed versions only. The
-// session's SET options, the statement's LIMIT and any per-query options
-// (strongest last) parameterize the returned plan.
-func (s *Session) planSelect(st *SelectStmt, desc *core.Desc, o queryOpts) (*plan.Plan, error) {
+// session's SET options and the statement's LIMIT parameterize the
+// returned plan.
+func (s *Session) planSelect(st *SelectStmt, desc *core.Desc) (*plan.Plan, error) {
 	if st.Where != nil {
 		if err := expr.Check(st.Where, core.Scope{DB: s.db, Desc: desc}); err != nil {
 			return nil, err
@@ -488,14 +488,7 @@ func (s *Session) planSelect(st *SelectStmt, desc *core.Desc, o queryOpts) (*pla
 	if err != nil {
 		return nil, err
 	}
-	p.Workers = s.workers
-	if o.workersSet {
-		p.Workers = o.workers
-	}
-	p.Limit = st.Limit
-	if o.limitSet {
-		p.Limit = o.limit
-	}
+	p.Workers, p.Limit = s.workers, st.Limit
 	return p, nil
 }
 
@@ -537,8 +530,8 @@ func (s *Session) execSelect(st *SelectStmt) (*Result, error) {
 // the stream's molecules into per-value buckets as they arrive — the
 // result set is never materialized — and LIMIT caps the buckets
 // reported, not the molecules counted.
-func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc, o queryOpts) (*Result, error) {
-	p, err := s.planSelect(st, desc, o)
+func (s *Session) execCount(ctx context.Context, st *SelectStmt, desc *core.Desc) (*Result, error) {
+	p, err := s.planSelect(st, desc)
 	if err != nil {
 		return nil, err
 	}
@@ -677,12 +670,12 @@ func (s *Session) define(st *DefineStmt) (*core.MoleculeType, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		lc, err := s.selectCursor(context.Background(), all, left.Desc(), queryOpts{})
+		lc, err := s.selectCursor(context.Background(), all, left.Desc())
 		if err != nil {
 			return nil, 0, err
 		}
 		defer lc.Close()
-		rc, err := s.selectCursor(context.Background(), all, right.Desc(), queryOpts{})
+		rc, err := s.selectCursor(context.Background(), all, right.Desc())
 		if err != nil {
 			return nil, 0, err
 		}
@@ -742,7 +735,7 @@ func (s *Session) define(st *DefineStmt) (*core.MoleculeType, int, error) {
 // propagate runs sel over desc through the session's SELECT pipeline into
 // the sink.
 func (s *Session) propagate(sel *SelectStmt, desc *core.Desc, attrs map[string][]string) (*core.MoleculeType, int, error) {
-	c, err := s.selectCursor(context.Background(), sel, desc, queryOpts{})
+	c, err := s.selectCursor(context.Background(), sel, desc)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -953,7 +946,7 @@ func (s *Session) execExplain(st *ExplainStmt) (*Result, error) {
 		return nil, err
 	}
 	desc := mt.Desc()
-	p, err := s.planSelect(sel, desc, queryOpts{})
+	p, err := s.planSelect(sel, desc)
 	if err != nil {
 		return nil, err
 	}

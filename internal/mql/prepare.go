@@ -56,7 +56,7 @@ func (s *Session) execExecute(st *ExecuteStmt) (*Result, error) {
 	if ps.sel.Where != nil {
 		bound.Where = bindParams(ps.sel.Where, st.Args)
 	}
-	cur, err := s.selectCursor(context.Background(), &bound, ps.desc, queryOpts{})
+	cur, err := s.selectCursor(context.Background(), &bound, ps.desc)
 	if err != nil {
 		return nil, err
 	}

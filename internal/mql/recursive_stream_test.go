@@ -201,8 +201,11 @@ func TestRecursiveLimitReleasesWorkers(t *testing.T) {
 
 	stats := db.Stats()
 	stats.Reset()
+	if _, err := sess.Exec("SET WORKERS 4;"); err != nil {
+		t.Fatal(err)
+	}
 	cur, err := sess.QueryContext(context.Background(),
-		"SELECT ALL FROM RECURSIVE parts VIA composition LIMIT 2;", mql.WithWorkers(4))
+		"SELECT ALL FROM RECURSIVE parts VIA composition LIMIT 2;")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"iter"
 	"slices"
 	"sort"
 	"strings"
@@ -23,14 +22,14 @@ import (
 type accessPath interface {
 	// enumerate adds the row's candidates for the compile to cc.
 	enumerate(cc *contest)
-	// roots returns the sequence of roots, before the root filter, read
-	// at the deriver's pinned timestamp so they agree with the occurrence
-	// view derivation will traverse; it records the access actuals in
-	// p.Access. The ORDER BY ride is pulled — the index walk advances
-	// only as derivation takes roots and stops with it; the other rows
-	// need their whole set (an ID sort, a climb, an intersection) and
-	// collect it first.
-	roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error)
+	// roots returns the pull over the roots, before the root filter,
+	// read at the deriver's pinned timestamp so they agree with the
+	// occurrence view derivation will traverse; it records the access
+	// actuals in p.Access. The ORDER BY ride pulls postings key by key —
+	// the index walk advances only as derivation takes roots and stops
+	// with it; the other rows need their whole set (an ID sort, a climb,
+	// an intersection) and wrap the collected slice.
+	roots(p *Plan, dv *core.Deriver) (core.Roots, error)
 	// explain writes the EXPLAIN access lines.
 	explain(b *strings.Builder, p *Plan)
 }
@@ -201,7 +200,7 @@ func (p *Plan) lookup(dv *core.Deriver, typeName, attr string, key model.Value, 
 		return nil, errIndexVanished(typeName, attr)
 	}
 	var out []model.AtomID
-	for _, ids := range keys {
+	for _, ids, ok := keys.Next(); ok; _, ids, ok = keys.Next() {
 		out = append(out, ids...)
 	}
 	return model.SortAtomIDs(out), nil
@@ -210,19 +209,23 @@ func (p *Plan) lookup(dv *core.Deriver, typeName, attr string, key model.Value, 
 // ride pulls the root index on attr inside the access node's range bounds
 // in key order — descending when the ORDER BY asks for it — so the roots
 // arrive in the requested order: the ORDER BY ride.
-func (p *Plan) ride(dv *core.Deriver, attr string) (iter.Seq[model.AtomID], error) {
+func (p *Plan) ride(dv *core.Deriver, attr string) (core.Roots, error) {
 	keys, ok := dv.View().IndexOrdered(p.Access.Root, attr, p.Access.KeyRange, p.Order.Desc)
 	if !ok {
 		return nil, errIndexVanished(p.Access.Root, attr)
 	}
-	return func(yield func(model.AtomID) bool) {
-		for _, ids := range keys {
-			for _, id := range ids {
-				if !yield(id) {
-					return
+	var ids []model.AtomID // the rest of the current key's posting
+	return func(dst []model.AtomID) []model.AtomID {
+		for len(dst) < cap(dst) {
+			if len(ids) == 0 {
+				if _, ids, ok = keys.Next(); !ok {
+					break
 				}
 			}
+			n := min(len(ids), cap(dst)-len(dst))
+			dst, ids = append(dst, ids[:n]...), ids[n:]
 		}
+		return dst
 	}, nil
 }
 
@@ -274,9 +277,9 @@ func (s scan) enumerate(cc *contest) {
 	cc.add(c)
 }
 
-func (s scan) roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error) {
+func (s scan) roots(p *Plan, dv *core.Deriver) (core.Roots, error) {
 	if !s.ordered {
-		return slices.Values(dv.RootIDs()), nil
+		return core.RootSlice(dv.RootIDs()), nil
 	}
 	return p.ride(dv, p.Access.Attr)
 }
@@ -359,13 +362,13 @@ func (ri rootIndex) add(cc *contest, e indexEntry) {
 	})
 }
 
-func (ri rootIndex) roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error) {
+func (ri rootIndex) roots(p *Plan, dv *core.Deriver) (core.Roots, error) {
 	a := &p.Access
 	if ri.ranged && p.presorted {
 		return p.ride(dv, a.Attr)
 	}
 	roots, err := p.lookup(dv, a.Root, a.Attr, a.Value, ri.ranged)
-	return slices.Values(roots), err
+	return core.RootSlice(roots), err
 }
 
 func (ri rootIndex) explain(b *strings.Builder, p *Plan) {
@@ -444,7 +447,7 @@ func (ii interiorIndex) add(cc *contest, e indexEntry) {
 	})
 }
 
-func (ii interiorIndex) roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error) {
+func (ii interiorIndex) roots(p *Plan, dv *core.Deriver) (core.Roots, error) {
 	a := &p.Access
 	entries, err := p.lookup(dv, a.EntryType, a.Attr, a.Value, ii.ranged)
 	if err != nil {
@@ -452,7 +455,7 @@ func (ii interiorIndex) roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID]
 	}
 	a.ActEntries = len(entries)
 	roots, err := dv.RecoverRoots(a.EntryPos, entries)
-	return slices.Values(roots), err
+	return core.RootSlice(roots), err
 }
 
 func (ii interiorIndex) explain(b *strings.Builder, p *Plan) {
@@ -534,7 +537,7 @@ func (intersect) enumerate(cc *contest) {
 // sets (RecoverRoots returns ascending IDs) intersect progressively,
 // short-circuiting the remaining entries the moment the running
 // intersection empties.
-func (intersect) roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error) {
+func (intersect) roots(p *Plan, dv *core.Deriver) (core.Roots, error) {
 	a := &p.Access
 	var inter []model.AtomID
 	for i := range a.Entries {
@@ -559,7 +562,7 @@ func (intersect) roots(p *Plan, dv *core.Deriver) (iter.Seq[model.AtomID], error
 		}
 	}
 	a.ActSurvivors = len(inter)
-	return slices.Values(inter), nil
+	return core.RootSlice(inter), nil
 }
 
 func (intersect) explain(b *strings.Builder, p *Plan) {

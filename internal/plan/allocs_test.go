@@ -52,30 +52,38 @@ func lookupDB(t *testing.T) (*storage.Database, *core.Desc) {
 }
 
 // TestIndexLookupStreamAllocs gates the allocations of streaming a
-// one-molecule statement end to end — compile excluded, stream opened,
-// drained and closed — through a root index equality and through an
-// interior index equality with its upward climb. Selective statements
-// are most of a serving workload, so a change to how roots reach the
+// selective statement end to end — compile excluded, stream opened,
+// drained and closed: a one-molecule statement through a root index
+// equality and through an interior index equality with its upward climb,
+// and an ORDER BY … LIMIT 8 riding an index. Selective statements are
+// most of a serving workload, so a change to how roots reach the
 // derivation workers must not cost them allocations; the bounds are the
-// counts measured before roots became a pulled sequence.
+// counts measured with the stream's consumer driving the executor.
 func TestIndexLookupStreamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	db, desc := lookupDB(t)
-	for _, tc := range []struct {
-		name  string
-		pred  expr.Expr
-		kind  plan.AccessKind
-		bound float64
-	}{
-		{"root-index", intCmp(expr.EQ, "root", "code", 17), plan.IndexScan, 48},
-		{"interior-climb", intCmp(expr.EQ, "part", "code", 17), plan.InteriorIndex, 65},
-	} {
-		p, err := plan.Compile(db, desc, tc.pred)
+	lookup := func(pred expr.Expr) *plan.Plan {
+		p, err := plan.Compile(db, desc, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return p
+	}
+	kdb, kmt := keyedDB(t, 4096, 0)
+	for _, tc := range []struct {
+		name  string
+		p     *plan.Plan
+		kind  plan.AccessKind
+		want  int
+		bound float64
+	}{
+		{"root-index", lookup(intCmp(expr.EQ, "root", "code", 17)), plan.IndexScan, 1, 33},
+		{"interior-climb", lookup(intCmp(expr.EQ, "part", "code", 17)), plan.InteriorIndex, 1, 47},
+		{"ORDER BY k DESC LIMIT 8 ride", mustCompile(t, kdb, kmt, nil, &plan.OrderBy{Attr: "k", Desc: true}, 0, 8), plan.OrderedScan, 8, 119},
+	} {
+		p := tc.p
 		if p.Access.Kind != tc.kind {
 			t.Fatalf("%s: access %v, want %v\n%s", tc.name, p.Access.Kind, tc.kind, p.Render())
 		}
@@ -95,8 +103,8 @@ func TestIndexLookupStreamAllocs(t *testing.T) {
 				}
 				n++
 			}
-			if err := st.Close(); err != nil || n != 1 {
-				t.Fatalf("%s: %d molecules, close %v; want 1, nil", tc.name, n, err)
+			if err := st.Close(); err != nil || n != tc.want {
+				t.Fatalf("%s: %d molecules, close %v; want %d, nil", tc.name, n, err, tc.want)
 			}
 		}
 		run()

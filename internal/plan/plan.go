@@ -28,20 +28,21 @@
 //     estimated selectivity × evaluation cost so cheap, selective
 //     conjuncts short-circuit the expensive ones.
 //
-// Execution is streaming: the access path's roots are pulled and cut
-// into batches that fan out over the worker pool (core.DeriveStream,
-// which derives the first batch on the calling goroutine) — the one
-// place a query fans out — each worker judges the root filter and the pushdowns as
-// prune hooks and runs the residual chain on a molecule the moment it
-// finishes deriving it — no barrier separates derivation from filtering,
-// rejected molecules never cross a goroutine, and every worker keeps
-// private Evals/Passed/Cut accumulators merged at batch end so the
-// EXPLAIN actuals stay exact — and every finished batch is emitted in
-// root order through Stream's bounded channel, so consumers see the
-// first molecules while the bulk of the batch is still deriving, with a
-// live set bounded by O(workers × batch). Execute collects a Stream;
-// cancelling the stream's context (or reaching Plan.Limit) stops the
-// workers mid-derivation.
+// Execution is streaming, and the consumer drives it: each Stream.Next
+// that runs out of molecules pulls the access path's next roots as one
+// batch (core.DeriveStream, which derives the first batches on the
+// consumer's goroutine and the rest on a worker pool running a bounded
+// number of batches ahead) — the one place a query fans out — each
+// worker judges the root filter and the pushdowns as prune hooks and
+// runs the residual chain on a molecule the moment it finishes deriving
+// it — no barrier separates derivation from filtering, rejected
+// molecules never cross a goroutine, and every worker keeps private
+// Evals/Passed/Cut accumulators merged when the run ends so the EXPLAIN
+// actuals stay exact — and batches are handed out in root order, so
+// consumers see the first molecules while the bulk of the roots is
+// still deriving, with a live set bounded by O(workers × batch).
+// Execute collects a Stream; cancelling the stream's context (or
+// reaching Plan.Limit) stops the workers mid-derivation.
 //
 // Cardinality and selectivity estimates come from the equi-depth
 // histograms of storage/stats when ANALYZE has built them, falling back
@@ -752,12 +753,8 @@ func (p *Plan) CanCountFast() bool {
 // CanCountFast holds, only the access path runs, and one loop counts the
 // roots passing the root filter — zero derivations, zero molecules
 // materialized. Otherwise the counting rides the stream, where a LIMIT
-// still cancels derivation mid-run the moment the bound is reached (the
-// errStreamLimit path).
+// still ends derivation mid-run the moment the bound is reached.
 func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if !p.CanCountFast() {
 		n := 0
 		if err := p.drain(ctx, txn, func(*core.Molecule) { n++ }); err != nil {
@@ -782,12 +779,12 @@ func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error
 	if err != nil {
 		return 0, err
 	}
-	for r := range roots {
-		if eb.failed.Load() {
-			break
-		}
-		if filter == nil || filter(r) {
-			p.Access.ActRoots++
+	buf := make([]model.AtomID, 0, core.DefaultStreamBatch)
+	for ids := roots(buf); len(ids) > 0 && !eb.failed.Load(); ids = roots(buf) {
+		for _, r := range ids {
+			if filter == nil || filter(r) {
+				p.Access.ActRoots++
+			}
 		}
 	}
 	if err := eb.get(); err != nil {

@@ -13,34 +13,23 @@ import (
 	"mad/internal/storage"
 )
 
-// errStreamLimit is the internal sentinel the stream producer returns
-// from its emit hook once Plan.Limit molecules have been delivered; the
-// executor treats it like any other emit error (stop the workers), and
-// the producer strips it before it reaches the consumer.
-var errStreamLimit = errors.New("plan: stream limit reached")
-
-// streamBufBatches is the capacity of the stream's hand-off channel, in
-// batches: enough that a briefly slow consumer does not stall the worker
-// pool, small enough that the molecules buffered between executor and
-// consumer stay bounded (the executor itself bounds its in-flight
-// batches at workers+1 — see core.DeriveStream).
-const streamBufBatches = 2
-
-// Stream is an incremental cursor over a plan's qualifying molecules:
-// the parallel executor feeds it batch by batch through a bounded
-// channel, so the first molecules reach the consumer while the bulk of
-// the roots is still deriving, and the memory footprint stays
+// Stream is an incremental cursor over a plan's qualifying molecules.
+// Its consumer drives the executor: Next pulls the next batch when the
+// last one is handed out, the first ones on the consumer's own goroutine
+// and the rest from a worker pool that derives a bounded number of batches
+// ahead, so the first molecules reach the consumer while the bulk of the
+// roots is still deriving, and the memory footprint stays
 // O(workers × batch) instead of O(result). Molecules arrive in exactly
 // Execute's deterministic root-aligned order for any worker count — a
 // consumed prefix of a Stream is always a prefix of the materialized
 // result.
 //
 // A Stream is not safe for concurrent use. Callers must either drain it
-// (Next returning nil, nil) or Close it; an abandoned open stream pins
-// its producer goroutine until the surrounding context is cancelled.
+// (Next returning nil, nil) or Close it; cancelling its context stops
+// its workers either way, but only draining or Close releases the
+// snapshot it pins.
 type Stream struct {
-	p      *Plan
-	cancel context.CancelFunc
+	p *Plan
 
 	// view is the consistent view the whole run reads through: every
 	// access-path lookup, derivation step, residual evaluation and ORDER
@@ -51,13 +40,23 @@ type Stream struct {
 	view storage.View
 	own  *storage.Snapshot
 
-	batches chan core.MoleculeSet
-	errc    chan error
+	// run is the executor the stream pulls from, nil once it has ended;
+	// states are its workers' private actuals, merged into the plan then.
+	// eb holds the first evaluation error a predicate raised.
+	run    *core.Run
+	states []*workerState
+	eb     *evalErrBox
 
-	cur  core.MoleculeSet
-	idx  int
-	done bool
-	err  error
+	// A reordering ORDER BY drains the run into kh, keyed by keyOf; with
+	// a Limit the heap publishes its bound for the workers' bound prune.
+	kh    *topkHeap
+	keyOf func(model.AtomID) (model.Value, bool)
+	bound atomic.Pointer[orderBound]
+
+	delivered int
+	cur       core.MoleculeSet
+	idx       int
+	err       error
 }
 
 // SnapshotTS reports the commit timestamp the stream's results are
@@ -86,11 +85,11 @@ func (p *Plan) open(txn *storage.Txn) (dv *core.Deriver, own *storage.Snapshot, 
 }
 
 // Stream starts executing the plan and returns the result cursor. The
-// pipeline underneath — access path, then derivation on the worker pool
-// with the root filter and the pushdowns as prune hooks and the residual
-// chain run on the deriving worker — hands completed batches to the
-// consumer the moment they exist. Cancelling ctx (or Close) stops the worker pool mid-derivation
-// without leaking goroutines.
+// pipeline underneath — access path, then derivation with the root
+// filter and the pushdowns as prune hooks and the residual chain run on
+// the deriving worker — runs as the consumer pulls. Cancelling ctx (or
+// Close) stops the worker pool mid-derivation without leaking
+// goroutines.
 //
 // The plan's execution actuals (EXPLAIN's "actual" figures, Derived,
 // Out) are valid once the stream has ended — drained, errored or closed
@@ -108,43 +107,67 @@ func (p *Plan) Stream(ctx context.Context) (*Stream, error) {
 // the stream ends. A nil transaction pins the latest commit for the
 // duration of the stream (Stream's behaviour).
 func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	dv, own, err := p.open(txn)
 	if err != nil {
 		return nil, err
 	}
 	p.resetActuals()
+	st := &Stream{p: p, view: dv.View(), own: own, eb: &evalErrBox{}}
 
 	// Per-atom predicates are safe for concurrent use and shared by all
 	// workers; evaluation errors land in the box, and the root-position
 	// guard rejects every molecule once an error is pending, so the
 	// remaining batch degrades to a cheap root sweep instead of deriving
 	// occurrences that will be discarded.
-	eb := &evalErrBox{}
-	filter, err := p.rootFilter(eb, dv.View())
+	filter, err := p.rootFilter(st.eb, st.view)
 	preds := make([]func(model.AtomID) bool, len(p.Pushdowns))
 	for i := 0; i < len(preds) && err == nil; i++ {
-		preds[i], err = p.atomPred(p.Pushdowns[i].Type, p.Pushdowns[i].Conjunct, eb, dv.View())
+		preds[i], err = p.atomPred(p.Pushdowns[i].Type, p.Pushdowns[i].Conjunct, st.eb, st.view)
+	}
+	var roots core.Roots
+	if err == nil {
+		roots, err = p.path.roots(p, dv)
+	}
+
+	// Ordered delivery: an access path that already yields roots in key
+	// order (OrderIndex) needs nothing extra — the executor's root-batch
+	// order IS the requested order. Otherwise the qualifying molecules
+	// feed a heap that reorders them before they reach the consumer; with
+	// a Limit (OrderTopK) the heap stays bounded and publishes its bound so
+	// workers cut hopeless roots pre-derivation.
+	p.OrderPath = p.orderPath()
+	if err == nil && (p.OrderPath == OrderTopK || p.OrderPath == OrderSort) {
+		c, ok := p.db.Container(p.Access.Root)
+		if !ok {
+			err = errors.New("plan: root container vanished between compile and execute")
+		}
+		st.kh = &topkHeap{p: p}
+		st.keyOf = func(id model.AtomID) (model.Value, bool) {
+			a, ok := st.view.Atom(c, id)
+			if !ok {
+				return model.Value{}, false
+			}
+			// Account the key read like every other predicate fetch, so
+			// the early-termination win stays visible in the same ledger.
+			p.db.Stats().AtomsFetched.Add(1)
+			return a.Get(p.Order.Pos), true
+		}
 	}
 	if err != nil {
-		if own != nil {
-			own.Close()
-		}
+		st.release()
 		return nil, err
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	st := &Stream{
-		p:       p,
-		cancel:  cancel,
-		view:    dv.View(),
-		own:     own,
-		batches: make(chan core.MoleculeSet, streamBufBatches),
-		errc:    make(chan error, 1),
+	// A run that delivers as it derives — unordered, or riding an index
+	// in key order — ends at its Limit-th qualifying molecule, so its
+	// batches are no larger than the limit.
+	size := core.DefaultStreamBatch
+	if p.Limit > 0 && st.kh == nil {
+		size = min(size, p.Limit)
 	}
-	go st.run(ctx, dv, eb, filter, preds)
+	st.run = dv.DeriveStream(ctx, roots, p.Workers, size, func(int) core.FusedWorker {
+		return st.worker(dv, filter, preds)
+	})
 	return st, nil
 }
 
@@ -157,8 +180,8 @@ func (st *Stream) release() {
 }
 
 // workerState carries one worker's private execution actuals; the
-// producer collects the states on its own goroutine (newWorker contract)
-// and merges them after the executor has joined its workers, so the
+// stream collects the states on the consumer's goroutine (newWorker
+// contract) and merges them once the run has joined its workers, so the
 // hot path performs no atomic operation per molecule.
 type workerState struct {
 	roots    int64 // roots the root filter passed
@@ -231,206 +254,181 @@ func (h *topkHeap) Pop() any {
 	return e
 }
 
-// run is the stream's producer: it takes the access path's root
-// sequence, drives the streaming executor over it, forwards every emitted batch through the
-// bounded channel, and — once the executor has joined its workers —
-// merges the per-worker actuals into the plan and closes the stream.
-func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, filter func(model.AtomID) bool, preds []func(model.AtomID) bool) {
-	defer close(st.batches)
-	p := st.p
-
-	roots, err := p.path.roots(p, dv)
-	if err != nil {
-		st.errc <- err
-		return
+// worker sets up one worker harness: the root filter, the top-K bound
+// prune and the pushdowns as prune hooks, the residual chain as its
+// sink, all counting into a workerState of its own.
+func (st *Stream) worker(dv *core.Deriver, filter func(model.AtomID) bool, preds []func(model.AtomID) bool) core.FusedWorker {
+	p, eb := st.p, st.eb
+	ws := &workerState{
+		cuts:   make([]int64, len(p.Pushdowns)),
+		evals:  make([]int64, len(p.Residuals)),
+		passed: make([]int64, len(p.Residuals)),
 	}
-
-	// Ordered delivery: an access path that already yields roots in key
-	// order (OrderIndex) needs nothing extra — the executor's root-batch
-	// order IS the requested order. Otherwise the qualifying molecules
-	// feed a heap that reorders them before they reach the consumer; with
-	// a Limit (OrderTopK) the heap stays bounded and publishes its bound so
-	// workers cut hopeless roots pre-derivation.
-	p.OrderPath = p.orderPath()
-	reorder := p.OrderPath == OrderTopK || p.OrderPath == OrderSort
-	var keyOf func(model.AtomID) (model.Value, bool)
-	if reorder {
-		c, ok := p.db.Container(p.Access.Root)
-		if !ok {
-			st.errc <- errors.New("plan: root container vanished between compile and execute")
-			return
-		}
-		keyOf = func(id model.AtomID) (model.Value, bool) {
-			a, ok := st.view.Atom(c, id)
-			if !ok {
-				var zero model.Value
-				return zero, false
-			}
-			// Account the key read like every other predicate fetch, so
-			// the early-termination win stays visible in the same ledger.
-			p.db.Stats().AtomsFetched.Add(1)
-			return a.Get(p.Order.Pos), true
-		}
-	}
-	var bound atomic.Pointer[orderBound]
-
+	st.states = append(st.states, ws)
 	rootPos, _ := p.desc.Pos(p.Access.Root)
-	var states []*workerState
-	newWorker := func(int) core.FusedWorker {
-		ws := &workerState{
-			cuts:   make([]int64, len(p.Pushdowns)),
-			evals:  make([]int64, len(p.Residuals)),
-			passed: make([]int64, len(p.Residuals)),
+	checks := []core.PruneCheck{{Pos: rootPos, Qualifies: func(atoms []model.AtomID) bool {
+		// The root filter: a molecule has exactly one root atom, so
+		// judging it here judges the molecule. A pending evaluation
+		// error rejects every root.
+		if eb.failed.Load() {
+			return false
 		}
-		states = append(states, ws)
-		checks := []core.PruneCheck{{Pos: rootPos, Qualifies: func(atoms []model.AtomID) bool {
-			// The root filter: a molecule has exactly one root atom, so
-			// judging it here judges the molecule. A pending evaluation
-			// error rejects every root.
-			if eb.failed.Load() {
-				return false
-			}
-			if filter != nil && !filter(atoms[0]) {
-				ws.rejected++
-				return false
-			}
-			ws.roots++
-			return true
-		}}}
-		if p.OrderPath == OrderTopK {
-			// The bound prune: once the heap is full, a root whose key
-			// cannot beat the heap's worst entry is cut before its
-			// molecule is derived. The bound only tightens over a run, so
-			// a stale load under-prunes — harmless — and never over-prunes.
-			checks = append(checks, core.PruneCheck{Pos: rootPos, Qualifies: func(atoms []model.AtomID) bool {
-				b := bound.Load()
-				if b == nil {
-					return true
-				}
-				root := atoms[0]
-				k, ok := keyOf(root)
-				if !ok {
-					return true
-				}
-				if p.orderCmp(k, root, b.key, b.id) > 0 {
-					ws.orderCut++
-					return false
-				}
-				return true
-			}})
+		if filter != nil && !filter(atoms[0]) {
+			ws.rejected++
+			return false
 		}
-		for i := range p.Pushdowns {
-			i, pred := i, preds[i]
-			checks = append(checks, core.PruneCheck{Pos: p.Pushdowns[i].Pos, Qualifies: func(atoms []model.AtomID) bool {
-				for _, id := range atoms {
-					if pred(id) {
-						return true
-					}
-				}
-				ws.cuts[i]++
-				return false
-			}})
-		}
-		keep := func(m *core.Molecule) bool {
-			if eb.failed.Load() {
-				return false
-			}
-			ws.derived++
-			if len(p.Residuals) == 0 {
+		ws.roots++
+		return true
+	}}}
+	if p.OrderPath == OrderTopK {
+		// The bound prune: once the heap is full, a root whose key
+		// cannot beat the heap's worst entry is cut before its
+		// molecule is derived. The bound only tightens over a run, so
+		// a stale load under-prunes — harmless — and never over-prunes.
+		checks = append(checks, core.PruneCheck{Pos: rootPos, Qualifies: func(atoms []model.AtomID) bool {
+			b := st.bound.Load()
+			if b == nil {
 				return true
 			}
-			// Boxed once per molecule, not once per conjunct evaluated.
-			var b expr.Binding = core.Binding{DB: p.db, M: m, View: st.view}
-			for i := range p.Residuals {
-				ws.evals[i]++
-				ok, err := expr.EvalPredicate(p.Residuals[i].Conjunct, b)
-				if err != nil {
-					eb.set(err)
-					return false
-				}
-				if !ok {
-					return false
-				}
-				ws.passed[i]++
+			root := atoms[0]
+			k, ok := st.keyOf(root)
+			if !ok {
+				return true
+			}
+			if p.orderCmp(k, root, b.key, b.id) > 0 {
+				ws.orderCut++
+				return false
 			}
 			return true
-		}
-		return core.FusedWorker{Checks: dv.PrepareChecks(checks), Keep: keep}
+		}})
 	}
+	for i := range p.Pushdowns {
+		i, pred := i, preds[i]
+		checks = append(checks, core.PruneCheck{Pos: p.Pushdowns[i].Pos, Qualifies: func(atoms []model.AtomID) bool {
+			for _, id := range atoms {
+				if pred(id) {
+					return true
+				}
+			}
+			ws.cuts[i]++
+			return false
+		}})
+	}
+	keep := func(m *core.Molecule) bool {
+		if eb.failed.Load() {
+			return false
+		}
+		ws.derived++
+		if len(p.Residuals) == 0 {
+			return true
+		}
+		// Boxed once per molecule, not once per conjunct evaluated.
+		var b expr.Binding = core.Binding{DB: p.db, M: m, View: st.view}
+		for i := range p.Residuals {
+			ws.evals[i]++
+			ok, err := expr.EvalPredicate(p.Residuals[i].Conjunct, b)
+			if err != nil {
+				eb.set(err)
+				return false
+			}
+			if !ok {
+				return false
+			}
+			ws.passed[i]++
+		}
+		return true
+	}
+	return core.FusedWorker{Checks: dv.PrepareChecks(checks), Keep: keep}
+}
 
-	// A run that delivers as it derives — unordered, or riding an index
-	// in key order — ends at its Limit-th qualifying molecule with
-	// workers+1 batches in flight, all derived for nothing, so its batches
-	// are no larger than the limit.
-	size := core.DefaultStreamBatch
-	if p.Limit > 0 && !reorder {
-		size = min(size, p.Limit)
-	}
-	delivered := 0
-	var emit func(core.MoleculeSet) error
-	kh := &topkHeap{p: p}
-	if reorder {
-		// Qualifying molecules feed the heap instead of the hand-off
-		// channel and are delivered after the executor completes. Limit
-		// slicing is the heap's job here, so the run never returns
-		// errStreamLimit — the whole root batch is examined (under the
-		// bound prune when there is a bound).
-		emit = func(ms core.MoleculeSet) error {
-			for _, m := range ms {
-				k, ok := keyOf(m.Root())
-				if !ok {
-					continue
-				}
-				heap.Push(kh, orderedEntry{key: k, m: m})
-				if p.Limit == 0 {
-					continue
-				}
-				if kh.Len() > p.Limit {
-					heap.Pop(kh)
-				}
-				if kh.Len() == p.Limit {
-					w := kh.items[0]
-					bound.Store(&orderBound{key: w.key, id: w.m.Root()})
-				}
-			}
-			return nil
+// Next returns the next qualifying molecule. A nil molecule with a nil
+// error means the stream is exhausted; a non-nil error (cancellation,
+// deadline, evaluation error) is terminal and repeated by every further
+// call.
+func (st *Stream) Next() (*core.Molecule, error) {
+	for st.idx >= len(st.cur) {
+		if st.run == nil {
+			st.cur, st.idx = nil, 0
+			st.release()
+			return nil, st.err
 		}
-	} else {
-		emit = func(ms core.MoleculeSet) error {
-			limited := false
-			if p.Limit > 0 {
-				if rest := p.Limit - delivered; len(ms) >= rest {
-					ms, limited = ms[:rest], true
-				}
-			}
-			if len(ms) > 0 {
-				select {
-				case st.batches <- ms:
-					delivered += len(ms)
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			if limited {
-				return errStreamLimit
-			}
-			return nil
+		if st.kh != nil {
+			st.cur, st.idx = st.sorted(), 0
+		} else {
+			st.cur, st.idx = st.batch(), 0
 		}
 	}
+	m := st.cur[st.idx]
+	st.idx++
+	return m, nil
+}
 
-	work, err := dv.DeriveStream(ctx, roots, p.Workers, size, newWorker, emit)
-	if errors.Is(err, errStreamLimit) {
-		err = nil
+// batch pulls the run's next batch, cut at the plan's Limit, and ends the
+// run once it is exhausted or failed, or the batch holds the Limit-th
+// molecule.
+func (st *Stream) batch() core.MoleculeSet {
+	ms, err := st.run.Next()
+	limited := st.p.Limit > 0 && len(ms) >= st.p.Limit-st.delivered
+	if limited {
+		ms = ms[:st.p.Limit-st.delivered]
 	}
+	st.delivered += len(ms)
+	if limited || len(ms) == 0 {
+		st.end(err)
+	}
+	return ms
+}
+
+// sorted drains the run into the heap and returns what the heap kept,
+// best first: with a Limit the heap holds at most that many entries,
+// and once it is full its worst entry is the bound the workers prune by.
+func (st *Stream) sorted() core.MoleculeSet {
+	p, kh := st.p, st.kh
+	ms, err := st.run.Next()
+	for ; len(ms) > 0; ms, err = st.run.Next() {
+		for _, m := range ms {
+			k, ok := st.keyOf(m.Root())
+			if !ok {
+				continue
+			}
+			heap.Push(kh, orderedEntry{key: k, m: m})
+			if p.Limit == 0 {
+				continue
+			}
+			if kh.Len() > p.Limit {
+				heap.Pop(kh)
+			}
+			if kh.Len() == p.Limit {
+				w := kh.items[0]
+				st.bound.Store(&orderBound{key: w.key, id: w.m.Root()})
+			}
+		}
+	}
+	st.delivered = kh.Len()
+	if st.end(err); st.err != nil {
+		return nil
+	}
+	// Popping the worst-at-top heap yields worst-first, so fill the result
+	// back to front.
+	ms = make(core.MoleculeSet, kh.Len())
+	for i := len(ms) - 1; i >= 0; i-- {
+		ms[i] = heap.Pop(kh).(orderedEntry).m
+	}
+	return ms
+}
+
+// end closes the run with its terminal error and merges the per-worker
+// actuals into the plan — even for truncated runs, whose partial actuals
+// still describe the work actually done. A root the filter rejected
+// never entered derivation (ActRoots leaves it out), so its placement is
+// not part of the derivation work EXPLAIN reports.
+func (st *Stream) end(err error) {
+	p, work := st.p, st.run.Close()
+	st.run = nil
 	if err == nil {
-		err = eb.get()
+		err = st.eb.get()
 	}
-
-	// Merge the per-worker actuals even for truncated runs — partial
-	// actuals still describe the work actually done. A root the filter
-	// rejected never entered derivation (ActRoots leaves it out), so its
-	// placement is not part of the derivation work EXPLAIN reports.
-	for _, ws := range states {
+	for _, ws := range st.states {
 		p.Access.ActRoots += int(ws.roots)
 		work.AtomsFetched -= ws.rejected
 		p.Derived += int(ws.derived)
@@ -443,62 +441,9 @@ func (st *Stream) run(ctx context.Context, dv *core.Deriver, eb *evalErrBox, fil
 			p.Residuals[i].Passed += int(ws.passed[i])
 		}
 	}
-	if err != nil {
-		st.errc <- err
-		return
+	if st.err = err; err == nil {
+		p.Out, p.Executed, p.work = st.delivered, true, work
 	}
-
-	// Deliver what the heap kept back: popping the worst-at-top heap
-	// yields worst-first, so fill the slice back to front for best-first
-	// delivery. The executor has joined its workers, so this runs alone.
-	final := make([]orderedEntry, kh.Len())
-	for i := len(final) - 1; i >= 0; i-- {
-		final[i] = heap.Pop(kh).(orderedEntry)
-	}
-	for len(final) > 0 {
-		n := min(core.DefaultStreamBatch, len(final))
-		batch := make(core.MoleculeSet, n)
-		for i := range batch {
-			batch[i] = final[i].m
-		}
-		final = final[n:]
-		select {
-		case st.batches <- batch:
-			delivered += n
-		case <-ctx.Done():
-			st.errc <- ctx.Err()
-			return
-		}
-	}
-
-	p.Out = delivered
-	p.Executed = true
-	p.work = work
-	st.errc <- nil
-}
-
-// Next returns the next qualifying molecule. A nil molecule with a nil
-// error means the stream is exhausted; a non-nil error (cancellation,
-// deadline, evaluation error) is terminal and repeated by every further
-// call.
-func (st *Stream) Next() (*core.Molecule, error) {
-	if st.done {
-		return nil, st.err
-	}
-	for st.idx >= len(st.cur) {
-		batch, ok := <-st.batches
-		if !ok {
-			st.err = <-st.errc
-			st.done = true
-			st.cur, st.idx = nil, 0
-			st.release()
-			return nil, st.err
-		}
-		st.cur, st.idx = batch, 0
-	}
-	m := st.cur[st.idx]
-	st.idx++
-	return m, nil
 }
 
 // Seq adapts the stream to a Go 1.23 range-over-func iterator:
@@ -527,23 +472,19 @@ func (st *Stream) Seq() iter.Seq[*core.Molecule] {
 // failure.
 func (st *Stream) Err() error { return st.err }
 
-// Close cancels the in-flight execution, waits for the worker pool to
+// Close stops the in-flight execution, waits for the worker pool to
 // wind down and releases the stream. It is idempotent and safe after
 // exhaustion. Closing an unfinished stream is not an error: Close
 // returns the stream's terminal error only when execution had already
-// failed for a reason other than the cancellation Close itself caused.
+// failed for a reason other than cancellation.
 func (st *Stream) Close() error {
-	st.cancel()
-	if !st.done {
-		for range st.batches {
-			// Drain abandoned batches so the producer can finish.
-		}
-		if e := <-st.errc; e != nil && !errors.Is(e, context.Canceled) && st.err == nil {
-			st.err = e
-		}
-		st.done = true
-		st.cur, st.idx = nil, 0
+	if st.run != nil {
+		// Ending the run as cancelled leaves its actuals unexecuted, and
+		// closing an unfinished stream is not an error.
+		st.end(context.Canceled)
+		st.err = nil
 	}
+	st.cur, st.idx = nil, 0
 	st.release()
 	if errors.Is(st.err, context.Canceled) {
 		return nil

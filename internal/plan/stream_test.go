@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mad/internal/core"
+	"mad/internal/expr"
 	"mad/internal/plan"
 	"mad/internal/storage"
 )
@@ -134,5 +135,109 @@ func TestStreamSeq(t *testing.T) {
 	}
 	if err := st.Err(); err != nil {
 		t.Fatalf("err after exhaustion: %v", err)
+	}
+}
+
+// settle waits for the goroutine count to fall to at most n.
+func settle(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > n; i++ {
+		if i > 100 {
+			t.Fatalf("goroutines: %d, want at most %d", runtime.NumGoroutine(), n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStreamCancelWithoutClose: cancelling a stream's context alone
+// reclaims its worker pool — the consumer calls neither Next nor Close.
+// The first batch derives on the consumer's goroutine, so the stream is
+// cancelled once the pool serves it: after the first molecule of the
+// second batch.
+func TestStreamCancelWithoutClose(t *testing.T) {
+	db, mt := keyedDB(t, 4096, 0)
+	before := runtime.NumGoroutine()
+	p := mustCompile(t, db, mt, nil, nil, 4, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, err := p.Stream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range core.DefaultStreamBatch + 1 {
+		if m, err := st.Next(); err != nil || m == nil {
+			t.Fatalf("molecule: %v, %v", m, err)
+		}
+	}
+	if runtime.NumGoroutine() <= before {
+		t.Fatal("no worker pool serves the second batch")
+	}
+	cancel()
+	settle(t, before)
+	if err := st.Close(); err != nil {
+		t.Fatalf("close after cancel: %v", err)
+	}
+}
+
+// TestStreamOneBatchNoGoroutine: a statement that ends in its first
+// batch derives it on the consumer's goroutine — the goroutine count is
+// the same across every Next call.
+func TestStreamOneBatchNoGoroutine(t *testing.T) {
+	db, desc := lookupDB(t)
+	p, err := plan.Compile(db, desc, intCmp(expr.EQ, "root", "code", 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Workers = 4
+	before := runtime.NumGoroutine()
+	st, err := p.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		m, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("Next call %d: %d goroutines, %d before the stream", i, n, before)
+		}
+		if m == nil {
+			break
+		}
+	}
+	if err := st.Close(); err != nil || p.Out != 1 {
+		t.Fatalf("close: %v with %d molecules, want nil with 1", err, p.Out)
+	}
+}
+
+// TestStreamLookaheadBound pins the memory bound of a stream whose
+// consumer stalls: with workers+2 batches in flight past the batches
+// handed out, a consumer holding its first batch has made the stream
+// derive at most (workers+3)·size molecules, and one holding its second
+// at most (workers+4)·size, however long it holds.
+func TestStreamLookaheadBound(t *testing.T) {
+	db, mt := keyedDB(t, 4096, 0)
+	size := core.DefaultStreamBatch
+	for _, workers := range []int{1, 2, 4} {
+		for held := 1; held <= 2; held++ {
+			p := mustCompile(t, db, mt, nil, nil, workers, 0)
+			st, err := p.Stream(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range (held-1)*size + 1 {
+				if m, err := st.Next(); err != nil || m == nil {
+					t.Fatalf("molecule: %v, %v", m, err)
+				}
+			}
+			time.Sleep(20 * time.Millisecond)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if bound := (held + workers + 2) * size; p.Derived > bound {
+				t.Fatalf("workers=%d, batch %d held: derived %d molecules, want at most %d", workers, held, p.Derived, bound)
+			}
+		}
 	}
 }

@@ -205,33 +205,46 @@ func (r KeyRange) span(order []orderedKey) (lo, hi int) {
 	return lo, max(lo, hi)
 }
 
-// walk visits the keys inside r in attribute-value order (descending
-// when desc is set) as of commit timestamp ts, yielding each value with
-// the identifiers of the atoms carrying it — sorted ascending, so
-// equal-key runs have a deterministic ID order in either direction — and
-// stops when yield does. It seeks the range's first key by binary
-// search, and reads and copies a posting only when it visits its key;
-// visited counts the keys it read. Empty postings (keys whose atoms are
-// all newer than ts, or deleted by ts) are skipped, which is what makes
-// the walk MVCC-correct: a key committed after ts resolves to an empty
-// visible posting, and vacuum can only drop keys whose posting is empty
-// at every reachable timestamp.
-func (ix *Index) walk(ts uint64, r KeyRange, desc bool, visited *int64, yield func(model.Value, []model.AtomID) bool) {
-	order := ix.ordered()
-	lo, hi := r.span(order)
-	for n := range hi - lo {
-		i := lo + n
-		if desc {
-			i = hi - 1 - n
+// IndexWalk is a pulled walk over an index's keys inside a KeyRange in
+// attribute-value order (descending when desc is set) as of one commit
+// timestamp. It seeks the range's first key by binary search when it is
+// made, and reads and copies a posting only when Next visits its key,
+// booking the key into the database's IndexKeysVisited. Empty postings
+// (keys whose atoms are all newer than ts, or deleted by ts) are
+// skipped, which is what makes the walk MVCC-correct: a key committed
+// after ts resolves to an empty visible posting, and vacuum can only drop
+// keys whose posting is empty at every reachable timestamp.
+type IndexWalk struct {
+	ix     *Index
+	ts     uint64
+	stats  *Stats
+	order  []orderedKey
+	lo, hi int
+	desc   bool
+}
+
+// Next returns the next key's value with the identifiers of the atoms
+// carrying it — sorted ascending, so equal-key runs have a deterministic
+// ID order in either direction — and ok=false once the range is
+// exhausted.
+func (w *IndexWalk) Next() (model.Value, []model.AtomID, bool) {
+	for w.lo < w.hi {
+		i := w.lo
+		if w.desc {
+			w.hi--
+			i = w.hi
+		} else {
+			w.lo++
 		}
-		ix.latch.RLock()
-		ids, _ := ix.entries[order[i].k].at(ts)
-		ix.latch.RUnlock()
-		*visited++
-		if len(ids) > 0 && !yield(order[i].v, model.SortAtomIDs(slices.Clone(ids))) {
-			return
+		w.ix.latch.RLock()
+		ids, _ := w.ix.entries[w.order[i].k].at(w.ts)
+		w.ix.latch.RUnlock()
+		w.stats.IndexKeysVisited.Add(1)
+		if len(ids) > 0 {
+			return w.order[i].v, model.SortAtomIDs(slices.Clone(ids)), true
 		}
 	}
+	return model.Value{}, nil, false
 }
 
 // indexKey names an index within the database.

@@ -18,7 +18,7 @@ func orderedScanKeys(t *testing.T, db *Database, typeName, attr string, ts uint6
 	if !ok {
 		t.Fatalf("IndexOrdered(%s.%s): no index", typeName, attr)
 	}
-	for v, post := range keys {
+	for v, post, ok := keys.Next(); ok; v, post, ok = keys.Next() {
 		vals = append(vals, v)
 		ids = append(ids, post...)
 	}
@@ -66,7 +66,7 @@ func TestIndexOrderedScan(t *testing.T) {
 
 	// Postings for the duplicated key hold both atoms, ID-ascending.
 	keys, _ := db.View(ts).IndexOrdered("item", "rank", KeyRange{}, false)
-	for v, post := range keys {
+	for v, post, ok := keys.Next(); ok; v, post, ok = keys.Next() {
 		if r, _ := v.AsInt(); r == 3 {
 			if len(post) != 2 || post[0] >= post[1] {
 				t.Fatalf("rank 3 posting = %v, want both atoms ID-ascending", post)
@@ -106,7 +106,7 @@ func TestIndexOrderedScan(t *testing.T) {
 	db.Vacuum()
 	found := false
 	keys, _ = db.View(0).IndexOrdered("item", "rank", KeyRange{}, false)
-	for v := range keys {
+	for v, _, ok := keys.Next(); ok; v, _, ok = keys.Next() {
 		if r, _ := v.AsInt(); r == 9 {
 			found = true
 		}
@@ -173,7 +173,7 @@ func TestIndexWalkRange(t *testing.T) {
 		if !ok {
 			t.Fatal("no index on item.k")
 		}
-		for v := range keys {
+		for v, _, ok := keys.Next(); ok; v, _, ok = keys.Next() {
 			vals = append(vals, v)
 		}
 		return vals, db.Stats().Snapshot().Sub(before).IndexKeysVisited
@@ -208,12 +208,10 @@ func TestIndexWalkRange(t *testing.T) {
 	if vals, _ := walk(KeyRange{}, false); len(vals) != 4097 || !vals[0].IsNull() {
 		t.Fatalf("unbounded walk: %d keys starting at %v, want 4097 starting at null", len(vals), vals[0])
 	}
-	// Stopping the consumer stops the walk.
+	// The walk visits a key only when it is pulled.
 	keys, _ := db.View(0).IndexOrdered("item", "k", KeyRange{}, true)
 	before := db.Stats().Snapshot()
-	for range keys {
-		break
-	}
+	keys.Next()
 	if visited := db.Stats().Snapshot().Sub(before).IndexKeysVisited; visited != 1 {
 		t.Fatalf("a walk stopped at its first key visited %d keys", visited)
 	}
@@ -300,7 +298,7 @@ func TestIndexWalkBesideWrites(t *testing.T) {
 				desc := i%3 == 0
 				keys, _ := snap.IndexOrdered("item", "k", r, desc)
 				seen, prev := 0, int64(0)
-				for v, ids := range keys {
+				for v, ids, ok := keys.Next(); ok; v, ids, ok = keys.Next() {
 					k, _ := v.AsInt()
 					if seen > 0 && (desc && k >= prev || !desc && k <= prev) {
 						t.Errorf("walk out of order: %d after %d (desc=%v)", k, prev, desc)

@@ -39,14 +39,12 @@ type Stats struct {
 type WorkTally struct {
 	AtomsFetched   int64
 	LinksTraversed int64
-	KeysVisited    int64
 }
 
 // Add merges o into t.
 func (t *WorkTally) Add(o WorkTally) {
 	t.AtomsFetched += o.AtomsFetched
 	t.LinksTraversed += o.LinksTraversed
-	t.KeysVisited += o.KeysVisited
 }
 
 // FlushTo adds the tally into the shared counters and resets it.
@@ -56,9 +54,6 @@ func (t *WorkTally) FlushTo(s *Stats) {
 	}
 	if t.LinksTraversed != 0 {
 		s.LinksTraversed.Add(t.LinksTraversed)
-	}
-	if t.KeysVisited != 0 {
-		s.IndexKeysVisited.Add(t.KeysVisited)
 	}
 	*t = WorkTally{}
 }

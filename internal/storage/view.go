@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"iter"
 	"slices"
 	"sync/atomic"
 
@@ -178,20 +177,16 @@ func (v View) IndexLookup(typeName, attr string, val model.Value) ([]model.AtomI
 	return ix.lookup(val, v.at(&v.db.latestTS)), true
 }
 
-// IndexOrdered returns the walk of the index over typeName.attr inside r
-// in attribute-value order (see Index.walk), giving the query planner its
-// sort-free ORDER BY access path and its range walks; ok=false when no
-// index can answer. The walk is pulled: it reads the index only as it is
-// iterated, stops with its consumer, and then folds the keys it visited
-// into the database's statistics.
-func (v View) IndexOrdered(typeName, attr string, r KeyRange, desc bool) (iter.Seq2[model.Value, []model.AtomID], bool) {
+// IndexOrdered returns the pulled walk of the index over typeName.attr
+// inside r in attribute-value order (see IndexWalk), giving the query
+// planner its sort-free ORDER BY access path and its range walks;
+// ok=false when no index can answer.
+func (v View) IndexOrdered(typeName, attr string, r KeyRange, desc bool) (*IndexWalk, bool) {
 	ix, ok := v.index(typeName, attr)
 	if !ok {
 		return nil, false
 	}
-	return func(yield func(model.Value, []model.AtomID) bool) {
-		var work WorkTally
-		ix.walk(v.at(&v.db.latestTS), r, desc, &work.KeysVisited, yield)
-		work.FlushTo(&v.db.stats)
-	}, true
+	w := &IndexWalk{ix: ix, ts: v.at(&v.db.latestTS), stats: &v.db.stats, order: ix.ordered(), desc: desc}
+	w.lo, w.hi = r.span(w.order)
+	return w, true
 }

@@ -141,22 +141,23 @@ func TakeSnapshot(db *Database) *Snapshot { return db.Snapshot() }
 //
 // # Exec and QueryContext
 //
-// There is one execution pipeline and it streams: molecules come off a
-// bounded channel batch by batch. Session.QueryContext hands that stream
-// to the caller as a Cursor; Session.Exec (and, at plan level,
-// Plan.Execute over Plan.Stream) drains the same stream into a
-// materialized result. Code that wants cancellation, deadlines, result
-// caps or bounded memory uses the streaming surface:
+// There is one execution pipeline and it streams: its consumer pulls
+// molecules batch by batch, the first batches derived on the consumer's
+// own goroutine and the rest by a worker pool that runs a bounded number
+// of batches ahead. Session.QueryContext hands that stream to the caller
+// as a Cursor; Session.Exec (and, at plan level, Plan.Execute over
+// Plan.Stream) drains the same stream into a materialized result. Code
+// that wants cancellation, deadlines, result caps or bounded memory uses
+// the streaming surface:
 //
-//	cur, err := sess.QueryContext(ctx, `SELECT ALL FROM mt_state;`,
-//	    mad.WithWorkers(4), mad.WithLimit(100))
+//	sess.Exec(`SET WORKERS 4;`)
+//	cur, err := sess.QueryContext(ctx, `SELECT ALL FROM mt_state LIMIT 100;`)
 //	defer cur.Close()
 //	for m := range cur.Seq() { ... }   // or cur.Next() in a loop
 //	if err := cur.Err(); err != nil { ... }
 //
-// The same options are available inside MQL itself: `SET WORKERS n;`
-// installs a session default, and a SELECT may carry a trailing
-// `LIMIT n`. Every statement compiles its plan afresh, costed on the
+// `SET WORKERS n;` installs the session's worker-pool default, and a
+// SELECT may carry a trailing `LIMIT n`. Every statement compiles its plan afresh, costed on the
 // indexes and statistics of the moment — compiling reads only counts
 // the storage layer keeps, so it costs the same on any database. A SELECT may also order its stream
 // (`ORDER BY attr [ASC|DESC]` on a root attribute — served off an
@@ -173,12 +174,10 @@ type (
 	// arrive incrementally in deterministic order, with the SELECT
 	// list's projection applied per molecule (see Session.QueryContext).
 	Cursor = mql.Cursor
-	// QueryOption tunes one QueryContext call (WithWorkers, WithLimit).
-	QueryOption = mql.QueryOption
-	// Stream is a plan's incremental result cursor: the fused parallel
-	// executor feeds it through a bounded channel, so first results
-	// arrive before the batch materializes and cancelling its context
-	// stops the workers mid-derivation (see Plan.Stream).
+	// Stream is a plan's incremental result cursor: each Next pulls
+	// from the fused parallel executor, so first results arrive before
+	// the batch materializes and cancelling its context stops the
+	// workers mid-derivation (see Plan.Stream).
 	Stream = plan.Stream
 	// Engine is the two-layer PRIMA-style engine with per-layer work
 	// accounting.
@@ -206,16 +205,6 @@ const (
 	KFloat  = model.KFloat
 	KString = model.KString
 	KID     = model.KID
-)
-
-// Per-query execution options for Session.QueryContext.
-var (
-	// WithWorkers bounds the worker pool of one query (0 = all cores,
-	// 1 = sequential).
-	WithWorkers = mql.WithWorkers
-	// WithLimit caps the molecules delivered; the in-flight derivation
-	// is cancelled once the cap is reached.
-	WithLimit = mql.WithLimit
 )
 
 // NewDatabase returns an empty MAD database.

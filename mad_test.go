@@ -311,9 +311,9 @@ func TestFacadeStatsAndPlanCache(t *testing.T) {
 }
 
 // TestFacadeStreamingQuery drives the streaming surface end to end
-// through the facade: QueryContext with per-query options, the Cursor's
-// incremental delivery, the Seq adapter, MQL's SET/LIMIT syntax, and
-// Plan.Stream with a context.
+// through the facade: QueryContext under MQL's SET/LIMIT syntax, the
+// Cursor's incremental delivery, the Seq adapter, and Plan.Stream with a
+// context.
 func TestFacadeStreamingQuery(t *testing.T) {
 	db, sess := buildLibrary(t)
 
@@ -321,8 +321,10 @@ func TestFacadeStreamingQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := sess.QueryContext(context.Background(), `SELECT ALL FROM author-paper;`,
-		mad.WithWorkers(2), mad.WithLimit(1))
+	if _, err := sess.Exec(`SET WORKERS = 2;`); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := sess.QueryContext(context.Background(), `SELECT ALL FROM author-paper LIMIT 1;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,12 +340,9 @@ func TestFacadeStreamingQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 1 {
-		t.Fatalf("WithLimit(1) delivered %d molecules", n)
+		t.Fatalf("LIMIT 1 delivered %d molecules", n)
 	}
 
-	if _, err := sess.Exec(`SET WORKERS = 2;`); err != nil {
-		t.Fatal(err)
-	}
 	res, err := sess.Exec(`SELECT ALL FROM author-paper LIMIT 1;`)
 	if err != nil {
 		t.Fatal(err)
