@@ -20,6 +20,16 @@ import (
 // links to it. Nodes with a single incoming edge therefore follow plain
 // hierarchical-join semantics; nodes with several incoming edges take the
 // intersection of their parents' partner sets.
+//
+// There is one derivation loop, the executor DeriveStream starts: a
+// planned query runs it with prune hooks, a filter sink and a worker
+// pool; Derive, DeriveRoots, DeriveFor and Walk — behind the algebra
+// operators, prima and the naive reference — run it on the calling
+// goroutine with neither, and only collect what it derives. Every
+// derivation therefore checks its roots against the root type's
+// occurrence, books its work in a per-worker tally that closing the run
+// folds into the database's statistics, and reuses its worker's scratch
+// across roots.
 type Deriver struct {
 	db   *storage.Database
 	desc *Desc
@@ -84,45 +94,33 @@ func (dv *Deriver) At(v storage.View) *Deriver {
 // View reports the view the deriver reads through.
 func (dv *Deriver) View() storage.View { return dv.view }
 
-func (dv *Deriver) rootHas(id model.AtomID) bool { return dv.view.Has(dv.roots, id) }
-
 // partners returns the children of atom a along edge ei, honouring the
-// edge's traversal orientation, and accounts the logical work: into the
-// scratch tally when sc is non-nil (flushed to the shared stats once per
-// batch), directly into the shared atomic counters otherwise.
+// edge's traversal orientation, and accounts the logical work into the
+// worker's scratch tally.
 func (dv *Deriver) partners(ei int, a model.AtomID, sc *deriveScratch) []model.AtomID {
 	out := dv.view.Partners(dv.stores[ei], a, dv.fromA[ei])
-	if sc != nil {
-		sc.work.LinksTraversed += int64(len(out)) + 1
-	} else {
-		dv.db.Stats().LinksTraversed.Add(int64(len(out)) + 1)
-	}
+	sc.work.LinksTraversed += int64(len(out)) + 1
 	return out
 }
 
-// deriveScratch is per-worker scratch for derivation-heavy loops: a free
-// list of recycled molecules (pruned or rejected ones never escape the
-// worker, so their slices and maps are reusable), reusable candidate
-// sets for the per-type intersection, and a local work tally flushed to
-// the shared stats once per batch — the derive hot path then performs no
+// deriveScratch is one executor worker's harness and scratch: its prune
+// hooks laid out per type position and its filter sink, a free list of
+// recycled molecules (pruned or rejected ones never escape the worker,
+// so their slices and maps are reusable), reusable candidate sets for the
+// per-type intersection, and a local work tally flushed to the shared
+// stats when the worker finishes — the derive hot path then performs no
 // atomic operation per atom or link.
 type deriveScratch struct {
-	free []*Molecule
-	cand map[model.AtomID]bool
-	tmp  map[model.AtomID]bool
-	work storage.WorkTally
+	checks preparedChecks
+	keep   func(m *Molecule) bool
+	free   []*Molecule
+	cand   map[model.AtomID]bool
+	tmp    map[model.AtomID]bool
+	work   storage.WorkTally
 	// run is the executor run the scratch serves; the closure loop polls
 	// it per round, so a stopped run does not finish a deep closure it
 	// will never deliver.
 	run *Run
-}
-
-func newDeriveScratch(run *Run) *deriveScratch {
-	return &deriveScratch{
-		cand: make(map[model.AtomID]bool),
-		tmp:  make(map[model.AtomID]bool),
-		run:  run,
-	}
 }
 
 // take returns a molecule for the root, recycling a retired one when
@@ -140,9 +138,6 @@ func (sc *deriveScratch) take(d *Desc, root model.AtomID) *Molecule {
 // recycle retires a molecule that never left the worker.
 func (sc *deriveScratch) recycle(m *Molecule) { sc.free = append(sc.free, m) }
 
-// flush folds the scratch tally into the shared statistics.
-func (sc *deriveScratch) flush(db *storage.Database) { sc.work.FlushTo(db.Stats()) }
-
 // PruneCheck is a derivation-time pushdown hook: once the component set
 // of the atom type at position Pos is complete (derivation fills types in
 // topological order, so completion is well defined), Qualifies decides
@@ -157,20 +152,20 @@ type PruneCheck struct {
 	Qualifies func(atoms []model.AtomID) bool
 }
 
-// PreparedChecks is the per-position layout of prune hooks, computed
-// once and reused across every root of a derivation.
-type PreparedChecks []func([]model.AtomID) bool
+// preparedChecks is a worker's prune hooks laid out per type position,
+// computed once and reused across every root the worker derives.
+type preparedChecks []func([]model.AtomID) bool
 
-// PrepareChecks lays the hooks out per type position for O(1) access
+// prepareChecks lays the hooks out per type position for O(1) access
 // during derivation. Several checks on the same position conjoin: each
 // keeps its own aggregation over the completed component set (two
 // existential conjuncts on one type are NOT one existential conjunct
 // over their AND).
-func (dv *Deriver) PrepareChecks(checks []PruneCheck) PreparedChecks {
+func (dv *Deriver) prepareChecks(checks []PruneCheck) preparedChecks {
 	if len(checks) == 0 {
 		return nil
 	}
-	out := make(PreparedChecks, dv.desc.NumTypes())
+	out := make(preparedChecks, dv.desc.NumTypes())
 	for _, c := range checks {
 		if c.Pos < 0 || c.Pos >= len(out) {
 			continue
@@ -187,49 +182,22 @@ func (dv *Deriver) PrepareChecks(checks []PruneCheck) PreparedChecks {
 	return out
 }
 
-// DeriveFor synthesizes the single molecule rooted at the given atom,
-// which must belong to the root type's occurrence.
-func (dv *Deriver) DeriveFor(root model.AtomID) (*Molecule, error) {
-	if !dv.rootHas(root) {
-		return nil, dv.errNotRoot(root)
-	}
-	return dv.derive(root), nil
-}
-
 func (dv *Deriver) errNotRoot(root model.AtomID) error {
 	return fmt.Errorf("core: atom %v is not in root type %q", root, dv.desc.Root())
 }
 
-// derive runs the template over the atom network below one root atom.
-func (dv *Deriver) derive(root model.AtomID) *Molecule {
-	return dv.deriveScratched(root, nil, nil)
-}
-
-// deriveScratched runs the template below one root atom, aborting as
-// soon as a prune hook disqualifies the molecule (it returns nil then).
-// With sc non-nil, pruned molecules are recycled, the candidate sets are
-// reused across types and roots, and the logical-work accounting stays in
-// the scratch tally instead of hitting the shared atomic counters per
-// atom. A nil sc reproduces the plain allocation behaviour.
-func (dv *Deriver) deriveScratched(root model.AtomID, byPos PreparedChecks, sc *deriveScratch) *Molecule {
+// deriveScratched runs the template below one root atom on a worker:
+// pruned molecules are recycled, the candidate sets are reused across
+// types and roots, and the logical work stays in the scratch tally. It
+// aborts as soon as one of the worker's prune hooks disqualifies the
+// molecule, and returns nil then.
+func (dv *Deriver) deriveScratched(root model.AtomID, sc *deriveScratch) *Molecule {
 	d := dv.desc
-	var m *Molecule
-	if sc != nil {
-		m = sc.take(d, root)
-	} else {
-		m = newMolecule(d, root)
-	}
+	m := sc.take(d, root)
 	rootPos, _ := d.Pos(d.Root())
 	m.addAtom(rootPos, root)
-	if sc != nil {
-		sc.work.AtomsFetched++
-	} else {
-		dv.db.Stats().AtomsFetched.Add(1)
-	}
-	if byPos != nil && byPos[rootPos] != nil && !byPos[rootPos](m.atoms[rootPos]) {
-		if sc != nil {
-			sc.recycle(m)
-		}
+	sc.work.AtomsFetched++
+	if !sc.qualifies(rootPos, m) {
 		return nil
 	}
 	if cl := d.Closure(); cl != nil {
@@ -245,28 +213,21 @@ func (dv *Deriver) deriveScratched(root model.AtomID, byPos PreparedChecks, sc *
 
 		// Candidate component atoms: the intersection over all incoming
 		// directed link types of the parents' partner sets (contained).
-		var cand map[model.AtomID]bool
+		cand := sc.cand
 		for k, ei := range inc {
 			e := d.Edge(ei)
 			fromPos, _ := d.Pos(e.From)
-			var s map[model.AtomID]bool
-			switch {
-			case sc != nil && k == 0:
-				clear(sc.cand)
-				s = sc.cand
-			case sc != nil:
-				clear(sc.tmp)
-				s = sc.tmp
-			default:
-				s = make(map[model.AtomID]bool)
+			s := sc.tmp
+			if k == 0 {
+				s = cand
 			}
+			clear(s)
 			for _, pa := range m.atoms[fromPos] {
 				for _, p := range dv.partners(ei, pa, sc) {
 					s[p] = true
 				}
 			}
 			if k == 0 {
-				cand = s
 				continue
 			}
 			for id := range cand {
@@ -292,19 +253,22 @@ func (dv *Deriver) deriveScratched(root model.AtomID, byPos PreparedChecks, sc *
 				}
 			}
 		}
-		if sc != nil {
-			sc.work.AtomsFetched += int64(len(m.atoms[pos]))
-		} else {
-			dv.db.Stats().AtomsFetched.Add(int64(len(m.atoms[pos])))
-		}
-		if byPos != nil && byPos[pos] != nil && !byPos[pos](m.atoms[pos]) {
-			if sc != nil {
-				sc.recycle(m)
-			}
+		sc.work.AtomsFetched += int64(len(m.atoms[pos]))
+		if !sc.qualifies(pos, m) {
 			return nil
 		}
 	}
 	return m
+}
+
+// qualifies runs the worker's prune hook for the completed component set
+// at pos, recycling the molecule when the hook disqualifies it.
+func (sc *deriveScratch) qualifies(pos int, m *Molecule) bool {
+	if sc.checks == nil || sc.checks[pos] == nil || sc.checks[pos](m.atoms[pos]) {
+		return true
+	}
+	sc.recycle(m)
+	return false
 }
 
 // closeOver completes the molecule of a closure description: starting
@@ -318,7 +282,7 @@ func (dv *Deriver) deriveScratched(root model.AtomID, byPos PreparedChecks, sc *
 func (dv *Deriver) closeOver(m *Molecule, depth int, sc *deriveScratch) *Molecule {
 	m.levels = append(m.levels, 1)
 	for lo, round := 0, 1; lo < len(m.atoms[0]) && (depth == 0 || round <= depth); round++ {
-		if sc != nil && sc.run.stopped() {
+		if sc.run.stopped() {
 			sc.recycle(m)
 			return nil
 		}
@@ -335,11 +299,7 @@ func (dv *Deriver) closeOver(m *Molecule, depth int, sc *deriveScratch) *Molecul
 		lo = hi
 	}
 	// The root was accounted when it entered the molecule.
-	if fetched := int64(len(m.atoms[0]) - 1); sc != nil {
-		sc.work.AtomsFetched += fetched
-	} else {
-		dv.db.Stats().AtomsFetched.Add(fetched)
-	}
+	sc.work.AtomsFetched += int64(len(m.atoms[0]) - 1)
 	return m
 }
 
@@ -347,37 +307,66 @@ func (dv *Deriver) closeOver(m *Molecule, depth int, sc *deriveScratch) *Molecul
 // order — the full root batch of a scan-based derivation.
 func (dv *Deriver) RootIDs() []model.AtomID { return dv.view.IDs(dv.roots) }
 
-// Derive materializes the full molecule-type occurrence: one molecule per
-// atom of the root type, in the root container's insertion order.
-func (dv *Deriver) Derive() MoleculeSet {
-	roots := dv.RootIDs()
-	out := make(MoleculeSet, len(roots))
-	for i, r := range roots {
-		out[i] = dv.derive(r)
+// walkRoots derives the molecules of roots on the executor — batches of
+// size roots, derived on the calling goroutine with no hooks and no
+// filter sink — and hands them to fn in root order until it returns
+// false. A root outside the root type's occurrence fails its batch, so
+// fn sees nothing of it.
+func (dv *Deriver) walkRoots(roots []model.AtomID, size int, fn func(*Molecule) bool) error {
+	run := dv.DeriveStream(nil, RootSlice(roots), 1, size, func(int) FusedWorker { return FusedWorker{} })
+	defer run.Close()
+	for {
+		batch, err := run.Next()
+		if err != nil || len(batch) == 0 {
+			return err
+		}
+		for _, m := range batch {
+			if !fn(m) {
+				return nil
+			}
+		}
 	}
+}
+
+// Derive materializes the full molecule-type occurrence: one molecule per
+// atom of the root type, in the root container's insertion order. On the
+// latest view, a root deleted by a commit after RootIDs read it fails the
+// derivation, which then returns no molecule; attach a snapshot with At
+// for a stable occurrence.
+func (dv *Deriver) Derive() MoleculeSet {
+	out, _ := dv.DeriveRoots(dv.RootIDs())
 	return out
 }
 
 // DeriveRoots materializes the molecules for the given root atoms only —
-// the entry point for index-assisted restriction pushdown.
+// the entry point for index-assisted restriction pushdown. Every root
+// must belong to the root type's occurrence.
 func (dv *Deriver) DeriveRoots(roots []model.AtomID) (MoleculeSet, error) {
 	out := make(MoleculeSet, 0, len(roots))
-	for _, r := range roots {
-		m, err := dv.DeriveFor(r)
-		if err != nil {
-			return nil, err
-		}
+	err := dv.walkRoots(roots, len(roots), func(m *Molecule) bool {
 		out = append(out, m)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Walk streams molecules one root at a time without materializing the
-// whole occurrence; fn returning false stops the walk.
-func (dv *Deriver) Walk(fn func(*Molecule) bool) {
-	for _, r := range dv.RootIDs() {
-		if !fn(dv.derive(r)) {
-			return
-		}
+// DeriveFor synthesizes the single molecule rooted at the given atom,
+// which must belong to the root type's occurrence.
+func (dv *Deriver) DeriveFor(root model.AtomID) (*Molecule, error) {
+	set, err := dv.DeriveRoots([]model.AtomID{root})
+	if err != nil {
+		return nil, err
 	}
+	return set[0], nil
+}
+
+// Walk streams molecules one root at a time without materializing the
+// whole occurrence; fn returning false stops the walk, and nothing past
+// that molecule is derived. On the latest view, a root deleted by a
+// commit after the walk started ends it there.
+func (dv *Deriver) Walk(fn func(*Molecule) bool) {
+	dv.walkRoots(dv.RootIDs(), 1, fn)
 }

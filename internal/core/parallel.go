@@ -13,14 +13,15 @@ import (
 // FusedWorker is one worker's harness for a derive+filter batch.
 // Checks are the worker-private prune hooks — their Qualifies closures
 // may keep worker-local accumulators (cut counts) without any
-// synchronization, because exactly one worker runs them. Keep is the
+// synchronization, because exactly one worker runs them; the run lays
+// them out per type position once, when it sets the worker up. Keep is the
 // filter sink, run on the worker goroutine immediately after a molecule
 // survives every hook: returning false drops the molecule from the
 // result (it is recycled into the worker's scratch, so rejected
 // molecules never cross a goroutine boundary and cost no allocation on
 // the next derivation).
 type FusedWorker struct {
-	Checks PreparedChecks
+	Checks []PruneCheck
 	Keep   func(m *Molecule) bool
 }
 
@@ -94,8 +95,21 @@ func (dv *Deriver) DeriveStream(ctx context.Context, roots Roots, workers, size 
 	if r.size > DefaultStreamBatch {
 		r.buf = make([]model.AtomID, 0, r.size)
 	}
-	r.fw, r.sc = newWorker(0), newDeriveScratch(r)
+	r.sc = r.newScratch(0)
 	return r
+}
+
+// newScratch sets up worker w: its harness from newWorker, its hooks laid
+// out per position, and fresh scratch.
+func (r *Run) newScratch(w int) deriveScratch {
+	fw := r.newWorker(w)
+	return deriveScratch{
+		checks: r.dv.prepareChecks(fw.Checks),
+		keep:   fw.Keep,
+		cand:   make(map[model.AtomID]bool),
+		tmp:    make(map[model.AtomID]bool),
+		run:    r,
+	}
 }
 
 // Run is one DeriveStream execution. It is not safe for concurrent use.
@@ -114,12 +128,11 @@ type Run struct {
 	// drained is set once the roots are exhausted.
 	drained bool
 
-	// fw and sc are harness 0, which derives the inline batches; their
-	// roots are pulled into buf, which reuses first.
+	// sc is worker 0, which derives the inline batches; their roots are
+	// pulled into buf, which reuses first.
 	buf   []model.AtomID
 	first [DefaultStreamBatch]model.AtomID
-	fw    FusedWorker
-	sc    *deriveScratch
+	sc    deriveScratch
 
 	// The pool, once the run is past its first batch (piped): work feeds
 	// the workers, queue holds the in-flight batches in dispatch order,
@@ -163,7 +176,7 @@ func (r *Run) Next() (MoleculeSet, error) {
 			if r.piped {
 				r.fill()
 			}
-			batch, err = r.derive(r.fw, r.sc, roots)
+			batch, err = r.derive(&r.sc, roots)
 			r.piped = r.workers > 1
 		} else {
 			s := r.queue[0]
@@ -202,12 +215,12 @@ func (r *Run) fill() {
 			return
 		}
 		if w := len(r.tallies); w < r.workers {
-			fw, sc := r.newWorker(w+1), newDeriveScratch(r)
+			sc := r.newScratch(w + 1)
 			// tallies never outgrows its capacity, so each worker keeps
 			// a stable pointer to its own entry.
 			r.tallies = append(r.tallies, storage.WorkTally{})
 			r.wg.Add(1)
-			go r.serve(fw, sc, &r.tallies[w])
+			go r.serve(&sc, &r.tallies[w])
 		}
 		s := &fusedSlot{roots: roots, out: make(chan MoleculeSet, 1)}
 		r.work <- s
@@ -217,10 +230,10 @@ func (r *Run) fill() {
 
 // serve is a pool worker's loop: it derives dispatched batches until the
 // run is closed or its context cancelled, then records its work in tally.
-func (r *Run) serve(fw FusedWorker, sc *deriveScratch, tally *storage.WorkTally) {
+func (r *Run) serve(sc *deriveScratch, tally *storage.WorkTally) {
 	defer func() {
 		*tally = sc.work
-		sc.flush(r.dv.db)
+		sc.work.FlushTo(r.dv.db.Stats())
 		r.wg.Done()
 	}()
 	for {
@@ -230,7 +243,7 @@ func (r *Run) serve(fw FusedWorker, sc *deriveScratch, tally *storage.WorkTally)
 				return
 			}
 			var batch MoleculeSet
-			batch, s.err = r.derive(fw, sc, s.roots)
+			batch, s.err = r.derive(sc, s.roots)
 			s.out <- batch
 		case <-r.done:
 			return
@@ -241,20 +254,20 @@ func (r *Run) serve(fw FusedWorker, sc *deriveScratch, tally *storage.WorkTally)
 // derive checks roots against the root type, derives their molecules
 // under a worker's hooks and sink, and compacts the survivors in root
 // order. A stopped run returns what it had.
-func (r *Run) derive(fw FusedWorker, sc *deriveScratch, roots []model.AtomID) (MoleculeSet, error) {
+func (r *Run) derive(sc *deriveScratch, roots []model.AtomID) (MoleculeSet, error) {
 	batch := make(MoleculeSet, 0, len(roots))
 	for _, id := range roots {
 		if r.stopped() {
 			break
 		}
-		if !r.dv.rootHas(id) {
+		if !r.dv.view.Has(r.dv.roots, id) {
 			return nil, r.dv.errNotRoot(id)
 		}
-		m := r.dv.deriveScratched(id, fw.Checks, sc)
+		m := r.dv.deriveScratched(id, sc)
 		if m == nil {
 			continue
 		}
-		if fw.Keep != nil && !fw.Keep(m) {
+		if sc.keep != nil && !sc.keep(m) {
 			sc.recycle(m)
 			continue
 		}
@@ -273,7 +286,7 @@ func (r *Run) Close() storage.WorkTally {
 		r.wg.Wait()
 	}
 	work := r.sc.work
-	r.sc.flush(r.dv.db)
+	r.sc.work.FlushTo(r.dv.db.Stats())
 	for _, t := range r.tallies {
 		work.Add(t)
 	}

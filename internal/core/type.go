@@ -52,13 +52,14 @@ func (mt *MoleculeType) DB() *storage.Database { return mt.db }
 // Deriver returns a prepared derivation plan for the type.
 func (mt *MoleculeType) Deriver() (*Deriver, error) { return NewDeriver(mt.db, mt.desc) }
 
-// Derive materializes the occurrence mv = m_dom(md).
+// Derive materializes the occurrence mv = m_dom(md) at the latest
+// commit; a root deleted by a commit while it runs fails it.
 func (mt *MoleculeType) Derive() (MoleculeSet, error) {
 	dv, err := mt.Deriver()
 	if err != nil {
 		return nil, err
 	}
-	return dv.Derive(), nil
+	return dv.DeriveRoots(dv.RootIDs())
 }
 
 // Cardinality returns |mv| without materializing molecules: one molecule

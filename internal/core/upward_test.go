@@ -163,9 +163,9 @@ func TestRecoverRootsDiamondSuperset(t *testing.T) {
 	}
 	// Pruned derivation from the recovered candidate with the seeding
 	// check as hook discards r2 — exactness restored.
-	pc := dv.PrepareChecks([]core.PruneCheck{{Pos: zPos, Qualifies: func(atoms []model.AtomID) bool {
+	pc := []core.PruneCheck{{Pos: zPos, Qualifies: func(atoms []model.AtomID) bool {
 		return slices.Contains(atoms, z2)
-	}}})
+	}}}
 	run := dv.DeriveStream(nil, core.RootSlice([]model.AtomID{r2}), 1, 0,
 		func(int) core.FusedWorker { return core.FusedWorker{Checks: pc} })
 	survivors, err := run.Next()
@@ -243,7 +243,7 @@ func TestDeriveStreamPrunes(t *testing.T) {
 		got, _, _, err := drain(t, dv.DeriveStream(nil, core.RootSlice(dv.RootIDs()), workers, 2,
 			func(int) core.FusedWorker {
 				return core.FusedWorker{
-					Checks: dv.PrepareChecks([]core.PruneCheck{{Pos: statePos, Qualifies: bigState}}),
+					Checks: []core.PruneCheck{{Pos: statePos, Qualifies: bigState}},
 					Keep:   manyEdges,
 				}
 			}), 2)

@@ -54,21 +54,29 @@ func (s *Session) QueryContext(ctx context.Context, src string) (*Cursor, error)
 
 // ExecuteStream is QueryContext over an already-parsed statement — the
 // entry point for callers that manage their own parsing (the TCP server
-// runs each statement of a request script through it).
+// runs each statement of a request script through it). A SELECT and the
+// EXECUTE of a prepared one stream; every other statement carries its
+// immediate Result.
 func (s *Session) ExecuteStream(ctx context.Context, st Stmt) (*Cursor, error) {
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		r, err := s.Execute(st)
+	switch st := st.(type) {
+	case *SelectStmt:
+		mt, err := s.resolveFrom(st.From)
 		if err != nil {
 			return nil, err
 		}
-		return &Cursor{db: s.db, res: r}, nil
+		return s.selectCursor(ctx, st, mt.Desc())
+	case *ExecuteStmt:
+		sel, desc, err := s.bind(st)
+		if err != nil {
+			return nil, err
+		}
+		return s.selectCursor(ctx, sel, desc)
 	}
-	mt, err := s.resolveFrom(sel.From)
+	r, err := s.Execute(st)
 	if err != nil {
 		return nil, err
 	}
-	return s.selectCursor(ctx, sel, mt.Desc())
+	return &Cursor{db: s.db, res: r}, nil
 }
 
 // selectCursor runs one SELECT over desc through the planner and returns
@@ -118,7 +126,7 @@ func (s *Session) selectCursor(ctx context.Context, sel *SelectStmt, desc *core.
 }
 
 // Streaming reports whether the cursor delivers molecules incrementally
-// (a planned SELECT) or carries an immediate Result.
+// (a planned SELECT or EXECUTE) or carries an immediate Result.
 func (c *Cursor) Streaming() bool { return c.stream != nil }
 
 // Desc returns the description of the delivered molecules (after

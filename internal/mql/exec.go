@@ -200,7 +200,7 @@ func (s *Session) ExecScript(src string) ([]*Result, error) {
 // Execute runs one parsed statement.
 func (s *Session) Execute(st Stmt) (*Result, error) {
 	switch st := st.(type) {
-	case *SelectStmt:
+	case *SelectStmt, *ExecuteStmt:
 		return s.execSelect(st)
 	case *DefineStmt:
 		return s.write(func() (*Result, error) { return s.execDefine(st) })
@@ -252,8 +252,6 @@ func (s *Session) Execute(st Stmt) (*Result, error) {
 		return s.execSet(st)
 	case *PrepareStmt:
 		return s.execPrepare(st)
-	case *ExecuteStmt:
-		return s.execExecute(st)
 	case *BeginStmt:
 		return s.execBegin()
 	case *CommitStmt:
@@ -505,15 +503,16 @@ func orderBy(st *SelectStmt, desc *core.Desc) (*plan.OrderBy, error) {
 	return &plan.OrderBy{Attr: st.OrderBy.Attr, Desc: st.OrderBy.Desc}, nil
 }
 
-// execSelect runs a query-mode SELECT through the planner: access path
-// (root index, filtered root scan, or an interior-index entry climbed
-// upward through the symmetric links), derivation with predicate
-// pushdown over the worker pool, residual restriction, projection —
-// without enlarging the database. It is the collect-all form of
-// ExecuteStream, so the materialized surfaces (Execute, ExecScript)
-// and the streaming Cursor run exactly one pipeline. The algebra-mode
-// equivalent (with propagation) is DEFINE MOLECULE TYPE ... AS SELECT.
-func (s *Session) execSelect(st *SelectStmt) (*Result, error) {
+// execSelect runs a query-mode SELECT — or the EXECUTE of a prepared
+// one — through the planner: access path (root index, filtered root
+// scan, or an interior-index entry climbed upward through the symmetric
+// links), derivation with predicate pushdown over the worker pool,
+// residual restriction, projection — without enlarging the database. It
+// is the collect-all form of ExecuteStream, so the materialized surfaces
+// (Execute, ExecScript) and the streaming Cursor run exactly one
+// pipeline. The algebra-mode equivalent (with propagation) is DEFINE
+// MOLECULE TYPE ... AS SELECT.
+func (s *Session) execSelect(st Stmt) (*Result, error) {
 	cur, err := s.ExecuteStream(context.Background(), st)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package mql
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
@@ -40,28 +39,23 @@ func (s *Session) execPrepare(st *PrepareStmt) (*Result, error) {
 		"statement %q prepared (%d parameter(s))", st.Name, ps.nparams)}, nil
 }
 
-// execExecute binds the EXECUTE literals into the prepared statement's
-// placeholders and runs the SELECT, compiled like any other on the
-// statistics of the moment.
-func (s *Session) execExecute(st *ExecuteStmt) (*Result, error) {
+// bind resolves an EXECUTE: the prepared SELECT with the EXECUTE literals
+// bound into its placeholders, and its structure. ExecuteStream runs the
+// result like any other SELECT, compiled on the statistics of the moment.
+func (s *Session) bind(st *ExecuteStmt) (*SelectStmt, *core.Desc, error) {
 	ps, ok := s.prepared[st.Name]
 	if !ok {
-		return nil, fmt.Errorf("mql: no prepared statement %q", st.Name)
+		return nil, nil, fmt.Errorf("mql: no prepared statement %q", st.Name)
 	}
 	if len(st.Args) != ps.nparams {
-		return nil, fmt.Errorf("mql: statement %q takes %d parameter(s), got %d",
+		return nil, nil, fmt.Errorf("mql: statement %q takes %d parameter(s), got %d",
 			st.Name, ps.nparams, len(st.Args))
 	}
 	bound := *ps.sel
 	if ps.sel.Where != nil {
 		bound.Where = bindParams(ps.sel.Where, st.Args)
 	}
-	cur, err := s.selectCursor(context.Background(), &bound, ps.desc)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	return cur.Result()
+	return &bound, ps.desc, nil
 }
 
 // countParams returns how many distinct placeholder ordinals pred binds

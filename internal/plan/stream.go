@@ -166,7 +166,7 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 		size = min(size, p.Limit)
 	}
 	st.run = dv.DeriveStream(ctx, roots, p.Workers, size, func(int) core.FusedWorker {
-		return st.worker(dv, filter, preds)
+		return st.worker(filter, preds)
 	})
 	return st, nil
 }
@@ -257,7 +257,7 @@ func (h *topkHeap) Pop() any {
 // worker sets up one worker harness: the root filter, the top-K bound
 // prune and the pushdowns as prune hooks, the residual chain as its
 // sink, all counting into a workerState of its own.
-func (st *Stream) worker(dv *core.Deriver, filter func(model.AtomID) bool, preds []func(model.AtomID) bool) core.FusedWorker {
+func (st *Stream) worker(filter func(model.AtomID) bool, preds []func(model.AtomID) bool) core.FusedWorker {
 	p, eb := st.p, st.eb
 	ws := &workerState{
 		cuts:   make([]int64, len(p.Pushdowns)),
@@ -338,7 +338,7 @@ func (st *Stream) worker(dv *core.Deriver, filter func(model.AtomID) bool, preds
 		}
 		return true
 	}
-	return core.FusedWorker{Checks: dv.PrepareChecks(checks), Keep: keep}
+	return core.FusedWorker{Checks: checks, Keep: keep}
 }
 
 // Next returns the next qualifying molecule. A nil molecule with a nil

@@ -51,15 +51,15 @@ func collectStream(t *testing.T, st *plan.Stream) core.MoleculeSet {
 	return got
 }
 
-// TestStreamCancelStopsWorkers: cancelling the stream's context makes
-// Next report the cancellation and releases every goroutine the stream
-// spawned (the -race run of this test is the leak check the acceptance
-// criteria ask for).
+// TestStreamCancelStopsWorkers: cancelling the stream's context while its
+// worker pool is live makes Next report the cancellation and releases
+// every goroutine the stream spawned (the -race run of this test is the
+// leak check).
 func TestStreamCancelStopsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	// ≥ 4 executor batches: with the stream's hand-off channel bounded at
-	// 2 batches, the producer cannot run to completion while the consumer
-	// has taken only one molecule — cancellation always lands mid-flight.
+	// 400 roots are 7 executor batches: the first derives inline, and
+	// serving the second starts the pool on the batches behind it, so the
+	// cancellation below lands on live workers with batches in flight.
 	db, mt := streamWorkload(t, 400)
 	p, err := plan.Compile(db, mt.Desc(), nil)
 	if err != nil {
@@ -71,8 +71,14 @@ func TestStreamCancelStopsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, err := st.Next(); err != nil || m == nil {
-		t.Fatalf("first molecule: %v, %v", m, err)
+	// The first molecule of the second batch.
+	for i := 0; i <= core.DefaultStreamBatch; i++ {
+		if m, err := st.Next(); err != nil || m == nil {
+			t.Fatalf("molecule %d: %v, %v", i+1, m, err)
+		}
+	}
+	if runtime.NumGoroutine() <= before {
+		t.Fatal("no pool worker running after the second batch was served")
 	}
 	cancel()
 	for {

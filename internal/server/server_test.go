@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	"mad/internal/geo"
 	"mad/internal/model"
+	"mad/internal/mql"
 	"mad/internal/server"
 	"mad/internal/storage"
 )
@@ -369,6 +371,43 @@ func TestServerStreamsChunks(t *testing.T) {
 	}
 	if got := out.String(); !strings.Contains(got, "-- molecule 64") || !strings.Contains(got, "64 molecule(s)") {
 		t.Fatalf("reassembled result incomplete:\n%.300s", got)
+	}
+}
+
+// TestServerStreamsExecute: the EXECUTE of a prepared SELECT streams
+// like the SELECT it binds — a result larger than the chunk size arrives
+// in several CHUNK frames, molecules first and the summary line last —
+// and carries exactly the molecules of that SELECT.
+func TestServerStreamsExecute(t *testing.T) {
+	db := storage.NewDatabase()
+	srv, addr := startServer(t, db)
+	var load strings.Builder
+	load.WriteString("CREATE ATOM TYPE parts (name STRING NOT NULL, weight FLOAT);\n")
+	for i := range 60 {
+		fmt.Fprintf(&load, "INSERT INTO parts VALUES ('p%d', %d.5);\n", i, i)
+	}
+	if _, err := mql.NewSession(db).ExecScript(load.String()); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetChunkSize(256)
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	br := bufio.NewReader(raw)
+	rawExec(t, raw, br, "PREPARE heavy AS SELECT ALL FROM parts WHERE weight > ?;")
+	frames := rawExec(t, raw, br, "EXECUTE heavy (10.0);")
+	if chunks := len(frames) - 1; chunks < 2 {
+		t.Fatalf("EXECUTE sent %d CHUNK frame(s), want at least 2", chunks)
+	}
+	got := string(bytes.Join(frames, nil))
+	summary := strings.Index(got, "50 molecule(s)")
+	if summary < 0 || summary < strings.LastIndex(got, "-- molecule") {
+		t.Fatalf("summary missing or not last:\n%.300s", got)
+	}
+	if want := string(bytes.Join(rawExec(t, raw, br, "SELECT ALL FROM parts WHERE weight > 10.0;"), nil)); got != want {
+		t.Fatalf("EXECUTE differs from its SELECT\n--- got ---\n%.300s\n--- want ---\n%.300s", got, want)
 	}
 }
 

@@ -8,7 +8,8 @@
 #
 # Usage: scripts/loc.sh [dir]   (default: the repository root)
 set -eu
-cd "${1:-$(dirname "$0")/..}"
+scripts=$(cd "$(dirname "$0")" && pwd)
+cd "${1:-$scripts/..}"
 
 # count <test|code> <dir>...: code lines of the matching .go files.
 count() {
@@ -40,8 +41,10 @@ printf '%-20s %9d %9d\n' "repo (no benchmark/)" "$(count code .)" "$(count test 
 printf '%-20s %9s %9d\n' "  _test.go, raw lines" "" \
 	"$(find . -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)"
 
-# Exported identifiers: top-level declarations, methods and struct fields.
+# Exported identifiers: top-level declarations, the methods and struct
+# fields of exported types (scripts/exports.go, run inside this script's
+# module so that dir may be any checkout).
 for pkg in storage core plan mql; do
-	n=$(go doc -all "./internal/$pkg" | grep -cE '^(func|type|var|const) |^    [A-Z][A-Za-z0-9_]* ' || true)
+	n=$(cd "$scripts" && go run exports.go "$OLDPWD/internal/$pkg")
 	printf 'exported identifiers  internal/%-7s %d\n' "$pkg" "$n"
 done
