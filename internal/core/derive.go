@@ -104,39 +104,23 @@ func (dv *Deriver) partners(ei int, a model.AtomID, sc *deriveScratch) []model.A
 }
 
 // deriveScratch is one executor worker's harness and scratch: its prune
-// hooks laid out per type position and its filter sink, a free list of
-// recycled molecules (pruned or rejected ones never escape the worker,
-// so their slices and maps are reusable), reusable candidate sets for the
-// per-type intersection, and a local work tally flushed to the shared
-// stats when the worker finishes — the derive hot path then performs no
-// atomic operation per atom or link.
+// hooks laid out per type position and its filter sink, the builder the
+// worker lays each molecule out in — taken from the pool of builders for
+// the run, its dedup sets emptied per type and its buffers reused across
+// roots, so a molecule that a hook or the sink rejects costs nothing, and
+// a kept one is copied, at exact size, into its batch's slabs — and a
+// local work tally flushed to the shared stats when the worker finishes,
+// so the derive hot path performs no atomic operation per atom or link.
 type deriveScratch struct {
 	checks preparedChecks
 	keep   func(m *Molecule) bool
-	free   []*Molecule
-	cand   map[model.AtomID]bool
-	tmp    map[model.AtomID]bool
-	work   storage.WorkTally
+	*builder
+	work storage.WorkTally
 	// run is the executor run the scratch serves; the closure loop polls
 	// it per round, so a stopped run does not finish a deep closure it
 	// will never deliver.
 	run *Run
 }
-
-// take returns a molecule for the root, recycling a retired one when
-// available.
-func (sc *deriveScratch) take(d *Desc, root model.AtomID) *Molecule {
-	if n := len(sc.free); n > 0 {
-		m := sc.free[n-1]
-		sc.free = sc.free[:n-1]
-		m.reset(d, root)
-		return m
-	}
-	return newMolecule(d, root)
-}
-
-// recycle retires a molecule that never left the worker.
-func (sc *deriveScratch) recycle(m *Molecule) { sc.free = append(sc.free, m) }
 
 // PruneCheck is a derivation-time pushdown hook: once the component set
 // of the atom type at position Pos is complete (derivation fills types in
@@ -186,74 +170,61 @@ func (dv *Deriver) errNotRoot(root model.AtomID) error {
 	return fmt.Errorf("core: atom %v is not in root type %q", root, dv.desc.Root())
 }
 
-// deriveScratched runs the template below one root atom on a worker:
-// pruned molecules are recycled, the candidate sets are reused across
-// types and roots, and the logical work stays in the scratch tally. It
-// aborts as soon as one of the worker's prune hooks disqualifies the
-// molecule, and returns nil then.
+// deriveScratched runs the template below one root atom in the worker's
+// builder, leaving the logical work in the scratch tally. It aborts as
+// soon as one of the worker's prune hooks disqualifies the molecule, and
+// returns nil then; the molecule it returns is the builder's, valid until
+// the next root.
 func (dv *Deriver) deriveScratched(root model.AtomID, sc *deriveScratch) *Molecule {
 	d := dv.desc
-	m := sc.take(d, root)
-	rootPos, _ := d.Pos(d.Root())
-	m.addAtom(rootPos, root)
+	m := sc.start(d, root)
 	sc.work.AtomsFetched++
-	if !sc.qualifies(rootPos, m) {
+	if !sc.qualifies(d.pos[d.root], m) {
 		return nil
 	}
 	if cl := d.Closure(); cl != nil {
 		return dv.closeOver(m, cl.Depth, sc)
 	}
 
-	for _, t := range d.topo {
-		if t == d.Root() {
-			continue
-		}
-		pos, _ := d.Pos(t)
-		inc := d.Incoming(t)
+	for _, t := range d.topo[1:] {
+		pos, inc := d.pos[t], d.incoming[t]
 
 		// Candidate component atoms: the intersection over all incoming
 		// directed link types of the parents' partner sets (contained).
-		cand := sc.cand
 		for k, ei := range inc {
-			e := d.Edge(ei)
-			fromPos, _ := d.Pos(e.From)
-			s := sc.tmp
-			if k == 0 {
-				s = cand
-			}
-			clear(s)
-			for _, pa := range m.atoms[fromPos] {
+			sc.tmp.clear()
+			for _, pa := range m.AtomsAt(d.pos[d.edges[ei].From]) {
 				for _, p := range dv.partners(ei, pa, sc) {
-					s[p] = true
+					if k == 0 || sc.cand.has(p) {
+						sc.tmp.add(p)
+					}
 				}
 			}
-			if k == 0 {
-				continue
-			}
-			for id := range cand {
-				if !s[id] {
-					delete(cand, id)
-				}
-			}
+			sc.cand, sc.tmp = sc.tmp, sc.cand
 		}
 
 		// Record atoms in deterministic first-reached order and all
 		// component links between contained parents and contained children
 		// (g is maximal for the atoms selected).
+		lo := len(m.atoms)
+		sc.seen.clear()
 		for _, ei := range inc {
-			e := d.Edge(ei)
-			fromPos, _ := d.Pos(e.From)
-			for _, pa := range m.atoms[fromPos] {
+			at := len(m.links)
+			for _, pa := range m.AtomsAt(d.pos[d.edges[ei].From]) {
 				for _, p := range dv.partners(ei, pa, sc) {
-					if !cand[p] {
+					if !sc.cand.has(p) {
 						continue
 					}
-					m.addAtom(pos, p)
-					m.addLink(ei, model.Link{A: pa, B: p})
+					if sc.seen.add(p) {
+						m.atoms = append(m.atoms, p)
+					}
+					m.links = append(m.links, model.Link{A: pa, B: p})
 				}
 			}
+			m.setSpan(len(d.types)+ei, at, len(m.links))
 		}
-		sc.work.AtomsFetched += int64(len(m.atoms[pos]))
+		m.setSpan(pos, lo, len(m.atoms))
+		sc.work.AtomsFetched += int64(len(m.atoms) - lo)
 		if !sc.qualifies(pos, m) {
 			return nil
 		}
@@ -262,44 +233,45 @@ func (dv *Deriver) deriveScratched(root model.AtomID, sc *deriveScratch) *Molecu
 }
 
 // qualifies runs the worker's prune hook for the completed component set
-// at pos, recycling the molecule when the hook disqualifies it.
+// at pos.
 func (sc *deriveScratch) qualifies(pos int, m *Molecule) bool {
-	if sc.checks == nil || sc.checks[pos] == nil || sc.checks[pos](m.atoms[pos]) {
-		return true
-	}
-	sc.recycle(m)
-	return false
+	return sc.checks == nil || sc.checks[pos] == nil || sc.checks[pos](m.AtomsAt(pos))
 }
 
 // closeOver completes the molecule of a closure description: starting
 // from the root already in m, the one reflexive edge is followed to a
 // fixpoint by semi-naive iteration — the frontier of round r is exactly
-// the atoms first reached in round r−1. The molecule's membership set
-// breaks cycles; a link into an already-reached atom is still recorded,
-// so diamonds and back-edges appear in the molecule; a positive depth
-// bounds the rounds. It returns nil (recycling m) when the executor's
-// stop flag interrupts it between rounds.
+// the atoms first reached in round r−1. The scratch's seen set breaks
+// cycles; a link into an already-reached atom is still recorded, so
+// diamonds and back-edges appear in the molecule; a positive depth bounds
+// the rounds. It returns nil when the executor's stop flag interrupts it
+// between rounds.
 func (dv *Deriver) closeOver(m *Molecule, depth int, sc *deriveScratch) *Molecule {
+	sc.seen.clear()
+	sc.seen.add(m.root)
 	m.levels = append(m.levels, 1)
-	for lo, round := 0, 1; lo < len(m.atoms[0]) && (depth == 0 || round <= depth); round++ {
+	for lo, round := 0, 1; lo < len(m.atoms) && (depth == 0 || round <= depth); round++ {
 		if sc.run.stopped() {
-			sc.recycle(m)
 			return nil
 		}
-		hi := len(m.atoms[0])
-		for _, a := range m.atoms[0][lo:hi] {
+		hi := len(m.atoms)
+		for _, a := range m.atoms[lo:hi] {
 			for _, q := range dv.partners(0, a, sc) {
-				m.addLink(0, model.Link{A: a, B: q})
-				m.addAtom(0, q)
+				m.links = append(m.links, model.Link{A: a, B: q})
+				if sc.seen.add(q) {
+					m.atoms = append(m.atoms, q)
+				}
 			}
 		}
-		if len(m.atoms[0]) > hi {
-			m.levels = append(m.levels, len(m.atoms[0]))
+		if len(m.atoms) > hi {
+			m.levels = append(m.levels, int32(len(m.atoms)))
 		}
 		lo = hi
 	}
+	m.setSpan(0, 0, len(m.atoms))
+	m.setSpan(1, 0, len(m.links))
 	// The root was accounted when it entered the molecule.
-	sc.work.AtomsFetched += int64(len(m.atoms[0]) - 1)
+	sc.work.AtomsFetched += int64(len(m.atoms) - 1)
 	return m
 }
 

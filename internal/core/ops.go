@@ -224,6 +224,7 @@ func Combine(op rune, mt1, mt2 *MoleculeType, left, right func() (*Molecule, err
 		return nil, err
 	}
 	keys := make(map[string]bool) // Ω: seen so far; Δ, Ψ: right's identities
+	var key []byte
 	for op != 'Ω' {
 		m, err := right()
 		if err != nil {
@@ -233,7 +234,8 @@ func Combine(op rune, mt1, mt2 *MoleculeType, left, right func() (*Molecule, err
 			right = nil
 			break
 		}
-		keys[m.Key()] = true
+		key = m.AppendKey(key[:0])
+		keys[string(key)] = true
 	}
 	return func() (*Molecule, error) {
 		for {
@@ -245,9 +247,9 @@ func Combine(op rune, mt1, mt2 *MoleculeType, left, right func() (*Molecule, err
 				left, right = right, nil
 				continue
 			}
-			if k := m.Key(); keys[k] == (op == 'Ψ') {
+			if key = m.AppendKey(key[:0]); keys[string(key)] == (op == 'Ψ') {
 				if op == 'Ω' {
-					keys[k] = true
+					keys[string(key)] = true
 				}
 				return m, nil
 			}

@@ -16,10 +16,11 @@ import (
 // synchronization, because exactly one worker runs them; the run lays
 // them out per type position once, when it sets the worker up. Keep is the
 // filter sink, run on the worker goroutine immediately after a molecule
-// survives every hook: returning false drops the molecule from the
-// result (it is recycled into the worker's scratch, so rejected
-// molecules never cross a goroutine boundary and cost no allocation on
-// the next derivation).
+// survives every hook, while the molecule still lies in the worker's
+// builder: returning false drops it from the result (the next root
+// overwrites it, so rejected molecules never cross a goroutine boundary
+// and cost no allocation), and Keep must not retain it — the molecule
+// delivered is its copy in the batch's slabs.
 type FusedWorker struct {
 	Checks []PruneCheck
 	Keep   func(m *Molecule) bool
@@ -100,16 +101,10 @@ func (dv *Deriver) DeriveStream(ctx context.Context, roots Roots, workers, size 
 }
 
 // newScratch sets up worker w: its harness from newWorker, its hooks laid
-// out per position, and fresh scratch.
+// out per position, and a builder from the pool.
 func (r *Run) newScratch(w int) deriveScratch {
 	fw := r.newWorker(w)
-	return deriveScratch{
-		checks: r.dv.prepareChecks(fw.Checks),
-		keep:   fw.Keep,
-		cand:   make(map[model.AtomID]bool),
-		tmp:    make(map[model.AtomID]bool),
-		run:    r,
-	}
+	return deriveScratch{checks: r.dv.prepareChecks(fw.Checks), keep: fw.Keep, builder: builders.Get().(*builder), run: r}
 }
 
 // Run is one DeriveStream execution. It is not safe for concurrent use.
@@ -234,6 +229,7 @@ func (r *Run) serve(sc *deriveScratch, tally *storage.WorkTally) {
 	defer func() {
 		*tally = sc.work
 		sc.work.FlushTo(r.dv.db.Stats())
+		builders.Put(sc.builder)
 		r.wg.Done()
 	}()
 	for {
@@ -252,28 +248,23 @@ func (r *Run) serve(sc *deriveScratch, tally *storage.WorkTally) {
 }
 
 // derive checks roots against the root type, derives their molecules
-// under a worker's hooks and sink, and compacts the survivors in root
-// order. A stopped run returns what it had.
+// under a worker's hooks and sink, and carves the survivors, in root
+// order, into the batch's slabs. A stopped run returns what it had.
 func (r *Run) derive(sc *deriveScratch, roots []model.AtomID) (MoleculeSet, error) {
-	batch := make(MoleculeSet, 0, len(roots))
 	for _, id := range roots {
 		if r.stopped() {
 			break
 		}
 		if !r.dv.view.Has(r.dv.roots, id) {
+			sc.reset()
 			return nil, r.dv.errNotRoot(id)
 		}
 		m := r.dv.deriveScratched(id, sc)
-		if m == nil {
-			continue
+		if m != nil && (sc.keep == nil || sc.keep(m)) {
+			sc.commit()
 		}
-		if sc.keep != nil && !sc.keep(m) {
-			sc.recycle(m)
-			continue
-		}
-		batch = append(batch, m)
 	}
-	return batch, nil
+	return sc.carve(), nil
 }
 
 // Close halts the run, joins its pool and returns its derivation work —
@@ -287,6 +278,10 @@ func (r *Run) Close() storage.WorkTally {
 	}
 	work := r.sc.work
 	r.sc.work.FlushTo(r.dv.db.Stats())
+	if r.sc.builder != nil { // a second Close must not pool it twice
+		builders.Put(r.sc.builder)
+		r.sc.builder = nil
+	}
 	for _, t := range r.tallies {
 		work.Add(t)
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "mad/internal/model"
+import (
+	"slices"
+
+	"mad/internal/model"
+)
 
 // PruneTo builds the sub-molecule induced by a sub-description: sub must
 // use a subset of m's types and edges (same root), and the result contains
@@ -11,67 +15,53 @@ import "mad/internal/model"
 // algebraic Π (re-derivation over the propagated result set), which
 // remains the normative semantics.
 func (m *Molecule) PruneTo(sub *Desc) *Molecule {
-	out := newMolecule(sub, m.root)
-	rootPos, _ := sub.Pos(sub.Root())
-	out.addAtom(rootPos, m.root)
-
-	// Map each sub edge to the original edge index in m's description.
-	edgeMap := make([]int, sub.NumEdges())
-	for i, e := range sub.Edges() {
-		edgeMap[i] = -1
-		for j, oe := range m.desc.Edges() {
-			if oe == e {
-				edgeMap[i] = j
-				break
-			}
+	b := builders.Get().(*builder)
+	defer builders.Put(b)
+	// seen holds the contained parents of the edge at hand; tmp, free
+	// once the candidates are in cand, dedups the type's atoms.
+	par, dup := &b.seen, &b.tmp
+	out := b.start(sub, m.root)
+	// edge returns m's links instantiating sub's edge ei, with par
+	// holding the edge's contained parents.
+	edge := func(ei int) (ls []model.Link) {
+		if oe := slices.Index(m.desc.edges, sub.edges[ei]); oe >= 0 {
+			ls = m.LinksAt(oe)
 		}
+		par.clear()
+		for _, id := range out.AtomsAt(sub.pos[sub.edges[ei].From]) {
+			par.add(id)
+		}
+		return ls
 	}
-
-	for _, t := range sub.Topo() {
-		if t == sub.Root() {
-			continue
-		}
-		pos, _ := sub.Pos(t)
-		inc := sub.Incoming(t)
-
-		var cand map[model.AtomID]bool
+	for _, t := range sub.topo[1:] {
+		pos, inc := sub.pos[t], sub.incoming[t]
 		for k, ei := range inc {
-			oe := edgeMap[ei]
-			if oe < 0 {
-				continue
-			}
-			e := sub.Edge(ei)
-			fromPos, _ := sub.Pos(e.From)
-			s := make(map[model.AtomID]bool)
-			for _, l := range m.links[oe] {
-				if out.member[fromPos][l.A] {
-					s[l.B] = true
+			ls := edge(ei)
+			b.tmp.clear()
+			for _, l := range ls {
+				if par.has(l.A) && (k == 0 || b.cand.has(l.B)) {
+					b.tmp.add(l.B)
 				}
 			}
-			if k == 0 {
-				cand = s
-				continue
-			}
-			for id := range cand {
-				if !s[id] {
-					delete(cand, id)
-				}
-			}
+			b.cand, b.tmp = b.tmp, b.cand
 		}
+		lo := len(out.atoms)
+		dup.clear()
 		for _, ei := range inc {
-			oe := edgeMap[ei]
-			if oe < 0 {
-				continue
-			}
-			e := sub.Edge(ei)
-			fromPos, _ := sub.Pos(e.From)
-			for _, l := range m.links[oe] {
-				if out.member[fromPos][l.A] && cand[l.B] {
-					out.addAtom(pos, l.B)
-					out.addLink(ei, l)
+			ls := edge(ei)
+			at := len(out.links)
+			for _, l := range ls {
+				if par.has(l.A) && b.cand.has(l.B) {
+					if dup.add(l.B) {
+						out.atoms = append(out.atoms, l.B)
+					}
+					out.links = append(out.links, l)
 				}
 			}
+			out.setSpan(len(sub.types)+ei, at, len(out.links))
 		}
+		out.setSpan(pos, lo, len(out.atoms))
 	}
-	return out
+	b.commit()
+	return b.carve()[0]
 }

@@ -56,16 +56,17 @@ func (r *Renderer) Append(dst []byte, i int, m *Molecule) []byte {
 	dst = append(dst, ")\n"...)
 	r.resolve(m)
 	t := &r.types[m.desc.pos[m.desc.root]]
-	for depth, level := range m.Levels() {
+	lo := int32(0)
+	for depth, hi := range m.levels {
 		dst = append(strconv.AppendInt(append(dst, "level "...), int64(depth), 10), ':')
-		for _, id := range level {
+		for _, id := range m.atoms[lo:hi] {
 			v := model.ID(id) // an atom the view lacks renders as its id
 			if a, ok := r.atom(t, id); ok {
 				v = a.Get(0)
 			}
 			dst = v.Append(append(dst, ' '))
 		}
-		dst = append(dst, '\n')
+		dst, lo = append(dst, '\n'), hi
 	}
 	return dst
 }
@@ -104,7 +105,7 @@ func (r *Renderer) appendAtom(dst []byte, m *Molecule, pos int, id model.AtomID,
 	r.printed[id] = true
 	dst = append(dst, '\n')
 	for _, e := range t.out {
-		for _, l := range m.links[e] {
+		for _, l := range m.LinksAt(e) {
 			if l.A == id {
 				dst = r.appendAtom(dst, m, m.desc.pos[m.desc.edges[e].To], l.B, depth+1)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mad/internal/model"
 	"mad/internal/storage"
@@ -46,10 +47,10 @@ func VerifyMolecule(db *storage.Database, m *Molecule) error {
 		fromPos, _ := d.Pos(e.From)
 		toPos, _ := d.Pos(e.To)
 		for _, l := range m.LinksAt(ei) {
-			if !m.member[fromPos][l.A] {
+			if !slices.Contains(m.AtomsAt(fromPos), l.A) {
 				return fmt.Errorf("verify: link %v: parent not contained under %q", l, e.From)
 			}
-			if !m.member[toPos][l.B] {
+			if !slices.Contains(m.AtomsAt(toPos), l.B) {
 				return fmt.Errorf("verify: link %v: child not contained under %q", l, e.To)
 			}
 			var stored bool
@@ -105,7 +106,7 @@ func verifyTotal(db *storage.Database, m *Molecule) error {
 				violation = err
 				return false
 			}
-			isMember := m.member[pos][a.ID]
+			isMember := slices.Contains(m.AtomsAt(pos), a.ID)
 			if in && !isMember {
 				violation = fmt.Errorf("verify: not total: atom %v of %q is contained but missing", a.ID, t)
 				return false

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -37,7 +38,7 @@ func RunQ1(w io.Writer, _ int) error {
 	}
 	equal := len(res.Set) == len(want)
 	for i := 0; equal && i < len(want); i++ {
-		equal = res.Set[i].Key() == want[i].Key()
+		equal = bytes.Equal(res.Set[i].AppendKey(nil), want[i].AppendKey(nil))
 	}
 	fmt.Fprintf(w, "MQL result: %d molecules; algebra result: %d molecules; equal: %v\n\n",
 		len(res.Set), len(want), equal)

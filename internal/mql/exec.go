@@ -812,8 +812,9 @@ func (s *Session) matchAtoms(typeName string, pred expr.Expr) ([]model.Atom, err
 	// DML predicates match the effective view — begin snapshot plus the
 	// transaction's own buffered writes — so a statement can target atoms
 	// the transaction just inserted.
+	view := s.txn.View()
 	scanned := int64(0)
-	s.txn.View().Scan(c, func(a model.Atom) bool {
+	match := func(a model.Atom) bool {
 		scanned++
 		keep, err := expr.EvalPredicate(pred, expr.AtomBinding{TypeName: typeName, Desc: c.Desc(), Atom: a})
 		if err != nil {
@@ -824,10 +825,45 @@ func (s *Session) matchAtoms(typeName string, pred expr.Expr) ([]model.Atom, err
 			out = append(out, a)
 		}
 		return true
-	})
-	// Work accounting: a DML scan counts as atom fetches.
+	}
+	if ids, ok := indexedEq(view, typeName, pred); ok {
+		// The index names every atom an attr = literal conjunct can
+		// match, ascending — the scan's order; the whole predicate
+		// still judges each.
+		for _, id := range ids {
+			if a, ok := view.Atom(c, id); ok && !match(a) {
+				break
+			}
+		}
+	} else {
+		view.Scan(c, match)
+	}
+	// Work accounting: every atom judged counts as an atom fetch.
 	s.db.Stats().AtomsFetched.Add(scanned)
 	return out, evalErr
+}
+
+// indexedEq answers a top-level attr = literal conjunct of pred from an
+// index through v. ok is false when no such conjunct has one — always
+// so for a view carrying buffered writes, which postings do not hold.
+func indexedEq(v storage.View, typeName string, pred expr.Expr) (ids []model.AtomID, ok bool) {
+	switch e := pred.(type) {
+	case expr.And:
+		if ids, ok = indexedEq(v, typeName, e.L); !ok {
+			ids, ok = indexedEq(v, typeName, e.R)
+		}
+	case expr.Cmp:
+		a, aok := e.L.(expr.Attr)
+		lit, lok := e.R.(expr.Const)
+		if !aok || !lok {
+			a, aok = e.R.(expr.Attr)
+			lit, lok = e.L.(expr.Const)
+		}
+		if e.Op == expr.EQ && aok && lok && (a.Type == "" || a.Type == typeName) {
+			ids, ok = v.IndexLookup(typeName, a.Name, lit.V)
+		}
+	}
+	return ids, ok
 }
 
 func (s *Session) execUpdate(st *UpdateStmt) (*Result, error) {

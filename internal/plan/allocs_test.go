@@ -58,7 +58,8 @@ func lookupDB(t *testing.T) (*storage.Database, *core.Desc) {
 // and an ORDER BY … LIMIT 8 riding an index. Selective statements are
 // most of a serving workload, so a change to how roots reach the
 // derivation workers must not cost them allocations; the bounds are the
-// counts measured with the stream's consumer driving the executor.
+// counts measured with the stream's consumer driving the executor and
+// each batch's molecules carved from shared slabs.
 func TestIndexLookupStreamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -79,9 +80,9 @@ func TestIndexLookupStreamAllocs(t *testing.T) {
 		want  int
 		bound float64
 	}{
-		{"root-index", lookup(intCmp(expr.EQ, "root", "code", 17)), plan.IndexScan, 1, 33},
-		{"interior-climb", lookup(intCmp(expr.EQ, "part", "code", 17)), plan.InteriorIndex, 1, 47},
-		{"ORDER BY k DESC LIMIT 8 ride", mustCompile(t, kdb, kmt, nil, &plan.OrderBy{Attr: "k", Desc: true}, 0, 8), plan.OrderedScan, 8, 119},
+		{"root-index", lookup(intCmp(expr.EQ, "root", "code", 17)), plan.IndexScan, 1, 23},
+		{"interior-climb", lookup(intCmp(expr.EQ, "part", "code", 17)), plan.InteriorIndex, 1, 37},
+		{"ORDER BY k DESC LIMIT 8 ride", mustCompile(t, kdb, kmt, nil, &plan.OrderBy{Attr: "k", Desc: true}, 0, 8), plan.OrderedScan, 8, 32},
 	} {
 		p := tc.p
 		if p.Access.Kind != tc.kind {
