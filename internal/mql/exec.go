@@ -2,6 +2,7 @@ package mql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -264,11 +265,21 @@ func (s *Session) Execute(st Stmt) (*Result, error) {
 
 // write runs a write statement inside the session's open transaction,
 // or — in auto-commit mode — inside one it opens and commits itself, so
-// the statement is exactly one commit: a statement that fails part-way
-// leaves nothing behind.
+// the statement is exactly one commit. Either way a statement that fails
+// part-way leaves nothing behind: inside an open transaction its writes
+// are rolled back to the mark taken before it, and the transaction stays
+// open with the earlier statements' writes.
 func (s *Session) write(exec func() (*Result, error)) (*Result, error) {
 	if s.txn != nil {
-		return exec()
+		mark := s.txn.Mark()
+		r, err := exec()
+		if err != nil {
+			if uerr := s.txn.RollbackTo(mark); uerr != nil {
+				return nil, errors.Join(err, uerr)
+			}
+			return nil, fmt.Errorf("%w (statement undone; the transaction stays open)", err)
+		}
+		return r, nil
 	}
 	s.execBegin()
 	defer s.execRollback() // refused once COMMIT has closed the transaction

@@ -21,40 +21,6 @@ func session(t *testing.T) (*mql.Session, *geo.Sample) {
 	return mql.NewSession(s.DB), s
 }
 
-func TestLexer(t *testing.T) {
-	toks, err := mql.LexAll("SELECT ALL FROM mt_state(state-area) WHERE point.name = 'pn'; -- comment")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds []string
-	for _, tk := range toks {
-		kinds = append(kinds, tk.Text)
-	}
-	joined := strings.Join(kinds, " ")
-	if !strings.Contains(joined, "SELECT ALL FROM mt_state ( state - area ) WHERE point . name = pn ;") {
-		t.Fatalf("lexed: %s", joined)
-	}
-}
-
-func TestLexerStringsAndNumbers(t *testing.T) {
-	toks, err := mql.LexAll(`x = 'it''s' y = 3.25 z = "dq"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var strs []string
-	for _, tk := range toks {
-		if tk.Kind == mql.TString {
-			strs = append(strs, tk.Text)
-		}
-	}
-	if len(strs) != 2 || strs[0] != "it's" || strs[1] != "dq" {
-		t.Fatalf("strings = %v", strs)
-	}
-	if _, err := mql.LexAll("'unterminated"); err == nil {
-		t.Fatal("unterminated string must fail")
-	}
-}
-
 func TestParseStructureChain(t *testing.T) {
 	st, err := mql.Parse("SELECT ALL FROM state-area-edge-point")
 	if err != nil {

@@ -9,9 +9,9 @@ import (
 	"mad/internal/model"
 )
 
-// Parser is a recursive-descent parser over the token stream.
-type Parser struct {
-	toks []Token
+// parser is a recursive-descent parser over the token stream.
+type parser struct {
+	toks []token
 	pos  int
 	// params counts the '?' placeholders seen so far; each lexes into a
 	// positional parameter sentinel bound at EXECUTE time.
@@ -33,28 +33,28 @@ const maxDepth = 1000
 // in the attribute name.
 const paramType = "\x00param"
 
-// NewParser parses the given source into a parser ready to emit
+// newParser parses the given source into a parser ready to emit
 // statements.
-func NewParser(src string) (*Parser, error) {
-	toks, err := LexAll(src)
+func newParser(src string) (*parser, error) {
+	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
-	return &Parser{toks: toks}, nil
+	return &parser{toks: toks}, nil
 }
 
 // Parse parses a single statement from source (which must contain exactly
 // one statement, optionally ';'-terminated).
 func Parse(src string) (Stmt, error) {
-	p, err := NewParser(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	s, err := p.Statement()
+	s, err := p.statement()
 	if err != nil {
 		return nil, err
 	}
-	p.accept(TSymbol, ";")
+	p.accept(tSymbol, ";")
 	if !p.atEOF() {
 		return nil, fmt.Errorf("mql: trailing input after statement: %s", p.peek())
 	}
@@ -63,33 +63,33 @@ func Parse(src string) (Stmt, error) {
 
 // ParseScript parses a ';'-separated sequence of statements.
 func ParseScript(src string) ([]Stmt, error) {
-	p, err := NewParser(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
 	var out []Stmt
 	for !p.atEOF() {
-		if p.accept(TSymbol, ";") {
+		if p.accept(tSymbol, ";") {
 			continue
 		}
-		s, err := p.Statement()
+		s, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, s)
-		if !p.accept(TSymbol, ";") && !p.atEOF() {
+		if !p.accept(tSymbol, ";") && !p.atEOF() {
 			return nil, fmt.Errorf("mql: expected ';' between statements, got %s", p.peek())
 		}
 	}
 	return out, nil
 }
 
-func (p *Parser) peek() Token { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *Parser) atEOF() bool { return p.peek().Kind == TEOF }
+func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) atEOF() bool { return p.peek().Kind == tEOF }
 
 // accept consumes the next token when it matches kind and text.
-func (p *Parser) accept(kind TokKind, text string) bool {
+func (p *parser) accept(kind tokKind, text string) bool {
 	t := p.peek()
 	if t.Kind == kind && t.Text == text {
 		p.pos++
@@ -99,7 +99,7 @@ func (p *Parser) accept(kind TokKind, text string) bool {
 }
 
 // expect consumes a token or fails with a location-bearing error.
-func (p *Parser) expect(kind TokKind, text string) error {
+func (p *parser) expect(kind tokKind, text string) error {
 	if p.accept(kind, text) {
 		return nil
 	}
@@ -107,9 +107,9 @@ func (p *Parser) expect(kind TokKind, text string) error {
 }
 
 // ident consumes an identifier.
-func (p *Parser) ident() (string, error) {
+func (p *parser) ident() (string, error) {
 	t := p.peek()
-	if t.Kind != TIdent {
+	if t.Kind != tIdent {
 		return "", fmt.Errorf("mql: expected identifier, got %s at offset %d", t, t.Pos)
 	}
 	p.pos++
@@ -119,13 +119,13 @@ func (p *Parser) ident() (string, error) {
 // hyphenName consumes an identifier possibly containing '-' (atom-type and
 // link-type names like state-area are identifiers in the catalog but
 // lex as IDENT '-' IDENT because '-' separates structure components).
-func (p *Parser) hyphenName() (string, error) {
+func (p *parser) hyphenName() (string, error) {
 	first, err := p.ident()
 	if err != nil {
 		return "", err
 	}
 	name := first
-	for p.peekIs(TSymbol, "-") && p.toks[p.pos+1].Kind == TIdent {
+	for p.peekIs(tSymbol, "-") && p.toks[p.pos+1].Kind == tIdent {
 		p.pos++ // '-'
 		part, _ := p.ident()
 		name += "-" + part
@@ -133,14 +133,14 @@ func (p *Parser) hyphenName() (string, error) {
 	return name, nil
 }
 
-func (p *Parser) peekIs(kind TokKind, text string) bool {
+func (p *parser) peekIs(kind tokKind, text string) bool {
 	t := p.peek()
 	return t.Kind == kind && t.Text == text
 }
 
 // enter opens one nesting level below the token just consumed, failing
 // past maxDepth; the caller closes it with defer p.leave().
-func (p *Parser) enter() error {
+func (p *parser) enter() error {
 	if p.depth == maxDepth {
 		return fmt.Errorf("mql: statement nests deeper than %d levels at offset %d", maxDepth, p.toks[p.pos-1].Pos)
 	}
@@ -148,12 +148,12 @@ func (p *Parser) enter() error {
 	return nil
 }
 
-func (p *Parser) leave() { p.depth-- }
+func (p *parser) leave() { p.depth-- }
 
-// Statement parses one statement.
-func (p *Parser) Statement() (Stmt, error) {
+// statement parses one statement.
+func (p *parser) statement() (Stmt, error) {
 	t := p.peek()
-	if t.Kind != TKeyword {
+	if t.Kind != tKeyword {
 		return nil, fmt.Errorf("mql: expected statement keyword, got %s at offset %d", t, t.Pos)
 	}
 	switch t.Text {
@@ -176,11 +176,11 @@ func (p *Parser) Statement() (Stmt, error) {
 	case "EXPLAIN":
 		p.pos++
 		st := &ExplainStmt{}
-		if p.accept(TSymbol, "(") {
-			if err := p.expect(TKeyword, "ESTIMATE"); err != nil {
+		if p.accept(tSymbol, "(") {
+			if err := p.expect(tKeyword, "ESTIMATE"); err != nil {
 				return nil, err
 			}
-			if err := p.expect(TSymbol, ")"); err != nil {
+			if err := p.expect(tSymbol, ")"); err != nil {
 				return nil, err
 			}
 			st.EstimateOnly = true
@@ -201,15 +201,15 @@ func (p *Parser) Statement() (Stmt, error) {
 		return p.executeStmt()
 	case "BEGIN":
 		p.pos++
-		p.accept(TKeyword, "TRANSACTION")
+		p.accept(tKeyword, "TRANSACTION")
 		return &BeginStmt{}, nil
 	case "COMMIT":
 		p.pos++
-		p.accept(TKeyword, "TRANSACTION")
+		p.accept(tKeyword, "TRANSACTION")
 		return &CommitStmt{}, nil
 	case "ROLLBACK":
 		p.pos++
-		p.accept(TKeyword, "TRANSACTION")
+		p.accept(tKeyword, "TRANSACTION")
 		return &RollbackStmt{}, nil
 	case "CHECKPOINT":
 		p.pos++
@@ -219,12 +219,12 @@ func (p *Parser) Statement() (Stmt, error) {
 }
 
 // analyzeStmt parses ANALYZE [type].
-func (p *Parser) analyzeStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "ANALYZE"); err != nil {
+func (p *parser) analyzeStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "ANALYZE"); err != nil {
 		return nil, err
 	}
 	st := &AnalyzeStmt{}
-	if p.peek().Kind == TIdent {
+	if p.peek().Kind == tIdent {
 		name, err := p.hyphenName()
 		if err != nil {
 			return nil, err
@@ -235,15 +235,15 @@ func (p *Parser) analyzeStmt() (Stmt, error) {
 }
 
 // setStmt parses SET <option> [=] <literal>.
-func (p *Parser) setStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "SET"); err != nil {
+func (p *parser) setStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "SET"); err != nil {
 		return nil, err
 	}
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	p.accept(TSymbol, "=")
+	p.accept(tSymbol, "=")
 	v, err := p.literal()
 	if err != nil {
 		return nil, err
@@ -253,15 +253,15 @@ func (p *Parser) setStmt() (Stmt, error) {
 
 // prepareStmt parses PREPARE name AS SELECT ... — the SELECT's WHERE
 // clause may contain '?' placeholders, bound positionally by EXECUTE.
-func (p *Parser) prepareStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "PREPARE"); err != nil {
+func (p *parser) prepareStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "PREPARE"); err != nil {
 		return nil, err
 	}
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect(TKeyword, "AS"); err != nil {
+	if err := p.expect(tKeyword, "AS"); err != nil {
 		return nil, err
 	}
 	sel, err := p.selectStmt()
@@ -272,8 +272,8 @@ func (p *Parser) prepareStmt() (Stmt, error) {
 }
 
 // executeStmt parses EXECUTE name [( lit, ... )].
-func (p *Parser) executeStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "EXECUTE"); err != nil {
+func (p *parser) executeStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "EXECUTE"); err != nil {
 		return nil, err
 	}
 	name, err := p.ident()
@@ -281,20 +281,20 @@ func (p *Parser) executeStmt() (Stmt, error) {
 		return nil, err
 	}
 	st := &ExecuteStmt{Name: name}
-	if p.accept(TSymbol, "(") {
-		if !p.peekIs(TSymbol, ")") {
+	if p.accept(tSymbol, "(") {
+		if !p.peekIs(tSymbol, ")") {
 			for {
 				v, err := p.literal()
 				if err != nil {
 					return nil, err
 				}
 				st.Args = append(st.Args, v)
-				if !p.accept(TSymbol, ",") {
+				if !p.accept(tSymbol, ",") {
 					break
 				}
 			}
 		}
-		if err := p.expect(TSymbol, ")"); err != nil {
+		if err := p.expect(tSymbol, ")"); err != nil {
 			return nil, err
 		}
 	}
@@ -303,14 +303,14 @@ func (p *Parser) executeStmt() (Stmt, error) {
 
 // selectStmt parses SELECT <ALL|COUNT|list> FROM <from> [WHERE pred]
 // [GROUP BY attr] [ORDER BY attr [ASC|DESC]] [LIMIT n].
-func (p *Parser) selectStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "SELECT"); err != nil {
+func (p *parser) selectStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "SELECT"); err != nil {
 		return nil, err
 	}
 	s := &SelectStmt{}
-	if p.accept(TKeyword, "COUNT") {
+	if p.accept(tKeyword, "COUNT") {
 		s.Count = true
-	} else if p.accept(TKeyword, "ALL") {
+	} else if p.accept(tKeyword, "ALL") {
 		s.All = true
 	} else {
 		for {
@@ -319,12 +319,12 @@ func (p *Parser) selectStmt() (Stmt, error) {
 				return nil, err
 			}
 			s.Items = append(s.Items, item)
-			if !p.accept(TSymbol, ",") {
+			if !p.accept(tSymbol, ",") {
 				break
 			}
 		}
 	}
-	if err := p.expect(TKeyword, "FROM"); err != nil {
+	if err := p.expect(tKeyword, "FROM"); err != nil {
 		return nil, err
 	}
 	from, err := p.fromClause()
@@ -332,15 +332,15 @@ func (p *Parser) selectStmt() (Stmt, error) {
 		return nil, err
 	}
 	s.From = from
-	if p.accept(TKeyword, "WHERE") {
+	if p.accept(tKeyword, "WHERE") {
 		pred, err := p.orExpr()
 		if err != nil {
 			return nil, err
 		}
 		s.Where = pred
 	}
-	if p.accept(TKeyword, "GROUP") {
-		if err := p.expect(TKeyword, "BY"); err != nil {
+	if p.accept(tKeyword, "GROUP") {
+		if err := p.expect(tKeyword, "BY"); err != nil {
 			return nil, err
 		}
 		if !s.Count {
@@ -352,8 +352,8 @@ func (p *Parser) selectStmt() (Stmt, error) {
 		}
 		s.GroupBy = &GroupClause{Type: typ, Attr: attr}
 	}
-	if p.accept(TKeyword, "ORDER") {
-		if err := p.expect(TKeyword, "BY"); err != nil {
+	if p.accept(tKeyword, "ORDER") {
+		if err := p.expect(tKeyword, "BY"); err != nil {
 			return nil, err
 		}
 		if s.Count {
@@ -364,13 +364,13 @@ func (p *Parser) selectStmt() (Stmt, error) {
 			return nil, err
 		}
 		s.OrderBy = &OrderClause{Type: typ, Attr: attr}
-		if p.accept(TKeyword, "DESC") {
+		if p.accept(tKeyword, "DESC") {
 			s.OrderBy.Desc = true
 		} else {
-			p.accept(TKeyword, "ASC")
+			p.accept(tKeyword, "ASC")
 		}
 	}
-	if p.accept(TKeyword, "LIMIT") {
+	if p.accept(tKeyword, "LIMIT") {
 		n, err := p.intLit()
 		if err != nil {
 			return nil, err
@@ -385,12 +385,12 @@ func (p *Parser) selectStmt() (Stmt, error) {
 
 // attrRef parses [type '.'] attr — the optionally type-qualified root
 // attribute of GROUP BY and ORDER BY.
-func (p *Parser) attrRef() (typ, attr string, err error) {
+func (p *parser) attrRef() (typ, attr string, err error) {
 	name, err := p.ident()
 	if err != nil {
 		return "", "", err
 	}
-	if p.accept(TSymbol, ".") {
+	if p.accept(tSymbol, ".") {
 		attr, err := p.ident()
 		if err != nil {
 			return "", "", err
@@ -403,13 +403,13 @@ func (p *Parser) attrRef() (typ, attr string, err error) {
 // projItem parses one SELECT-list entry. Hyphens do not appear here; type
 // names in projections are plain identifiers (projection targets are atom
 // types of the structure).
-func (p *Parser) projItem() (ProjItem, error) {
+func (p *parser) projItem() (ProjItem, error) {
 	name, err := p.ident()
 	if err != nil {
 		return ProjItem{}, err
 	}
 	item := ProjItem{Type: name}
-	if p.accept(TSymbol, ".") {
+	if p.accept(tSymbol, ".") {
 		attr, err := p.ident()
 		if err != nil {
 			return ProjItem{}, err
@@ -417,18 +417,18 @@ func (p *Parser) projItem() (ProjItem, error) {
 		item.Attrs = []string{attr}
 		return item, nil
 	}
-	if p.accept(TSymbol, "(") {
+	if p.accept(tSymbol, "(") {
 		for {
 			attr, err := p.ident()
 			if err != nil {
 				return ProjItem{}, err
 			}
 			item.Attrs = append(item.Attrs, attr)
-			if !p.accept(TSymbol, ",") {
+			if !p.accept(tSymbol, ",") {
 				break
 			}
 		}
-		if err := p.expect(TSymbol, ")"); err != nil {
+		if err := p.expect(tSymbol, ")"); err != nil {
 			return ProjItem{}, err
 		}
 	}
@@ -436,8 +436,8 @@ func (p *Parser) projItem() (ProjItem, error) {
 }
 
 // fromClause parses the FROM item.
-func (p *Parser) fromClause() (FromClause, error) {
-	if p.accept(TKeyword, "RECURSIVE") {
+func (p *parser) fromClause() (FromClause, error) {
+	if p.accept(tKeyword, "RECURSIVE") {
 		rc, err := p.recursiveClause()
 		if err != nil {
 			return FromClause{}, err
@@ -453,12 +453,12 @@ func (p *Parser) fromClause() (FromClause, error) {
 	if err != nil {
 		return FromClause{}, err
 	}
-	if p.accept(TSymbol, "(") {
+	if p.accept(tSymbol, "(") {
 		node, err := p.structure()
 		if err != nil {
 			return FromClause{}, err
 		}
-		if err := p.expect(TSymbol, ")"); err != nil {
+		if err := p.expect(tSymbol, ")"); err != nil {
 			return FromClause{}, err
 		}
 		return FromClause{Name: name, Struct: node}, nil
@@ -478,12 +478,12 @@ func (p *Parser) fromClause() (FromClause, error) {
 }
 
 // recursiveClause parses RECURSIVE <type> VIA <link> [UP|DOWN] [DEPTH n].
-func (p *Parser) recursiveClause() (*RecursiveClause, error) {
+func (p *parser) recursiveClause() (*RecursiveClause, error) {
 	typ, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect(TKeyword, "VIA"); err != nil {
+	if err := p.expect(tKeyword, "VIA"); err != nil {
 		return nil, err
 	}
 	link, err := p.hyphenName()
@@ -491,12 +491,12 @@ func (p *Parser) recursiveClause() (*RecursiveClause, error) {
 		return nil, err
 	}
 	rc := &RecursiveClause{Type: typ, Link: link}
-	if p.accept(TKeyword, "UP") {
+	if p.accept(tKeyword, "UP") {
 		rc.Up = true
 	} else {
-		p.accept(TKeyword, "DOWN")
+		p.accept(tKeyword, "DOWN")
 	}
-	if p.accept(TKeyword, "DEPTH") {
+	if p.accept(tKeyword, "DEPTH") {
 		n, err := p.intLit()
 		if err != nil {
 			return nil, err
@@ -507,7 +507,7 @@ func (p *Parser) recursiveClause() (*RecursiveClause, error) {
 }
 
 // structure parses a chain: node ('-' (ident | '[' link ']' | group))*.
-func (p *Parser) structure() (*StructNode, error) {
+func (p *parser) structure() (*StructNode, error) {
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
@@ -515,18 +515,18 @@ func (p *Parser) structure() (*StructNode, error) {
 	root := &StructNode{Type: name}
 	cur := root
 	pendingLink := ""
-	for p.accept(TSymbol, "-") {
+	for p.accept(tSymbol, "-") {
 		switch {
-		case p.accept(TSymbol, "["):
+		case p.accept(tSymbol, "["):
 			link, err := p.hyphenName()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(TSymbol, "]"); err != nil {
+			if err := p.expect(tSymbol, "]"); err != nil {
 				return nil, err
 			}
 			pendingLink = link
-		case p.peekIs(TSymbol, "("):
+		case p.peekIs(tSymbol, "("):
 			p.pos++ // '('
 			if err := p.enter(); err != nil {
 				return nil, err
@@ -539,14 +539,14 @@ func (p *Parser) structure() (*StructNode, error) {
 				}
 				cur.Children = append(cur.Children, StructEdge{Link: pendingLink, Node: child})
 				pendingLink = ""
-				if !p.accept(TSymbol, ",") {
+				if !p.accept(tSymbol, ",") {
 					break
 				}
 			}
-			if err := p.expect(TSymbol, ")"); err != nil {
+			if err := p.expect(tSymbol, ")"); err != nil {
 				return nil, err
 			}
-			if p.peekIs(TSymbol, "-") {
+			if p.peekIs(tSymbol, "-") {
 				return nil, fmt.Errorf("mql: a chain cannot continue after a branch group (offset %d)", p.peek().Pos)
 			}
 			return root, nil
@@ -568,34 +568,34 @@ func (p *Parser) structure() (*StructNode, error) {
 }
 
 // defineStmt parses DEFINE MOLECULE TYPE name AS SELECT ...
-func (p *Parser) defineStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "DEFINE"); err != nil {
+func (p *parser) defineStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "DEFINE"); err != nil {
 		return nil, err
 	}
-	if err := p.expect(TKeyword, "MOLECULE"); err != nil {
+	if err := p.expect(tKeyword, "MOLECULE"); err != nil {
 		return nil, err
 	}
-	if err := p.expect(TKeyword, "TYPE"); err != nil {
+	if err := p.expect(tKeyword, "TYPE"); err != nil {
 		return nil, err
 	}
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect(TKeyword, "AS"); err != nil {
+	if err := p.expect(tKeyword, "AS"); err != nil {
 		return nil, err
 	}
 	t := p.peek()
-	if t.Kind == TKeyword && (t.Text == "UNION" || t.Text == "DIFFERENCE" || t.Text == "INTERSECT") {
+	if t.Kind == tKeyword && (t.Text == "UNION" || t.Text == "DIFFERENCE" || t.Text == "INTERSECT") {
 		p.pos++
-		if err := p.expect(TKeyword, "OF"); err != nil {
+		if err := p.expect(tKeyword, "OF"); err != nil {
 			return nil, err
 		}
 		left, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(TKeyword, "AND"); err != nil {
+		if err := p.expect(tKeyword, "AND"); err != nil {
 			return nil, err
 		}
 		right, err := p.ident()
@@ -612,20 +612,20 @@ func (p *Parser) defineStmt() (Stmt, error) {
 }
 
 // createStmt parses the CREATE family.
-func (p *Parser) createStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "CREATE"); err != nil {
+func (p *parser) createStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "CREATE"); err != nil {
 		return nil, err
 	}
 	switch {
-	case p.accept(TKeyword, "ATOM"):
-		if err := p.expect(TKeyword, "TYPE"); err != nil {
+	case p.accept(tKeyword, "ATOM"):
+		if err := p.expect(tKeyword, "TYPE"); err != nil {
 			return nil, err
 		}
 		name, err := p.hyphenName()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(TSymbol, "("); err != nil {
+		if err := p.expect(tSymbol, "("); err != nil {
 			return nil, err
 		}
 		var attrs []model.AttrDesc
@@ -635,7 +635,7 @@ func (p *Parser) createStmt() (Stmt, error) {
 				return nil, err
 			}
 			t := p.peek()
-			if t.Kind != TIdent && t.Kind != TKeyword {
+			if t.Kind != tIdent && t.Kind != tKeyword {
 				return nil, fmt.Errorf("mql: expected type name after attribute %q", aname)
 			}
 			p.pos++
@@ -644,38 +644,38 @@ func (p *Parser) createStmt() (Stmt, error) {
 				return nil, fmt.Errorf("mql: unknown attribute type %q", t.Text)
 			}
 			ad := model.AttrDesc{Name: aname, Kind: kind}
-			if p.accept(TKeyword, "NOT") {
-				if err := p.expect(TKeyword, "NULL"); err != nil {
+			if p.accept(tKeyword, "NOT") {
+				if err := p.expect(tKeyword, "NULL"); err != nil {
 					return nil, err
 				}
 				ad.NotNull = true
 			}
 			attrs = append(attrs, ad)
-			if !p.accept(TSymbol, ",") {
+			if !p.accept(tSymbol, ",") {
 				break
 			}
 		}
-		if err := p.expect(TSymbol, ")"); err != nil {
+		if err := p.expect(tSymbol, ")"); err != nil {
 			return nil, err
 		}
 		return &CreateAtomTypeStmt{Name: name, Attrs: attrs}, nil
 
-	case p.accept(TKeyword, "LINK"):
-		if err := p.expect(TKeyword, "TYPE"); err != nil {
+	case p.accept(tKeyword, "LINK"):
+		if err := p.expect(tKeyword, "TYPE"); err != nil {
 			return nil, err
 		}
 		name, err := p.hyphenName()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(TKeyword, "BETWEEN"); err != nil {
+		if err := p.expect(tKeyword, "BETWEEN"); err != nil {
 			return nil, err
 		}
 		a, err := p.hyphenName()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(TKeyword, "AND"); err != nil {
+		if err := p.expect(tKeyword, "AND"); err != nil {
 			return nil, err
 		}
 		b, err := p.hyphenName()
@@ -683,12 +683,12 @@ func (p *Parser) createStmt() (Stmt, error) {
 			return nil, err
 		}
 		desc := model.LinkDesc{SideA: a, SideB: b}
-		if p.accept(TKeyword, "CARD") {
+		if p.accept(tKeyword, "CARD") {
 			ca, err := p.cardinality()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(TSymbol, ","); err != nil {
+			if err := p.expect(tSymbol, ","); err != nil {
 				return nil, err
 			}
 			cb, err := p.cardinality()
@@ -699,22 +699,22 @@ func (p *Parser) createStmt() (Stmt, error) {
 		}
 		return &CreateLinkTypeStmt{Name: name, Desc: desc}, nil
 
-	case p.accept(TKeyword, "INDEX"):
-		if err := p.expect(TKeyword, "ON"); err != nil {
+	case p.accept(tKeyword, "INDEX"):
+		if err := p.expect(tKeyword, "ON"); err != nil {
 			return nil, err
 		}
 		typ, err := p.hyphenName()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(TSymbol, "("); err != nil {
+		if err := p.expect(tSymbol, "("); err != nil {
 			return nil, err
 		}
 		attr, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(TSymbol, ")"); err != nil {
+		if err := p.expect(tSymbol, ")"); err != nil {
 			return nil, err
 		}
 		return &CreateIndexStmt{Type: typ, Attr: attr}, nil
@@ -723,16 +723,16 @@ func (p *Parser) createStmt() (Stmt, error) {
 }
 
 // cardinality parses "n:m" where each side is an integer or 'n'.
-func (p *Parser) cardinality() (model.Cardinality, error) {
+func (p *parser) cardinality() (model.Cardinality, error) {
 	min, err := p.intLit()
 	if err != nil {
 		return model.Cardinality{}, err
 	}
-	if err := p.expect(TSymbol, ":"); err != nil {
+	if err := p.expect(tSymbol, ":"); err != nil {
 		return model.Cardinality{}, err
 	}
 	t := p.peek()
-	if t.Kind == TIdent && strings.EqualFold(t.Text, "n") {
+	if t.Kind == tIdent && strings.EqualFold(t.Text, "n") {
 		p.pos++
 		return model.Cardinality{Min: int(min)}, nil
 	}
@@ -743,9 +743,9 @@ func (p *Parser) cardinality() (model.Cardinality, error) {
 	return model.Cardinality{Min: int(min), Max: int(max)}, nil
 }
 
-func (p *Parser) intLit() (int64, error) {
+func (p *parser) intLit() (int64, error) {
 	t := p.peek()
-	if t.Kind != TNumber {
+	if t.Kind != tNumber {
 		return 0, fmt.Errorf("mql: expected number, got %s", t)
 	}
 	p.pos++
@@ -753,11 +753,11 @@ func (p *Parser) intLit() (int64, error) {
 }
 
 // insertStmt parses INSERT INTO type [(attrs)] VALUES (lits)[, ...].
-func (p *Parser) insertStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "INSERT"); err != nil {
+func (p *parser) insertStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "INSERT"); err != nil {
 		return nil, err
 	}
-	if err := p.expect(TKeyword, "INTO"); err != nil {
+	if err := p.expect(tKeyword, "INTO"); err != nil {
 		return nil, err
 	}
 	typ, err := p.hyphenName()
@@ -765,26 +765,26 @@ func (p *Parser) insertStmt() (Stmt, error) {
 		return nil, err
 	}
 	st := &InsertStmt{Type: typ}
-	if p.accept(TSymbol, "(") {
+	if p.accept(tSymbol, "(") {
 		for {
 			a, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
 			st.Attrs = append(st.Attrs, a)
-			if !p.accept(TSymbol, ",") {
+			if !p.accept(tSymbol, ",") {
 				break
 			}
 		}
-		if err := p.expect(TSymbol, ")"); err != nil {
+		if err := p.expect(tSymbol, ")"); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expect(TKeyword, "VALUES"); err != nil {
+	if err := p.expect(tKeyword, "VALUES"); err != nil {
 		return nil, err
 	}
 	for {
-		if err := p.expect(TSymbol, "("); err != nil {
+		if err := p.expect(tSymbol, "("); err != nil {
 			return nil, err
 		}
 		var row []model.Value
@@ -794,15 +794,15 @@ func (p *Parser) insertStmt() (Stmt, error) {
 				return nil, err
 			}
 			row = append(row, v)
-			if !p.accept(TSymbol, ",") {
+			if !p.accept(tSymbol, ",") {
 				break
 			}
 		}
-		if err := p.expect(TSymbol, ")"); err != nil {
+		if err := p.expect(tSymbol, ")"); err != nil {
 			return nil, err
 		}
 		st.Rows = append(st.Rows, row)
-		if !p.accept(TSymbol, ",") {
+		if !p.accept(tSymbol, ",") {
 			break
 		}
 	}
@@ -810,10 +810,10 @@ func (p *Parser) insertStmt() (Stmt, error) {
 }
 
 // literal parses a value literal.
-func (p *Parser) literal() (model.Value, error) {
+func (p *parser) literal() (model.Value, error) {
 	t := p.peek()
 	switch {
-	case t.Kind == TNumber:
+	case t.Kind == tNumber:
 		p.pos++
 		if strings.Contains(t.Text, ".") {
 			f, err := strconv.ParseFloat(t.Text, 64)
@@ -827,19 +827,19 @@ func (p *Parser) literal() (model.Value, error) {
 			return model.Null(), err
 		}
 		return model.Int(i), nil
-	case t.Kind == TString:
+	case t.Kind == tString:
 		p.pos++
 		return model.Str(t.Text), nil
-	case t.Kind == TKeyword && t.Text == "TRUE":
+	case t.Kind == tKeyword && t.Text == "TRUE":
 		p.pos++
 		return model.Bool(true), nil
-	case t.Kind == TKeyword && t.Text == "FALSE":
+	case t.Kind == tKeyword && t.Text == "FALSE":
 		p.pos++
 		return model.Bool(false), nil
-	case t.Kind == TKeyword && t.Text == "NULL":
+	case t.Kind == tKeyword && t.Text == "NULL":
 		p.pos++
 		return model.Null(), nil
-	case t.Kind == TSymbol && t.Text == "-":
+	case t.Kind == tSymbol && t.Text == "-":
 		p.pos++
 		v, err := p.literal()
 		if err != nil {
@@ -857,15 +857,15 @@ func (p *Parser) literal() (model.Value, error) {
 }
 
 // updateStmt parses UPDATE type SET a = lit [, ...] [WHERE pred].
-func (p *Parser) updateStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "UPDATE"); err != nil {
+func (p *parser) updateStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "UPDATE"); err != nil {
 		return nil, err
 	}
 	typ, err := p.hyphenName()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect(TKeyword, "SET"); err != nil {
+	if err := p.expect(tKeyword, "SET"); err != nil {
 		return nil, err
 	}
 	st := &UpdateStmt{Type: typ, Set: make(map[string]model.Value)}
@@ -874,7 +874,7 @@ func (p *Parser) updateStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(TSymbol, "="); err != nil {
+		if err := p.expect(tSymbol, "="); err != nil {
 			return nil, err
 		}
 		v, err := p.literal()
@@ -883,11 +883,11 @@ func (p *Parser) updateStmt() (Stmt, error) {
 		}
 		st.Set[a] = v
 		st.Order = append(st.Order, a)
-		if !p.accept(TSymbol, ",") {
+		if !p.accept(tSymbol, ",") {
 			break
 		}
 	}
-	if p.accept(TKeyword, "WHERE") {
+	if p.accept(tKeyword, "WHERE") {
 		pred, err := p.orExpr()
 		if err != nil {
 			return nil, err
@@ -898,11 +898,11 @@ func (p *Parser) updateStmt() (Stmt, error) {
 }
 
 // deleteStmt parses DELETE FROM type [WHERE pred].
-func (p *Parser) deleteStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "DELETE"); err != nil {
+func (p *parser) deleteStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "DELETE"); err != nil {
 		return nil, err
 	}
-	if err := p.expect(TKeyword, "FROM"); err != nil {
+	if err := p.expect(tKeyword, "FROM"); err != nil {
 		return nil, err
 	}
 	typ, err := p.hyphenName()
@@ -910,7 +910,7 @@ func (p *Parser) deleteStmt() (Stmt, error) {
 		return nil, err
 	}
 	st := &DeleteStmt{Type: typ}
-	if p.accept(TKeyword, "WHERE") {
+	if p.accept(tKeyword, "WHERE") {
 		pred, err := p.orExpr()
 		if err != nil {
 			return nil, err
@@ -922,11 +922,11 @@ func (p *Parser) deleteStmt() (Stmt, error) {
 
 // connectStmt parses CONNECT a [WHERE p] TO b [WHERE q] VIA link, and the
 // DISCONNECT variant.
-func (p *Parser) connectStmt() (Stmt, error) {
+func (p *parser) connectStmt() (Stmt, error) {
 	remove := false
-	if p.accept(TKeyword, "DISCONNECT") {
+	if p.accept(tKeyword, "DISCONNECT") {
 		remove = true
-	} else if err := p.expect(TKeyword, "CONNECT"); err != nil {
+	} else if err := p.expect(tKeyword, "CONNECT"); err != nil {
 		return nil, err
 	}
 	from, err := p.ident()
@@ -934,14 +934,14 @@ func (p *Parser) connectStmt() (Stmt, error) {
 		return nil, err
 	}
 	st := &ConnectStmt{FromType: from, Remove: remove}
-	if p.accept(TKeyword, "WHERE") {
+	if p.accept(tKeyword, "WHERE") {
 		pred, err := p.orExpr()
 		if err != nil {
 			return nil, err
 		}
 		st.FromWhere = pred
 	}
-	if err := p.expect(TKeyword, "TO"); err != nil {
+	if err := p.expect(tKeyword, "TO"); err != nil {
 		return nil, err
 	}
 	to, err := p.ident()
@@ -949,14 +949,14 @@ func (p *Parser) connectStmt() (Stmt, error) {
 		return nil, err
 	}
 	st.ToType = to
-	if p.accept(TKeyword, "WHERE") {
+	if p.accept(tKeyword, "WHERE") {
 		pred, err := p.orExpr()
 		if err != nil {
 			return nil, err
 		}
 		st.ToWhere = pred
 	}
-	if err := p.expect(TKeyword, "VIA"); err != nil {
+	if err := p.expect(tKeyword, "VIA"); err != nil {
 		return nil, err
 	}
 	link, err := p.hyphenName()
@@ -969,12 +969,12 @@ func (p *Parser) connectStmt() (Stmt, error) {
 
 // showStmt parses SHOW SCHEMA|TYPES|MOLECULE TYPES|INDEXES|STATS|
 // HISTOGRAMS.
-func (p *Parser) showStmt() (Stmt, error) {
-	if err := p.expect(TKeyword, "SHOW"); err != nil {
+func (p *parser) showStmt() (Stmt, error) {
+	if err := p.expect(tKeyword, "SHOW"); err != nil {
 		return nil, err
 	}
 	t := p.peek()
-	if t.Kind != TKeyword {
+	if t.Kind != tKeyword {
 		return nil, fmt.Errorf("mql: expected SHOW target, got %s", t)
 	}
 	p.pos++
@@ -982,7 +982,7 @@ func (p *Parser) showStmt() (Stmt, error) {
 	case "SCHEMA", "TYPES", "INDEXES", "STATS", "HISTOGRAMS":
 		return &ShowStmt{What: t.Text}, nil
 	case "MOLECULE", "MOLECULES":
-		p.accept(TKeyword, "TYPES")
+		p.accept(tKeyword, "TYPES")
 		return &ShowStmt{What: "MOLECULES"}, nil
 	}
 	return nil, fmt.Errorf("mql: unknown SHOW target %s", t)
@@ -991,12 +991,12 @@ func (p *Parser) showStmt() (Stmt, error) {
 // ---- predicate expressions ----
 
 // orExpr := andExpr (OR andExpr)*
-func (p *Parser) orExpr() (expr.Expr, error) {
+func (p *parser) orExpr() (expr.Expr, error) {
 	l, err := p.andExpr()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept(TKeyword, "OR") {
+	for p.accept(tKeyword, "OR") {
 		r, err := p.andExpr()
 		if err != nil {
 			return nil, err
@@ -1007,12 +1007,12 @@ func (p *Parser) orExpr() (expr.Expr, error) {
 }
 
 // andExpr := notExpr (AND notExpr)*
-func (p *Parser) andExpr() (expr.Expr, error) {
+func (p *parser) andExpr() (expr.Expr, error) {
 	l, err := p.notExpr()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept(TKeyword, "AND") {
+	for p.accept(tKeyword, "AND") {
 		r, err := p.notExpr()
 		if err != nil {
 			return nil, err
@@ -1023,8 +1023,8 @@ func (p *Parser) andExpr() (expr.Expr, error) {
 }
 
 // notExpr := NOT notExpr | cmpExpr
-func (p *Parser) notExpr() (expr.Expr, error) {
-	if p.accept(TKeyword, "NOT") {
+func (p *parser) notExpr() (expr.Expr, error) {
+	if p.accept(tKeyword, "NOT") {
 		if err := p.enter(); err != nil {
 			return nil, err
 		}
@@ -1044,13 +1044,13 @@ var cmpOps = map[string]expr.CmpOp{
 }
 
 // cmpExpr := addExpr [cmpOp addExpr]
-func (p *Parser) cmpExpr() (expr.Expr, error) {
+func (p *parser) cmpExpr() (expr.Expr, error) {
 	l, err := p.addExpr()
 	if err != nil {
 		return nil, err
 	}
 	t := p.peek()
-	if t.Kind == TSymbol {
+	if t.Kind == tSymbol {
 		if op, ok := cmpOps[t.Text]; ok {
 			p.pos++
 			r, err := p.addExpr()
@@ -1064,20 +1064,20 @@ func (p *Parser) cmpExpr() (expr.Expr, error) {
 }
 
 // addExpr := mulExpr (('+'|'-') mulExpr)*
-func (p *Parser) addExpr() (expr.Expr, error) {
+func (p *parser) addExpr() (expr.Expr, error) {
 	l, err := p.mulExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		switch {
-		case p.accept(TSymbol, "+"):
+		case p.accept(tSymbol, "+"):
 			r, err := p.mulExpr()
 			if err != nil {
 				return nil, err
 			}
 			l = expr.Arith{Op: expr.Add, L: l, R: r}
-		case p.accept(TSymbol, "-"):
+		case p.accept(tSymbol, "-"):
 			r, err := p.mulExpr()
 			if err != nil {
 				return nil, err
@@ -1090,7 +1090,7 @@ func (p *Parser) addExpr() (expr.Expr, error) {
 }
 
 // mulExpr := unary (('*'|'/'|'%') unary)*
-func (p *Parser) mulExpr() (expr.Expr, error) {
+func (p *parser) mulExpr() (expr.Expr, error) {
 	l, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
@@ -1098,11 +1098,11 @@ func (p *Parser) mulExpr() (expr.Expr, error) {
 	for {
 		var op expr.ArithOp
 		switch {
-		case p.accept(TSymbol, "*"):
+		case p.accept(tSymbol, "*"):
 			op = expr.Mul
-		case p.accept(TSymbol, "/"):
+		case p.accept(tSymbol, "/"):
 			op = expr.Div
-		case p.accept(TSymbol, "%"):
+		case p.accept(tSymbol, "%"):
 			op = expr.Mod
 		default:
 			return l, nil
@@ -1116,8 +1116,8 @@ func (p *Parser) mulExpr() (expr.Expr, error) {
 }
 
 // unaryExpr := primary | '-' unaryExpr
-func (p *Parser) unaryExpr() (expr.Expr, error) {
-	if p.accept(TSymbol, "-") {
+func (p *parser) unaryExpr() (expr.Expr, error) {
+	if p.accept(tSymbol, "-") {
 		if err := p.enter(); err != nil {
 			return nil, err
 		}
@@ -1133,48 +1133,48 @@ func (p *Parser) unaryExpr() (expr.Expr, error) {
 
 // primaryExpr := literal | EXISTS '(' ident ')' | COUNT '(' ident ')' |
 // func '(' args ')' | ref | '(' orExpr ')'
-func (p *Parser) primaryExpr() (expr.Expr, error) {
+func (p *parser) primaryExpr() (expr.Expr, error) {
 	t := p.peek()
 	switch {
-	case t.Kind == TNumber || t.Kind == TString ||
-		(t.Kind == TKeyword && (t.Text == "TRUE" || t.Text == "FALSE" || t.Text == "NULL")):
+	case t.Kind == tNumber || t.Kind == tString ||
+		(t.Kind == tKeyword && (t.Text == "TRUE" || t.Text == "FALSE" || t.Text == "NULL")):
 		v, err := p.literal()
 		if err != nil {
 			return nil, err
 		}
 		return expr.Lit(v), nil
-	case t.Kind == TKeyword && t.Text == "EXISTS":
+	case t.Kind == tKeyword && t.Text == "EXISTS":
 		p.pos++
-		if err := p.expect(TSymbol, "("); err != nil {
+		if err := p.expect(tSymbol, "("); err != nil {
 			return nil, err
 		}
 		typ, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(TSymbol, ")"); err != nil {
+		if err := p.expect(tSymbol, ")"); err != nil {
 			return nil, err
 		}
 		return expr.Exists{Type: typ}, nil
-	case t.Kind == TKeyword && t.Text == "COUNT":
+	case t.Kind == tKeyword && t.Text == "COUNT":
 		p.pos++
-		if err := p.expect(TSymbol, "("); err != nil {
+		if err := p.expect(tSymbol, "("); err != nil {
 			return nil, err
 		}
 		typ, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(TSymbol, ")"); err != nil {
+		if err := p.expect(tSymbol, ")"); err != nil {
 			return nil, err
 		}
 		return expr.CountOf{Type: typ}, nil
-	case t.Kind == TSymbol && t.Text == "?":
+	case t.Kind == tSymbol && t.Text == "?":
 		p.pos++
 		idx := p.params
 		p.params++
 		return expr.Attr{Type: paramType, Name: strconv.Itoa(idx)}, nil
-	case t.Kind == TSymbol && t.Text == "(":
+	case t.Kind == tSymbol && t.Text == "(":
 		p.pos++
 		if err := p.enter(); err != nil {
 			return nil, err
@@ -1184,13 +1184,13 @@ func (p *Parser) primaryExpr() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(TSymbol, ")"); err != nil {
+		if err := p.expect(tSymbol, ")"); err != nil {
 			return nil, err
 		}
 		return e, nil
-	case t.Kind == TIdent:
+	case t.Kind == tIdent:
 		name, _ := p.ident()
-		if p.peekIs(TSymbol, "(") {
+		if p.peekIs(tSymbol, "(") {
 			// function call
 			p.pos++
 			if err := p.enter(); err != nil {
@@ -1198,24 +1198,24 @@ func (p *Parser) primaryExpr() (expr.Expr, error) {
 			}
 			defer p.leave()
 			var args []expr.Expr
-			if !p.peekIs(TSymbol, ")") {
+			if !p.peekIs(tSymbol, ")") {
 				for {
 					a, err := p.orExpr()
 					if err != nil {
 						return nil, err
 					}
 					args = append(args, a)
-					if !p.accept(TSymbol, ",") {
+					if !p.accept(tSymbol, ",") {
 						break
 					}
 				}
 			}
-			if err := p.expect(TSymbol, ")"); err != nil {
+			if err := p.expect(tSymbol, ")"); err != nil {
 				return nil, err
 			}
 			return expr.Func{Name: name, Args: args}, nil
 		}
-		if p.accept(TSymbol, ".") {
+		if p.accept(tSymbol, ".") {
 			attr, err := p.ident()
 			if err != nil {
 				return nil, err

@@ -25,32 +25,32 @@ import (
 	"unicode"
 )
 
-// TokKind enumerates token kinds.
-type TokKind uint8
+// tokKind enumerates token kinds.
+type tokKind uint8
 
 // Token kinds.
 const (
-	TEOF TokKind = iota
-	TIdent
-	TKeyword
-	TNumber
-	TString
-	TSymbol // punctuation and operators
+	tEOF tokKind = iota
+	tIdent
+	tKeyword
+	tNumber
+	tString
+	tSymbol // punctuation and operators
 )
 
-// Token is one lexical unit.
-type Token struct {
-	Kind TokKind
+// token is one lexical unit.
+type token struct {
+	Kind tokKind
 	Text string // raw text; keywords are upper-cased
 	Pos  int    // byte offset, for error messages
 }
 
 // String renders the token for diagnostics.
-func (t Token) String() string {
+func (t token) String() string {
 	switch t.Kind {
-	case TEOF:
+	case tEOF:
 		return "end of input"
-	case TString:
+	case tString:
 		return fmt.Sprintf("string %q", t.Text)
 	default:
 		return fmt.Sprintf("%q", t.Text)
@@ -79,14 +79,14 @@ var keywords = map[string]bool{
 	"CHECKPOINT": true,
 }
 
-// Lexer turns MQL source into tokens.
-type Lexer struct {
+// lexer turns MQL source into tokens.
+type lexer struct {
 	src string
 	pos int
 }
 
-// NewLexer creates a lexer over the source text.
-func NewLexer(src string) *Lexer { return &Lexer{src: src} }
+// newLexer creates a lexer over the source text.
+func newLexer(src string) *lexer { return &lexer{src: src} }
 
 // isIdentStart reports whether r can start an identifier.
 func isIdentStart(r rune) bool {
@@ -100,7 +100,7 @@ func isIdentPart(r rune) bool {
 }
 
 // Next returns the next token.
-func (lx *Lexer) Next() (Token, error) {
+func (lx *lexer) Next() (token, error) {
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		switch {
@@ -115,7 +115,7 @@ func (lx *Lexer) Next() (Token, error) {
 			goto scan
 		}
 	}
-	return Token{Kind: TEOF, Pos: lx.pos}, nil
+	return token{Kind: tEOF, Pos: lx.pos}, nil
 
 scan:
 	start := lx.pos
@@ -127,9 +127,9 @@ scan:
 		}
 		text := lx.src[start:lx.pos]
 		if up := strings.ToUpper(text); keywords[up] {
-			return Token{Kind: TKeyword, Text: up, Pos: start}, nil
+			return token{Kind: tKeyword, Text: up, Pos: start}, nil
 		}
-		return Token{Kind: TIdent, Text: text, Pos: start}, nil
+		return token{Kind: tIdent, Text: text, Pos: start}, nil
 	case c >= '0' && c <= '9':
 		seenDot := false
 		for lx.pos < len(lx.src) {
@@ -144,7 +144,7 @@ scan:
 			}
 			lx.pos++
 		}
-		return Token{Kind: TNumber, Text: lx.src[start:lx.pos], Pos: start}, nil
+		return token{Kind: tNumber, Text: lx.src[start:lx.pos], Pos: start}, nil
 	case c == '\'' || c == '"':
 		quote := byte(c)
 		lx.pos++
@@ -158,12 +158,12 @@ scan:
 					continue
 				}
 				lx.pos++
-				return Token{Kind: TString, Text: b.String(), Pos: start}, nil
+				return token{Kind: tString, Text: b.String(), Pos: start}, nil
 			}
 			b.WriteByte(d)
 			lx.pos++
 		}
-		return Token{}, fmt.Errorf("mql: unterminated string at offset %d", start)
+		return token{}, fmt.Errorf("mql: unterminated string at offset %d", start)
 	default:
 		// Multi-character symbols first.
 		two := ""
@@ -173,28 +173,28 @@ scan:
 		switch two {
 		case "<=", ">=", "<>", "!=":
 			lx.pos += 2
-			return Token{Kind: TSymbol, Text: two, Pos: start}, nil
+			return token{Kind: tSymbol, Text: two, Pos: start}, nil
 		}
 		switch c {
 		case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', ';', '.', '[', ']', ':', '?':
 			lx.pos++
-			return Token{Kind: TSymbol, Text: string(c), Pos: start}, nil
+			return token{Kind: tSymbol, Text: string(c), Pos: start}, nil
 		}
-		return Token{}, fmt.Errorf("mql: unexpected character %q at offset %d", c, start)
+		return token{}, fmt.Errorf("mql: unexpected character %q at offset %d", c, start)
 	}
 }
 
-// LexAll tokenizes the whole source (convenience for the parser).
-func LexAll(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var out []Token
+// lexAll tokenizes the whole source (convenience for the parser).
+func lexAll(src string) ([]token, error) {
+	lx := newLexer(src)
+	var out []token
 	for {
 		t, err := lx.Next()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, t)
-		if t.Kind == TEOF {
+		if t.Kind == tEOF {
 			return out, nil
 		}
 	}

@@ -9,41 +9,24 @@ import (
 	"mad/internal/core"
 	"mad/internal/expr"
 	"mad/internal/model"
+	"mad/internal/storage"
 )
 
-// accessPath is one row of the access-path table: a way of producing the
-// roots that enter derivation. The links of the model are
-// symmetric, so every atom type of the structure is a legal entry point
-// and the rows are peers — compile enumerates every row's candidates and
-// costs them in one contest, and the chosen row then serves execution
-// and EXPLAIN of the plan it was installed in. Rows are stateless:
-// everything a chosen path needs at run time lives in the plan's Access
-// node.
-type accessPath interface {
-	// enumerate adds the row's candidates for the compile to cc.
-	enumerate(cc *contest)
-	// roots returns the pull over the roots, before the root filter,
-	// read at the deriver's pinned timestamp so they agree with the
-	// occurrence view derivation will traverse; it records the access
-	// actuals in p.Access. The ORDER BY ride pulls postings key by key —
-	// the index walk advances only as derivation takes roots and stops
-	// with it; the other rows need their whole set (an ID sort, a climb,
-	// an intersection) and wrap the collected slice.
-	roots(p *Plan, dv *core.Deriver) (core.Roots, error)
-	// explain writes the EXPLAIN access lines.
-	explain(b *strings.Builder, p *Plan)
-}
-
-// accessPaths is the table, in contest order: when costs tie the earlier
-// row wins — the simpler machinery.
-var accessPaths = []accessPath{
-	scan{},
-	rootIndex{},
-	rootIndex{ranged: true},
-	interiorIndex{},
-	interiorIndex{ranged: true},
-	intersect{},
-	scan{ordered: true},
+// accessPaths is the access-path table: one enumerating function per
+// row, each adding its candidates to the contest. The links of the model
+// are symmetric, so every atom type of the structure is a legal entry
+// point and the rows are peers — compile enumerates every row's
+// candidates and costs them in one contest. The order is the contest
+// order: when costs tie the earlier candidate wins — the simpler
+// machinery.
+var accessPaths = []func(*contest){
+	fullScan,
+	rootEquality,
+	rootRanges,
+	interiorEqualities,
+	interiorRanges,
+	intersection,
+	orderedScan,
 }
 
 // candidate is one enumerated access path with its cost terms. Its total
@@ -53,7 +36,6 @@ var accessPaths = []accessPath{
 //
 // plus, in an ordered plan, the ordering surcharge unsorted batches pay.
 type candidate struct {
-	path accessPath
 	// label is the name the contest (EXPLAIN's considered: line) and
 	// CompileForced know the candidate by.
 	label string
@@ -63,47 +45,47 @@ type candidate struct {
 	entering int
 	// presorted marks a batch that already carries the requested order.
 	presorted bool
-	// install writes the chosen path into the plan's access node.
-	install func(a *Access)
+	// kind and entries are the access node the candidate installs;
+	// produced estimates the batch it yields before the root filter, src
+	// the statistic behind that ("" for the container itself).
+	kind     AccessKind
+	entries  []AccessEntry
+	produced int
+	src      string
 }
 
 // contest is the per-compile state the table's rows enumerate from.
 type contest struct {
-	p         *Plan
-	n         int // atoms in the root container
-	rootConjs []rootConjInfo
+	p *Plan
+	// n counts the atoms in the root container; rootPos is the root
+	// type's position in the description.
+	n, rootPos int
+	rootConjs  []rootConjInfo
 	// allSel is the selectivity of the whole root filter.
 	allSel float64
-	// eqs lists the interior entry equalities, in pushdown order.
-	eqs []pushdownEq
-	// cands collects what the rows enumerate; path is the row at work.
+	// eqs lists the interior entry equalities, in pushdown order; cands
+	// collects what the rows enumerate.
+	eqs   []AccessEntry
 	cands []candidate
-	path  accessPath
 }
 
-// add enters a candidate of the row at work into the contest.
-func (cc *contest) add(c candidate) {
-	c.path = cc.path
-	cc.cands = append(cc.cands, c)
+// indexedCmp recognizes conjunct c as "attr op const" (either
+// orientation) that an index on typeName.attr serves: an equality lookup,
+// or — ranged — one bound of a key-bounded walk.
+func indexedCmp(db *storage.Database, typeName string, c expr.Expr, ranged bool) (string, expr.CmpOp, model.Value, bool) {
+	a, op, v, ok := attrConstCmp(c)
+	if !ok || (ranged && !isRangeOp(op)) || (!ranged && op != expr.EQ) || !db.HasIndex(typeName, a.Name) {
+		return "", 0, model.Null(), false
+	}
+	return a.Name, op, v, true
 }
 
-// pushdownEq is one pushdown conjunct that is an indexed equality on its
-// (non-root) type: a possible interior entry.
-type pushdownEq struct {
-	pi      int // index into Plan.Pushdowns
-	attr    string
-	val     model.Value
-	entries int
-	src     string
-}
-
-// pushdownEqs finds the interior entry equalities among the pushdowns.
-func (cc *contest) pushdownEqs() []pushdownEq {
-	var eqs []pushdownEq
+// interiorEqs finds the interior entry equalities among the pushdowns.
+func (cc *contest) interiorEqs() []AccessEntry {
+	var eqs []AccessEntry
 	db := cc.p.db
-	for pi := range cc.p.Pushdowns {
-		pd := &cc.p.Pushdowns[pi]
-		attr, val, ok := indexableEq(pd.Conjunct, db, pd.Type)
+	for _, pd := range cc.p.Pushdowns {
+		attr, _, val, ok := indexedCmp(db, pd.Type, pd.Conjunct, false)
 		if !ok {
 			continue
 		}
@@ -111,65 +93,47 @@ func (cc *contest) pushdownEqs() []pushdownEq {
 		if err != nil {
 			continue
 		}
-		entries, src := estimateEqCount(db, pd.Type, attr, val, nT)
-		eqs = append(eqs, pushdownEq{pi: pi, attr: attr, val: val, entries: entries, src: src})
+		e := AccessEntry{Type: pd.Type, Pos: pd.Pos, Attr: attr, Value: val}
+		e.EstEntries, e.EntrySource = estimateEqCount(db, pd.Type, attr, val, nT)
+		eqs = append(eqs, e)
 	}
 	return eqs
 }
 
-// indexEntry is one single-index entry point before costing: an equality
-// or a merged range on the indexed attribute of one atom type.
-type indexEntry struct {
-	// id names the entry without its literals; lits is the literal
-	// suffix of its label.
-	id, lits string
-	typeName string
-	pos      int
-	attr     string
-	// est estimates the atoms the index returns; src is its provenance.
-	est int
-	src string
-	// The entry's literals: the equality value, or (rng non-nil) the
-	// interval; at the root, ords are the conjunct ordinals they came
-	// from, which leave the root filter.
-	val  model.Value
-	rng  *rangeSpec
-	ords []int
-}
-
-// fill writes the entry's attribute and literals into the access node.
-func (e *indexEntry) fill(a *Access) {
-	a.Attr, a.Value = e.attr, e.val
-	if e.rng != nil {
-		a.Ranged, a.KeyRange = true, e.rng.KeyRange
+// absorbed reports whether one of the entries absorbs root conjunct ord.
+func absorbed(entries []AccessEntry, ord int) bool {
+	for i := range entries {
+		if slices.Contains(entries[i].ords, ord) {
+			return true
+		}
 	}
+	return false
 }
 
-// selWithout is the root filter's selectivity with the conjuncts of the
-// given ordinals (the ones an access path absorbs) taken out.
-func (cc *contest) selWithout(skip []int) float64 {
+// selWithout is the root filter's selectivity with the conjuncts the
+// entries absorb taken out.
+func (cc *contest) selWithout(entries []AccessEntry) float64 {
 	sel := 1.0
 	for _, rc := range cc.rootConjs {
-		if !slices.Contains(skip, rc.ord) {
+		if !absorbed(entries, rc.ord) {
 			sel *= rc.sel
 		}
 	}
 	return sel
 }
 
-// installRootFilter conjoins every root conjunct except the skipped
-// ordinals (those the access path absorbs exactly — an index equality or
-// a key-bounded range walk) into the root filter. EstRoots
+// installRootFilter conjoins every root conjunct the installed access
+// node's entries do not absorb exactly (an index equality or a
+// key-bounded range walk absorbs its own) into the root filter. EstRoots
 // approximates the roots that *enter derivation*: the produced batch
 // scaled by the filter's selectivity, its provenance src weakened by the
-// filter's.
-func (cc *contest) installRootFilter(skip []int, produced int, src string) {
-	p := cc.p
-	a := &p.Access
+// filter's; a batch without a statistic of its own is the root container.
+func (cc *contest) installRootFilter(produced int, src string) {
+	a := &cc.p.Access
 	a.EstRoots, a.EstSource = produced, src
 	filterSel, filterSrc := 1.0, ""
 	for _, rc := range cc.rootConjs {
-		if slices.Contains(skip, rc.ord) {
+		if absorbed(a.Entries, rc.ord) {
 			continue
 		}
 		a.Filter = combine(a.Filter, rc.conj)
@@ -180,424 +144,223 @@ func (cc *contest) installRootFilter(skip []int, produced int, src string) {
 		a.EstRoots = scaleEst(produced, filterSel)
 		a.EstSource = combineSource(src, filterSrc)
 	}
-}
-
-// lookup reads the index on typeName.attr through the deriver's view:
-// the posting list of key, or with walk set the atoms of every key inside
-// the access node's range bounds. Either way the atoms come sorted by ID,
-// so every collecting access path yields the same deterministic root
-// order.
-func (p *Plan) lookup(dv *core.Deriver, typeName, attr string, key model.Value, walk bool) ([]model.AtomID, error) {
-	if !walk {
-		ids, ok := dv.View().IndexLookup(typeName, attr, key)
-		if !ok {
-			return nil, errIndexVanished(typeName, attr)
-		}
-		return ids, nil
-	}
-	keys, ok := dv.View().IndexOrdered(typeName, attr, p.Access.KeyRange, false)
-	if !ok {
-		return nil, errIndexVanished(typeName, attr)
-	}
-	var out []model.AtomID
-	for _, ids, ok := keys.Next(); ok; _, ids, ok = keys.Next() {
-		out = append(out, ids...)
-	}
-	return model.SortAtomIDs(out), nil
-}
-
-// ride pulls the root index on attr inside the access node's range bounds
-// in key order — descending when the ORDER BY asks for it — so the roots
-// arrive in the requested order: the ORDER BY ride.
-func (p *Plan) ride(dv *core.Deriver, attr string) (core.Roots, error) {
-	keys, ok := dv.View().IndexOrdered(p.Access.Root, attr, p.Access.KeyRange, p.Order.Desc)
-	if !ok {
-		return nil, errIndexVanished(p.Access.Root, attr)
-	}
-	var ids []model.AtomID // the rest of the current key's posting
-	return func(dst []model.AtomID) []model.AtomID {
-		for len(dst) < cap(dst) {
-			if len(ids) == 0 {
-				if _, ids, ok = keys.Next(); !ok {
-					break
-				}
-			}
-			n := min(len(ids), cap(dst)-len(dst))
-			dst, ids = append(dst, ids[:n]...), ids[n:]
-		}
-		return dst
-	}, nil
-}
-
-func errIndexVanished(typeName, attr string) error {
-	return fmt.Errorf("plan: index on %s.%s vanished between compile and execute", typeName, attr)
-}
-
-// entryDetail renders an index entry's condition: "= v" or the interval.
-func entryDetail(a *Access, ranged bool) string {
-	if ranged {
-		return rangeString(a.KeyRange)
-	}
-	return "= " + a.Value.String()
-}
-
-// scan reads the whole root container: in insertion order, or — ordered,
-// when the ORDER BY attribute carries a root index — by walking that
-// index in key order, which produces the batch pre-sorted at the same
-// production cost and none of the ordering work. Every root atom is
-// fetched; the root filter thins the batch.
-type scan struct{ ordered bool }
-
-func (s scan) enumerate(cc *contest) {
-	p, root := cc.p, cc.p.desc.Root()
-	c := candidate{access: float64(cc.n), entering: scaleEst(cc.n, cc.allSel)}
-	switch {
-	case !s.ordered:
-		c.label = "full scan of " + root
-		c.install = func(a *Access) {
-			a.Kind = FullScan
-			cc.installRootFilter(nil, cc.n, "")
-			if a.Filter == nil {
-				// Otherwise the filter's statistic supersedes the bare
-				// container size.
-				a.EstSource = SrcContainer
-			}
-		}
-	case p.Order != nil && p.db.HasIndex(root, p.Order.Attr):
-		c.label = fmt.Sprintf("ordered index %s.%s", root, p.Order.Attr)
-		c.presorted = true
-		c.install = func(a *Access) {
-			a.Kind = OrderedScan
-			a.Attr = p.Order.Attr
-			cc.installRootFilter(nil, cc.n, SrcContainer)
-		}
-	default:
-		return
-	}
-	cc.add(c)
-}
-
-func (s scan) roots(p *Plan, dv *core.Deriver) (core.Roots, error) {
-	if !s.ordered {
-		return core.RootSlice(dv.RootIDs()), nil
-	}
-	return p.ride(dv, p.Access.Attr)
-}
-
-func (s scan) explain(b *strings.Builder, p *Plan) {
-	a := &p.Access
-	what := "full scan of " + a.Root
-	if s.ordered {
-		what = fmt.Sprintf("ordered index walk of %s.%s", a.Root, a.Attr)
-	}
-	fmt.Fprintf(b, "access:    %s (est %s roots [%s]%s)\n", what, approx(a.EstRoots), a.EstSource, p.actual(a.ActRoots))
-}
-
-// rootIndex reads only the root atoms a secondary index on the root type
-// maps an equality conjunct's value to, or — ranged — the root atoms
-// inside the interval its range conjuncts on one indexed attribute merge
-// into. Both reads are exact, so the covered conjuncts leave the root
-// filter; an entry on the ORDER BY attribute doubles as an index-order
-// ride (one key with ties by atom ID, or a key-ordered walk).
-type rootIndex struct{ ranged bool }
-
-func (ri rootIndex) enumerate(cc *contest) {
-	root := cc.p.desc.Root()
-	if !ri.ranged {
-		// The best (fewest estimated roots) indexed equality.
-		best := -1
-		for i, rc := range cc.rootConjs {
-			if rc.attr != "" && rc.op == expr.EQ && (best < 0 || rc.est < cc.rootConjs[best].est) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			rc := &cc.rootConjs[best]
-			ri.add(cc, indexEntry{
-				id: "index " + root + "." + rc.attr, attr: rc.attr, est: rc.est, src: rc.estSrc,
-				val: rc.val, ords: []int{rc.ord},
-			})
-		}
-		return
-	}
-	// Range conjuncts on one attribute merge into a single key-bounded
-	// walk (a molecule has exactly one root atom, so their conjunction is
-	// an interval); one spec per attribute, in first-appearance order.
-	var specs []*rangeSpec
-	for _, rc := range cc.rootConjs {
-		if rc.attr == "" || !isRangeOp(rc.op) {
-			continue
-		}
-		k := slices.IndexFunc(specs, func(s *rangeSpec) bool { return s.attr == rc.attr })
-		if k < 0 {
-			k = len(specs)
-			specs = append(specs, &rangeSpec{attr: rc.attr})
-		}
-		specs[k].addBound(rc.op, rc.val)
-		specs[k].ords = append(specs[k].ords, rc.ord)
-	}
-	for _, spec := range specs {
-		est, src := estimateRangeCount(cc.p.db, root, spec, cc.n)
-		ri.add(cc, indexEntry{
-			id: "index range " + root + "." + spec.attr, lits: " " + rangeString(spec.KeyRange), attr: spec.attr, est: est, src: src,
-			rng: spec, ords: spec.ords,
-		})
+	if a.EstSource == "" {
+		a.EstSource = SrcContainer
 	}
 }
 
-// add costs one root index entry: the index returns e.est roots, and the
-// rest of the root filter — the conjuncts the entry absorbs taken out —
-// thins them.
-func (ri rootIndex) add(cc *contest, e indexEntry) {
-	cc.add(candidate{
-		label:     e.id + e.lits,
-		access:    float64(e.est),
-		entering:  scaleEst(e.est, cc.selWithout(e.ords)),
-		presorted: cc.p.Order != nil && e.attr == cc.p.Order.Attr,
-		install: func(a *Access) {
-			a.Kind = IndexScan
-			e.fill(a)
-			cc.installRootFilter(e.ords, e.est, e.src)
-		},
+// fullScan reads the whole root container in insertion order. Every root
+// atom is fetched; the root filter thins the batch.
+func fullScan(cc *contest) {
+	cc.cands = append(cc.cands, candidate{
+		label:    "full scan of " + cc.p.Access.Root,
+		access:   float64(cc.n),
+		entering: scaleEst(cc.n, cc.allSel),
+		kind:     FullScan,
+		produced: cc.n,
 	})
 }
 
-func (ri rootIndex) roots(p *Plan, dv *core.Deriver) (core.Roots, error) {
-	a := &p.Access
-	if ri.ranged && p.presorted {
-		return p.ride(dv, a.Attr)
-	}
-	roots, err := p.lookup(dv, a.Root, a.Attr, a.Value, ri.ranged)
-	return core.RootSlice(roots), err
-}
-
-func (ri rootIndex) explain(b *strings.Builder, p *Plan) {
-	a := &p.Access
-	what := "index lookup"
-	if ri.ranged {
-		what = "index range walk"
-	}
-	fmt.Fprintf(b, "access:    %s %s.%s %s (est %s roots [%s]%s)\n", what, a.Root, a.Attr, entryDetail(a, ri.ranged),
-		approx(a.EstRoots), a.EstSource, p.actual(a.ActRoots))
-}
-
-// interiorIndex enters the structure at a non-root atom type: an index
-// maps an equality conjunct's value — or, ranged, the half-open interval
-// of one range conjunct pushed down at an indexed attribute — to interior
-// atoms, and the candidate roots are recovered by climbing the
-// structure's links upward (the symmetric-use property makes the reverse
-// traversal legal). Recovery over-approximates at multi-parent types, so
-// the entry conjuncts additionally stay on as pushdown prune hooks:
-// exactness comes from the hooks, not the entry.
-type interiorIndex struct{ ranged bool }
-
-func (ii interiorIndex) enumerate(cc *contest) {
+// orderedScan walks the root index on the ORDER BY attribute in key
+// order, which produces the whole container pre-sorted at the same
+// production cost and none of the ordering work.
+func orderedScan(cc *contest) {
 	p := cc.p
-	if !ii.ranged {
-		for _, eq := range cc.eqs {
-			pd := &p.Pushdowns[eq.pi]
-			ii.add(cc, indexEntry{
-				id: "interior-index " + pd.Type + "." + eq.attr, typeName: pd.Type, pos: pd.Pos, attr: eq.attr,
-				est: eq.entries, src: eq.src, val: eq.val,
-			})
-		}
+	if p.Order == nil || !p.db.HasIndex(p.Access.Root, p.Order.Attr) {
 		return
 	}
-	// Unlike at the root, range conjuncts on one interior attribute do not
-	// merge: a pushdown conjunct is existential over the molecule's atoms
-	// of its type, so "x > 5 AND x < 3" holds through two different atoms
-	// and no atom of the intersected interval need exist. Each conjunct is
-	// its own entry.
-	for pi := range p.Pushdowns {
-		pd := &p.Pushdowns[pi]
-		a, op, v, ok := attrConstCmp(pd.Conjunct)
-		if !ok || !isRangeOp(op) || !p.db.HasIndex(pd.Type, a.Name) {
+	cc.cands = append(cc.cands, candidate{
+		label:     fmt.Sprintf("ordered index %s.%s", p.Access.Root, p.Order.Attr),
+		access:    float64(cc.n),
+		entering:  scaleEst(cc.n, cc.allSel),
+		presorted: true,
+		kind:      OrderedScan,
+		produced:  cc.n,
+		src:       SrcContainer,
+	})
+}
+
+// rootEquality reads only the root atoms a secondary index on the root
+// type maps the value of its best (fewest estimated roots) indexed
+// equality conjunct to. The read is exact, so the conjunct leaves the
+// root filter.
+func rootEquality(cc *contest) {
+	root, db := cc.p.Access.Root, cc.p.db
+	best := AccessEntry{Type: root, Pos: cc.rootPos}
+	ord := -1
+	for _, rc := range cc.rootConjs {
+		attr, _, val, ok := indexedCmp(db, root, rc.conj, false)
+		if !ok {
 			continue
 		}
-		nT, err := p.db.CountAtoms(pd.Type)
+		est, src := estimateEqCount(db, root, attr, val, cc.n)
+		if ord < 0 || est < best.EstEntries {
+			best.Attr, best.Value, best.EstEntries, best.EntrySource = attr, val, est, src
+			ord = rc.ord
+		}
+	}
+	if ord >= 0 {
+		best.ords = []int{ord}
+		cc.addRoot([]AccessEntry{best}, "index "+root+"."+best.Attr)
+	}
+}
+
+// rootRanges reads the root atoms inside the interval the range
+// conjuncts on one indexed attribute merge into (a molecule has exactly
+// one root atom, so their conjunction is an interval): one key-bounded
+// walk per attribute, in first-appearance order. The walk is exact, so
+// the merged conjuncts leave the root filter.
+func rootRanges(cc *contest) {
+	root, db := cc.p.Access.Root, cc.p.db
+	var ents []AccessEntry
+	for _, rc := range cc.rootConjs {
+		attr, op, val, ok := indexedCmp(db, root, rc.conj, true)
+		if !ok {
+			continue
+		}
+		k := slices.IndexFunc(ents, func(e AccessEntry) bool { return e.Attr == attr })
+		if k < 0 {
+			k = len(ents)
+			ents = append(ents, AccessEntry{Type: root, Pos: cc.rootPos, Attr: attr})
+		}
+		ents[k].addBound(op, val)
+		ents[k].ords = append(ents[k].ords, rc.ord)
+	}
+	for i := range ents {
+		e := &ents[i]
+		e.EstEntries, e.EntrySource = estimateRangeCount(db, e, cc.n)
+		cc.addRoot(ents[i:i+1:i+1], "index range "+root+"."+e.Attr+" "+rangeString(e.KeyRange))
+	}
+}
+
+// addRoot costs a root entry: the index returns EstEntries roots, and the
+// rest of the root filter — the conjuncts the entry absorbs taken out —
+// thins them. An entry on the ORDER BY attribute doubles as an
+// index-order ride (one key with ties by atom ID, or a key-ordered walk).
+func (cc *contest) addRoot(ents []AccessEntry, label string) {
+	e := &ents[0]
+	cc.cands = append(cc.cands, candidate{
+		label:     label,
+		access:    float64(e.EstEntries),
+		entering:  scaleEst(e.EstEntries, cc.selWithout(ents)),
+		presorted: cc.p.Order != nil && e.Attr == cc.p.Order.Attr,
+		kind:      IndexScan,
+		entries:   ents,
+		produced:  e.EstEntries,
+		src:       e.EntrySource,
+	})
+}
+
+// interiorEqualities enters the structure at a non-root atom type
+// through an indexed equality pushed down there: the index maps the value
+// to interior atoms, and the candidate roots are recovered by climbing
+// the structure's links upward (the symmetric-use property makes the
+// reverse traversal legal). Recovery over-approximates at multi-parent
+// types, so the entry conjunct additionally stays on as a pushdown prune
+// hook: exactness comes from the hook, not the entry.
+func interiorEqualities(cc *contest) {
+	for i := range cc.eqs {
+		e := &cc.eqs[i]
+		cc.addInterior(cc.eqs[i:i+1:i+1], "interior-index "+e.Type+"."+e.Attr)
+	}
+}
+
+// interiorRanges is interiorEqualities through the half-open interval of
+// one range conjunct pushed down at an indexed attribute. Unlike at the
+// root, range conjuncts on one interior attribute do not merge: a
+// pushdown conjunct is existential over the molecule's atoms of its
+// type, so "x > 5 AND x < 3" holds through two different atoms and no
+// atom of the intersected interval need exist. Each conjunct is its own
+// entry.
+func interiorRanges(cc *contest) {
+	db := cc.p.db
+	for _, pd := range cc.p.Pushdowns {
+		attr, op, val, ok := indexedCmp(db, pd.Type, pd.Conjunct, true)
+		if !ok {
+			continue
+		}
+		nT, err := db.CountAtoms(pd.Type)
 		if err != nil {
 			continue
 		}
-		spec := &rangeSpec{attr: a.Name}
-		spec.addBound(op, v)
-		entries, src := estimateRangeCount(p.db, pd.Type, spec, nT)
-		ii.add(cc, indexEntry{
-			id: "interior-range " + pd.Type + "." + a.Name, lits: " " + rangeString(spec.KeyRange),
-			typeName: pd.Type, pos: pd.Pos, attr: a.Name,
-			est: entries, src: src, rng: spec,
-		})
+		e := AccessEntry{Type: pd.Type, Pos: pd.Pos, Attr: attr}
+		e.addBound(op, val)
+		e.EstEntries, e.EntrySource = estimateRangeCount(db, &e, nT)
+		cc.addInterior([]AccessEntry{e}, "interior-range "+pd.Type+"."+attr+" "+rangeString(e.KeyRange))
 	}
 }
 
-// add costs one interior entry: e.est atoms out of the index, the climb
-// to candidate roots, and the recovered roots themselves.
-func (ii interiorIndex) add(cc *contest, e indexEntry) {
-	recovered, climbCost, upPath := climbEstimate(cc.p.db, cc.p.desc, e.typeName, e.est)
-	cc.add(candidate{
-		label:    e.id + e.lits,
-		access:   float64(e.est) + climbCost + float64(recovered),
-		entering: scaleEst(recovered, cc.allSel),
-		install: func(a *Access) {
-			a.Kind = InteriorIndex
-			e.fill(a)
-			a.EntryType, a.EntryPos, a.UpPath = e.typeName, e.pos, upPath
-			a.EstEntries, a.EntrySource = e.est, e.src
-			cc.installRootFilter(nil, recovered, combineSource(SrcLinkFan, e.src))
-		},
+// climb estimates an interior entry's upward walk into the entry and
+// returns the access cost of entering there: the entry atoms, the climb
+// and the recovered roots.
+func (cc *contest) climb(e *AccessEntry) float64 {
+	var climbCost float64
+	e.EstRoots, climbCost, e.UpPath = climbEstimate(cc.p.db, cc.p.desc, e.Type, e.EstEntries)
+	return float64(e.EstEntries) + climbCost + float64(e.EstRoots)
+}
+
+// addInterior costs a single interior entry: its atoms, the climb and
+// the recovered roots, which the whole root filter then thins — an
+// interior entry absorbs no root conjunct.
+func (cc *contest) addInterior(ents []AccessEntry, label string) {
+	e := &ents[0]
+	cc.cands = append(cc.cands, candidate{
+		label:    label,
+		access:   cc.climb(e),
+		entering: scaleEst(e.EstRoots, cc.allSel),
+		kind:     InteriorIndex,
+		entries:  ents,
+		produced: e.EstRoots,
+		src:      combineSource(SrcLinkFan, e.EntrySource),
 	})
 }
 
-func (ii interiorIndex) roots(p *Plan, dv *core.Deriver) (core.Roots, error) {
-	a := &p.Access
-	entries, err := p.lookup(dv, a.EntryType, a.Attr, a.Value, ii.ranged)
-	if err != nil {
-		return nil, err
-	}
-	a.ActEntries = len(entries)
-	roots, err := dv.RecoverRoots(a.EntryPos, entries)
-	return core.RootSlice(roots), err
-}
-
-func (ii interiorIndex) explain(b *strings.Builder, p *Plan) {
-	a := &p.Access
-	what := "entry"
-	if ii.ranged {
-		what = "range entry"
-	}
-	fmt.Fprintf(b, "access:    [interior-index] %s at %s.%s %s (est %s atoms [%s]%s)\n", what, a.EntryType, a.Attr, entryDetail(a, ii.ranged),
-		approx(a.EstEntries), a.EntrySource, p.actual(a.ActEntries))
-	fmt.Fprintf(b, "           recover roots upward %s (est %s roots [%s]%s)\n", strings.Join(a.UpPath, " ⇡ "),
-		approx(a.EstRoots), a.EstSource, p.actual(a.ActRoots))
-}
-
-// intersect composes several interior entries — a molecule-level index
-// AND: the best indexed equality per distinct interior type each runs its
-// own entry lookup and upward climb, and when two or more types qualify
-// the sorted candidate-root sets intersect before a single molecule is
-// derived. Every entry conjunct additionally stays on as a pushdown prune
-// hook, which restores exactness exactly as for a single interior entry.
-type intersect struct{}
-
-// enumerate costs Σ(entry atoms + climb + recovered roots) over the
-// entries plus derivation of the expected survivors (independence
+// intersection composes several interior entries — a molecule-level
+// index AND: the best indexed equality per distinct interior type each
+// runs its own entry lookup and upward climb, and when two or more types
+// qualify the sorted candidate-root sets intersect before a single
+// molecule is derived. Every entry conjunct additionally stays on as a
+// pushdown prune hook, which restores exactness exactly as for a single
+// interior entry. It costs Σ(entry atoms + climb + recovered roots) over
+// the entries plus derivation of the expected survivors (independence
 // assumption: survivors ≈ n × Π(recoveredᵢ/n)).
-func (intersect) enumerate(cc *contest) {
-	p := cc.p
+func intersection(cc *contest) {
 	if cc.n == 0 {
 		return
 	}
-	var best []pushdownEq // per distinct type, first-appearance order
+	var ents []AccessEntry // per distinct type, first-appearance order
 	for _, eq := range cc.eqs {
-		t := p.Pushdowns[eq.pi].Type
-		i := slices.IndexFunc(best, func(b pushdownEq) bool { return p.Pushdowns[b.pi].Type == t })
+		i := slices.IndexFunc(ents, func(e AccessEntry) bool { return e.Type == eq.Type })
 		switch {
 		case i < 0:
-			best = append(best, eq)
-		case eq.entries < best[i].entries:
-			best[i] = eq
+			ents = append(ents, eq)
+		case eq.EstEntries < ents[i].EstEntries:
+			ents[i] = eq
 		}
 	}
-	if len(best) < 2 {
+	if len(ents) < 2 {
 		return
 	}
-	ents := make([]AccessEntry, 0, len(best))
-	labels := make([]string, 0, len(best))
+	labels := make([]string, 0, len(ents))
 	access, frac := 0.0, 1.0
-	sumEntries := 0
 	estSrc := SrcLinkFan
-	for _, eq := range best {
-		pd := &p.Pushdowns[eq.pi]
-		recovered, climbCost, upPath := climbEstimate(p.db, p.desc, pd.Type, eq.entries)
-		ents = append(ents, AccessEntry{
-			Type: pd.Type, Pos: pd.Pos, Attr: eq.attr, Value: eq.val,
-			UpPath: upPath, EstEntries: eq.entries, EntrySource: eq.src,
-			EstRoots: recovered,
-		})
-		labels = append(labels, pd.Type+"."+eq.attr)
-		access += float64(eq.entries) + climbCost + float64(recovered)
-		frac *= float64(recovered) / float64(cc.n)
-		sumEntries += eq.entries
-		estSrc = combineSource(estSrc, eq.src)
+	for i := range ents {
+		e := &ents[i]
+		access += cc.climb(e)
+		labels = append(labels, e.Type+"."+e.Attr)
+		frac *= float64(e.EstRoots) / float64(cc.n)
+		estSrc = combineSource(estSrc, e.EntrySource)
 	}
 	survivors := scaleEst(cc.n, frac)
-	cc.add(candidate{
+	cc.cands = append(cc.cands, candidate{
 		label:    "intersect[" + strings.Join(labels, " ∧ ") + "]",
 		access:   access,
 		entering: scaleEst(survivors, cc.allSel),
-		install: func(a *Access) {
-			a.Kind = IndexIntersect
-			a.Entries = ents
-			a.EstEntries = sumEntries
-			cc.installRootFilter(nil, survivors, estSrc)
-		},
+		kind:     IndexIntersect,
+		entries:  ents,
+		produced: survivors,
+		src:      estSrc,
 	})
-}
-
-// roots runs every entry's lookup and climb; the sorted candidate-root
-// sets (RecoverRoots returns ascending IDs) intersect progressively,
-// short-circuiting the remaining entries the moment the running
-// intersection empties.
-func (intersect) roots(p *Plan, dv *core.Deriver) (core.Roots, error) {
-	a := &p.Access
-	var inter []model.AtomID
-	for i := range a.Entries {
-		en := &a.Entries[i]
-		entries, err := p.lookup(dv, en.Type, en.Attr, en.Value, false)
-		if err != nil {
-			return nil, err
-		}
-		roots, err := dv.RecoverRoots(en.Pos, entries)
-		if err != nil {
-			return nil, err
-		}
-		en.ActEntries, en.ActRoots = len(entries), len(roots)
-		a.ActEntries += len(entries)
-		if i == 0 {
-			inter = roots
-		} else {
-			inter = intersectSorted(inter, roots)
-		}
-		if len(inter) == 0 {
-			break
-		}
-	}
-	a.ActSurvivors = len(inter)
-	return core.RootSlice(inter), nil
-}
-
-func (intersect) explain(b *strings.Builder, p *Plan) {
-	a := &p.Access
-	fmt.Fprintf(b, "access:    [intersect] %d-entry index intersection (est %s roots [%s]%s)\n",
-		len(a.Entries), approx(a.EstRoots), a.EstSource, p.actual(a.ActRoots))
-	for _, en := range a.Entries {
-		fmt.Fprintf(b, "           entry %s.%s = %s (est %s atoms [%s]%s) ⇡ %s (est %s roots%s)\n",
-			en.Type, en.Attr, en.Value,
-			approx(en.EstEntries), en.EntrySource, p.actual(en.ActEntries),
-			strings.Join(en.UpPath, " ⇡ "), approx(en.EstRoots), p.actual(en.ActRoots))
-	}
-	if p.Executed {
-		fmt.Fprintf(b, "           sorted-merge intersection → %d surviving root(s)\n", a.ActSurvivors)
-	}
-}
-
-// intersectSorted merges two ascending, deduplicated root-ID slices into
-// their intersection.
-func intersectSorted(a, b []model.AtomID) []model.AtomID {
-	out := make([]model.AtomID, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // chooseAccess runs the contest: every row of the table enumerates its
@@ -610,12 +373,12 @@ func intersectSorted(a, b []model.AtomID) []model.AtomID {
 func (p *Plan) chooseAccess(n int, rootConjs []rootConjInfo, derivCost float64, force string) error {
 	p.derivCost = derivCost
 	cc := &contest{p: p, n: n, rootConjs: rootConjs}
-	cc.allSel, cc.eqs = cc.selWithout(nil), cc.pushdownEqs()
+	cc.rootPos, _ = p.desc.Pos(p.Access.Root)
+	cc.allSel, cc.eqs = cc.selWithout(nil), cc.interiorEqs()
 
 	cc.cands = make([]candidate, 0, 4) // most contests have two or three entrants
-	for _, path := range accessPaths {
-		cc.path = path
-		path.enumerate(cc)
+	for _, enumerate := range accessPaths {
+		enumerate(cc)
 	}
 	cands := cc.cands
 
@@ -648,8 +411,174 @@ func (p *Plan) chooseAccess(n int, rootConjs []rootConjInfo, derivCost float64, 
 	sort.SliceStable(alts, func(i, j int) bool { return alts[i].Cost < alts[j].Cost })
 	p.Alternatives = alts
 
-	c := cands[best]
-	p.path, p.presorted = c.path, c.presorted
-	c.install(&p.Access)
+	c := &cands[best]
+	p.Access = Access{Kind: c.kind, Root: p.Access.Root, Entries: c.entries}
+	p.presorted = c.presorted
+	cc.installRootFilter(c.produced, c.src)
 	return nil
+}
+
+// roots returns the pull over the plan's roots, before the root filter,
+// read at the deriver's pinned timestamp so they agree with the
+// occurrence view derivation will traverse; it records the entries'
+// actuals in p.Access. The full scan reads the root container. The ORDER
+// BY ride — an ordered scan, or a root range on the ORDER BY attribute —
+// pulls postings key by key, descending when the ORDER BY asks for it, so
+// the roots arrive in the requested order: the index walk advances only
+// as derivation takes roots and stops with it. Every other plan runs one
+// loop over its entries: each is looked up, by equality or a walk of its
+// range, a non-root entry's atoms are climbed to candidate roots
+// (core.Deriver.RecoverRoots), and the sorted root sets intersect,
+// stopping the moment the running set is empty.
+func (p *Plan) roots(dv *core.Deriver) (core.Roots, error) {
+	a := &p.Access
+	switch {
+	case a.Kind == FullScan:
+		return core.RootSlice(dv.RootIDs()), nil
+	case p.presorted && (a.Kind == OrderedScan || a.Entries[0].Ranged):
+		var r storage.KeyRange // an ordered scan walks every key
+		if a.Kind == IndexScan {
+			r = a.Entries[0].KeyRange
+		}
+		keys, ok := dv.View().IndexOrdered(a.Root, p.Order.Attr, r, p.Order.Desc)
+		if !ok {
+			return nil, errIndexVanished(a.Root, p.Order.Attr)
+		}
+		var ids []model.AtomID // the rest of the current key's posting
+		return func(dst []model.AtomID) []model.AtomID {
+			for len(dst) < cap(dst) {
+				if len(ids) == 0 {
+					if _, ids, ok = keys.Next(); !ok {
+						break
+					}
+				}
+				n := min(len(ids), cap(dst)-len(dst))
+				dst, ids = append(dst, ids[:n]...), ids[n:]
+			}
+			return dst
+		}, nil
+	}
+	var inter []model.AtomID
+	for i := range a.Entries {
+		en := &a.Entries[i]
+		ids, err := lookup(dv, en)
+		if err != nil {
+			return nil, err
+		}
+		roots := ids
+		if en.Type != a.Root {
+			if roots, err = dv.RecoverRoots(en.Pos, ids); err != nil {
+				return nil, err
+			}
+		}
+		en.ActEntries, en.ActRoots = len(ids), len(roots)
+		if i == 0 {
+			inter = roots
+		} else {
+			inter = intersectSorted(inter, roots)
+		}
+		if len(inter) == 0 {
+			break
+		}
+	}
+	a.ActSurvivors = len(inter)
+	return core.RootSlice(inter), nil
+}
+
+// lookup reads the entry's index through the deriver's view: the posting
+// list of its value, or for a ranged entry the atoms of every key inside
+// its bounds. Either way the atoms come sorted by ID, so every entry
+// yields the same deterministic root order.
+func lookup(dv *core.Deriver, en *AccessEntry) ([]model.AtomID, error) {
+	if !en.Ranged {
+		ids, ok := dv.View().IndexLookup(en.Type, en.Attr, en.Value)
+		if !ok {
+			return nil, errIndexVanished(en.Type, en.Attr)
+		}
+		return ids, nil
+	}
+	keys, ok := dv.View().IndexOrdered(en.Type, en.Attr, en.KeyRange, false)
+	if !ok {
+		return nil, errIndexVanished(en.Type, en.Attr)
+	}
+	var out []model.AtomID
+	for _, ids, ok := keys.Next(); ok; _, ids, ok = keys.Next() {
+		out = append(out, ids...)
+	}
+	return model.SortAtomIDs(out), nil
+}
+
+func errIndexVanished(typeName, attr string) error {
+	return fmt.Errorf("plan: index on %s.%s vanished between compile and execute", typeName, attr)
+}
+
+// intersectSorted merges two ascending, deduplicated root-ID slices into
+// their intersection.
+func intersectSorted(a, b []model.AtomID) []model.AtomID {
+	out := make([]model.AtomID, 0, min(len(a), len(b)))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case b[j] < a[i]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// explain writes the EXPLAIN access lines.
+func (p *Plan) explain(b *strings.Builder) {
+	a := &p.Access
+	roots := fmt.Sprintf("est %s roots [%s]%s", approx(a.EstRoots), a.EstSource, p.actual(a.ActRoots))
+	switch a.Kind {
+	case FullScan:
+		fmt.Fprintf(b, "access:    full scan of %s (%s)\n", a.Root, roots)
+	case OrderedScan:
+		fmt.Fprintf(b, "access:    ordered index walk of %s.%s (%s)\n", a.Root, p.Order.Attr, roots)
+	case IndexScan:
+		en := &a.Entries[0]
+		what := "index lookup"
+		if en.Ranged {
+			what = "index range walk"
+		}
+		fmt.Fprintf(b, "access:    %s %s.%s %s (%s)\n", what, a.Root, en.Attr, en.condition(), roots)
+	case InteriorIndex:
+		en := &a.Entries[0]
+		what := "entry"
+		if en.Ranged {
+			what = "range entry"
+		}
+		fmt.Fprintf(b, "access:    [interior-index] %s at %s.%s %s (%s)\n", what, en.Type, en.Attr, en.condition(), p.entryAtoms(en))
+		fmt.Fprintf(b, "           recover roots upward %s (%s)\n", strings.Join(en.UpPath, " ⇡ "), roots)
+	case IndexIntersect:
+		fmt.Fprintf(b, "access:    [intersect] %d-entry index intersection (%s)\n", len(a.Entries), roots)
+		for i := range a.Entries {
+			en := &a.Entries[i]
+			fmt.Fprintf(b, "           entry %s.%s %s (%s) ⇡ %s (est %s roots%s)\n", en.Type, en.Attr, en.condition(),
+				p.entryAtoms(en), strings.Join(en.UpPath, " ⇡ "), approx(en.EstRoots), p.actual(en.ActRoots))
+		}
+		if p.Executed {
+			fmt.Fprintf(b, "           sorted-merge intersection → %d surviving root(s)\n", a.ActSurvivors)
+		}
+	}
+}
+
+// condition renders an entry's condition: "= v" or the interval.
+func (e *AccessEntry) condition() string {
+	if e.Ranged {
+		return rangeString(e.KeyRange)
+	}
+	return "= " + e.Value.String()
+}
+
+// entryAtoms renders the atoms an entry's lookup returns, estimated and
+// (when the plan ran) actual.
+func (p *Plan) entryAtoms(e *AccessEntry) string {
+	return fmt.Sprintf("est %s atoms [%s]%s", approx(e.EstEntries), e.EntrySource, p.actual(e.ActEntries))
 }

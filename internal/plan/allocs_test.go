@@ -114,3 +114,58 @@ func TestIndexLookupStreamAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileAllocs gates the allocations of compiling one statement per
+// access path: the contest's enumeration, costing and installation of
+// the chosen entry. Every statement compiles afresh, so a compile's
+// allocations are paid by every selective statement a server runs; the
+// bounds are the counts measured when the access paths were last
+// restructured.
+func TestCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	db, desc := lookupDB(t)
+	shop, shopMT := jobShopDB(t, 16)
+	kdb, kmt := keyedDB(t, 4096, 0)
+	// Each measured compile builds its predicate, as a parsed statement
+	// does.
+	cmp := func(op expr.CmpOp, typeName, attr string, v int64) func() expr.Expr {
+		return func() expr.Expr { return intCmp(op, typeName, attr, v) }
+	}
+	and := func(l, r func() expr.Expr) func() expr.Expr {
+		return func() expr.Expr { return expr.And{L: l(), R: r()} }
+	}
+	none := func() expr.Expr { return nil }
+	for _, tc := range []struct {
+		name  string
+		db    *storage.Database
+		desc  *core.Desc
+		pred  func() expr.Expr
+		order *plan.OrderBy
+		kind  plan.AccessKind
+		bound float64
+	}{
+		{"full scan", db, desc, none, nil, plan.FullScan, 9},
+		{"root equality", db, desc, cmp(expr.EQ, "root", "code", 17), nil, plan.IndexScan, 19},
+		{"root range [17, 27)", db, desc, and(cmp(expr.GE, "root", "code", 17), cmp(expr.LT, "root", "code", 27)), nil, plan.IndexScan, 36},
+		{"interior equality", db, desc, cmp(expr.EQ, "part", "code", 17), nil, plan.InteriorIndex, 29},
+		{"interior range part.code ≥ 250", db, desc, cmp(expr.GE, "part", "code", 250), nil, plan.InteriorIndex, 32},
+		{"two-entry intersection", shop, shopMT.Desc(), and(cmp(expr.EQ, "machine", "site", 3), cmp(expr.EQ, "tool", "grade", 5)), nil, plan.IndexIntersect, 76},
+		{"ORDER BY k DESC ride", kdb, kmt.Desc(), none, &plan.OrderBy{Attr: "k", Desc: true}, plan.OrderedScan, 15},
+	} {
+		compile := func() *plan.Plan {
+			p, err := plan.CompileOrdered(tc.db, tc.desc, tc.pred(), tc.order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		if p := compile(); p.Access.Kind != tc.kind {
+			t.Fatalf("%s: access %v, want %v\n%s", tc.name, p.Access.Kind, tc.kind, p.Render())
+		}
+		if allocs := testing.AllocsPerRun(200, func() { compile() }); allocs > tc.bound {
+			t.Errorf("%s: %.1f allocations per compile, want ≤ %.0f", tc.name, allocs, tc.bound)
+		}
+	}
+}

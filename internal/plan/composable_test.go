@@ -247,10 +247,10 @@ func TestRangeEntryParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Access.Kind != plan.IndexScan || !p.Access.Ranged {
+	if p.Access.Kind != plan.IndexScan || !p.Access.Entries[0].Ranged {
 		t.Fatalf("root range should compile to an index range walk, got:\n%s", p.Render())
 	}
-	if !p.Access.HasLo || !p.Access.HasHi || !p.Access.LoInc || p.Access.HiInc {
+	if !p.Access.Entries[0].HasLo || !p.Access.Entries[0].HasHi || !p.Access.Entries[0].LoInc || p.Access.Entries[0].HiInc {
 		t.Fatalf("merged bounds wrong: %+v", p.Access)
 	}
 	got, err := p.Execute()

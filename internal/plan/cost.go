@@ -102,30 +102,21 @@ func isRangeOp(op expr.CmpOp) bool {
 	return op == expr.LT || op == expr.LE || op == expr.GT || op == expr.GE
 }
 
-// rangeSpec is one range restriction over an indexed attribute: the
-// interval a group of range conjuncts on the same attribute pins down —
-// a BETWEEN-shaped AND pair arrives as two conjuncts and merges into a
-// two-sided spec — plus the ordinals of the conjuncts it absorbs.
-type rangeSpec struct {
-	attr string
-	storage.KeyRange
-	ords []int // conjunct ordinals folded into the bounds
-}
-
-// addBound tightens the spec with one more "attr op v" conjunct; the
-// tighter of two bounds on the same side wins (equal bounds prefer the
-// exclusive one, matching AND semantics).
-func (s *rangeSpec) addBound(op expr.CmpOp, v model.Value) {
+// addBound tightens a ranged entry's interval with one more "attr op v"
+// conjunct; the tighter of two bounds on the same side wins (equal
+// bounds prefer the exclusive one, matching AND semantics).
+func (e *AccessEntry) addBound(op expr.CmpOp, v model.Value) {
+	e.Ranged = true
 	switch op {
 	case expr.GT, expr.GE:
 		inc := op == expr.GE
-		if c := v.Compare(s.Lo); !s.HasLo || c > 0 || (c == 0 && s.LoInc && !inc) {
-			s.HasLo, s.Lo, s.LoInc = true, v, inc
+		if c := v.Compare(e.Lo); !e.HasLo || c > 0 || (c == 0 && e.LoInc && !inc) {
+			e.HasLo, e.Lo, e.LoInc = true, v, inc
 		}
 	case expr.LT, expr.LE:
 		inc := op == expr.LE
-		if c := v.Compare(s.Hi); !s.HasHi || c < 0 || (c == 0 && s.HiInc && !inc) {
-			s.HasHi, s.Hi, s.HiInc = true, v, inc
+		if c := v.Compare(e.Hi); !e.HasHi || c < 0 || (c == 0 && e.HiInc && !inc) {
+			e.HasHi, e.Hi, e.HiInc = true, v, inc
 		}
 	}
 }
@@ -156,34 +147,28 @@ func rangeString(r storage.KeyRange) string {
 	return ""
 }
 
-// estimateRangeCount estimates how many atoms of typeName fall inside
-// the merged range: two-sided histogram-bucket interpolation when
+// estimateRangeCount estimates how many atoms of the entry's type fall
+// inside its interval: two-sided histogram-bucket interpolation when
 // ANALYZE has built one, the System-R range default per bound otherwise.
-func estimateRangeCount(db *storage.Database, typeName string, spec *rangeSpec, n int) (int, string) {
-	if h, ok := db.Histogram(typeName, spec.attr); ok && h.Total() > 0 {
+func estimateRangeCount(db *storage.Database, e *AccessEntry, n int) (int, string) {
+	if h, ok := db.Histogram(e.Type, e.Attr); ok && h.Total() > 0 {
 		var est int64
 		switch {
-		case spec.HasLo && spec.HasHi:
-			est = h.EstimateLess(spec.Hi, spec.HiInc) - h.EstimateLess(spec.Lo, !spec.LoInc)
-		case spec.HasLo:
-			est = h.Total() - h.EstimateLess(spec.Lo, !spec.LoInc)
-		case spec.HasHi:
-			est = h.EstimateLess(spec.Hi, spec.HiInc)
+		case e.HasLo && e.HasHi:
+			est = h.EstimateLess(e.Hi, e.HiInc) - h.EstimateLess(e.Lo, !e.LoInc)
+		case e.HasLo:
+			est = h.Total() - h.EstimateLess(e.Lo, !e.LoInc)
+		case e.HasHi:
+			est = h.EstimateLess(e.Hi, e.HiInc)
 		}
-		e := int(est)
-		if e > n {
-			e = n
-		}
-		if e < 1 {
-			e = 1
-		}
-		return e, SrcHistogram
+		est = min(est, int64(n))
+		return int(max(est, 1)), SrcHistogram
 	}
 	sel := 1.0
-	if spec.HasLo {
+	if e.HasLo {
 		sel *= defSelRange
 	}
-	if spec.HasHi {
+	if e.HasHi {
 		sel *= defSelRange
 	}
 	return scaleEst(n, sel), SrcDefault

@@ -91,9 +91,9 @@ func TestHistogramFixesAccessPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.Access.Kind != plan.IndexScan || before.Access.Attr != "batch" {
+	if before.Access.Kind != plan.IndexScan || before.Access.Entries[0].Attr != "batch" {
 		t.Fatalf("uniform plan chose %s.%s, want the (mistaken) batch index",
-			before.Access.Root, before.Access.Attr)
+			before.Access.Root, before.Access.Entries[0].Attr)
 	}
 	if before.Access.EstSource != plan.SrcUniform {
 		t.Fatalf("EstSource = %q, want uniform before ANALYZE", before.Access.EstSource)
@@ -106,9 +106,9 @@ func TestHistogramFixesAccessPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Access.Kind != plan.IndexScan || after.Access.Attr != "grade" {
+	if after.Access.Kind != plan.IndexScan || after.Access.Entries[0].Attr != "grade" {
 		t.Fatalf("histogram plan chose %s.%s, want the grade index\n%s",
-			after.Access.Root, after.Access.Attr, after.Render())
+			after.Access.Root, after.Access.Entries[0].Attr, after.Render())
 	}
 	if after.Access.EstSource != plan.SrcHistogram {
 		t.Fatalf("EstSource = %q, want histogram after ANALYZE", after.Access.EstSource)
@@ -161,7 +161,7 @@ func TestHistogramRangeEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Access.Kind != plan.IndexScan || !p.Access.Ranged {
+	if p.Access.Kind != plan.IndexScan || !p.Access.Entries[0].Ranged {
 		t.Fatalf("selective range predicate should pick the index range walk, got %+v", p.Access)
 	}
 	if p.Access.EstSource != plan.SrcHistogram {

@@ -3,17 +3,20 @@
 //
 //   - the access path: the entry point into the structure. The links of
 //     the model are symmetric, so every atom type is a legal entry point
-//     and the alternatives are peers — rows of one access-path table
-//     (access.go): a scan of the root type's container, an equality or
-//     range entry through a secondary index on the *root* type, the same
-//     through an index on any *interior* atom type (the matching atoms
-//     are climbed upward against the declared edge directions,
-//     core.Deriver.RecoverRoots, to the candidate roots, which are then
-//     derived downward as usual), an intersection of several interior
-//     entries, and an ordered index walk. Every row's candidates are
-//     costed in one contest against histogram estimates and link fan-out
-//     statistics, root-only conjuncts the path does not absorb become the
-//     root filter, and EXPLAIN records the contest;
+//     and the alternatives are peers — the candidates of one access-path
+//     table of enumerating functions (access.go): a scan of the root
+//     type's container, an equality or range entry through a secondary
+//     index on the *root* type, the same through an index on any
+//     *interior* atom type (the matching atoms are climbed upward against
+//     the declared edge directions, core.Deriver.RecoverRoots, to the
+//     candidate roots, which are then derived downward as usual), an
+//     intersection of several interior entries, and an ordered index
+//     walk. Every index entry is one AccessEntry, and the chosen
+//     candidate's Access node — its kind and entries — is the plan's.
+//     The candidates are costed in one contest against histogram
+//     estimates and link fan-out statistics, root-only conjuncts the path
+//     does not absorb become the root filter, and EXPLAIN records the
+//     contest;
 //   - the derivation node, annotated with per-atom-type pushdown
 //     conjuncts: conjuncts referencing a single non-root atom type are
 //     evaluated inside core.Deriver while the structure template is laid
@@ -79,9 +82,8 @@ import (
 	"mad/internal/storage"
 )
 
-// AccessKind labels the family of the access path a plan runs, for
-// readers of Plan.Access (EXPLAIN consumers, experiments, tests); the
-// paths themselves are the rows of the access-path table in access.go.
+// AccessKind labels the family of the access path a plan runs: what
+// execution (Plan.roots) and EXPLAIN do with the Access node's entries.
 type AccessKind uint8
 
 // Access path families.
@@ -89,7 +91,7 @@ const (
 	// FullScan reads every atom of the root type's container.
 	FullScan AccessKind = iota
 	// IndexScan enters through a secondary index on the root type — an
-	// equality lookup, or a key-bounded range walk (Access.Ranged).
+	// equality lookup, or a key-bounded range walk (AccessEntry.Ranged).
 	IndexScan
 	// InteriorIndex enters through an index on a non-root atom type and
 	// recovers the candidate roots by climbing the links upward.
@@ -133,36 +135,21 @@ type OrderBy struct {
 }
 
 // Access is the access-path node of a plan: how the root batch entering
-// derivation is produced.
+// derivation is produced. A FullScan or OrderedScan has no entries; an
+// IndexScan or InteriorIndex enters through Entries[0], an
+// IndexIntersect through every entry.
 type Access struct {
 	Kind AccessKind
 	Root string
-	// Attr and Value parameterize the entry equality: root.Attr = Value
-	// for an IndexScan, EntryType.Attr = Value for an InteriorIndex.
-	Attr  string
-	Value model.Value
-	// EntryType and EntryPos name the interior entry type of an
-	// InteriorIndex access and its position in the description.
-	EntryType string
-	EntryPos  int
-	// UpPath lists the atom types the upward climb of an InteriorIndex
-	// access passes through, entry first, root last — for EXPLAIN.
-	UpPath []string
 	// Filter holds the remaining root-only conjuncts; derivation judges
 	// them per root atom as the first prune hook, before anything below
 	// the root is traversed (every molecule has exactly one root atom, so
 	// per-atom evaluation equals molecule evaluation).
 	Filter expr.Expr
-	// EstEntries estimates the interior atoms matching an InteriorIndex
-	// entry equality (EntrySource records the statistic behind it);
-	// ActEntries counts the atoms the index returned.
-	EstEntries  int
-	EntrySource string
-	ActEntries  int
 	// EstRoots estimates how many roots enter derivation: histogram
 	// buckets when available, otherwise the container size for a full
 	// scan and occurrence/distinct-keys for an index scan, scaled by the
-	// estimated selectivity of the root filter. For an InteriorIndex it
+	// estimated selectivity of the root filter. For an interior entry it
 	// is the climb estimate scaled the same way.
 	EstRoots int
 	// EstSource records which statistic produced EstRoots (SrcHistogram,
@@ -172,42 +159,45 @@ type Access struct {
 	// entered derivation; like Derived, a truncated run counts only the
 	// roots it got to.
 	ActRoots int
-
-	// Ranged marks an IndexScan or InteriorIndex whose index access is a
-	// key-bounded walk of the ordered index over a range conjunction
-	// (<, <=, >, >=, BETWEEN-shaped AND pairs) instead of an equality
-	// lookup; the KeyRange carries the merged bounds.
-	Ranged bool
-	storage.KeyRange
-
-	// Entries carries the per-entry detail of an IndexIntersect access:
-	// each entry's lookup and recovery figures, estimate and actual. The
-	// aggregate ActEntries field above sums over the entries.
+	// Entries are the index entry points, in the order they run.
 	Entries []AccessEntry
-	// ActSurvivors counts the sorted-merge intersection survivors of an
-	// IndexIntersect access, before the root filter ran.
+	// ActSurvivors counts the roots the entries yielded together — for an
+	// IndexIntersect the sorted-merge intersection survivors — before the
+	// root filter ran.
 	ActSurvivors int
 }
 
-// AccessEntry is one entry point of an IndexIntersect access: an indexed
-// equality on one interior type, with its own climb to candidate roots.
+// AccessEntry is one index entry point: an equality lookup or, Ranged, a
+// key-bounded walk of the ordered index on Type.Attr. A root entry yields
+// roots itself; the atoms of an interior entry are climbed upward against
+// the declared edge directions to candidate roots.
 type AccessEntry struct {
-	Type  string
-	Pos   int
-	Attr  string
-	Value model.Value
-	// UpPath lists the atom types this entry's upward climb passes
-	// through, entry first, root last.
-	UpPath []string
-	// EstEntries/ActEntries: atoms the entry lookup returns; EstRoots/
-	// ActRoots: candidate roots the climb recovers. When the intersection
-	// short-circuits on an empty running set, later entries are never
-	// probed and keep zero actuals.
+	Type string
+	Pos  int
+	Attr string
+	// Value is the equality key; a Ranged entry walks the KeyRange's
+	// bounds instead (<, <=, >, >=, and at the root BETWEEN-shaped AND
+	// pairs merged into one interval).
+	Value  model.Value
+	Ranged bool
+	storage.KeyRange
+	// EstEntries estimates the atoms the index returns; EntrySource
+	// records the statistic behind it.
 	EstEntries  int
 	EntrySource string
-	ActEntries  int
-	EstRoots    int
-	ActRoots    int
+	// UpPath lists the atom types an interior entry's climb passes
+	// through, entry first, root last; EstRoots estimates the candidate
+	// roots it recovers.
+	UpPath   []string
+	EstRoots int
+	// ActEntries counts the atoms the index returned, ActRoots the roots
+	// the entry yielded. When an intersection short-circuits on an empty
+	// running set, later entries are never probed and keep zero actuals.
+	ActEntries int
+	ActRoots   int
+	// ords are the ordinals of the root conjuncts a root entry absorbs:
+	// they leave the root filter.
+	ords []int
 }
 
 // Alternative is one access path the planner considered, with its total
@@ -258,12 +248,9 @@ type ResidualConjunct struct {
 type Plan struct {
 	db   *storage.Database
 	desc *core.Desc
-	// path is the row of the access-path table the contest installed; it
-	// produces the root batch and renders the access lines; presorted
-	// marks a root batch that already arrives in the requested order: an
-	// ordered index walk, or an index entry on the ORDER BY attribute
-	// itself.
-	path      accessPath
+	// presorted marks a root batch that already arrives in the requested
+	// order: an ordered index walk, or a root entry on the ORDER BY
+	// attribute itself.
 	presorted bool
 	// derivCost is the expected atoms fetched deriving one molecule, the
 	// link-fan constant the contest weighed the alternatives with.
@@ -335,15 +322,6 @@ type rootConjInfo struct {
 	src  string
 	// ord is the conjunct's ordinal in the split predicate.
 	ord int
-	// Index candidacy: attr is set when the conjunct is root.attr <op>
-	// const with an index on attr — an equality entry (est estimates its
-	// roots) when op is EQ, one bound of a range entry when op is a range
-	// operator.
-	attr   string
-	op     expr.CmpOp
-	val    model.Value
-	est    int
-	estSrc string
 }
 
 // Compile builds the plan for deriving desc under pred (nil = no
@@ -415,12 +393,6 @@ func compile(db *storage.Database, desc *core.Desc, pred expr.Expr, order *Order
 		case single && t == desc.Root():
 			info := rootConjInfo{conj: c, ord: ord}
 			info.sel, info.src = conjSelectivity(db, desc, c, nil)
-			if a, op, v, ok := attrConstCmp(c); ok && db.HasIndex(t, a.Name) {
-				info.attr, info.op, info.val = a.Name, op, v
-				if op == expr.EQ {
-					info.est, info.estSrc = estimateEqCount(db, t, a.Name, v, n)
-				}
-			}
 			rootConjs = append(rootConjs, info)
 		case single && pushableShape(c):
 			pos, _ := desc.Pos(t)
@@ -562,16 +534,6 @@ func referenceFree(e expr.Expr) bool {
 	return len(expr.TypesReferenced(e)) == 0
 }
 
-// indexableEq detects typeName.attr = constant (either orientation) where
-// the type carries an index on attr, returning the attribute and value.
-func indexableEq(c expr.Expr, db *storage.Database, typeName string) (string, model.Value, bool) {
-	a, op, v, ok := attrConstCmp(c)
-	if !ok || op != expr.EQ || !db.HasIndex(typeName, a.Name) {
-		return "", model.Null(), false
-	}
-	return a.Name, v, true
-}
-
 // estimateEqCount estimates how many atoms of typeName carry attr = v:
 // histogram buckets when ANALYZE has built them (the estimate that stays
 // honest under skew), the uniform occurrence/distinct-keys assumption
@@ -681,7 +643,7 @@ func (p *Plan) rankResiduals() {
 
 // resetActuals zeroes every execution actual before a run.
 func (p *Plan) resetActuals() {
-	p.Access.ActRoots, p.Access.ActEntries, p.Access.ActSurvivors = 0, 0, 0
+	p.Access.ActRoots, p.Access.ActSurvivors = 0, 0
 	for i := range p.Access.Entries {
 		e := &p.Access.Entries[i]
 		e.ActEntries, e.ActRoots = 0, 0
@@ -775,7 +737,7 @@ func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error
 	if err != nil {
 		return 0, err
 	}
-	roots, err := p.path.roots(p, dv)
+	roots, err := p.roots(dv)
 	if err != nil {
 		return 0, err
 	}
@@ -804,7 +766,7 @@ func (p *Plan) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "structure: %s\n", p.desc)
 	fmt.Fprintf(&b, "root:      %s\n", p.desc.Root())
-	p.path.explain(&b, p)
+	p.explain(&b)
 	if p.Access.Filter != nil {
 		fmt.Fprintf(&b, "           root filter %s before derivation\n", p.Access.Filter)
 	}

@@ -151,7 +151,7 @@ func TestCompileChoosesIndexScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Access.Kind != plan.IndexScan || p.Access.Attr != "v" {
+	if p.Access.Kind != plan.IndexScan || p.Access.Entries[0].Attr != "v" {
 		t.Fatalf("access = %+v, want index scan on v", p.Access)
 	}
 	if p.Access.Filter == nil {
@@ -373,8 +373,8 @@ func TestCompileChoosesInteriorIndex(t *testing.T) {
 	if p.Access.Kind != plan.InteriorIndex {
 		t.Fatalf("access = %+v, want interior-index entry\n%s", p.Access, p.Render())
 	}
-	if p.Access.EntryType != "part" || p.Access.Attr != "serial" {
-		t.Fatalf("entry = %s.%s, want part.serial", p.Access.EntryType, p.Access.Attr)
+	if p.Access.Entries[0].Type != "part" || p.Access.Entries[0].Attr != "serial" {
+		t.Fatalf("entry = %s.%s, want part.serial", p.Access.Entries[0].Type, p.Access.Entries[0].Attr)
 	}
 	if len(p.Pushdowns) != 1 || p.Pushdowns[0].Type != "part" {
 		t.Fatalf("the entry conjunct must stay on as a pushdown hook: %+v", p.Pushdowns)
@@ -408,7 +408,7 @@ func TestCompileChoosesInteriorIndex(t *testing.T) {
 		t.Fatalf("interior entry fetched %d atoms, root scan %d — no win",
 			planWork.AtomsFetched, naiveWork.AtomsFetched)
 	}
-	if p.Access.ActEntries == 0 || p.Access.ActRoots == 0 {
+	if p.Access.Entries[0].ActEntries == 0 || p.Access.ActRoots == 0 {
 		t.Fatalf("actuals not filled: %+v", p.Access)
 	}
 

@@ -116,7 +116,7 @@ func TestIndexWalkKeysVisited(t *testing.T) {
 			{"range <= 9", k(expr.LE, 9), nil, 0, 10},
 		} {
 			p := mustCompile(t, db, mt, tc.pred, tc.order, 1, 0)
-			if p.Access.Kind != plan.IndexScan || !p.Access.Ranged {
+			if p.Access.Kind != plan.IndexScan || !p.Access.Entries[0].Ranged {
 				t.Fatalf("%s: access %v, want a ranged index scan\n%s", tc.name, p.Access.Kind, p.Render())
 			}
 			keys, visited := streamKeys(t, db, p)

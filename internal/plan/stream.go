@@ -78,7 +78,7 @@ func (p *Plan) open(txn *storage.Txn) (dv *core.Deriver, own *storage.Snapshot, 
 		own = p.db.Snapshot()
 		return dv.At(own.View), own, nil
 	}
-	if txn.Dirty() && p.path != (scan{}) {
+	if txn.Dirty() && p.Access.Kind != FullScan {
 		return nil, nil, errors.New("plan: a transaction's uncommitted writes are only reachable by a full scan (compile with CompileForced)")
 	}
 	return dv.At(txn.View()), nil, nil
@@ -126,7 +126,7 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 	}
 	var roots core.Roots
 	if err == nil {
-		roots, err = p.path.roots(p, dv)
+		roots, err = p.roots(dv)
 	}
 
 	// Ordered delivery: an access path that already yields roots in key

@@ -465,6 +465,36 @@ func (t *Txn) release() {
 	}
 }
 
+// Mark returns the point in the buffered write set RollbackTo returns
+// to: taken before a statement, it makes the statement undoable alone.
+func (t *Txn) Mark() int { return len(t.wops) }
+
+// RollbackTo discards the writes buffered after mark and forgets the
+// types they defined, the way Rollback does, but leaves the transaction
+// open: the writes before the mark stay, and the next View rebuilds the
+// overlay from them.
+func (t *Txn) RollbackTo(mark int) error {
+	if err := t.active(); err != nil {
+		return err
+	}
+	if mark < 0 || mark > len(t.wops) {
+		return fmt.Errorf("storage: rollback mark %d outside the %d buffered writes", mark, len(t.wops))
+	}
+	t.db.mu.Lock()
+	for _, op := range t.wops[mark:] {
+		if op.kind == walOpAtomType || op.kind == walOpLinkType {
+			delete(t.own, op.name)
+			delete(t.db.containers, op.name)
+			delete(t.db.links, op.name)
+		}
+	}
+	t.db.mu.Unlock()
+	t.wops, t.indexed = t.wops[:mark], 0
+	clear(t.atoms)
+	clear(t.linkOps)
+	return nil
+}
+
 // Mutations reports how many mutations the transaction has buffered.
 func (t *Txn) Mutations() int { return len(t.wops) }
 
