@@ -69,11 +69,12 @@ func NewDesc(db *storage.Database, types []string, edges []DirectedLink) (*Desc,
 		return nil, fmt.Errorf("core: molecule description needs at least one atom type")
 	}
 	d := &Desc{
-		types:    append([]string(nil), types...),
-		edges:    append([]DirectedLink(nil), edges...),
-		incoming: make(map[string][]int),
-		outgoing: make(map[string][]int),
-		pos:      make(map[string]int),
+		types: append([]string(nil), types...),
+		edges: append([]DirectedLink(nil), edges...),
+		pos:   make(map[string]int),
+	}
+	if len(edges) > 0 { // a link-less structure reads nil adjacency maps
+		d.incoming, d.outgoing = make(map[string][]int), make(map[string][]int)
 	}
 	// Types resolve through their occurrences, not the catalog: a type a
 	// transaction defined is part of its structures before it commits.
@@ -346,10 +347,9 @@ func (d *Desc) render() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
+		b.WriteString(t)
 		if t == d.root {
-			b.WriteString(t + "*")
-		} else {
-			b.WriteString(t)
+			b.WriteByte('*')
 		}
 	}
 	b.WriteString("}, {")

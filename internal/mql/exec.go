@@ -472,11 +472,8 @@ func (s *Session) resolveFrom(fc FromClause) (*core.MoleculeType, error) {
 	return mt, nil
 }
 
-// planSelect compiles a SELECT body into a query plan, costed on the
-// indexes and statistics of the moment — every statement compiles.
-// Inside a transaction holding buffered writes the plan is forced onto
-// the full scan — index postings hold committed versions only. The
-// session's SET options and the statement's LIMIT parameterize the
+// planSelect compiles a SELECT body into a query plan (see compile).
+// The session's SET options and the statement's LIMIT parameterize the
 // returned plan.
 func (s *Session) planSelect(st *SelectStmt, desc *core.Desc) (*plan.Plan, error) {
 	if st.Where != nil {
@@ -488,17 +485,23 @@ func (s *Session) planSelect(st *SelectStmt, desc *core.Desc) (*plan.Plan, error
 	if err != nil {
 		return nil, err
 	}
-	var p *plan.Plan
-	if s.dirty() {
-		p, err = plan.CompileForced(s.db, desc, st.Where, order, "full scan of "+desc.Root())
-	} else {
-		p, err = plan.CompileOrdered(s.db, desc, st.Where, order)
-	}
+	p, err := s.compile(desc, st.Where, order)
 	if err != nil {
 		return nil, err
 	}
 	p.Workers, p.Limit = s.workers, st.Limit
 	return p, nil
+}
+
+// compile builds the plan of a statement's structure, costed on the
+// indexes and statistics of the moment — every statement compiles.
+// Inside a transaction holding buffered writes the plan is forced onto
+// the full scan — index postings hold committed versions only.
+func (s *Session) compile(desc *core.Desc, where expr.Expr, order *plan.OrderBy) (*plan.Plan, error) {
+	if s.dirty() {
+		return plan.CompileForced(s.db, desc, where, order, "full scan of "+desc.Root())
+	}
+	return plan.CompileOrdered(s.db, desc, where, order)
 }
 
 // orderBy resolves a SELECT's ORDER BY clause against the structure it
@@ -805,10 +808,14 @@ func (s *Session) execInsert(st *InsertStmt) (*Result, error) {
 	return res, nil
 }
 
-// matchAtoms collects the atoms of a type satisfying a predicate. The
-// scan reads the statement's transaction, so the selected set is
-// consistent with every other read the transaction performs.
-func (s *Session) matchAtoms(typeName string, pred expr.Expr) ([]model.Atom, error) {
+// matchAtoms selects the atoms of a type satisfying a predicate: the
+// restriction of the one-type structure, run by its plan's roots alone
+// (plan.MatchIn) — the access-path contest of every SELECT, no
+// derivation. It reads the statement's transaction — begin snapshot plus
+// the transaction's own buffered writes — so the selected set is
+// consistent with every other read the transaction performs and can
+// include atoms it just inserted.
+func (s *Session) matchAtoms(typeName string, pred expr.Expr) ([]model.AtomID, error) {
 	c, ok := s.db.Container(typeName)
 	if !ok {
 		return nil, fmt.Errorf("mql: unknown atom type %q", typeName)
@@ -818,63 +825,15 @@ func (s *Session) matchAtoms(typeName string, pred expr.Expr) ([]model.Atom, err
 			return nil, err
 		}
 	}
-	var out []model.Atom
-	var evalErr error
-	// DML predicates match the effective view — begin snapshot plus the
-	// transaction's own buffered writes — so a statement can target atoms
-	// the transaction just inserted.
-	view := s.txn.View()
-	scanned := int64(0)
-	match := func(a model.Atom) bool {
-		scanned++
-		keep, err := expr.EvalPredicate(pred, expr.AtomBinding{TypeName: typeName, Desc: c.Desc(), Atom: a})
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if keep {
-			out = append(out, a)
-		}
-		return true
+	desc, err := core.NewDesc(s.db, []string{typeName}, nil)
+	if err != nil {
+		return nil, err
 	}
-	if ids, ok := indexedEq(view, typeName, pred); ok {
-		// The index names every atom an attr = literal conjunct can
-		// match, ascending — the scan's order; the whole predicate
-		// still judges each.
-		for _, id := range ids {
-			if a, ok := view.Atom(c, id); ok && !match(a) {
-				break
-			}
-		}
-	} else {
-		view.Scan(c, match)
+	p, err := s.compile(desc, pred, nil)
+	if err != nil {
+		return nil, err
 	}
-	// Work accounting: every atom judged counts as an atom fetch.
-	s.db.Stats().AtomsFetched.Add(scanned)
-	return out, evalErr
-}
-
-// indexedEq answers a top-level attr = literal conjunct of pred from an
-// index through v. ok is false when no such conjunct has one — always
-// so for a view carrying buffered writes, which postings do not hold.
-func indexedEq(v storage.View, typeName string, pred expr.Expr) (ids []model.AtomID, ok bool) {
-	switch e := pred.(type) {
-	case expr.And:
-		if ids, ok = indexedEq(v, typeName, e.L); !ok {
-			ids, ok = indexedEq(v, typeName, e.R)
-		}
-	case expr.Cmp:
-		a, aok := e.L.(expr.Attr)
-		lit, lok := e.R.(expr.Const)
-		if !aok || !lok {
-			a, aok = e.R.(expr.Attr)
-			lit, lok = e.L.(expr.Const)
-		}
-		if e.Op == expr.EQ && aok && lok && (a.Type == "" || a.Type == typeName) {
-			ids, ok = v.IndexLookup(typeName, a.Name, lit.V)
-		}
-	}
-	return ids, ok
+	return p.MatchIn(s.txn)
 }
 
 func (s *Session) execUpdate(st *UpdateStmt) (*Result, error) {
@@ -888,35 +847,40 @@ func (s *Session) execUpdate(st *UpdateStmt) (*Result, error) {
 			return nil, fmt.Errorf("mql: atom type %q has no attribute %q", st.Type, a)
 		}
 	}
-	atoms, err := s.matchAtoms(st.Type, st.Where)
+	ids, err := s.matchAtoms(st.Type, st.Where)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range atoms {
-		vals := make([]model.Value, len(a.Vals))
-		copy(vals, a.Vals)
+	// The match read this view, and no atom is read after its own update.
+	// As for DELETE and CONNECT, the match books what the plan fetched
+	// and the write books its own read; this read of the values is not
+	// booked again.
+	view := s.txn.View()
+	for _, id := range ids {
+		a, _ := view.Atom(c, id)
+		vals := slices.Clone(a.Vals)
 		for name, v := range st.Set {
 			pos, _ := desc.Lookup(name)
 			vals[pos] = v
 		}
-		if err := s.txn.UpdateAtom(st.Type, a.ID, vals); err != nil {
+		if err := s.txn.UpdateAtom(st.Type, id, vals); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Kind: RAffected, Affected: len(atoms)}, nil
+	return &Result{Kind: RAffected, Affected: len(ids)}, nil
 }
 
 func (s *Session) execDelete(st *DeleteStmt) (*Result, error) {
-	atoms, err := s.matchAtoms(st.Type, st.Where)
+	ids, err := s.matchAtoms(st.Type, st.Where)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range atoms {
-		if err := s.txn.DeleteAtom(st.Type, a.ID); err != nil {
+	for _, id := range ids {
+		if err := s.txn.DeleteAtom(st.Type, id); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Kind: RAffected, Affected: len(atoms)}, nil
+	return &Result{Kind: RAffected, Affected: len(ids)}, nil
 }
 
 func (s *Session) execConnect(st *ConnectStmt) (*Result, error) {
@@ -937,13 +901,13 @@ func (s *Session) execConnect(st *ConnectStmt) (*Result, error) {
 		return nil, err
 	}
 	n := 0
-	for _, fa := range froms {
-		for _, ta := range tos {
+	for _, from := range froms {
+		for _, to := range tos {
 			changed := true
 			if st.Remove {
-				changed, err = s.txn.Disconnect(st.Link, fa.ID, ta.ID)
+				changed, err = s.txn.Disconnect(st.Link, from, to)
 			} else {
-				err = s.txn.Connect(st.Link, fa.ID, ta.ID)
+				err = s.txn.Connect(st.Link, from, to)
 			}
 			if err != nil {
 				return nil, err

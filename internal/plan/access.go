@@ -1,9 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"mad/internal/core"
@@ -71,16 +71,20 @@ type contest struct {
 
 // indexedCmp recognizes conjunct c as "attr op const" (either
 // orientation) that an index on typeName.attr serves: an equality lookup,
-// or — ranged — one bound of a key-bounded walk.
+// or — ranged — one bound of a key-bounded walk. A NULL constant is never
+// served: a comparison with NULL holds for no atom, while the index keys
+// NULL values like any other.
 func indexedCmp(db *storage.Database, typeName string, c expr.Expr, ranged bool) (string, expr.CmpOp, model.Value, bool) {
 	a, op, v, ok := attrConstCmp(c)
-	if !ok || (ranged && !isRangeOp(op)) || (!ranged && op != expr.EQ) || !db.HasIndex(typeName, a.Name) {
+	if !ok || v.IsNull() || (ranged && !isRangeOp(op)) || (!ranged && op != expr.EQ) || !db.HasIndex(typeName, a.Name) {
 		return "", 0, model.Null(), false
 	}
 	return a.Name, op, v, true
 }
 
-// interiorEqs finds the interior entry equalities among the pushdowns.
+// interiorEqs finds the interior entry equalities among the pushdowns
+// and climbs each once: its single entry and the intersection read the
+// same estimate.
 func (cc *contest) interiorEqs() []AccessEntry {
 	var eqs []AccessEntry
 	db := cc.p.db
@@ -95,6 +99,7 @@ func (cc *contest) interiorEqs() []AccessEntry {
 		}
 		e := AccessEntry{Type: pd.Type, Pos: pd.Pos, Attr: attr, Value: val}
 		e.EstEntries, e.EntrySource = estimateEqCount(db, pd.Type, attr, val, nT)
+		cc.climb(&e)
 		eqs = append(eqs, e)
 	}
 	return eqs
@@ -286,27 +291,28 @@ func interiorRanges(cc *contest) {
 		e := AccessEntry{Type: pd.Type, Pos: pd.Pos, Attr: attr}
 		e.addBound(op, val)
 		e.EstEntries, e.EntrySource = estimateRangeCount(db, &e, nT)
+		cc.climb(&e)
 		cc.addInterior([]AccessEntry{e}, "interior-range "+pd.Type+"."+attr+" "+rangeString(e.KeyRange))
 	}
 }
 
 // climb estimates an interior entry's upward walk into the entry and
-// returns the access cost of entering there: the entry atoms, the climb
-// and the recovered roots.
-func (cc *contest) climb(e *AccessEntry) float64 {
+// the access cost of entering there: the entry atoms, the climb and the
+// recovered roots.
+func (cc *contest) climb(e *AccessEntry) {
 	var climbCost float64
 	e.EstRoots, climbCost, e.UpPath = climbEstimate(cc.p.db, cc.p.desc, e.Type, e.EstEntries)
-	return float64(e.EstEntries) + climbCost + float64(e.EstRoots)
+	e.access = float64(e.EstEntries) + climbCost + float64(e.EstRoots)
 }
 
-// addInterior costs a single interior entry: its atoms, the climb and
-// the recovered roots, which the whole root filter then thins — an
-// interior entry absorbs no root conjunct.
+// addInterior costs a single climbed interior entry: its atoms, the
+// climb and the recovered roots, which the whole root filter then thins
+// — an interior entry absorbs no root conjunct.
 func (cc *contest) addInterior(ents []AccessEntry, label string) {
 	e := &ents[0]
 	cc.cands = append(cc.cands, candidate{
 		label:    label,
-		access:   cc.climb(e),
+		access:   e.access,
 		entering: scaleEst(e.EstRoots, cc.allSel),
 		kind:     InteriorIndex,
 		entries:  ents,
@@ -346,7 +352,7 @@ func intersection(cc *contest) {
 	estSrc := SrcLinkFan
 	for i := range ents {
 		e := &ents[i]
-		access += cc.climb(e)
+		access += e.access
 		labels = append(labels, e.Type+"."+e.Attr)
 		frac *= float64(e.EstRoots) / float64(cc.n)
 		estSrc = combineSource(estSrc, e.EntrySource)
@@ -408,7 +414,7 @@ func (p *Plan) chooseAccess(n int, rootConjs []rootConjInfo, derivCost float64, 
 		return fmt.Errorf("plan: no access path %q among the candidates", force)
 	}
 	alts[best].Chosen = true
-	sort.SliceStable(alts, func(i, j int) bool { return alts[i].Cost < alts[j].Cost })
+	slices.SortStableFunc(alts, func(a, b Alternative) int { return cmp.Compare(a.Cost, b.Cost) })
 	p.Alternatives = alts
 
 	c := &cands[best]

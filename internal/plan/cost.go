@@ -391,12 +391,9 @@ func derivCostPerRoot(db *storage.Database, desc *core.Desc, sizes []float64) fl
 		n, _ := db.CountAtoms(desc.Root())
 		return estimateClosure(fan, cl.Depth, n)
 	}
-	total := 1.0
-	for _, t := range desc.Topo() {
-		if t != desc.Root() {
-			pos, _ := desc.Pos(t)
-			total += sizes[pos]
-		}
+	total := 0.0 // the root's size is 1
+	for _, size := range sizes {
+		total += size
 	}
 	return total
 }

@@ -70,6 +70,7 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -196,8 +197,10 @@ type AccessEntry struct {
 	ActEntries int
 	ActRoots   int
 	// ords are the ordinals of the root conjuncts a root entry absorbs:
-	// they leave the root filter.
-	ords []int
+	// they leave the root filter. access is an interior entry's access
+	// cost: its atoms, the climb and the recovered roots.
+	ords   []int
+	access float64
 }
 
 // Alternative is one access path the planner considered, with its total
@@ -377,14 +380,17 @@ func compile(db *storage.Database, desc *core.Desc, pred expr.Expr, order *Order
 	var rootConjs []rootConjInfo
 	for ord, c := range splitConjuncts(pred) {
 		t, single := conjunctType(db, desc, c)
-		if desc.Closure() != nil && !single {
-			// The qualification of a recursive molecule judges its root
-			// atom (Chapter 5): every conjunct is a root conjunct. As a
-			// residual it would evaluate existentially over every level of
-			// the closure and silently mean something else.
+		if desc.NumTypes() == 1 && !single {
+			// A one-type molecule is its root atom, and the qualification
+			// of a recursive molecule judges its root atom (Chapter 5):
+			// every conjunct is a root conjunct. As a residual a
+			// reference-free conjunct would keep a roots-only run from
+			// judging the match, and a closure's would evaluate
+			// existentially over every level and silently mean something
+			// else.
 			for rt := range expr.TypesReferenced(c) {
 				if rt != "" && rt != desc.Root() {
-					return nil, fmt.Errorf("plan: recursive WHERE references %q; only %q is in scope", rt, desc.Root())
+					return nil, fmt.Errorf("plan: WHERE references %q; only %q is in scope", rt, desc.Root())
 				}
 			}
 			t, single = desc.Root(), true
@@ -472,9 +478,15 @@ func combine(a, b expr.Expr) expr.Expr {
 // mirroring molecule-binding semantics — and reports whether they all
 // name one single type.
 func conjunctType(db *storage.Database, desc *core.Desc, c expr.Expr) (string, bool) {
-	// Fast path for the dominant shape: qualified attribute vs constant.
-	if a, _, _, ok := attrConstCmp(c); ok && a.Type != "" {
-		return a.Type, desc.HasType(a.Type)
+	// Fast path for the dominant shape: attribute vs constant, qualified
+	// or naming the one type there is.
+	if a, _, _, ok := attrConstCmp(c); ok {
+		switch {
+		case a.Type != "":
+			return a.Type, desc.HasType(a.Type)
+		case desc.NumTypes() == 1:
+			return desc.Root(), true
+		}
 	}
 	types := make(map[string]bool)
 	for t := range expr.TypesReferenced(c) {
@@ -701,21 +713,20 @@ func (p *Plan) drain(ctx context.Context, txn *storage.Txn, fn func(*core.Molecu
 	return st.Err()
 }
 
-// CanCountFast reports whether the plan can answer a COUNT without
-// deriving a single molecule: with no interior pushdowns and no residual
-// chain, every root passing the root filter yields exactly one
-// qualifying molecule (a root always derives), so the count is the
-// number of passing roots.
+// CanCountFast reports whether the plan's roots alone decide its
+// result: with no interior pushdowns and no residual chain, every root
+// passing the root filter yields exactly one qualifying molecule (a root
+// always derives). A one-type description always qualifies.
 func (p *Plan) CanCountFast() bool {
 	return len(p.Pushdowns) == 0 && len(p.Residuals) == 0
 }
 
 // ExecuteCountIn counts the plan's qualifying molecules through txn's
 // view (see StreamIn; nil pins the latest commit for the call). When
-// CanCountFast holds, only the access path runs, and one loop counts the
-// roots passing the root filter — zero derivations, zero molecules
-// materialized. Otherwise the counting rides the stream, where a LIMIT
-// still ends derivation mid-run the moment the bound is reached.
+// CanCountFast holds, the count is the roots-only run's — zero
+// derivations, zero molecules materialized. Otherwise the counting rides
+// the stream, where a LIMIT still ends derivation mid-run the moment the
+// bound is reached.
 func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error) {
 	if !p.CanCountFast() {
 		n := 0
@@ -724,9 +735,35 @@ func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error
 		}
 		return n, nil
 	}
+	if err := p.passingRoots(txn, func(model.AtomID) {}); err != nil {
+		return 0, err
+	}
+	if p.Limit > 0 {
+		p.Out = min(p.Out, p.Limit)
+	}
+	return p.Out, nil
+}
+
+// MatchIn returns the roots a CanCountFast plan qualifies, read through
+// txn's view (see StreamIn; nil pins the latest commit for the call) —
+// for a one-type description, the atoms the restriction selects, in the
+// access path's order. Only the access path and the root filter run.
+func (p *Plan) MatchIn(txn *storage.Txn) ([]model.AtomID, error) {
+	if !p.CanCountFast() {
+		return nil, errors.New("plan: the roots alone do not decide this plan's molecules")
+	}
+	var ids []model.AtomID
+	err := p.passingRoots(txn, func(r model.AtomID) { ids = append(ids, r) })
+	return ids, err
+}
+
+// passingRoots is the roots-only run: it opens the plan through txn's
+// view, pulls the access path's roots and hands fn each one passing the
+// root filter, recording the actuals as a drained stream would.
+func (p *Plan) passingRoots(txn *storage.Txn, fn func(model.AtomID)) error {
 	dv, own, err := p.open(txn)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if own != nil {
 		defer own.Close()
@@ -735,29 +772,26 @@ func (p *Plan) ExecuteCountIn(ctx context.Context, txn *storage.Txn) (int, error
 	eb := &evalErrBox{}
 	filter, err := p.rootFilter(eb, dv.View())
 	if err != nil {
-		return 0, err
+		return err
 	}
 	roots, err := p.roots(dv)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	buf := make([]model.AtomID, 0, core.DefaultStreamBatch)
 	for ids := roots(buf); len(ids) > 0 && !eb.failed.Load(); ids = roots(buf) {
 		for _, r := range ids {
 			if filter == nil || filter(r) {
 				p.Access.ActRoots++
+				fn(r)
 			}
 		}
 	}
 	if err := eb.get(); err != nil {
-		return 0, err
+		return err
 	}
-	p.Out = p.Access.ActRoots
-	if p.Limit > 0 {
-		p.Out = min(p.Out, p.Limit)
-	}
-	p.Executed = true
-	return p.Out, nil
+	p.Out, p.Executed = p.Access.ActRoots, true
+	return nil
 }
 
 // Render prints the plan tree with estimated and (when executed) actual

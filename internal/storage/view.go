@@ -151,7 +151,8 @@ func (v View) hasLink(ls *LinkStore, a, b model.AtomID) bool {
 // index resolves the index over typeName.attr for this view. Postings
 // hold committed versions only and no overlay of a transaction's buffered
 // writes exists, so a view carrying buffered writes has no index to read
-// — it is entered by the full scan.
+// — the planner enters it by the full scan, for a SELECT and a DML
+// statement's match alike.
 func (v View) index(typeName, attr string) (*Index, bool) {
 	if v.txn != nil {
 		return nil, false
