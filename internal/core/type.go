@@ -120,79 +120,142 @@ func ResolveUnqualified(db *storage.Database, d *Desc, attr string) (string, err
 // atoms. Unqualified names resolve when exactly one component type
 // declares the attribute.
 func (b Binding) Resolve(typeName, attr string) ([]model.Value, error) {
-	d := b.M.Desc()
-	if typeName == "" {
-		found, err := ResolveUnqualified(b.DB, d, attr)
-		if err != nil {
-			return nil, err
-		}
-		typeName = found
+	pos, col, err := Scope{DB: b.DB, Desc: b.M.Desc()}.Column(typeName, attr)
+	if err != nil {
+		return nil, err
 	}
-	pos, ok := d.Pos(typeName)
-	if !ok {
-		return nil, fmt.Errorf("expr: atom type %q is not part of the molecule structure", typeName)
-	}
-	c, ok := b.DB.Container(typeName)
-	if !ok {
-		return nil, fmt.Errorf("expr: atom type %q has no container", typeName)
-	}
-	i, ok := c.Desc().Lookup(attr)
-	if !ok {
-		return nil, fmt.Errorf("expr: atom type %q has no attribute %q", typeName, attr)
-	}
+	c, _ := b.DB.Container(b.M.Desc().types[pos])
 	ids := b.M.AtomsAt(pos)
-	out, ok := b.View.Attr(c, ids, i)
+	var buf [16]model.Atom // a usual component set stays off the heap
+	atoms, ok := b.View.Atoms(c, ids, buf[:0])
 	if !ok {
-		return nil, fmt.Errorf("expr: component atom %v missing from %q", ids[len(out)], typeName)
+		return nil, missing(ids[len(atoms)], c)
 	}
 	b.DB.Stats().AtomsFetched.Add(int64(len(ids)))
+	out := make([]model.Value, len(atoms))
+	for k, a := range atoms {
+		out[k] = a.Get(col)
+	}
 	return out, nil
+}
+
+// missing is the error of a component atom the view no longer holds.
+func missing(id model.AtomID, c *storage.Container) error {
+	return fmt.Errorf("expr: component atom %v missing from %q", id, c.TypeName())
 }
 
 // Count returns the number of component atoms of the named type.
 func (b Binding) Count(typeName string) (int, error) {
-	pos, ok := b.M.Desc().Pos(typeName)
-	if !ok {
-		return 0, fmt.Errorf("expr: atom type %q is not part of the molecule structure", typeName)
+	pos, err := Scope{Desc: b.M.Desc()}.Slot(typeName)
+	if err != nil {
+		return 0, err
 	}
 	return len(b.M.AtomsAt(pos)), nil
 }
 
 // Scope statically validates qualification formulas against a
-// molecule-type description (used by the MQL semantic analyzer).
+// molecule-type description (used by the MQL semantic analyzer), and is
+// the expr.Layout molecule predicates compile against: a slot is a
+// type's position in the structure.
 type Scope struct {
 	DB   *storage.Database
 	Desc *Desc
 }
 
-// ResolveAttr resolves a (possibly unqualified) reference to its kind.
-func (s Scope) ResolveAttr(typeName, attr string) (model.Kind, error) {
+// Column resolves a (possibly unqualified) reference to its type's
+// position in the structure and the attribute's column.
+func (s Scope) Column(typeName, attr string) (slot, col int, err error) {
 	if typeName == "" {
-		found, err := ResolveUnqualified(s.DB, s.Desc, attr)
-		if err != nil {
-			return model.KNull, err
+		if typeName, err = ResolveUnqualified(s.DB, s.Desc, attr); err != nil {
+			return 0, 0, err
 		}
-		typeName = found
 	}
-	if !s.Desc.HasType(typeName) {
-		return model.KNull, fmt.Errorf("expr: atom type %q is not part of the molecule structure", typeName)
+	if slot, err = s.Slot(typeName); err != nil {
+		return 0, 0, err
 	}
 	c, ok := s.DB.Container(typeName)
 	if !ok {
-		return model.KNull, fmt.Errorf("expr: atom type %q has no container", typeName)
+		return 0, 0, fmt.Errorf("expr: atom type %q has no container", typeName)
 	}
-	i, ok := c.Desc().Lookup(attr)
+	if col, ok = c.Desc().Lookup(attr); !ok {
+		return 0, 0, fmt.Errorf("expr: atom type %q has no attribute %q", typeName, attr)
+	}
+	return slot, col, nil
+}
+
+// ResolveAttr resolves a (possibly unqualified) reference to its kind.
+func (s Scope) ResolveAttr(typeName, attr string) (model.Kind, error) {
+	pos, col, err := s.Column(typeName, attr)
+	if err != nil {
+		return model.KNull, err
+	}
+	c, _ := s.DB.Container(s.Desc.types[pos])
+	return c.Desc().Attr(col).Kind, nil
+}
+
+// Slot resolves a type to its position in the structure.
+func (s Scope) Slot(typeName string) (int, error) {
+	pos, ok := s.Desc.Pos(typeName)
 	if !ok {
-		return model.KNull, fmt.Errorf("expr: atom type %q has no attribute %q", typeName, attr)
+		return 0, fmt.Errorf("expr: atom type %q is not part of the molecule structure", typeName)
 	}
-	return c.Desc().Attr(i).Kind, nil
+	return pos, nil
 }
 
 // HasType reports whether the type participates in the structure.
 func (s Scope) HasType(typeName string) bool { return s.Desc.HasType(typeName) }
 
+// Reader is the expr.Reader of a structure's molecules, compiled against
+// its Scope: it reads each component type's atoms at most once per
+// molecule, under one latch, into scratch it reuses from molecule to
+// molecule, and books each atom it reads once. It is not safe for
+// concurrent use; a parallel run gives every worker its own.
+type Reader struct {
+	db    *storage.Database
+	view  storage.View
+	conts []*storage.Container // per position, resolved once
+	m     *Molecule
+	gen   uint64
+	read  []uint64 // read[pos] == gen: atoms[pos] holds m's atoms
+	atoms [][]model.Atom
+}
+
+// NewReader returns a reader of d's molecules through view.
+func NewReader(db *storage.Database, d *Desc, view storage.View) *Reader {
+	r := &Reader{db: db, view: view, conts: make([]*storage.Container, len(d.types)),
+		read: make([]uint64, len(d.types)), atoms: make([][]model.Atom, len(d.types))}
+	for pos, t := range d.types {
+		r.conts[pos], _ = db.Container(t)
+	}
+	return r
+}
+
+// Bind makes m the molecule the reader reads.
+func (r *Reader) Bind(m *Molecule) { r.m, r.gen = m, r.gen+1 }
+
+// Atoms returns the bound molecule's atoms at position pos.
+func (r *Reader) Atoms(pos int) ([]model.Atom, error) {
+	if r.read[pos] == r.gen {
+		return r.atoms[pos], nil
+	}
+	ids := r.m.AtomsAt(pos)
+	atoms, ok := r.view.Atoms(r.conts[pos], ids, r.atoms[pos])
+	r.atoms[pos] = atoms
+	if !ok {
+		return nil, missing(ids[len(atoms)], r.conts[pos])
+	}
+	r.db.Stats().AtomsFetched.Add(int64(len(ids)))
+	r.read[pos] = r.gen
+	return atoms, nil
+}
+
+// Count returns the number of the bound molecule's atoms at position pos.
+func (r *Reader) Count(pos int) int { return len(r.m.AtomsAt(pos)) }
+
 // compile-time interface checks
 var (
 	_ expr.Binding = Binding{}
 	_ expr.Scope   = Scope{}
+	_ expr.Layout  = Scope{}
+	_ expr.Reader  = (*Reader)(nil)
 )

@@ -17,20 +17,17 @@ type AtomBinding struct {
 
 // Resolve returns the single value of the referenced attribute.
 func (b AtomBinding) Resolve(typeName, attr string) ([]model.Value, error) {
-	if typeName != "" && typeName != b.TypeName {
-		return nil, fmt.Errorf("expr: atom type %q not in scope (bound: %q)", typeName, b.TypeName)
-	}
-	i, ok := b.Desc.Lookup(attr)
-	if !ok {
-		return nil, fmt.Errorf("expr: atom type %q has no attribute %q", b.TypeName, attr)
+	_, i, err := AtomScope{TypeName: b.TypeName, Desc: b.Desc}.Column(typeName, attr)
+	if err != nil {
+		return nil, err
 	}
 	return []model.Value{b.Atom.Get(i)}, nil
 }
 
 // Count reports 1 for the bound type, errors otherwise.
 func (b AtomBinding) Count(typeName string) (int, error) {
-	if typeName != b.TypeName {
-		return 0, fmt.Errorf("expr: atom type %q not in scope (bound: %q)", typeName, b.TypeName)
+	if _, err := (AtomScope{TypeName: b.TypeName}).Slot(typeName); err != nil {
+		return 0, err
 	}
 	return 1, nil
 }
@@ -114,14 +111,32 @@ type AtomScope struct {
 
 // ResolveAttr resolves against the single type.
 func (s AtomScope) ResolveAttr(typeName, attr string) (model.Kind, error) {
-	if typeName != "" && typeName != s.TypeName {
-		return model.KNull, fmt.Errorf("expr: atom type %q not in scope (bound: %q)", typeName, s.TypeName)
-	}
-	i, ok := s.Desc.Lookup(attr)
-	if !ok {
-		return model.KNull, fmt.Errorf("expr: atom type %q has no attribute %q", s.TypeName, attr)
+	_, i, err := s.Column(typeName, attr)
+	if err != nil {
+		return model.KNull, err
 	}
 	return s.Desc.Attr(i).Kind, nil
+}
+
+// Column resolves a reference to the single type's attribute: slot 0 is
+// the bound atom.
+func (s AtomScope) Column(typeName, attr string) (slot, col int, err error) {
+	if typeName != "" && typeName != s.TypeName {
+		return 0, 0, fmt.Errorf("expr: atom type %q not in scope (bound: %q)", typeName, s.TypeName)
+	}
+	col, ok := s.Desc.Lookup(attr)
+	if !ok {
+		return 0, 0, fmt.Errorf("expr: atom type %q has no attribute %q", s.TypeName, attr)
+	}
+	return 0, col, nil
+}
+
+// Slot resolves the single type, whose one atom is slot 0.
+func (s AtomScope) Slot(typeName string) (int, error) {
+	if typeName != s.TypeName {
+		return 0, fmt.Errorf("expr: atom type %q not in scope (bound: %q)", typeName, s.TypeName)
+	}
+	return 0, nil
 }
 
 // HasType reports scope membership.
@@ -132,37 +147,11 @@ func (s AtomScope) HasType(typeName string) bool { return typeName == s.TypeName
 // only the root type (and may therefore be pushed below derivation).
 func References(e Expr) []Attr {
 	var out []Attr
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case Attr:
-			out = append(out, n)
-		case Cmp:
-			walk(n.L)
-			walk(n.R)
-		case And:
-			walk(n.L)
-			walk(n.R)
-		case Or:
-			walk(n.L)
-			walk(n.R)
-		case Not:
-			walk(n.E)
-		case Arith:
-			walk(n.L)
-			walk(n.R)
-		case All:
-			walk(n.Attr)
-			walk(n.R)
-		case Func:
-			for _, a := range n.Args {
-				walk(a)
-			}
+	walkRefs(e, func(a Attr) {
+		if a.Name != "" {
+			out = append(out, a)
 		}
-	}
-	if e != nil {
-		walk(e)
-	}
+	})
 	return out
 }
 
@@ -171,40 +160,41 @@ func References(e Expr) []Attr {
 // contribute "".
 func TypesReferenced(e Expr) map[string]bool {
 	out := make(map[string]bool)
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case Attr:
-			out[n.Type] = true
-		case Cmp:
-			walk(n.L)
-			walk(n.R)
-		case And:
-			walk(n.L)
-			walk(n.R)
-		case Or:
-			walk(n.L)
-			walk(n.R)
-		case Not:
-			walk(n.E)
-		case Arith:
-			walk(n.L)
-			walk(n.R)
-		case Exists:
-			out[n.Type] = true
-		case CountOf:
-			out[n.Type] = true
-		case All:
-			walk(n.Attr)
-			walk(n.R)
-		case Func:
-			for _, a := range n.Args {
-				walk(a)
-			}
+	walkRefs(e, func(a Attr) { out[a.Type] = true })
+	return out
+}
+
+// walkRefs calls fn for every reference of e in syntactic order: each
+// attribute reference, and each EXISTS or COUNT target as an Attr
+// without a name.
+func walkRefs(e Expr, fn func(Attr)) {
+	switch n := e.(type) {
+	case Attr:
+		fn(n)
+	case Exists:
+		fn(Attr{Type: n.Type})
+	case CountOf:
+		fn(Attr{Type: n.Type})
+	case Cmp:
+		walkRefs(n.L, fn)
+		walkRefs(n.R, fn)
+	case And:
+		walkRefs(n.L, fn)
+		walkRefs(n.R, fn)
+	case Or:
+		walkRefs(n.L, fn)
+		walkRefs(n.R, fn)
+	case Not:
+		walkRefs(n.E, fn)
+	case Arith:
+		walkRefs(n.L, fn)
+		walkRefs(n.R, fn)
+	case All:
+		walkRefs(n.Attr, fn)
+		walkRefs(n.R, fn)
+	case Func:
+		for _, a := range n.Args {
+			walkRefs(a, fn)
 		}
 	}
-	if e != nil {
-		walk(e)
-	}
-	return out
 }

@@ -239,49 +239,62 @@ func (a Arith) Eval(b Binding) ([]model.Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	return wrap(arith(a.Op, l, r))
+}
+
+// wrap is a scalar node's result: its one value, or its error.
+func wrap(v model.Value, err error) ([]model.Value, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []model.Value{v}, nil
+}
+
+// arith applies op to two single values.
+func arith(op ArithOp, l, r model.Value) (model.Value, error) {
 	li, lok := l.AsInt()
 	ri, rok := r.AsInt()
 	if lok && rok {
-		switch a.Op {
+		switch op {
 		case Add:
-			return []model.Value{model.Int(li + ri)}, nil
+			return model.Int(li + ri), nil
 		case Sub:
-			return []model.Value{model.Int(li - ri)}, nil
+			return model.Int(li - ri), nil
 		case Mul:
-			return []model.Value{model.Int(li * ri)}, nil
+			return model.Int(li * ri), nil
 		case Div:
 			if ri == 0 {
-				return nil, fmt.Errorf("expr: integer division by zero")
+				return model.Null(), fmt.Errorf("expr: integer division by zero")
 			}
-			return []model.Value{model.Int(li / ri)}, nil
+			return model.Int(li / ri), nil
 		case Mod:
 			if ri == 0 {
-				return nil, fmt.Errorf("expr: integer modulo by zero")
+				return model.Null(), fmt.Errorf("expr: integer modulo by zero")
 			}
-			return []model.Value{model.Int(li % ri)}, nil
+			return model.Int(li % ri), nil
 		}
 	}
 	lf, lok := l.AsFloat()
 	rf, rok := r.AsFloat()
 	if !lok || !rok {
-		return nil, fmt.Errorf("expr: %s applied to non-numeric operands %s, %s", a.Op, l, r)
+		return model.Null(), fmt.Errorf("expr: %s applied to non-numeric operands %s, %s", op, l, r)
 	}
-	switch a.Op {
+	switch op {
 	case Add:
-		return []model.Value{model.Float(lf + rf)}, nil
+		return model.Float(lf + rf), nil
 	case Sub:
-		return []model.Value{model.Float(lf - rf)}, nil
+		return model.Float(lf - rf), nil
 	case Mul:
-		return []model.Value{model.Float(lf * rf)}, nil
+		return model.Float(lf * rf), nil
 	case Div:
 		if rf == 0 {
-			return nil, fmt.Errorf("expr: division by zero")
+			return model.Null(), fmt.Errorf("expr: division by zero")
 		}
-		return []model.Value{model.Float(lf / rf)}, nil
+		return model.Float(lf / rf), nil
 	case Mod:
-		return nil, fmt.Errorf("expr: %% requires integer operands")
+		return model.Null(), fmt.Errorf("expr: %% requires integer operands")
 	}
-	return nil, fmt.Errorf("expr: unknown arithmetic operator")
+	return model.Null(), fmt.Errorf("expr: unknown arithmetic operator")
 }
 
 // String renders the arithmetic expression.
@@ -374,65 +387,70 @@ func (f Func) Eval(b Binding) ([]model.Value, error) {
 		}
 		args[i] = v
 	}
-	name := strings.ToUpper(f.Name)
+	return wrap(call(f.Name, args))
+}
+
+// call applies the built-in function named fname to single values.
+func call(fname string, args []model.Value) (model.Value, error) {
+	name := strings.ToUpper(fname)
 	switch name {
 	case "LEN":
 		if err := arity(name, args, 1); err != nil {
-			return nil, err
+			return model.Null(), err
 		}
 		s, ok := args[0].AsString()
 		if !ok {
-			return nil, fmt.Errorf("expr: LEN requires a string, got %s", args[0])
+			return model.Null(), fmt.Errorf("expr: LEN requires a string, got %s", args[0])
 		}
-		return []model.Value{model.Int(int64(len(s)))}, nil
+		return model.Int(int64(len(s))), nil
 	case "LOWER", "UPPER":
 		if err := arity(name, args, 1); err != nil {
-			return nil, err
+			return model.Null(), err
 		}
 		s, ok := args[0].AsString()
 		if !ok {
-			return nil, fmt.Errorf("expr: %s requires a string, got %s", name, args[0])
+			return model.Null(), fmt.Errorf("expr: %s requires a string, got %s", name, args[0])
 		}
 		if name == "LOWER" {
-			return []model.Value{model.Str(strings.ToLower(s))}, nil
+			return model.Str(strings.ToLower(s)), nil
 		}
-		return []model.Value{model.Str(strings.ToUpper(s))}, nil
+		return model.Str(strings.ToUpper(s)), nil
 	case "ABS":
 		if err := arity(name, args, 1); err != nil {
-			return nil, err
+			return model.Null(), err
 		}
 		if i, ok := args[0].AsInt(); ok {
 			if i < 0 {
 				i = -i
 			}
-			return []model.Value{model.Int(i)}, nil
+			return model.Int(i), nil
 		}
 		if fv, ok := args[0].AsFloat(); ok {
 			if fv < 0 {
 				fv = -fv
 			}
-			return []model.Value{model.Float(fv)}, nil
+			return model.Float(fv), nil
 		}
-		return nil, fmt.Errorf("expr: ABS requires a number, got %s", args[0])
+		return model.Null(), fmt.Errorf("expr: ABS requires a number, got %s", args[0])
 	case "CONTAINS", "PREFIX", "SUFFIX":
 		if err := arity(name, args, 2); err != nil {
-			return nil, err
+			return model.Null(), err
 		}
 		s, ok1 := args[0].AsString()
 		sub, ok2 := args[1].AsString()
 		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("expr: %s requires strings", name)
+			return model.Null(), fmt.Errorf("expr: %s requires strings", name)
 		}
 		switch name {
 		case "CONTAINS":
-			return boolVal(strings.Contains(s, sub)), nil
+			return model.Bool(strings.Contains(s, sub)), nil
 		case "PREFIX":
-			return boolVal(strings.HasPrefix(s, sub)), nil
+			return model.Bool(strings.HasPrefix(s, sub)), nil
 		default:
-			return boolVal(strings.HasSuffix(s, sub)), nil
+			return model.Bool(strings.HasSuffix(s, sub)), nil
 		}
 	}
-	return nil, fmt.Errorf("expr: unknown function %q", f.Name)
+	return model.Null(), fmt.Errorf("expr: unknown function %q", fname)
 }
 
 func arity(name string, args []model.Value, n int) error {

@@ -282,7 +282,11 @@ func (s *Session) write(exec func() (*Result, error)) (*Result, error) {
 		return r, nil
 	}
 	s.execBegin()
-	defer s.execRollback() // refused once COMMIT has closed the transaction
+	defer func() {
+		if s.txn != nil { // COMMIT has not closed it: the statement failed
+			s.execRollback()
+		}
+	}()
 	r, err := exec()
 	if err != nil {
 		return nil, err

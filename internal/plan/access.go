@@ -149,7 +149,7 @@ func (cc *contest) installRootFilter(produced int, src string) {
 		a.EstRoots = scaleEst(produced, filterSel)
 		a.EstSource = combineSource(src, filterSrc)
 	}
-	if a.EstSource == "" {
+	if a.EstSource == "" || a.EstSource == SrcConstant {
 		a.EstSource = SrcContainer
 	}
 }

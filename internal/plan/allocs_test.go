@@ -7,6 +7,7 @@ import (
 	"mad/internal/core"
 	"mad/internal/expr"
 	"mad/internal/model"
+	"mad/internal/mql"
 	"mad/internal/plan"
 	"mad/internal/storage"
 )
@@ -58,8 +59,9 @@ func lookupDB(t *testing.T) (*storage.Database, *core.Desc) {
 // and an ORDER BY … LIMIT 8 riding an index. Selective statements are
 // most of a serving workload, so a change to how roots reach the
 // derivation workers must not cost them allocations; the bounds are the
-// counts measured with the stream's consumer driving the executor and
-// each batch's molecules carved from shared slabs.
+// counts measured with the stream's consumer driving the executor, each
+// batch's molecules carved from shared slabs, and the interior entry's
+// prune hook compiled once per plan.
 func TestIndexLookupStreamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -81,7 +83,7 @@ func TestIndexLookupStreamAllocs(t *testing.T) {
 		bound float64
 	}{
 		{"root-index", lookup(intCmp(expr.EQ, "root", "code", 17)), plan.IndexScan, 1, 23},
-		{"interior-climb", lookup(intCmp(expr.EQ, "part", "code", 17)), plan.InteriorIndex, 1, 37},
+		{"interior-climb", lookup(intCmp(expr.EQ, "part", "code", 17)), plan.InteriorIndex, 1, 34},
 		{"ORDER BY k DESC LIMIT 8 ride", mustCompile(t, kdb, kmt, nil, &plan.OrderBy{Attr: "k", Desc: true}, 0, 8), plan.OrderedScan, 8, 32},
 	} {
 		p := tc.p
@@ -167,5 +169,52 @@ func TestCompileAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, func() { compile() }); allocs > tc.bound {
 			t.Errorf("%s: %.1f allocations per compile, want ≤ %.0f", tc.name, allocs, tc.bound)
 		}
+	}
+}
+
+// residualChain and residualGroup are the residual-filter statements
+// over flaggedShop: a four-conjunct residual chain that reads unit and
+// part atoms through three references to part, and the same chain's
+// head under a GROUP BY. Every molecule is derived and judged; 64 in
+// 4 096 pass.
+const (
+	residualChain = "SELECT ALL FROM asm-unit-part WHERE unit.slot >= part.weight AND COUNT(part) >= COUNT(unit) " +
+		"AND NOT part.serial = 'SN-5-1-1' AND (part.serial = 'F-3' OR COUNT(part) < 0);"
+	residualGroup = "SELECT COUNT FROM asm-unit-part WHERE unit.slot >= part.weight AND COUNT(part) >= COUNT(unit) " +
+		"AND NOT part.serial = 'SN-5-1-1' GROUP BY bay;"
+)
+
+// residualSession is a one-worker session over flaggedShop's 4 096
+// molecules, so an allocation count does not depend on the machine's
+// core count.
+func residualSession(tb testing.TB) *mql.Session {
+	db, _ := flaggedShop(tb, 4096)
+	s := mql.NewSession(db)
+	if _, err := s.Exec("SET WORKERS 1;"); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// TestResidualAllocs gates the allocations of the residual chain, parse
+// to result: compiled residuals read each component type's atoms once
+// per molecule into reused scratch and compare values in place, so the
+// chain allocates nothing per molecule judged: the statement's count is
+// its parse, compile, scratch and result. The bound is the count measured
+// when predicates were first compiled; the interpreter took 21 327, about
+// five per molecule.
+func TestResidualAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	s := residualSession(t)
+	run := func() {
+		r, err := s.Exec(residualChain)
+		if err != nil || len(r.Set) != 64 {
+			t.Fatalf("chain: %v, %v; want 64 molecules", r, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs > 631 {
+		t.Errorf("chain: %.0f allocations per statement, want ≤ 631", allocs)
 	}
 }

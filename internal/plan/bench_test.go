@@ -56,3 +56,19 @@ func BenchmarkCompileOnly(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkResidual times the residual-filter statements end to end on
+// one worker: the chain, and the GROUP BY over its head.
+func BenchmarkResidual(b *testing.B) {
+	s := residualSession(b)
+	for _, tc := range []struct{ name, stmt string }{{"chain", residualChain}, {"group", residualGroup}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := s.Exec(tc.stmt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

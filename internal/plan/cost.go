@@ -31,6 +31,9 @@ const (
 	// statistics (average partners per linked atom) — the upward-climb
 	// estimates of interior-index access paths.
 	SrcLinkFan = "link-fan"
+	// SrcConstant marks a reference-free conjunct folded to its value. It
+	// is exact, so it never weakens the source it is combined with.
+	SrcConstant = "constant"
 )
 
 // Default selectivities for predicate shapes no statistic covers. The
@@ -225,11 +228,11 @@ func conjSelectivity(db *storage.Database, desc *core.Desc, c expr.Expr, sizes [
 	case expr.And:
 		ls, lsrc := conjSelectivity(db, desc, n.L, sizes)
 		rs, rsrc := conjSelectivity(db, desc, n.R, sizes)
-		return clampSel(ls * rs), worseSource(lsrc, rsrc)
+		return clampSel(ls * rs), combineSource(lsrc, rsrc)
 	case expr.Or:
 		ls, lsrc := conjSelectivity(db, desc, n.L, sizes)
 		rs, rsrc := conjSelectivity(db, desc, n.R, sizes)
-		return clampSel(ls + rs - ls*rs), worseSource(lsrc, rsrc)
+		return clampSel(ls + rs - ls*rs), combineSource(lsrc, rsrc)
 	case expr.Not:
 		s, src := conjSelectivity(db, desc, n.E, sizes)
 		return clampSel(1 - s), src
@@ -246,11 +249,19 @@ func conjSelectivity(db *storage.Database, desc *core.Desc, c expr.Expr, sizes [
 		if s, ok := countAt(desc, sizes, n); ok {
 			return s, SrcLinkFan
 		}
-		return defSelOther, SrcDefault
 	case expr.All:
 		return defSelOther, SrcDefault
 	case expr.Exists:
 		return 0.9, SrcDefault
+	}
+	// A reference-free conjunct is a constant: it keeps every candidate or
+	// none.
+	if referenceFree(c) {
+		if holds, err := expr.EvalPredicate(c, nil); err == nil && holds {
+			return 1, SrcConstant
+		} else if err == nil {
+			return clampSel(0), SrcConstant
+		}
 	}
 	return defSelOther, SrcDefault
 }

@@ -10,6 +10,7 @@ import (
 	"mad/internal/core"
 	"mad/internal/expr"
 	"mad/internal/model"
+	"mad/internal/mql"
 	"mad/internal/plan"
 	"mad/internal/storage"
 )
@@ -330,5 +331,31 @@ func TestRenderShowsEstimateSource(t *testing.T) {
 	}
 	if !strings.Contains(p.Render(), "[histogram]") {
 		t.Fatalf("render must label the histogram estimate:\n%s", p.Render())
+	}
+}
+
+// TestConstantConjunctEstimates: a reference-free conjunct is folded to
+// its value — it keeps every candidate or none — and leaves the
+// estimate's source as it was: over 2 items, a root filter 1 = 1 enters
+// the container's exact 2 roots.
+func TestConstantConjunctEstimates(t *testing.T) {
+	s := mql.NewSession(storage.NewDatabase())
+	if _, err := s.ExecScript("CREATE ATOM TYPE item (code STRING NOT NULL, qty INT); " +
+		"INSERT INTO item VALUES ('a', 1); INSERT INTO item VALUES ('b', 2);"); err != nil {
+		t.Fatal(err)
+	}
+	for where, want := range map[string]string{
+		"1 = 1":               "est ≈2 roots [container]",
+		"2 > 1 AND NOT 1 = 2": "est ≈2 roots [container]",
+		"1 = 2":               "est ≈1 roots [container]",
+		"1 = 1 AND qty > 1":   "est ≈1 roots [default]",
+	} {
+		r, err := s.Exec("EXPLAIN SELECT COUNT FROM item WHERE " + where + ";")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(r.Message, want) {
+			t.Errorf("WHERE %s: want %q in\n%s", where, want, r.Message)
+		}
 	}
 }

@@ -14,19 +14,19 @@ import (
 	"mad/internal/storage"
 )
 
-// flaggedShop builds an asm-unit-part population: asms roots, each with 4
-// units (slot 0–3) of 4 parts (weight 0.5), so about 16 part atoms per
-// molecule. One asm in 64 carries the serial "F-3" on its first part;
-// every other serial is unique. part.serial is indexed and ANALYZE has
-// built its histogram.
-func flaggedShop(t *testing.T, asms int) (*storage.Database, *core.MoleculeType) {
+// flaggedShop builds an asm-unit-part population: asms roots (bay 0–7),
+// each with 4 units (slot 0–3) of 4 parts (weight 0.5), so about 16 part
+// atoms per molecule. One asm in 64 carries the serial "F-3" on its first
+// part; every other serial is unique. part.serial is indexed and ANALYZE
+// has built its histogram.
+func flaggedShop(t testing.TB, asms int) (*storage.Database, *core.MoleculeType) {
 	t.Helper()
 	db := storage.NewDatabase()
 	for _, at := range []struct {
 		name  string
 		attrs []model.AttrDesc
 	}{
-		{"asm", []model.AttrDesc{{Name: "code", Kind: model.KString}}},
+		{"asm", []model.AttrDesc{{Name: "code", Kind: model.KString}, {Name: "bay", Kind: model.KInt}}},
 		{"unit", []model.AttrDesc{{Name: "slot", Kind: model.KInt}}},
 		{"part", []model.AttrDesc{{Name: "serial", Kind: model.KString}, {Name: "weight", Kind: model.KFloat}}},
 	} {
@@ -47,7 +47,7 @@ func flaggedShop(t *testing.T, asms int) (*storage.Database, *core.MoleculeType)
 		}
 	}
 	for i := 0; i < asms; i++ {
-		aid, err := txn.InsertAtom("asm", model.Str(fmt.Sprintf("A%d", i)))
+		aid, err := txn.InsertAtom("asm", model.Str(fmt.Sprintf("A%d", i)), model.Int(int64(i%8)))
 		must(err)
 		for u := 0; u < 4; u++ {
 			uid, err := txn.InsertAtom("unit", model.Int(int64(u)))

@@ -225,6 +225,9 @@ type Pushdown struct {
 	Source string
 	// Cut counts the molecules this node disqualified mid-derivation.
 	Cut int
+	// c is Type's container and pred the conjunct compiled against it.
+	c    *storage.Container
+	pred expr.Pred
 }
 
 // ResidualConjunct is one molecule-level conjunct of the residual filter,
@@ -243,6 +246,8 @@ type ResidualConjunct struct {
 	// means later conjuncts see fewer molecules than earlier ones).
 	Evals  int
 	Passed int
+	// pred is the conjunct compiled against the structure.
+	pred expr.Pred
 }
 
 // Plan is a compiled query plan: access path → derivation with pushdown →
@@ -297,6 +302,12 @@ type Plan struct {
 	// work is the derivation work of the last stream, as the executor
 	// tallied it.
 	work storage.WorkTally
+
+	// root is the root type's container and filter Access.Filter compiled
+	// against it, both set once the predicates are compiled
+	// (compilePreds).
+	root   *storage.Container
+	filter expr.Pred
 }
 
 // orderPath predicts the ordered-delivery mechanism the next run will
@@ -439,12 +450,13 @@ func compile(db *storage.Database, desc *core.Desc, pred expr.Expr, order *Order
 	return p, nil
 }
 
-// combineSource merges provenance labels, treating "" as absent.
+// combineSource merges provenance labels, treating "" and a folded
+// constant as absent.
 func combineSource(a, b string) string {
-	if a == "" {
+	if a == "" || a == SrcConstant {
 		return b
 	}
-	if b == "" {
+	if b == "" || b == SrcConstant {
 		return a
 	}
 	return worseSource(a, b)
@@ -617,31 +629,64 @@ func (b *evalErrBox) get() error {
 	return b.err
 }
 
-// atomPred compiles a conjunct into a per-atom predicate over the named
-// type, reading atom values through view. Evaluation errors surface
-// through eb (first one wins); the returned predicate is safe for
-// concurrent use.
-func (p *Plan) atomPred(typeName string, conjunct expr.Expr, eb *evalErrBox, view storage.View) (func(model.AtomID) bool, error) {
-	c, ok := p.db.Container(typeName)
-	if !ok {
-		return nil, fmt.Errorf("plan: atom type %q has no container", typeName)
+// compilePreds compiles the plan's predicates on its first run — each
+// conjunct once, its references resolved to columns and containers —
+// and every later run of the plan reuses them.
+func (p *Plan) compilePreds() error {
+	if p.root != nil {
+		return nil
 	}
-	desc := c.Desc()
+	root, ok := p.db.Container(p.Access.Root)
+	if !ok {
+		return fmt.Errorf("plan: atom type %q has no container", p.Access.Root)
+	}
+	if p.Access.Filter != nil {
+		p.filter = expr.Compile(p.Access.Filter, expr.AtomScope{TypeName: p.Access.Root, Desc: root.Desc()})
+	}
+	for i := range p.Pushdowns {
+		pd := &p.Pushdowns[i]
+		if pd.c, ok = p.db.Container(pd.Type); !ok {
+			return fmt.Errorf("plan: atom type %q has no container", pd.Type)
+		}
+		pd.pred = expr.Compile(pd.Conjunct, expr.AtomScope{TypeName: pd.Type, Desc: pd.c.Desc()})
+	}
+	scope := core.Scope{DB: p.db, Desc: p.desc}
+	for i := range p.Residuals {
+		p.Residuals[i].pred = expr.Compile(p.Residuals[i].Conjunct, scope)
+	}
+	p.root = root
+	return nil
+}
+
+// atomPred returns the compiled per-atom predicate pred over c's atoms,
+// reading through view. Evaluation errors surface through eb (first one
+// wins). It judges through a reader of its own, so every worker takes
+// its own predicate.
+func (p *Plan) atomPred(c *storage.Container, pred expr.Pred, eb *evalErrBox, view storage.View) func(model.AtomID) bool {
+	r := new(atomReader)
 	return func(id model.AtomID) bool {
 		a, ok := view.Atom(c, id)
 		if !ok {
 			return false
 		}
-		// Account the read like molecule-binding evaluation does, so the
+		// Account the read like molecule-level evaluation does, so the
 		// naive-vs-planned logical-work comparisons stay fair.
 		p.db.Stats().AtomsFetched.Add(1)
-		keep, err := expr.EvalPredicate(conjunct, expr.AtomBinding{TypeName: typeName, Desc: desc, Atom: a})
+		r[0] = a
+		keep, err := pred(r)
 		if err != nil {
 			eb.set(err)
 		}
 		return err == nil && keep
-	}, nil
+	}
 }
+
+// atomReader is the expr.Reader of an atom-level predicate: its one
+// slot holds the atom judged.
+type atomReader [1]model.Atom
+
+func (r *atomReader) Atoms(int) ([]model.Atom, error) { return r[:], nil }
+func (r *atomReader) Count(int) int                   { return 1 }
 
 // rankResiduals orders the residual chain by the (selectivity − 1)/cost
 // criterion so short-circuit evaluation does the least expected work per
@@ -671,13 +716,14 @@ func (p *Plan) resetActuals() {
 	}
 }
 
-// rootFilter compiles Access.Filter into a per-root predicate reading
-// through view; nil when the access path absorbed every root conjunct.
-func (p *Plan) rootFilter(eb *evalErrBox, view storage.View) (func(model.AtomID) bool, error) {
-	if p.Access.Filter == nil {
-		return nil, nil
+// rootFilter is the compiled Access.Filter as a per-root predicate
+// reading through view; nil when the access path absorbed every root
+// conjunct.
+func (p *Plan) rootFilter(eb *evalErrBox, view storage.View) func(model.AtomID) bool {
+	if p.filter == nil {
+		return nil
 	}
-	return p.atomPred(p.Access.Root, p.Access.Filter, eb, view)
+	return p.atomPred(p.root, p.filter, eb, view)
 }
 
 // Execute runs the plan and returns the qualifying molecules, filling
@@ -769,11 +815,11 @@ func (p *Plan) passingRoots(txn *storage.Txn, fn func(model.AtomID)) error {
 		defer own.Close()
 	}
 	p.resetActuals()
-	eb := &evalErrBox{}
-	filter, err := p.rootFilter(eb, dv.View())
-	if err != nil {
+	if err := p.compilePreds(); err != nil {
 		return err
 	}
+	eb := &evalErrBox{}
+	filter := p.rootFilter(eb, dv.View())
 	roots, err := p.roots(dv)
 	if err != nil {
 		return err

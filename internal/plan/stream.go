@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"mad/internal/core"
-	"mad/internal/expr"
 	"mad/internal/model"
 	"mad/internal/storage"
 )
@@ -114,16 +113,11 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 	p.resetActuals()
 	st := &Stream{p: p, view: dv.View(), own: own, eb: &evalErrBox{}}
 
-	// Per-atom predicates are safe for concurrent use and shared by all
-	// workers; evaluation errors land in the box, and the root-position
-	// guard rejects every molecule once an error is pending, so the
-	// remaining batch degrades to a cheap root sweep instead of deriving
-	// occurrences that will be discarded.
-	filter, err := p.rootFilter(st.eb, st.view)
-	preds := make([]func(model.AtomID) bool, len(p.Pushdowns))
-	for i := 0; i < len(preds) && err == nil; i++ {
-		preds[i], err = p.atomPred(p.Pushdowns[i].Type, p.Pushdowns[i].Conjunct, st.eb, st.view)
-	}
+	// The predicates compile on the plan's first run. Evaluation errors
+	// land in the box, and the root-position guard rejects every molecule
+	// once an error is pending, so the remaining batch degrades to a cheap
+	// root sweep instead of deriving occurrences that will be discarded.
+	err = p.compilePreds()
 	var roots core.Roots
 	if err == nil {
 		roots, err = p.roots(dv)
@@ -137,10 +131,7 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 	// workers cut hopeless roots pre-derivation.
 	p.OrderPath = p.orderPath()
 	if err == nil && (p.OrderPath == OrderTopK || p.OrderPath == OrderSort) {
-		c, ok := p.db.Container(p.Access.Root)
-		if !ok {
-			err = errors.New("plan: root container vanished between compile and execute")
-		}
+		c := p.root
 		st.kh = &topkHeap{p: p}
 		st.keyOf = func(id model.AtomID) (model.Value, bool) {
 			a, ok := st.view.Atom(c, id)
@@ -166,7 +157,7 @@ func (p *Plan) StreamIn(ctx context.Context, txn *storage.Txn) (*Stream, error) 
 		size = min(size, p.Limit)
 	}
 	st.run = dv.DeriveStream(ctx, roots, p.Workers, size, func(int) core.FusedWorker {
-		return st.worker(filter, preds)
+		return st.worker()
 	})
 	return st, nil
 }
@@ -256,9 +247,11 @@ func (h *topkHeap) Pop() any {
 
 // worker sets up one worker harness: the root filter, the top-K bound
 // prune and the pushdowns as prune hooks, the residual chain as its
-// sink, all counting into a workerState of its own.
-func (st *Stream) worker(filter func(model.AtomID) bool, preds []func(model.AtomID) bool) core.FusedWorker {
+// sink, all reading through readers and counting into a workerState of
+// its own.
+func (st *Stream) worker() core.FusedWorker {
 	p, eb := st.p, st.eb
+	filter := p.rootFilter(eb, st.view)
 	ws := &workerState{
 		cuts:   make([]int64, len(p.Pushdowns)),
 		evals:  make([]int64, len(p.Residuals)),
@@ -303,7 +296,7 @@ func (st *Stream) worker(filter func(model.AtomID) bool, preds []func(model.Atom
 		}})
 	}
 	for i := range p.Pushdowns {
-		i, pred := i, preds[i]
+		i, pred := i, p.atomPred(p.Pushdowns[i].c, p.Pushdowns[i].pred, eb, st.view)
 		checks = append(checks, core.PruneCheck{Pos: p.Pushdowns[i].Pos, Qualifies: func(atoms []model.AtomID) bool {
 			for _, id := range atoms {
 				if pred(id) {
@@ -314,19 +307,22 @@ func (st *Stream) worker(filter func(model.AtomID) bool, preds []func(model.Atom
 			return false
 		}})
 	}
+	var rd *core.Reader
+	if len(p.Residuals) > 0 {
+		rd = core.NewReader(p.db, p.desc, st.view)
+	}
 	keep := func(m *core.Molecule) bool {
 		if eb.failed.Load() {
 			return false
 		}
 		ws.derived++
-		if len(p.Residuals) == 0 {
+		if rd == nil {
 			return true
 		}
-		// Boxed once per molecule, not once per conjunct evaluated.
-		var b expr.Binding = core.Binding{DB: p.db, M: m, View: st.view}
+		rd.Bind(m)
 		for i := range p.Residuals {
 			ws.evals[i]++
-			ok, err := expr.EvalPredicate(p.Residuals[i].Conjunct, b)
+			ok, err := p.Residuals[i].pred(rd)
 			if err != nil {
 				eb.set(err)
 				return false

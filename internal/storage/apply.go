@@ -57,6 +57,9 @@ func (db *Database) applyOp(ts uint64, op *walOp, undos *[]func()) (eff effect, 
 		pushed(undo)
 		for _, ix := range ixs {
 			if hadOld {
+				if old.Get(ix.pos).Key() == op.atom.Get(ix.pos).Key() {
+					continue // the atom stays in the posting it is in
+				}
 				// The postings to retire are those of the value visible at ts.
 				pushed(ix.remove(old, ts))
 			}

@@ -328,3 +328,59 @@ func TestIndexWalkBesideWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUpdateKeepsUnchangedPostings: an UPDATE re-posts an index only
+// when the atom's indexed value changes. Updating another attribute —
+// auto-commit or in a transaction — pushes no version onto any index
+// chain; changing the key retires the old posting and extends the new
+// one, and lookups answer both keys.
+func TestUpdateKeepsUnchangedPostings(t *testing.T) {
+	db := NewDatabase()
+	desc := model.MustDesc(model.AttrDesc{Name: "code", Kind: model.KString}, model.AttrDesc{Name: "qty", Kind: model.KInt})
+	if _, err := db.DefineAtomType("item", desc); err != nil {
+		t.Fatal(err)
+	}
+	var ids []model.AtomID
+	for _, code := range []string{"a", "b", "a"} {
+		id, err := db.InsertAtom("item", model.Str(code), model.Int(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := db.CreateIndex("item", "code"); err != nil {
+		t.Fatal(err)
+	}
+	ix := db.indexes[indexKey("item", "code")]
+	versions := func() int {
+		ix.latch.RLock()
+		defer ix.latch.RUnlock()
+		_, nodes, _ := ix.entries.pressure()
+		return nodes
+	}
+	before := versions()
+	if err := db.UpdateAtom("item", ids[0], []model.Value{model.Str("a"), model.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	txn := db.Begin()
+	if err := txn.UpdateAtom("item", ids[2], []model.Value{model.Str("a"), model.Int(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := versions(); got != before {
+		t.Fatalf("updating qty pushed %d index versions, want 0", got-before)
+	}
+	if err := db.UpdateAtom("item", ids[0], []model.Value{model.Str("b"), model.Int(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := versions(); got != before+2 {
+		t.Fatalf("moving an atom between keys pushed %d index versions, want 2", got-before)
+	}
+	for code, want := range map[string][]model.AtomID{"a": {ids[2]}, "b": {ids[0], ids[1]}} {
+		if got, _ := db.IndexLookup("item", "code", model.Str(code)); !slices.Equal(got, want) {
+			t.Errorf("code = %q: %v, want %v", code, got, want)
+		}
+	}
+}

@@ -178,13 +178,13 @@ func (w *world) mismatch(db *storage.Database, v storage.View, overlay bool) err
 			}
 		}
 	}
-	vals, ok := v.Attr(c, append(w.ids(), w.gone...), 0)
-	if ok == (len(w.gone) > 0) || len(vals) != len(w.ids()) {
-		return fmt.Errorf("Attr stopped after %d of %d live atoms, ok=%v", len(vals), len(w.ids()), ok)
+	atoms, ok := v.Atoms(c, append(w.ids(), w.gone...), nil)
+	if ok == (len(w.gone) > 0) || len(atoms) != len(w.ids()) {
+		return fmt.Errorf("Atoms stopped after %d of %d live atoms, ok=%v", len(atoms), len(w.ids()), ok)
 	}
 	for k, id := range w.ids() {
-		if got, _ := vals[k].AsInt(); got != w.atoms[id] {
-			return fmt.Errorf("Attr[%v] = %d, model %d", id, got, w.atoms[id])
+		if got, _ := atoms[k].Get(0).AsInt(); atoms[k].ID != id || got != w.atoms[id] {
+			return fmt.Errorf("Atoms[%d] = %v, model %v = %d", k, atoms[k], id, w.atoms[id])
 		}
 	}
 	for val := int64(0); val < 4; val++ {

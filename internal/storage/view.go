@@ -19,8 +19,8 @@ import (
 // The readers take already-resolved *Container / *LinkStore handles, so
 // the per-atom and per-link hot path of molecule derivation does no name
 // lookup: one branch, one latch, one chain walk. They book no logical
-// work; the callers that account (the deriver's tally, core.Binding, the
-// Database conveniences) do. Only the index reads, which resolve the index
+// work; the callers that account (the deriver's tally, core.Binding,
+// core.Reader, the Database conveniences) do. Only the index reads, which resolve the index
 // by name, count themselves.
 type View struct {
 	db  *Database
@@ -57,15 +57,18 @@ func (v View) Atom(c *Container, id model.AtomID) (model.Atom, bool) {
 	return c.get(id, v.at(c.clock))
 }
 
-// Attr returns attribute i of each of the atoms ids — one component set
-// of a molecule — in order. It takes the container's latch once for the
-// set, not once per atom: the workers of a parallel derivation all read
-// the same few containers, and every acquisition writes a cache line they
-// share, at a cost that depends on how their reads happen to interleave.
-// It stops at the first identifier the occurrence does not hold: ok=false,
-// and ids[len(vals)] is that identifier.
-func (v View) Attr(c *Container, ids []model.AtomID, i int) (vals []model.Value, ok bool) {
-	vals = make([]model.Value, 0, len(ids))
+// Atoms reads the atoms ids — one component set of a molecule — in
+// order into dst's storage, reused from dst[:0] and grown once when it
+// is too small, so a caller that passes the last result back as dst
+// stops allocating. It takes the container's latch once for the set, not
+// once per atom: the workers of a parallel derivation all read the same
+// few containers, and every acquisition writes a cache line they share,
+// at a cost that depends on how their reads happen to interleave. It
+// stops at the first identifier the occurrence does not hold: ok=false,
+// and ids[len(atoms)] is that identifier. The atoms' values are
+// immutable versions; callers must not mutate them.
+func (v View) Atoms(c *Container, ids []model.AtomID, dst []model.Atom) (atoms []model.Atom, ok bool) {
+	atoms = slices.Grow(dst[:0], len(ids))
 	ts := v.at(c.clock)
 	c.latch.RLock()
 	defer c.latch.RUnlock()
@@ -77,11 +80,11 @@ func (v View) Attr(c *Container, ids []model.AtomID, i int) (vals []model.Value,
 			}
 		}
 		if !ok {
-			return vals, false
+			return atoms, false
 		}
-		vals = append(vals, a.Get(i))
+		atoms = append(atoms, a)
 	}
-	return vals, true
+	return atoms, true
 }
 
 // Has reports whether the container's occurrence holds id.
